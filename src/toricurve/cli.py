@@ -364,6 +364,8 @@ def _cmd_xi(args) -> int:
 
 
 def _config_from_args(args) -> RunConfig:
+    if args.max_retries < 1:
+        raise ValueError("max-retries must be at least 1")
     return RunConfig(
         fan_path=getattr(args, "fan", None),
         preset_name=getattr(args, "preset", None),
@@ -474,11 +476,15 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_demo(args) -> int:
-    config = RunConfig(
-        preset_name=args.name,
-        seed=_check_seed(args.seed),
-        out_dir=args.out,
-    )
+    try:
+        seed = _check_seed(args.seed)
+    except ValueError as exc:
+        return _emit(
+            {"command": "demo", "status": "error",
+             "error": {"kind": "usage", "message": str(exc)}},
+            EXIT_USAGE,
+        )
+    config = RunConfig(preset_name=args.name, seed=seed, out_dir=args.out)
     code, report = run_pipeline(config)
     report["command"] = "demo"
     return _emit(report, code)

@@ -8,6 +8,15 @@ fallback.  Immersivity is a univariate gcd of derivative numerators plus a
 separate derivative check at infinity.  Every rational witness is re-checked
 by direct Fraction evaluation; algebraic witnesses are re-checked by
 polynomial congruences.
+
+The algebra runs on sparse polynomials over Q (`sympy.polys.rings`): each
+coordinate's numerator F_i and denominator G_i is built once in Q[s, u]
+(Q[t] for immersivity), and every gcd, factorization and remainder is
+taken in the ring; resultants run over Z after clearing denominators.  A
+nonconstant univariate gcd or eliminant is factored once: linear factors
+give the rational candidates, higher factors the conjugate ones.
+`sympy.Expr` appears only in the polynomials that witnesses print and in
+the Groebner fallback.
 """
 from __future__ import annotations
 
@@ -16,6 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import sympy
+from sympy.polys.domains import QQ, ZZ
+from sympy.polys.rings import ring
 
 from .curve import (
     CDivisor,
@@ -27,7 +38,13 @@ from .curve import (
 )
 from .embed import ChartMap, EmbeddingData, chart_maps, check_theorem_conditions
 
-_T, _S, _U, _Y = sympy.symbols("t s u y")
+_R, _s, _u = ring("s,u", QQ)
+# resultants eliminate the first generator, over Z
+_Z_SU = _R.clone(domain=ZZ)
+_Z_US = ring("u,s", ZZ)[0]
+_t = ring("t", QQ)[1]
+_Y = sympy.Symbol("y")
+_S, _U = _R.symbols
 
 DEFAULT_DEGREE_CAP = 512
 
@@ -74,24 +91,65 @@ class Certificate:
         ) + (("pullback", self.pullback_ok),)
 
 
-def _rat(x: Fraction):
-    return sympy.Rational(x.numerator, x.denominator)
+def _qq(x: Fraction):
+    return QQ(x.numerator, x.denominator)
 
 
-def _to_fraction(x) -> Fraction:
-    return Fraction(int(sympy.numer(x)), int(sympy.denom(x)))
+def _fraction(c) -> Fraction:
+    return Fraction(int(c.numerator), int(c.denominator))
 
 
-def _num_den(f: RationalFunction, var):
-    """Numerator and denominator polynomials of a factored function."""
-    num = _rat(f.constant)
-    den = sympy.Integer(1)
+def _num_den(f: RationalFunction, x):
+    """Numerator and denominator of a factored function, in x's ring."""
+    num, den = x.ring(_qq(f.constant)), x.ring.one
     for r, e in f.factors:
         if e > 0:
-            num *= (var - _rat(r)) ** e
+            num *= (x - _qq(r)) ** e
         else:
-            den *= (var - _rat(r)) ** (-e)
-    return sympy.expand(num), sympy.expand(den)
+            den *= (x - _qq(r)) ** -e
+    return num, den
+
+
+def _linear_root(p) -> Fraction:
+    """The root of a polynomial of degree one, a * x + b."""
+    return _fraction(-p.coeff(1) / p.LC)
+
+
+def _total_degree(p) -> int:
+    return max(map(sum, p.itermonoms()))
+
+
+def _gcd_all(polys):
+    g = polys[0]
+    for p in polys[1:]:
+        if g.is_ground:
+            break
+        g = g.gcd(p)
+    return g
+
+
+def _factor_key(item) -> str:
+    """Certificates list factors as sorted((Expr, multiplicity), key=str)."""
+    mu, m = item
+    return str((mu.as_expr(), m))
+
+
+def _roots_and_factors(p):
+    """Factor univariate p once.
+
+    Returns its rational roots (from the linear factors) and its irreducible
+    factors of degree >= 2, the candidates for a congruence re-check, each
+    in the fixed order that decides which witness is found first.
+    """
+    roots, higher = [], []
+    for mu, m in p.factor_list()[1]:
+        if _total_degree(mu) == 1:
+            roots.append((_linear_root(mu), m))
+        else:
+            higher.append((mu, m))
+    roots.sort(key=lambda rm: f"({rm[0]}, {rm[1]})")
+    higher.sort(key=_factor_key)
+    return [r for r, _ in roots], [mu for mu, _ in higher]
 
 
 def _value_at(f: RationalFunction, point: CurvePoint):
@@ -111,50 +169,44 @@ def _rational_candidates(limit: int = 60):
         yield Fraction(-(2 * k - 1), 2)
 
 
-def _is_diagonal(factor) -> bool:
-    q = sympy.simplify(factor / (_S - _U))
-    return q.is_number
-
-
 def _axis_root(factor, var):
     """If factor is linear in `var` alone, its rational root, else None."""
-    poly = sympy.Poly(factor, _S, _U)
-    other = _U if var is _S else _S
-    if sympy.degree(poly, other) != 0 or sympy.degree(poly, var) != 1:
+    other = _u if var == _s else _s
+    if factor.degree(other) != 0 or factor.degree(var) != 1:
         return None
-    uni = sympy.Poly(factor, var)
-    a, b = uni.all_coeffs()
-    return _to_fraction(sympy.Rational(-b, a))
+    return _linear_root(factor)
 
 
 def _collision_holds(coords, s0: Fraction, u0: Fraction) -> bool:
     """Direct Fraction re-check, independent of the elimination machinery."""
     ps, pu = CurvePoint(s0), CurvePoint(u0)
     for f in coords:
-        vs = evaluate_with_derivative(f, ps)
-        vu = evaluate_with_derivative(f, pu)
-        if vs is None or vu is None or not isinstance(vs, tuple) or not isinstance(vu, tuple):
-            return False
-        if vs[0] != vu[0]:
+        vs = _value_at(f, ps)
+        if vs is None or vs != _value_at(f, pu):
             return False
     return True
 
 
-def _congruence_collision(pairs, s0: Fraction, mu) -> bool:
-    """Check p_i(s0) = p_i(alpha) for every root alpha of mu, exactly.
+def _congruence_collision(FG, s0: Fraction, mu) -> bool:
+    """Check p_i(s0) = p_i(alpha) for every root alpha of mu(u), exactly.
 
     The identity F_i(u) G_i(s0) - F_i(s0) G_i(u) = 0 mod mu(u) states the
     collision in Q[u]/(mu).
     """
-    for F, G in pairs:
-        fs0 = F.subs(_S, _rat(s0)) if F.has(_S) else F
-        gs0 = G.subs(_S, _rat(s0)) if G.has(_S) else G
-        fu = F.subs(_S, _U) if F.has(_S) else F
-        gu = G.subs(_S, _U) if G.has(_S) else G
-        h = sympy.expand(fu * gs0 - fs0 * gu)
-        if sympy.rem(h, mu, _U) != 0:
-            return False
-    return True
+    s0 = _qq(s0)
+    return all(
+        not (Fu * G.subs(_s, s0) - F.subs(_s, s0) * Gu).rem(mu)
+        for F, G, Fu, Gu in FG
+    )
+
+
+def _conjugate_witness(s0: Fraction, mu) -> dict:
+    return {
+        "kind": "collision-conjugate",
+        "s": str(s0),
+        "partner_poly": str(mu.as_expr()),
+        "verified": "congruence",
+    }
 
 
 def _witness_from_curve(coords, FG, factor, excluded_fr):
@@ -162,33 +214,25 @@ def _witness_from_curve(coords, FG, factor, excluded_fr):
     for s0 in _rational_candidates():
         if s0 in excluded_fr:
             continue
-        psi = sympy.expand(factor.subs(_S, _rat(s0)))
-        if psi == 0:
+        psi = factor.subs(_s, _qq(s0))
+        if not psi:
             # factor is s - s0 itself; any u pairs with s0
             for u0 in _rational_candidates():
                 if u0 != s0 and u0 not in excluded_fr and _collision_holds(coords, s0, u0):
                     return _pair_witness(s0, u0)
             continue
-        poly = sympy.Poly(psi, _U)
-        if poly.degree() < 1:
+        if psi.is_ground:
             continue
-        for root, _mult in sorted(poly.ground_roots().items(), key=str):
-            u0 = _to_fraction(root)
-            if u0 == s0 or u0 in excluded_fr:
-                continue
-            if _collision_holds(coords, s0, u0):
+        roots, higher = _roots_and_factors(psi)
+        for u0 in roots:
+            if u0 != s0 and u0 not in excluded_fr and _collision_holds(coords, s0, u0):
                 return _pair_witness(s0, u0)
-        for mu, _mult in sorted(sympy.factor_list(psi, _U)[1], key=str):
-            if sympy.degree(mu, _U) >= 2 and _congruence_collision(FG, s0, mu):
-                return {
-                    "kind": "collision-conjugate",
-                    "s": str(s0),
-                    "partner_poly": str(sympy.expand(mu)),
-                    "verified": "congruence",
-                }
+        for mu in higher:
+            if _congruence_collision(FG, s0, mu):
+                return _conjugate_witness(s0, mu)
     return {
         "kind": "collision-curve",
-        "poly": str(sympy.expand(factor)),
+        "poly": str(factor.as_expr()),
         "verified": "common-factor-division",
     }
 
@@ -207,45 +251,30 @@ def _partner_witnesses(coords, FG, Qs, u0: Fraction, excluded_fr):
     """All verified collisions with second coordinate u0 (rational)."""
     if u0 in excluded_fr:
         return []
-    specialized = []
-    for q in Qs:
-        spec = sympy.expand(q.subs(_U, _rat(u0)))
-        if spec != 0:
-            specialized.append(spec)
+    specialized = [p for p in (q.subs(_u, _qq(u0)) for q in Qs) if p]
     assert specialized, "all coordinates degenerate at a candidate"
-    d = specialized[0]
-    for other in specialized[1:]:
-        d = sympy.gcd(d, other)
-    if sympy.degree(d, _S) < 1:
+    d = _gcd_all(specialized)
+    if d.is_ground:
         return []
-    out = []
-    poly = sympy.Poly(d, _S)
-    for root, _mult in sorted(poly.ground_roots().items(), key=str):
-        s0 = _to_fraction(root)
-        if s0 == u0 or s0 in excluded_fr:
-            continue
-        if _collision_holds(coords, s0, u0):
-            out.append(_pair_witness(s0, u0))
-    for mu, _mult in sorted(sympy.factor_list(d, _S)[1], key=str):
-        if sympy.degree(mu, _S) >= 2:
-            mu_u = mu.subs(_S, _U)
-            if _congruence_collision(FG, u0, mu_u):
-                out.append(
-                    {
-                        "kind": "collision-conjugate",
-                        "s": str(u0),
-                        "partner_poly": str(sympy.expand(mu)),
-                        "verified": "congruence",
-                    }
-                )
+    roots, higher = _roots_and_factors(d)
+    out = [
+        _pair_witness(s0, u0)
+        for s0 in roots
+        if s0 != u0 and s0 not in excluded_fr and _collision_holds(coords, s0, u0)
+    ]
+    out.extend(
+        _conjugate_witness(u0, mu)
+        for mu in higher
+        if _congruence_collision(FG, u0, mu.compose(_s, _u))
+    )
     return out
 
 
 def _saturation_poly(excluded_fr):
-    h = _S - _U
+    h = _s - _u
     for e in sorted(excluded_fr):
-        h *= (_S - _rat(e)) * (_U - _rat(e))
-    return sympy.expand(h)
+        h *= (_s - _qq(e)) * (_u - _qq(e))
+    return h
 
 
 def chart_injective(chart: ChartMap, degree_cap: int = DEFAULT_DEGREE_CAP) -> CheckResult:
@@ -253,11 +282,10 @@ def chart_injective(chart: ChartMap, degree_cap: int = DEFAULT_DEGREE_CAP) -> Ch
     coords = chart.coords
     excluded_fr = {p.finite for p in chart.excluded if not p.is_infinity}
     FG = []
-    degs = []
     for f in coords:
-        num, den = _num_den(f, _S)
-        FG.append((num, den))
-        degs.append(max(int(sympy.degree(num, _S)), int(sympy.degree(den, _S))))
+        F, G = _num_den(f, _s)
+        FG.append((F, G, F.compose(_s, _u), G.compose(_s, _u)))
+    degs = [max(F.degree(_s), G.degree(_s)) for F, G, _, _ in FG]
     est0 = max(
         2 * degs[i] * degs[j] for i in range(3) for j in range(i + 1, 3)
     )
@@ -274,60 +302,37 @@ def chart_injective(chart: ChartMap, degree_cap: int = DEFAULT_DEGREE_CAP) -> Ch
         and not any(p.is_infinity for p in chart.excluded)
     )
     if infinity_in_domain:
-        h_polys = []
-        for (num, den), c in zip(FG, inf_values):
-            h = sympy.expand(num.subs(_S, _U) - _rat(c) * den.subs(_S, _U))
-            assert h != 0, "a chart coordinate is constant"
-            h_polys.append(h)
-        g_inf = h_polys[0]
-        for h in h_polys[1:]:
-            g_inf = sympy.gcd(g_inf, h)
-        if sympy.degree(g_inf, _U) >= 1:
-            poly = sympy.Poly(g_inf, _U)
-            for root, _mult in sorted(poly.ground_roots().items(), key=str):
-                u0 = _to_fraction(root)
-                if u0 in excluded_fr:
-                    continue
-                values = [evaluate_with_derivative(f, CurvePoint(u0)) for f in coords]
-                if all(
-                    isinstance(v, tuple) and v[0] == c
-                    for v, c in zip(values, inf_values)
+        h_polys = [Fu - Gu * _qq(c) for (_, _, Fu, Gu), c in zip(FG, inf_values)]
+        assert all(h_polys), "a chart coordinate is constant"
+        g_inf = _gcd_all(h_polys)
+        if not g_inf.is_ground:
+            roots, higher = _roots_and_factors(g_inf)
+            for u0 in roots:
+                point = CurvePoint(u0)
+                if u0 not in excluded_fr and all(
+                    _value_at(f, point) == c for f, c in zip(coords, inf_values)
                 ):
                     witnesses.append(
+                        {"kind": "collision-with-infinity", "u": str(u0), "verified": "evaluation"}
+                    )
+            for mu in higher:
+                if all(not h.rem(mu) for h in h_polys):
+                    witnesses.append(
                         {
-                            "kind": "collision-with-infinity",
-                            "u": str(u0),
-                            "verified": "evaluation",
+                            "kind": "collision-with-infinity-conjugate",
+                            "poly": str(mu.as_expr()),
+                            "verified": "congruence",
                         }
                     )
-            for mu, _mult in sorted(sympy.factor_list(g_inf, _U)[1], key=str):
-                if sympy.degree(mu, _U) >= 2:
-                    if all(sympy.rem(h, mu, _U) == 0 for h in h_polys):
-                        witnesses.append(
-                            {
-                                "kind": "collision-with-infinity-conjugate",
-                                "poly": str(sympy.expand(mu)),
-                                "verified": "congruence",
-                            }
-                        )
 
-    # finite-finite collisions
-    Qs = []
-    all_linearish = True
-    for num, den in FG:
-        n_expr = sympy.expand(
-            num * den.subs(_S, _U) - num.subs(_S, _U) * den
-        )
-        q = sympy.exquo(n_expr, _S - _U)  # antisymmetric, always divisible
-        q = sympy.expand(q)
-        assert q != 0, "a chart coordinate is constant"
-        Qs.append(q)
-        if not q.is_number:
-            all_linearish = False
+    # finite-finite collisions: Q_i = N_i / (s - u), exact since N_i is
+    # antisymmetric
+    Qs = [(F * Gu - Fu * G).exquo(_s - _u) for F, G, Fu, Gu in FG]
+    assert all(Qs), "a chart coordinate is constant"
 
     method = "linear"
-    if not all_linearish:
-        if any(q.is_number for q in Qs):
+    if not all(q.is_ground for q in Qs):
+        if any(q.is_ground for q in Qs):
             method = "resultant"  # some coordinate separates every pair
         else:
             method = _finite_finite(
@@ -340,104 +345,79 @@ def chart_injective(chart: ChartMap, degree_cap: int = DEFAULT_DEGREE_CAP) -> Ch
 
 def _finite_finite(chart, coords, FG, Qs, excluded_fr, witnesses, degree_cap):
     """Dispatch shared factors, then decide the residual system."""
-    def deg(expr, var):
-        return int(sympy.degree(expr, var))
-
     est = max(
-        deg(Qs[i], _S) * deg(Qs[j], _U) + deg(Qs[j], _S) * deg(Qs[i], _U)
+        Qs[i].degree(_s) * Qs[j].degree(_u) + Qs[j].degree(_s) * Qs[i].degree(_u)
         for i in range(3)
         for j in range(i + 1, 3)
     )
     if est > degree_cap:
         raise DegreeOverflow(chart.cone, est, degree_cap)
 
-    g = sympy.gcd(sympy.gcd(Qs[0], Qs[1]), Qs[2])
+    g = _gcd_all(Qs)
     residual = list(Qs)
-    if not g.is_number:
-        _coeff, factors = sympy.factor_list(g, _S, _U)
-        for factor, _mult in sorted(factors, key=str):
-            if _is_diagonal(factor):
+    if not g.is_ground:
+        for factor, _mult in sorted(g.factor_list()[1], key=_factor_key):
+            if factor.monic() == _s - _u:
                 continue  # extra tangency along the diagonal: immersion's job
-            root_s = _axis_root(factor, _S)
+            root_s = _axis_root(factor, _s)
             if root_s is not None and root_s in excluded_fr:
                 continue
-            root_u = _axis_root(factor, _U)
+            root_u = _axis_root(factor, _u)
             if root_u is not None and root_u in excluded_fr:
                 continue
             witnesses.append(_witness_from_curve(coords, FG, factor, excluded_fr))
-        residual = [sympy.expand(sympy.exquo(q, g)) for q in Qs]
+        residual = [q.exquo(g) for q in Qs]
 
-    if any(r.is_number for r in residual):
-        return "factor" if not g.is_number else "resultant"
+    if any(r.is_ground for r in residual):
+        return "factor" if not g.is_ground else "resultant"
 
     # quick passes: a constant candidate gcd in either direction proves the
     # residual system has no common zeros at all
     du = None
-    for elim_var, keep_var in ((_S, _U), (_U, _S)):
+    for elim_var, keep_var in ((_s, _u), (_u, _s)):
         cands = _candidate_polys(residual, elim_var, keep_var, chart.cone, degree_cap)
         if cands is _EMPTY:
             return "resultant"
         if cands is None:
             continue
-        d = cands[0]
-        for c in cands[1:]:
-            if d.is_number:
-                break
-            d = sympy.gcd(d, c)
-        if d.is_number:
+        d = _gcd_all(cands)
+        if d.is_ground:
             return "resultant"
-        if keep_var is _U:
+        if keep_var == _u:
             du = d
 
     # candidate roots in the u direction, partners recovered by univariate gcd
-    hard = False
     if du is not None:
-        _coeff, factors = sympy.factor_list(du, _U)
+        roots, higher = _roots_and_factors(du)
         found = len(witnesses)
-        for mu, _mult in sorted(factors, key=str):
-            if sympy.degree(mu, _U) == 1:
-                poly = sympy.Poly(mu, _U)
-                a, b = poly.all_coeffs()
-                u0 = _to_fraction(sympy.Rational(-b, a))
-                witnesses.extend(
-                    _partner_witnesses(coords, FG, residual, u0, excluded_fr)
-                )
-            else:
-                hard = True
-        if witnesses[found:]:
-            return "resultant"
-        if not hard:
-            return "resultant"  # every candidate dispatched, none in range
+        for u0 in roots:
+            witnesses.extend(_partner_witnesses(coords, FG, residual, u0, excluded_fr))
+        if witnesses[found:] or not higher:
+            return "resultant"  # every candidate dispatched, or a collision found
 
     # Groebner saturation decides the rest exactly
     bezout = 1
     for r in residual:
-        bezout *= max(1, sympy.Poly(r, _S, _U).total_degree())
+        bezout *= max(1, _total_degree(r))
     if bezout > degree_cap:
         raise DegreeOverflow(chart.cone, bezout, degree_cap)
-    sat = _saturation_poly(excluded_fr)
+    sat = _saturation_poly(excluded_fr).as_expr()
     gb = sympy.groebner(
-        residual + [1 - _Y * sat], _Y, _S, _U, order="lex"
+        [r.as_expr() for r in residual] + [1 - _Y * sat], _Y, _S, _U, order="lex"
     )
     if list(gb.exprs) == [sympy.Integer(1)]:
         return "groebner"
     elim_u = [e for e in gb.exprs if not e.has(_Y) and not e.has(_S)]
     assert elim_u, "saturated zero-dimensional ideal has a univariate member"
-    _coeff, factors = sympy.factor_list(elim_u[0], _U)
+    roots, _higher = _roots_and_factors(_R(elim_u[0]))
     found = len(witnesses)
-    for mu, _mult in sorted(factors, key=str):
-        if sympy.degree(mu, _U) == 1:
-            poly = sympy.Poly(mu, _U)
-            a, b = poly.all_coeffs()
-            u0 = _to_fraction(sympy.Rational(-b, a))
-            witnesses.extend(
-                _partner_witnesses(coords, FG, residual, u0, excluded_fr)
-            )
+    for u0 in roots:
+        witnesses.extend(_partner_witnesses(coords, FG, residual, u0, excluded_fr))
     if not witnesses[found:]:
         witnesses.append(
             {
                 "kind": "collision-system",
-                "elimination_poly": str(sympy.expand(elim_u[0])),
+                "elimination_poly": str(elim_u[0]),
                 "verified": "groebner-saturation",
             }
         )
@@ -447,6 +427,17 @@ def _finite_finite(chart, coords, FG, Qs, excluded_fr, witnesses, degree_cap):
 _EMPTY = object()  # sentinel: the system certainly has no common zeros
 
 
+def _resultant(f, g, elim_var):
+    """Res(f, g) with respect to elim_var, up to a nonzero constant factor.
+
+    Denominators are cleared first, so the subresultant sequence runs on
+    integers; only its zero set matters to the callers.
+    """
+    ring = _Z_SU if elim_var == _s else _Z_US
+    f, g = (p.clear_denoms()[1].set_ring(ring) for p in (f, g))
+    return f.resultant(g).set_ring(_R)
+
+
 def _candidate_polys(residual, elim_var, keep_var, cone, degree_cap):
     """Polynomials in keep_var that vanish at every residual common zero.
 
@@ -454,27 +445,22 @@ def _candidate_polys(residual, elim_var, keep_var, cone, degree_cap):
     (that pair alone already has no common zeros), None when no candidate
     source exists (every pairwise resultant vanishes identically).
     """
-    def deg(expr, var):
-        return int(sympy.degree(expr, var))
-
     cands = []
     positive = []
     for r in residual:
-        if deg(r, elim_var) == 0:
+        if r.degree(elim_var) == 0:
             cands.append(r)  # already free of the eliminated variable
         else:
             positive.append(r)
     for i in range(len(positive)):
         for j in range(i + 1, len(positive)):
             f, g = positive[i], positive[j]
-            est = deg(f, elim_var) * deg(g, keep_var) + deg(g, elim_var) * deg(
-                f, keep_var
-            )
+            est = f.degree(elim_var) * g.degree(keep_var) + g.degree(elim_var) * f.degree(keep_var)
             if est > degree_cap:
                 raise DegreeOverflow(cone, est, degree_cap)
-            res = sympy.expand(sympy.resultant(f, g, elim_var))
-            if res.is_number:
-                if res != 0:
+            res = _resultant(f, g, elim_var)
+            if res.is_ground:
+                if res:
                     return _EMPTY
             else:
                 cands.append(res)
@@ -489,38 +475,28 @@ def chart_immersive(chart: ChartMap) -> CheckResult:
 
     w_polys = []
     for f in coords:
-        num, den = _num_den(f, _T)
-        w = sympy.expand(sympy.diff(num, _T) * den - num * sympy.diff(den, _T))
-        assert w != 0, "a chart coordinate is constant"
+        F, G = _num_den(f, _t)
+        w = F.diff(_t) * G - F * G.diff(_t)
+        assert w, "a chart coordinate is constant"
         w_polys.append(w)
-    g = w_polys[0]
-    for w in w_polys[1:]:
-        g = sympy.gcd(g, w)
-    if sympy.degree(g, _T) >= 1:
-        poly = sympy.Poly(g, _T)
-        for root, _mult in sorted(poly.ground_roots().items(), key=str):
-            t0 = _to_fraction(root)
+    g = _gcd_all(w_polys)
+    if not g.is_ground:
+        roots, higher = _roots_and_factors(g)
+        for t0 in roots:
             if t0 in excluded_fr:
                 continue
             values = [evaluate_with_derivative(f, CurvePoint(t0)) for f in coords]
             if all(isinstance(v, tuple) and v[1] == 0 for v in values):
+                witnesses.append({"kind": "tangent-point", "t": str(t0), "verified": "evaluation"})
+        for mu in higher:
+            if all(not w.rem(mu) for w in w_polys):
                 witnesses.append(
                     {
-                        "kind": "tangent-point",
-                        "t": str(t0),
-                        "verified": "evaluation",
+                        "kind": "tangent-conjugate",
+                        "poly": str(mu.as_expr()),
+                        "verified": "congruence",
                     }
                 )
-        for mu, _mult in sorted(sympy.factor_list(g, _T)[1], key=str):
-            if sympy.degree(mu, _T) >= 2:
-                if all(sympy.rem(w, mu, _T) == 0 for w in w_polys):
-                    witnesses.append(
-                        {
-                            "kind": "tangent-conjugate",
-                            "poly": str(sympy.expand(mu)),
-                            "verified": "congruence",
-                        }
-                    )
 
     inf_derivs = [evaluate_with_derivative(f, INFINITY) for f in coords]
     if all(isinstance(v, tuple) and v[1] == 0 for v in inf_derivs):

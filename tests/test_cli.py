@@ -271,3 +271,22 @@ def test_usage_errors_are_reported_before_any_work(capsys, tmp_path):
     )
     assert code == 2 and report["error"]["kind"] == "usage"
     assert not (tmp_path / "o").exists()
+
+
+def test_demo_rejects_a_negative_seed_as_a_usage_error(capsys, tmp_path):
+    code, report = run_cli(capsys, ["demo", "p3", "--seed", "-1", "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert report["command"] == "demo"
+    assert report["error"]["kind"] == "usage"
+    assert not (tmp_path / "o").exists()
+
+
+def test_run_rejects_zero_retries_as_a_usage_error(capsys, tmp_path):
+    code, report = run_cli(
+        capsys,
+        ["run", "--preset", "p3", "--max-retries", "0", "--out", str(tmp_path / "o")],
+    )
+    assert code == 2
+    assert report["error"]["kind"] == "usage"
+    assert "max-retries" in report["error"]["message"]
+    assert not (tmp_path / "o").exists()
