@@ -85,6 +85,13 @@ def pairing_matrix(fan: Fan) -> list[list[int]]:
     return [[ray[i] for ray in fan.rays] for i in range(3)]
 
 
+def pairing_divisor(divisors, coeffs) -> CDivisor:
+    """sum_rho coeffs[rho] * D_rho, summed in one pass over the scaled entries."""
+    return CDivisor.of(
+        (p, k * m) for k, d in zip(coeffs, divisors) if k for p, m in d.entries
+    )
+
+
 def build_embedding_data(
     fan: Fan,
     ample: TDivisor | None,
@@ -120,10 +127,7 @@ def build_embedding_data(
     a = pairing_matrix(fan)
     epsilon = []
     for i in range(3):
-        combo = CDivisor(())
-        for rho, d in enumerate(divisors):
-            if a[i][rho]:
-                combo = combo + d.scale(a[i][rho])
+        combo = pairing_divisor(divisors, a[i])
         assert combo.degree == 0  # xi is in the kernel, degrees cancel
         epsilon.append(principal_function(combo).scale(torus_f[i]))
 
@@ -165,10 +169,7 @@ def check_theorem_conditions(data: EmbeddingData) -> ConditionsReport:
     a = pairing_matrix(data.fan)
     divisor_failures = []
     for i in range(3):
-        expected = CDivisor(())
-        for rho, d in enumerate(data.divisors):
-            if a[i][rho]:
-                expected = expected + d.scale(a[i][rho])
+        expected = pairing_divisor(data.divisors, a[i])
         actual = data.epsilon[i].divisor()
         if actual != expected:
             diff = actual + (-expected)

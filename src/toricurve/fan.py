@@ -2,7 +2,10 @@
 
 A fan is a tuple of primitive ray generators plus maximal cones given as
 index triples.  Everything downstream (walls, intersection numbers, ample
-search) assumes smooth and complete; validate() decides both exactly.
+search) assumes smooth and complete; validate() decides both exactly, the
+separation of each pair of maximal cones by homogeneous Fourier-Motzkin
+over int (feasibility.homogeneous_feasible).  Results keyed by Fan are
+memoised in caches of FAN_CACHE_SIZE entries each.
 """
 from __future__ import annotations
 
@@ -11,10 +14,15 @@ import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
-from .feasibility import Infeasible, find_point
+# find_point is unused here but stays bound: pipebench/tracing.py wraps it
+# by this module attribute
+from .feasibility import find_point, homogeneous_feasible  # noqa: F401
 from .intlinalg import IntMatrix, unimodular_inverse
 
 Vec3 = tuple[int, int, int]
+
+# entries in each lru_cache keyed by Fan; bounded so long runs stay flat
+FAN_CACHE_SIZE = 32
 
 
 class MalformedFan(ValueError):
@@ -118,31 +126,31 @@ def _pair_census(fan: Fan) -> dict[tuple[int, int], list[int]]:
 def _cones_intersect_in_face(fan: Fan, ca, cb) -> bool:
     """Exact test that two maximal cones meet in a common face.
 
-    There is a linear functional vanishing on the shared rays and strictly
-    separating the rest iff the intersection is the face spanned by the
-    shared rays.  Strictness is scale-invariant, so margin 1 is exact.
+    There is a linear functional m vanishing on the shared rays, positive on
+    the other rays of ca and negative on the other rays of cb iff the
+    intersection is the face spanned by the shared rays.
     """
     common = set(ca) & set(cb)
-    constraints = []
+    rows = []
     for idx in ca:
         ray = fan.rays[idx]
         if idx in common:
-            constraints.append((ray, 0))
-            constraints.append((tuple(-x for x in ray), 0))
+            rows.append((ray, False))
+            rows.append((tuple(-x for x in ray), False))
         else:
-            constraints.append((ray, 1))
+            rows.append((ray, True))
     for idx in cb:
         if idx not in common:
-            constraints.append((tuple(-x for x in fan.rays[idx]), 1))
-    try:
-        find_point(constraints, 3)
-        return True
-    except Infeasible:
-        return False
+            rows.append((tuple(-x for x in fan.rays[idx]), True))
+    return homogeneous_feasible(rows, 3)
 
 
+@lru_cache(maxsize=FAN_CACHE_SIZE)
 def validate(fan: Fan) -> ValidationReport:
-    """Smoothness and completeness, with exact criteria and issue codes."""
+    """Smoothness and completeness, with exact criteria and issue codes.
+
+    Memoised per Fan, so a precondition re-check downstream is a lookup.
+    """
     issues: list[tuple] = []
     for idx, ray in enumerate(fan.rays):
         if not is_primitive(ray):
@@ -187,7 +195,7 @@ class Wall:
     b: int
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=FAN_CACHE_SIZE)
 def walls(fan: Fan) -> tuple[Wall, ...]:
     """All 2-faces with adjacency and wall relation coefficients."""
     census = _pair_census(fan)
@@ -219,12 +227,12 @@ def walls(fan: Fan) -> tuple[Wall, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=FAN_CACHE_SIZE)
 def _cone_set(fan: Fan) -> frozenset:
     return frozenset(fan.max_cones)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=FAN_CACHE_SIZE)
 def _face_pairs(fan: Fan) -> frozenset:
     return frozenset(_pair_census(fan))
 

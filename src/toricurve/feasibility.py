@@ -3,10 +3,14 @@
 Fourier-Motzkin elimination on systems of inequalities sum_i c_i x_i >= rhs,
 with all arithmetic in Fraction.  Infeasible systems come with a Farkas
 certificate: nonnegative multipliers on the original rows that combine to the
-contradiction 0 >= positive.  Worst-case exponential, fine at fan scale.
+contradiction 0 >= positive.  find_point and minimize serve the ample search.
+homogeneous_feasible decides strict homogeneous systems (fan validation's
+cone separation) by Fourier-Motzkin over int, with no certificate and no
+back-substitution.  Worst-case exponential, fine at fan scale.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -195,6 +199,31 @@ def minimize(objective, constraints, n_vars: int):
     value = sum(c * x for c, x in zip(obj, point))
     assert value == lo
     return value, point
+
+
+def homogeneous_feasible(rows, n_vars: int) -> bool:
+    """Whether some x satisfies every row: coeffs . x > 0 if strict, else >= 0.
+
+    rows: iterable of (coeffs, strict) with int coefficients.  Homogeneous
+    Fourier-Motzkin over int: a row with a positive and one with a negative
+    coefficient on the eliminated variable combine with positive integer
+    multipliers, divided by the gcd, strict if either parent is; a strict row
+    with no variables left is the contradiction 0 > 0.
+    """
+    work = {(tuple(c), bool(s)) for c, s in rows}
+    for var in range(n_vars - 1, -1, -1):
+        lowers = [r for r in work if r[0][var] > 0]
+        uppers = [r for r in work if r[0][var] < 0]
+        work = {r for r in work if not r[0][var]}
+        for lo, lo_strict in lowers:
+            for up, up_strict in uppers:
+                a, b = lo[var], -up[var]
+                coeffs = tuple(b * x + a * y for x, y in zip(lo, up))
+                g = math.gcd(*coeffs)
+                if g > 1:
+                    coeffs = tuple(x // g for x in coeffs)
+                work.add((coeffs, lo_strict or up_strict))
+    return not any(strict for _, strict in work)
 
 
 def verify_infeasibility_certificate(constraints, certificate, n_vars: int) -> bool:

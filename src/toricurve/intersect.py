@@ -11,7 +11,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .fan import Fan, Wall, cone_matrix, ray_matrix, walls, _cone_set
+from .fan import FAN_CACHE_SIZE, Fan, Wall, cone_matrix, ray_matrix, walls, _cone_set
 from .feasibility import Infeasible, find_point, minimize
 from .intlinalg import IntMatrix, integer_kernel_basis, smith_normal_form, unimodular_inverse
 
@@ -70,7 +70,7 @@ class XiVector:
     method: str
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=FAN_CACHE_SIZE)
 def _wall_by_pair(fan: Fan) -> dict[tuple[int, int], Wall]:
     return {(w.i, w.j): w for w in walls(fan)}
 

@@ -470,7 +470,7 @@ def _candidate_polys(residual, elim_var, keep_var, cone, degree_cap):
 def chart_immersive(chart: ChartMap) -> CheckResult:
     """No common zero of all coordinate derivatives on the chart domain."""
     coords = chart.coords
-    excluded_fr = {p.finite for p in chart.excluded}
+    excluded_fr = {p.finite for p in chart.excluded if not p.is_infinity}
     witnesses: list[dict] = []
 
     w_polys = []
@@ -499,7 +499,9 @@ def chart_immersive(chart: ChartMap) -> CheckResult:
                 )
 
     inf_derivs = [evaluate_with_derivative(f, INFINITY) for f in coords]
-    if all(isinstance(v, tuple) and v[1] == 0 for v in inf_derivs):
+    if INFINITY not in chart.excluded and all(
+        isinstance(v, tuple) and v[1] == 0 for v in inf_derivs
+    ):
         witnesses.append({"kind": "tangent-infinity", "verified": "evaluation"})
 
     witnesses.sort(key=lambda w: json.dumps(w, sort_keys=True))

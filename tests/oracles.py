@@ -2,7 +2,8 @@
 
 Everything here recomputes results through a different route than the
 package: brute-force enumeration, quotient-ring normal forms via sympy
-Groebner bases, and plain Fraction arithmetic.  Tests compare package
+Groebner bases, plain Fraction arithmetic, and margin-1 Fraction
+feasibility in place of the integer cone-separation test.  Tests compare package
 output against these oracles, never the other way around.
 """
 
@@ -10,6 +11,8 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import sympy
+
+from toricurve.feasibility import Infeasible, find_point
 
 
 def kernel_vectors_brute_force(rows, bound):
@@ -41,6 +44,32 @@ def farkas_refutes(constraints, multipliers, n_vars):
             total[k] += lam * Fraction(coeffs[k])
         rhs += lam * Fraction(bound)
     return all(t == 0 for t in total) and rhs > 0
+
+
+def cones_meet_in_face_lp(rays, ca, cb):
+    """Margin-1 Fraction feasibility route to fan.validate's cone separation.
+
+    Some m vanishes on the shared rays, has m . a >= 1 on the other rays of
+    ca and m . b <= -1 on the other rays of cb; strictness is
+    scale-invariant, so margin 1 decides the strict system exactly.
+    """
+    common = set(ca) & set(cb)
+    constraints = []
+    for idx in ca:
+        ray = rays[idx]
+        if idx in common:
+            constraints.append((ray, 0))
+            constraints.append((tuple(-x for x in ray), 0))
+        else:
+            constraints.append((ray, 1))
+    for idx in cb:
+        if idx not in common:
+            constraints.append((tuple(-x for x in rays[idx]), 1))
+    try:
+        find_point(constraints, 3)
+        return True
+    except Infeasible:
+        return False
 
 
 class ChowOracle:

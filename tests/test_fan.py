@@ -5,7 +5,9 @@ import random
 import pytest
 
 from conftest import FIXTURES
+from toricurve import fan as fan_module
 from toricurve.fan import (
+    FAN_CACHE_SIZE,
     ConeNotInFan,
     Fan,
     MalformedFan,
@@ -21,6 +23,7 @@ from toricurve.fan import (
     validate,
     walls,
 )
+from toricurve.intersect import _wall_by_pair
 
 
 def wall_relation_holds(fan, wall):
@@ -202,6 +205,32 @@ def test_star_subdivision_chains_stay_valid():
         r, f2, f3 = report.counts
         assert f3 == 2 * r - 4
         assert f2 == 3 * r - 6
+
+
+def test_caches_keyed_by_fan_stay_at_their_bound(p3):
+    """More fans than the bound leave every Fan-keyed cache exactly full."""
+    for k in range(FAN_CACHE_SIZE + 5):
+        # the shear x += k*y is unimodular, so each fan is new and valid
+        rays = tuple((x + k * y, y, z) for x, y, z in p3.rays)
+        fan = Fan(rays, p3.max_cones)
+        assert validate(fan).ok
+        primitive_collections(fan)
+        _wall_by_pair(fan)
+    caches = (
+        validate, walls, fan_module._cone_set, fan_module._face_pairs, _wall_by_pair,
+    )
+    for cache in caches:
+        info = cache.cache_info()
+        assert info.maxsize == FAN_CACHE_SIZE
+        assert info.currsize == FAN_CACHE_SIZE
+
+
+def test_validate_is_computed_once_per_fan(p3):
+    fan = Fan(tuple((x, y + 7 * z, z) for x, y, z in p3.rays), p3.max_cones)
+    before = validate.cache_info()
+    assert validate(fan) is validate(Fan(fan.rays, fan.max_cones))
+    after = validate.cache_info()
+    assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
 
 
 def test_fan_constructor_rejections(p3):

@@ -1,8 +1,9 @@
 """Byte-for-byte replay oracle for the artifacts the pipeline writes.
 
 Every digest below is the sha256 of `embedding.json` / `certificate.json`
-(or of `certify`'s refusal message) as the certifier wrote them when the
-digests were pinned.  A change to the certification internals must leave
+(or of `certify`'s refusal message, or of the stdout report of
+`toricurve fan validate` on an invalid fan) as the program wrote them when
+the digests were pinned.  A change to the certification internals must leave
 every one of them unchanged: witness order, witness strings and method
 names are part of the replay contract.
 
@@ -11,17 +12,22 @@ Re-pin (only for a deliberate format change) with
     PYTHONPATH=src:tests python tests/test_replay_golden.py
 """
 
+import contextlib
+import functools
 import hashlib
+import io
+import random
 import sys
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
 import negative_fixtures
-from toricurve.cli import RunConfig, run_pipeline
+from toricurve.cli import RunConfig, main, run_pipeline
 from toricurve.curve import CDivisor, CurvePoint, principal_function
 from toricurve.embed import EmbeddingData, check_theorem_conditions, pairing_matrix
-from toricurve.fan import preset, save_fan, star_subdivision
+from toricurve.fan import Fan, preset, save_fan, star_subdivision
 from toricurve.intersect import XiVector, xi_vector
 from toricurve.verify import certify, dumps_certificate
 
@@ -72,6 +78,23 @@ GOLDEN = {
     "certify/bl-some-neg": "3217f25fdadab069c3165ac59a9d7b110e817401f3d1c6e8c2593914824d5e26",
     "certify/bl-some-refl": "77dbccbdede4bdbd591954ccae84bcb0b7cbfa023d95d234cf16052d73be59ca",
     "certify/bl-some-inv2": "60f9783e054e3d126f2f10d50614be9621df09d4d20d81640c39e9fcd2d32784",
+    "validate/non-primitive": "ff440d51657e3ac76a5233ef6e44647847da414da46b6febcaf59e611e00ca5e",
+    "validate/non-unimodular": "18a0436049414cbb247067facf92e1f2f20af1fb58a885dd00989c279ea49250",
+    "validate/deleted-cone": "973ef5cd1a3dfb54989523af4dcdcb07f958d2e73928967b051a0d81b21665f0",
+    "validate/overlapping": "d772b266afb539a6e4a40678fb5f601f086c274dc72f5abb8913656d9c4f7d75",
+    "validate/empty": "cb9585fbd56e34ff06b3063e445976cfda776ef1e854fef490379c0a9071a9fd",
+    "validate/random/0": "464717e3605d068f52f01b3478d41c74093890a6aa0db5c42a550999ae752903",
+    "validate/random/1": "391c2722a032bcc75562d6a0ee36d0d2bc4d9622a0e8905210633b6080327ab2",
+    "validate/random/2": "2f6e1455f18f6772e1bdfc639f5cb0aaf62a9d26a52792121324da65ba33ceb7",
+    "validate/random/3": "61f6f4ba65beb5d5a8be445541116d0aa34fbf424c6c73bbdd957060864f80c2",
+    "validate/random/4": "3c07206a35fc2a33d1445662e8b92af0d0801a70e5b0fc639a5a564985906b58",
+    "validate/random/5": "3b13bf8fa06df58b71ee9eda4847e6edbebc00fb550a4a441648bceb760d8d89",
+    "validate/random/6": "73c9399d689aa3accd05379cef35f004c3038d62c1aca5a3bb89a629d19ea6a3",
+    "validate/random/7": "d6e2a4e3fcca4e39be3d4ecbc84cf0df29ca377410462d7b3913cde7392af7ee",
+    "validate/random/8": "355d6ac167ed90de11a09cc812c2b0bd3f2555f0e3c67b284ac714112f9d8fe9",
+    "validate/random/9": "0c800d74fd54fb42bf1f34c3644eb43c4a4021f752f89e7d507a24d99a66f622",
+    "validate/random/10": "a70bd6001d5c80cb35f95e38fbf96971dc9fac0314552b28a4b6cd2c87ebdc01",
+    "validate/random/11": "a77f48dcacd8b9858f2d1d6cca2d52a012a80bb947a0cae5ce6a4ac1e38ce29f",
 }
 
 
@@ -193,6 +216,55 @@ FIXTURE_DATA = {
 }
 
 
+@functools.cache
+def random_invalid_fans(seed: int, count: int) -> tuple:
+    """Random cone sets on box rays, chains with one ray moved, chains with an extra cone."""
+    rng = random.Random(seed)
+    box = [v for v in product(range(-2, 3), repeat=3) if any(v)]
+    fans = []
+    for n in range(count):
+        if n % 3 == 0:
+            rays = rng.sample(box, rng.randint(4, 7))
+            triples = list(combinations(range(len(rays)), 3))
+            size = min(len(triples), rng.randint(2, 8))
+            fans.append(Fan(tuple(rays), tuple(rng.sample(triples, size))))
+            continue
+        fan = preset("p3")
+        for _ in range(rng.randint(1, 3)):
+            fan = star_subdivision(fan, rng.choice(fan.max_cones))
+        if n % 3 == 1:
+            rays = list(fan.rays)
+            rays[rng.randrange(len(rays))] = rng.choice([v for v in box if v not in rays])
+            fans.append(Fan(tuple(rays), fan.max_cones))
+        else:
+            spare = [t for t in combinations(range(fan.n_rays), 3) if t not in fan.max_cones]
+            fans.append(Fan(fan.rays, fan.max_cones + (rng.choice(spare),)))
+    return tuple(fans)
+
+
+P3 = preset("p3")
+# the invalid fans of test_fan.py, then the seeded random ones
+VALIDATION_FANS = {
+    "non-primitive": lambda: Fan(((2, 0, 0),) + P3.rays[1:], P3.max_cones),
+    "non-unimodular": lambda: Fan(((1, 0, 0), (1, 2, 0), (0, 0, 1)), ((0, 1, 2),)),
+    "deleted-cone": lambda: Fan(P3.rays, P3.max_cones[:-1]),
+    "overlapping": lambda: Fan(((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)),
+                               ((0, 1, 2), (0, 1, 3))),
+    "empty": lambda: Fan(((1, 0, 0),), ()),
+    **{f"random/{n}": (lambda n=n: random_invalid_fans(2027, 12)[n]) for n in range(12)},
+}
+
+
+def _validate_stdout(fan, tmp) -> str:
+    tmp.mkdir(parents=True, exist_ok=True)
+    path = tmp / "fan.json"
+    save_fan(fan, path)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        main(["fan", "validate", "--fan", str(path)])
+    return out.getvalue()
+
+
 def current_digests(tmp) -> dict:
     out = {}
     for name in PRESETS:
@@ -203,6 +275,9 @@ def current_digests(tmp) -> dict:
         out[f"certify/{label}"] = _certify_digest(make())
     for label, args in INVOLUTIONS.items():
         out[f"certify/{label}"] = _certify_digest(involution_data(*args))
+    for label, make in VALIDATION_FANS.items():
+        text = _validate_stdout(make(), tmp / "validate")
+        out[f"validate/{label}"] = _sha(text.encode("utf-8"))
     return out
 
 
@@ -226,6 +301,13 @@ def test_involution_certificates_replay(label):
     data = involution_data(*INVOLUTIONS[label])
     assert not certify(data).embedded
     assert _certify_digest(data) == GOLDEN[f"certify/{label}"]
+
+
+@pytest.mark.parametrize("label", list(VALIDATION_FANS))
+def test_validation_reports_replay(label, tmp_path):
+    text = _validate_stdout(VALIDATION_FANS[label](), tmp_path)
+    assert '"status": "invalid"' in text
+    assert _sha(text.encode("utf-8")) == GOLDEN[f"validate/{label}"]
 
 
 if __name__ == "__main__":

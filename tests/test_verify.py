@@ -85,16 +85,29 @@ def test_cusp_shows_up_as_a_tangent_point_until_excluded():
     assert chart_immersive(chart(coords, excluded=(0,))).ok
 
 
-def test_even_tangencies_at_zero_and_infinity_are_both_reported():
-    coords = (
+def even_tangency_coords():
+    """Even coordinates whose derivatives all vanish at 0 and at infinity."""
+    return (
         rf({2: 1, -2: 1, 1: -1, -1: -1}),
         rf({3: 1, -3: 1, 1: -1, -1: -1}),
         rf({2: 1, -2: 1, 3: 1, -3: 1, 1: -2, -1: -2}),
     )
-    imm = chart_immersive(chart(coords))
+
+
+def test_even_tangencies_at_zero_and_infinity_are_both_reported():
+    imm = chart_immersive(chart(even_tangency_coords()))
     assert not imm.ok
     assert kinds(imm.witnesses) == ("tangent-infinity", "tangent-point")
     assert imm.witnesses[1]["t"] == "0"
+
+
+def test_excluding_infinity_silences_the_tangent_at_infinity():
+    coords = even_tangency_coords()
+    imm = chart_immersive(chart(coords, excluded=(INFINITY,)))
+    assert imm.witnesses == (
+        {"kind": "tangent-point", "t": "0", "verified": "evaluation"},
+    )
+    assert chart_immersive(chart(coords, excluded=(INFINITY, 0))).ok
 
 
 def test_collision_with_the_point_at_infinity():
