@@ -125,7 +125,7 @@ def _reduce_mod_rows(v, hrows) -> tuple[int, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=FAN_CACHE_SIZE)
 def _character_pairing_neg_one(ray: tuple[int, int, int]) -> tuple[int, int, int]:
     """Canonical character m with <m, ray> = -1 for a primitive ray.
 

@@ -1,28 +1,29 @@
 """Exact certification that embedding data is a closed immersion.
 
-Per chart, injectivity is decided on pairs: the antisymmetric numerators
-N_i(s, u) = F_i(s) G_i(u) - F_i(u) G_i(s) are divided by (s - u), a common
-factor of the quotients is dispatched by factoring, and the residual finite
-system is decided by pairwise resultants with a Groebner saturation
-fallback.  Immersivity is a univariate gcd of derivative numerators plus a
-separate derivative check at infinity.  Every rational witness is re-checked
-by direct Fraction evaluation; algebraic witnesses are re-checked by
-polynomial congruences.
+Per chart, each coordinate is f_i = K_i N_i / D_i with integer polynomials
+N_i, D_i (one factor den * t - num per root num / den) and a rational K_i
+that no collision or zero depends on.  Injectivity is decided on pairs: the
+Bezoutians Q_i = (N_i(s) D_i(u) - N_i(u) D_i(s)) / (s - u), built from the
+coefficients, have any common factor dispatched by factoring, and the
+residual system is decided by pairwise resultants eliminating s, with a
+Groebner saturation fallback.  Each Q_i is symmetric in s and u, so the
+residuals are symmetric up to sign and eliminating u would only swap the
+variables: one direction suffices.  Immersivity is a univariate gcd of the
+N_i' D_i - N_i D_i' plus a derivative check at infinity.  Rational witnesses
+are re-checked by Fraction evaluation, algebraic ones by congruences.
 
-The algebra runs on sparse polynomials over Q (`sympy.polys.rings`): each
-coordinate's numerator F_i and denominator G_i is built once in Q[s, u]
-(Q[t] for immersivity), and every gcd, factorization and remainder is
-taken in the ring; resultants run over Z after clearing denominators.  A
-nonconstant univariate gcd or eliminant is factored once: linear factors
-give the rational candidates, higher factors the conjugate ones.
-`sympy.Expr` appears only in the polynomials that witnesses print and in
-the Groebner fallback.
+Every gcd, resultant, remainder and factorization runs on sparse integer
+polynomials (`sympy.polys.rings`, Z[s, u], Z[u], Z[t]); factors come out
+primitive with positive leading coefficient, as over Q.  Q[s, u] appears
+only where a rational point is substituted and in the Groebner fallback,
+`sympy.Expr` only in witness strings and that fallback.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 import sympy
 from sympy.polys.domains import QQ, ZZ
@@ -38,13 +39,12 @@ from .curve import (
 )
 from .embed import ChartMap, EmbeddingData, chart_maps, check_theorem_conditions
 
-_R, _s, _u = ring("s,u", QQ)
-# resultants eliminate the first generator, over Z
-_Z_SU = _R.clone(domain=ZZ)
-_Z_US = ring("u,s", ZZ)[0]
-_t = ring("t", QQ)[1]
+_Z, _s, _u = ring("s,u", ZZ)
+_Q, _qs, _qu = ring("s,u", QQ)  # for substituting rational points only
+_zu = ring("u", ZZ)[1]  # also the ring of the resultants in s
+_zt = ring("t", ZZ)[1]
 _Y = sympy.Symbol("y")
-_S, _U = _R.symbols
+_S, _U = _Z.symbols
 
 DEFAULT_DEGREE_CAP = 512
 
@@ -95,24 +95,39 @@ def _qq(x: Fraction):
     return QQ(x.numerator, x.denominator)
 
 
-def _fraction(c) -> Fraction:
-    return Fraction(int(c.numerator), int(c.denominator))
-
-
-def _num_den(f: RationalFunction, x):
-    """Numerator and denominator of a factored function, in x's ring."""
-    num, den = x.ring(_qq(f.constant)), x.ring.one
+def _integer_parts(f: RationalFunction, x):
+    """Integer N and D in x's ring with f = K * N / D for a rational K."""
+    num, den = x.ring.one, x.ring.one
     for r, e in f.factors:
+        lin = r.denominator * x - r.numerator
         if e > 0:
-            num *= (x - _qq(r)) ** e
+            num *= lin ** e
         else:
-            den *= (x - _qq(r)) ** -e
+            den *= lin ** -e
     return num, den
 
 
+def _bezoutian(N, D):
+    """(N(s) D(u) - N(u) D(s)) / (s - u) in Z[s, u], for N and D in Z[u].
+
+    With N = sum a_i u^i, D = sum b_i u^i and c_ik = a_i b_k - a_k b_i,
+    (s - u) Q = sum c_ik s^i u^k gives q_pk = c_(p+1)k + q_(p+1)(k-1),
+    filled row by row from the top.
+    """
+    n = max(N.degree(), D.degree())
+    a, b = (p.to_dense()[::-1] + [0] * (n - p.degree()) for p in (N, D))
+    terms = {}
+    row = [0] * n  # q_(p+1)k, zero above the top row
+    for p in reversed(range(n)):
+        ap, bp = a[p + 1], b[p + 1]
+        row = [ap * b[k] - a[k] * bp + (row[k - 1] if k else 0) for k in range(n)]
+        terms.update(((p, k), v) for k, v in enumerate(row) if v)
+    return _Z.from_dict(terms)
+
+
 def _linear_root(p) -> Fraction:
-    """The root of a polynomial of degree one, a * x + b."""
-    return _fraction(-p.coeff(1) / p.LC)
+    """The root of a * x + b, a primitive factor with integer a and b."""
+    return Fraction(int(-p.coeff(1)), int(p.LC))
 
 
 def _total_degree(p) -> int:
@@ -139,7 +154,8 @@ def _roots_and_factors(p):
 
     Returns its rational roots (from the linear factors) and its irreducible
     factors of degree >= 2, the candidates for a congruence re-check, each
-    in the fixed order that decides which witness is found first.
+    in the fixed order that decides which witness is found first.  Over Z
+    and over Q the factors are the same primitive polynomials.
     """
     roots, higher = [], []
     for mu, m in p.factor_list()[1]:
@@ -187,17 +203,15 @@ def _collision_holds(coords, s0: Fraction, u0: Fraction) -> bool:
     return True
 
 
-def _congruence_collision(FG, s0: Fraction, mu) -> bool:
+def _congruence_collision(NDs, s0: Fraction, mu) -> bool:
     """Check p_i(s0) = p_i(alpha) for every root alpha of mu(u), exactly.
 
-    The identity F_i(u) G_i(s0) - F_i(s0) G_i(u) = 0 mod mu(u) states the
+    The identity N_i(u) D_i(s0) - N_i(s0) D_i(u) = 0 mod mu(u) states the
     collision in Q[u]/(mu).
     """
     s0 = _qq(s0)
-    return all(
-        not (Fu * G.subs(_s, s0) - F.subs(_s, s0) * Gu).rem(mu)
-        for F, G, Fu, Gu in FG
-    )
+    NDs = [(N.set_ring(_Q), D.set_ring(_Q)) for N, D in NDs]
+    return all(not (N * D.subs(_qu, s0) - N.subs(_qu, s0) * D).rem(mu) for N, D in NDs)
 
 
 def _conjugate_witness(s0: Fraction, mu) -> dict:
@@ -209,12 +223,13 @@ def _conjugate_witness(s0: Fraction, mu) -> dict:
     }
 
 
-def _witness_from_curve(coords, FG, factor, excluded_fr):
+def _witness_from_curve(coords, NDs, factor, excluded_fr):
     """A verified collision witness on the zero curve of a common factor."""
+    factor_q = factor.set_ring(_Q)
     for s0 in _rational_candidates():
         if s0 in excluded_fr:
             continue
-        psi = factor.subs(_s, _qq(s0))
+        psi = factor_q.subs(_qs, _qq(s0))
         if not psi:
             # factor is s - s0 itself; any u pairs with s0
             for u0 in _rational_candidates():
@@ -228,7 +243,7 @@ def _witness_from_curve(coords, FG, factor, excluded_fr):
             if u0 != s0 and u0 not in excluded_fr and _collision_holds(coords, s0, u0):
                 return _pair_witness(s0, u0)
         for mu in higher:
-            if _congruence_collision(FG, s0, mu):
+            if _congruence_collision(NDs, s0, mu):
                 return _conjugate_witness(s0, mu)
     return {
         "kind": "collision-curve",
@@ -247,11 +262,11 @@ def _pair_witness(s0: Fraction, u0: Fraction) -> dict:
     }
 
 
-def _partner_witnesses(coords, FG, Qs, u0: Fraction, excluded_fr):
-    """All verified collisions with second coordinate u0 (rational)."""
+def _partner_witnesses(coords, NDs, Qs, u0: Fraction, excluded_fr):
+    """All verified collisions with second coordinate u0 (rational); Qs in Q[s, u]."""
     if u0 in excluded_fr:
         return []
-    specialized = [p for p in (q.subs(_u, _qq(u0)) for q in Qs) if p]
+    specialized = [p for p in (q.subs(_qu, _qq(u0)) for q in Qs) if p]
     assert specialized, "all coordinates degenerate at a candidate"
     d = _gcd_all(specialized)
     if d.is_ground:
@@ -265,15 +280,15 @@ def _partner_witnesses(coords, FG, Qs, u0: Fraction, excluded_fr):
     out.extend(
         _conjugate_witness(u0, mu)
         for mu in higher
-        if _congruence_collision(FG, u0, mu.compose(_s, _u))
+        if _congruence_collision(NDs, u0, mu.compose(_qs, _qu))
     )
     return out
 
 
 def _saturation_poly(excluded_fr):
-    h = _s - _u
+    h = _qs - _qu
     for e in sorted(excluded_fr):
-        h *= (_s - _qq(e)) * (_u - _qq(e))
+        h *= (_qs - _qq(e)) * (_qu - _qq(e))
     return h
 
 
@@ -281,11 +296,8 @@ def chart_injective(chart: ChartMap, degree_cap: int = DEFAULT_DEGREE_CAP) -> Ch
     """Decide injectivity of the chart coordinates off the excluded points."""
     coords = chart.coords
     excluded_fr = {p.finite for p in chart.excluded if not p.is_infinity}
-    FG = []
-    for f in coords:
-        F, G = _num_den(f, _s)
-        FG.append((F, G, F.compose(_s, _u), G.compose(_s, _u)))
-    degs = [max(F.degree(_s), G.degree(_s)) for F, G, _, _ in FG]
+    NDs = [_integer_parts(f, _zu) for f in coords]
+    degs = [max(N.degree(), D.degree()) for N, D in NDs]
     est0 = max(
         2 * degs[i] * degs[j] for i in range(3) for j in range(i + 1, 3)
     )
@@ -302,7 +314,9 @@ def chart_injective(chart: ChartMap, degree_cap: int = DEFAULT_DEGREE_CAP) -> Ch
         and not any(p.is_infinity for p in chart.excluded)
     )
     if infinity_in_domain:
-        h_polys = [Fu - Gu * _qq(c) for (_, _, Fu, Gu), c in zip(FG, inf_values)]
+        # deg N_i <= deg D_i = d, so p_i(u) = p_i(inf) iff
+        # lc(D_i) N_i(u) = n_d D_i(u), n_d the coefficient of u^d in N_i
+        h_polys = [D.LC * N - N.coeff(_zu ** D.degree()) * D for N, D in NDs]
         assert all(h_polys), "a chart coordinate is constant"
         g_inf = _gcd_all(h_polys)
         if not g_inf.is_ground:
@@ -325,9 +339,8 @@ def chart_injective(chart: ChartMap, degree_cap: int = DEFAULT_DEGREE_CAP) -> Ch
                         }
                     )
 
-    # finite-finite collisions: Q_i = N_i / (s - u), exact since N_i is
-    # antisymmetric
-    Qs = [(F * Gu - Fu * G).exquo(_s - _u) for F, G, Fu, Gu in FG]
+    # finite-finite collisions: the Bezoutians Q_i
+    Qs = [_bezoutian(N, D) for N, D in NDs]
     assert all(Qs), "a chart coordinate is constant"
 
     method = "linear"
@@ -336,28 +349,24 @@ def chart_injective(chart: ChartMap, degree_cap: int = DEFAULT_DEGREE_CAP) -> Ch
             method = "resultant"  # some coordinate separates every pair
         else:
             method = _finite_finite(
-                chart, coords, FG, Qs, excluded_fr, witnesses, degree_cap
+                chart, coords, NDs, Qs, excluded_fr, witnesses, degree_cap
             )
 
     witnesses.sort(key=lambda w: json.dumps(w, sort_keys=True))
     return CheckResult(not witnesses, method, tuple(witnesses))
 
 
-def _finite_finite(chart, coords, FG, Qs, excluded_fr, witnesses, degree_cap):
-    """Dispatch shared factors, then decide the residual system."""
-    est = max(
-        Qs[i].degree(_s) * Qs[j].degree(_u) + Qs[j].degree(_s) * Qs[i].degree(_u)
-        for i in range(3)
-        for j in range(i + 1, 3)
-    )
-    if est > degree_cap:
-        raise DegreeOverflow(chart.cone, est, degree_cap)
+def _finite_finite(chart, coords, NDs, Qs, excluded_fr, witnesses, degree_cap):
+    """Dispatch shared factors, then decide the residual system.
 
+    Every Q_i and residual has degree below deg N_i, D_i in s and in u, so
+    chart_injective's estimate bounds each pairwise resultant here.
+    """
     g = _gcd_all(Qs)
     residual = list(Qs)
     if not g.is_ground:
         for factor, _mult in sorted(g.factor_list()[1], key=_factor_key):
-            if factor.monic() == _s - _u:
+            if factor == _s - _u:
                 continue  # extra tangency along the diagonal: immersion's job
             root_s = _axis_root(factor, _s)
             if root_s is not None and root_s in excluded_fr:
@@ -365,33 +374,30 @@ def _finite_finite(chart, coords, FG, Qs, excluded_fr, witnesses, degree_cap):
             root_u = _axis_root(factor, _u)
             if root_u is not None and root_u in excluded_fr:
                 continue
-            witnesses.append(_witness_from_curve(coords, FG, factor, excluded_fr))
+            witnesses.append(_witness_from_curve(coords, NDs, factor, excluded_fr))
         residual = [q.exquo(g) for q in Qs]
 
     if any(r.is_ground for r in residual):
         return "factor" if not g.is_ground else "resultant"
 
-    # quick passes: a constant candidate gcd in either direction proves the
-    # residual system has no common zeros at all
-    du = None
-    for elim_var, keep_var in ((_s, _u), (_u, _s)):
-        cands = _candidate_polys(residual, elim_var, keep_var, chart.cone, degree_cap)
-        if cands is _EMPTY:
-            return "resultant"
-        if cands is None:
-            continue
-        d = _gcd_all(cands)
-        if d.is_ground:
-            return "resultant"
-        if keep_var == _u:
-            du = d
+    # quick pass: a constant candidate gcd proves the residual system has no
+    # common zeros at all.  The residuals are symmetric in s and u up to
+    # sign, so eliminating u would give these candidates in s: it cannot
+    # close a chart this pass leaves open.
+    cands = _candidate_polys(residual)
+    if cands is _EMPTY:
+        return "resultant"
+    du = None if cands is None else _gcd_all(cands)
+    if du is not None and du.is_ground:
+        return "resultant"
 
+    residual_q = [r.set_ring(_Q) for r in residual]
     # candidate roots in the u direction, partners recovered by univariate gcd
     if du is not None:
         roots, higher = _roots_and_factors(du)
         found = len(witnesses)
         for u0 in roots:
-            witnesses.extend(_partner_witnesses(coords, FG, residual, u0, excluded_fr))
+            witnesses.extend(_partner_witnesses(coords, NDs, residual_q, u0, excluded_fr))
         if witnesses[found:] or not higher:
             return "resultant"  # every candidate dispatched, or a collision found
 
@@ -401,18 +407,27 @@ def _finite_finite(chart, coords, FG, Qs, excluded_fr, witnesses, degree_cap):
         bezout *= max(1, _total_degree(r))
     if bezout > degree_cap:
         raise DegreeOverflow(chart.cone, bezout, degree_cap)
+    # sympy picks Z or Q, and so the form elimination_poly prints in, from
+    # the inputs' coefficients: scale each residual to the pinned form, the
+    # one built from F = c N / lc(N), G = D / lc(D) (c the coordinate's
+    # constant) and a monic gcd
+    lc_g = 1 if g.is_ground else g.LC
+    scaled = [
+        r * _qq(f.constant * lc_g / (N.LC * D.LC))
+        for r, f, (N, D) in zip(residual_q, coords, NDs)
+    ]
     sat = _saturation_poly(excluded_fr).as_expr()
     gb = sympy.groebner(
-        [r.as_expr() for r in residual] + [1 - _Y * sat], _Y, _S, _U, order="lex"
+        [r.as_expr() for r in scaled] + [1 - _Y * sat], _Y, _S, _U, order="lex"
     )
     if list(gb.exprs) == [sympy.Integer(1)]:
         return "groebner"
     elim_u = [e for e in gb.exprs if not e.has(_Y) and not e.has(_S)]
     assert elim_u, "saturated zero-dimensional ideal has a univariate member"
-    roots, _higher = _roots_and_factors(_R(elim_u[0]))
+    roots, _higher = _roots_and_factors(_Q(elim_u[0]))
     found = len(witnesses)
     for u0 in roots:
-        witnesses.extend(_partner_witnesses(coords, FG, residual, u0, excluded_fr))
+        witnesses.extend(_partner_witnesses(coords, NDs, residual_q, u0, excluded_fr))
     if not witnesses[found:]:
         witnesses.append(
             {
@@ -427,43 +442,22 @@ def _finite_finite(chart, coords, FG, Qs, excluded_fr, witnesses, degree_cap):
 _EMPTY = object()  # sentinel: the system certainly has no common zeros
 
 
-def _resultant(f, g, elim_var):
-    """Res(f, g) with respect to elim_var, up to a nonzero constant factor.
-
-    Denominators are cleared first, so the subresultant sequence runs on
-    integers; only its zero set matters to the callers.
-    """
-    ring = _Z_SU if elim_var == _s else _Z_US
-    f, g = (p.clear_denoms()[1].set_ring(ring) for p in (f, g))
-    return f.resultant(g).set_ring(_R)
-
-
-def _candidate_polys(residual, elim_var, keep_var, cone, degree_cap):
-    """Polynomials in keep_var that vanish at every residual common zero.
+def _candidate_polys(residual):
+    """Pairwise resultants in s, polynomials in u that vanish at every residual common zero.
 
     Returns _EMPTY as soon as some pair's resultant is a nonzero constant
     (that pair alone already has no common zeros), None when no candidate
-    source exists (every pairwise resultant vanishes identically).
+    source exists (every pairwise resultant vanishes identically).  Each
+    residual is nonconstant and symmetric up to sign, so it involves s.
     """
     cands = []
-    positive = []
-    for r in residual:
-        if r.degree(elim_var) == 0:
-            cands.append(r)  # already free of the eliminated variable
+    for f, g in combinations(residual, 2):
+        res = f.resultant(g)  # eliminates s, the first generator
+        if res.is_ground:
+            if res:
+                return _EMPTY
         else:
-            positive.append(r)
-    for i in range(len(positive)):
-        for j in range(i + 1, len(positive)):
-            f, g = positive[i], positive[j]
-            est = f.degree(elim_var) * g.degree(keep_var) + g.degree(elim_var) * f.degree(keep_var)
-            if est > degree_cap:
-                raise DegreeOverflow(cone, est, degree_cap)
-            res = _resultant(f, g, elim_var)
-            if res.is_ground:
-                if res:
-                    return _EMPTY
-            else:
-                cands.append(res)
+            cands.append(res)
     return cands or None
 
 
@@ -475,8 +469,8 @@ def chart_immersive(chart: ChartMap) -> CheckResult:
 
     w_polys = []
     for f in coords:
-        F, G = _num_den(f, _t)
-        w = F.diff(_t) * G - F * G.diff(_t)
+        N, D = _integer_parts(f, _zt)
+        w = N.diff(_zt) * D - N * D.diff(_zt)
         assert w, "a chart coordinate is constant"
         w_polys.append(w)
     g = _gcd_all(w_polys)

@@ -2,17 +2,23 @@
 
 Everything here recomputes results through a different route than the
 package: brute-force enumeration, quotient-ring normal forms via sympy
-Groebner bases, plain Fraction arithmetic, and margin-1 Fraction
-feasibility in place of the integer cone-separation test.  Tests compare package
-output against these oracles, never the other way around.
+Groebner bases, plain Fraction arithmetic, margin-1 Fraction feasibility in
+place of the integer cone-separation test, and the divided cross
+differences built over Q by product and exact division in place of the
+integer Bezoutian.  Tests compare package output against these oracles,
+never the other way around.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
 
 import sympy
+from sympy.polys.domains import QQ
+from sympy.polys.rings import ring
 
 from toricurve.feasibility import Infeasible, find_point
+
+_QSU, _QS, _QU = ring("s,u", QQ)
 
 
 def kernel_vectors_brute_force(rows, bound):
@@ -70,6 +76,36 @@ def cones_meet_in_face_lp(rays, ca, cb):
         return True
     except Infeasible:
         return False
+
+
+def cross_quotients_qq(coords):
+    """Q_i = (F_i G_i(u) - F_i(u) G_i) / (s - u) in Q[s, u], one per coordinate.
+
+    F_i = c_i prod (s - a)^e over the zeros and G_i = prod (s - a)^-e over
+    the poles, with the rational roots a and the constant c_i as given;
+    F_i(u), G_i(u) by composition, the quotient by exact division.
+    """
+    out = []
+    for f in coords:
+        F, G = _QSU(QQ(f.constant.numerator, f.constant.denominator)), _QSU.one
+        for a, e in f.factors:
+            lin = _QS - QQ(a.numerator, a.denominator)
+            if e > 0:
+                F *= lin ** e
+            else:
+                G *= lin ** -e
+        Fu, Gu = F.compose(_QS, _QU), G.compose(_QS, _QU)
+        out.append((F * Gu - Fu * G).exquo(_QS - _QU))
+    return out
+
+
+def residuals_qq(coords):
+    """The cross quotients divided by their monic gcd over Q, when it is not constant."""
+    qs = cross_quotients_qq(coords)
+    g = qs[0]
+    for q in qs[1:]:
+        g = g.gcd(q)
+    return qs if g.is_ground else [q.exquo(g) for q in qs]
 
 
 class ChowOracle:

@@ -23,7 +23,11 @@ from toricurve.fan import (
     validate,
     walls,
 )
-from toricurve.intersect import _wall_by_pair
+from toricurve.intersect import (
+    _character_pairing_neg_one,
+    _wall_by_pair,
+    triple_intersection,
+)
 
 
 def wall_relation_holds(fan, wall):
@@ -208,16 +212,21 @@ def test_star_subdivision_chains_stay_valid():
 
 
 def test_caches_keyed_by_fan_stay_at_their_bound(p3):
-    """More fans than the bound leave every Fan-keyed cache exactly full."""
+    """More fans than the bound leave every Fan-keyed cache, and the
+    ray-keyed pairing cache, exactly full."""
     for k in range(FAN_CACHE_SIZE + 5):
-        # the shear x += k*y is unimodular, so each fan is new and valid
+        # the shear x += k*y is unimodular, so each fan is new and valid,
+        # with two new rays
         rays = tuple((x + k * y, y, z) for x, y, z in p3.rays)
         fan = Fan(rays, p3.max_cones)
         assert validate(fan).ok
         primitive_collections(fan)
         _wall_by_pair(fan)
+        for rho in range(fan.n_rays):
+            assert triple_intersection(fan, rho, rho, rho) == 1
     caches = (
         validate, walls, fan_module._cone_set, fan_module._face_pairs, _wall_by_pair,
+        _character_pairing_neg_one,
     )
     for cache in caches:
         info = cache.cache_info()

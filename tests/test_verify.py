@@ -8,6 +8,8 @@ import pytest
 import sympy
 
 from negative_fixtures import doubled_point_data, symmetric_data
+from oracles import residuals_qq
+from test_replay_golden import involution_data
 from toricurve.curve import (
     INFINITY,
     CDivisor,
@@ -179,6 +181,44 @@ def test_groebner_branch_clears_a_clean_chart(monkeypatch):
     monkeypatch.setattr(verify, "_candidate_polys", lambda *a: None)
     inj = chart_injective(chart((rf({0: 2}), rf({0: 3}), rf({0: 5}))))
     assert inj.ok and inj.method == "groebner"
+
+
+def test_linear_root_of_an_integer_factor_is_an_exact_fraction():
+    root = verify._linear_root(3 * verify._s - 2)
+    assert type(root) is Fraction and root == F(2, 3)
+
+
+def test_congruence_rechecks_accept_a_non_monic_polynomial():
+    # f = (t - 1)^3 / t^3 takes f(-1) = 8 at both roots of 7u^2 - 4u + 1,
+    # and f(inf) = 1 at both roots of 3u^2 - 3u + 1
+    f = rf({1: 3, 0: -3})
+    N, D = verify._integer_parts(f, verify._zu)
+    qu = verify._qu
+    assert verify._congruence_collision([(N, D)] * 3, F(-1), 7 * qu ** 2 - 4 * qu + 1)
+    assert not verify._congruence_collision([(N, D)] * 3, F(-2), 7 * qu ** 2 - 4 * qu + 1)
+    u = verify._zu
+    assert not (N - D).rem(3 * u ** 2 - 3 * u + 1)  # a remainder over Z
+    assert (N - 2 * D).rem(3 * u ** 2 - 3 * u + 1)
+
+
+def test_groebner_fallback_receives_the_rational_residuals(monkeypatch):
+    """sympy picks Z or Q for the basis, and so how elimination_poly prints,
+    from the inputs' coefficients: the golden charts that reach the
+    fallback must hand it the residuals built over Q with a monic gcd."""
+    calls = []
+    real = sympy.groebner
+
+    def spy(polys, *gens, **kwargs):
+        calls.append(polys)
+        return real(polys, *gens, **kwargs)
+
+    monkeypatch.setattr(sympy, "groebner", spy)
+    charts = chart_maps(involution_data("bl-p3-point", "inv", "some"))[:3]
+    for c in charts:
+        assert chart_injective(c).method == "groebner"
+    assert len(calls) == 3
+    for c, polys in zip(charts, calls):
+        assert polys[:3] == [r.as_expr() for r in residuals_qq(c.coords)]
 
 
 def test_degree_cap_aborts_oversized_eliminations():

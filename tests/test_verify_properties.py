@@ -7,14 +7,25 @@ witnesses by Fraction evaluation, algebraic ones by `sympy.rem`
 congruences.  In the other direction, a brute-force scan over a grid of
 small rationals (and the point at infinity) must never find a collision or
 a shared derivative zero on a chart the certifier passed.
+
+Two properties pin the integer elimination core against the construction
+over Q in `oracles.py`: the Bezoutian of a coordinate is its divided cross
+difference up to a constant and symmetric in s and u, and eliminating u
+from a pair of residuals gives the resultant in s with the variables
+swapped, up to sign, so one elimination direction suffices.
 """
 
 from fractions import Fraction
+from itertools import combinations
 
 import sympy
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
+from sympy.polys.domains import ZZ
+from sympy.polys.rings import ring
 
+from oracles import cross_quotients_qq
+from toricurve import verify
 from toricurve.curve import CurvePoint, RationalFunction
 from toricurve.embed import ChartMap
 from toricurve.verify import DegreeOverflow, chart_immersive, chart_injective
@@ -266,3 +277,33 @@ def test_immersion_witnesses_recheck_and_grid_tangencies_are_caught(chart):
         if all(derivative_vanishes(f, p) for f in chart.coords):
             assert not result.ok, p
             return
+
+
+def swapped(p):
+    """p(u, s) for p in a ring with generators s, u."""
+    return p.ring.from_dict({(j, i): c for (i, j), c in p.items()})
+
+
+@PROPERTY
+@given(coordinates())
+def test_bezoutian_is_the_divided_cross_difference_and_symmetric(f):
+    q = verify._bezoutian(*verify._integer_parts(f, verify._zu))
+    (reference,) = cross_quotients_qq([f])
+    q_over_q = q.set_ring(reference.ring)
+    assert q_over_q * reference.LC == reference * q_over_q.LC
+    assert swapped(q) == q
+
+
+@PROPERTY
+@given(charts())
+def test_eliminating_u_swaps_the_variables_of_the_resultant_in_s(chart):
+    qs = [verify._bezoutian(*verify._integer_parts(f, verify._zu)) for f in chart.coords]
+    assume(not any(q.is_ground for q in qs))
+    g = verify._gcd_all(qs)
+    residual = qs if g.is_ground else [q.exquo(g) for q in qs]
+    assume(not any(r.is_ground for r in residual))
+    by_u = ring("u,s", ZZ)[0]  # the resultant eliminates the first generator
+    for f, h in combinations(residual, 2):
+        in_s = f.resultant(h)
+        in_u = f.set_ring(by_u).resultant(h.set_ring(by_u))
+        assert in_s.ring.from_dict(dict(in_u)) in (in_s, -in_s)
