@@ -1,7 +1,9 @@
 """Command line interface: fan tools, ample search, pipeline and demos.
 
 Every command prints one JSON report to stdout and signals the outcome in
-the exit code, so runs are scriptable and replayable.
+the exit code, so runs are scriptable and replayable.  A command that fails
+raises; ``ERRORS`` maps what it raised to the report's error ``kind`` and
+the exit code, in ``main`` and in ``run_pipeline`` alike.
 """
 from __future__ import annotations
 
@@ -12,28 +14,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .curve import ProjectiveLine
 from .embed import build_embedding_data, check_theorem_conditions, dumps_embedding, load_embedding
 from .fan import (
-    Fan,
-    MalformedFan,
-    NotComplete,
-    ConeNotInFan,
-    UnknownPreset,
-    dumps_fan,
-    load_fan,
-    preset,
-    star_subdivision,
-    validate,
+    ConeNotInFan, Fan, MalformedFan, UnknownPreset,
+    dumps_fan, load_fan, preset, star_subdivision, validate,
 )
-from .intersect import (
-    NoPositiveKernel,
-    NotAmple,
-    NotProjective,
-    TDivisor,
-    find_ample,
-    xi_vector,
-)
+from .intersect import NotProjective, TDivisor, find_ample, xi_vector
 from .verify import DegreeOverflow, certify, dumps_certificate
 
 EXIT_OK = 0
@@ -42,6 +28,38 @@ EXIT_USAGE = 2
 EXIT_VALIDATION = 3
 EXIT_NOT_PROJECTIVE = 4
 EXIT_CERTIFICATE = 5
+
+
+class UsageError(ValueError):
+    """A flag value no command can use: seed, torus, cone or retry count."""
+
+
+class InvalidFan(ValueError):
+    """The fan is not smooth and complete; ``issues`` lists why."""
+
+    def __init__(self, issues: list):
+        super().__init__("fan must be smooth and complete")
+        self.issues = issues
+
+
+class RetriesExhausted(RuntimeError):
+    """No attempt of the pipeline produced a certified embedding."""
+
+
+# Exception -> (error kind, exit code).  First match wins, so every row
+# precedes the rows of its base classes.
+ERRORS = (
+    (UsageError, "usage", EXIT_USAGE),
+    (UnknownPreset, "unknown-preset", EXIT_USAGE),
+    (ConeNotInFan, "cone-not-in-fan", EXIT_VALIDATION),
+    (MalformedFan, "bad-fan", EXIT_VALIDATION),
+    (InvalidFan, "validation", EXIT_VALIDATION),
+    (NotProjective, "not-projective", EXIT_NOT_PROJECTIVE),
+    (RetriesExhausted, "certificate", EXIT_CERTIFICATE),
+    (DegreeOverflow, "degree-overflow", EXIT_ERROR),
+    ((ValueError, OSError), "bad-input", EXIT_ERROR),
+    (Exception, "unexpected", EXIT_ERROR),
+)
 
 
 @dataclass
@@ -56,6 +74,30 @@ class RunConfig:
     out_dir: str = "toricurve-out"
 
 
+def _fail(report: dict, exc: Exception) -> int:
+    """Write the error envelope of ``exc`` into ``report``; return its exit code."""
+    kind, code = next((k, c) for types, k, c in ERRORS if isinstance(exc, types))
+    message = f"{type(exc).__name__}: {exc}" if kind == "unexpected" else str(exc)
+    error = {"kind": kind, "message": message}
+    if isinstance(exc, NotProjective):
+        error["farkas_certificate"] = {
+            str(k): str(v) for k, v in sorted(exc.certificate.items())
+        }
+    if isinstance(exc, InvalidFan):
+        error["issues"] = exc.issues
+    report["status"] = "error"
+    report["error"] = error
+    return code
+
+
+def _apply(step, arg, report: dict) -> int:
+    """``step(arg, report)``, or the ``ERRORS`` envelope of the Exception it raised."""
+    try:
+        return step(arg, report)
+    except Exception as exc:
+        return _fail(report, exc)
+
+
 def _emit(report: dict, code: int) -> int:
     report = dict(report)
     report["exit_code"] = code
@@ -63,34 +105,43 @@ def _emit(report: dict, code: int) -> int:
     return code
 
 
-def _load_input_fan(args) -> Fan:
-    if getattr(args, "preset", None):
-        return preset(args.preset)
-    if getattr(args, "fan", None):
-        return load_fan(args.fan)
-    raise MalformedFan("either --fan or --preset is required")
+def _load_input_fan(preset_name: str | None, fan_path: str | None) -> Fan:
+    if preset_name:
+        return preset(preset_name)
+    if not fan_path:
+        raise MalformedFan("either --fan or --preset is required")
+    try:
+        return load_fan(fan_path)
+    except (OSError, UnicodeDecodeError) as exc:  # an unreadable file is a bad fan
+        raise MalformedFan(str(exc)) from exc
+
+
+def _parse_values(text: str, convert, count: int, message: str) -> tuple:
+    """``count`` comma-separated values of ``text``, else UsageError(message)."""
+    parts = text.split(",")
+    try:
+        if len(parts) == count:
+            return tuple(convert(p) for p in parts)
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise UsageError(f"{message}, got {text!r}")
 
 
 def _parse_torus(text: str):
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise ValueError("torus needs three comma-separated rationals")
-    values = tuple(Fraction(p) for p in parts)
+    values = _parse_values(text, Fraction, 3, "torus needs three comma-separated rationals")
     if any(v == 0 for v in values):
-        raise ValueError("torus entries must be nonzero")
+        raise UsageError("torus entries must be nonzero")
     return values
 
 
 def _parse_cone(text: str):
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise ValueError("cone needs three comma-separated ray indices")
-    return tuple(int(p) for p in parts)
+    return _parse_values(text, int, 3, "cone needs three comma-separated ray indices")
 
 
-def _check_seed(seed: int) -> int:
+def _check_seed(text: str) -> int:
+    (seed,) = _parse_values(text, int, 1, "seed must be an integer")
     if not 0 <= seed < 2**64:
-        raise ValueError("seed must fit in 64 unsigned bits")
+        raise UsageError("seed must fit in 64 unsigned bits")
     return seed
 
 
@@ -107,8 +158,35 @@ def _load_divisor(path: str, fan: Fan) -> TDivisor:
     return TDivisor(tuple(coeffs))
 
 
-def _divisor_doc(divisor: TDivisor) -> dict:
-    return {"coeffs": list(divisor.coeffs)}
+def _ample(fan: Fan, source: str) -> TDivisor:
+    """The divisor named by ``--ample``: searched for ("auto") or read from a file."""
+    return find_ample(fan) if source == "auto" else _load_divisor(source, fan)
+
+
+def _degrees(fan: Fan, source: str, method: str):
+    """(ample, xi) for ``xi`` and ``embed``: no divisor under ``--xi-method kernel``."""
+    ample = None if method == "kernel" else _ample(fan, source)
+    return ample, xi_vector(fan, ample, method=method)
+
+
+def _xi_doc(xi) -> dict:
+    return {"values": list(xi.values), "method": xi.method}
+
+
+def _validation(fan: Fan) -> dict:
+    """validate's verdict as report fields, for ``fan validate`` and ``run``."""
+    check = validate(fan)
+    return {
+        "smooth": check.smooth,
+        "complete": check.complete,
+        "counts": list(check.counts),
+        "issues": [list(i) for i in check.issues],
+    }
+
+
+def _require_valid(validation: dict) -> None:
+    if not (validation["smooth"] and validation["complete"]):
+        raise InvalidFan(validation["issues"])
 
 
 def _write(path: Path, text: str) -> None:
@@ -120,374 +198,169 @@ def run_pipeline(config: RunConfig):
     """Validate, find degrees, sample, certify; retry on certificate failure.
 
     Returns (exit_code, report).  Artifacts are only written for a
-    successful attempt, so failed runs leave no partial state.
+    successful attempt, so failed runs leave no partial state; a failed
+    report keeps what the run learnt before it failed.
     """
-    report: dict = {
-        "command": "run",
-        "config": {
-            "fan": config.fan_path,
-            "preset": config.preset_name,
-            "ample": config.ample,
-            "xi_method": config.xi_method,
-            "seed": config.seed,
-            "torus": [str(x) for x in config.torus],
-            "max_retries": config.max_retries,
-            "out": config.out_dir,
-        },
+    report: dict = {"command": "run"}
+    return _apply(_pipeline, config, report), report
+
+
+def _pipeline(config: RunConfig, report: dict) -> int:
+    report["config"] = {
+        "fan": config.fan_path,
+        "preset": config.preset_name,
+        "ample": config.ample,
+        "xi_method": config.xi_method,
+        "seed": config.seed,
+        "torus": [str(x) for x in config.torus],
+        "max_retries": config.max_retries,
+        "out": config.out_dir,
     }
-    try:
-        fan = preset(config.preset_name) if config.preset_name else load_fan(config.fan_path)
-    except (MalformedFan, UnknownPreset, OSError) as exc:
-        report["status"] = "error"
-        report["error"] = {"kind": "bad-fan", "message": str(exc)}
-        return EXIT_VALIDATION, report
+    fan = _load_input_fan(config.preset_name, config.fan_path)
+    report["validation"] = _validation(fan)
+    _require_valid(report["validation"])
 
-    check = validate(fan)
-    report["validation"] = {
-        "smooth": check.smooth,
-        "complete": check.complete,
-        "counts": list(check.counts),
-        "issues": [list(i) for i in check.issues],
-    }
-    if not check.ok:
-        report["status"] = "error"
-        report["error"] = {"kind": "validation", "issues": [list(i) for i in check.issues]}
-        return EXIT_VALIDATION, report
-
-    try:
-        if config.ample == "auto":
-            ample = find_ample(fan)
-        else:
-            ample = _load_divisor(config.ample, fan)
-        xi = xi_vector(fan, ample, method=config.xi_method)
-    except NotProjective as exc:
-        report["status"] = "error"
-        report["error"] = {
-            "kind": "not-projective",
-            "message": str(exc),
-            "farkas_certificate": {
-                str(k): str(v) for k, v in sorted(exc.certificate.items())
-            },
-        }
-        return EXIT_NOT_PROJECTIVE, report
-    except (NotAmple, NoPositiveKernel, ValueError, OSError) as exc:
-        report["status"] = "error"
-        report["error"] = {"kind": "bad-input", "message": str(exc)}
-        return EXIT_ERROR, report
-
+    # Unlike ``embed`` and ``xi``, ``run`` computes the ample divisor under
+    # --xi-method kernel too and records it in embedding.json; the pinned
+    # certify and embed digests fix both byte streams.
+    ample = _ample(fan, config.ample)
     report["ample"] = list(ample.coeffs)
-    report["xi"] = {"values": list(xi.values), "method": xi.method}
+    xi = xi_vector(fan, ample, method=config.xi_method)
+    report["xi"] = _xi_doc(xi)
 
-    curve = ProjectiveLine()
-    attempts = []
+    attempts = report["attempts"] = []
     for attempt in range(config.max_retries):
         seed = config.seed + attempt
-        data = build_embedding_data(fan, ample, xi, seed, config.torus, curve)
-        conditions = check_theorem_conditions(data)
-        if not conditions.passed:
+        data = build_embedding_data(fan, ample, xi, seed, config.torus)
+        if not check_theorem_conditions(data).passed:
             attempts.append({"seed": seed, "outcome": "conditions-failed"})
             continue
-        try:
-            certificate = certify(data)
-        except DegreeOverflow as exc:
-            report["status"] = "error"
-            report["error"] = {"kind": "degree-overflow", "message": str(exc)}
-            return EXIT_ERROR, report
-        if certificate.embedded:
-            out = Path(config.out_dir)
-            embedding_path = out / "embedding.json"
-            certificate_path = out / "certificate.json"
-            _write(embedding_path, dumps_embedding(data))
-            _write(certificate_path, dumps_certificate(certificate))
-            attempts.append({"seed": seed, "outcome": "ok"})
-            report["status"] = "ok"
-            report["seed_used"] = seed
-            report["retries"] = attempt
-            report["attempts"] = attempts
-            report["artifacts"] = {
-                "embedding": str(embedding_path),
-                "certificate": str(certificate_path),
-            }
-            report["certificate"] = {
-                "embedded": True,
-                "charts": len(certificate.charts),
-            }
-            return EXIT_OK, report
-        attempts.append(
-            {
-                "seed": seed,
-                "outcome": "certificate-failed",
-                "witnesses": [
-                    dict(w) for r in certificate.charts for w in r.witnesses
-                ][:8],
-            }
-        )
-    report["status"] = "error"
-    report["attempts"] = attempts
-    report["error"] = {
-        "kind": "certificate",
-        "message": f"no certified embedding after {config.max_retries} attempts",
-    }
-    return EXIT_CERTIFICATE, report
-
-
-def _cmd_fan_validate(args) -> int:
-    try:
-        fan = _load_input_fan(args)
-    except (MalformedFan, UnknownPreset, OSError) as exc:
-        return _emit(
-            {"command": "fan validate", "status": "error",
-             "error": {"kind": "bad-fan", "message": str(exc)}},
-            EXIT_VALIDATION,
-        )
-    check = validate(fan)
-    report = {
-        "command": "fan validate",
-        "status": "ok" if check.ok else "invalid",
-        "smooth": check.smooth,
-        "complete": check.complete,
-        "counts": list(check.counts),
-        "issues": [list(i) for i in check.issues],
-    }
-    return _emit(report, EXIT_OK if check.ok else EXIT_VALIDATION)
-
-
-def _cmd_fan_preset(args) -> int:
-    try:
-        fan = preset(args.name)
-    except UnknownPreset as exc:
-        return _emit(
-            {"command": "fan preset", "status": "error",
-             "error": {"kind": "unknown-preset", "message": str(exc)}},
-            EXIT_USAGE,
-        )
-    text = dumps_fan(fan)
-    report = {"command": "fan preset", "status": "ok", "name": fan.name}
-    if args.out:
-        _write(Path(args.out), text)
-        report["artifacts"] = {"fan": args.out}
-    else:
-        report["fan"] = json.loads(text)
-    return _emit(report, EXIT_OK)
-
-
-def _cmd_fan_subdivide(args) -> int:
-    try:
-        fan = _load_input_fan(args)
-        cone = _parse_cone(args.cone)
-        result = star_subdivision(fan, cone)
-    except (MalformedFan, UnknownPreset, OSError, ValueError) as exc:
-        kind = "cone-not-in-fan" if isinstance(exc, ConeNotInFan) else "bad-input"
-        return _emit(
-            {"command": "fan subdivide", "status": "error",
-             "error": {"kind": kind, "message": str(exc)}},
-            EXIT_VALIDATION if isinstance(exc, ConeNotInFan) else EXIT_USAGE,
-        )
-    text = dumps_fan(result)
-    report = {
-        "command": "fan subdivide",
-        "status": "ok",
-        "counts": [result.n_rays, 3 * result.n_rays - 6, 2 * result.n_rays - 4],
-    }
-    if args.out:
-        _write(Path(args.out), text)
-        report["artifacts"] = {"fan": args.out}
-    else:
-        report["fan"] = json.loads(text)
-    return _emit(report, EXIT_OK)
-
-
-def _cmd_ample_find(args) -> int:
-    try:
-        fan = _load_input_fan(args)
-    except (MalformedFan, UnknownPreset, OSError) as exc:
-        return _emit(
-            {"command": "ample find", "status": "error",
-             "error": {"kind": "bad-fan", "message": str(exc)}},
-            EXIT_VALIDATION,
-        )
-    try:
-        divisor = find_ample(fan)
-    except NotProjective as exc:
-        return _emit(
-            {
-                "command": "ample find",
-                "status": "error",
-                "error": {
-                    "kind": "not-projective",
-                    "message": str(exc),
-                    "farkas_certificate": {
-                        str(k): str(v) for k, v in sorted(exc.certificate.items())
-                    },
-                },
-            },
-            EXIT_NOT_PROJECTIVE,
-        )
-    report = {
-        "command": "ample find",
-        "status": "ok",
-        "divisor": _divisor_doc(divisor),
-    }
-    if args.out:
-        _write(Path(args.out), json.dumps(_divisor_doc(divisor), indent=2) + "\n")
-        report["artifacts"] = {"divisor": args.out}
-    return _emit(report, EXIT_OK)
-
-
-def _cmd_xi(args) -> int:
-    try:
-        fan = _load_input_fan(args)
-        if args.xi_method == "kernel":
-            ample = None
-        elif args.ample == "auto":
-            ample = find_ample(fan)
-        else:
-            ample = _load_divisor(args.ample, fan)
-        xi = xi_vector(fan, ample, method=args.xi_method)
-    except NotProjective as exc:
-        return _emit(
-            {"command": "xi", "status": "error",
-             "error": {"kind": "not-projective", "message": str(exc)}},
-            EXIT_NOT_PROJECTIVE,
-        )
-    except (MalformedFan, UnknownPreset, NotAmple, NoPositiveKernel, OSError, ValueError) as exc:
-        return _emit(
-            {"command": "xi", "status": "error",
-             "error": {"kind": "bad-input", "message": str(exc)}},
-            EXIT_ERROR,
-        )
-    return _emit(
-        {"command": "xi", "status": "ok",
-         "xi": {"values": list(xi.values), "method": xi.method}},
-        EXIT_OK,
-    )
-
-
-def _config_from_args(args) -> RunConfig:
-    if args.max_retries < 1:
-        raise ValueError("max-retries must be at least 1")
-    return RunConfig(
-        fan_path=getattr(args, "fan", None),
-        preset_name=getattr(args, "preset", None),
-        ample=args.ample,
-        xi_method=args.xi_method,
-        seed=_check_seed(args.seed),
-        torus=_parse_torus(args.torus),
-        max_retries=args.max_retries,
-        out_dir=args.out,
-    )
-
-
-def _cmd_run(args) -> int:
-    try:
-        config = _config_from_args(args)
-    except ValueError as exc:
-        return _emit(
-            {"command": "run", "status": "error",
-             "error": {"kind": "usage", "message": str(exc)}},
-            EXIT_USAGE,
-        )
-    code, report = run_pipeline(config)
-    return _emit(report, code)
-
-
-def _cmd_embed(args) -> int:
-    """Build and write embedding data without certification."""
-    try:
-        fan = _load_input_fan(args)
-        check = validate(fan)
-        if not check.ok:
-            return _emit(
-                {"command": "embed", "status": "error",
-                 "error": {"kind": "validation",
-                           "issues": [list(i) for i in check.issues]}},
-                EXIT_VALIDATION,
+        certificate = certify(data)
+        if not certificate.embedded:
+            witnesses = [dict(w) for r in certificate.charts for w in r.witnesses]
+            attempts.append(
+                {"seed": seed, "outcome": "certificate-failed", "witnesses": witnesses[:8]}
             )
-        if args.xi_method == "kernel":
-            ample = None
-            xi = xi_vector(fan, None, method="kernel")
-        else:
-            ample = find_ample(fan) if args.ample == "auto" else _load_divisor(args.ample, fan)
-            xi = xi_vector(fan, ample, method=args.xi_method)
-        data = build_embedding_data(
-            fan, ample, xi, _check_seed(args.seed), _parse_torus(args.torus)
+            continue
+        out = Path(config.out_dir)
+        embedding_path = out / "embedding.json"
+        certificate_path = out / "certificate.json"
+        _write(embedding_path, dumps_embedding(data))
+        _write(certificate_path, dumps_certificate(certificate))
+        attempts.append({"seed": seed, "outcome": "ok"})
+        report.update(
+            status="ok",
+            seed_used=seed,
+            retries=attempt,
+            artifacts={"embedding": str(embedding_path), "certificate": str(certificate_path)},
+            certificate={"embedded": True, "charts": len(certificate.charts)},
         )
-        conditions = check_theorem_conditions(data)
-    except NotProjective as exc:
-        return _emit(
-            {"command": "embed", "status": "error",
-             "error": {"kind": "not-projective", "message": str(exc)}},
-            EXIT_NOT_PROJECTIVE,
-        )
-    except (MalformedFan, UnknownPreset, NotAmple, NoPositiveKernel, OSError, ValueError) as exc:
-        return _emit(
-            {"command": "embed", "status": "error",
-             "error": {"kind": "bad-input", "message": str(exc)}},
-            EXIT_ERROR,
-        )
+        return EXIT_OK
+    raise RetriesExhausted(f"no certified embedding after {config.max_retries} attempts")
+
+
+def _fan_output(fan: Fan, out: str | None, report: dict) -> None:
+    """Write the fan to ``out``, or put it in the report when there is none."""
+    text = dumps_fan(fan)
+    if out:
+        _write(Path(out), text)
+        report["artifacts"] = {"fan": out}
+    else:
+        report["fan"] = json.loads(text)
+
+
+def _cmd_fan_validate(args, report: dict) -> int:
+    validation = _validation(_load_input_fan(args.preset, args.fan))
+    ok = validation["smooth"] and validation["complete"]
+    report.update(validation, status="ok" if ok else "invalid")
+    return EXIT_OK if ok else EXIT_VALIDATION
+
+
+def _cmd_fan_preset(args, report: dict) -> int:
+    fan = preset(args.name)
+    _fan_output(fan, args.out, report)
+    report.update(status="ok", name=fan.name)
+    return EXIT_OK
+
+
+def _cmd_fan_subdivide(args, report: dict) -> int:
+    cone = _parse_cone(args.cone)
+    result = star_subdivision(_load_input_fan(args.preset, args.fan), cone)
+    _fan_output(result, args.out, report)
+    report.update(
+        status="ok", counts=[result.n_rays, 3 * result.n_rays - 6, 2 * result.n_rays - 4]
+    )
+    return EXIT_OK
+
+
+def _cmd_ample_find(args, report: dict) -> int:
+    doc = {"coeffs": list(find_ample(_load_input_fan(args.preset, args.fan)).coeffs)}
+    if args.out:
+        _write(Path(args.out), json.dumps(doc, indent=2) + "\n")
+        report["artifacts"] = {"divisor": args.out}
+    report.update(status="ok", divisor=doc)
+    return EXIT_OK
+
+
+def _cmd_xi(args, report: dict) -> int:
+    _, xi = _degrees(_load_input_fan(args.preset, args.fan), args.ample, args.xi_method)
+    report.update(status="ok", xi=_xi_doc(xi))
+    return EXIT_OK
+
+
+def _cmd_embed(args, report: dict) -> int:
+    """Build and write embedding data without certification."""
+    seed, torus = _check_seed(args.seed), _parse_torus(args.torus)
+    fan = _load_input_fan(args.preset, args.fan)
+    _require_valid(_validation(fan))
+    ample, xi = _degrees(fan, args.ample, args.xi_method)
+    data = build_embedding_data(fan, ample, xi, seed, torus)
+    conditions = check_theorem_conditions(data)
     out = Path(args.out) / "embedding.json"
     _write(out, dumps_embedding(data))
-    return _emit(
-        {
-            "command": "embed",
-            "status": "ok",
-            "conditions_pass": conditions.passed,
-            "xi": {"values": list(xi.values), "method": xi.method},
-            "artifacts": {"embedding": str(out)},
-        },
-        EXIT_OK,
-    )
+    report.update(status="ok", conditions_pass=conditions.passed, xi=_xi_doc(xi),
+                  artifacts={"embedding": str(out)})
+    return EXIT_OK
 
 
-def _cmd_verify(args) -> int:
-    try:
-        data = load_embedding(args.data)
-        certificate = certify(data)
-    except DegreeOverflow as exc:
-        return _emit(
-            {"command": "verify", "status": "error",
-             "error": {"kind": "degree-overflow", "message": str(exc)}},
-            EXIT_ERROR,
-        )
-    except (OSError, ValueError) as exc:
-        return _emit(
-            {"command": "verify", "status": "error",
-             "error": {"kind": "bad-input", "message": str(exc)}},
-            EXIT_ERROR,
-        )
+def _cmd_verify(args, report: dict) -> int:
+    certificate = certify(load_embedding(args.data))
     out = Path(args.out) / "certificate.json"
     _write(out, dumps_certificate(certificate))
-    report = {
-        "command": "verify",
-        "status": "ok" if certificate.embedded else "not-embedded",
-        "embedded": certificate.embedded,
-        "charts": [
-            {
-                "cone": list(r.cone),
-                "injective": r.injective,
-                "immersive": r.immersive,
-            }
+    report.update(
+        status="ok" if certificate.embedded else "not-embedded",
+        embedded=certificate.embedded,
+        charts=[
+            {"cone": list(r.cone), "injective": r.injective, "immersive": r.immersive}
             for r in certificate.charts
         ],
-        "pullback_ok": certificate.pullback_ok,
-        "artifacts": {"certificate": str(out)},
-    }
-    return _emit(report, EXIT_OK if certificate.embedded else EXIT_CERTIFICATE)
+        pullback_ok=certificate.pullback_ok,
+        artifacts={"certificate": str(out)},
+    )
+    return EXIT_OK if certificate.embedded else EXIT_CERTIFICATE
 
 
-def _cmd_demo(args) -> int:
-    try:
-        seed = _check_seed(args.seed)
-    except ValueError as exc:
-        return _emit(
-            {"command": "demo", "status": "error",
-             "error": {"kind": "usage", "message": str(exc)}},
-            EXIT_USAGE,
-        )
-    config = RunConfig(preset_name=args.name, seed=seed, out_dir=args.out)
-    code, report = run_pipeline(config)
-    report["command"] = "demo"
-    return _emit(report, code)
+def _cmd_run(args, report: dict) -> int:
+    if args.max_retries < 1:
+        raise UsageError("max-retries must be at least 1")
+    config = RunConfig(
+        fan_path=args.fan, preset_name=args.preset, ample=args.ample,
+        xi_method=args.xi_method, seed=_check_seed(args.seed),
+        torus=_parse_torus(args.torus), max_retries=args.max_retries, out_dir=args.out,
+    )
+    return _pipeline(config, report)
+
+
+def _cmd_demo(args, report: dict) -> int:
+    config = RunConfig(preset_name=args.name, seed=_check_seed(args.seed), out_dir=args.out)
+    return _pipeline(config, report)
+
+
+def _add_command(sub, name: str, handler, help: str) -> argparse.ArgumentParser:
+    """A subcommand whose report says ``"command": name``."""
+    parser = sub.add_parser(name.split()[-1], help=help)
+    parser.set_defaults(handler=handler, command_name=name)
+    return parser
 
 
 def _add_fan_source(parser: argparse.ArgumentParser) -> None:
@@ -496,12 +369,17 @@ def _add_fan_source(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--preset", help="built-in fan name")
 
 
-def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
+def _add_xi_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--ample", default="auto",
                         help="'auto' or a divisor JSON file (default auto)")
     parser.add_argument("--xi-method", default="intersection",
                         choices=("intersection", "kernel"))
-    parser.add_argument("--seed", type=int, default=0)
+
+
+def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
+    _add_xi_flags(parser)
+    # Parsed by _check_seed, so that a non-integer seed gets the usage report.
+    parser.add_argument("--seed", default="0", help="integer in [0, 2^64)")
     parser.add_argument("--torus", default="1,1,1",
                         help="three nonzero rationals, comma separated")
     parser.add_argument("--out", default="toricurve-out")
@@ -518,71 +396,56 @@ def build_parser() -> argparse.ArgumentParser:
     fan_parser = sub.add_parser("fan", help="fan inspection and construction")
     fan_sub = fan_parser.add_subparsers(dest="fan_command", required=True)
 
-    p = fan_sub.add_parser("validate", help="smoothness and completeness report")
+    p = _add_command(fan_sub, "fan validate", _cmd_fan_validate,
+                     "smoothness and completeness report")
     _add_fan_source(p)
-    p.set_defaults(handler=_cmd_fan_validate)
 
-    p = fan_sub.add_parser("preset", help="emit a built-in fan")
+    p = _add_command(fan_sub, "fan preset", _cmd_fan_preset, "emit a built-in fan")
     p.add_argument("name")
     p.add_argument("--out", default=None)
-    p.set_defaults(handler=_cmd_fan_preset)
 
-    p = fan_sub.add_parser("subdivide", help="star subdivision at a maximal cone")
+    p = _add_command(fan_sub, "fan subdivide", _cmd_fan_subdivide,
+                     "star subdivision at a maximal cone")
     _add_fan_source(p)
     p.add_argument("--cone", required=True, help="three ray indices, comma separated")
     p.add_argument("--out", default=None)
-    p.set_defaults(handler=_cmd_fan_subdivide)
 
     ample_parser = sub.add_parser("ample", help="ample divisors")
     ample_sub = ample_parser.add_subparsers(dest="ample_command", required=True)
-    p = ample_sub.add_parser("find", help="deterministic ample divisor search")
+    p = _add_command(ample_sub, "ample find", _cmd_ample_find,
+                     "deterministic ample divisor search")
     _add_fan_source(p)
     p.add_argument("--out", default=None)
-    p.set_defaults(handler=_cmd_ample_find)
 
-    p = sub.add_parser("xi", help="strictly positive degree vector")
+    p = _add_command(sub, "xi", _cmd_xi, "strictly positive degree vector")
     _add_fan_source(p)
-    p.add_argument("--ample", default="auto")
-    p.add_argument("--xi-method", default="intersection",
-                   choices=("intersection", "kernel"))
-    p.set_defaults(handler=_cmd_xi)
+    _add_xi_flags(p)
 
-    p = sub.add_parser("embed", help="sample divisors and build embedding data")
+    p = _add_command(sub, "embed", _cmd_embed, "sample divisors and build embedding data")
     _add_fan_source(p)
     _add_pipeline_flags(p)
-    p.set_defaults(handler=_cmd_embed)
 
-    p = sub.add_parser("verify", help="certify an embedding data file")
+    p = _add_command(sub, "verify", _cmd_verify, "certify an embedding data file")
     p.add_argument("--data", required=True)
     p.add_argument("--out", default="toricurve-out")
-    p.set_defaults(handler=_cmd_verify)
 
-    p = sub.add_parser("run", help="full pipeline with retries")
+    p = _add_command(sub, "run", _cmd_run, "full pipeline with retries")
     _add_fan_source(p)
     _add_pipeline_flags(p)
     p.add_argument("--max-retries", type=int, default=3)
-    p.set_defaults(handler=_cmd_run)
 
-    p = sub.add_parser("demo", help="full pipeline on a preset with defaults")
+    p = _add_command(sub, "demo", _cmd_demo, "full pipeline on a preset with defaults")
     p.add_argument("name")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", default="0", help="integer in [0, 2^64)")
     p.add_argument("--out", default="toricurve-out")
-    p.set_defaults(handler=_cmd_demo)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        return args.handler(args)
-    except Exception as exc:  # last resort: structured error, nonzero exit
-        return _emit(
-            {"command": args.command, "status": "error",
-             "error": {"kind": "unexpected", "message": f"{type(exc).__name__}: {exc}"}},
-            EXIT_ERROR,
-        )
+    args = build_parser().parse_args(argv)
+    report = {"command": args.command_name}
+    return _emit(report, _apply(args.handler, args, report))
 
 
 if __name__ == "__main__":

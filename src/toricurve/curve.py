@@ -307,9 +307,3 @@ class ProjectiveLine:
 
     def sample_divisor(self, degree: int, seed: int, avoid=frozenset()) -> CDivisor:
         return sample_divisor(degree, seed, avoid)
-
-    def principal_function(self, divisor: CDivisor) -> RationalFunction:
-        return principal_function(divisor)
-
-    def evaluate_with_derivative(self, f: RationalFunction, p: CurvePoint):
-        return evaluate_with_derivative(f, p)

@@ -98,7 +98,6 @@ def build_embedding_data(
     xi: XiVector,
     seed: int,
     torus=(1, 1, 1),
-    curve: ProjectiveLine | None = None,
 ) -> EmbeddingData:
     """Sample disjoint divisors and build the character functions.
 
@@ -112,8 +111,7 @@ def build_embedding_data(
     torus_f = tuple(Fraction(x) for x in torus)
     if len(torus_f) != 3 or any(x == 0 for x in torus_f):
         raise ValueError("torus element must be three nonzero rationals")
-    if curve is None:
-        curve = ProjectiveLine()
+    curve = ProjectiveLine()
     if min(xi.values) <= 2 * curve.genus():
         raise XiMismatch("degrees must exceed twice the genus")
 
@@ -308,6 +306,14 @@ def embedding_to_dict(data: EmbeddingData) -> dict:
     }
 
 
+def _int_list(value, length: int) -> bool:
+    return (
+        isinstance(value, list)
+        and len(value) == length
+        and all(isinstance(x, int) for x in value)
+    )
+
+
 def embedding_from_dict(doc) -> EmbeddingData:
     if not isinstance(doc, dict):
         raise BadEmbeddingFile("embedding document must be an object")
@@ -317,21 +323,27 @@ def embedding_from_dict(doc) -> EmbeddingData:
             f"fields must be exactly {sorted(required)}, got {sorted(doc)}"
         )
     fan = fan_from_dict(doc["fan"])
+    n = fan.n_rays
     ample = None
     if doc["ample"] is not None:
-        if not isinstance(doc["ample"], list) or not all(
-            isinstance(x, int) for x in doc["ample"]
-        ):
-            raise BadEmbeddingFile("ample must be an int array or null")
+        if not _int_list(doc["ample"], n):
+            raise BadEmbeddingFile(f"ample must be null or {n} ints, one per ray")
         ample = TDivisor(tuple(doc["ample"]))
     xi_doc = doc["xi"]
     if (
         not isinstance(xi_doc, dict)
         or set(xi_doc) != {"values", "method"}
-        or not all(isinstance(v, int) for v in xi_doc["values"])
+        or not _int_list(xi_doc["values"], n)
+        or xi_doc["method"] not in ("intersection", "kernel")
     ):
-        raise BadEmbeddingFile("bad xi object")
+        raise BadEmbeddingFile(
+            f"xi must be {{values: {n} ints, one per ray, method: intersection|kernel}}"
+        )
     xi = XiVector(tuple(xi_doc["values"]), xi_doc["method"])
+    if not isinstance(doc["divisors"], list) or len(doc["divisors"]) != n:
+        raise BadEmbeddingFile(f"divisors must be an array of {n}, one per ray")
+    if not isinstance(doc["epsilon"], list) or not isinstance(doc["torus"], list):
+        raise BadEmbeddingFile("epsilon and torus must be arrays")
     divisors = tuple(_divisor_from_list(d) for d in doc["divisors"])
     epsilon = tuple(_function_from_dict(f) for f in doc["epsilon"])
     if len(epsilon) != 3:

@@ -6,9 +6,10 @@ import pytest
 
 from conftest import FIXTURES
 from negative_fixtures import symmetric_data
-from toricurve.cli import main
-from toricurve.embed import save_embedding
+from toricurve.cli import ERRORS, RunConfig, main, run_pipeline
+from toricurve.embed import build_embedding_data, embedding_to_dict, save_embedding
 from toricurve.fan import load_fan, preset
+from toricurve.intersect import XiVector
 from toricurve.verify import Certificate
 
 
@@ -181,7 +182,7 @@ def test_fan_subdivide_rejects_a_malformed_cone_string(capsys):
         capsys, ["fan", "subdivide", "--preset", "p3", "--cone", "0,1"]
     )
     assert code == 2
-    assert report["error"]["kind"] == "bad-input"
+    assert report["error"]["kind"] == "usage"
 
 
 def test_ample_find_golden_and_artifact(capsys, tmp_path):
@@ -290,3 +291,101 @@ def test_run_rejects_zero_retries_as_a_usage_error(capsys, tmp_path):
     assert report["error"]["kind"] == "usage"
     assert "max-retries" in report["error"]["message"]
     assert not (tmp_path / "o").exists()
+
+
+NONPROJECTIVE = str(FIXTURES / "nonprojective.fan")
+FAN_COMMANDS = {  # command -> argv before its fan source
+    "fan validate": ["fan", "validate"],
+    "fan subdivide": ["fan", "subdivide", "--cone", "0,1,2"],
+    "ample find": ["ample", "find"],
+    "xi": ["xi"],
+    "embed": ["embed", "--out", "OUT"],
+    "run": ["run", "--out", "OUT"],
+}
+CONTRACT = (
+    [(argv + ["--preset", "p2"], "unknown-preset", 2) for argv in FAN_COMMANDS.values()]
+    + [(argv + ["--fan", "MALFORMED"], "bad-fan", 3) for argv in FAN_COMMANDS.values()]
+    + [(argv + ["--fan", "MISSING"], "bad-fan", 3) for argv in FAN_COMMANDS.values()]
+    + [
+        (["demo", "p2", "--out", "OUT"], "unknown-preset", 2),
+        (["fan", "preset", "p2"], "unknown-preset", 2),
+        (["fan", "preset", "p3", "--out", "DIR"], "bad-input", 1),
+        (["verify", "--data", "MISSING", "--out", "OUT"], "bad-input", 1),
+        (["verify", "--data", "SHORT_XI", "--out", "OUT"], "bad-input", 1),
+        (["fan", "subdivide", "--preset", "p3", "--cone", "0,1,x"], "usage", 2),
+        (["fan", "subdivide", "--preset", "p3", "--cone", "0,1,2,3"], "usage", 2),
+    ]
+    + [
+        ([command, "--preset", "p3", flag, value, "--out", "OUT"], "usage", 2)
+        for command in ("embed", "run")
+        for flag, value in (
+            ("--seed", "-1"), ("--seed", "x"), ("--seed", str(2**64)),
+            ("--torus", "a,b,c"), ("--torus", "1/0,1,1"), ("--torus", "1,0,1"),
+        )
+    ]
+    + [(["demo", "p3", "--seed", seed, "--out", "OUT"], "usage", 2) for seed in ("-1", "x")]
+    + [
+        (argv + ["--preset", "p3", "--ample", "MISSING"], "bad-input", 1)
+        for argv in (["xi"], FAN_COMMANDS["embed"], FAN_COMMANDS["run"])
+    ]
+    + [
+        (FAN_COMMANDS[command] + ["--fan", NONPROJECTIVE], "not-projective", 4)
+        for command in ("ample find", "xi", "embed", "run")
+    ]
+    + [
+        (FAN_COMMANDS[command] + ["--fan", "NONSMOOTH"], "validation", 3)
+        for command in ("embed", "run")
+    ]
+)
+
+
+def _command_name(argv):
+    return " ".join(argv[:2]) if argv[0] in ("fan", "ample") else argv[0]
+
+
+@pytest.mark.parametrize(
+    "argv, kind, code", CONTRACT,
+    ids=[" ".join(a).replace(NONPROJECTIVE, "NONPROJECTIVE") for a, _, _ in CONTRACT],
+)
+def test_every_command_obeys_the_exit_code_contract(capsys, tmp_path, argv, kind, code):
+    (tmp_path / "DIR").mkdir()
+    (tmp_path / "MALFORMED").write_text('{"name": "x", "rays": 5, "cones": []}', encoding="utf-8")
+    if "SHORT_XI" in argv:  # an embedded p3 curve whose xi keeps 2 of its 4 entries
+        xi = XiVector((1, 1, 1, 1), "intersection")
+        doc = embedding_to_dict(build_embedding_data(preset("p3"), None, xi, 0))
+        doc["xi"]["values"] = doc["xi"]["values"][:2]
+        (tmp_path / "SHORT_XI").write_text(json.dumps(doc), encoding="utf-8")
+    names = ("OUT", "DIR", "MALFORMED", "MISSING", "SHORT_XI")
+    paths = {name: str(tmp_path / name) for name in names}
+    paths["NONSMOOTH"] = write_bad_fan(tmp_path)
+    argv = [paths.get(a, a) for a in argv]
+    got, report = run_cli(capsys, argv)
+    assert (got, report["error"]["kind"]) == (code, kind), report["error"]
+    assert report["command"] == _command_name(argv)
+    assert report["status"] == "error" and report["error"]["message"]
+    if kind == "not-projective":
+        assert len(report["error"]["farkas_certificate"]) > 0
+    if kind == "validation":
+        assert ["non_primitive_ray", 0] in report["error"]["issues"]
+    assert not (tmp_path / "OUT").exists()
+
+
+def test_run_pipeline_keeps_the_partial_report_of_a_failed_run(tmp_path):
+    code, report = run_pipeline(
+        RunConfig(fan_path=NONPROJECTIVE, out_dir=str(tmp_path / "o"))
+    )
+    assert code == 4
+    assert report["command"] == "run"
+    assert report["config"]["fan"] == NONPROJECTIVE
+    assert report["validation"]["counts"] == [7, 15, 10]
+    assert report["error"]["kind"] == "not-projective"
+    code, report = run_pipeline(RunConfig(preset_name="p2"))
+    assert (code, report["error"]["kind"]) == (2, "unknown-preset")
+    assert "validation" not in report
+
+
+def test_no_row_of_the_errors_table_is_shadowed_by_an_earlier_one():
+    for i, (types, _, _) in enumerate(ERRORS):
+        for later, kind, _ in ERRORS[i + 1:]:
+            later = later if isinstance(later, tuple) else (later,)
+            assert not any(issubclass(t, types) for t in later), kind

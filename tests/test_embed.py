@@ -1,5 +1,6 @@
 """Embedding data construction, morphism conditions and chart coordinates."""
 
+import json
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -234,3 +235,50 @@ def test_serialization_rejects_malformed():
     bad["epsilon"] = doc["epsilon"][:2]
     with pytest.raises(BadEmbeddingFile):
         embedding_from_dict(bad)
+
+
+def _set(path, value):
+    def mutate(doc):
+        *parents, last = path
+        for key in parents:
+            doc = doc[key]
+        doc[last] = value(doc[last]) if callable(value) else value
+
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        _set(("xi", "values"), 5),
+        _set(("xi", "values"), lambda v: v[:2]),
+        _set(("xi", "values"), lambda v: v + [1]),
+        _set(("xi", "values"), lambda v: {"0": v[0]}),
+        _set(("xi", "method"), "magic"),
+        _set(("divisors",), lambda d: d[:-1]),
+        _set(("divisors",), lambda d: {str(i): x for i, x in enumerate(d)}),
+        _set(("ample",), lambda a: a[:1]),
+        _set(("ample",), 7),
+        _set(("epsilon",), 5),
+        _set(("torus",), 1),
+    ],
+    ids=[
+        "xi-values-not-a-list", "xi-two-entries", "xi-five-entries", "xi-values-an-object",
+        "xi-unknown-method", "one-divisor-removed", "divisors-an-object",
+        "ample-one-entry", "ample-not-a-list", "epsilon-not-a-list", "torus-not-a-list",
+    ],
+)
+def test_embedding_shapes_that_do_not_fit_the_fan_are_rejected(mutate):
+    doc = json.loads(dumps_embedding(pipeline_data("p3", seed=11)))
+    assert len(doc["fan"]["rays"]) == 4
+    mutate(doc)
+    with pytest.raises(BadEmbeddingFile):
+        embedding_from_dict(doc)
+
+
+def test_embedding_shapes_that_fit_load_without_a_degree_check():
+    doc = json.loads(dumps_embedding(pipeline_data("p3", seed=11)))
+    doc["ample"] = None
+    doc["xi"] = {"values": [2, 2, 2, 2], "method": "kernel"}  # divisors have degree 1
+    data = embedding_from_dict(doc)
+    assert data.ample is None and data.xi.values == (2, 2, 2, 2)
