@@ -31,7 +31,13 @@ EXIT_CERTIFICATE = 5
 
 
 class UsageError(ValueError):
-    """A flag value no command can use: seed, torus, cone or retry count."""
+    """Flags no command can use: a bad seed, torus, cone or retry count, or
+    anything argparse rejects.  ``command`` names the command when argparse
+    failed before choosing its handler."""
+
+    def __init__(self, message: str, command: str | None = None):
+        super().__init__(message)
+        self.command = command
 
 
 class InvalidFan(ValueError):
@@ -161,6 +167,12 @@ def _load_divisor(path: str, fan: Fan) -> TDivisor:
 def _ample(fan: Fan, source: str) -> TDivisor:
     """The divisor named by ``--ample``: searched for ("auto") or read from a file."""
     return find_ample(fan) if source == "auto" else _load_divisor(source, fan)
+
+
+def _check_ample_flag(args) -> None:
+    """``xi`` and ``embed`` use no divisor under kernel, so a divisor file there is a mistake."""
+    if args.xi_method == "kernel" and args.ample != "auto":
+        raise UsageError("--ample has no use under --xi-method kernel")
 
 
 def _degrees(fan: Fan, source: str, method: str):
@@ -303,6 +315,7 @@ def _cmd_ample_find(args, report: dict) -> int:
 
 
 def _cmd_xi(args, report: dict) -> int:
+    _check_ample_flag(args)
     _, xi = _degrees(_load_input_fan(args.preset, args.fan), args.ample, args.xi_method)
     report.update(status="ok", xi=_xi_doc(xi))
     return EXIT_OK
@@ -311,6 +324,7 @@ def _cmd_xi(args, report: dict) -> int:
 def _cmd_embed(args, report: dict) -> int:
     """Build and write embedding data without certification."""
     seed, torus = _check_seed(args.seed), _parse_torus(args.torus)
+    _check_ample_flag(args)
     fan = _load_input_fan(args.preset, args.fan)
     _require_valid(_validation(fan))
     ample, xi = _degrees(fan, args.ample, args.xi_method)
@@ -385,8 +399,16 @@ def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default="toricurve-out")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises UsageError where argparse would print to stderr and exit 2,
+    so a rejected flag gets the JSON ``usage`` report too."""
+
+    def error(self, message: str):
+        raise UsageError(message, command=self.prog.partition(" ")[2] or None)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="toricurve",
         description="Build and certify exact rational-curve embeddings "
                     "into smooth projective toric 3-folds.",
@@ -442,8 +464,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args, extra = PARSER.parse_known_args(argv)
+        if extra:  # what parse_args rejects, but with the command named
+            raise UsageError(f"unrecognized arguments: {' '.join(extra)}",
+                             command=args.command_name)
+    except UsageError as exc:
+        report = {"command": exc.command}
+        return _emit(report, _fail(report, exc))
     report = {"command": args.command_name}
     return _emit(report, _apply(args.handler, args, report))
 

@@ -4,9 +4,18 @@ Points are rationals or the point at infinity; divisors are finite formal
 sums; rational functions are kept factored as c * prod (t - a_i)^{e_i}, so
 divisors, products and inverses are exact and evaluation never loses the
 multiplicity information.
+
+Each exact operation is done once.  A point hashes once, from its reduced
+numerator and denominator.  Divisors and functions canonicalise in one sort
+by the exact key ((num << 32) // den, value): the first entry is a plain
+int, the Fraction comparison only breaks its ties, and equal points land
+side by side, so the same pass finds repeats.  Products and merges sum
+exponents in one dict keyed by (num, den), and no Fraction is rebuilt from
+a Fraction.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -32,15 +41,53 @@ class _Pole:
 POLE = _Pole()
 
 
-@dataclass(frozen=True)
+def _fraction(x) -> Fraction:
+    return x if type(x) is Fraction else Fraction(x)
+
+
+def _order(r: Fraction) -> tuple:
+    """Exact sort key of a rational: a fast int, with r itself for ties."""
+    return (r.numerator << 32) // r.denominator, r
+
+
+_INFINITY_ORDER = (math.inf, 0)  # after every finite point
+
+
+def _canonical(keyed: list, repeated: str, zero: str) -> tuple:
+    """(value, n) pairs in key order from (key, value, n) triples.
+
+    Equal values have equal keys and sort side by side, so one sort both
+    orders the pairs and exposes repeats.
+    """
+    keyed.sort()
+    if any(a[0] == b[0] for a, b in zip(keyed, keyed[1:])):
+        raise ValueError(repeated)
+    if not all(n for _, _, n in keyed):
+        raise ValueError(zero)
+    return tuple((x, n) for _, x, n in keyed)
+
+
+@dataclass(frozen=True, eq=False)
 class CurvePoint:
     """A rational point of the line: a reduced fraction or infinity."""
 
     finite: Fraction | None = None
 
+    def __post_init__(self) -> None:
+        x = self.finite
+        if x is None:  # 1/0 in these coordinates, which no finite point reduces to
+            reduced, order = (1, 0), _INFINITY_ORDER
+        else:
+            x = _fraction(x)
+            reduced, order = (x.numerator, x.denominator), _order(x)
+            object.__setattr__(self, "finite", x)
+        object.__setattr__(self, "_reduced", reduced)
+        object.__setattr__(self, "_order", order)
+        object.__setattr__(self, "_hash", hash(reduced))
+
     @classmethod
     def of(cls, value) -> "CurvePoint":
-        return cls(Fraction(value))
+        return cls(_fraction(value))
 
     @classmethod
     def infinity(cls) -> "CurvePoint":
@@ -51,9 +98,15 @@ class CurvePoint:
         return self.finite is None
 
     def sort_key(self):
-        if self.finite is None:
-            return (1, Fraction(0))
-        return (0, self.finite)
+        return self._order
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not CurvePoint:
+            return NotImplemented
+        return self._reduced == other._reduced
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __repr__(self) -> str:
         return "inf" if self.finite is None else str(self.finite)
@@ -69,12 +122,11 @@ class CDivisor:
     entries: tuple[tuple[CurvePoint, int], ...]
 
     def __post_init__(self) -> None:
-        pts = [p for p, _ in self.entries]
-        if len(set(pts)) != len(pts):
-            raise ValueError("divisor points must be distinct")
-        if any(m == 0 for _, m in self.entries):
-            raise ValueError("zero multiplicities are not stored")
-        canon = tuple(sorted(self.entries, key=lambda e: e[0].sort_key()))
+        canon = _canonical(
+            [(p._order, p, m) for p, m in self.entries],
+            "divisor points must be distinct",
+            "zero multiplicities are not stored",
+        )
         object.__setattr__(self, "entries", canon)
 
     @classmethod
@@ -105,7 +157,7 @@ class CDivisor:
         return 0
 
     def __add__(self, other: "CDivisor") -> "CDivisor":
-        return CDivisor.of(list(self.entries) + list(other.entries))
+        return CDivisor.of(self.entries + other.entries)
 
     def __neg__(self) -> "CDivisor":
         return CDivisor(tuple((p, -m) for p, m in self.entries))
@@ -124,16 +176,15 @@ class RationalFunction:
     factors: tuple[tuple[Fraction, int], ...]
 
     def __post_init__(self) -> None:
-        c = Fraction(self.constant)
-        if c == 0:
+        c = _fraction(self.constant)
+        if not c:
             raise ValueError("the zero function is not representable")
-        roots = [r for r, _ in self.factors]
-        if len(set(roots)) != len(roots):
-            raise ValueError("factor roots must be distinct")
-        if any(e == 0 for _, e in self.factors):
-            raise ValueError("zero exponents are not stored")
-        canon = tuple(
-            sorted(((Fraction(r), e) for r, e in self.factors), key=lambda f: f[0])
+        keyed = []
+        for r, e in self.factors:
+            r = _fraction(r)
+            keyed.append((_order(r), r, e))
+        canon = _canonical(
+            keyed, "factor roots must be distinct", "zero exponents are not stored"
         )
         object.__setattr__(self, "constant", c)
         object.__setattr__(self, "factors", canon)
@@ -144,12 +195,18 @@ class RationalFunction:
 
     @classmethod
     def of(cls, constant, factors) -> "RationalFunction":
+        """c * prod (t - r)^e with the exponents of equal roots summed."""
         items = factors.items() if isinstance(factors, dict) else factors
-        acc: dict[Fraction, int] = {}
+        acc: dict[tuple[int, int], list] = {}
         for r, e in items:
-            r = Fraction(r)
-            acc[r] = acc.get(r, 0) + e
-        return cls(Fraction(constant), tuple((r, e) for r, e in acc.items() if e))
+            r = _fraction(r)
+            key = r.numerator, r.denominator
+            merged = acc.get(key)
+            if merged is None:
+                acc[key] = [r, e]
+            else:
+                merged[1] += e
+        return cls(constant, tuple((r, e) for r, e in acc.values() if e))
 
     @property
     def order_at_infinity(self) -> int:
@@ -168,7 +225,7 @@ class RationalFunction:
         o = self.order_at_infinity
         if o:
             entries.append((INFINITY, o))
-        return CDivisor.of(entries)
+        return CDivisor(tuple(entries))
 
     def __mul__(self, other: "RationalFunction") -> "RationalFunction":
         return RationalFunction.of(
@@ -188,7 +245,7 @@ class RationalFunction:
         )
 
     def scale(self, c) -> "RationalFunction":
-        return RationalFunction(self.constant * Fraction(c), self.factors)
+        return RationalFunction(self.constant * _fraction(c), self.factors)
 
 
 def principal_function(divisor: CDivisor) -> RationalFunction:

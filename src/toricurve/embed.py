@@ -140,12 +140,19 @@ def build_embedding_data(
 
 
 def epsilon_function(data: EmbeddingData, m) -> RationalFunction:
-    """eps(m) = prod eps_i^{m_i}; the homomorphism on the character lattice."""
-    out = RationalFunction.one()
-    for i in range(3):
-        if m[i]:
-            out = out * (data.epsilon[i] ** m[i])
-    return out
+    """eps(m) = prod eps_i^{m_i}; the homomorphism on the character lattice.
+
+    That is prod c_i^{m_i} * prod (t - r)^{sum_i m_i e_i(r)}, with the
+    exponents of each root summed in one pass.
+    """
+    constant = Fraction(1)
+    for f, k in zip(data.epsilon, m):
+        if k:
+            constant *= f.constant ** k
+    return RationalFunction.of(
+        constant,
+        ((r, k * e) for f, k in zip(data.epsilon, m) if k for r, e in f.factors),
+    )
 
 
 def check_theorem_conditions(data: EmbeddingData) -> ConditionsReport:
@@ -192,7 +199,7 @@ def chart_maps(data: EmbeddingData) -> tuple[ChartMap, ...]:
             # poles sit exactly on divisors of rays off the cone, and the
             # degree-zero divisors leave order 0 at infinity
             assert p.order_at_infinity == 0
-            assert all(r in {q.finite for q in ex} for r, e in p.factors if e < 0)
+            assert all(CurvePoint(r) in excluded for r, e in p.factors if e < 0)
         charts.append(ChartMap(cone, duals, coords, ex))
     return tuple(charts)
 
@@ -249,10 +256,6 @@ def _mix_index(seed: int, counter: int, n: int) -> int:
     return (h.numerator + 120 * h.denominator) % n
 
 
-def _fraction_str(x: Fraction) -> str:
-    return str(Fraction(x))
-
-
 def _parse_fraction(s) -> Fraction:
     if not isinstance(s, str):
         raise BadEmbeddingFile(f"expected a rational string, got {s!r}")
@@ -263,7 +266,7 @@ def _parse_fraction(s) -> Fraction:
 
 
 def _divisor_to_list(d: CDivisor) -> list:
-    return [[_fraction_str(p.finite), m] for p, m in d.entries]
+    return [[str(p.finite), m] for p, m in d.entries]
 
 
 def _divisor_from_list(items) -> CDivisor:
@@ -279,8 +282,8 @@ def _divisor_from_list(items) -> CDivisor:
 
 def _function_to_dict(f: RationalFunction) -> dict:
     return {
-        "constant": _fraction_str(f.constant),
-        "factors": [[_fraction_str(r), e] for r, e in f.factors],
+        "constant": str(f.constant),
+        "factors": [[str(r), e] for r, e in f.factors],
     }
 
 
@@ -302,7 +305,7 @@ def embedding_to_dict(data: EmbeddingData) -> dict:
         "xi": {"values": list(data.xi.values), "method": data.xi.method},
         "divisors": [_divisor_to_list(d) for d in data.divisors],
         "epsilon": [_function_to_dict(f) for f in data.epsilon],
-        "torus": [_fraction_str(x) for x in data.torus],
+        "torus": [str(x) for x in data.torus],
     }
 
 

@@ -86,26 +86,30 @@ class IntMatrix:
         """Determinant by fraction-free Bareiss elimination."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        m = self.to_rows()
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                pivot = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-                if pivot is None:
-                    return 0
-                m[k], m[pivot] = m[pivot], m[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    # Bareiss: exact division keeps entries integral
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-                m[i][k] = 0
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
+        return _det(self.to_rows())
+
+
+def _det(m: list[list[int]]) -> int:
+    """Bareiss determinant of a square list of int rows, which it overwrites."""
+    n = len(m)
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            pivot = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
+            if pivot is None:
+                return 0
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                # Bareiss: exact division keeps entries integral
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
 
 
 @dataclass(frozen=True)
@@ -236,26 +240,24 @@ def integer_kernel_basis(A: IntMatrix) -> list[tuple[int, ...]]:
 
 
 def unimodular_inverse(B: IntMatrix) -> IntMatrix:
-    """Exact inverse of a matrix with determinant +-1, via the adjugate."""
+    """Exact inverse of a matrix with determinant +-1, via the adjugate.
+
+    The cofactors are determinants of row lists, by the same Bareiss
+    elimination as ``IntMatrix.det``.
+    """
     if B.rows != B.cols:
         raise NotUnimodular("matrix is not square")
     n = B.rows
-    d = B.det()
+    rows = B.to_rows()
+    d = _det([row[:] for row in rows])
     if d not in (1, -1):
         raise NotUnimodular(f"determinant is {d}, not +-1")
-    rows = B.to_rows()
 
-    def minor(i: int, j: int) -> IntMatrix:
-        sub = [
-            [rows[a][b] for b in range(n) if b != j] for a in range(n) if a != i
-        ]
-        return IntMatrix.from_rows(sub) if sub else IntMatrix(0, 0, ())
+    def cofactor(i: int, j: int) -> int:
+        minor = [row[:j] + row[j + 1:] for a, row in enumerate(rows) if a != i]
+        return -_det(minor) if (i + j) % 2 else _det(minor)
 
     # adjugate / det; det is +-1 so dividing is multiplying by det
-    inv = [
-        [d * ((-1) ** (i + j)) * minor(j, i).det() for j in range(n)]
-        for i in range(n)
-    ]
-    out = IntMatrix.from_rows(inv)
+    out = IntMatrix.from_rows([[d * cofactor(j, i) for j in range(n)] for i in range(n)])
     assert out @ B == IntMatrix.identity(n)
     return out

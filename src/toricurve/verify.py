@@ -95,16 +95,22 @@ def _qq(x: Fraction):
     return QQ(x.numerator, x.denominator)
 
 
+def _times_linear(p: list, a: int, b: int) -> list:
+    """(a x + b) * p for a dense int coefficient list p, top degree first."""
+    return [a * p[0]] + [a * c + b * q for c, q in zip(p[1:], p)] + [b * p[-1]]
+
+
 def _integer_parts(f: RationalFunction, x):
-    """Integer N and D in x's ring with f = K * N / D for a rational K."""
-    num, den = x.ring.one, x.ring.one
+    """Integer N and D in x's ring with f = K * N / D for a rational K.
+
+    The factors den * x - num multiply as dense int lists; N and D each
+    enter the ring once.
+    """
+    parts = [[1], [1]]  # N, D
     for r, e in f.factors:
-        lin = r.denominator * x - r.numerator
-        if e > 0:
-            num *= lin ** e
-        else:
-            den *= lin ** -e
-    return num, den
+        for _ in range(abs(e)):
+            parts[e < 0] = _times_linear(parts[e < 0], r.denominator, -r.numerator)
+    return x.ring.from_dense(parts[0]), x.ring.from_dense(parts[1])
 
 
 def _bezoutian(N, D):

@@ -5,10 +5,15 @@ package: brute-force enumeration, quotient-ring normal forms via sympy
 Groebner bases, plain Fraction arithmetic, margin-1 Fraction feasibility in
 place of the integer cone-separation test, and the divided cross
 differences built over Q by product and exact division in place of the
-integer Bezoutian.  Tests compare package output against these oracles,
-never the other way around.
+integer Bezoutian.  The straightforward forms of the package's fast paths
+live here too: divisors and factored functions canonicalised by a set and
+a Fraction sort, character functions as products of powers, N and D as
+ring products, and the inverse of a unimodular matrix minor by minor.
+Tests compare package output against these oracles, never the other way
+around.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -16,7 +21,9 @@ import sympy
 from sympy.polys.domains import QQ
 from sympy.polys.rings import ring
 
+from toricurve.curve import INFINITY, CurvePoint
 from toricurve.feasibility import Infeasible, find_point
+from toricurve.intlinalg import IntMatrix, NotUnimodular
 
 _QSU, _QS, _QU = ring("s,u", QQ)
 
@@ -185,3 +192,125 @@ class ChowOracle:
             unit[j] = 1
             out.append(self.triple_product(coeffs, coeffs, unit))
         return tuple(out)
+
+
+def _point_order(p: CurvePoint):
+    return (1, Fraction(0)) if p.finite is None else (0, p.finite)
+
+
+@dataclass(frozen=True)
+class DivisorReference:
+    """CDivisor canonicalised the plain way: a set for repeats, a Fraction sort."""
+
+    entries: tuple
+
+    def __post_init__(self) -> None:
+        pts = [p for p, _ in self.entries]
+        if len(set(pts)) != len(pts):
+            raise ValueError("divisor points must be distinct")
+        if any(m == 0 for _, m in self.entries):
+            raise ValueError("zero multiplicities are not stored")
+        canon = tuple(sorted(self.entries, key=lambda e: _point_order(e[0])))
+        object.__setattr__(self, "entries", canon)
+
+    @classmethod
+    def of(cls, mapping) -> "DivisorReference":
+        items = mapping.items() if isinstance(mapping, dict) else mapping
+        acc = {}
+        for p, m in items:
+            if not isinstance(p, CurvePoint):
+                p = CurvePoint.of(p)
+            acc[p] = acc.get(p, 0) + m
+        return cls(tuple((p, m) for p, m in acc.items() if m))
+
+
+@dataclass(frozen=True)
+class FunctionReference:
+    """RationalFunction canonicalised the plain way, Fraction(x) on every value."""
+
+    constant: Fraction
+    factors: tuple
+
+    def __post_init__(self) -> None:
+        c = Fraction(self.constant)
+        if c == 0:
+            raise ValueError("the zero function is not representable")
+        roots = [r for r, _ in self.factors]
+        if len(set(roots)) != len(roots):
+            raise ValueError("factor roots must be distinct")
+        if any(e == 0 for _, e in self.factors):
+            raise ValueError("zero exponents are not stored")
+        canon = tuple(
+            sorted(((Fraction(r), e) for r, e in self.factors), key=lambda f: f[0])
+        )
+        object.__setattr__(self, "constant", c)
+        object.__setattr__(self, "factors", canon)
+
+    @classmethod
+    def of(cls, constant, factors) -> "FunctionReference":
+        items = factors.items() if isinstance(factors, dict) else factors
+        acc = {}
+        for r, e in items:
+            r = Fraction(r)
+            acc[r] = acc.get(r, 0) + e
+        return cls(Fraction(constant), tuple((r, e) for r, e in acc.items() if e))
+
+    def divisor(self) -> DivisorReference:
+        entries = [(CurvePoint(r), e) for r, e in self.factors]
+        o = -sum(e for _, e in self.factors)
+        if o:
+            entries.append((INFINITY, o))
+        return DivisorReference.of(entries)
+
+    def __mul__(self, other: "FunctionReference") -> "FunctionReference":
+        return FunctionReference.of(
+            self.constant * other.constant, self.factors + other.factors
+        )
+
+    def inverse(self) -> "FunctionReference":
+        return FunctionReference(1 / self.constant, tuple((r, -e) for r, e in self.factors))
+
+    def __pow__(self, k: int) -> "FunctionReference":
+        if k == 0:
+            return FunctionReference(Fraction(1), ())
+        return FunctionReference(self.constant ** k, tuple((r, k * e) for r, e in self.factors))
+
+
+def epsilon_by_powers(epsilon, m) -> FunctionReference:
+    """prod eps_i^{m_i} as a running product of powers, each step canonicalised."""
+    out = FunctionReference(Fraction(1), ())
+    for f, k in zip(epsilon, m):
+        if k:
+            out = out * (FunctionReference(f.constant, f.factors) ** k)
+    return out
+
+
+def integer_parts_by_ring_products(f, x):
+    """N and D as ring products of the factors (den * x - num)^e, one at a time."""
+    num, den = x.ring.one, x.ring.one
+    for r, e in f.factors:
+        lin = r.denominator * x - r.numerator
+        if e > 0:
+            num *= lin ** e
+        else:
+            den *= lin ** -e
+    return num, den
+
+
+def unimodular_inverse_by_minors(B: IntMatrix) -> IntMatrix:
+    """The adjugate built from one IntMatrix and one determinant per minor."""
+    if B.rows != B.cols:
+        raise NotUnimodular("matrix is not square")
+    n = B.rows
+    d = B.det()
+    if d not in (1, -1):
+        raise NotUnimodular(f"determinant is {d}, not +-1")
+    rows = B.to_rows()
+
+    def minor(i: int, j: int) -> IntMatrix:
+        sub = [[rows[a][b] for b in range(n) if b != j] for a in range(n) if a != i]
+        return IntMatrix.from_rows(sub) if sub else IntMatrix(0, 0, ())
+
+    return IntMatrix.from_rows(
+        [[d * ((-1) ** (i + j)) * minor(j, i).det() for j in range(n)] for i in range(n)]
+    )

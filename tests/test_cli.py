@@ -136,9 +136,11 @@ def test_fan_validate_accepts_the_non_projective_fixture(capsys):
 
 
 def test_fan_validate_requires_a_source(capsys):
-    with pytest.raises(SystemExit) as err:
-        main(["fan", "validate"])
-    assert err.value.code == 2
+    code, report = run_cli(capsys, ["fan", "validate"])
+    assert code == 2
+    assert report["command"] == "fan validate"
+    assert report["error"]["kind"] == "usage"
+    assert "--fan --preset" in report["error"]["message"]
 
 
 def test_fan_preset_writes_a_loadable_fan(capsys, tmp_path):
@@ -336,10 +338,26 @@ CONTRACT = (
         (FAN_COMMANDS[command] + ["--fan", "NONSMOOTH"], "validation", 3)
         for command in ("embed", "run")
     ]
+    + [  # flags argparse rejects
+        (["run", "--preset", "p3", "--max-retries", "x", "--out", "OUT"], "usage", 2),
+        (["xi", "--preset", "p3", "--xi-method", "bogus"], "usage", 2),
+        (["embed", "--preset", "p3", "--xi-method", "bogus", "--out", "OUT"], "usage", 2),
+        (["frobnicate", "--out", "OUT"], "usage", 2),
+        (["run", "--preset", "p3", "--bogus", "--out", "OUT"], "usage", 2),
+        (["fan", "validate", "--preset", "p3", "extra"], "usage", 2),
+    ]
+    + [(argv, "usage", 2) for argv in FAN_COMMANDS.values()]  # no --fan or --preset
+    + [  # a divisor file that kernel degrees would not use, refused before any work
+        (argv + ["--preset", "p3", "--xi-method", "kernel", "--ample", "MISSING"], "usage", 2)
+        for argv in (["xi"], FAN_COMMANDS["embed"])
+    ]
 )
+COMMANDS = ("fan", "ample", "xi", "embed", "verify", "run", "demo")
 
 
 def _command_name(argv):
+    if argv[0] not in COMMANDS:
+        return None
     return " ".join(argv[:2]) if argv[0] in ("fan", "ample") else argv[0]
 
 
@@ -389,3 +407,10 @@ def test_no_row_of_the_errors_table_is_shadowed_by_an_earlier_one():
         for later, kind, _ in ERRORS[i + 1:]:
             later = later if isinstance(later, tuple) else (later,)
             assert not any(issubclass(t, types) for t in later), kind
+
+
+def test_help_still_exits_zero_with_the_usage_text(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: toricurve")

@@ -1,0 +1,250 @@
+"""The fast exact forms against their straightforward references in oracles.py.
+
+Divisors and factored functions canonicalise in one sort by an int-led key
+and merge exponents in one dict keyed by (num, den); character functions
+are built in one merge; N and D are multiplied as dense int lists; the
+inverse of a unimodular matrix takes its cofactors from row lists.  Each
+must give exactly what the plain construction gives: the same tuples, the
+same equality and hash, the same errors.  Rationals reach denominators of
+10^6, and a small pool makes points repeat, merge and cancel; equal values
+arrive as int, str and Fraction.
+"""
+
+from fractions import Fraction
+from types import SimpleNamespace
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from oracles import (
+    DivisorReference,
+    FunctionReference,
+    epsilon_by_powers,
+    integer_parts_by_ring_products,
+    unimodular_inverse_by_minors,
+)
+from toricurve import verify
+from toricurve.curve import INFINITY, CDivisor, CurvePoint, RationalFunction
+from toricurve.embed import epsilon_function
+from toricurve.intlinalg import IntMatrix, NotUnimodular, unimodular_inverse
+
+F = Fraction
+
+# derandomized, so the suite is a deterministic gate; widen max_examples
+# locally to search harder
+PROPERTY = settings(
+    max_examples=80,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+small = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
+wide = st.builds(F, st.integers(-10**6, 10**6), st.integers(1, 10**6))
+rationals = st.one_of(small, wide)
+
+
+@st.composite
+def spelled(draw, value):
+    """value as a Fraction, a str, or an int when it is one."""
+    forms = [value, str(value)] + ([int(value)] if value.denominator == 1 else [])
+    return draw(st.sampled_from(forms))
+
+
+@st.composite
+def pools(draw, with_infinity):
+    """A few distinct values, None standing for infinity."""
+    values = draw(st.lists(rationals, min_size=1, max_size=5, unique=True))
+    if with_infinity and draw(st.booleans()):
+        values.append(None)
+    return values
+
+
+@st.composite
+def merge_items(draw, with_infinity, as_points):
+    """(key, n) items over a small pool: keys repeat, merge and may cancel."""
+    pool = draw(pools(with_infinity))
+    items = []
+    for _ in range(draw(st.integers(0, 8))):
+        value, n = draw(st.sampled_from(pool)), draw(st.integers(-3, 3))
+        if value is None:
+            key = INFINITY
+        elif as_points and draw(st.booleans()):
+            key = CurvePoint(value)
+        else:
+            key = draw(spelled(value))
+        items.append((key, n))
+        if draw(st.integers(0, 3)) == 0:
+            items.append((key, -n))  # cancels to zero
+    return items
+
+
+@st.composite
+def direct_entries(draw, with_infinity):
+    """Constructor input that may repeat a value or carry a zero."""
+    pool = draw(pools(with_infinity))
+    return [
+        (draw(st.sampled_from(pool)), draw(st.integers(-2, 2)))
+        for _ in range(draw(st.integers(0, 6)))
+    ]
+
+
+@st.composite
+def functions(draw, roots=rationals):
+    factors = draw(st.dictionaries(roots, st.sampled_from((-3, -2, -1, 1, 2, 3)), max_size=6))
+    constant = draw(rationals.filter(bool))
+    return RationalFunction.of(constant, factors)
+
+
+@st.composite
+def families(draw, count):
+    """count functions whose roots come from one small pool, so they share roots."""
+    pool = draw(st.lists(rationals, min_size=1, max_size=6, unique=True))
+    return tuple(draw(functions(st.sampled_from(pool))) for _ in range(count))
+
+
+def outcome(build, *args):
+    """What build(*args) gives, or the message of the ValueError it raises."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def same_function(new, ref):
+    if isinstance(ref, str):
+        assert new == ref
+        return
+    assert (new.constant, new.factors) == (ref.constant, ref.factors)
+    assert all(type(r) is Fraction for r, _ in new.factors)
+    assert type(new.constant) is Fraction
+    assert hash(new) == hash(ref)
+    assert new == RationalFunction(ref.constant, ref.factors)
+
+
+@PROPERTY
+@given(rationals, small)
+def test_equal_points_from_int_str_and_fraction_are_one_point(value, other):
+    forms = [value, str(value)] + ([int(value)] if value.denominator == 1 else [])
+    points = [CurvePoint.of(x) for x in forms] + [CurvePoint(value)]
+    assert all(p == points[0] and hash(p) == hash(points[0]) for p in points)
+    assert len({*points, INFINITY}) == 2
+    assert all(type(p.finite) is Fraction for p in points)
+    assert (CurvePoint(other) == points[0]) == (other == value)
+
+
+@PROPERTY
+@given(merge_items(with_infinity=True, as_points=True))
+def test_divisor_merges_match_the_reference(items):
+    new, ref = CDivisor.of(items), DivisorReference.of(items)
+    assert new.entries == ref.entries
+    assert hash(new) == hash(ref)
+    assert new == CDivisor(ref.entries) == CDivisor(tuple(reversed(ref.entries)))
+    assert new + (-new) == CDivisor(())
+
+
+@PROPERTY
+@given(direct_entries(with_infinity=True))
+def test_divisor_constructor_matches_the_reference(values):
+    entries = tuple((CurvePoint(v), m) for v, m in values)
+    new, ref = outcome(CDivisor, entries), outcome(DivisorReference, entries)
+    if isinstance(ref, str):
+        assert new == ref
+    else:
+        assert new.entries == ref.entries and hash(new) == hash(ref)
+
+
+@PROPERTY
+@given(st.one_of(rationals, st.just(F(0))).flatmap(spelled),
+       merge_items(with_infinity=False, as_points=False))
+def test_function_merges_match_the_reference(constant, items):
+    same_function(outcome(RationalFunction.of, constant, items),
+                  outcome(FunctionReference.of, constant, items))
+
+
+@PROPERTY
+@given(st.one_of(rationals, st.just(F(0))), direct_entries(with_infinity=False),
+       st.booleans())
+def test_function_constructor_matches_the_reference(constant, values, as_ints):
+    factors = tuple(
+        (int(r) if as_ints and r.denominator == 1 else r, e) for r, e in values
+    )
+    same_function(outcome(RationalFunction, constant, factors),
+                  outcome(FunctionReference, constant, factors))
+
+
+@PROPERTY
+@given(families(2), st.integers(-3, 3))
+def test_products_powers_and_divisors_match_the_reference(pair, k):
+    f, g = pair
+    rf, rg = (FunctionReference(h.constant, h.factors) for h in (f, g))
+    same_function(f * g, rf * rg)
+    same_function(f ** k, rf ** k)
+    same_function(f.inverse(), rf.inverse())
+    assert f.divisor().entries == rf.divisor().entries
+
+
+@PROPERTY
+@given(families(3), st.tuples(*[st.integers(-3, 3)] * 3))
+def test_epsilon_function_is_the_product_of_powers(epsilon, m):
+    new = epsilon_function(SimpleNamespace(epsilon=epsilon), m)
+    same_function(new, epsilon_by_powers(epsilon, m))
+
+
+@PROPERTY
+@given(functions())
+def test_integer_parts_are_the_ring_products_in_both_rings(f):
+    for x in (verify._zu, verify._zt):
+        assert verify._integer_parts(f, x) == integer_parts_by_ring_products(f, x)
+
+
+@st.composite
+def square_matrices(draw):
+    """A unimodular matrix from elementary row operations, or one that is not."""
+    n = draw(st.integers(1, 4))
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 12))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if i == j:
+            rows[i] = [-x for x in rows[i]]
+        else:
+            k = draw(st.integers(-4, 4))
+            rows[i] = [x + k * y for x, y in zip(rows[i], rows[j])]
+    if draw(st.booleans()) and draw(st.booleans()):  # det 0 or +-k for k >= 2
+        i, k = draw(st.integers(0, n - 1)), draw(st.sampled_from((0, 2, -3)))
+        rows[i] = [k * x for x in rows[i]]
+    return IntMatrix.from_rows(rows)
+
+
+@PROPERTY
+@given(square_matrices())
+def test_unimodular_inverse_matches_the_minor_by_minor_adjugate(B):
+    got, want = outcome(unimodular_inverse, B), outcome(unimodular_inverse_by_minors, B)
+    assert got == want
+    if isinstance(got, IntMatrix):
+        assert got @ B == IntMatrix.identity(B.rows) == B @ got
+    else:
+        assert got.startswith("ValueError: determinant is")
+
+
+def test_unimodular_inverse_rejects_a_matrix_that_is_not_square():
+    with pytest.raises(NotUnimodular, match="not square"):
+        unimodular_inverse(IntMatrix.from_rows([[1, 0, 0], [0, 1, 0]]))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: CDivisor(((CurvePoint.of(1), 1), (CurvePoint.of("2/2"), 2))),
+     "divisor points must be distinct"),
+    (lambda: CDivisor(((INFINITY, 1), (CurvePoint(None), -1))), "divisor points must be distinct"),
+    (lambda: CDivisor(((CurvePoint.of(1), 0),)), "zero multiplicities are not stored"),
+    (lambda: RationalFunction(F(1), ((F(1, 2), 1), (F(2, 4), -1))), "factor roots must be distinct"),
+    (lambda: RationalFunction(F(1), ((1, 1), (F(1), 1))), "factor roots must be distinct"),
+    (lambda: RationalFunction(F(1), ((F(3), 0),)), "zero exponents are not stored"),
+    (lambda: RationalFunction(0, ()), "the zero function is not representable"),
+    (lambda: RationalFunction.of("0/5", {F(1): 1}), "the zero function is not representable"),
+    (lambda: RationalFunction(F(1), ((F(3), 1),)).scale(0), "the zero function is not representable"),
+])
+def test_every_constructor_check_still_raises(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
