@@ -68,7 +68,6 @@ from .verify import (
     ChartRecord,
     CheckResult,
     DegreeOverflow,
-    brute_force_pair_scan,
     certify,
     chart_immersive,
     chart_injective,
@@ -96,7 +95,7 @@ __all__ = [
     "check_theorem_conditions", "epsilon_function", "load_embedding",
     "save_embedding",
     "Certificate", "ChartRecord", "CheckResult", "DegreeOverflow",
-    "brute_force_pair_scan", "certify", "chart_immersive", "chart_injective",
-    "pullback_check", "save_certificate",
+    "certify", "chart_immersive", "chart_injective", "pullback_check",
+    "save_certificate",
     "RunConfig", "main", "run_pipeline",
 ]

@@ -354,13 +354,9 @@ def sample_divisor(degree: int, seed: int, avoid=frozenset()) -> CDivisor:
 class ProjectiveLine:
     """The genus-zero curve every embedding here is built on.
 
-    The genus shows up only through the sampling threshold (degrees must
-    exceed twice the genus), which is vacuous at zero; the hook keeps the
-    arithmetic-genus dependence explicit.
+    Its sampler stays a method because pipebench/tracing.py wraps it by this
+    class attribute.
     """
-
-    def genus(self) -> int:
-        return 0
 
     def sample_divisor(self, degree: int, seed: int, avoid=frozenset()) -> CDivisor:
         return sample_divisor(degree, seed, avoid)

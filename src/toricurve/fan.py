@@ -173,6 +173,12 @@ def validate(fan: Fan) -> ValidationReport:
             if not _cones_intersect_in_face(fan, fan.max_cones[a], fan.max_cones[b]):
                 complete = False
                 issues.append(("bad_cone_intersection", a, b))
+    if fan.max_cones:
+        used = {idx for cone in fan.max_cones for idx in cone}
+        for idx in range(fan.n_rays):
+            if idx not in used:
+                complete = False
+                issues.append(("unused_ray", idx))
     counts = (len(fan.rays), len(census), len(fan.max_cones))
     return ValidationReport(smooth, complete, counts, tuple(issues))
 

@@ -11,9 +11,11 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .fan import FAN_CACHE_SIZE, Fan, Wall, cone_matrix, ray_matrix, walls, _cone_set
+from .fan import (
+    FAN_CACHE_SIZE, Fan, NotComplete, Wall, cone_matrix, ray_matrix, walls, _cone_set,
+)
 from .feasibility import Infeasible, find_point, minimize
-from .intlinalg import IntMatrix, integer_kernel_basis, smith_normal_form, unimodular_inverse
+from .intlinalg import integer_kernel_basis, unimodular_inverse
 
 
 class NotAmple(ValueError):
@@ -85,65 +87,6 @@ def wall_curve_degree(fan: Fan, wall: Wall, divisor: TDivisor) -> int:
     return c[wall.third_a] + c[wall.third_b] + wall.a * c[wall.i] + wall.b * c[wall.j]
 
 
-def _hnf_rows(rows: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Row echelon lattice basis with positive pivots, entries above reduced."""
-    work = [list(r) for r in rows if any(r)]
-    m = len(work)
-    n = len(work[0]) if m else 0
-    r = 0
-    for col in range(n):
-        while True:
-            nz = [i for i in range(r, m) if work[i][col]]
-            if len(nz) <= 1:
-                break
-            piv = min(nz, key=lambda i: abs(work[i][col]))
-            for i in nz:
-                if i != piv:
-                    q = work[i][col] // work[piv][col]
-                    work[i] = [x - q * y for x, y in zip(work[i], work[piv])]
-        nz = [i for i in range(r, m) if work[i][col]]
-        if not nz:
-            continue
-        work[r], work[nz[0]] = work[nz[0]], work[r]
-        if work[r][col] < 0:
-            work[r] = [-x for x in work[r]]
-        for i in range(r):
-            q = work[i][col] // work[r][col]
-            if q:
-                work[i] = [x - q * y for x, y in zip(work[i], work[r])]
-        r += 1
-    return [tuple(row) for row in work[:r]]
-
-
-def _reduce_mod_rows(v, hrows) -> tuple[int, ...]:
-    out = list(v)
-    for row in hrows:
-        p = next(i for i, x in enumerate(row) if x)
-        q = out[p] // row[p]
-        if q:
-            out = [x - q * y for x, y in zip(out, row)]
-    return tuple(out)
-
-
-@lru_cache(maxsize=FAN_CACHE_SIZE)
-def _character_pairing_neg_one(ray: tuple[int, int, int]) -> tuple[int, int, int]:
-    """Canonical character m with <m, ray> = -1 for a primitive ray.
-
-    Particular solution from the Smith form of the ray as a column, then the
-    canonical representative modulo the rank-2 sublattice pairing to zero.
-    """
-    snf = smith_normal_form(IntMatrix(3, 1, tuple(ray)))
-    if snf.S[0, 0] != 1:
-        raise ValueError(f"ray {ray} is not primitive")
-    v = snf.V[0, 0]
-    u_rows = snf.U.to_rows()
-    m0 = tuple(-v * x for x in u_rows[0])
-    kernel = _hnf_rows([tuple(u_rows[1]), tuple(u_rows[2])])
-    m = _reduce_mod_rows(m0, kernel)
-    assert sum(a * b for a, b in zip(m, ray)) == -1
-    return m
-
-
 def _two_repeat(fan: Fan, rep: int, other: int) -> int:
     """V_rep . V_rep . V_other for rep != other."""
     wall = _wall_by_pair(fan).get((min(rep, other), max(rep, other)))
@@ -153,8 +96,18 @@ def _two_repeat(fan: Fan, rep: int, other: int) -> int:
 
 
 def _self_triple(fan: Fan, rho: int) -> int:
-    # shift V_rho off itself: V_rho ~ V_rho + div(m) with <m, n_rho> = -1
-    m = _character_pairing_neg_one(fan.rays[rho])
+    """V_rho^3 by moving one factor off V_rho along a principal divisor.
+
+    div(chi^m) = sum_sigma <m, n_sigma> V_sigma is principal (Fulton, §5.1),
+    so for any m with <m, n_rho> = -1 we have V_rho ~ sum_{sigma != rho}
+    <m, n_sigma> V_sigma and V_rho^3 = sum_{sigma != rho} <m, n_sigma>
+    V_rho^2 V_sigma, whichever such m is taken.  Minus the row for rho of the
+    dual basis of a maximal cone containing rho is one.
+    """
+    cone = next((c for c in fan.max_cones if rho in c), None)
+    if cone is None:
+        raise NotComplete(f"ray {rho} lies in no maximal cone")
+    m = [-x for x in unimodular_inverse(cone_matrix(fan, cone)).row(cone.index(rho))]
     total = 0
     for other in range(fan.n_rays):
         if other == rho:
@@ -276,14 +229,7 @@ def find_ample(fan: Fan) -> TDivisor:
     return result
 
 
-def _scale_for_genus(values, genus: int) -> tuple[int, ...]:
-    # smallest k >= 1 with k*min(values) > 2*genus
-    k = (2 * genus) // min(values) + 1
-    return tuple(k * v for v in values)
-
-
-def xi_vector(fan: Fan, ample: TDivisor | None, method: str = "intersection",
-              genus: int = 0) -> XiVector:
+def xi_vector(fan: Fan, ample: TDivisor | None, method: str = "intersection") -> XiVector:
     """Strictly positive integer kernel vector of the ray matrix.
 
     intersection: degrees of the rays' divisors against the square of an
@@ -322,5 +268,4 @@ def xi_vector(fan: Fan, ample: TDivisor | None, method: str = "intersection",
     if min(values) <= 0:
         raise NoPositiveKernel(f"derived degrees are not strictly positive: {values}")
     assert A.mul_vector(values) == (0, 0, 0)
-    values = _scale_for_genus(values, genus)
     return XiVector(values, method)

@@ -15,8 +15,9 @@ are re-checked by Fraction evaluation, algebraic ones by congruences.
 Every gcd, resultant, remainder and factorization runs on sparse integer
 polynomials (`sympy.polys.rings`, Z[s, u], Z[u], Z[t]); factors come out
 primitive with positive leading coefficient, as over Q.  Q[s, u] appears
-only where a rational point is substituted and in the Groebner fallback,
-`sympy.Expr` only in witness strings and that fallback.
+only where a rational point is substituted.  The Groebner fallback runs in
+a lex ring in y, s, u, over Z when every input coefficient is an integer
+and over Q otherwise.  `sympy.Expr` appears only in witness strings.
 """
 from __future__ import annotations
 
@@ -25,8 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-import sympy
 from sympy.polys.domains import QQ, ZZ
+from sympy.polys.groebnertools import groebner
 from sympy.polys.rings import ring
 
 from .curve import (
@@ -35,7 +36,6 @@ from .curve import (
     INFINITY,
     RationalFunction,
     evaluate_with_derivative,
-    _hash_rational,
 )
 from .embed import ChartMap, EmbeddingData, chart_maps, check_theorem_conditions
 
@@ -43,8 +43,8 @@ _Z, _s, _u = ring("s,u", ZZ)
 _Q, _qs, _qu = ring("s,u", QQ)  # for substituting rational points only
 _zu = ring("u", ZZ)[1]  # also the ring of the resultants in s
 _zt = ring("t", ZZ)[1]
-_Y = sympy.Symbol("y")
-_S, _U = _Z.symbols
+_GQ, _gy = ring("y,s,u", QQ)[:2]  # lex, for the Groebner fallback
+_GZ = _GQ.clone(domain=ZZ)
 
 DEFAULT_DEGREE_CAP = 512
 
@@ -413,24 +413,25 @@ def _finite_finite(chart, coords, NDs, Qs, excluded_fr, witnesses, degree_cap):
         bezout *= max(1, _total_degree(r))
     if bezout > degree_cap:
         raise DegreeOverflow(chart.cone, bezout, degree_cap)
-    # sympy picks Z or Q, and so the form elimination_poly prints in, from
-    # the inputs' coefficients: scale each residual to the pinned form, the
-    # one built from F = c N / lc(N), G = D / lc(D) (c the coordinate's
-    # constant) and a monic gcd
+    # the basis is over Z when every input coefficient is an integer, else
+    # over Q (the rule sympy.groebner applies to expressions), and that fixes
+    # the form elimination_poly prints in: scale each residual to the pinned
+    # form, the one built from F = c N / lc(N), G = D / lc(D) (c the
+    # coordinate's constant) and a monic gcd
     lc_g = 1 if g.is_ground else g.LC
-    scaled = [
-        r * _qq(f.constant * lc_g / (N.LC * D.LC))
+    gens = [
+        (r * _qq(f.constant * lc_g / (N.LC * D.LC))).set_ring(_GQ)
         for r, f, (N, D) in zip(residual_q, coords, NDs)
     ]
-    sat = _saturation_poly(excluded_fr).as_expr()
-    gb = sympy.groebner(
-        [r.as_expr() for r in scaled] + [1 - _Y * sat], _Y, _S, _U, order="lex"
-    )
-    if list(gb.exprs) == [sympy.Integer(1)]:
+    gens.append(1 - _gy * _saturation_poly(excluded_fr).set_ring(_GQ))
+    if all(QQ.denom(c) == 1 for p in gens for c in p.itercoeffs()):
+        gens = [p.set_ring(_GZ) for p in gens]
+    gb = groebner(gens, gens[0].ring)
+    if gb == [1]:
         return "groebner"
-    elim_u = [e for e in gb.exprs if not e.has(_Y) and not e.has(_S)]
+    elim_u = [p for p in gb if p.degree(0) <= 0 and p.degree(1) <= 0]  # free of y, s
     assert elim_u, "saturated zero-dimensional ideal has a univariate member"
-    roots, _higher = _roots_and_factors(_Q(elim_u[0]))
+    roots, _higher = _roots_and_factors(elim_u[0].set_ring(_Q))
     found = len(witnesses)
     for u0 in roots:
         witnesses.extend(_partner_witnesses(coords, NDs, residual_q, u0, excluded_fr))
@@ -438,7 +439,7 @@ def _finite_finite(chart, coords, NDs, Qs, excluded_fr, witnesses, degree_cap):
         witnesses.append(
             {
                 "kind": "collision-system",
-                "elimination_poly": str(elim_u[0]),
+                "elimination_poly": str(elim_u[0].as_expr()),
                 "verified": "groebner-saturation",
             }
         )
@@ -599,30 +600,3 @@ def dumps_certificate(cert: Certificate) -> str:
 def save_certificate(cert: Certificate, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(dumps_certificate(cert))
-
-
-def brute_force_pair_scan(data: EmbeddingData, charts, pairs_per_chart: int, seed: int):
-    """Random pair sampling that must not find collisions a pass missed."""
-    collisions = []
-    for idx, chart in enumerate(charts):
-        excluded = set(chart.excluded)
-        stream_seed = seed * 1000003 + idx
-        counter = 0
-        done = 0
-        while done < pairs_per_chart and counter < 100000:
-            a = CurvePoint(_hash_rational(stream_seed, counter))
-            b = CurvePoint(_hash_rational(stream_seed, counter + 1))
-            counter += 2
-            if a == b or a in excluded or b in excluded:
-                continue
-            done += 1
-            same = True
-            for f in chart.coords:
-                va = evaluate_with_derivative(f, a)
-                vb = evaluate_with_derivative(f, b)
-                if va[0] != vb[0]:
-                    same = False
-                    break
-            if same:
-                collisions.append((chart.cone, a, b))
-    return collisions

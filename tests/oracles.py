@@ -8,9 +8,12 @@ differences built over Q by product and exact division in place of the
 integer Bezoutian.  The straightforward forms of the package's fast paths
 live here too: divisors and factored functions canonicalised by a set and
 a Fraction sort, character functions as products of powers, N and D as
-ring products, and the inverse of a unimodular matrix minor by minor.
-Tests compare package output against these oracles, never the other way
-around.
+ring products, the inverse of a unimodular matrix minor by minor, the
+self-intersection V_rho^3 from a canonical character (Smith form plus a
+Hermite reduction) and the Groebner fallback's basis from `sympy.groebner`
+on expressions.  So do the random smoke scans: collision search on random
+pairs of points and chart gluing on random characters.  Tests compare
+package output against these oracles, never the other way around.
 """
 
 from dataclasses import dataclass
@@ -21,9 +24,10 @@ import sympy
 from sympy.polys.domains import QQ
 from sympy.polys.rings import ring
 
-from toricurve.curve import INFINITY, CurvePoint
+from toricurve.curve import INFINITY, CurvePoint, _hash_rational, evaluate_with_derivative
 from toricurve.feasibility import Infeasible, find_point
-from toricurve.intlinalg import IntMatrix, NotUnimodular
+from toricurve.intersect import triple_intersection
+from toricurve.intlinalg import IntMatrix, NotUnimodular, smith_normal_form
 
 _QSU, _QS, _QU = ring("s,u", QQ)
 
@@ -314,3 +318,142 @@ def unimodular_inverse_by_minors(B: IntMatrix) -> IntMatrix:
     return IntMatrix.from_rows(
         [[d * ((-1) ** (i + j)) * minor(j, i).det() for j in range(n)] for i in range(n)]
     )
+
+
+def _hnf_rows(rows):
+    """Row echelon lattice basis with positive pivots, entries above reduced."""
+    work = [list(r) for r in rows if any(r)]
+    m = len(work)
+    n = len(work[0]) if m else 0
+    r = 0
+    for col in range(n):
+        while True:
+            nz = [i for i in range(r, m) if work[i][col]]
+            if len(nz) <= 1:
+                break
+            piv = min(nz, key=lambda i: abs(work[i][col]))
+            for i in nz:
+                if i != piv:
+                    q = work[i][col] // work[piv][col]
+                    work[i] = [x - q * y for x, y in zip(work[i], work[piv])]
+        nz = [i for i in range(r, m) if work[i][col]]
+        if not nz:
+            continue
+        work[r], work[nz[0]] = work[nz[0]], work[r]
+        if work[r][col] < 0:
+            work[r] = [-x for x in work[r]]
+        for i in range(r):
+            q = work[i][col] // work[r][col]
+            if q:
+                work[i] = [x - q * y for x, y in zip(work[i], work[r])]
+        r += 1
+    return [tuple(row) for row in work[:r]]
+
+
+def character_pairing_neg_one(ray):
+    """Canonical character m with <m, ray> = -1 for a primitive ray.
+
+    Particular solution from the Smith form of the ray as a column, then the
+    canonical representative modulo the rank-2 sublattice pairing to zero.
+    """
+    snf = smith_normal_form(IntMatrix(3, 1, tuple(ray)))
+    assert snf.S[0, 0] == 1, f"ray {ray} is not primitive"
+    v = snf.V[0, 0]
+    u_rows = snf.U.to_rows()
+    m = [-v * x for x in u_rows[0]]
+    for row in _hnf_rows([tuple(u_rows[1]), tuple(u_rows[2])]):
+        p = next(i for i, x in enumerate(row) if x)
+        q = m[p] // row[p]
+        m = [x - q * y for x, y in zip(m, row)]
+    assert sum(a * b for a, b in zip(m, ray)) == -1
+    return tuple(m)
+
+
+def self_triple_by_canonical_character(fan, rho):
+    """V_rho^3 = sum_{sigma != rho} <m, n_sigma> V_rho^2 V_sigma for the canonical m."""
+    m = character_pairing_neg_one(fan.rays[rho])
+    return sum(
+        sum(a * b for a, b in zip(m, fan.rays[other])) * triple_intersection(fan, rho, rho, other)
+        for other in range(fan.n_rays)
+        if other != rho
+    )
+
+
+def groebner_by_expr(polys, gens_ring):
+    """The Groebner fallback's reference: `sympy.groebner` on expressions.
+
+    sympy converts the inputs back to polynomials and picks Z or Q from
+    their coefficients.  Returns the lex basis over the generators of
+    `gens_ring` as expressions, and the domain sympy picked.
+    """
+    gb = sympy.groebner([p.as_expr() for p in polys], *gens_ring.symbols, order="lex")
+    return list(gb.exprs), gb.domain
+
+
+def brute_force_pair_scan(data, charts, pairs_per_chart, seed):
+    """Random pair sampling that must not find collisions a certificate missed."""
+    collisions = []
+    for idx, chart in enumerate(charts):
+        excluded = set(chart.excluded)
+        stream_seed = seed * 1000003 + idx
+        counter = 0
+        done = 0
+        while done < pairs_per_chart and counter < 100000:
+            a = CurvePoint(_hash_rational(stream_seed, counter))
+            b = CurvePoint(_hash_rational(stream_seed, counter + 1))
+            counter += 2
+            if a == b or a in excluded or b in excluded:
+                continue
+            done += 1
+            if all(
+                evaluate_with_derivative(f, a)[0] == evaluate_with_derivative(f, b)[0]
+                for f in chart.coords
+            ):
+                collisions.append((chart.cone, a, b))
+    return collisions
+
+
+def _mix_index(seed, counter, n):
+    h = _hash_rational(seed ^ 0x5BF03635, counter)
+    return (h.numerator + 120 * h.denominator) % n
+
+
+def transition_mismatches(data, charts, n_points, seed):
+    """Spot-check that chart transitions are consistent Laurent monomials.
+
+    For chart pairs and characters m in both dual cones, the monomial in
+    either chart's coordinates must evaluate identically.  Returns observed
+    mismatches (expected empty).
+    """
+    forbidden = set()
+    for d in data.divisors:
+        forbidden |= {p.finite for p in d.support()}
+    mismatches = []
+    counter = 0
+    checked = 0
+    while checked < n_points and counter < 10000 * max(n_points, 1):
+        ca = charts[_mix_index(seed, counter, len(charts))]
+        cb = charts[_mix_index(seed, counter + 1, len(charts))]
+        exps = [int(_hash_rational(seed, counter + 2 + t) * 4) % 3 for t in range(3)]
+        counter += 8
+        m = tuple(sum(exps[t] * ca.duals[t][c] for t in range(3)) for c in range(3))
+        rays_b = [data.fan.rays[rho] for rho in cb.cone]
+        weights = [sum(m[c] * ray[c] for c in range(3)) for ray in rays_b]
+        if any(w < 0 for w in weights):
+            continue  # m is not regular on the second chart
+        point = _hash_rational(seed, counter)
+        counter += 1
+        if point in forbidden:
+            continue
+        value_a = Fraction(1)
+        for t in range(3):
+            if exps[t]:
+                value_a *= evaluate_with_derivative(ca.coords[t], CurvePoint(point))[0] ** exps[t]
+        value_b = Fraction(1)
+        for t in range(3):
+            if weights[t]:
+                value_b *= evaluate_with_derivative(cb.coords[t], CurvePoint(point))[0] ** weights[t]
+        if value_a != value_b:
+            mismatches.append((ca.cone, cb.cone, m, point, value_a, value_b))
+        checked += 1
+    return mismatches

@@ -16,18 +16,13 @@ from negative_fixtures import (
     shared_point_data,
     symmetric_data,
 )
-from oracles import ChowOracle
+from oracles import ChowOracle, brute_force_pair_scan, transition_mismatches
 from toricurve.cli import RunConfig, run_pipeline
 from toricurve.curve import INFINITY, CurvePoint, evaluate_with_derivative
-from toricurve.embed import (
-    build_embedding_data,
-    chart_maps,
-    check_theorem_conditions,
-    transition_mismatches,
-)
+from toricurve.embed import build_embedding_data, chart_maps, check_theorem_conditions
 from toricurve.fan import preset, star_subdivision, validate
 from toricurve.intersect import TDivisor, XiVector, find_ample, triple_product, xi_vector
-from toricurve.verify import brute_force_pair_scan, certify
+from toricurve.verify import certify
 
 F = Fraction
 PRESETS = ("p3", "p1p1p1", "bl-p3-point")

@@ -31,6 +31,18 @@ def write_bad_fan(tmp_path):
     return str(path)
 
 
+def write_orphan_fan(tmp_path):
+    """p3 plus a ray (1, 1, 1) that no cone uses: every wall still closes."""
+    doc = {
+        "name": "orphan",
+        "rays": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1], [1, 1, 1]],
+        "cones": [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]],
+    }
+    path = tmp_path / "orphan.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
 def test_demo_runs_the_full_pipeline(capsys, tmp_path):
     out = tmp_path / "artifacts"
     code, report = run_cli(capsys, ["demo", "p3", "--seed", "7", "--out", str(out)])
@@ -338,6 +350,7 @@ CONTRACT = (
         (FAN_COMMANDS[command] + ["--fan", "NONSMOOTH"], "validation", 3)
         for command in ("embed", "run")
     ]
+    + [(FAN_COMMANDS["run"] + ["--fan", "ORPHAN"], "validation", 3)]
     + [  # flags argparse rejects
         (["run", "--preset", "p3", "--max-retries", "x", "--out", "OUT"], "usage", 2),
         (["xi", "--preset", "p3", "--xi-method", "bogus"], "usage", 2),
@@ -353,6 +366,7 @@ CONTRACT = (
     ]
 )
 COMMANDS = ("fan", "ample", "xi", "embed", "verify", "run", "demo")
+REPORTED = {"NONSMOOTH": ["non_primitive_ray", 0], "ORPHAN": ["unused_ray", 4]}  # by validate
 
 
 def _command_name(argv):
@@ -376,6 +390,8 @@ def test_every_command_obeys_the_exit_code_contract(capsys, tmp_path, argv, kind
     names = ("OUT", "DIR", "MALFORMED", "MISSING", "SHORT_XI")
     paths = {name: str(tmp_path / name) for name in names}
     paths["NONSMOOTH"] = write_bad_fan(tmp_path)
+    paths["ORPHAN"] = write_orphan_fan(tmp_path)
+    reported = [REPORTED[a] for a in argv if a in REPORTED]
     argv = [paths.get(a, a) for a in argv]
     got, report = run_cli(capsys, argv)
     assert (got, report["error"]["kind"]) == (code, kind), report["error"]
@@ -384,7 +400,7 @@ def test_every_command_obeys_the_exit_code_contract(capsys, tmp_path, argv, kind
     if kind == "not-projective":
         assert len(report["error"]["farkas_certificate"]) > 0
     if kind == "validation":
-        assert ["non_primitive_ray", 0] in report["error"]["issues"]
+        assert reported and reported[0] in report["error"]["issues"]
     assert not (tmp_path / "OUT").exists()
 
 

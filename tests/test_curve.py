@@ -189,7 +189,6 @@ def test_sample_divisor_determinism_and_spread():
 
 def test_projective_line_facade():
     line = ProjectiveLine()
-    assert line.genus() == 0
     d = line.sample_divisor(2, 3)
     assert d == sample_divisor(2, 3)
     f = principal_function(d + CDivisor.of([(INFINITY, -2)]))

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import transition_mismatches
 from toricurve.curve import (
     CDivisor,
     CurvePoint,
@@ -26,7 +27,6 @@ from toricurve.embed import (
     epsilon_function,
     loads_embedding,
     pairing_matrix,
-    transition_mismatches,
 )
 from toricurve.fan import Fan, preset
 from toricurve.intersect import TDivisor, find_ample, xi_vector
@@ -261,11 +261,20 @@ def _set(path, value):
         _set(("ample",), 7),
         _set(("epsilon",), 5),
         _set(("torus",), 1),
+        _set(("xi", "values"), lambda v: [True] * len(v)),
+        _set(("ample",), lambda a: [bool(x) for x in a]),
+        _set(("divisors",), lambda d: [[[p, True] for p, _ in x] for x in d]),
+        _set(("epsilon",), lambda e: [
+            dict(f, factors=[[r, True] for r, _ in f["factors"]]) for f in e
+        ]),
+        _set(("epsilon",), lambda e: [dict(f, factors=5) for f in e]),
     ],
     ids=[
         "xi-values-not-a-list", "xi-two-entries", "xi-five-entries", "xi-values-an-object",
         "xi-unknown-method", "one-divisor-removed", "divisors-an-object",
         "ample-one-entry", "ample-not-a-list", "epsilon-not-a-list", "torus-not-a-list",
+        "xi-values-booleans", "ample-booleans", "divisor-multiplicity-true",
+        "factor-exponent-true", "factors-not-a-list",
     ],
 )
 def test_embedding_shapes_that_do_not_fit_the_fan_are_rejected(mutate):

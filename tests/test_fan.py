@@ -23,11 +23,7 @@ from toricurve.fan import (
     validate,
     walls,
 )
-from toricurve.intersect import (
-    _character_pairing_neg_one,
-    _wall_by_pair,
-    triple_intersection,
-)
+from toricurve.intersect import _wall_by_pair, triple_intersection
 
 
 def wall_relation_holds(fan, wall):
@@ -108,6 +104,16 @@ def test_validate_overlapping_cones():
     report = validate(fan)
     assert not report.complete
     assert any(i[0] == "bad_cone_intersection" for i in report.issues)
+
+
+def test_validate_reports_a_ray_in_no_cone(p3):
+    # every wall still has two cones, so only the ray census catches it
+    fan = Fan(p3.rays + ((1, 1, 1),), p3.max_cones)
+    report = validate(fan)
+    assert report.smooth and not report.complete
+    assert report.issues == (("unused_ray", 4),)
+    with pytest.raises(NotComplete):
+        triple_intersection(fan, 4, 4, 4)
 
 
 def test_validate_empty_fan():
@@ -212,8 +218,7 @@ def test_star_subdivision_chains_stay_valid():
 
 
 def test_caches_keyed_by_fan_stay_at_their_bound(p3):
-    """More fans than the bound leave every Fan-keyed cache, and the
-    ray-keyed pairing cache, exactly full."""
+    """More fans than the bound leave every Fan-keyed cache exactly full."""
     for k in range(FAN_CACHE_SIZE + 5):
         # the shear x += k*y is unimodular, so each fan is new and valid,
         # with two new rays
@@ -226,7 +231,6 @@ def test_caches_keyed_by_fan_stay_at_their_bound(p3):
             assert triple_intersection(fan, rho, rho, rho) == 1
     caches = (
         validate, walls, fan_module._cone_set, fan_module._face_pairs, _wall_by_pair,
-        _character_pairing_neg_one,
     )
     for cache in caches:
         info = cache.cache_info()

@@ -4,8 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
 
-from oracles import ChowOracle, farkas_refutes
+from oracles import ChowOracle, farkas_refutes, self_triple_by_canonical_character
+from test_fan_properties import PROPERTY, chains
 from toricurve.fan import preset, star_subdivision, walls
 from toricurve.feasibility import verify_infeasibility_certificate
 from toricurve.intersect import (
@@ -212,13 +214,6 @@ def test_xi_is_positive_kernel_vector():
         assert min(xi_vector(sub, find_ample(sub)).values) >= 1
 
 
-def test_xi_genus_scaling(p3):
-    """Degrees scale to clear twice the genus while staying in the kernel."""
-    xi = xi_vector(p3, TDivisor.unit(p3, 0), genus=3)
-    assert min(xi.values) > 6
-    assert xi.values == (7, 7, 7, 7)
-
-
 def test_xi_requires_ample(p3, p1p1p1):
     with pytest.raises(NotAmple):
         xi_vector(p3, None)
@@ -241,3 +236,14 @@ def test_divisor_arithmetic(p3):
     assert TDivisor.zero(p3).coeffs == (0, 0, 0, 0)
     with pytest.raises(ValueError):
         triple_product(p3, d, d, TDivisor((1, 0, 0)))
+
+
+@PROPERTY
+@given(chains())
+def test_self_intersections_do_not_depend_on_the_character(fan):
+    """A cone's dual basis gives the same V_rho^3 as the canonical character:
+    the two shifts of V_rho differ by a principal divisor."""
+    for rho in range(fan.n_rays):
+        assert triple_intersection(fan, rho, rho, rho) == self_triple_by_canonical_character(
+            fan, rho
+        )

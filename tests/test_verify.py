@@ -8,7 +8,7 @@ import pytest
 import sympy
 
 from negative_fixtures import doubled_point_data, symmetric_data
-from oracles import residuals_qq
+from oracles import brute_force_pair_scan, residuals_qq
 from test_replay_golden import involution_data
 from toricurve.curve import (
     INFINITY,
@@ -23,7 +23,6 @@ from toricurve.intersect import XiVector
 from toricurve import verify
 from toricurve.verify import (
     DegreeOverflow,
-    brute_force_pair_scan,
     certify,
     chart_immersive,
     chart_injective,
@@ -202,23 +201,24 @@ def test_congruence_rechecks_accept_a_non_monic_polynomial():
 
 
 def test_groebner_fallback_receives_the_rational_residuals(monkeypatch):
-    """sympy picks Z or Q for the basis, and so how elimination_poly prints,
-    from the inputs' coefficients: the golden charts that reach the
-    fallback must hand it the residuals built over Q with a monic gcd."""
+    """The basis is over Z when every input coefficient is an integer, else
+    over Q, and that fixes how elimination_poly prints: the golden charts
+    that reach the fallback must hand it the residuals built over Q with a
+    monic gcd."""
     calls = []
-    real = sympy.groebner
+    real = verify.groebner
 
-    def spy(polys, *gens, **kwargs):
+    def spy(polys, gens_ring, *args, **kwargs):
         calls.append(polys)
-        return real(polys, *gens, **kwargs)
+        return real(polys, gens_ring, *args, **kwargs)
 
-    monkeypatch.setattr(sympy, "groebner", spy)
+    monkeypatch.setattr(verify, "groebner", spy)
     charts = chart_maps(involution_data("bl-p3-point", "inv", "some"))[:3]
     for c in charts:
         assert chart_injective(c).method == "groebner"
     assert len(calls) == 3
     for c, polys in zip(charts, calls):
-        assert polys[:3] == [r.as_expr() for r in residuals_qq(c.coords)]
+        assert polys[:3] == [r.set_ring(polys[0].ring) for r in residuals_qq(c.coords)]
 
 
 def test_degree_cap_aborts_oversized_eliminations():

@@ -12,19 +12,23 @@ Two properties pin the integer elimination core against the construction
 over Q in `oracles.py`: the Bezoutian of a coordinate is its divided cross
 difference up to a constant and symmetric in s and u, and eliminating u
 from a pair of residuals gives the resultant in s with the variables
-swapped, up to sign, so one elimination direction suffices.
+swapped, up to sign, so one elimination direction suffices.  A third pins
+the Groebner fallback's ring call against `sympy.groebner` on the same
+inputs as expressions.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
+import pytest
 import sympy
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from sympy.polys.domains import ZZ
+from sympy.polys.groebnertools import groebner
 from sympy.polys.rings import ring
 
-from oracles import cross_quotients_qq
+from oracles import cross_quotients_qq, groebner_by_expr
 from toricurve import verify
 from toricurve.curve import CurvePoint, RationalFunction
 from toricurve.embed import ChartMap
@@ -307,3 +311,56 @@ def test_eliminating_u_swaps_the_variables_of_the_resultant_in_s(chart):
         in_s = f.resultant(h)
         in_u = f.set_ring(by_u).resultant(h.set_ring(by_u))
         assert in_s.ring.from_dict(dict(in_u)) in (in_s, -in_s)
+
+
+def expr_groebner(polys, gens_ring):
+    """The fallback's basis through sympy.groebner, in the ring sympy picked."""
+    exprs, domain = groebner_by_expr(polys, gens_ring)
+    picked = gens_ring.clone(domain=domain)
+    return [picked(e) for e in exprs]
+
+
+@st.composite
+def integral_or_rational_charts(draw):
+    """charts(), and in half the draws the same shape with integer roots,
+    constants and excluded points, so the fallback's basis is over Z as well
+    as over Q."""
+    chart = draw(charts())
+    if draw(st.booleans()):
+        return chart
+    coords = tuple(
+        RationalFunction.of(f.constant.numerator, [(a.numerator, e) for a, e in f.factors])
+        for f in chart.coords
+    )
+    assume(all(f.factors for f in coords))
+    excluded = {p.finite.numerator for p in chart.excluded}
+    excluded |= {r for f in coords for r, e in f.factors if e < 0}
+    return ChartMap((0, 1, 2), IDENTITY_DUALS, coords,
+                    tuple(CurvePoint(F(p)) for p in sorted(excluded)))
+
+
+@settings(PROPERTY, max_examples=30)
+@given(integral_or_rational_charts())
+def test_ring_groebner_fallback_matches_sympy_groebner_on_expressions(chart):
+    """Forced into the fallback (no resultant candidates), the ring call and
+    sympy.groebner on the inputs as expressions pick the same domain, print
+    the same basis and give the same method and witnesses."""
+    calls = []
+
+    def ring_groebner(polys, gens_ring):
+        basis = groebner(polys, gens_ring)
+        calls.append((polys, gens_ring, basis))
+        return basis
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "_candidate_polys", lambda residual: None)
+        mp.setattr(verify, "groebner", ring_groebner)
+        got = injective_or_skip(chart)
+        assume(calls)  # the chart reached the fallback
+        mp.setattr(verify, "groebner", expr_groebner)
+        want = injective_or_skip(chart)
+    polys, gens_ring, basis = calls[0]
+    exprs, domain = groebner_by_expr(polys, gens_ring)
+    assert domain == gens_ring.domain
+    assert [str(p.as_expr()) for p in basis] == [str(e) for e in exprs]
+    assert (got.method, got.witnesses) == (want.method, want.witnesses)
