@@ -304,8 +304,8 @@ def embedding_from_dict(doc) -> EmbeddingData:
     if len(epsilon) != 3:
         raise BadEmbeddingFile("exactly three character functions expected")
     torus = tuple(_parse_fraction(x) for x in doc["torus"])
-    if len(torus) != 3:
-        raise BadEmbeddingFile("torus must have three entries")
+    if len(torus) != 3 or not all(torus):
+        raise BadEmbeddingFile("torus must be three nonzero rationals")
     return EmbeddingData(fan, ample, xi, divisors, epsilon, torus)
 
 

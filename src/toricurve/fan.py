@@ -4,8 +4,9 @@ A fan is a tuple of primitive ray generators plus maximal cones given as
 index triples.  Everything downstream (walls, intersection numbers, ample
 search) assumes smooth and complete; validate() decides both exactly, the
 separation of each pair of maximal cones by homogeneous Fourier-Motzkin
-over int (feasibility.homogeneous_feasible).  Results keyed by Fan are
-memoised in caches of FAN_CACHE_SIZE entries each.
+over int (feasibility.homogeneous_feasible), not by the ample search's
+find_point.  Results keyed by Fan are memoised in caches of FAN_CACHE_SIZE
+entries each.
 """
 from __future__ import annotations
 

@@ -1,17 +1,17 @@
 """Exact linear feasibility and minimization over the rationals.
 
-Fourier-Motzkin elimination on systems of inequalities sum_i c_i x_i >= rhs,
-with all arithmetic in Fraction.  Infeasible systems come with a Farkas
-certificate: nonnegative multipliers on the original rows that combine to the
-contradiction 0 >= positive.  find_point and minimize serve the ample search.
-homogeneous_feasible decides strict homogeneous systems (fan validation's
-cone separation) by Fourier-Motzkin over int, with no certificate and no
-back-substitution.  Worst-case exponential, fine at fan scale.
+One Fourier-Motzkin elimination (Schrijver, Theory of Linear and Integer
+Programming, 1986, §12.2) serves find_point and minimize.  A constraint
+sum_i c_i x_i >= rhs is one int row (c_0..c_{w-1}, rhs, p_0..p_{m-1}), scaled
+by the lcm of its denominators, p its multiplier on each of the m inputs.
+Combined rows are divided by the gcd of all their entries, so a Farkas
+certificate is the p part of a row 0 >= positive.  homogeneous_feasible
+decides strict homogeneous systems (fan validation's cone separation) by its
+own elimination over int.  Worst-case exponential, fine at fan scale.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -31,117 +31,88 @@ class Infeasible(Exception):
         self.certificate = certificate
 
 
-@dataclass(frozen=True)
-class _Row:
-    coeffs: tuple[Fraction, ...]
-    rhs: Fraction
-    combo: tuple[tuple[int, Fraction], ...]  # provenance over original rows
+def _refuted(row, width: int) -> Infeasible:
+    """The row 0 >= positive as an Infeasible carrying its provenance."""
+    return Infeasible({i: Fraction(p) for i, p in enumerate(row[width + 1:]) if p})
 
 
-def _normalize(coeffs, rhs, combo):
-    scale = None
-    for c in coeffs:
-        if c:
-            scale = 1 / abs(c)
-            break
-    if scale is None or scale == 1:
-        return _Row(tuple(coeffs), rhs, combo)
-    return _Row(
-        tuple(c * scale for c in coeffs),
-        rhs * scale,
-        tuple((i, lam * scale) for i, lam in combo),
-    )
+def _primitive(values) -> tuple[int, ...]:
+    g = math.gcd(*values)
+    return tuple(x // g for x in values)
 
 
-def _merge_combo(c1, c2, s1: Fraction, s2: Fraction):
-    acc: dict[int, Fraction] = {}
-    for i, lam in c1:
-        acc[i] = acc.get(i, Fraction(0)) + s1 * lam
-    for i, lam in c2:
-        acc[i] = acc.get(i, Fraction(0)) + s2 * lam
-    return tuple(sorted(acc.items()))
+def _eliminate(rows, var: int, width: int):
+    """The rows without x_var, then each lower/upper pair combined and made
+    primitive, unless its half-space is already there or it has no variables;
+    a combination 0 >= positive refutes the system."""
+    lowers, uppers, out = [], [], []
+    for row in rows:
+        (lowers if row[var] > 0 else uppers if row[var] < 0 else out).append(row)
+    seen = {_primitive(row[:width + 1]) for row in out}
+    for lo in lowers:
+        a = lo[var]
+        for up in uppers:
+            b = -up[var]  # b > 0: combine with weights b and a
+            head = [b * x + a * y for x, y in zip(lo[:width + 1], up[:width + 1])]
+            if any(head[:width]):
+                key = _primitive(head)
+                if key in seen:
+                    continue
+                seen.add(key)
+            elif head[width] <= 0:
+                continue
+            tail = [b * x + a * y for x, y in zip(lo[width + 1:], up[width + 1:])]
+            row = _primitive(head + tail)
+            if not any(head[:width]):
+                raise _refuted(row, width)
+            out.append(row)
+    return out
 
 
-def _make_rows(constraints, n_vars: int) -> list[_Row]:
+def _fourier_motzkin(constraints, width: int, n_elim: int):
+    """Eliminate x_{n_elim-1} down to x_0 from the constraints' int rows.
+
+    Returns (levels, rows): levels[k] holds the rows just before x_k was
+    eliminated, rows what is left.  Variable-free inputs are dropped or refute.
+    """
+    constraints = list(constraints)
+    if any(len(coeffs) != width for coeffs, _ in constraints):
+        raise ValueError("constraint arity mismatch")
     rows = []
     for idx, (coeffs, rhs) in enumerate(constraints):
-        if len(coeffs) != n_vars:
-            raise ValueError("constraint arity mismatch")
-        rows.append(
-            _Row(
-                tuple(Fraction(c) for c in coeffs),
-                Fraction(rhs),
-                ((idx, Fraction(1)),),
-            )
-        )
-    return rows
+        values = [Fraction(v) for v in (*coeffs, rhs)]
+        scale = math.lcm(*(v.denominator for v in values))
+        row = [v.numerator * (scale // v.denominator) for v in values] + [0] * len(constraints)
+        row[width + 1 + idx] = scale
+        if any(row[:width]):
+            rows.append(tuple(row))
+        elif row[width] > 0:
+            raise _refuted(row, width)
+    levels = []
+    for var in range(n_elim - 1, -1, -1):
+        levels.append(rows)
+        rows = _eliminate(rows, var, width)
+    levels.reverse()
+    return levels, rows
 
 
-def _check_constants(rows: list[_Row]):
-    """Drop variable-free rows; a positive rhs among them is a contradiction."""
-    kept = []
-    for row in rows:
-        if any(row.coeffs):
-            kept.append(row)
-        elif row.rhs > 0:
-            raise Infeasible(dict(row.combo))
-    return kept
-
-
-def _eliminate(rows: list[_Row], var: int) -> list[_Row]:
-    lowers, uppers, keeps = [], [], []
-    for row in rows:
-        c = row.coeffs[var]
-        if c > 0:
-            lowers.append(row)
-        elif c < 0:
-            uppers.append(row)
-        else:
-            keeps.append(row)
-    out = list(keeps)
-    seen = {(r.coeffs, r.rhs) for r in keeps}
-    for lo in lowers:
-        a = lo.coeffs[var]
-        for up in uppers:
-            b = up.coeffs[var]  # b < 0: combine with weights -b, a > 0
-            coeffs = tuple(
-                -b * x + a * y for x, y in zip(lo.coeffs, up.coeffs)
-            )
-            rhs = -b * lo.rhs + a * up.rhs
-            row = _normalize(coeffs, rhs, _merge_combo(lo.combo, up.combo, -b, a))
-            key = (row.coeffs, row.rhs)
-            if key not in seen:
-                seen.add(key)
-                out.append(row)
-    return _check_constants(out)
-
-
-def _back_substitute(levels, order, assignment: dict[int, Fraction]):
-    for var in reversed(order):
+def _back_substitute(levels, width: int, assignment: dict[int, Fraction]) -> list[Fraction]:
+    """Fix x_0, x_1, ... in turn: tightest lower bound, else upper bound, else 0."""
+    for var, rows in enumerate(levels):
         lo, hi = None, None
-        for row in levels[var]:
-            c = row.coeffs[var]
+        for row in rows:
+            c = row[var]
             if not c:
                 continue
-            rest = row.rhs - sum(
-                row.coeffs[k] * assignment[k]
-                for k in range(len(row.coeffs))
-                if k != var and row.coeffs[k]
-            )
-            bound = rest / c
+            rest = row[width] - sum(row[k] * v for k, v in assignment.items() if row[k])
+            bound = Fraction(rest) / c
             if c > 0:
                 lo = bound if lo is None else max(lo, bound)
             else:
                 hi = bound if hi is None else min(hi, bound)
-        if lo is not None:
-            value = lo
-        elif hi is not None:
-            value = hi
-        else:
-            value = Fraction(0)
         assert lo is None or hi is None or lo <= hi
-        assignment[var] = value
-    return assignment
+        assignment[var] = lo if lo is not None else hi if hi is not None else Fraction(0)
+    return [assignment[k] for k in range(len(levels))]
 
 
 def find_point(constraints, n_vars: int) -> list[Fraction]:
@@ -151,51 +122,30 @@ def find_point(constraints, n_vars: int) -> list[Fraction]:
     Deterministic: elimination from the last variable down, back-substitution
     picks the tightest lower bound when there is one.
     """
-    rows = _check_constants(_make_rows(constraints, n_vars))
-    order = list(range(n_vars - 1, -1, -1))
-    levels = {}
-    for var in order:
-        levels[var] = rows
-        rows = _eliminate(rows, var)
-    assignment = _back_substitute(levels, order, {})
-    return [assignment[k] for k in range(n_vars)]
+    levels, _ = _fourier_motzkin(constraints, n_vars, n_vars)
+    return _back_substitute(levels, n_vars, {})
 
 
 def minimize(objective, constraints, n_vars: int):
     """Minimize sum objective[i]*x_i subject to the constraints.
 
     Returns (optimum, point).  Raises Infeasible or Unbounded.  The optimum
-    is attained exactly: a slack variable z is pinned to the objective by a
-    pair of inequalities and every x is eliminated, leaving bounds on z.
+    is attained exactly: a last variable z is pinned to the objective by a
+    pair of inequalities and every x is eliminated; z's tightest lower bound
+    is the optimum, and back-substitution starts from it.
     """
     obj = tuple(Fraction(c) for c in objective)
     if len(obj) != n_vars:
         raise ValueError("objective arity mismatch")
-    ext = []
-    for coeffs, rhs in constraints:
-        ext.append((tuple(Fraction(c) for c in coeffs) + (Fraction(0),), rhs))
+    ext = [(tuple(coeffs) + (0,), rhs) for coeffs, rhs in constraints]
     # z - obj.x >= 0 and obj.x - z >= 0 pin z == obj.x
-    ext.append((tuple(-c for c in obj) + (Fraction(1),), Fraction(0)))
-    ext.append((obj + (Fraction(-1),), Fraction(0)))
-
-    rows = _check_constants(_make_rows(ext, n_vars + 1))
-    order = list(range(n_vars - 1, -1, -1))  # z (index n_vars) survives
-    levels = {}
-    for var in order:
-        levels[var] = rows
-        rows = _eliminate(rows, var)
-
-    lo = None
-    for row in rows:
-        c = row.coeffs[n_vars]
-        assert c, "variable-free rows are filtered during elimination"
-        bound = row.rhs / c
-        if c > 0:
-            lo = bound if lo is None else max(lo, bound)
-    if lo is None:
+    ext += [(tuple(-c for c in obj) + (1,), 0), (obj + (-1,), 0)]
+    levels, rows = _fourier_motzkin(ext, n_vars + 1, n_vars)
+    bounds = [Fraction(row[n_vars + 1], row[n_vars]) for row in rows if row[n_vars] > 0]
+    if not bounds:
         raise Unbounded()
-    assignment = _back_substitute(levels, order, {n_vars: lo})
-    point = [assignment[k] for k in range(n_vars)]
+    lo = max(bounds)
+    point = _back_substitute(levels, n_vars + 1, {n_vars: lo})
     value = sum(c * x for c, x in zip(obj, point))
     assert value == lo
     return value, point

@@ -298,7 +298,7 @@ def _saturation_poly(excluded_fr):
     return h
 
 
-def chart_injective(chart: ChartMap, degree_cap: int = DEFAULT_DEGREE_CAP) -> CheckResult:
+def chart_injective(chart: ChartMap) -> CheckResult:
     """Decide injectivity of the chart coordinates off the excluded points."""
     coords = chart.coords
     excluded_fr = {p.finite for p in chart.excluded if not p.is_infinity}
@@ -307,8 +307,8 @@ def chart_injective(chart: ChartMap, degree_cap: int = DEFAULT_DEGREE_CAP) -> Ch
     est0 = max(
         2 * degs[i] * degs[j] for i in range(3) for j in range(i + 1, 3)
     )
-    if est0 > degree_cap:
-        raise DegreeOverflow(chart.cone, est0, degree_cap)
+    if est0 > DEFAULT_DEGREE_CAP:
+        raise DegreeOverflow(chart.cone, est0, DEFAULT_DEGREE_CAP)
 
     witnesses: list[dict] = []
 
@@ -354,15 +354,13 @@ def chart_injective(chart: ChartMap, degree_cap: int = DEFAULT_DEGREE_CAP) -> Ch
         if any(q.is_ground for q in Qs):
             method = "resultant"  # some coordinate separates every pair
         else:
-            method = _finite_finite(
-                chart, coords, NDs, Qs, excluded_fr, witnesses, degree_cap
-            )
+            method = _finite_finite(chart, coords, NDs, Qs, excluded_fr, witnesses)
 
     witnesses.sort(key=lambda w: json.dumps(w, sort_keys=True))
     return CheckResult(not witnesses, method, tuple(witnesses))
 
 
-def _finite_finite(chart, coords, NDs, Qs, excluded_fr, witnesses, degree_cap):
+def _finite_finite(chart, coords, NDs, Qs, excluded_fr, witnesses):
     """Dispatch shared factors, then decide the residual system.
 
     Every Q_i and residual has degree below deg N_i, D_i in s and in u, so
@@ -411,8 +409,8 @@ def _finite_finite(chart, coords, NDs, Qs, excluded_fr, witnesses, degree_cap):
     bezout = 1
     for r in residual:
         bezout *= max(1, _total_degree(r))
-    if bezout > degree_cap:
-        raise DegreeOverflow(chart.cone, bezout, degree_cap)
+    if bezout > DEFAULT_DEGREE_CAP:
+        raise DegreeOverflow(chart.cone, bezout, DEFAULT_DEGREE_CAP)
     # the basis is over Z when every input coefficient is an integer, else
     # over Q (the rule sympy.groebner applies to expressions), and that fixes
     # the form elimination_poly prints in: scale each residual to the pinned
@@ -548,7 +546,7 @@ def pullback_check(data: EmbeddingData, charts) -> CheckResult:
     return CheckResult(not witnesses, "exact-divisor", tuple(witnesses))
 
 
-def certify(data: EmbeddingData, degree_cap: int = DEFAULT_DEGREE_CAP) -> Certificate:
+def certify(data: EmbeddingData) -> Certificate:
     """Full certification across every chart plus the pullback check."""
     conditions = check_theorem_conditions(data)
     if not conditions.passed:
@@ -559,7 +557,7 @@ def certify(data: EmbeddingData, degree_cap: int = DEFAULT_DEGREE_CAP) -> Certif
     charts = chart_maps(data)
     records = []
     for chart in charts:
-        inj = chart_injective(chart, degree_cap)
+        inj = chart_injective(chart)
         imm = chart_immersive(chart)
         records.append(
             ChartRecord(

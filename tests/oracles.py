@@ -3,17 +3,19 @@
 Everything here recomputes results through a different route than the
 package: brute-force enumeration, quotient-ring normal forms via sympy
 Groebner bases, plain Fraction arithmetic, margin-1 Fraction feasibility in
-place of the integer cone-separation test, and the divided cross
-differences built over Q by product and exact division in place of the
-integer Bezoutian.  The straightforward forms of the package's fast paths
-live here too: divisors and factored functions canonicalised by a set and
-a Fraction sort, character functions as products of powers, N and D as
-ring products, the inverse of a unimodular matrix minor by minor, the
-self-intersection V_rho^3 from a canonical character (Smith form plus a
-Hermite reduction) and the Groebner fallback's basis from `sympy.groebner`
-on expressions.  So do the random smoke scans: collision search on random
-pairs of points and chart gluing on random characters.  Tests compare
-package output against these oracles, never the other way around.
+place of the integer cone-separation test, Fourier-Motzkin over Fraction
+rows with sparse provenance dicts in place of the int rows of
+`feasibility`, and the divided cross differences built over Q by product
+and exact division in place of the integer Bezoutian.  The straightforward
+forms of the package's fast paths live here too: divisors and factored
+functions canonicalised by a set and a Fraction sort, character functions
+as products of powers, N and D as ring products, the inverse of a
+unimodular matrix minor by minor, the self-intersection V_rho^3 from a
+canonical character (Smith form plus a Hermite reduction) and the Groebner
+fallback's basis from `sympy.groebner` on expressions.  So do the random
+smoke scans: collision search on random pairs of points and chart gluing on
+random characters.  Tests compare package output against these oracles,
+never the other way around.
 """
 
 from dataclasses import dataclass
@@ -25,7 +27,7 @@ from sympy.polys.domains import QQ
 from sympy.polys.rings import ring
 
 from toricurve.curve import INFINITY, CurvePoint, _hash_rational, evaluate_with_derivative
-from toricurve.feasibility import Infeasible, find_point
+from toricurve.feasibility import Infeasible, Unbounded
 from toricurve.intersect import triple_intersection
 from toricurve.intlinalg import IntMatrix, NotUnimodular, smith_normal_form
 
@@ -63,6 +65,175 @@ def farkas_refutes(constraints, multipliers, n_vars):
     return all(t == 0 for t in total) and rhs > 0
 
 
+@dataclass(frozen=True)
+class _FMRow:
+    coeffs: tuple[Fraction, ...]
+    rhs: Fraction
+    combo: tuple[tuple[int, Fraction], ...]  # provenance over original rows
+
+
+def _fm_normalize(coeffs, rhs, combo):
+    scale = None
+    for c in coeffs:
+        if c:
+            scale = 1 / abs(c)
+            break
+    if scale is None or scale == 1:
+        return _FMRow(tuple(coeffs), rhs, combo)
+    return _FMRow(
+        tuple(c * scale for c in coeffs),
+        rhs * scale,
+        tuple((i, lam * scale) for i, lam in combo),
+    )
+
+
+def _fm_merge_combo(c1, c2, s1: Fraction, s2: Fraction):
+    acc: dict[int, Fraction] = {}
+    for i, lam in c1:
+        acc[i] = acc.get(i, Fraction(0)) + s1 * lam
+    for i, lam in c2:
+        acc[i] = acc.get(i, Fraction(0)) + s2 * lam
+    return tuple(sorted(acc.items()))
+
+
+def _fm_make_rows(constraints, n_vars: int) -> list[_FMRow]:
+    rows = []
+    for idx, (coeffs, rhs) in enumerate(constraints):
+        if len(coeffs) != n_vars:
+            raise ValueError("constraint arity mismatch")
+        rows.append(
+            _FMRow(
+                tuple(Fraction(c) for c in coeffs),
+                Fraction(rhs),
+                ((idx, Fraction(1)),),
+            )
+        )
+    return rows
+
+
+def _fm_check_constants(rows: list[_FMRow]):
+    """Drop variable-free rows; a positive rhs among them is a contradiction."""
+    kept = []
+    for row in rows:
+        if any(row.coeffs):
+            kept.append(row)
+        elif row.rhs > 0:
+            raise Infeasible(dict(row.combo))
+    return kept
+
+
+def _fm_eliminate(rows: list[_FMRow], var: int) -> list[_FMRow]:
+    lowers, uppers, keeps = [], [], []
+    for row in rows:
+        c = row.coeffs[var]
+        if c > 0:
+            lowers.append(row)
+        elif c < 0:
+            uppers.append(row)
+        else:
+            keeps.append(row)
+    out = list(keeps)
+    seen = {(r.coeffs, r.rhs) for r in keeps}
+    for lo in lowers:
+        a = lo.coeffs[var]
+        for up in uppers:
+            b = up.coeffs[var]  # b < 0: combine with weights -b, a > 0
+            coeffs = tuple(
+                -b * x + a * y for x, y in zip(lo.coeffs, up.coeffs)
+            )
+            rhs = -b * lo.rhs + a * up.rhs
+            combo = _fm_merge_combo(lo.combo, up.combo, -b, a)
+            row = _fm_normalize(coeffs, rhs, combo)
+            key = (row.coeffs, row.rhs)
+            if key not in seen:
+                seen.add(key)
+                out.append(row)
+    return _fm_check_constants(out)
+
+
+def _fm_back_substitute(levels, order, assignment: dict[int, Fraction]):
+    for var in reversed(order):
+        lo, hi = None, None
+        for row in levels[var]:
+            c = row.coeffs[var]
+            if not c:
+                continue
+            rest = row.rhs - sum(
+                row.coeffs[k] * assignment[k]
+                for k in range(len(row.coeffs))
+                if k != var and row.coeffs[k]
+            )
+            bound = rest / c
+            if c > 0:
+                lo = bound if lo is None else max(lo, bound)
+            else:
+                hi = bound if hi is None else min(hi, bound)
+        if lo is not None:
+            value = lo
+        elif hi is not None:
+            value = hi
+        else:
+            value = Fraction(0)
+        assert lo is None or hi is None or lo <= hi
+        assignment[var] = value
+    return assignment
+
+
+def fm_find_point(constraints, n_vars: int) -> list[Fraction]:
+    """feasibility.find_point's reference: Fraction rows with sparse provenance.
+
+    Each row is scaled so its first nonzero coefficient is +-1, and each
+    combination merges the parents' multiplier dicts.
+    """
+    rows = _fm_check_constants(_fm_make_rows(constraints, n_vars))
+    order = list(range(n_vars - 1, -1, -1))
+    levels = {}
+    for var in order:
+        levels[var] = rows
+        rows = _fm_eliminate(rows, var)
+    assignment = _fm_back_substitute(levels, order, {})
+    return [assignment[k] for k in range(n_vars)]
+
+
+def fm_minimize(objective, constraints, n_vars: int):
+    """feasibility.minimize's reference, with its own elimination loop.
+
+    A slack variable z is pinned to the objective by a pair of inequalities
+    and every x is eliminated, leaving bounds on z.
+    """
+    obj = tuple(Fraction(c) for c in objective)
+    if len(obj) != n_vars:
+        raise ValueError("objective arity mismatch")
+    ext = []
+    for coeffs, rhs in constraints:
+        ext.append((tuple(Fraction(c) for c in coeffs) + (Fraction(0),), rhs))
+    # z - obj.x >= 0 and obj.x - z >= 0 pin z == obj.x
+    ext.append((tuple(-c for c in obj) + (Fraction(1),), Fraction(0)))
+    ext.append((obj + (Fraction(-1),), Fraction(0)))
+
+    rows = _fm_check_constants(_fm_make_rows(ext, n_vars + 1))
+    order = list(range(n_vars - 1, -1, -1))  # z (index n_vars) survives
+    levels = {}
+    for var in order:
+        levels[var] = rows
+        rows = _fm_eliminate(rows, var)
+
+    lo = None
+    for row in rows:
+        c = row.coeffs[n_vars]
+        assert c, "variable-free rows are filtered during elimination"
+        bound = row.rhs / c
+        if c > 0:
+            lo = bound if lo is None else max(lo, bound)
+    if lo is None:
+        raise Unbounded()
+    assignment = _fm_back_substitute(levels, order, {n_vars: lo})
+    point = [assignment[k] for k in range(n_vars)]
+    value = sum(c * x for c, x in zip(obj, point))
+    assert value == lo
+    return value, point
+
+
 def cones_meet_in_face_lp(rays, ca, cb):
     """Margin-1 Fraction feasibility route to fan.validate's cone separation.
 
@@ -83,7 +254,7 @@ def cones_meet_in_face_lp(rays, ca, cb):
         if idx not in common:
             constraints.append((tuple(-x for x in rays[idx]), 1))
     try:
-        find_point(constraints, 3)
+        fm_find_point(constraints, 3)
         return True
     except Infeasible:
         return False

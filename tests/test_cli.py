@@ -326,6 +326,7 @@ CONTRACT = (
         (["fan", "preset", "p3", "--out", "DIR"], "bad-input", 1),
         (["verify", "--data", "MISSING", "--out", "OUT"], "bad-input", 1),
         (["verify", "--data", "SHORT_XI", "--out", "OUT"], "bad-input", 1),
+        (["verify", "--data", "ZERO_TORUS", "--out", "OUT"], "bad-input", 1),
         (["fan", "subdivide", "--preset", "p3", "--cone", "0,1,x"], "usage", 2),
         (["fan", "subdivide", "--preset", "p3", "--cone", "0,1,2,3"], "usage", 2),
     ]
@@ -382,12 +383,17 @@ def _command_name(argv):
 def test_every_command_obeys_the_exit_code_contract(capsys, tmp_path, argv, kind, code):
     (tmp_path / "DIR").mkdir()
     (tmp_path / "MALFORMED").write_text('{"name": "x", "rays": 5, "cones": []}', encoding="utf-8")
-    if "SHORT_XI" in argv:  # an embedded p3 curve whose xi keeps 2 of its 4 entries
+    if {"SHORT_XI", "ZERO_TORUS"} & set(argv):
+        # an embedded p3 curve whose xi keeps 2 of its 4 entries, or whose
+        # torus element has a zero entry
         xi = XiVector((1, 1, 1, 1), "intersection")
         doc = embedding_to_dict(build_embedding_data(preset("p3"), None, xi, 0))
-        doc["xi"]["values"] = doc["xi"]["values"][:2]
-        (tmp_path / "SHORT_XI").write_text(json.dumps(doc), encoding="utf-8")
-    names = ("OUT", "DIR", "MALFORMED", "MISSING", "SHORT_XI")
+        for name, key, value in (
+            ("SHORT_XI", "xi", dict(doc["xi"], values=doc["xi"]["values"][:2])),
+            ("ZERO_TORUS", "torus", ["0", "1", "1"]),
+        ):
+            (tmp_path / name).write_text(json.dumps(dict(doc, **{key: value})), encoding="utf-8")
+    names = ("OUT", "DIR", "MALFORMED", "MISSING", "SHORT_XI", "ZERO_TORUS")
     paths = {name: str(tmp_path / name) for name in names}
     paths["NONSMOOTH"] = write_bad_fan(tmp_path)
     paths["ORPHAN"] = write_orphan_fan(tmp_path)

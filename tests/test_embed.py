@@ -261,6 +261,7 @@ def _set(path, value):
         _set(("ample",), 7),
         _set(("epsilon",), 5),
         _set(("torus",), 1),
+        _set(("torus",), ["0", "1", "1"]),
         _set(("xi", "values"), lambda v: [True] * len(v)),
         _set(("ample",), lambda a: [bool(x) for x in a]),
         _set(("divisors",), lambda d: [[[p, True] for p, _ in x] for x in d]),
@@ -273,6 +274,7 @@ def _set(path, value):
         "xi-values-not-a-list", "xi-two-entries", "xi-five-entries", "xi-values-an-object",
         "xi-unknown-method", "one-divisor-removed", "divisors-an-object",
         "ample-one-entry", "ample-not-a-list", "epsilon-not-a-list", "torus-not-a-list",
+        "torus-zero-entry",
         "xi-values-booleans", "ample-booleans", "divisor-multiplicity-true",
         "factor-exponent-true", "factors-not-a-list",
     ],

@@ -1,11 +1,19 @@
-"""Exact rational feasibility and optimization against planted and enumerated answers."""
+"""Exact rational feasibility and optimization against planted and enumerated answers.
+
+The int-row elimination is also compared with the Fraction-row reference in
+`oracles` on random small systems: the same points and optima, the same
+verdicts, and certificates with the same support up to one positive factor.
+"""
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from oracles import farkas_refutes
+from oracles import farkas_refutes, fm_find_point, fm_minimize
+from test_fan_properties import PROPERTY
 from toricurve.feasibility import (
     Infeasible,
     Unbounded,
@@ -142,3 +150,69 @@ def test_minimize_matches_vertex_enumeration():
                     best = cand if best is None else min(best, cand)
         assert best is not None
         assert value == best
+
+coefficient = st.one_of(
+    st.integers(-4, 4),
+    st.builds(Fraction, st.integers(-4, 4), st.integers(1, 4)),
+)
+
+
+@st.composite
+def systems(draw, max_vars, max_rows):
+    """Random rows, sometimes with the negation of one row pushed past it."""
+    n = draw(st.integers(1, max_vars))
+    row = st.tuples(st.tuples(*[coefficient] * n), coefficient)
+    constraints = draw(st.lists(row, min_size=1, max_size=max_rows))
+    if len(constraints) < max_rows and draw(st.booleans()):
+        coeffs, rhs = draw(st.sampled_from(constraints))
+        gap = draw(st.integers(1, 3))
+        constraints.append((tuple(-c for c in coeffs), gap - rhs))
+    return n, constraints
+
+
+def outcome(solve, *args):
+    try:
+        return "solved", solve(*args)
+    except Infeasible as exc:
+        return "infeasible", exc.certificate
+    except Unbounded:
+        return "unbounded", None
+
+
+def assert_same_refutation(got, want, constraints, n_vars):
+    assert set(got) == set(want)
+    assert len({got[k] / want[k] for k in got}) == 1
+    for cert in (got, want):
+        assert verify_infeasibility_certificate(constraints, cert, n_vars)
+        assert farkas_refutes(constraints, cert, n_vars)
+
+
+@PROPERTY
+@given(systems(max_vars=4, max_rows=7))
+def test_find_point_matches_the_fraction_reference(system):
+    n, constraints = system
+    got = outcome(find_point, constraints, n)
+    want = outcome(fm_find_point, constraints, n)
+    assert got[0] == want[0]
+    if got[0] == "infeasible":
+        assert_same_refutation(got[1], want[1], constraints, n)
+    else:
+        assert got == want
+        assert satisfies(constraints, got[1])
+
+
+@PROPERTY
+@given(systems(max_vars=3, max_rows=5), st.data())
+def test_minimize_matches_the_fraction_reference(system, data):
+    n, constraints = system
+    objective = data.draw(st.tuples(*[coefficient] * n))
+    got = outcome(minimize, objective, constraints, n)
+    want = outcome(fm_minimize, objective, constraints, n)
+    assert got[0] == want[0]
+    if got[0] == "infeasible":
+        # indices past the constraints name the two rows that pin z to the objective
+        pinned = [(tuple(c) + (0,), rhs) for c, rhs in constraints]
+        pinned += [(tuple(-c for c in objective) + (1,), 0), (tuple(objective) + (-1,), 0)]
+        assert_same_refutation(got[1], want[1], pinned, n + 1)
+    else:
+        assert got == want

@@ -197,6 +197,15 @@ def test_xi_kernel_goldens(p3, p1p1p1, blp3):
     assert xi_vector(blp3, None, method="kernel").values == (1, 1, 1, 2, 1)
 
 
+def test_xi_kernel_on_the_twelve_ray_ladder():
+    """p3 star-subdivided at cones drawn by random.Random(7), up to 12 rays."""
+    fan, rng = preset("p3"), random.Random(7)
+    while fan.n_rays < 12:
+        fan = star_subdivision(fan, rng.choice(fan.max_cones))
+    xi = xi_vector(fan, None, method="kernel")
+    assert xi.values == (1, 12, 6, 7, 1, 1, 1, 1, 1, 1, 1, 1)
+
+
 def test_xi_is_positive_kernel_vector():
     rng = random.Random(26)
     for name in ("p3", "p1p1p1", "bl-p3-point"):

@@ -221,7 +221,7 @@ def test_groebner_fallback_receives_the_rational_residuals(monkeypatch):
         assert polys[:3] == [r.set_ring(polys[0].ring) for r in residuals_qq(c.coords)]
 
 
-def test_degree_cap_aborts_oversized_eliminations():
+def test_degree_cap_aborts_oversized_eliminations(monkeypatch):
     big = chart((rf({0: 400}), rf({0: 401}), rf({0: 402})))
     with pytest.raises(DegreeOverflow) as err:
         chart_injective(big)
@@ -229,8 +229,9 @@ def test_degree_cap_aborts_oversized_eliminations():
     assert err.value.estimate == 2 * 401 * 402
     assert err.value.cap == 512
     small = chart((rf({0: 2}), rf({0: 4}), rf({0: 6})))
+    monkeypatch.setattr(verify, "DEFAULT_DEGREE_CAP", 10)
     with pytest.raises(DegreeOverflow):
-        chart_injective(small, degree_cap=10)
+        chart_injective(small)
 
 
 def test_symmetric_construction_fails_in_every_chart():
