@@ -19,6 +19,7 @@ from .fan import (
     ConeNotInFan, Fan, MalformedFan, UnknownPreset,
     dumps_fan, load_fan, preset, star_subdivision, validate,
 )
+from .feasibility import EliminationOverflow
 from .intersect import NotProjective, TDivisor, find_ample, xi_vector
 from .verify import DegreeOverflow, certify, dumps_certificate
 
@@ -63,6 +64,7 @@ ERRORS = (
     (NotProjective, "not-projective", EXIT_NOT_PROJECTIVE),
     (RetriesExhausted, "certificate", EXIT_CERTIFICATE),
     (DegreeOverflow, "degree-overflow", EXIT_ERROR),
+    (EliminationOverflow, "elimination-overflow", EXIT_ERROR),
     ((ValueError, OSError), "bad-input", EXIT_ERROR),
     (Exception, "unexpected", EXIT_ERROR),
 )

@@ -7,12 +7,28 @@ by the lcm of its denominators, p its multiplier on each of the m inputs.
 Combined rows are divided by the gcd of all their entries, so a Farkas
 certificate is the p part of a row 0 >= positive.  homogeneous_feasible
 decides strict homogeneous systems (fan validation's cone separation) by its
-own elimination over int.  Worst-case exponential, fine at fan scale.
+own elimination over int.  Worst-case exponential, fine at fan scale; an
+elimination level that would hold more than MAX_FM_ROWS rows raises
+EliminationOverflow instead of taking all memory.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+
+MAX_FM_ROWS = 200_000  # rows one elimination level may hold
+
+
+class EliminationOverflow(RuntimeError):
+    """Eliminating one variable would leave more than MAX_FM_ROWS rows."""
+
+    def __init__(self, var: int, rows: int):
+        super().__init__(
+            f"eliminating x_{var} left more than {MAX_FM_ROWS} rows ({rows})"
+        )
+        self.var = var
+        self.rows = rows
 
 
 class Unbounded(Exception):
@@ -44,7 +60,8 @@ def _primitive(values) -> tuple[int, ...]:
 def _eliminate(rows, var: int, width: int):
     """The rows without x_var, then each lower/upper pair combined and made
     primitive, unless its half-space is already there or it has no variables;
-    a combination 0 >= positive refutes the system."""
+    a combination 0 >= positive refutes the system, and a row past
+    MAX_FM_ROWS raises EliminationOverflow."""
     lowers, uppers, out = [], [], []
     for row in rows:
         (lowers if row[var] > 0 else uppers if row[var] < 0 else out).append(row)
@@ -66,6 +83,8 @@ def _eliminate(rows, var: int, width: int):
             if not any(head[:width]):
                 raise _refuted(row, width)
             out.append(row)
+            if len(out) > MAX_FM_ROWS:
+                raise EliminationOverflow(var, len(out))
     return out
 
 

@@ -12,16 +12,23 @@ variables: one direction suffices.  Immersivity is a univariate gcd of the
 N_i' D_i - N_i D_i' plus a derivative check at infinity.  Rational witnesses
 are re-checked by Fraction evaluation, algebraic ones by congruences.
 
-Every gcd, resultant, remainder and factorization runs on sparse integer
-polynomials (`sympy.polys.rings`, Z[s, u], Z[u], Z[t]); factors come out
-primitive with positive leading coefficient, as over Q.  Q[s, u] appears
-only where a rational point is substituted.  The Groebner fallback runs in
-a lex ring in y, s, u, over Z when every input coefficient is an integer
-and over Q otherwise.  `sympy.Expr` appears only in witness strings.
+Every gcd, remainder and factorization runs on sparse integer polynomials
+(`sympy.polys.rings`, Z[s, u], Z[u], Z[t]); factors come out primitive with
+positive leading coefficient, as over Q.  Resultants are this module's own:
+evaluation at consecutive integers, a Euclidean remainder sequence modulo
+one Mersenne prime past a proven coefficient bound, Newton interpolation
+and a symmetric lift.  No polynomial is factored with an excluded point's
+root in it: each excluded factor den * x - num is divided out first, and a
+resultant candidate that strips to a constant closes the quick pass before
+any gcd.  Q[s, u] appears only where a rational point is substituted.  The
+Groebner fallback runs in a lex ring in y, s, u, over Z when every input
+coefficient is an integer and over Q otherwise.  `sympy.Expr` appears only
+in witness strings.
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -45,17 +52,24 @@ _zu = ring("u", ZZ)[1]  # also the ring of the resultants in s
 _zt = ring("t", ZZ)[1]
 _GQ, _gy = ring("y,s,u", QQ)[:2]  # lex, for the Groebner fallback
 _GZ = _GQ.clone(domain=ZZ)
+# where a polynomial in one variable is factored, by the variable's name
+_UNIVARIATE = {r.symbols[0]: r for r in (ring("s", ZZ)[0], _zu.ring, _zt.ring)}
 
 DEFAULT_DEGREE_CAP = 512
+
+# exponents k of Mersenne primes 2^k - 1, each proven prime by the
+# Lucas-Lehmer test; the resultant modulus is the first one past its bound
+_MERSENNE_EXPONENTS = (
+    61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423, 9689,
+    9941, 11213, 19937, 21701, 23209, 44497, 86243, 110503, 132049, 216091,
+)
 
 
 class DegreeOverflow(RuntimeError):
     """A polynomial elimination step would exceed the degree cap."""
 
-    def __init__(self, cone, estimate: int, cap: int):
-        super().__init__(
-            f"chart {cone}: elimination degree estimate {estimate} exceeds cap {cap}"
-        )
+    def __init__(self, cone, estimate: int, cap: int, what: str = "elimination degree estimate"):
+        super().__init__(f"chart {cone}: {what} {estimate} exceeds cap {cap}")
         self.cone = cone
         self.estimate = estimate
         self.cap = cap
@@ -155,23 +169,65 @@ def _factor_key(item) -> str:
     return str((mu.as_expr(), m))
 
 
-def _roots_and_factors(p):
-    """Factor univariate p once.
+def _univariate(p) -> tuple[int, list]:
+    """The index of p's one variable in its ring and p's coefficients as ints,
+    top degree first, denominators cleared (p is nonconstant)."""
+    x = next(i for i in range(p.ring.ngens) if p.degree(i) > 0)
+    c = [0] * (p.degree(x) + 1)
+    for monom, a in p.iterterms():
+        c[-1 - monom[x]] = a
+    if p.ring.domain.is_QQ:
+        den = math.lcm(*(int(QQ.denom(a)) for a in c))
+        c = [int(QQ.numer(a)) * (den // int(QQ.denom(a))) for a in c]
+    return x, c
 
-    Returns its rational roots (from the linear factors) and its irreducible
-    factors of degree >= 2, the candidates for a congruence re-check, each
-    in the fixed order that decides which witness is found first.  Over Z
-    and over Q the factors are the same primitive polynomials.
+
+def _strip(c: list, excluded_fr) -> list:
+    """c (ints, top degree first, nonzero) with the factor den * x - num of
+    every excluded point num / den divided out as often as it divides.
+
+    Each point is tested by homogeneous Horner, sum c_k num^(n-k) den^k = 0,
+    before a division, which is then exact.
     """
+    for e in excluded_fr:
+        num, den = e.numerator, e.denominator
+        while len(c) > 1:
+            v, w = 0, 1
+            for a in c:
+                v, w = v * num + a * w, w * den
+            if v:
+                break
+            q = [c[0] // den]
+            for a in c[1:-1]:
+                q.append((a + num * q[-1]) // den)
+            c = q
+    return c
+
+
+def _roots_and_factors(p, excluded_fr):
+    """Factor p, a polynomial in one variable, once its excluded roots are gone.
+
+    Every excluded point's linear factor is stripped first, so what is left
+    is factored (if it is not constant) in Z[x], x p's variable.  Returns
+    the rational roots that are not excluded points, from the linear
+    factors, and the irreducible factors of degree >= 2, back in p's ring,
+    the candidates for a congruence re-check; each list in the fixed order
+    that decides which witness is found first.  Over Z and over Q the
+    factors are the same primitive polynomials.
+    """
+    x, c = _univariate(p)
+    c = _strip(c, excluded_fr)
+    if len(c) == 1:
+        return [], []
     roots, higher = [], []
-    for mu, m in p.factor_list()[1]:
-        if _total_degree(mu) == 1:
+    for mu, m in _UNIVARIATE[p.ring.symbols[x]].from_dense(c).factor_list()[1]:
+        if mu.degree() == 1:
             roots.append((_linear_root(mu), m))
         else:
             higher.append((mu, m))
     roots.sort(key=lambda rm: f"({rm[0]}, {rm[1]})")
     higher.sort(key=_factor_key)
-    return [r for r, _ in roots], [mu for mu, _ in higher]
+    return [r for r, _ in roots], [mu.set_ring(p.ring) for mu, _ in higher]
 
 
 def _value_at(f: RationalFunction, point: CurvePoint):
@@ -244,9 +300,9 @@ def _witness_from_curve(coords, NDs, factor, excluded_fr):
             continue
         if psi.is_ground:
             continue
-        roots, higher = _roots_and_factors(psi)
+        roots, higher = _roots_and_factors(psi, excluded_fr)
         for u0 in roots:
-            if u0 != s0 and u0 not in excluded_fr and _collision_holds(coords, s0, u0):
+            if u0 != s0 and _collision_holds(coords, s0, u0):
                 return _pair_witness(s0, u0)
         for mu in higher:
             if _congruence_collision(NDs, s0, mu):
@@ -277,11 +333,11 @@ def _partner_witnesses(coords, NDs, Qs, u0: Fraction, excluded_fr):
     d = _gcd_all(specialized)
     if d.is_ground:
         return []
-    roots, higher = _roots_and_factors(d)
+    roots, higher = _roots_and_factors(d, excluded_fr)
     out = [
         _pair_witness(s0, u0)
         for s0 in roots
-        if s0 != u0 and s0 not in excluded_fr and _collision_holds(coords, s0, u0)
+        if s0 != u0 and _collision_holds(coords, s0, u0)
     ]
     out.extend(
         _conjugate_witness(u0, mu)
@@ -326,12 +382,10 @@ def chart_injective(chart: ChartMap) -> CheckResult:
         assert all(h_polys), "a chart coordinate is constant"
         g_inf = _gcd_all(h_polys)
         if not g_inf.is_ground:
-            roots, higher = _roots_and_factors(g_inf)
+            roots, higher = _roots_and_factors(g_inf, excluded_fr)
             for u0 in roots:
                 point = CurvePoint(u0)
-                if u0 not in excluded_fr and all(
-                    _value_at(f, point) == c for f, c in zip(coords, inf_values)
-                ):
+                if all(_value_at(f, point) == c for f, c in zip(coords, inf_values)):
                     witnesses.append(
                         {"kind": "collision-with-infinity", "u": str(u0), "verified": "evaluation"}
                     )
@@ -384,11 +438,12 @@ def _finite_finite(chart, coords, NDs, Qs, excluded_fr, witnesses):
     if any(r.is_ground for r in residual):
         return "factor" if not g.is_ground else "resultant"
 
-    # quick pass: a constant candidate gcd proves the residual system has no
-    # common zeros at all.  The residuals are symmetric in s and u up to
-    # sign, so eliminating u would give these candidates in s: it cannot
-    # close a chart this pass leaves open.
-    cands = _candidate_polys(residual)
+    # quick pass: a constant candidate gcd, excluded roots stripped, proves
+    # the residual system has no common zeros off the excluded points.  The
+    # residuals are symmetric in s and u up to sign, so eliminating u would
+    # give these candidates in s: it cannot close a chart this pass leaves
+    # open.
+    cands = _candidate_polys(residual, excluded_fr, chart.cone)
     if cands is _EMPTY:
         return "resultant"
     du = None if cands is None else _gcd_all(cands)
@@ -398,7 +453,7 @@ def _finite_finite(chart, coords, NDs, Qs, excluded_fr, witnesses):
     residual_q = [r.set_ring(_Q) for r in residual]
     # candidate roots in the u direction, partners recovered by univariate gcd
     if du is not None:
-        roots, higher = _roots_and_factors(du)
+        roots, higher = _roots_and_factors(du, excluded_fr)
         found = len(witnesses)
         for u0 in roots:
             witnesses.extend(_partner_witnesses(coords, NDs, residual_q, u0, excluded_fr))
@@ -429,7 +484,7 @@ def _finite_finite(chart, coords, NDs, Qs, excluded_fr, witnesses):
         return "groebner"
     elim_u = [p for p in gb if p.degree(0) <= 0 and p.degree(1) <= 0]  # free of y, s
     assert elim_u, "saturated zero-dimensional ideal has a univariate member"
-    roots, _higher = _roots_and_factors(elim_u[0].set_ring(_Q))
+    roots, _higher = _roots_and_factors(elim_u[0], excluded_fr)
     found = len(witnesses)
     for u0 in roots:
         witnesses.extend(_partner_witnesses(coords, NDs, residual_q, u0, excluded_fr))
@@ -447,23 +502,185 @@ def _finite_finite(chart, coords, NDs, Qs, excluded_fr, witnesses):
 _EMPTY = object()  # sentinel: the system certainly has no common zeros
 
 
-def _candidate_polys(residual):
-    """Pairwise resultants in s, polynomials in u that vanish at every residual common zero.
+def _candidate_polys(residual, excluded_fr, cone):
+    """Pairwise resultants in s, polynomials in u that vanish at every residual
+    common zero, with the factors of the excluded points stripped.
 
-    Returns _EMPTY as soon as some pair's resultant is a nonzero constant
-    (that pair alone already has no common zeros), None when no candidate
-    source exists (every pairwise resultant vanishes identically).  Each
-    residual is nonconstant and symmetric up to sign, so it involves s.
+    Returns _EMPTY as soon as some pair's stripped resultant is a nonzero
+    constant (that pair alone has no common zeros off the excluded points),
+    None when no candidate source exists (every pairwise resultant vanishes
+    identically).  Each residual is nonconstant and symmetric up to sign, so
+    it involves s.
     """
     cands = []
     for f, g in combinations(residual, 2):
-        res = f.resultant(g)  # eliminates s, the first generator
-        if res.is_ground:
-            if res:
+        res = _resultant(f, g, cone)
+        if res != [0]:
+            res = _strip(res, excluded_fr)
+            if len(res) == 1:
                 return _EMPTY
-        else:
-            cands.append(res)
+            cands.append(_zu.ring.from_dense(res))
     return cands or None
+
+
+def _s_coefficients(f) -> list:
+    """f in Z[s, u] as its coefficients in s, top degree first, each an int
+    list of length deg_u f + 1 in u, top degree first."""
+    rows = [[0] * (f.degree(1) + 1) for _ in range(f.degree(0) + 1)]
+    for (i, j), a in f.iterterms():
+        rows[-1 - i][-1 - j] = int(a)
+    return rows
+
+
+def _resultant(f, g, cone) -> list:
+    """Res_s(f, g), the Sylvester determinant, for f, g in Z[s, u] of positive
+    degree in s: an int list in u, top degree first, [0] if it vanishes.
+
+    Evaluation-interpolation modulo one prime p (Collins, J. ACM 18(4), 1971;
+    von zur Gathen & Gerhard, Modern Computer Algebra, ch. 6).  Res has
+    degree at most D = deg_s f deg_u g + deg_s g deg_u f in u.  It is taken
+    at D + 1 consecutive integers u, the first block from 0 up on which no
+    leading coefficient in s vanishes mod p, by a Euclidean remainder
+    sequence mod p, then interpolated by Newton and lifted to (-p/2, p/2).
+    Each Sylvester row's entries have 1-norms summing to |f|_1 or |g|_1, so
+    |f|_1^deg_s g |g|_1^deg_s f bounds every coefficient of Res, and p, the
+    first Mersenne prime 2^k - 1 past twice that (and past the last point a
+    block can reach), makes the lift exact.  A bound past the table raises
+    DegreeOverflow.
+    """
+    F, G = _s_coefficients(f), _s_coefficients(g)
+    n, m = len(F) - 1, len(G) - 1
+    du_f, du_g = len(F[0]) - 1, len(G[0]) - 1
+    degree = n * du_g + m * du_f
+    norm_f = sum(abs(a) for row in F for a in row)
+    norm_g = sum(abs(a) for row in G for a in row)
+    # p > 2 |f|_1^m |g|_1^n >= 2 |f|_1, 2 |g|_1 keeps the leading
+    # coefficients nonzero mod p, so at most deg_u f + deg_u g points fail,
+    # each ending one block
+    need = max(2 * norm_f**m * norm_g**n, (du_f + du_g + 1) * (degree + 1))
+    k = next((k for k in _MERSENNE_EXPONENTS if (1 << k) - 1 > need), None)
+    if k is None:
+        raise DegreeOverflow(
+            cone, need.bit_length(), _MERSENNE_EXPONENTS[-1], "resultant modulus bits"
+        )
+    p = (1 << k) - 1
+    x0 = x = 0
+    while x - x0 <= degree:
+        if not _horner(F[0], x) % p or not _horner(G[0], x) % p:
+            x0 = x + 1
+        x += 1
+    pairs = [
+        ([_horner(row, x) % p for row in F], [_horner(row, x) % p for row in G])
+        for x in range(x0, x)
+    ]
+    half = p >> 1
+    coeffs = [c - p if c > half else c for c in _newton(x0, _resultants_mod(pairs, k), k)]
+    while len(coeffs) > 1 and not coeffs[0]:
+        del coeffs[0]
+    return coeffs
+
+
+def _horner(c: list, x: int) -> int:
+    v = 0
+    for a in c:
+        v = v * x + a
+    return v
+
+
+# Arithmetic mod a Mersenne prime p = 2^k - 1 folds a product z as
+# (z & p) + (z >> k), since 2^k = 1 mod p, then takes % p of that (k+1)-bit
+# value: both steps linear in the size of z.
+
+
+def _resultants_mod(pairs: list, k: int) -> list:
+    """Res(a, b) mod p = 2^k - 1 for each (a, b) in pairs, coefficient lists
+    in [0, p), top first, with nonzero leading coefficients.
+
+    Res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a - deg r) Res(b, r) with
+    r = a mod b, down to a constant b, whose Res(a, b) is b^deg a.  The
+    pairs' remainder sequences run side by side, so one inversion (by
+    Montgomery's trick) serves one step of every pair.
+    """
+    p = (1 << k) - 1
+    out = [0] * len(pairs)
+    live = [(i, a, b, 1) for i, (a, b) in enumerate(pairs)]
+    while live:
+        invs = _inverses([b[0] for _, _, b, _ in live], k)
+        step = []
+        for (i, a, b, res), inv in zip(live, invs):
+            n, m = len(a) - 1, len(b) - 1
+            if not m:
+                out[i] = res * pow(b[0], n, p) % p
+                continue
+            r = a
+            if n >= m:
+                r = list(a)
+                for t in range(n - m + 1):
+                    q = r[t] * inv
+                    q = ((q & p) + (q >> k)) % p
+                    if q:
+                        for j in range(1, m + 1):
+                            z = r[t + j] - q * b[j]
+                            r[t + j] = ((z & p) + (z >> k)) % p
+                r = r[n - m + 1:]
+                while r and not r[0]:
+                    del r[0]
+                if not r:
+                    continue  # out[i] stays 0
+            for _ in range(n - len(r) + 1):
+                res = res * b[0]
+                res = ((res & p) + (res >> k)) % p
+            if n & m & 1:
+                res = p - res
+            step.append((i, b, r, res))
+        live = step
+    return out
+
+
+def _inverses(values: list, k: int) -> list:
+    """The inverses mod p = 2^k - 1 of nonzero values, with one pow."""
+    p = (1 << k) - 1
+    prefix = [1]
+    for v in values:
+        z = prefix[-1] * v
+        prefix.append(((z & p) + (z >> k)) % p)
+    inv = pow(prefix[-1], -1, p)
+    out = [0] * len(values)
+    for i in range(len(values) - 1, -1, -1):
+        z = inv * prefix[i]
+        out[i] = ((z & p) + (z >> k)) % p
+        z = inv * values[i]
+        inv = ((z & p) + (z >> k)) % p
+    return out
+
+
+def _newton(x0: int, ys: list, k: int) -> list:
+    """The polynomial mod p = 2^k - 1 of degree < len(ys) through
+    (x0 + i, ys[i]), top degree first, x0 + len(ys) <= p.
+
+    On consecutive points the divided differences are forward differences
+    over j!, so the interpolant is sum_j (Delta^j y_0 / j!) prod_(i<j)
+    (u - x0 - i): subtractions, one inversion of (len(ys) - 1)! and one
+    multiplication per coefficient.
+    """
+    p = (1 << k) - 1
+    diffs, row = [ys[0]], ys
+    for _ in range(len(ys) - 1):
+        row = [b - a for a, b in zip(row, row[1:])]
+        diffs.append(row[0])
+    fact = 1
+    for j in range(2, len(ys)):
+        fact = fact * j % p
+    inv = pow(fact, -1, p)  # 1 / j!, from j = len(ys) - 1 down
+    for j in range(len(ys) - 1, -1, -1):
+        z = diffs[j] % p * inv
+        diffs[j] = ((z & p) + (z >> k)) % p
+        inv = inv * j % p
+    poly = [diffs[-1]]
+    for j in range(len(ys) - 2, -1, -1):
+        x = x0 + j
+        poly = [poly[0]] + [(b - x * a) % p for a, b in zip(poly, poly[1:])] + [(diffs[j] - x * poly[-1]) % p]
+    return poly
 
 
 def chart_immersive(chart: ChartMap) -> CheckResult:
@@ -480,10 +697,8 @@ def chart_immersive(chart: ChartMap) -> CheckResult:
         w_polys.append(w)
     g = _gcd_all(w_polys)
     if not g.is_ground:
-        roots, higher = _roots_and_factors(g)
+        roots, higher = _roots_and_factors(g, excluded_fr)
         for t0 in roots:
-            if t0 in excluded_fr:
-                continue
             values = [evaluate_with_derivative(f, CurvePoint(t0)) for f in coords]
             if all(isinstance(v, tuple) and v[1] == 0 for v in values):
                 witnesses.append({"kind": "tangent-point", "t": str(t0), "verified": "evaluation"})

@@ -1,12 +1,22 @@
 """Shared fixtures and the acceptance report hook."""
 
+import random
 from pathlib import Path
 
 import pytest
 
-from toricurve.fan import load_fan, preset
+from toricurve.fan import load_fan, preset, star_subdivision
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def ladder_fan(rays: int):
+    """p3 star-subdivided at cones drawn by random.Random(7), up to `rays` rays."""
+    fan, rng = preset("p3"), random.Random(7)
+    while fan.n_rays < rays:
+        fan = star_subdivision(fan, rng.choice(fan.max_cones))
+    return fan
+
 
 # one line per acceptance criterion, echoed at the end of the run
 ACCEPTANCE_LINES: list[str] = []

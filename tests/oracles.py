@@ -12,9 +12,10 @@ functions canonicalised by a set and a Fraction sort, character functions
 as products of powers, N and D as ring products, the inverse of a
 unimodular matrix minor by minor, the self-intersection V_rho^3 from a
 canonical character (Smith form plus a Hermite reduction) and the Groebner
-fallback's basis from `sympy.groebner` on expressions.  So do the random
-smoke scans: collision search on random pairs of points and chart gluing on
-random characters.  Tests compare package output against these oracles,
+fallback's basis from `sympy.groebner` on expressions, resultants from
+sympy's subresultant PRS, and factoring before dropping excluded roots.  So
+do the random smoke scans: collision search on random pairs of points and
+chart gluing on random characters.  Tests compare package output against these oracles,
 never the other way around.
 """
 
@@ -559,6 +560,33 @@ def groebner_by_expr(polys, gens_ring):
     """
     gb = sympy.groebner([p.as_expr() for p in polys], *gens_ring.symbols, order="lex")
     return list(gb.exprs), gb.domain
+
+
+def resultant_by_prs(f, g):
+    """Res_s(f, g) for f, g in Z[s, u] by sympy's subresultant PRS, the
+    reference for the package's evaluation-interpolation resultant; its sign
+    can differ from the Sylvester determinant's."""
+    return f.resultant(g)
+
+
+def roots_and_factors_by_filter(p, excluded):
+    """Factor p, a polynomial in one variable of any ring, in that ring, then
+    drop the excluded roots: the package's helper strips them first instead.
+
+    Returns the rational roots off `excluded` and the factors of degree >= 2,
+    sorted as certificates list them.
+    """
+    roots, higher = [], []
+    for mu, m in p.factor_list()[1]:
+        if max(map(sum, mu.itermonoms())) == 1:
+            root = Fraction(int(-mu.coeff(1)), int(mu.LC))
+            if root not in excluded:
+                roots.append((root, m))
+        else:
+            higher.append((mu, m))
+    roots.sort(key=lambda rm: f"({rm[0]}, {rm[1]})")
+    higher.sort(key=lambda item: str((item[0].as_expr(), item[1])))
+    return [r for r, _ in roots], [mu for mu, _ in higher]
 
 
 def brute_force_pair_scan(data, charts, pairs_per_chart, seed):

@@ -4,11 +4,12 @@ import json
 
 import pytest
 
-from conftest import FIXTURES
+from conftest import FIXTURES, ladder_fan
 from negative_fixtures import symmetric_data
+from toricurve import feasibility
 from toricurve.cli import ERRORS, RunConfig, main, run_pipeline
 from toricurve.embed import build_embedding_data, embedding_to_dict, save_embedding
-from toricurve.fan import load_fan, preset
+from toricurve.fan import load_fan, preset, save_fan
 from toricurve.intersect import XiVector
 from toricurve.verify import Certificate
 
@@ -365,6 +366,8 @@ CONTRACT = (
         (argv + ["--preset", "p3", "--xi-method", "kernel", "--ample", "MISSING"], "usage", 2)
         for argv in (["xi"], FAN_COMMANDS["embed"])
     ]
+    # kernel degrees past the Fourier-Motzkin row cap, lowered to 1000 here
+    + [(["xi", "--fan", "LADDER12", "--xi-method", "kernel"], "elimination-overflow", 1)]
 )
 COMMANDS = ("fan", "ample", "xi", "embed", "verify", "run", "demo")
 REPORTED = {"NONSMOOTH": ["non_primitive_ray", 0], "ORPHAN": ["unused_ray", 4]}  # by validate
@@ -380,8 +383,12 @@ def _command_name(argv):
     "argv, kind, code", CONTRACT,
     ids=[" ".join(a).replace(NONPROJECTIVE, "NONPROJECTIVE") for a, _, _ in CONTRACT],
 )
-def test_every_command_obeys_the_exit_code_contract(capsys, tmp_path, argv, kind, code):
+def test_every_command_obeys_the_exit_code_contract(capsys, monkeypatch, tmp_path, argv, kind,
+                                                   code):
     (tmp_path / "DIR").mkdir()
+    if "LADDER12" in argv:
+        save_fan(ladder_fan(12), tmp_path / "LADDER12")
+        monkeypatch.setattr(feasibility, "MAX_FM_ROWS", 1000)
     (tmp_path / "MALFORMED").write_text('{"name": "x", "rays": 5, "cones": []}', encoding="utf-8")
     if {"SHORT_XI", "ZERO_TORUS"} & set(argv):
         # an embedded p3 curve whose xi keeps 2 of its 4 entries, or whose
@@ -393,7 +400,7 @@ def test_every_command_obeys_the_exit_code_contract(capsys, tmp_path, argv, kind
             ("ZERO_TORUS", "torus", ["0", "1", "1"]),
         ):
             (tmp_path / name).write_text(json.dumps(dict(doc, **{key: value})), encoding="utf-8")
-    names = ("OUT", "DIR", "MALFORMED", "MISSING", "SHORT_XI", "ZERO_TORUS")
+    names = ("OUT", "DIR", "MALFORMED", "MISSING", "SHORT_XI", "ZERO_TORUS", "LADDER12")
     paths = {name: str(tmp_path / name) for name in names}
     paths["NONSMOOTH"] = write_bad_fan(tmp_path)
     paths["ORPHAN"] = write_orphan_fan(tmp_path)

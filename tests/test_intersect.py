@@ -6,8 +6,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 
+from conftest import ladder_fan
 from oracles import ChowOracle, farkas_refutes, self_triple_by_canonical_character
 from test_fan_properties import PROPERTY, chains
+from toricurve import feasibility
 from toricurve.fan import preset, star_subdivision, walls
 from toricurve.feasibility import verify_infeasibility_certificate
 from toricurve.intersect import (
@@ -204,6 +206,27 @@ def test_xi_kernel_on_the_twelve_ray_ladder():
         fan = star_subdivision(fan, rng.choice(fan.max_cones))
     xi = xi_vector(fan, None, method="kernel")
     assert xi.values == (1, 12, 6, 7, 1, 1, 1, 1, 1, 1, 1, 1)
+
+
+def test_row_cap_lets_the_twelve_and_fourteen_ray_ladders_through():
+    """At the real MAX_FM_ROWS the kernel degrees are the ones found without
+    a cap (the 14-ray fan peaks at 22,912 rows in one level)."""
+    assert feasibility.MAX_FM_ROWS == 200_000
+    assert xi_vector(ladder_fan(12), None, method="kernel").values == (
+        1, 12, 6, 7, 1, 1, 1, 1, 1, 1, 1, 1)
+    assert xi_vector(ladder_fan(14), None, method="kernel").values == (
+        1, 21, 9, 11, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1)
+
+
+def test_row_cap_aborts_the_twelve_ray_ladder(monkeypatch):
+    """Its kernel minimization peaks at 8,494 rows in one level; a cap of
+    1,000 stops it, typed, inside that level."""
+    monkeypatch.setattr(feasibility, "MAX_FM_ROWS", 1000)
+    with pytest.raises(feasibility.EliminationOverflow) as err:
+        xi_vector(ladder_fan(12), None, method="kernel")
+    assert err.value.rows == 1001
+    assert 0 <= err.value.var < 12
+    assert f"x_{err.value.var}" in str(err.value)
 
 
 def test_xi_is_positive_kernel_vector():

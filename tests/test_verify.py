@@ -6,9 +6,15 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from sympy.polys.rings import PolyElement
 
 from negative_fixtures import doubled_point_data, symmetric_data
-from oracles import brute_force_pair_scan, residuals_qq
+from oracles import (
+    brute_force_pair_scan,
+    residuals_qq,
+    resultant_by_prs,
+    roots_and_factors_by_filter,
+)
 from test_replay_golden import involution_data
 from toricurve.curve import (
     INFINITY,
@@ -19,7 +25,7 @@ from toricurve.curve import (
 )
 from toricurve.embed import ChartMap, build_embedding_data, chart_maps
 from toricurve.fan import preset
-from toricurve.intersect import XiVector
+from toricurve.intersect import XiVector, find_ample, xi_vector
 from toricurve import verify
 from toricurve.verify import (
     DegreeOverflow,
@@ -182,6 +188,37 @@ def test_groebner_branch_clears_a_clean_chart(monkeypatch):
     assert inj.ok and inj.method == "groebner"
 
 
+def test_a_du_whose_roots_are_all_excluded_is_never_factored(monkeypatch):
+    """bl-p3-point, seed 0, chart (0, 1, 3): the gcd du of the residuals'
+    resultants (sympy's PRS over Q, factored in full) has degree 6 and only
+    excluded rational roots.  Stripped before the gcd, it closes the chart as
+    "resultant" without a factorization of du or of anything with an
+    excluded root."""
+    fan = preset("bl-p3-point")
+    ample = find_ample(fan)
+    data = build_embedding_data(fan, ample, xi_vector(fan, ample), seed=0)
+    c = next(c for c in chart_maps(data) if c.cone == (0, 1, 3))
+    excluded = {p.finite for p in c.excluded if not p.is_infinity}
+    residual = residuals_qq(c.coords)
+    du = verify._gcd_all([resultant_by_prs(f, g) for i, f in enumerate(residual)
+                          for g in residual[i + 1:]])
+    roots, higher = roots_and_factors_by_filter(du, set())
+    assert du.degree() == 6 and roots and set(roots) <= excluded and not higher
+
+    factored = []
+    real = PolyElement.factor_list
+    monkeypatch.setattr(PolyElement, "factor_list", lambda p: factored.append(p) or real(p))
+    result = chart_injective(c)
+    assert (result.ok, result.method) == (True, "resultant")
+    for p in factored:
+        (x,) = [i for i in range(p.ring.ngens) if p.degree(i) > 0] or [None]
+        if x is None:
+            continue
+        var = p.ring.symbols[x]
+        assert not any(p.as_expr().subs(var, sympy.Rational(e.numerator, e.denominator)) == 0
+                       for e in excluded)
+
+
 def test_linear_root_of_an_integer_factor_is_an_exact_fraction():
     root = verify._linear_root(3 * verify._s - 2)
     assert type(root) is Fraction and root == F(2, 3)
@@ -232,6 +269,18 @@ def test_degree_cap_aborts_oversized_eliminations(monkeypatch):
     monkeypatch.setattr(verify, "DEFAULT_DEGREE_CAP", 10)
     with pytest.raises(DegreeOverflow):
         chart_injective(small)
+
+
+def test_a_resultant_bound_past_the_prime_table_aborts_naming_the_chart(monkeypatch):
+    # resultant bounds of 2^119, 2^153 and 2^180: primes 2^127 - 1, 2^521 - 1
+    c = chart((rf({101: 3, 37: -2}), rf({-113: 3, 53: -3}), rf({97: 2, -89: 2, 41: -3})),
+              (37, 53, 41))
+    assert chart_injective(c).method == "resultant"
+    monkeypatch.setattr(verify, "_MERSENNE_EXPONENTS", (61,))
+    with pytest.raises(DegreeOverflow) as err:
+        chart_injective(c)
+    assert err.value.cone == (0, 1, 2) and err.value.cap == 61 and err.value.estimate > 61
+    assert "resultant modulus bits" in str(err.value)
 
 
 def test_symmetric_construction_fails_in_every_chart():

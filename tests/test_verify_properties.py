@@ -14,7 +14,11 @@ difference up to a constant and symmetric in s and u, and eliminating u
 from a pair of residuals gives the resultant in s with the variables
 swapped, up to sign, so one elimination direction suffices.  A third pins
 the Groebner fallback's ring call against `sympy.groebner` on the same
-inputs as expressions.
+inputs as expressions.  Two more pin the certification quick pass: the
+evaluation-interpolation resultant equals sympy's subresultant PRS up to
+sign, and factoring with the excluded roots stripped first gives the roots
+and factors that factoring in full and then dropping the excluded roots
+gives.
 """
 
 from fractions import Fraction
@@ -24,11 +28,16 @@ import pytest
 import sympy
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
-from sympy.polys.domains import ZZ
+from sympy.polys.domains import QQ, ZZ
 from sympy.polys.groebnertools import groebner
 from sympy.polys.rings import ring
 
-from oracles import cross_quotients_qq, groebner_by_expr
+from oracles import (
+    cross_quotients_qq,
+    groebner_by_expr,
+    resultant_by_prs,
+    roots_and_factors_by_filter,
+)
 from toricurve import verify
 from toricurve.curve import CurvePoint, RationalFunction
 from toricurve.embed import ChartMap
@@ -353,7 +362,7 @@ def test_ring_groebner_fallback_matches_sympy_groebner_on_expressions(chart):
         return basis
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(verify, "_candidate_polys", lambda residual: None)
+        mp.setattr(verify, "_candidate_polys", lambda *a: None)
         mp.setattr(verify, "groebner", ring_groebner)
         got = injective_or_skip(chart)
         assume(calls)  # the chart reached the fallback
@@ -364,3 +373,117 @@ def test_ring_groebner_fallback_matches_sympy_groebner_on_expressions(chart):
     assert domain == gens_ring.domain
     assert [str(p.as_expr()) for p in basis] == [str(e) for e in exprs]
     assert (got.method, got.witnesses) == (want.method, want.witnesses)
+
+
+# --- the quick pass: resultants and excluded-root stripping ----------------------
+
+_ZSU, _ZS, _ZU = ring("s,u", ZZ)
+
+
+@st.composite
+def s_u_polys(draw, heights):
+    """A polynomial in Z[s, u] of degree 1 to 4 in s and at most 4 in u."""
+    h = draw(heights)
+    n, d = draw(st.integers(1, 4)), draw(st.integers(0, 4))
+    terms = draw(st.dictionaries(
+        st.tuples(st.integers(0, n), st.integers(0, d)), st.integers(-h, h), max_size=8,
+    ))
+    lead = draw(st.dictionaries(st.integers(0, d), st.integers(-h, h).filter(bool),
+                                min_size=1, max_size=3))
+    terms.update(((n, j), c) for j, c in lead.items())
+    return _ZSU.from_dict(terms)
+
+
+@st.composite
+def resultant_pairs(draw):
+    """Pairs in Z[s, u] of positive degree in s; in some, a leading
+    coefficient in s vanishes at small u = 0, 1, 2, ..., the pair shares a
+    factor (a zero resultant) or neither involves u (a constant one)."""
+    heights = st.sampled_from((1, 3, 30, 10**6, 10**18))
+    f, g = draw(s_u_polys(heights)), draw(s_u_polys(heights))
+    mode = draw(st.sampled_from(("random", "vanishing-lead", "shared", "constant")))
+    if mode == "vanishing-lead":
+        roots = draw(st.lists(st.integers(0, 6), min_size=1, max_size=3))
+        n = f.degree(0)
+        lead = _ZSU.one
+        for c in roots:
+            lead *= _ZU - c
+        f = f - _ZSU({(n, j): c for (i, j), c in f.items() if i == n}) + lead * _ZS**n
+    elif mode == "shared":
+        h = draw(s_u_polys(st.just(5)))
+        f, g = f * h, g * h
+    elif mode == "constant":
+        f, g = (p.ring.from_dict({(i, 0): c for (i, j), c in p.items() if j == 0} or {(1, 0): 1})
+                for p in (f, g))
+    assume(f.degree(0) >= 1 and g.degree(0) >= 1)
+    return f, g
+
+
+def assert_resultant_matches_prs(f, g):
+    got = verify._zu.ring.from_dense(verify._resultant(f, g, (0, 1, 2)))
+    want = resultant_by_prs(f, g)
+    assert got in (want, -want)
+
+
+@settings(PROPERTY, max_examples=200)
+@given(resultant_pairs())
+def test_resultant_matches_the_subresultant_prs_up_to_sign(pair):
+    assert_resultant_matches_prs(*pair)
+
+
+@PROPERTY
+@given(charts())
+def test_resultant_of_chart_residuals_matches_the_subresultant_prs(chart):
+    qs = [verify._bezoutian(*verify._integer_parts(f, verify._zu)) for f in chart.coords]
+    assume(not any(q.is_ground for q in qs))
+    g = verify._gcd_all(qs)
+    residual = qs if g.is_ground else [q.exquo(g) for q in qs]
+    assume(not any(r.is_ground for r in residual))
+    for f, h in combinations(residual, 2):
+        assert_resultant_matches_prs(f, h)
+
+
+_Q_SU = ring("s,u", QQ)[0]
+_Q_YSU = ring("y,s,u", QQ)[0]
+# (ring, generator index): Z[u] and Z[t] as the resultants, g_inf and the
+# immersion gcd live, Q[s, u] free of u or of s as in the witness searches,
+# Q[y, s, u] and Z[y, s, u] in u alone as the Groebner eliminant
+ONE_VARIABLE = (
+    (verify._zu.ring, 0), (verify._zt.ring, 0), (_Q_SU, 0), (_Q_SU, 1),
+    (_Q_YSU, 2), (_Q_YSU.clone(domain=ZZ), 2),
+)
+
+
+@st.composite
+def one_variable_polys(draw):
+    """A product of linear factors at points of a small pool, some of them
+    excluded and some repeated, of at most two more factors of degree 2 to 3,
+    and of a constant, in one variable of a ring from ONE_VARIABLE; and the
+    excluded points."""
+    gens_ring, x = draw(st.sampled_from(ONE_VARIABLE))
+    var = gens_ring.gens[x]
+    pool = st.builds(F, st.integers(-6, 6), st.integers(1, 3))
+    excluded = draw(st.sets(pool, max_size=6))
+    p = gens_ring.one * draw(st.integers(1, 12))
+    if gens_ring.domain == QQ:
+        p *= gens_ring.domain_new(QQ(1, draw(st.integers(1, 6))))
+    for a, m in draw(st.dictionaries(pool | st.sampled_from(sorted(excluded) or [F(0)]),
+                                     st.integers(1, 3), max_size=5)).items():
+        p *= (a.denominator * var - a.numerator) ** m
+    for _ in range(draw(st.integers(0, 2))):
+        coeffs = draw(st.lists(st.integers(-5, 5), min_size=2, max_size=3))
+        p *= var ** (len(coeffs) + 1) + sum(c * var**i for i, c in enumerate(coeffs))
+    assume(not p.is_ground)
+    return p, excluded
+
+
+@settings(PROPERTY, max_examples=200)
+@given(one_variable_polys())
+def test_stripping_before_factoring_matches_factoring_then_filtering(case):
+    p, excluded = case
+    roots, higher = verify._roots_and_factors(p, excluded)
+    want_roots, want_higher = roots_and_factors_by_filter(p, excluded)
+    assert roots == want_roots
+    assert [mu.ring for mu in higher] == [p.ring] * len(want_higher)
+    assert higher == want_higher
+    assert [str(mu.as_expr()) for mu in higher] == [str(mu.as_expr()) for mu in want_higher]
