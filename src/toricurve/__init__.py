@@ -46,6 +46,7 @@ from .curve import (
     POLE,
     ProjectiveLine,
     RationalFunction,
+    evaluate,
     evaluate_with_derivative,
     principal_function,
     sample_divisor,
@@ -88,7 +89,7 @@ __all__ = [
     "find_ample", "is_ample", "triple_intersection", "triple_product",
     "wall_curve_degree", "xi_vector",
     "CDivisor", "CurvePoint", "INFINITY", "NotDegreeZero", "POLE",
-    "ProjectiveLine", "RationalFunction", "evaluate_with_derivative",
+    "ProjectiveLine", "RationalFunction", "evaluate", "evaluate_with_derivative",
     "principal_function", "sample_divisor",
     "BadEmbeddingFile", "ChartMap", "ConditionsReport", "EmbeddingData",
     "XiMismatch", "build_embedding_data", "chart_maps",

@@ -11,7 +11,10 @@ by the exact key ((num << 32) // den, value): the first entry is a plain
 int, the Fraction comparison only breaks its ties, and equal points land
 side by side, so the same pass finds repeats.  Products and merges sum
 exponents in one dict keyed by (num, den), and no Fraction is rebuilt from
-a Fraction.
+a Fraction.  Evaluation is homogeneous and in ints: at t = a / b each
+factor r = rn / rd contributes the int d = a rd - rn b, the value and the
+log-derivative accumulate as int numerators and denominators, and a result
+is the only Fraction built.
 """
 from __future__ import annotations
 
@@ -264,11 +267,43 @@ def principal_function(divisor: CDivisor) -> RationalFunction:
     return f
 
 
+def evaluate(f: RationalFunction, p: CurvePoint):
+    """f(p) as an exact rational, or None at a pole.
+
+    At t = a / b each factor r = rn / rd contributes
+    (t - r)^e = (a rd - rn b)^e / (b rd)^e, multiplied into one int
+    numerator and one int denominator; one Fraction is built at the end.
+    """
+    if p.is_infinity:
+        m = f.order_at_infinity
+        if m < 0:
+            return None
+        return f.constant if m == 0 else Fraction(0)
+    a, b = p._reduced
+    num, den = f.constant.numerator, f.constant.denominator
+    for r, e in f.factors:
+        rn, rd = r.numerator, r.denominator
+        d = a * rd - rn * b
+        if not d:  # t is this root: roots are distinct, so no other factor vanishes
+            return None if e < 0 else Fraction(0)
+        if e > 0:
+            num *= d ** e
+            den *= (b * rd) ** e
+        else:
+            num *= (b * rd) ** -e
+            den *= d ** -e
+    return Fraction(num, den)
+
+
 def evaluate_with_derivative(f: RationalFunction, p: CurvePoint):
     """(f(p), f'(p)) as exact rationals, or POLE.
 
     At infinity the local coordinate is s = 1/t and the derivative is taken
     in s, so an order-m zero at infinity reports (0, 0) for m > 1.
+
+    In ints, as in `evaluate`, with f'/f = sum e / (t - r) = b sum e rd / d
+    (d = a rd - rn b) accumulated as one int numerator over prod d; the two
+    results are the only Fractions built.
     """
     if p.is_infinity:
         m = f.order_at_infinity
@@ -277,32 +312,40 @@ def evaluate_with_derivative(f: RationalFunction, p: CurvePoint):
         # g(s) = f(1/s) = c * s^m * prod (1 - a_i s)^{e_i}
         if m > 1:
             return Fraction(0), Fraction(0)
+        c = f.constant
         if m == 1:
-            return Fraction(0), f.constant
-        value = f.constant
-        deriv = -f.constant * sum(
-            Fraction(e) * r for r, e in f.factors
-        )
-        return value, deriv
+            return Fraction(0), c
+        # g'(0) = -c sum e_i a_i, the sum as sn / sd
+        sn, sd = 0, 1
+        for r, e in f.factors:
+            rn, rd = r.numerator, r.denominator
+            sn, sd = sn * rd + e * rn * sd, sd * rd
+        return c, Fraction(-c.numerator * sn, c.denominator * sd)
 
-    t = p.finite
-    here = 0
+    a, b = p._reduced
+    num, den = f.constant.numerator, f.constant.denominator
+    ln, ld = 0, 1  # sum e rd / d over the factors that do not vanish
+    simple_zero = False
     for r, e in f.factors:
-        if r == t:
-            here = e
-            break
-    if here < 0:
-        return POLE
-    if here > 1:
-        return Fraction(0), Fraction(0)
-    rest = f.constant
-    for r, e in f.factors:
-        if r != t:
-            rest *= (t - r) ** e
-    if here == 1:
-        return Fraction(0), rest
-    log_deriv = sum(Fraction(e, 1) / (t - r) for r, e in f.factors)
-    return rest, rest * log_deriv
+        rn, rd = r.numerator, r.denominator
+        d = a * rd - rn * b
+        if not d:  # t is this root: roots are distinct, so no other factor vanishes
+            if e < 0:
+                return POLE
+            if e > 1:
+                return Fraction(0), Fraction(0)
+            simple_zero = True
+            continue
+        if e > 0:
+            num *= d ** e
+            den *= (b * rd) ** e
+        else:
+            num *= (b * rd) ** -e
+            den *= d ** -e
+        ln, ld = ln * d + e * rd * ld, ld * d
+    if simple_zero:  # f' is the product of the other factors
+        return Fraction(0), Fraction(num, den)
+    return Fraction(num, den), Fraction(num * b * ln, den * ld)
 
 
 _MASK = (1 << 64) - 1

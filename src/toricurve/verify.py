@@ -9,8 +9,16 @@ residual system is decided by pairwise resultants eliminating s, with a
 Groebner saturation fallback.  Each Q_i is symmetric in s and u, so the
 residuals are symmetric up to sign and eliminating u would only swap the
 variables: one direction suffices.  Immersivity is a univariate gcd of the
-N_i' D_i - N_i D_i' plus a derivative check at infinity.  Rational witnesses
-are re-checked by Fraction evaluation, algebraic ones by congruences.
+N_i' D_i - N_i D_i' plus a derivative check at infinity.
+
+Every witness is re-checked exactly, in ints.  Each candidate polynomial
+is factored once (excluded roots stripped first) and read in one order:
+rational roots, then irreducible factors of degree >= 2.  A rational
+witness is re-checked by evaluating the factored coordinates
+homogeneously at num / den, an algebraic one by a congruence modulo its
+primitive factor over Z.  A rational point num / den enters a polynomial
+p over Z as den^n p(num / den), n p's degree in that variable, never by
+substitution over Q.
 
 Every gcd, remainder and factorization runs on sparse integer polynomials
 (`sympy.polys.rings`, Z[s, u], Z[u], Z[t]); factors come out primitive with
@@ -20,10 +28,10 @@ one Mersenne prime past a proven coefficient bound, Newton interpolation
 and a symmetric lift.  No polynomial is factored with an excluded point's
 root in it: each excluded factor den * x - num is divided out first, and a
 resultant candidate that strips to a constant closes the quick pass before
-any gcd.  Q[s, u] appears only where a rational point is substituted.  The
-Groebner fallback runs in a lex ring in y, s, u, over Z when every input
-coefficient is an integer and over Q otherwise.  `sympy.Expr` appears only
-in witness strings.
+any gcd.  The Groebner fallback runs in a lex ring in y, s, u, over Z
+when every input coefficient is an integer and over Q otherwise; no other
+polynomial is over Q.  `sympy.Expr` appears only in witness strings, and
+a list of factors is printed to sort it only when it holds two or more.
 """
 from __future__ import annotations
 
@@ -31,7 +39,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 from sympy.polys.domains import QQ, ZZ
 from sympy.polys.groebnertools import groebner
@@ -41,19 +49,21 @@ from .curve import (
     CDivisor,
     CurvePoint,
     INFINITY,
+    POLE,
     RationalFunction,
+    evaluate,
     evaluate_with_derivative,
 )
 from .embed import ChartMap, EmbeddingData, chart_maps, check_theorem_conditions
 
 _Z, _s, _u = ring("s,u", ZZ)
-_Q, _qs, _qu = ring("s,u", QQ)  # for substituting rational points only
+_zs = ring("s", ZZ)[1]
 _zu = ring("u", ZZ)[1]  # also the ring of the resultants in s
 _zt = ring("t", ZZ)[1]
-_GQ, _gy = ring("y,s,u", QQ)[:2]  # lex, for the Groebner fallback
+_GQ, _gy, _gs, _gu = ring("y,s,u", QQ)  # lex, for the Groebner fallback
 _GZ = _GQ.clone(domain=ZZ)
 # where a polynomial in one variable is factored, by the variable's name
-_UNIVARIATE = {r.symbols[0]: r for r in (ring("s", ZZ)[0], _zu.ring, _zt.ring)}
+_UNIVARIATE = {r.symbols[0]: r for r in (_zs.ring, _zu.ring, _zt.ring)}
 
 DEFAULT_DEGREE_CAP = 512
 
@@ -169,6 +179,13 @@ def _factor_key(item) -> str:
     return str((mu.as_expr(), m))
 
 
+def _print_sorted(items: list, key) -> list:
+    """items sorted by a key that prints them; one item is left unprinted."""
+    if len(items) > 1:
+        items.sort(key=key)
+    return items
+
+
 def _univariate(p) -> tuple[int, list]:
     """The index of p's one variable in its ring and p's coefficients as ints,
     top degree first, denominators cleared (p is nonconstant)."""
@@ -182,20 +199,26 @@ def _univariate(p) -> tuple[int, list]:
     return x, c
 
 
+def _homogeneous(c: list, num: int, den: int) -> int:
+    """den^n c(num / den) = sum c_k num^(n-k) den^k for ints c, top degree
+    first, n = len(c) - 1, by homogeneous Horner."""
+    v, w = 0, 1
+    for a in c:
+        v, w = v * num + a * w, w * den
+    return v
+
+
 def _strip(c: list, excluded_fr) -> list:
     """c (ints, top degree first, nonzero) with the factor den * x - num of
     every excluded point num / den divided out as often as it divides.
 
-    Each point is tested by homogeneous Horner, sum c_k num^(n-k) den^k = 0,
-    before a division, which is then exact.
+    Each point is tested by homogeneous Horner before a division, which is
+    then exact.
     """
     for e in excluded_fr:
         num, den = e.numerator, e.denominator
         while len(c) > 1:
-            v, w = 0, 1
-            for a in c:
-                v, w = v * num + a * w, w * den
-            if v:
+            if _homogeneous(c, num, den):
                 break
             q = [c[0] // den]
             for a in c[1:-1]:
@@ -225,16 +248,22 @@ def _roots_and_factors(p, excluded_fr):
             roots.append((_linear_root(mu), m))
         else:
             higher.append((mu, m))
-    roots.sort(key=lambda rm: f"({rm[0]}, {rm[1]})")
-    higher.sort(key=_factor_key)
+    _print_sorted(roots, lambda rm: f"({rm[0]}, {rm[1]})")
+    _print_sorted(higher, _factor_key)
     return [r for r, _ in roots], [mu.set_ring(p.ring) for mu, _ in higher]
 
 
-def _value_at(f: RationalFunction, point: CurvePoint):
-    got = evaluate_with_derivative(f, point)
-    if not isinstance(got, tuple):
-        return None  # pole
-    return got[0]
+def _zero_witnesses(p, excluded_fr, at_root, at_factor):
+    """The re-checked witnesses on the zeros of p, lazily, in certificate order.
+
+    p is a polynomial in one variable, factored at once.  Its rational roots
+    off the excluded points come first, then its irreducible factors of
+    degree >= 2, as _roots_and_factors lists them; each is re-checked only
+    when the iterator reaches it.  at_root(x) and at_factor(mu) re-check one
+    exactly and return its witness, or a false value when the check fails.
+    """
+    roots, higher = _roots_and_factors(p, excluded_fr)
+    return filter(None, chain(map(at_root, roots), map(at_factor, higher)))
 
 
 def _rational_candidates(limit: int = 60):
@@ -255,12 +284,26 @@ def _axis_root(factor, var):
     return _linear_root(factor)
 
 
+def _at(p, var: int, x: Fraction, ring):
+    """den^n p(num / den) for p in Z[s, u], x = num / den substituted for
+    the variable of index `var` (0 for s, 1 for u), n = p's degree in it: a
+    polynomial over Z in the other variable, in `ring` (Z[u] or Z[s])."""
+    num, den = x.numerator, x.denominator
+    n = p.degree(var)
+    powers = [(num**i) * den ** (n - i) for i in range(n + 1)]
+    out: dict = {}
+    for monom, c in p.iterterms():
+        j = (monom[1 - var],)
+        out[j] = out.get(j, 0) + c * powers[monom[var]]
+    return ring.from_dict({j: c for j, c in out.items() if c})
+
+
 def _collision_holds(coords, s0: Fraction, u0: Fraction) -> bool:
-    """Direct Fraction re-check, independent of the elimination machinery."""
+    """Direct re-check by evaluation, independent of the elimination machinery."""
     ps, pu = CurvePoint(s0), CurvePoint(u0)
     for f in coords:
-        vs = _value_at(f, ps)
-        if vs is None or vs != _value_at(f, pu):
+        vs = evaluate(f, ps)
+        if vs is None or vs != evaluate(f, pu):
             return False
     return True
 
@@ -268,12 +311,19 @@ def _collision_holds(coords, s0: Fraction, u0: Fraction) -> bool:
 def _congruence_collision(NDs, s0: Fraction, mu) -> bool:
     """Check p_i(s0) = p_i(alpha) for every root alpha of mu(u), exactly.
 
-    The identity N_i(u) D_i(s0) - N_i(s0) D_i(u) = 0 mod mu(u) states the
-    collision in Q[u]/(mu).
+    N_i(u) D_i(s0) - N_i(s0) D_i(u) = 0 mod mu(u) states the collision in
+    Q[u]/(mu).  With s0 = a / b and n = max(deg N_i, deg D_i), the ints
+    N^ = b^n N_i(s0) and D^ = b^n D_i(s0) make N_i D^ - N^ D_i, b^n times
+    that polynomial, one in Z[u]; mu in Z[u] is primitive, so by Gauss's
+    lemma it divides it in Q[u] exactly when the remainder over Z is zero.
     """
-    s0 = _qq(s0)
-    NDs = [(N.set_ring(_Q), D.set_ring(_Q)) for N, D in NDs]
-    return all(not (N * D.subs(_qu, s0) - N.subs(_qu, s0) * D).rem(mu) for N, D in NDs)
+    a, b = s0.numerator, s0.denominator
+    for N, D in NDs:
+        n = max(N.degree(), D.degree())
+        Nh, Dh = (_homogeneous([0] * (n - p.degree()) + p.to_dense(), a, b) for p in (N, D))
+        if (N * Dh - Nh * D).rem(mu):
+            return False
+    return True
 
 
 def _conjugate_witness(s0: Fraction, mu) -> dict:
@@ -287,11 +337,10 @@ def _conjugate_witness(s0: Fraction, mu) -> dict:
 
 def _witness_from_curve(coords, NDs, factor, excluded_fr):
     """A verified collision witness on the zero curve of a common factor."""
-    factor_q = factor.set_ring(_Q)
     for s0 in _rational_candidates():
         if s0 in excluded_fr:
             continue
-        psi = factor_q.subs(_qs, _qq(s0))
+        psi = _at(factor, 0, s0, _zu.ring)
         if not psi:
             # factor is s - s0 itself; any u pairs with s0
             for u0 in _rational_candidates():
@@ -300,13 +349,17 @@ def _witness_from_curve(coords, NDs, factor, excluded_fr):
             continue
         if psi.is_ground:
             continue
-        roots, higher = _roots_and_factors(psi, excluded_fr)
-        for u0 in roots:
-            if u0 != s0 and _collision_holds(coords, s0, u0):
-                return _pair_witness(s0, u0)
-        for mu in higher:
-            if _congruence_collision(NDs, s0, mu):
-                return _conjugate_witness(s0, mu)
+        found = next(
+            _zero_witnesses(
+                psi,
+                excluded_fr,
+                lambda u0: u0 != s0 and _collision_holds(coords, s0, u0) and _pair_witness(s0, u0),
+                lambda mu: _congruence_collision(NDs, s0, mu) and _conjugate_witness(s0, mu),
+            ),
+            None,
+        )
+        if found:
+            return found
     return {
         "kind": "collision-curve",
         "poly": str(factor.as_expr()),
@@ -324,33 +377,32 @@ def _pair_witness(s0: Fraction, u0: Fraction) -> dict:
     }
 
 
-def _partner_witnesses(coords, NDs, Qs, u0: Fraction, excluded_fr):
-    """All verified collisions with second coordinate u0 (rational); Qs in Q[s, u]."""
+def _partner_witnesses(coords, NDs, residual, u0: Fraction, excluded_fr):
+    """All verified collisions with second coordinate u0 (rational); the
+    residuals in Z[s, u], specialised to Z[s]."""
     if u0 in excluded_fr:
         return []
-    specialized = [p for p in (q.subs(_qu, _qq(u0)) for q in Qs) if p]
+    specialized = [p for p in (_at(r, 1, u0, _zs.ring) for r in residual) if p]
     assert specialized, "all coordinates degenerate at a candidate"
     d = _gcd_all(specialized)
     if d.is_ground:
         return []
-    roots, higher = _roots_and_factors(d, excluded_fr)
-    out = [
-        _pair_witness(s0, u0)
-        for s0 in roots
-        if s0 != u0 and _collision_holds(coords, s0, u0)
-    ]
-    out.extend(
-        _conjugate_witness(u0, mu)
-        for mu in higher
-        if _congruence_collision(NDs, u0, mu.compose(_qs, _qu))
+    return list(
+        _zero_witnesses(
+            d,
+            excluded_fr,
+            lambda s0: s0 != u0 and _collision_holds(coords, s0, u0) and _pair_witness(s0, u0),
+            # mu is printed in s and rechecked as a polynomial in u
+            lambda mu: _congruence_collision(NDs, u0, _zu.ring.from_dense(mu.to_dense()))
+            and _conjugate_witness(u0, mu),
+        )
     )
-    return out
 
 
 def _saturation_poly(excluded_fr):
-    h = _qs - _qu
+    h = _gs - _gu
     for e in sorted(excluded_fr):
-        h *= (_qs - _qq(e)) * (_qu - _qq(e))
+        h *= (_gs - _qq(e)) * (_gu - _qq(e))
     return h
 
 
@@ -370,7 +422,7 @@ def chart_injective(chart: ChartMap) -> CheckResult:
 
     # collisions with the point at infinity: p_i(u) = p_i(inf) for all i.
     # Skipped when infinity is off the domain (a pole or excluded point).
-    inf_values = [_value_at(f, INFINITY) for f in coords]
+    inf_values = [evaluate(f, INFINITY) for f in coords]
     infinity_in_domain = (
         all(c is not None for c in inf_values)
         and not any(p.is_infinity for p in chart.excluded)
@@ -382,22 +434,22 @@ def chart_injective(chart: ChartMap) -> CheckResult:
         assert all(h_polys), "a chart coordinate is constant"
         g_inf = _gcd_all(h_polys)
         if not g_inf.is_ground:
-            roots, higher = _roots_and_factors(g_inf, excluded_fr)
-            for u0 in roots:
-                point = CurvePoint(u0)
-                if all(_value_at(f, point) == c for f, c in zip(coords, inf_values)):
-                    witnesses.append(
-                        {"kind": "collision-with-infinity", "u": str(u0), "verified": "evaluation"}
+            witnesses.extend(
+                _zero_witnesses(
+                    g_inf,
+                    excluded_fr,
+                    lambda u0: all(
+                        evaluate(f, CurvePoint(u0)) == c for f, c in zip(coords, inf_values)
                     )
-            for mu in higher:
-                if all(not h.rem(mu) for h in h_polys):
-                    witnesses.append(
-                        {
-                            "kind": "collision-with-infinity-conjugate",
-                            "poly": str(mu.as_expr()),
-                            "verified": "congruence",
-                        }
-                    )
+                    and {"kind": "collision-with-infinity", "u": str(u0), "verified": "evaluation"},
+                    lambda mu: all(not h.rem(mu) for h in h_polys)
+                    and {
+                        "kind": "collision-with-infinity-conjugate",
+                        "poly": str(mu.as_expr()),
+                        "verified": "congruence",
+                    },
+                )
+            )
 
     # finite-finite collisions: the Bezoutians Q_i
     Qs = [_bezoutian(N, D) for N, D in NDs]
@@ -423,7 +475,7 @@ def _finite_finite(chart, coords, NDs, Qs, excluded_fr, witnesses):
     g = _gcd_all(Qs)
     residual = list(Qs)
     if not g.is_ground:
-        for factor, _mult in sorted(g.factor_list()[1], key=_factor_key):
+        for factor, _mult in _print_sorted(g.factor_list()[1], _factor_key):
             if factor == _s - _u:
                 continue  # extra tangency along the diagonal: immersion's job
             root_s = _axis_root(factor, _s)
@@ -450,13 +502,12 @@ def _finite_finite(chart, coords, NDs, Qs, excluded_fr, witnesses):
     if du is not None and du.is_ground:
         return "resultant"
 
-    residual_q = [r.set_ring(_Q) for r in residual]
     # candidate roots in the u direction, partners recovered by univariate gcd
     if du is not None:
         roots, higher = _roots_and_factors(du, excluded_fr)
         found = len(witnesses)
         for u0 in roots:
-            witnesses.extend(_partner_witnesses(coords, NDs, residual_q, u0, excluded_fr))
+            witnesses.extend(_partner_witnesses(coords, NDs, residual, u0, excluded_fr))
         if witnesses[found:] or not higher:
             return "resultant"  # every candidate dispatched, or a collision found
 
@@ -473,10 +524,10 @@ def _finite_finite(chart, coords, NDs, Qs, excluded_fr, witnesses):
     # coordinate's constant) and a monic gcd
     lc_g = 1 if g.is_ground else g.LC
     gens = [
-        (r * _qq(f.constant * lc_g / (N.LC * D.LC))).set_ring(_GQ)
-        for r, f, (N, D) in zip(residual_q, coords, NDs)
+        r.set_ring(_GQ) * _qq(f.constant * lc_g / (N.LC * D.LC))
+        for r, f, (N, D) in zip(residual, coords, NDs)
     ]
-    gens.append(1 - _gy * _saturation_poly(excluded_fr).set_ring(_GQ))
+    gens.append(1 - _gy * _saturation_poly(excluded_fr))
     if all(QQ.denom(c) == 1 for p in gens for c in p.itercoeffs()):
         gens = [p.set_ring(_GZ) for p in gens]
     gb = groebner(gens, gens[0].ring)
@@ -487,7 +538,7 @@ def _finite_finite(chart, coords, NDs, Qs, excluded_fr, witnesses):
     roots, _higher = _roots_and_factors(elim_u[0], excluded_fr)
     found = len(witnesses)
     for u0 in roots:
-        witnesses.extend(_partner_witnesses(coords, NDs, residual_q, u0, excluded_fr))
+        witnesses.extend(_partner_witnesses(coords, NDs, residual, u0, excluded_fr))
     if not witnesses[found:]:
         witnesses.append(
             {
@@ -683,6 +734,15 @@ def _newton(x0: int, ys: list, k: int) -> list:
     return poly
 
 
+def _tangent_at(coords, point: CurvePoint) -> bool:
+    """Every coordinate is regular at point with zero derivative there."""
+    for f in coords:
+        v = evaluate_with_derivative(f, point)
+        if v is POLE or v[1]:
+            return False
+    return True
+
+
 def chart_immersive(chart: ChartMap) -> CheckResult:
     """No common zero of all coordinate derivatives on the chart domain."""
     coords = chart.coords
@@ -697,25 +757,18 @@ def chart_immersive(chart: ChartMap) -> CheckResult:
         w_polys.append(w)
     g = _gcd_all(w_polys)
     if not g.is_ground:
-        roots, higher = _roots_and_factors(g, excluded_fr)
-        for t0 in roots:
-            values = [evaluate_with_derivative(f, CurvePoint(t0)) for f in coords]
-            if all(isinstance(v, tuple) and v[1] == 0 for v in values):
-                witnesses.append({"kind": "tangent-point", "t": str(t0), "verified": "evaluation"})
-        for mu in higher:
-            if all(not w.rem(mu) for w in w_polys):
-                witnesses.append(
-                    {
-                        "kind": "tangent-conjugate",
-                        "poly": str(mu.as_expr()),
-                        "verified": "congruence",
-                    }
-                )
+        witnesses.extend(
+            _zero_witnesses(
+                g,
+                excluded_fr,
+                lambda t0: _tangent_at(coords, CurvePoint(t0))
+                and {"kind": "tangent-point", "t": str(t0), "verified": "evaluation"},
+                lambda mu: all(not w.rem(mu) for w in w_polys)
+                and {"kind": "tangent-conjugate", "poly": str(mu.as_expr()), "verified": "congruence"},
+            )
+        )
 
-    inf_derivs = [evaluate_with_derivative(f, INFINITY) for f in coords]
-    if INFINITY not in chart.excluded and all(
-        isinstance(v, tuple) and v[1] == 0 for v in inf_derivs
-    ):
+    if INFINITY not in chart.excluded and _tangent_at(coords, INFINITY):
         witnesses.append({"kind": "tangent-infinity", "verified": "evaluation"})
 
     witnesses.sort(key=lambda w: json.dumps(w, sort_keys=True))

@@ -2,7 +2,10 @@
 
 Everything here recomputes results through a different route than the
 package: brute-force enumeration, quotient-ring normal forms via sympy
-Groebner bases, plain Fraction arithmetic, margin-1 Fraction feasibility in
+Groebner bases, plain Fraction arithmetic (evaluation of factored
+functions and derivatives factor by factor, in place of the integer
+homogeneous evaluation; congruences by substitution over Q in place of the
+homogeneous test over Z), margin-1 Fraction feasibility in
 place of the integer cone-separation test, Fourier-Motzkin over Fraction
 rows with sparse provenance dicts in place of the int rows of
 `feasibility`, and the divided cross differences built over Q by product
@@ -27,12 +30,61 @@ import sympy
 from sympy.polys.domains import QQ
 from sympy.polys.rings import ring
 
-from toricurve.curve import INFINITY, CurvePoint, _hash_rational, evaluate_with_derivative
+from toricurve.curve import INFINITY, POLE, CurvePoint, _hash_rational
 from toricurve.feasibility import Infeasible, Unbounded
 from toricurve.intersect import triple_intersection
 from toricurve.intlinalg import IntMatrix, NotUnimodular, smith_normal_form
 
 _QSU, _QS, _QU = ring("s,u", QQ)
+
+
+def evaluate_by_fractions(f, p: CurvePoint):
+    """(f(p), f'(p)) by Fraction arithmetic factor by factor, or POLE: the
+    reference for the package's integer homogeneous evaluation.
+
+    At infinity the local coordinate is s = 1/t and the derivative is taken
+    in s, so an order-m zero at infinity reports (0, 0) for m > 1.
+    """
+    if p.is_infinity:
+        m = f.order_at_infinity
+        if m < 0:
+            return POLE
+        # g(s) = f(1/s) = c * s^m * prod (1 - a_i s)^{e_i}
+        if m > 1:
+            return Fraction(0), Fraction(0)
+        if m == 1:
+            return Fraction(0), f.constant
+        value = f.constant
+        deriv = -f.constant * sum(Fraction(e) * r for r, e in f.factors)
+        return value, deriv
+
+    t = p.finite
+    here = 0
+    for r, e in f.factors:
+        if r == t:
+            here = e
+            break
+    if here < 0:
+        return POLE
+    if here > 1:
+        return Fraction(0), Fraction(0)
+    rest = f.constant
+    for r, e in f.factors:
+        if r != t:
+            rest *= (t - r) ** e
+    if here == 1:
+        return Fraction(0), rest
+    log_deriv = sum(Fraction(e, 1) / (t - r) for r, e in f.factors)
+    return rest, rest * log_deriv
+
+
+def congruence_collision_qq(NDs, s0: Fraction, mu) -> bool:
+    """The congruence re-check over Q, the reference for the package's test
+    over Z: N_i(u) D_i(s0) - N_i(s0) D_i(u) = 0 mod mu(u) in Q[u], for N_i,
+    D_i in Z[u] and mu in Q[s, u] free of s, by substitution in Q[s, u]."""
+    x = QQ(s0.numerator, s0.denominator)
+    NDs = [(N.set_ring(_QSU), D.set_ring(_QSU)) for N, D in NDs]
+    return all(not (N * D.subs(_QU, x) - N.subs(_QU, x) * D).rem(mu) for N, D in NDs)
 
 
 def kernel_vectors_brute_force(rows, bound):
@@ -605,7 +657,7 @@ def brute_force_pair_scan(data, charts, pairs_per_chart, seed):
                 continue
             done += 1
             if all(
-                evaluate_with_derivative(f, a)[0] == evaluate_with_derivative(f, b)[0]
+                evaluate_by_fractions(f, a)[0] == evaluate_by_fractions(f, b)[0]
                 for f in chart.coords
             ):
                 collisions.append((chart.cone, a, b))
@@ -647,11 +699,11 @@ def transition_mismatches(data, charts, n_points, seed):
         value_a = Fraction(1)
         for t in range(3):
             if exps[t]:
-                value_a *= evaluate_with_derivative(ca.coords[t], CurvePoint(point))[0] ** exps[t]
+                value_a *= evaluate_by_fractions(ca.coords[t], CurvePoint(point))[0] ** exps[t]
         value_b = Fraction(1)
         for t in range(3):
             if weights[t]:
-                value_b *= evaluate_with_derivative(cb.coords[t], CurvePoint(point))[0] ** weights[t]
+                value_b *= evaluate_by_fractions(cb.coords[t], CurvePoint(point))[0] ** weights[t]
         if value_a != value_b:
             mismatches.append((ca.cone, cb.cone, m, point, value_a, value_b))
         checked += 1

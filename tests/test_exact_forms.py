@@ -8,6 +8,12 @@ must give exactly what the plain construction gives: the same tuples, the
 same equality and hash, the same errors.  Rationals reach denominators of
 10^6, and a small pool makes points repeat, merge and cancel; equal values
 arrive as int, str and Fraction.
+
+The witness re-checks run in ints too: factored functions are evaluated
+with their derivatives by homogeneous products, a rational point enters a
+polynomial over Z scaled by its denominator's power, and the congruence
+re-check is a remainder over Z.  Each must agree with the Fraction
+evaluator and the substitutions over Q it replaced.
 """
 
 from fractions import Fraction
@@ -17,15 +23,28 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from sympy.polys.domains import QQ
+from sympy.polys.rings import ring
+
 from oracles import (
     DivisorReference,
     FunctionReference,
+    congruence_collision_qq,
     epsilon_by_powers,
+    evaluate_by_fractions,
     integer_parts_by_ring_products,
     unimodular_inverse_by_minors,
 )
 from toricurve import verify
-from toricurve.curve import INFINITY, CDivisor, CurvePoint, RationalFunction
+from toricurve.curve import (
+    INFINITY,
+    POLE,
+    CDivisor,
+    CurvePoint,
+    RationalFunction,
+    evaluate,
+    evaluate_with_derivative,
+)
 from toricurve.embed import epsilon_function
 from toricurve.intlinalg import IntMatrix, NotUnimodular, unimodular_inverse
 
@@ -197,6 +216,95 @@ def test_epsilon_function_is_the_product_of_powers(epsilon, m):
 def test_integer_parts_are_the_ring_products_in_both_rings(f):
     for x in (verify._zu, verify._zt):
         assert verify._integer_parts(f, x) == integer_parts_by_ring_products(f, x)
+
+
+@st.composite
+def evaluation_cases(draw):
+    """A factored function and a point: one of its roots spelled another
+    way (a pole, or a zero of order 1 to 3), the point at infinity with the
+    function's order there set to -1, 0, 1 or 2, or any rational."""
+    f = draw(functions())
+    kind = draw(st.sampled_from(("root", "infinity", "free")))
+    if kind == "infinity":
+        order = draw(st.sampled_from((-1, 0, 1, 2)))
+        e = -order - sum(e for _, e in f.factors)
+        if e:
+            fresh = draw(rationals.filter(lambda r: f.order_at(CurvePoint(r)) == 0))
+            f = f * RationalFunction.of(1, {fresh: e})
+        assert f.order_at_infinity == order
+        return f, INFINITY
+    if kind == "root" and f.factors:
+        root = draw(st.sampled_from(f.factors))[0]
+        return f, CurvePoint.of(draw(spelled(root)))
+    return f, CurvePoint(draw(rationals))
+
+
+@PROPERTY
+@given(evaluation_cases())
+def test_integer_evaluation_matches_the_fraction_reference(case):
+    f, p = case
+    want = evaluate_by_fractions(f, p)
+    got = evaluate_with_derivative(f, p)
+    if want is POLE:
+        assert got is POLE
+        assert evaluate(f, p) is None
+    else:
+        assert got == want
+        assert all(type(x) is Fraction for x in got)
+        value = evaluate(f, p)
+        assert value == want[0] and type(value) is Fraction
+
+
+_QSU = ring("s,u", QQ)[0]
+
+
+@st.composite
+def bivariate(draw):
+    terms = draw(st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                                 st.integers(-50, 50).filter(bool), min_size=1, max_size=8))
+    return verify._Z.from_dict(terms)
+
+
+@PROPERTY
+@given(bivariate(), rationals, st.sampled_from((0, 1)))
+def test_specialisation_is_the_substitution_over_q_times_a_denominator_power(p, x, var):
+    target = (verify._zu, verify._zs)[var].ring  # the ring of the other variable
+    got = verify._at(p, var, x, target)
+    want = p.set_ring(_QSU).subs(_QSU.gens[var], QQ(x.numerator, x.denominator))
+    assert got.ring is target
+    assert got.as_expr() == (want * x.denominator ** p.degree(var)).as_expr()
+
+
+@st.composite
+def congruence_cases(draw):
+    """Coordinates as (N, D) in Z[u], a point s0 and a primitive mu in Z[u]:
+    half the time an irreducible factor of N(u) D(s0) - N(s0) D(u) for the
+    first coordinate, so that coordinate's congruence holds, else random.
+    Roots and s0 with denominators make mu non-monic."""
+    fs = draw(st.lists(functions(small), min_size=1, max_size=3))
+    NDs = [verify._integer_parts(f, verify._zu) for f in fs]
+    s0 = draw(small)
+    x = QQ(s0.numerator, s0.denominator)
+    Qu = ring("u", QQ)[0]
+    N, D = (p.set_ring(Qu) for p in NDs[0])
+    h = (N * D(x) - N(x) * D).clear_denoms()[1].set_ring(verify._zu.ring)
+    factors = [] if h.is_ground else [mu for mu, _ in h.factor_list()[1]]
+    if factors and draw(st.booleans()):
+        return NDs, s0, draw(st.sampled_from(factors)), True
+    lead = draw(st.integers(-6, 6).filter(bool))
+    mu = verify._zu.ring.from_dense([lead] + draw(st.lists(st.integers(-6, 6), min_size=1, max_size=3)))
+    return NDs, s0, mu.primitive()[1], False
+
+
+@PROPERTY
+@given(congruence_cases())
+def test_congruence_over_z_matches_the_congruence_over_q(case):
+    NDs, s0, mu, planted = case
+    assert verify._congruence_collision(NDs, s0, mu) == congruence_collision_qq(
+        NDs, s0, mu.set_ring(_QSU)
+    )
+    if planted:
+        assert verify._congruence_collision(NDs[:1], s0, mu)
 
 
 @st.composite

@@ -4,8 +4,12 @@ The integer cone-separation test inside `fan.validate` is checked against
 the margin-1 Fraction feasibility oracle on cone pairs drawn from a small
 box, with shared rays, coplanar triples and repeated directions.  Random
 star-subdivision chains in random lattice bases must stay smooth and
-complete with the Euler counts and every wall relation.  The one-pass
-pairing divisor must equal the incremental sum it replaced.
+complete with the Euler counts and every wall relation.  On the same
+chains, the ample divisor found must be ample with every wall degree
+positive in the quotient-ring oracle, both degree vectors must be positive
+kernel vectors of the ray matrix, and on chains of up to six rays the
+built embedding's chart transitions must agree.  The one-pass pairing
+divisor must equal the incremental sum it replaced.
 """
 
 from fractions import Fraction
@@ -13,11 +17,12 @@ from fractions import Fraction
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oracles import cones_meet_in_face_lp
+from oracles import ChowOracle, cones_meet_in_face_lp, transition_mismatches
 from test_fan import wall_relation_holds
 from toricurve.curve import CDivisor, CurvePoint
-from toricurve.embed import pairing_divisor
+from toricurve.embed import build_embedding_data, chart_maps, pairing_divisor
 from toricurve.fan import Fan, _cones_intersect_in_face, preset, star_subdivision, validate, walls
+from toricurve.intersect import find_ample, is_ample, xi_vector
 
 # derandomized, so the suite is a deterministic gate; widen max_examples
 # locally to search harder
@@ -109,10 +114,10 @@ def change_basis(fan, steps):
 
 
 @st.composite
-def chains(draw):
+def chains(draw, max_rays=10):
     fan = preset(draw(st.sampled_from(("p3", "p1p1p1", "bl-p3-point"))))
     fan = change_basis(fan, draw(st.lists(ELEMENTARY, max_size=4)))
-    for _ in range(draw(st.integers(0, 4))):
+    for _ in range(draw(st.integers(0, min(4, max_rays - fan.n_rays)))):
         fan = star_subdivision(fan, draw(st.sampled_from(fan.max_cones)))
     return fan
 
@@ -126,6 +131,37 @@ def test_subdivision_chains_in_random_bases_stay_valid(fan):
     assert r - e + c == 2
     assert c == 2 * r - 4
     assert all(wall_relation_holds(fan, w) for w in walls(fan))
+
+
+def unit(n, j):
+    return [int(k == j) for k in range(n)]
+
+
+@settings(PROPERTY, max_examples=25)
+@given(chains())
+def test_the_ample_divisor_found_is_positive_on_every_wall_curve(fan):
+    ample = find_ample(fan)
+    assert is_ample(fan, ample)
+    oracle = ChowOracle(fan.rays, fan.max_cones)
+    n = fan.n_rays
+    for w in walls(fan):
+        assert oracle.triple_product(ample.coeffs, unit(n, w.i), unit(n, w.j)) > 0
+
+
+@PROPERTY
+@given(chains())
+def test_both_degree_vectors_are_positive_kernel_vectors(fan):
+    for xi in (xi_vector(fan, find_ample(fan)), xi_vector(fan, None, method="kernel")):
+        assert all(x > 0 for x in xi.values)
+        assert all(sum(x * ray[c] for x, ray in zip(xi.values, fan.rays)) == 0 for c in range(3))
+
+
+@settings(PROPERTY, max_examples=40)
+@given(chains(max_rays=6), st.sampled_from(("intersection", "kernel")), st.integers(0, 2**16))
+def test_embeddings_of_small_chains_glue_across_charts(fan, method, seed):
+    ample = find_ample(fan)
+    data = build_embedding_data(fan, ample, xi_vector(fan, ample, method), seed)
+    assert transition_mismatches(data, chart_maps(data), 30, seed) == []
 
 
 points = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3))

@@ -229,10 +229,9 @@ def test_congruence_rechecks_accept_a_non_monic_polynomial():
     # and f(inf) = 1 at both roots of 3u^2 - 3u + 1
     f = rf({1: 3, 0: -3})
     N, D = verify._integer_parts(f, verify._zu)
-    qu = verify._qu
-    assert verify._congruence_collision([(N, D)] * 3, F(-1), 7 * qu ** 2 - 4 * qu + 1)
-    assert not verify._congruence_collision([(N, D)] * 3, F(-2), 7 * qu ** 2 - 4 * qu + 1)
     u = verify._zu
+    assert verify._congruence_collision([(N, D)] * 3, F(-1), 7 * u ** 2 - 4 * u + 1)
+    assert not verify._congruence_collision([(N, D)] * 3, F(-2), 7 * u ** 2 - 4 * u + 1)
     assert not (N - D).rem(3 * u ** 2 - 3 * u + 1)  # a remainder over Z
     assert (N - 2 * D).rem(3 * u ** 2 - 3 * u + 1)
 
