@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 
 class NotDegreeZero(ValueError):
@@ -210,6 +211,19 @@ class RationalFunction:
             else:
                 merged[1] += e
         return cls(constant, tuple((r, e) for r, e in acc.values() if e))
+
+    @cached_property
+    def integer_parts(self) -> tuple[tuple, tuple]:
+        """Int coefficients of N and D, top degree first, with f = K N / D
+        for a rational K: one factor den * t - num per root num / den, built
+        once per function."""
+        parts = [[1], [1]]  # N, D
+        for r, e in self.factors:
+            for _ in range(abs(e)):
+                p = parts[e < 0]
+                a, b = r.denominator, -r.numerator
+                parts[e < 0] = [a * p[0]] + [a * c + b * q for c, q in zip(p[1:], p)] + [b * p[-1]]
+        return tuple(parts[0]), tuple(parts[1])
 
     @property
     def order_at_infinity(self) -> int:

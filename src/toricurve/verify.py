@@ -26,12 +26,17 @@ positive leading coefficient, as over Q.  Resultants are this module's own:
 evaluation at consecutive integers, a Euclidean remainder sequence modulo
 one Mersenne prime past a proven coefficient bound, Newton interpolation
 and a symmetric lift.  No polynomial is factored with an excluded point's
-root in it: each excluded factor den * x - num is divided out first, and a
-resultant candidate that strips to a constant closes the quick pass before
-any gcd.  The Groebner fallback runs in a lex ring in y, s, u, over Z
-when every input coefficient is an integer and over Q otherwise; no other
-polynomial is over Q.  `sympy.Expr` appears only in witness strings, and
-a list of factors is printed to sort it only when it holds two or more.
+root in it: each excluded factor den * x - num is divided out first.  No
+gcd is computed when a nonzero resultant modulo q = 2^61 - 1, the table's
+first prime, proves two of its inputs coprime (inputs in one variable
+stripped first, the Bezoutians taken at one value of u); only an
+inconclusive test runs sympy's gcd.  The quick pass takes the pairwise
+resultants cheapest first and stops after two when a stripped candidate is
+constant or the two are proved coprime.  The Groebner fallback runs in a
+lex ring in y, s, u, over Z when every input coefficient is an integer and
+over Q otherwise; no other polynomial is over Q.  `sympy.Expr` appears only
+in witness strings, and a list of factors is printed to sort it only when
+it holds two or more.
 """
 from __future__ import annotations
 
@@ -73,6 +78,7 @@ _MERSENNE_EXPONENTS = (
     61, 89, 107, 127, 521, 607, 1279, 2203, 2281, 3217, 4253, 4423, 9689,
     9941, 11213, 19937, 21701, 23209, 44497, 86243, 110503, 132049, 216091,
 )
+_Q_BITS = _MERSENNE_EXPONENTS[0]  # q = 2^61 - 1, the modulus of _coprime
 
 
 class DegreeOverflow(RuntimeError):
@@ -119,22 +125,10 @@ def _qq(x: Fraction):
     return QQ(x.numerator, x.denominator)
 
 
-def _times_linear(p: list, a: int, b: int) -> list:
-    """(a x + b) * p for a dense int coefficient list p, top degree first."""
-    return [a * p[0]] + [a * c + b * q for c, q in zip(p[1:], p)] + [b * p[-1]]
-
-
 def _integer_parts(f: RationalFunction, x):
-    """Integer N and D in x's ring with f = K * N / D for a rational K.
-
-    The factors den * x - num multiply as dense int lists; N and D each
-    enter the ring once.
-    """
-    parts = [[1], [1]]  # N, D
-    for r, e in f.factors:
-        for _ in range(abs(e)):
-            parts[e < 0] = _times_linear(parts[e < 0], r.denominator, -r.numerator)
-    return x.ring.from_dense(parts[0]), x.ring.from_dense(parts[1])
+    """Integer N and D in x's ring with f = K * N / D for a rational K."""
+    N, D = f.integer_parts
+    return x.ring.from_dense(N), x.ring.from_dense(D)
 
 
 def _bezoutian(N, D):
@@ -171,6 +165,48 @@ def _gcd_all(polys):
             break
         g = g.gcd(p)
     return g
+
+
+def _coprime(polys: list) -> bool:
+    """Whether a nonzero resultant mod q = 2^61 - 1 proves some pair of polys
+    (int lists, top degree first) coprime over Z; False is inconclusive.
+
+    When q divides neither leading coefficient, Res(f mod q, g mod q) =
+    Res(f, g) mod q (Collins, J. ACM 18(4), 1971; Brown, J. ACM 18(4),
+    1971), so a nonzero value makes Res(f, g) nonzero and gcd(f, g)
+    constant.  A pair with a leading coefficient divisible by q is skipped.
+    """
+    q = (1 << _Q_BITS) - 1
+    reduced = [[a % q for a in p] for p in polys]
+    pairs = ((f, g) for f, g in combinations(reduced, 2) if f[0] and g[0])
+    return any(_resultants_mod([fg], _Q_BITS)[0] for fg in pairs)
+
+
+def _common_factor(polys, excluded_fr=()):
+    """gcd(polys) over Z for nonzero polys, or the ring's one when it is
+    proved needless: polys in one variable share no zero off the excluded
+    points, or polys in Z[s, u] no factor.
+
+    Polys in one variable are stripped of the excluded points' factors and
+    handed to _coprime.  Polys in Z[s, u], symmetric in s and u, are tested
+    at u = a, the first integer a >= 0 off the excluded points (where the
+    Bezoutians share zeros even on a clean chart) at which q divides no
+    lc_s: a common factor h with deg_s h > 0 keeps its degree there, so
+    every Res_s(Q_i(s, a), Q_j(s, a)) would vanish mod q, and the gcd of
+    symmetric polynomials is symmetric up to sign, so deg_u h = deg_s h.
+    Otherwise _gcd_all.
+    """
+    if polys[0].ring.ngens == 1:
+        lists = [_strip(p.to_dense(), excluded_fr) for p in polys]
+    else:
+        q = (1 << _Q_BITS) - 1
+        rows = [_s_coefficients(p) for p in polys]
+        # unless q divides every coefficient of some lc_s, one of these a fits
+        points = (a for a in range(sum(len(r[0]) for r in rows) + len(excluded_fr))
+                  if a not in excluded_fr)
+        a = next((a for a in points if all(_horner(r[0], a) % q for r in rows)), None)
+        lists = [] if a is None else [[_horner(row, a) for row in r] for r in rows]
+    return polys[0].ring.one if _coprime(lists) else _gcd_all(polys)
 
 
 def _factor_key(item) -> str:
@@ -432,7 +468,7 @@ def chart_injective(chart: ChartMap) -> CheckResult:
         # lc(D_i) N_i(u) = n_d D_i(u), n_d the coefficient of u^d in N_i
         h_polys = [D.LC * N - N.coeff(_zu ** D.degree()) * D for N, D in NDs]
         assert all(h_polys), "a chart coordinate is constant"
-        g_inf = _gcd_all(h_polys)
+        g_inf = _common_factor(h_polys, excluded_fr)
         if not g_inf.is_ground:
             witnesses.extend(
                 _zero_witnesses(
@@ -472,7 +508,7 @@ def _finite_finite(chart, coords, NDs, Qs, excluded_fr, witnesses):
     Every Q_i and residual has degree below deg N_i, D_i in s and in u, so
     chart_injective's estimate bounds each pairwise resultant here.
     """
-    g = _gcd_all(Qs)
+    g = _common_factor(Qs, excluded_fr)
     residual = list(Qs)
     if not g.is_ground:
         for factor, _mult in _print_sorted(g.factor_list()[1], _factor_key):
@@ -498,7 +534,7 @@ def _finite_finite(chart, coords, NDs, Qs, excluded_fr, witnesses):
     cands = _candidate_polys(residual, excluded_fr, chart.cone)
     if cands is _EMPTY:
         return "resultant"
-    du = None if cands is None else _gcd_all(cands)
+    du = None if cands is None else _common_factor(cands)
     if du is not None and du.is_ground:
         return "resultant"
 
@@ -557,27 +593,33 @@ def _candidate_polys(residual, excluded_fr, cone):
     """Pairwise resultants in s, polynomials in u that vanish at every residual
     common zero, with the factors of the excluded points stripped.
 
-    Returns _EMPTY as soon as some pair's stripped resultant is a nonzero
-    constant (that pair alone has no common zeros off the excluded points),
-    None when no candidate source exists (every pairwise resultant vanishes
-    identically).  Each residual is nonconstant and symmetric up to sign, so
-    it involves s.
+    Pairs go cheapest first by D = deg_s f deg_u g + deg_s g deg_u f, which
+    is 2 deg_s f deg_s g for residuals symmetric up to sign: the residuals
+    in ascending degree give that order.  Returns _EMPTY as soon as some
+    pair's stripped resultant is a nonzero constant (that pair alone has no
+    common zeros off the excluded points) or the first two candidates are
+    proved coprime, with no third resultant taken; None when no candidate
+    source exists (every pairwise resultant vanishes identically).  Each
+    residual is nonconstant and symmetric up to sign, so it involves s.
     """
     cands = []
-    for f, g in combinations(residual, 2):
+    for f, g in combinations(sorted(residual, key=lambda r: r.degree()), 2):
+        if _coprime(cands):
+            return _EMPTY
         res = _resultant(f, g, cone)
         if res != [0]:
             res = _strip(res, excluded_fr)
             if len(res) == 1:
                 return _EMPTY
-            cands.append(_zu.ring.from_dense(res))
-    return cands or None
+            cands.append(res)
+    return [_zu.ring.from_dense(c) for c in cands] or None
 
 
 def _s_coefficients(f) -> list:
     """f in Z[s, u] as its coefficients in s, top degree first, each an int
     list of length deg_u f + 1 in u, top degree first."""
-    rows = [[0] * (f.degree(1) + 1) for _ in range(f.degree(0) + 1)]
+    width = f.degree(1) + 1
+    rows = [[0] * width for _ in range(f.degree(0) + 1)]
     for (i, j), a in f.iterterms():
         rows[-1 - i][-1 - j] = int(a)
     return rows
@@ -734,6 +776,18 @@ def _newton(x0: int, ys: list, k: int) -> list:
     return poly
 
 
+def _wronskian(N, D) -> list:
+    """N' D - N D' for int lists N, D, top degree first: N[p] D[r] adds
+    (n - p - m + r) N[p] D[r] at index p + r, n = deg N, m = deg D; the
+    last index, N[n] D[m]'s with factor 0, is dropped."""
+    n, m = len(N) - 1, len(D) - 1
+    w = [0] * (n + m + 1)
+    for p, a in enumerate(N):
+        for r, b in enumerate(D):
+            w[p + r] += (n - p - m + r) * a * b
+    return w[:-1]
+
+
 def _tangent_at(coords, point: CurvePoint) -> bool:
     """Every coordinate is regular at point with zero derivative there."""
     for f in coords:
@@ -749,13 +803,9 @@ def chart_immersive(chart: ChartMap) -> CheckResult:
     excluded_fr = {p.finite for p in chart.excluded if not p.is_infinity}
     witnesses: list[dict] = []
 
-    w_polys = []
-    for f in coords:
-        N, D = _integer_parts(f, _zt)
-        w = N.diff(_zt) * D - N * D.diff(_zt)
-        assert w, "a chart coordinate is constant"
-        w_polys.append(w)
-    g = _gcd_all(w_polys)
+    w_polys = [_zt.ring.from_dense(_wronskian(*f.integer_parts)) for f in coords]
+    assert all(w_polys), "a chart coordinate is constant"
+    g = _common_factor(w_polys, excluded_fr)
     if not g.is_ground:
         witnesses.extend(
             _zero_witnesses(

@@ -2,12 +2,13 @@
 
 Divisors and factored functions canonicalise in one sort by an int-led key
 and merge exponents in one dict keyed by (num, den); character functions
-are built in one merge; N and D are multiplied as dense int lists; the
-inverse of a unimodular matrix takes its cofactors from row lists.  Each
-must give exactly what the plain construction gives: the same tuples, the
-same equality and hash, the same errors.  Rationals reach denominators of
-10^6, and a small pool makes points repeat, merge and cancel; equal values
-arrive as int, str and Fraction.
+are built in one merge; N and D, and the immersion numerator N' D - N D',
+are multiplied as dense int lists; the inverse of a unimodular matrix takes
+its cofactors from row lists.  Each must give exactly what the plain
+construction gives: the same tuples, the same equality and hash, the same
+errors.  Rationals reach denominators of 10^6, and a small pool makes
+points repeat, merge and cancel; equal values arrive as int, str and
+Fraction.
 
 The witness re-checks run in ints too: factored functions are evaluated
 with their derivatives by homogeneous products, a rational point enters a
@@ -216,6 +217,15 @@ def test_epsilon_function_is_the_product_of_powers(epsilon, m):
 def test_integer_parts_are_the_ring_products_in_both_rings(f):
     for x in (verify._zu, verify._zt):
         assert verify._integer_parts(f, x) == integer_parts_by_ring_products(f, x)
+
+
+@PROPERTY
+@given(functions())
+def test_derivative_numerator_from_the_int_lists_is_the_ring_one(f):
+    t = verify._zt
+    N, D = integer_parts_by_ring_products(f, t)
+    w = t.ring.from_dense(verify._wronskian(*f.integer_parts))
+    assert w == N.diff(t) * D - N * D.diff(t)
 
 
 @st.composite

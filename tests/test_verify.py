@@ -3,11 +3,13 @@
 import json
 from dataclasses import replace
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 import sympy
 from sympy.polys.rings import PolyElement
 
+from conftest import ladder_fan
 from negative_fixtures import doubled_point_data, symmetric_data
 from oracles import (
     brute_force_pair_scan,
@@ -394,3 +396,63 @@ def test_random_pair_scan_agrees_with_a_clean_certificate():
     data = build_embedding_data(preset("p3"), None, XiVector((1, 1, 1, 1), "intersection"), 0)
     charts = chart_maps(data)
     assert brute_force_pair_scan(data, charts, 50, seed=11) == []
+
+
+@lru_cache(maxsize=None)
+def seed0_data(fan_name, rays, method):
+    """Embedding data of a preset (rays 0) or of the ladder fan with `rays`
+    rays, sampled at seed 0."""
+    fan = preset(fan_name) if not rays else ladder_fan(rays)
+    ample = find_ample(fan)
+    xi = xi_vector(fan, ample if method == "intersection" else None, method=method)
+    return build_embedding_data(fan, ample, xi, 0)
+
+
+def test_clean_charts_close_without_a_gcd_and_with_two_resultants(monkeypatch):
+    """No heugcd and no third resultant on a chart the certificate proves clean."""
+    calls = []
+    for name in ("_gcd_all", "_resultant"):
+        def counted(*args, real=getattr(verify, name), name=name):
+            calls.append(name)
+            return real(*args)
+        monkeypatch.setattr(verify, name, counted)
+    blp3 = seed0_data("bl-p3-point", 0, "intersection")
+    for c in chart_maps(blp3) + chart_maps(seed0_data("p3", 9, "kernel")):
+        calls.clear()
+        assert chart_injective(c).ok and chart_immersive(c).ok
+        assert "_gcd_all" not in calls, c.cone
+        assert calls.count("_resultant") <= 2, c.cone
+    calls.clear()
+    cert = certify(blp3)
+    assert cert.embedded
+    assert "_gcd_all" not in calls and calls.count("_resultant") <= 2 * len(cert.charts)
+
+
+# (cone, ok, method, witnesses) of chart_injective per chart, pinned from a
+# version that ran sympy's gcd at every site and took all three resultants
+LADDER_GOLDEN = {
+    (6, "intersection"): [
+        ((0, 1, 2), True, "resultant", ()), ((1, 2, 3), True, "resultant", ()),
+        ((0, 2, 4), True, "resultant", ()), ((0, 3, 4), True, "resultant", ()),
+        ((2, 3, 4), True, "resultant", ()), ((0, 1, 5), True, "resultant", ()),
+        ((0, 3, 5), True, "resultant", ()), ((1, 3, 5), True, "resultant", ()),
+    ],
+    (9, "kernel"): [
+        ((1, 2, 3), True, "resultant", ()), ((0, 3, 4), True, "resultant", ()),
+        ((2, 3, 4), True, "resultant", ()), ((0, 1, 5), True, "resultant", ()),
+        ((1, 3, 5), True, "resultant", ()), ((0, 3, 6), True, "resultant", ()),
+        ((0, 5, 6), True, "resultant", ()), ((3, 5, 6), True, "resultant", ()),
+        ((0, 1, 7), True, "resultant", ()), ((0, 2, 7), True, "resultant", ()),
+        ((1, 2, 7), True, "resultant", ()), ((0, 2, 8), True, "resultant", ()),
+        ((0, 4, 8), True, "resultant", ()), ((2, 4, 8), True, "resultant", ()),
+    ],
+}
+
+
+@pytest.mark.parametrize("rays, method", sorted(LADDER_GOLDEN))
+def test_ladder_fan_charts_keep_their_pinned_verdicts(rays, method):
+    got = []
+    for c in chart_maps(seed0_data("p3", rays, method)):
+        r = chart_injective(c)
+        got.append((c.cone, r.ok, r.method, r.witnesses))
+    assert got == LADDER_GOLDEN[rays, method]

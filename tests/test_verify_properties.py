@@ -18,7 +18,10 @@ inputs as expressions.  Two more pin the certification quick pass: the
 evaluation-interpolation resultant equals sympy's subresultant PRS up to
 sign, and factoring with the excluded roots stripped first gives the roots
 and factors that factoring in full and then dropping the excluded roots
-gives.
+gives.  Two pin the coprimality certificate modulo q = 2^61 - 1: it never
+proves a pair coprime whose gcd over Z is nonconstant, whether the pair
+lives in one variable or is made of symmetric Bezoutians, and it is
+inconclusive whenever q divides a leading coefficient.
 """
 
 from fractions import Fraction
@@ -487,3 +490,84 @@ def test_stripping_before_factoring_matches_factoring_then_filtering(case):
     assert [mu.ring for mu in higher] == [p.ring] * len(want_higher)
     assert higher == want_higher
     assert [str(mu.as_expr()) for mu in higher] == [str(mu.as_expr()) for mu in want_higher]
+
+
+_Q = (1 << verify._Q_BITS) - 1  # the modulus of the coprimality certificate
+
+
+def z_polys(draw, var, min_degree=0):
+    """A polynomial in var of degree min_degree + 1 to 5 with small
+    coefficients and, three times in eight, a leading coefficient that is a
+    multiple of q."""
+    coeffs = draw(st.lists(st.integers(-9, 9), min_size=min_degree + 1, max_size=5))
+    lead = draw(st.sampled_from((1, -2, 3, _Q, 2 * _Q, -_Q, 5, 7)))
+    return sum((c * var**i for i, c in enumerate(coeffs)), lead * var ** len(coeffs))
+
+
+@st.composite
+def univariate_families(draw):
+    """Two or three nonzero polynomials in Z[t]; in most a planted common
+    factor of positive degree, which may be an excluded point's linear
+    factor or have a leading coefficient divisible by q; and excluded points."""
+    t = verify._zt
+    excluded = draw(st.sets(st.builds(F, st.integers(-4, 4), st.integers(1, 3)), max_size=3))
+    polys = [z_polys(draw, t) for _ in range(draw(st.integers(2, 3)))]
+    plant = draw(st.sampled_from(("none", "random", "excluded", "q-lead")))
+    if plant == "random":
+        h = z_polys(draw, t, 1)
+    elif plant == "excluded" and excluded:
+        e = draw(st.sampled_from(sorted(excluded)))
+        h = (e.denominator * t - e.numerator) ** draw(st.integers(1, 2))
+    elif plant == "q-lead":
+        h = _Q * t + draw(st.integers(-9, 9).filter(bool))
+    else:
+        h = t.ring.one
+    return [p * h for p in polys], excluded
+
+
+@settings(PROPERTY, max_examples=300)
+@given(univariate_families())
+def test_a_one_variable_certificate_never_hides_a_shared_zero(case):
+    polys, excluded = case
+    got = verify._common_factor(polys, excluded)
+    want = verify._gcd_all(polys)
+    # one only when nothing is shared off the excluded points, else the Z gcd
+    assert got == want or (got == got.ring.one and (
+        want.is_ground or roots_and_factors_by_filter(want, excluded) == ([], [])))
+    for f, g in combinations(polys, 2):
+        lists = [f.to_dense(), g.to_dense()]
+        if f.LC % _Q == 0 or g.LC % _Q == 0:
+            assert not verify._coprime(lists), "a leading coefficient vanishes mod q"
+        if not verify._gcd_all([f, g]).is_ground:
+            assert not verify._coprime(lists), "coprime mod q with a nonconstant Z gcd"
+
+
+@st.composite
+def bezoutian_families(draw):
+    """Two or three Bezoutians Q_i of coordinates N_i / D_i in Z[u]; in most,
+    every N_i and D_i share a planted root, whose factor's leading
+    coefficient is a multiple of q a quarter of the time; and excluded
+    points among the first values of u the test may pick."""
+    u = verify._zu
+    root = draw(st.builds(F, st.integers(-4, 4), st.integers(1, 3)))
+    plant = draw(st.sampled_from(("none", "root", "root", "q-lead")))
+    factor = {"none": u.ring.one,
+              "root": root.denominator * u - root.numerator,
+              "q-lead": _Q * u - root.numerator}[plant]
+    qs = []
+    for _ in range(draw(st.integers(2, 3))):
+        N, D = z_polys(draw, u), z_polys(draw, u)
+        q = verify._bezoutian(N * factor, D * factor)
+        assume(q and not q.is_ground)
+        qs.append(q)
+    return qs, draw(st.sets(st.integers(0, 3).map(F), max_size=2)), plant != "none"
+
+
+@settings(PROPERTY, max_examples=200)
+@given(bezoutian_families())
+def test_bezoutians_with_a_shared_root_never_pass_the_bivariate_certificate(case):
+    qs, excluded, planted = case
+    want = verify._gcd_all(qs)
+    got = verify._common_factor(qs, excluded)
+    assert not (planted and want.is_ground)
+    assert got == want or (got == got.ring.one and want.is_ground)
