@@ -73,7 +73,6 @@ from .verify import (
     chart_immersive,
     chart_injective,
     pullback_check,
-    save_certificate,
 )
 from .cli import RunConfig, main, run_pipeline
 
@@ -97,6 +96,5 @@ __all__ = [
     "save_embedding",
     "Certificate", "ChartRecord", "CheckResult", "DegreeOverflow",
     "certify", "chart_immersive", "chart_injective", "pullback_check",
-    "save_certificate",
     "RunConfig", "main", "run_pipeline",
 ]

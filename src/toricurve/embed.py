@@ -18,9 +18,8 @@ from .curve import (
     RationalFunction,
     principal_function,
 )
-from .fan import Fan, cone_matrix, fan_from_dict, fan_to_dict, primitive_collections, validate
+from .fan import Fan, dual_basis, fan_from_dict, fan_to_dict, primitive_collections, validate
 from .intersect import TDivisor, XiVector
-from .intlinalg import unimodular_inverse
 
 Vec3 = tuple[int, int, int]
 
@@ -183,8 +182,7 @@ def chart_maps(data: EmbeddingData) -> tuple[ChartMap, ...]:
     """Per maximal cone: dual basis rows and the three coordinate functions."""
     charts = []
     for cone in data.fan.max_cones:
-        inv = unimodular_inverse(cone_matrix(data.fan, cone))
-        duals = tuple(inv.row(t) for t in range(3))
+        duals = dual_basis(data.fan, cone)
         coords = tuple(epsilon_function(data, l) for l in duals)
         excluded: set[CurvePoint] = set()
         for rho in range(data.fan.n_rays):

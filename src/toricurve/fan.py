@@ -103,6 +103,25 @@ def cone_matrix(fan: Fan, cone: tuple[int, int, int]) -> IntMatrix:
     )
 
 
+@lru_cache(maxsize=FAN_CACHE_SIZE)
+def _dual_bases(fan: Fan) -> dict:
+    return {}
+
+
+def dual_basis(fan: Fan, cone: tuple[int, int, int]) -> tuple[tuple[int, ...], ...]:
+    """Rows m_t of the inverse of cone_matrix, <m_t, n_cone[s]> = delta_ts.
+
+    Each cone is inverted on first use and memoised per Fan, so a cone that
+    is not unimodular raises NotUnimodular at its first use, every time.
+    """
+    bases = _dual_bases(fan)
+    duals = bases.get(cone)
+    if duals is None:
+        inv = unimodular_inverse(cone_matrix(fan, cone))
+        duals = bases[cone] = tuple(inv.row(t) for t in range(3))
+    return duals
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     smooth: bool

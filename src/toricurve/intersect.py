@@ -12,10 +12,10 @@ from functools import lru_cache
 from math import lcm
 
 from .fan import (
-    FAN_CACHE_SIZE, Fan, NotComplete, Wall, cone_matrix, ray_matrix, walls, _cone_set,
+    FAN_CACHE_SIZE, Fan, NotComplete, Wall, dual_basis, ray_matrix, walls, _cone_set,
 )
 from .feasibility import Infeasible, find_point, minimize
-from .intlinalg import integer_kernel_basis, unimodular_inverse
+from .intlinalg import integer_kernel_basis
 
 
 class NotAmple(ValueError):
@@ -107,7 +107,7 @@ def _self_triple(fan: Fan, rho: int) -> int:
     cone = next((c for c in fan.max_cones if rho in c), None)
     if cone is None:
         raise NotComplete(f"ray {rho} lies in no maximal cone")
-    m = [-x for x in unimodular_inverse(cone_matrix(fan, cone)).row(cone.index(rho))]
+    m = [-x for x in dual_basis(fan, cone)[cone.index(rho)]]
     total = 0
     for other in range(fan.n_rays):
         if other == rho:
@@ -151,28 +151,23 @@ def triple_product(fan: Fan, d1: TDivisor, d2: TDivisor, d3: TDivisor) -> int:
     return total
 
 
-def _cone_character(fan: Fan, cone, coeffs) -> tuple[int, ...]:
-    """m with <m, n_rho> = -coeffs[rho] for the cone's three rays."""
-    inv = unimodular_inverse(cone_matrix(fan, cone).transpose())
-    return inv.mul_vector([-coeffs[rho] for rho in cone])
-
-
 def is_ample(fan: Fan, divisor: TDivisor) -> bool:
     """Strict convexity of the support function across every wall.
 
     Crossing each wall once suffices: the characters of adjacent cones agree
     on the wall, so their difference is a multiple of the wall's defining
     functional and the strict inequality is symmetric in the two sides.
+    The character m of cone_a, <m, n_rho> = -c_rho on its rays, is
+    -sum_t c_(rho_t) m_t over the cone's dual basis m_t.
     """
-    if len(divisor.coeffs) != fan.n_rays:
+    c = divisor.coeffs
+    if len(c) != fan.n_rays:
         raise ValueError("divisor length does not match fan")
-    chars: dict = {}
     for wall in walls(fan):
-        m = chars.get(wall.cone_a)
-        if m is None:
-            m = chars[wall.cone_a] = _cone_character(fan, wall.cone_a, divisor.coeffs)
+        duals = dual_basis(fan, wall.cone_a)
+        m = [-sum(c[rho] * d[j] for rho, d in zip(wall.cone_a, duals)) for j in range(3)]
         n_l = fan.rays[wall.third_b]
-        if sum(a * b for a, b in zip(m, n_l)) <= -divisor.coeffs[wall.third_b]:
+        if sum(a * b for a, b in zip(m, n_l)) <= -c[wall.third_b]:
             return False
     return True
 

@@ -34,14 +34,15 @@ inconclusive test runs sympy's gcd.  The quick pass takes the pairwise
 resultants cheapest first and stops after two when a stripped candidate is
 constant or the two are proved coprime.  The Groebner fallback runs in a
 lex ring in y, s, u, over Z when every input coefficient is an integer and
-over Q otherwise; no other polynomial is over Q.  `sympy.Expr` appears only
-in witness strings, and a list of factors is printed to sort it only when
-it holds two or more.
+over Q otherwise; no other polynomial is over Q, and its eliminant is
+cleared into Z[u] before it is factored.  Witness strings are the ring's
+own str(p), which for these polynomials is what sympy's Expr would print;
+a list of factors is printed to sort it only when it holds two or more.
 """
 from __future__ import annotations
 
 import json
-import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
@@ -55,7 +56,6 @@ from .curve import (
     CurvePoint,
     INFINITY,
     POLE,
-    RationalFunction,
     evaluate,
     evaluate_with_derivative,
 )
@@ -67,8 +67,6 @@ _zu = ring("u", ZZ)[1]  # also the ring of the resultants in s
 _zt = ring("t", ZZ)[1]
 _GQ, _gy, _gs, _gu = ring("y,s,u", QQ)  # lex, for the Groebner fallback
 _GZ = _GQ.clone(domain=ZZ)
-# where a polynomial in one variable is factored, by the variable's name
-_UNIVARIATE = {r.symbols[0]: r for r in (_zs.ring, _zu.ring, _zt.ring)}
 
 DEFAULT_DEGREE_CAP = 512
 
@@ -125,21 +123,16 @@ def _qq(x: Fraction):
     return QQ(x.numerator, x.denominator)
 
 
-def _integer_parts(f: RationalFunction, x):
-    """Integer N and D in x's ring with f = K * N / D for a rational K."""
-    N, D = f.integer_parts
-    return x.ring.from_dense(N), x.ring.from_dense(D)
-
-
 def _bezoutian(N, D):
-    """(N(s) D(u) - N(u) D(s)) / (s - u) in Z[s, u], for N and D in Z[u].
+    """(N(s) D(u) - N(u) D(s)) / (s - u) in Z[s, u], for N and D int
+    tuples, top degree first.
 
     With N = sum a_i u^i, D = sum b_i u^i and c_ik = a_i b_k - a_k b_i,
     (s - u) Q = sum c_ik s^i u^k gives q_pk = c_(p+1)k + q_(p+1)(k-1),
     filled row by row from the top.
     """
-    n = max(N.degree(), D.degree())
-    a, b = (p.to_dense()[::-1] + [0] * (n - p.degree()) for p in (N, D))
+    n = max(len(N), len(D)) - 1
+    a, b = (list(p[::-1]) + [0] * (n + 1 - len(p)) for p in (N, D))
     terms = {}
     row = [0] * n  # q_(p+1)k, zero above the top row
     for p in reversed(range(n)):
@@ -209,30 +202,12 @@ def _common_factor(polys, excluded_fr=()):
     return polys[0].ring.one if _coprime(lists) else _gcd_all(polys)
 
 
-def _factor_key(item) -> str:
-    """Certificates list factors as sorted((Expr, multiplicity), key=str)."""
-    mu, m = item
-    return str((mu.as_expr(), m))
-
-
-def _print_sorted(items: list, key) -> list:
-    """items sorted by a key that prints them; one item is left unprinted."""
+def _print_sorted(items: list) -> list:
+    """(x, multiplicity) pairs in certificate order, sorted by the printed
+    pair "(x, m)"; one item is left unprinted."""
     if len(items) > 1:
-        items.sort(key=key)
+        items.sort(key=lambda xm: f"({xm[0]}, {xm[1]})")
     return items
-
-
-def _univariate(p) -> tuple[int, list]:
-    """The index of p's one variable in its ring and p's coefficients as ints,
-    top degree first, denominators cleared (p is nonconstant)."""
-    x = next(i for i in range(p.ring.ngens) if p.degree(i) > 0)
-    c = [0] * (p.degree(x) + 1)
-    for monom, a in p.iterterms():
-        c[-1 - monom[x]] = a
-    if p.ring.domain.is_QQ:
-        den = math.lcm(*(int(QQ.denom(a)) for a in c))
-        c = [int(QQ.numer(a)) * (den // int(QQ.denom(a))) for a in c]
-    return x, c
 
 
 def _homogeneous(c: list, num: int, den: int) -> int:
@@ -264,29 +239,26 @@ def _strip(c: list, excluded_fr) -> list:
 
 
 def _roots_and_factors(p, excluded_fr):
-    """Factor p, a polynomial in one variable, once its excluded roots are gone.
+    """Factor p, nonconstant in a ring of one variable over Z, once its
+    excluded roots are gone.
 
     Every excluded point's linear factor is stripped first, so what is left
-    is factored (if it is not constant) in Z[x], x p's variable.  Returns
-    the rational roots that are not excluded points, from the linear
-    factors, and the irreducible factors of degree >= 2, back in p's ring,
-    the candidates for a congruence re-check; each list in the fixed order
-    that decides which witness is found first.  Over Z and over Q the
-    factors are the same primitive polynomials.
+    is factored (if it is not constant) in p's ring.  Returns the rational
+    roots that are not excluded points, from the linear factors, and the
+    irreducible factors of degree >= 2, the candidates for a congruence
+    re-check; each list in the fixed order that decides which witness is
+    found first.
     """
-    x, c = _univariate(p)
-    c = _strip(c, excluded_fr)
+    c = _strip(p.to_dense(), excluded_fr)
     if len(c) == 1:
         return [], []
     roots, higher = [], []
-    for mu, m in _UNIVARIATE[p.ring.symbols[x]].from_dense(c).factor_list()[1]:
+    for mu, m in p.ring.from_dense(c).factor_list()[1]:
         if mu.degree() == 1:
             roots.append((_linear_root(mu), m))
         else:
             higher.append((mu, m))
-    _print_sorted(roots, lambda rm: f"({rm[0]}, {rm[1]})")
-    _print_sorted(higher, _factor_key)
-    return [r for r, _ in roots], [mu.set_ring(p.ring) for mu, _ in higher]
+    return [r for r, _ in _print_sorted(roots)], [mu for mu, _ in _print_sorted(higher)]
 
 
 def _zero_witnesses(p, excluded_fr, at_root, at_factor):
@@ -302,12 +274,12 @@ def _zero_witnesses(p, excluded_fr, at_root, at_factor):
     return filter(None, chain(map(at_root, roots), map(at_factor, higher)))
 
 
-def _rational_candidates(limit: int = 60):
+def _rational_candidates():
     yield Fraction(0)
-    for k in range(1, limit):
+    for k in range(1, 60):
         yield Fraction(k)
         yield Fraction(-k)
-    for k in range(1, limit):
+    for k in range(1, 60):
         yield Fraction(2 * k - 1, 2)
         yield Fraction(-(2 * k - 1), 2)
 
@@ -350,14 +322,16 @@ def _congruence_collision(NDs, s0: Fraction, mu) -> bool:
     N_i(u) D_i(s0) - N_i(s0) D_i(u) = 0 mod mu(u) states the collision in
     Q[u]/(mu).  With s0 = a / b and n = max(deg N_i, deg D_i), the ints
     N^ = b^n N_i(s0) and D^ = b^n D_i(s0) make N_i D^ - N^ D_i, b^n times
-    that polynomial, one in Z[u]; mu in Z[u] is primitive, so by Gauss's
-    lemma it divides it in Q[u] exactly when the remainder over Z is zero.
+    that polynomial, one over Z, built in mu's ring (whatever its variable
+    is named); mu is primitive, so by Gauss's lemma it divides it in Q[u]
+    exactly when the remainder over Z is zero.  N_i and D_i are int tuples.
     """
     a, b = s0.numerator, s0.denominator
     for N, D in NDs:
-        n = max(N.degree(), D.degree())
-        Nh, Dh = (_homogeneous([0] * (n - p.degree()) + p.to_dense(), a, b) for p in (N, D))
-        if (N * Dh - Nh * D).rem(mu):
+        n = max(len(N), len(D))
+        N, D = ((0,) * (n - len(p)) + p for p in (N, D))
+        Nh, Dh = _homogeneous(N, a, b), _homogeneous(D, a, b)
+        if mu.ring.from_dense([nk * Dh - Nh * dk for nk, dk in zip(N, D)]).rem(mu):
             return False
     return True
 
@@ -366,7 +340,7 @@ def _conjugate_witness(s0: Fraction, mu) -> dict:
     return {
         "kind": "collision-conjugate",
         "s": str(s0),
-        "partner_poly": str(mu.as_expr()),
+        "partner_poly": str(mu),
         "verified": "congruence",
     }
 
@@ -398,7 +372,7 @@ def _witness_from_curve(coords, NDs, factor, excluded_fr):
             return found
     return {
         "kind": "collision-curve",
-        "poly": str(factor.as_expr()),
+        "poly": str(factor),
         "verified": "common-factor-division",
     }
 
@@ -428,9 +402,7 @@ def _partner_witnesses(coords, NDs, residual, u0: Fraction, excluded_fr):
             d,
             excluded_fr,
             lambda s0: s0 != u0 and _collision_holds(coords, s0, u0) and _pair_witness(s0, u0),
-            # mu is printed in s and rechecked as a polynomial in u
-            lambda mu: _congruence_collision(NDs, u0, _zu.ring.from_dense(mu.to_dense()))
-            and _conjugate_witness(u0, mu),
+            lambda mu: _congruence_collision(NDs, u0, mu) and _conjugate_witness(u0, mu),
         )
     )
 
@@ -446,8 +418,8 @@ def chart_injective(chart: ChartMap) -> CheckResult:
     """Decide injectivity of the chart coordinates off the excluded points."""
     coords = chart.coords
     excluded_fr = {p.finite for p in chart.excluded if not p.is_infinity}
-    NDs = [_integer_parts(f, _zu) for f in coords]
-    degs = [max(N.degree(), D.degree()) for N, D in NDs]
+    NDs = [f.integer_parts for f in coords]
+    degs = [max(len(N), len(D)) - 1 for N, D in NDs]
     est0 = max(
         2 * degs[i] * degs[j] for i in range(3) for j in range(i + 1, 3)
     )
@@ -466,7 +438,12 @@ def chart_injective(chart: ChartMap) -> CheckResult:
     if infinity_in_domain:
         # deg N_i <= deg D_i = d, so p_i(u) = p_i(inf) iff
         # lc(D_i) N_i(u) = n_d D_i(u), n_d the coefficient of u^d in N_i
-        h_polys = [D.LC * N - N.coeff(_zu ** D.degree()) * D for N, D in NDs]
+        h_polys = []
+        for N, D in NDs:
+            pad = len(D) - len(N)
+            n_d = 0 if pad else N[0]
+            h = [D[0] * a - n_d * b for a, b in zip((0,) * pad + N, D)]
+            h_polys.append(_zu.ring.from_dense(h))
         assert all(h_polys), "a chart coordinate is constant"
         g_inf = _common_factor(h_polys, excluded_fr)
         if not g_inf.is_ground:
@@ -481,7 +458,7 @@ def chart_injective(chart: ChartMap) -> CheckResult:
                     lambda mu: all(not h.rem(mu) for h in h_polys)
                     and {
                         "kind": "collision-with-infinity-conjugate",
-                        "poly": str(mu.as_expr()),
+                        "poly": str(mu),
                         "verified": "congruence",
                     },
                 )
@@ -511,7 +488,7 @@ def _finite_finite(chart, coords, NDs, Qs, excluded_fr, witnesses):
     g = _common_factor(Qs, excluded_fr)
     residual = list(Qs)
     if not g.is_ground:
-        for factor, _mult in _print_sorted(g.factor_list()[1], _factor_key):
+        for factor, _mult in _print_sorted(g.factor_list()[1]):
             if factor == _s - _u:
                 continue  # extra tangency along the diagonal: immersion's job
             root_s = _axis_root(factor, _s)
@@ -560,7 +537,7 @@ def _finite_finite(chart, coords, NDs, Qs, excluded_fr, witnesses):
     # coordinate's constant) and a monic gcd
     lc_g = 1 if g.is_ground else g.LC
     gens = [
-        r.set_ring(_GQ) * _qq(f.constant * lc_g / (N.LC * D.LC))
+        r.set_ring(_GQ) * _qq(f.constant * lc_g / (N[0] * D[0]))
         for r, f, (N, D) in zip(residual, coords, NDs)
     ]
     gens.append(1 - _gy * _saturation_poly(excluded_fr))
@@ -571,7 +548,8 @@ def _finite_finite(chart, coords, NDs, Qs, excluded_fr, witnesses):
         return "groebner"
     elim_u = [p for p in gb if p.degree(0) <= 0 and p.degree(1) <= 0]  # free of y, s
     assert elim_u, "saturated zero-dimensional ideal has a univariate member"
-    roots, _higher = _roots_and_factors(elim_u[0], excluded_fr)
+    elim = elim_u[0]
+    roots, _higher = _roots_and_factors(elim.clear_denoms()[1].set_ring(_zu.ring), excluded_fr)
     found = len(witnesses)
     for u0 in roots:
         witnesses.extend(_partner_witnesses(coords, NDs, residual, u0, excluded_fr))
@@ -579,11 +557,18 @@ def _finite_finite(chart, coords, NDs, Qs, excluded_fr, witnesses):
         witnesses.append(
             {
                 "kind": "collision-system",
-                "elimination_poly": str(elim_u[0].as_expr()),
+                "elimination_poly": _eliminant_str(elim),
                 "verified": "groebner-saturation",
             }
         )
     return "groebner"
+
+
+def _eliminant_str(p) -> str:
+    """str(p) with each a/b*u**k written a*u**k/b (u**k/b for a = 1), as
+    sympy's Expr prints p over Q when its leading coefficient is positive."""
+    return re.sub(r"\b(?:1|(\d+))/(\d+)\*(\S+)",
+                  lambda m: f"{m[1] + '*' if m[1] else ''}{m[3]}/{m[2]}", str(p))
 
 
 _EMPTY = object()  # sentinel: the system certainly has no common zeros
@@ -814,7 +799,7 @@ def chart_immersive(chart: ChartMap) -> CheckResult:
                 lambda t0: _tangent_at(coords, CurvePoint(t0))
                 and {"kind": "tangent-point", "t": str(t0), "verified": "evaluation"},
                 lambda mu: all(not w.rem(mu) for w in w_polys)
-                and {"kind": "tangent-conjugate", "poly": str(mu.as_expr()), "verified": "congruence"},
+                and {"kind": "tangent-conjugate", "poly": str(mu), "verified": "congruence"},
             )
         )
 
@@ -911,8 +896,3 @@ def certificate_to_dict(cert: Certificate) -> dict:
 
 def dumps_certificate(cert: Certificate) -> str:
     return json.dumps(certificate_to_dict(cert), indent=2, sort_keys=True) + "\n"
-
-
-def save_certificate(cert: Certificate, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_certificate(cert))

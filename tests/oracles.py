@@ -621,6 +621,18 @@ def resultant_by_prs(f, g):
     return f.resultant(g)
 
 
+def str_by_expr(p) -> str:
+    """p printed as a sympy expression, the reference for the ring's own str
+    that witness strings use."""
+    return str(p.as_expr())
+
+
+def factor_key_by_expr(item) -> str:
+    """The key certificates sort (factor, multiplicity) lists by: the pair
+    printed with the factor as a sympy expression."""
+    return str((item[0].as_expr(), item[1]))
+
+
 def roots_and_factors_by_filter(p, excluded):
     """Factor p, a polynomial in one variable of any ring, in that ring, then
     drop the excluded roots: the package's helper strips them first instead.
@@ -637,7 +649,7 @@ def roots_and_factors_by_filter(p, excluded):
         else:
             higher.append((mu, m))
     roots.sort(key=lambda rm: f"({rm[0]}, {rm[1]})")
-    higher.sort(key=lambda item: str((item[0].as_expr(), item[1])))
+    higher.sort(key=factor_key_by_expr)
     return [r for r, _ in roots], [mu for mu, _ in higher]
 
 

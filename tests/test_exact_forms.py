@@ -216,7 +216,8 @@ def test_epsilon_function_is_the_product_of_powers(epsilon, m):
 @given(functions())
 def test_integer_parts_are_the_ring_products_in_both_rings(f):
     for x in (verify._zu, verify._zt):
-        assert verify._integer_parts(f, x) == integer_parts_by_ring_products(f, x)
+        want = integer_parts_by_ring_products(f, x)
+        assert f.integer_parts == tuple(tuple(p.to_dense()) for p in want)
 
 
 @PROPERTY
@@ -287,16 +288,16 @@ def test_specialisation_is_the_substitution_over_q_times_a_denominator_power(p, 
 
 @st.composite
 def congruence_cases(draw):
-    """Coordinates as (N, D) in Z[u], a point s0 and a primitive mu in Z[u]:
-    half the time an irreducible factor of N(u) D(s0) - N(s0) D(u) for the
-    first coordinate, so that coordinate's congruence holds, else random.
+    """Coordinates as (N, D) int tuples, a point s0 and a primitive mu in
+    Z[u]: half the time an irreducible factor of N(u) D(s0) - N(s0) D(u) for
+    the first coordinate, so that coordinate's congruence holds, else random.
     Roots and s0 with denominators make mu non-monic."""
     fs = draw(st.lists(functions(small), min_size=1, max_size=3))
-    NDs = [verify._integer_parts(f, verify._zu) for f in fs]
+    NDs = [f.integer_parts for f in fs]
     s0 = draw(small)
     x = QQ(s0.numerator, s0.denominator)
     Qu = ring("u", QQ)[0]
-    N, D = (p.set_ring(Qu) for p in NDs[0])
+    N, D = (Qu.from_dense(p) for p in NDs[0])
     h = (N * D(x) - N(x) * D).clear_denoms()[1].set_ring(verify._zu.ring)
     factors = [] if h.is_ground else [mu for mu, _ in h.factor_list()[1]]
     if factors and draw(st.booleans()):
@@ -310,8 +311,9 @@ def congruence_cases(draw):
 @given(congruence_cases())
 def test_congruence_over_z_matches_the_congruence_over_q(case):
     NDs, s0, mu, planted = case
+    in_zu = [tuple(map(verify._zu.ring.from_dense, nd)) for nd in NDs]
     assert verify._congruence_collision(NDs, s0, mu) == congruence_collision_qq(
-        NDs, s0, mu.set_ring(_QSU)
+        in_zu, s0, mu.set_ring(_QSU)
     )
     if planted:
         assert verify._congruence_collision(NDs[:1], s0, mu)

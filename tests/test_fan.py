@@ -13,6 +13,7 @@ from toricurve.fan import (
     MalformedFan,
     NotComplete,
     UnknownPreset,
+    dual_basis,
     dumps_fan,
     fan_from_dict,
     load_fan,
@@ -24,6 +25,7 @@ from toricurve.fan import (
     walls,
 )
 from toricurve.intersect import _wall_by_pair, triple_intersection
+from toricurve.intlinalg import NotUnimodular
 
 
 def wall_relation_holds(fan, wall):
@@ -231,11 +233,27 @@ def test_caches_keyed_by_fan_stay_at_their_bound(p3):
             assert triple_intersection(fan, rho, rho, rho) == 1
     caches = (
         validate, walls, fan_module._cone_set, fan_module._face_pairs, _wall_by_pair,
+        fan_module._dual_bases,
     )
     for cache in caches:
         info = cache.cache_info()
         assert info.maxsize == FAN_CACHE_SIZE
         assert info.currsize == FAN_CACHE_SIZE
+
+
+def test_dual_basis_pairs_to_the_identity_and_is_inverted_once(blp3):
+    for cone in blp3.max_cones:
+        duals = dual_basis(blp3, cone)
+        assert [[sum(a * b for a, b in zip(m, blp3.rays[rho])) for rho in cone]
+                for m in duals] == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+        assert dual_basis(Fan(blp3.rays, blp3.max_cones, blp3.name), cone) is duals
+
+
+def test_dual_basis_of_a_cone_of_index_two_raises_at_every_use():
+    fan = Fan(((1, 0, 0), (0, 1, 0), (1, 1, 2)), ((0, 1, 2),))
+    for _ in range(2):
+        with pytest.raises(NotUnimodular, match="determinant is 2"):
+            dual_basis(fan, (0, 1, 2))
 
 
 def test_validate_is_computed_once_per_fan(p3):

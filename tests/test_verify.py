@@ -1,9 +1,14 @@
 """Chart certification: collision finding, tangency finding, pullback audit."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 import sympy
@@ -230,10 +235,10 @@ def test_congruence_rechecks_accept_a_non_monic_polynomial():
     # f = (t - 1)^3 / t^3 takes f(-1) = 8 at both roots of 7u^2 - 4u + 1,
     # and f(inf) = 1 at both roots of 3u^2 - 3u + 1
     f = rf({1: 3, 0: -3})
-    N, D = verify._integer_parts(f, verify._zu)
     u = verify._zu
-    assert verify._congruence_collision([(N, D)] * 3, F(-1), 7 * u ** 2 - 4 * u + 1)
-    assert not verify._congruence_collision([(N, D)] * 3, F(-2), 7 * u ** 2 - 4 * u + 1)
+    assert verify._congruence_collision([f.integer_parts] * 3, F(-1), 7 * u ** 2 - 4 * u + 1)
+    assert not verify._congruence_collision([f.integer_parts] * 3, F(-2), 7 * u ** 2 - 4 * u + 1)
+    N, D = (u.ring.from_dense(p) for p in f.integer_parts)
     assert not (N - D).rem(3 * u ** 2 - 3 * u + 1)  # a remainder over Z
     assert (N - 2 * D).rem(3 * u ** 2 - 3 * u + 1)
 
@@ -257,6 +262,40 @@ def test_groebner_fallback_receives_the_rational_residuals(monkeypatch):
     assert len(calls) == 3
     for c, polys in zip(charts, calls):
         assert polys[:3] == [r.set_ring(polys[0].ring) for r in residuals_qq(c.coords)]
+
+
+# run in a fresh interpreter: any earlier test may already have built an Expr
+WITNESS_PRINTING = textwrap.dedent("""
+    import json, sys
+    from test_replay_golden import involution_data
+    from toricurve.verify import certify
+    witnesses = [
+        sorted({json.dumps(w, sort_keys=True)
+                for r in certify(involution_data(*args)).charts for w in r.witnesses})
+        for args in (("p3", "inv", "some"), ("bl-p3-point", "inv", "some"))
+    ]
+    loaded = sorted(m for m in sys.modules if m.startswith("sympy.combinatorics"))
+    print(json.dumps({"witnesses": witnesses, "sympy.combinatorics": loaded}))
+""")
+
+
+def test_polynomial_witnesses_print_without_building_a_sympy_expression():
+    """tangent-conjugate (over Z) and collision-system (an eliminant over Q)
+    keep their pinned strings, and printing them loads none of the modules
+    sympy imports the first time it builds a sum."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "tests")]))
+    done = subprocess.run([sys.executable, "-c", WITNESS_PRINTING], env=env, cwd=root,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    p3, bl = ([json.loads(w) for w in ws] for ws in report["witnesses"])
+    assert {"kind": "tangent-conjugate", "poly": "t**2 - 2", "verified": "congruence"} in p3
+    assert [w for w in bl if w["kind"] == "collision-system"] == [
+        {"kind": "collision-system", "elimination_poly": "u**2 - 109*u/36 + 2",
+         "verified": "groebner-saturation"}
+    ]
+    assert report["sympy.combinatorics"] == []
 
 
 def test_degree_cap_aborts_oversized_eliminations(monkeypatch):

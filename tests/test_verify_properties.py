@@ -37,9 +37,11 @@ from sympy.polys.rings import ring
 
 from oracles import (
     cross_quotients_qq,
+    factor_key_by_expr,
     groebner_by_expr,
     resultant_by_prs,
     roots_and_factors_by_filter,
+    str_by_expr,
 )
 from toricurve import verify
 from toricurve.curve import CurvePoint, RationalFunction
@@ -303,7 +305,7 @@ def swapped(p):
 @PROPERTY
 @given(coordinates())
 def test_bezoutian_is_the_divided_cross_difference_and_symmetric(f):
-    q = verify._bezoutian(*verify._integer_parts(f, verify._zu))
+    q = verify._bezoutian(*f.integer_parts)
     (reference,) = cross_quotients_qq([f])
     q_over_q = q.set_ring(reference.ring)
     assert q_over_q * reference.LC == reference * q_over_q.LC
@@ -313,7 +315,7 @@ def test_bezoutian_is_the_divided_cross_difference_and_symmetric(f):
 @PROPERTY
 @given(charts())
 def test_eliminating_u_swaps_the_variables_of_the_resultant_in_s(chart):
-    qs = [verify._bezoutian(*verify._integer_parts(f, verify._zu)) for f in chart.coords]
+    qs = [verify._bezoutian(*f.integer_parts) for f in chart.coords]
     assume(not any(q.is_ground for q in qs))
     g = verify._gcd_all(qs)
     residual = qs if g.is_ground else [q.exquo(g) for q in qs]
@@ -437,7 +439,7 @@ def test_resultant_matches_the_subresultant_prs_up_to_sign(pair):
 @PROPERTY
 @given(charts())
 def test_resultant_of_chart_residuals_matches_the_subresultant_prs(chart):
-    qs = [verify._bezoutian(*verify._integer_parts(f, verify._zu)) for f in chart.coords]
+    qs = [verify._bezoutian(*f.integer_parts) for f in chart.coords]
     assume(not any(q.is_ground for q in qs))
     g = verify._gcd_all(qs)
     residual = qs if g.is_ground else [q.exquo(g) for q in qs]
@@ -446,30 +448,23 @@ def test_resultant_of_chart_residuals_matches_the_subresultant_prs(chart):
         assert_resultant_matches_prs(f, h)
 
 
-_Q_SU = ring("s,u", QQ)[0]
-_Q_YSU = ring("y,s,u", QQ)[0]
-# (ring, generator index): Z[u] and Z[t] as the resultants, g_inf and the
-# immersion gcd live, Q[s, u] free of u or of s as in the witness searches,
-# Q[y, s, u] and Z[y, s, u] in u alone as the Groebner eliminant
-ONE_VARIABLE = (
-    (verify._zu.ring, 0), (verify._zt.ring, 0), (_Q_SU, 0), (_Q_SU, 1),
-    (_Q_YSU, 2), (_Q_YSU.clone(domain=ZZ), 2),
-)
+# the rings _roots_and_factors receives: Z[u] for the resultants, g_inf, the
+# witness searches in u and the Groebner eliminant cleared of denominators,
+# Z[s] for the partner searches, Z[t] for the immersion gcd
+ONE_VARIABLE = (verify._zu.ring, verify._zs.ring, verify._zt.ring)
 
 
 @st.composite
 def one_variable_polys(draw):
     """A product of linear factors at points of a small pool, some of them
     excluded and some repeated, of at most two more factors of degree 2 to 3,
-    and of a constant, in one variable of a ring from ONE_VARIABLE; and the
-    excluded points."""
-    gens_ring, x = draw(st.sampled_from(ONE_VARIABLE))
-    var = gens_ring.gens[x]
+    and of a constant, in a ring from ONE_VARIABLE; and the excluded
+    points."""
+    gens_ring = draw(st.sampled_from(ONE_VARIABLE))
+    (var,) = gens_ring.gens
     pool = st.builds(F, st.integers(-6, 6), st.integers(1, 3))
     excluded = draw(st.sets(pool, max_size=6))
     p = gens_ring.one * draw(st.integers(1, 12))
-    if gens_ring.domain == QQ:
-        p *= gens_ring.domain_new(QQ(1, draw(st.integers(1, 6))))
     for a, m in draw(st.dictionaries(pool | st.sampled_from(sorted(excluded) or [F(0)]),
                                      st.integers(1, 3), max_size=5)).items():
         p *= (a.denominator * var - a.numerator) ** m
@@ -489,7 +484,67 @@ def test_stripping_before_factoring_matches_factoring_then_filtering(case):
     assert roots == want_roots
     assert [mu.ring for mu in higher] == [p.ring] * len(want_higher)
     assert higher == want_higher
-    assert [str(mu.as_expr()) for mu in higher] == [str(mu.as_expr()) for mu in want_higher]
+    assert [str(mu) for mu in higher] == [str_by_expr(mu) for mu in want_higher]
+
+
+# --- witness strings: the ring's own str against sympy's Expr ------------------
+
+# the rings whose elements a witness prints: factors and partners in Z[s],
+# Z[u] and Z[t], curves of collisions in Z[s, u]
+PRINTED = (verify._zs.ring, verify._zu.ring, verify._zt.ring, verify._Z)
+coefficients = st.sampled_from((0, 1, -1, 2, -36, 10**6)) | st.integers(-50, 50)
+
+
+@st.composite
+def positive_polys(draw, gens_ring, degree=3):
+    """A nonzero polynomial in gens_ring with a positive leading coefficient:
+    signed coefficients, some of them +-1, and missing terms."""
+    monoms = st.tuples(*[st.integers(0, degree)] * gens_ring.ngens)
+    terms = draw(st.dictionaries(monoms, coefficients, min_size=1, max_size=6))
+    p = gens_ring.from_dict({m: c for m, c in terms.items() if c})
+    assume(p)
+    return p if p.LC > 0 else -p
+
+
+@settings(PROPERTY, max_examples=200)
+@given(st.data())
+def test_ring_str_of_factors_over_z_is_the_expr_str_in_the_same_order(data):
+    """Witness strings are str(p) for factors over Z, which factor_list gives
+    with positive leading coefficients; lists of them sort by "(p, m)"."""
+    gens_ring = data.draw(st.sampled_from(PRINTED))
+    degree = 2 if gens_ring.ngens == 2 else 3
+    polys = data.draw(st.lists(positive_polys(gens_ring, degree), min_size=1, max_size=3))
+    product = gens_ring.one
+    for p in polys:
+        assert str(p) == str_by_expr(p)
+        product *= p
+    items = product.factor_list()[1]
+    assert [str(mu) for mu, _ in items] == [str_by_expr(mu) for mu, _ in items]
+    assert verify._print_sorted(list(items)) == sorted(items, key=factor_key_by_expr)
+
+
+@st.composite
+def eliminants(draw):
+    """A Groebner eliminant: a polynomial in u alone of the lex ring in y, s,
+    u over Q (fractions, numerators or denominators of 1, zero terms) or,
+    with integer coefficients, over Z; positive leading coefficient."""
+    gens_ring = draw(st.sampled_from((verify._GQ, verify._GZ)))
+    dens = st.just(1) if gens_ring.domain == ZZ else st.sampled_from((1, 2, 3, 36, 1000))
+    coeffs = draw(st.lists(st.builds(F, coefficients, dens), min_size=1, max_size=6))
+    p = gens_ring.from_dict({(0, 0, k): QQ(c.numerator, c.denominator)
+                             for k, c in enumerate(coeffs) if c})
+    assume(p)
+    return p if p.LC > 0 else -p
+
+
+@settings(PROPERTY, max_examples=200)
+@given(eliminants(), st.sets(st.builds(F, st.integers(-6, 6), st.integers(1, 3)), max_size=4))
+def test_eliminant_prints_as_expr_and_clears_into_z_with_the_same_roots(p, excluded):
+    assert verify._eliminant_str(p) == str_by_expr(p)
+    if not p.is_ground:
+        cleared = p.clear_denoms()[1].set_ring(verify._zu.ring)
+        roots, _ = verify._roots_and_factors(cleared, excluded)
+        assert roots == roots_and_factors_by_filter(p, excluded)[0]
 
 
 _Q = (1 << verify._Q_BITS) - 1  # the modulus of the coprimality certificate
@@ -557,7 +612,7 @@ def bezoutian_families(draw):
     qs = []
     for _ in range(draw(st.integers(2, 3))):
         N, D = z_polys(draw, u), z_polys(draw, u)
-        q = verify._bezoutian(N * factor, D * factor)
+        q = verify._bezoutian(*(tuple((p * factor).to_dense()) for p in (N, D)))
         assume(q and not q.is_ground)
         qs.append(q)
     return qs, draw(st.sets(st.integers(0, 3).map(F), max_size=2)), plant != "none"
