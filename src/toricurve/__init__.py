@@ -1,14 +1,7 @@
 """Exact construction and certification of rational-curve embeddings
 into smooth projective toric 3-folds."""
 
-from .intlinalg import (
-    IntMatrix,
-    NotUnimodular,
-    SnfDecomposition,
-    integer_kernel_basis,
-    smith_normal_form,
-    unimodular_inverse,
-)
+from .intlinalg import NotUnimodular, integer_kernel_basis, unimodular_inverse
 from .fan import (
     ConeNotInFan,
     Fan,
@@ -79,8 +72,7 @@ from .cli import RunConfig, main, run_pipeline
 __version__ = "0.1.0"
 
 __all__ = [
-    "IntMatrix", "NotUnimodular", "SnfDecomposition", "integer_kernel_basis",
-    "smith_normal_form", "unimodular_inverse",
+    "NotUnimodular", "integer_kernel_basis", "unimodular_inverse",
     "ConeNotInFan", "Fan", "MalformedFan", "NotComplete", "UnknownPreset",
     "ValidationReport", "Wall", "load_fan", "preset", "primitive_collections",
     "save_fan", "star_subdivision", "validate", "walls",

@@ -136,21 +136,25 @@ def _parse_values(text: str, convert, count: int, message: str) -> tuple:
 
 
 def _parse_torus(text: str):
-    values = _parse_values(text, Fraction, 3, "torus needs three comma-separated rationals")
-    if any(v == 0 for v in values):
-        raise UsageError("torus entries must be nonzero")
-    return values
+    return _parse_values(text, Fraction, 3, "torus needs three comma-separated rationals")
 
 
 def _parse_cone(text: str):
     return _parse_values(text, int, 3, "cone needs three comma-separated ray indices")
 
 
-def _check_seed(text: str) -> int:
-    (seed,) = _parse_values(text, int, 1, "seed must be an integer")
+def _parse_seed(text: str) -> int:
+    return _parse_values(text, int, 1, "seed must be an integer")[0]
+
+
+def _check_ranges(seed: int, torus, max_retries: int = 1) -> None:
+    """The range checks of ``embed``, ``run``, ``demo`` and ``run_pipeline``."""
+    if max_retries < 1:
+        raise UsageError("max-retries must be at least 1")
     if not 0 <= seed < 2**64:
         raise UsageError("seed must fit in 64 unsigned bits")
-    return seed
+    if any(v == 0 for v in torus):
+        raise UsageError("torus entries must be nonzero")
 
 
 def _load_divisor(path: str, fan: Fan) -> TDivisor:
@@ -188,7 +192,7 @@ def _xi_doc(xi) -> dict:
 
 
 def _validation(fan: Fan) -> dict:
-    """validate's verdict as report fields, for ``fan validate`` and ``run``."""
+    """validate's verdict as report fields, for ``fan validate`` and ``_require_valid``."""
     check = validate(fan)
     return {
         "smooth": check.smooth,
@@ -220,6 +224,7 @@ def run_pipeline(config: RunConfig):
 
 
 def _pipeline(config: RunConfig, report: dict) -> int:
+    _check_ranges(config.seed, config.torus, config.max_retries)
     report["config"] = {
         "fan": config.fan_path,
         "preset": config.preset_name,
@@ -305,7 +310,9 @@ def _cmd_fan_subdivide(args, report: dict) -> int:
 
 
 def _cmd_ample_find(args, report: dict) -> int:
-    doc = {"coeffs": list(find_ample(_load_input_fan(args.preset, args.fan)).coeffs)}
+    fan = _load_input_fan(args.preset, args.fan)
+    _require_valid(_validation(fan))
+    doc = {"coeffs": list(find_ample(fan).coeffs)}
     if args.out:
         _write(Path(args.out), json.dumps(doc, indent=2) + "\n")
         report["artifacts"] = {"divisor": args.out}
@@ -315,14 +322,17 @@ def _cmd_ample_find(args, report: dict) -> int:
 
 def _cmd_xi(args, report: dict) -> int:
     _check_ample_flag(args)
-    _, xi = _degrees(_load_input_fan(args.preset, args.fan), args.ample, args.xi_method)
+    fan = _load_input_fan(args.preset, args.fan)
+    _require_valid(_validation(fan))
+    _, xi = _degrees(fan, args.ample, args.xi_method)
     report.update(status="ok", xi=_xi_doc(xi))
     return EXIT_OK
 
 
 def _cmd_embed(args, report: dict) -> int:
     """Build and write embedding data without certification."""
-    seed, torus = _check_seed(args.seed), _parse_torus(args.torus)
+    seed, torus = _parse_seed(args.seed), _parse_torus(args.torus)
+    _check_ranges(seed, torus)
     _check_ample_flag(args)
     fan = _load_input_fan(args.preset, args.fan)
     _require_valid(_validation(fan))
@@ -354,18 +364,16 @@ def _cmd_verify(args, report: dict) -> int:
 
 
 def _cmd_run(args, report: dict) -> int:
-    if args.max_retries < 1:
-        raise UsageError("max-retries must be at least 1")
     config = RunConfig(
         fan_path=args.fan, preset_name=args.preset, ample=args.ample,
-        xi_method=args.xi_method, seed=_check_seed(args.seed),
+        xi_method=args.xi_method, seed=_parse_seed(args.seed),
         torus=_parse_torus(args.torus), max_retries=args.max_retries, out_dir=args.out,
     )
     return _pipeline(config, report)
 
 
 def _cmd_demo(args, report: dict) -> int:
-    config = RunConfig(preset_name=args.name, seed=_check_seed(args.seed), out_dir=args.out)
+    config = RunConfig(preset_name=args.name, seed=_parse_seed(args.seed), out_dir=args.out)
     return _pipeline(config, report)
 
 
@@ -391,7 +399,7 @@ def _add_xi_flags(parser: argparse.ArgumentParser) -> None:
 
 def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
     _add_xi_flags(parser)
-    # Parsed by _check_seed, so that a non-integer seed gets the usage report.
+    # Parsed by _parse_seed, so that a non-integer seed gets the usage report.
     parser.add_argument("--seed", default="0", help="integer in [0, 2^64)")
     parser.add_argument("--torus", default="1,1,1",
                         help="three nonzero rationals, comma separated")

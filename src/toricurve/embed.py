@@ -19,6 +19,7 @@ from .curve import (
     principal_function,
 )
 from .fan import Fan, dual_basis, fan_from_dict, fan_to_dict, primitive_collections, validate
+from .fan import ray_matrix as pairing_matrix  # a[i][rho] = <m_i, n_rho>
 from .intersect import TDivisor, XiVector
 
 Vec3 = tuple[int, int, int]
@@ -75,11 +76,6 @@ def _check_xi(fan: Fan, xi: XiVector) -> None:
             raise XiMismatch(
                 f"degrees are not in the ray matrix kernel: coordinate {t} sums to {total}"
             )
-
-
-def pairing_matrix(fan: Fan) -> list[list[int]]:
-    """a[i][rho] = <m_i, n_rho> for the standard character basis."""
-    return [[ray[i] for ray in fan.rays] for i in range(3)]
 
 
 def pairing_divisor(divisors, coeffs) -> CDivisor:

@@ -18,7 +18,7 @@ from functools import lru_cache
 # find_point is unused here but stays bound: pipebench/tracing.py wraps it
 # by this module attribute
 from .feasibility import find_point, homogeneous_feasible  # noqa: F401
-from .intlinalg import IntMatrix, unimodular_inverse
+from .intlinalg import det, unimodular_inverse
 
 Vec3 = tuple[int, int, int]
 
@@ -89,18 +89,15 @@ class Fan:
         return len(self.rays)
 
 
-def ray_matrix(fan: Fan) -> IntMatrix:
-    """3 x r matrix whose columns are the ray generators."""
-    return IntMatrix.from_rows(
-        [[ray[i] for ray in fan.rays] for i in range(3)]
-    )
+def ray_matrix(fan: Fan) -> list[list[int]]:
+    """3 x r rows whose columns are the ray generators: a[i][rho] = <m_i, n_rho>
+    for the standard character basis m_i."""
+    return [[ray[i] for ray in fan.rays] for i in range(3)]
 
 
-def cone_matrix(fan: Fan, cone: tuple[int, int, int]) -> IntMatrix:
-    """3 x 3 matrix whose columns are the cone's rays, in index order."""
-    return IntMatrix.from_rows(
-        [[fan.rays[j][i] for j in cone] for i in range(3)]
-    )
+def cone_matrix(fan: Fan, cone: tuple[int, int, int]) -> list[list[int]]:
+    """3 x 3 rows whose columns are the cone's rays, in the order given."""
+    return [[fan.rays[j][i] for j in cone] for i in range(3)]
 
 
 @lru_cache(maxsize=FAN_CACHE_SIZE)
@@ -117,8 +114,7 @@ def dual_basis(fan: Fan, cone: tuple[int, int, int]) -> tuple[tuple[int, ...], .
     bases = _dual_bases(fan)
     duals = bases.get(cone)
     if duals is None:
-        inv = unimodular_inverse(cone_matrix(fan, cone))
-        duals = bases[cone] = tuple(inv.row(t) for t in range(3))
+        duals = bases[cone] = unimodular_inverse(cone_matrix(fan, cone))
     return duals
 
 
@@ -176,7 +172,7 @@ def validate(fan: Fan) -> ValidationReport:
         if not is_primitive(ray):
             issues.append(("non_primitive_ray", idx))
     for idx, cone in enumerate(fan.max_cones):
-        if abs(cone_matrix(fan, cone).det()) != 1:
+        if abs(det(cone_matrix(fan, cone))) != 1:
             issues.append(("cone_not_unimodular", idx))
     smooth = not issues
 
@@ -235,10 +231,10 @@ def walls(fan: Fan) -> tuple[Wall, ...]:
         k = next(x for x in ca if x not in pair)
         l = next(x for x in cb if x not in pair)
         # coordinates of n_l in the basis (n_i, n_j, n_k)
-        basis = IntMatrix.from_rows(
-            [[fan.rays[j2][i2] for j2 in (i, j, k)] for i2 in range(3)]
+        alpha, beta, gamma = (
+            sum(x * y for x, y in zip(row, fan.rays[l]))
+            for row in unimodular_inverse(cone_matrix(fan, (i, j, k)))
         )
-        alpha, beta, gamma = unimodular_inverse(basis).mul_vector(fan.rays[l])
         if gamma != -1:
             raise MalformedFan(
                 f"cones at wall {pair} do not lie on opposite sides"

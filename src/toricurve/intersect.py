@@ -262,5 +262,5 @@ def xi_vector(fan: Fan, ample: TDivisor | None, method: str = "intersection") ->
 
     if min(values) <= 0:
         raise NoPositiveKernel(f"derived degrees are not strictly positive: {values}")
-    assert A.mul_vector(values) == (0, 0, 0)
+    assert all(sum(a * v for a, v in zip(row, values)) == 0 for row in A)
     return XiVector(values, method)

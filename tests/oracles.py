@@ -13,7 +13,9 @@ and exact division in place of the integer Bezoutian.  The straightforward
 forms of the package's fast paths live here too: divisors and factored
 functions canonicalised by a set and a Fraction sort, character functions
 as products of powers, N and D as ring products, the inverse of a
-unimodular matrix minor by minor, the self-intersection V_rho^3 from a
+unimodular matrix minor by minor, the integer kernel basis as the V kernel
+columns of a full Smith normal form (U, S, V, divisibility pass included)
+in place of the package's single sweep, the self-intersection V_rho^3 from a
 canonical character (Smith form plus a Hermite reduction) and the Groebner
 fallback's basis from `sympy.groebner` on expressions, resultants from
 sympy's subresultant PRS, and factoring before dropping excluded roots.  So
@@ -33,7 +35,7 @@ from sympy.polys.rings import ring
 from toricurve.curve import INFINITY, POLE, CurvePoint, _hash_rational
 from toricurve.feasibility import Infeasible, Unbounded
 from toricurve.intersect import triple_intersection
-from toricurve.intlinalg import IntMatrix, NotUnimodular, smith_normal_form
+from toricurve.intlinalg import NotUnimodular, det
 
 _QSU, _QS, _QU = ring("s,u", QQ)
 
@@ -525,23 +527,126 @@ def integer_parts_by_ring_products(f, x):
     return num, den
 
 
-def unimodular_inverse_by_minors(B: IntMatrix) -> IntMatrix:
-    """The adjugate built from one IntMatrix and one determinant per minor."""
-    if B.rows != B.cols:
+def unimodular_inverse_by_minors(rows):
+    """The adjugate built from one determinant per minor, as row tuples."""
+    n = len(rows)
+    if any(len(row) != n for row in rows):
         raise NotUnimodular("matrix is not square")
-    n = B.rows
-    d = B.det()
+    d = det(rows)
     if d not in (1, -1):
         raise NotUnimodular(f"determinant is {d}, not +-1")
-    rows = B.to_rows()
 
-    def minor(i: int, j: int) -> IntMatrix:
-        sub = [[rows[a][b] for b in range(n) if b != j] for a in range(n) if a != i]
-        return IntMatrix.from_rows(sub) if sub else IntMatrix(0, 0, ())
+    def minor(i: int, j: int):
+        return [[rows[a][b] for b in range(n) if b != j] for a in range(n) if a != i]
 
-    return IntMatrix.from_rows(
-        [[d * ((-1) ** (i + j)) * minor(j, i).det() for j in range(n)] for i in range(n)]
+    return tuple(
+        tuple(d * ((-1) ** (i + j)) * det(minor(j, i)) for j in range(n)) for i in range(n)
     )
+
+
+def matmul(a, b):
+    """Plain product of two matrices given as int rows."""
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def smith_normal_form(rows):
+    """(U, S, V) with U A V == S, U and V unimodular, S diagonal, d_k | d_{k+1}.
+
+    The reference for `intlinalg.integer_kernel_basis`: the kernel basis is
+    V's columns past the rank.  Pivot rule: smallest absolute value among
+    nonzero entries of the working submatrix, ties broken by lowest
+    (row, col); with the fixed sweep order the output is deterministic.
+    """
+    r, c = len(rows), len(rows[0]) if rows else 0
+    if r == 0 or c == 0:
+        raise ValueError("matrix must be nonempty")
+    m = [list(row) for row in rows]
+    u = [[int(i == j) for j in range(r)] for i in range(r)]
+    v = [[int(i == j) for j in range(c)] for i in range(c)]
+    nmin = min(r, c)
+
+    def swap_rows(i1: int, i2: int) -> None:
+        m[i1], m[i2] = m[i2], m[i1]
+        u[i1], u[i2] = u[i2], u[i1]
+
+    def swap_cols(j1: int, j2: int) -> None:
+        for row in m:
+            row[j1], row[j2] = row[j2], row[j1]
+        for row in v:
+            row[j1], row[j2] = row[j2], row[j1]
+
+    def negate_row(i: int) -> None:
+        m[i] = [-x for x in m[i]]
+        u[i] = [-x for x in u[i]]
+
+    def submul_row(dst: int, src: int, q: int) -> None:
+        m[dst] = [x - q * y for x, y in zip(m[dst], m[src])]
+        u[dst] = [x - q * y for x, y in zip(u[dst], u[src])]
+
+    def submul_col(dst: int, src: int, q: int) -> None:
+        for row in m:
+            row[dst] -= q * row[src]
+        for row in v:
+            row[dst] -= q * row[src]
+
+    def diagonalize() -> None:
+        k = 0
+        while k < nmin:
+            best = None
+            for i in range(k, r):
+                for j in range(k, c):
+                    a = abs(m[i][j])
+                    if a and (best is None or a < best[0]):
+                        best = (a, i, j)
+            if best is None:
+                break
+            _, pi, pj = best
+            if pi != k:
+                swap_rows(k, pi)
+            if pj != k:
+                swap_cols(k, pj)
+            if m[k][k] < 0:
+                negate_row(k)
+            for i in range(k + 1, r):
+                q = m[i][k] // m[k][k]
+                if q:
+                    submul_row(i, k, q)
+            if any(m[i][k] for i in range(k + 1, r)):
+                continue  # a remainder < pivot appeared; re-pick pivot
+            for j in range(k + 1, c):
+                q = m[k][j] // m[k][k]
+                if q:
+                    submul_col(j, k, q)
+            if any(m[k][j] for j in range(k + 1, c)):
+                continue
+            k += 1
+
+    diagonalize()
+    while True:
+        d = [m[k][k] for k in range(nmin)]
+        viol = next(
+            ((k, l) for k in range(nmin) for l in range(k + 1, nmin)
+             if d[k] and d[l] % d[k] != 0),
+            None,
+        )
+        if viol is None:
+            break
+        k, l = viol
+        submul_col(k, l, -1)  # pull d_l into column k, then re-reduce
+        diagonalize()
+
+    assert abs(det(u)) == 1 and abs(det(v)) == 1
+    assert matmul(matmul(u, rows), v) == m
+    return u, m, v
+
+
+def kernel_basis_by_smith_form(rows):
+    """V's columns past the rank of the Smith form, in column order."""
+    _, s, v = smith_normal_form(rows)
+    nmin = min(len(s), len(v))
+    return [
+        tuple(row[j] for row in v) for j in range(len(v)) if j >= nmin or s[j][j] == 0
+    ]
 
 
 def _hnf_rows(rows):
@@ -580,10 +685,9 @@ def character_pairing_neg_one(ray):
     Particular solution from the Smith form of the ray as a column, then the
     canonical representative modulo the rank-2 sublattice pairing to zero.
     """
-    snf = smith_normal_form(IntMatrix(3, 1, tuple(ray)))
-    assert snf.S[0, 0] == 1, f"ray {ray} is not primitive"
-    v = snf.V[0, 0]
-    u_rows = snf.U.to_rows()
+    u_rows, s, v = smith_normal_form([[x] for x in ray])
+    assert s[0][0] == 1, f"ray {ray} is not primitive"
+    v = v[0][0]
     m = [-v * x for x in u_rows[0]]
     for row in _hnf_rows([tuple(u_rows[1]), tuple(u_rows[2])]):
         p = next(i for i, x in enumerate(row) if x)

@@ -308,6 +308,19 @@ def test_run_rejects_zero_retries_as_a_usage_error(capsys, tmp_path):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("config, message", [
+    (RunConfig(preset_name="p3", max_retries=0), "max-retries must be at least 1"),
+    (RunConfig(preset_name="p3", seed=-1), "seed must fit in 64 unsigned bits"),
+    (RunConfig(preset_name="p3", torus=(1, 0, 1)), "torus entries must be nonzero"),
+], ids=["zero-retries", "negative-seed", "zero-torus"])
+def test_run_pipeline_makes_the_range_checks_of_run(tmp_path, config, message):
+    config.out_dir = str(tmp_path / "o")
+    code, report = run_pipeline(config)
+    assert (code, report["error"]) == (2, {"kind": "usage", "message": message})
+    assert "config" not in report
+    assert not (tmp_path / "o").exists()
+
+
 NONPROJECTIVE = str(FIXTURES / "nonprojective.fan")
 FAN_COMMANDS = {  # command -> argv before its fan source
     "fan validate": ["fan", "validate"],
@@ -349,10 +362,13 @@ CONTRACT = (
         for command in ("ample find", "xi", "embed", "run")
     ]
     + [
-        (FAN_COMMANDS[command] + ["--fan", "NONSMOOTH"], "validation", 3)
-        for command in ("embed", "run")
+        (argv + ["--fan", fan], "validation", 3)
+        for fan in ("NONSMOOTH", "ORPHAN")
+        for argv in (
+            FAN_COMMANDS["ample find"], FAN_COMMANDS["xi"], ["xi", "--xi-method", "kernel"],
+            FAN_COMMANDS["embed"], FAN_COMMANDS["run"],
+        )
     ]
-    + [(FAN_COMMANDS["run"] + ["--fan", "ORPHAN"], "validation", 3)]
     + [  # flags argparse rejects
         (["run", "--preset", "p3", "--max-retries", "x", "--out", "OUT"], "usage", 2),
         (["xi", "--preset", "p3", "--xi-method", "bogus"], "usage", 2),

@@ -108,6 +108,13 @@ def test_validate_overlapping_cones():
     assert any(i[0] == "bad_cone_intersection" for i in report.issues)
 
 
+def test_walls_refuses_cones_on_the_same_side():
+    # (1,1,1) has coordinate +1, not -1, along e3 in the basis (e1, e2, e3)
+    fan = Fan(((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)), ((0, 1, 2), (0, 1, 3)))
+    with pytest.raises(MalformedFan, match=r"cones at wall \(0, 1\) do not lie on opposite sides"):
+        walls(fan)
+
+
 def test_validate_reports_a_ray_in_no_cone(p3):
     # every wall still has two cones, so only the ray census catches it
     fan = Fan(p3.rays + ((1, 1, 1),), p3.max_cones)
