@@ -148,11 +148,17 @@ def _parse_seed(text: str) -> int:
 
 
 def _check_ranges(seed: int, torus, max_retries: int = 1) -> None:
-    """The range checks of ``embed``, ``run``, ``demo`` and ``run_pipeline``."""
+    """The type and range checks of ``embed``, ``run``, ``demo`` and ``run_pipeline``."""
+    for name, value in (("seed", seed), ("max-retries", max_retries)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise UsageError(f"{name} must be an integer, got {value!r}")
     if max_retries < 1:
         raise UsageError("max-retries must be at least 1")
     if not 0 <= seed < 2**64:
         raise UsageError("seed must fit in 64 unsigned bits")
+    if not (isinstance(torus, (tuple, list)) and len(torus) == 3
+            and all(isinstance(v, (int, Fraction)) and not isinstance(v, bool) for v in torus)):
+        raise UsageError(f"torus must be three rationals, got {torus!r}")
     if any(v == 0 for v in torus):
         raise UsageError("torus entries must be nonzero")
 
@@ -224,7 +230,14 @@ def run_pipeline(config: RunConfig):
 
 
 def _pipeline(config: RunConfig, report: dict) -> int:
+    # a RunConfig is checked whole before anything is opened
     _check_ranges(config.seed, config.torus, config.max_retries)
+    if config.xi_method not in ("intersection", "kernel"):
+        raise UsageError(f"xi-method must be intersection or kernel, got {config.xi_method!r}")
+    for name, value in (("ample", config.ample), ("out", config.out_dir),
+                        ("fan", config.fan_path), ("preset", config.preset_name)):
+        if not isinstance(value, str) and (value is not None or name in ("ample", "out")):
+            raise UsageError(f"{name} must be a string, got {value!r}")
     report["config"] = {
         "fan": config.fan_path,
         "preset": config.preset_name,
@@ -347,7 +360,9 @@ def _cmd_embed(args, report: dict) -> int:
 
 
 def _cmd_verify(args, report: dict) -> int:
-    certificate = certify(load_embedding(args.data))
+    data = load_embedding(args.data)
+    _require_valid(_validation(data.fan))
+    certificate = certify(data)
     out = Path(args.out) / "certificate.json"
     _write(out, dumps_certificate(certificate))
     report.update(

@@ -204,7 +204,7 @@ class Wall:
     """A 2-face <n_i, n_j> with its two adjacent maximal cones.
 
     The opposite rays n_k (of cone_a) and n_l (of cone_b) satisfy the exact
-    relation n_k + n_l + a*n_i + b*n_j = 0.
+    relation n_k + n_l + a*n_i + b*n_j = 0; terms lists it as (ray, weight).
     """
 
     i: int
@@ -215,6 +215,10 @@ class Wall:
     third_b: int
     a: int
     b: int
+
+    @property
+    def terms(self) -> tuple[tuple[int, int], ...]:
+        return ((self.third_a, 1), (self.third_b, 1), (self.i, self.a), (self.j, self.b))
 
 
 @lru_cache(maxsize=FAN_CACHE_SIZE)
@@ -230,33 +234,23 @@ def walls(fan: Fan) -> tuple[Wall, ...]:
         cb = fan.max_cones[owners[1]]
         k = next(x for x in ca if x not in pair)
         l = next(x for x in cb if x not in pair)
-        # coordinates of n_l in the basis (n_i, n_j, n_k)
+        # coordinates of n_l in the basis (n_i, n_j, n_k) of cone_a
+        duals = dual_basis(fan, ca)
         alpha, beta, gamma = (
-            sum(x * y for x, y in zip(row, fan.rays[l]))
-            for row in unimodular_inverse(cone_matrix(fan, (i, j, k)))
+            sum(x * y for x, y in zip(duals[ca.index(rho)], fan.rays[l]))
+            for rho in (i, j, k)
         )
         if gamma != -1:
-            raise MalformedFan(
-                f"cones at wall {pair} do not lie on opposite sides"
-            )
-        a, b = -alpha, -beta
-        ni, nj = fan.rays[i], fan.rays[j]
-        nk, nl = fan.rays[k], fan.rays[l]
-        assert all(
-            nk[t] + nl[t] + a * ni[t] + b * nj[t] == 0 for t in range(3)
-        )
-        out.append(Wall(i, j, ca, cb, k, l, a, b))
+            raise MalformedFan(f"cones at wall {pair} do not lie on opposite sides")
+        wall = Wall(i, j, ca, cb, k, l, -alpha, -beta)
+        assert all(sum(w * fan.rays[rho][t] for rho, w in wall.terms) == 0 for t in range(3))
+        out.append(wall)
     return tuple(out)
 
 
 @lru_cache(maxsize=FAN_CACHE_SIZE)
 def _cone_set(fan: Fan) -> frozenset:
     return frozenset(fan.max_cones)
-
-
-@lru_cache(maxsize=FAN_CACHE_SIZE)
-def _face_pairs(fan: Fan) -> frozenset:
-    return frozenset(_pair_census(fan))
 
 
 def primitive_collections(fan: Fan) -> tuple[tuple[int, ...], ...]:
@@ -266,7 +260,7 @@ def primitive_collections(fan: Fan) -> tuple[tuple[int, ...], ...]:
     the search at size 4.
     """
     cones = _cone_set(fan)
-    pairs = _face_pairs(fan)
+    pairs = frozenset(_pair_census(fan))
     n = fan.n_rays
     out = []
     for i in range(n):

@@ -1,8 +1,10 @@
 """Intersection numbers, ampleness and positive kernel vectors on toric 3-folds.
 
-Divisors are integer coefficient vectors over the fan's rays.  All triple
-intersection numbers reduce to degrees on wall curves through the exact wall
-relations; nothing is ever rounded.
+Divisors are integer coefficient vectors over the fan's rays.  Everything
+here reads the one wall relation, Wall.terms: a divisor is ample iff its
+degree on every wall curve is positive, find_ample solves those degrees as
+linear inequalities, and all triple intersection numbers reduce to wall
+degrees.  Nothing is ever rounded.
 """
 from __future__ import annotations
 
@@ -83,16 +85,16 @@ def wall_curve_degree(fan: Fan, wall: Wall, divisor: TDivisor) -> int:
     Restriction along the wall relation n_k + n_l + a n_i + b n_j = 0 gives
     deg = c_k + c_l + a c_i + b c_j.
     """
-    c = divisor.coeffs
-    return c[wall.third_a] + c[wall.third_b] + wall.a * c[wall.i] + wall.b * c[wall.j]
+    return sum(w * divisor.coeffs[rho] for rho, w in wall.terms)
 
 
 def _two_repeat(fan: Fan, rep: int, other: int) -> int:
-    """V_rep . V_rep . V_other for rep != other."""
+    """V_rep . V_rep . V_other for rep != other: the degree of V_rep on the
+    curve of the wall <n_rep, n_other>, which is rep's weight in its relation."""
     wall = _wall_by_pair(fan).get((min(rep, other), max(rep, other)))
     if wall is None:
         return 0  # the two divisors do not meet
-    return wall_curve_degree(fan, wall, TDivisor.unit(fan, rep))
+    return wall.a if rep == wall.i else wall.b
 
 
 def _self_triple(fan: Fan, rho: int) -> int:
@@ -152,44 +154,30 @@ def triple_product(fan: Fan, d1: TDivisor, d2: TDivisor, d3: TDivisor) -> int:
 
 
 def is_ample(fan: Fan, divisor: TDivisor) -> bool:
-    """Strict convexity of the support function across every wall.
+    """Positive degree on every wall curve, the torus-invariant curves of a
+    smooth complete fan (Fulton, §3.4).
 
-    Crossing each wall once suffices: the characters of adjacent cones agree
-    on the wall, so their difference is a multiple of the wall's defining
-    functional and the strict inequality is symmetric in the two sides.
-    The character m of cone_a, <m, n_rho> = -c_rho on its rays, is
-    -sum_t c_(rho_t) m_t over the cone's dual basis m_t.
+    This is strict convexity of the support function across every wall:
+    the wall relation turns the support-function inequality into the wall
+    degree.
     """
-    c = divisor.coeffs
-    if len(c) != fan.n_rays:
+    if len(divisor.coeffs) != fan.n_rays:
         raise ValueError("divisor length does not match fan")
-    for wall in walls(fan):
-        duals = dual_basis(fan, wall.cone_a)
-        m = [-sum(c[rho] * d[j] for rho, d in zip(wall.cone_a, duals)) for j in range(3)]
-        n_l = fan.rays[wall.third_b]
-        if sum(a * b for a, b in zip(m, n_l)) <= -c[wall.third_b]:
-            return False
-    return True
+    return all(wall_curve_degree(fan, wall, divisor) > 0 for wall in walls(fan))
 
 
 def _wall_inequalities(fan: Fan, gauge) -> tuple[list, list[int]]:
     """Wall positivity as linear forms over the non-gauge coefficients.
 
-    The support-function inequality across a wall equals wall_curve_degree
-    of the coefficient vector (substitute the wall relation), so each row is
-    that linear form with the gauge rays' variables dropped.
+    Each row is wall_curve_degree as a linear form, with the gauge rays'
+    variables dropped.
     """
     free = [rho for rho in range(fan.n_rays) if rho not in gauge]
     pos = {rho: t for t, rho in enumerate(free)}
     rows = []
     for wall in walls(fan):
         coeffs = [0] * len(free)
-        for rho, weight in (
-            (wall.third_a, 1),
-            (wall.third_b, 1),
-            (wall.i, wall.a),
-            (wall.j, wall.b),
-        ):
+        for rho, weight in wall.terms:
             if rho in pos:
                 coeffs[pos[rho]] += weight
         rows.append((tuple(coeffs), 1))
@@ -243,9 +231,7 @@ def xi_vector(fan: Fan, ample: TDivisor | None, method: str = "intersection") ->
         basis = integer_kernel_basis(A)
         if not basis:
             raise NoPositiveKernel("ray matrix has trivial kernel")
-        rows = [
-            (tuple(vec[j] for vec in basis), 1) for j in range(fan.n_rays)
-        ]
+        rows = [(tuple(vec[j] for vec in basis), 1) for j in range(fan.n_rays)]
         objective = tuple(sum(vec) for vec in basis)
         try:
             _, y = minimize(objective, rows, len(basis))

@@ -13,7 +13,9 @@ and exact division in place of the integer Bezoutian.  The straightforward
 forms of the package's fast paths live here too: divisors and factored
 functions canonicalised by a set and a Fraction sort, character functions
 as products of powers, N and D as ring products, the inverse of a
-unimodular matrix minor by minor, the integer kernel basis as the V kernel
+unimodular matrix minor by minor, each wall's coefficients from one such
+inverse per wall, ampleness as strict convexity of the support function
+over cone characters, the integer kernel basis as the V kernel
 columns of a full Smith normal form (U, S, V, divisibility pass included)
 in place of the package's single sweep, the self-intersection V_rho^3 from a
 canonical character (Smith form plus a Hermite reduction) and the Groebner
@@ -542,6 +544,53 @@ def unimodular_inverse_by_minors(rows):
     return tuple(
         tuple(d * ((-1) ** (i + j)) * det(minor(j, i)) for j in range(n)) for i in range(n)
     )
+
+
+def _adjacent_cones(fan):
+    """(i, j, cone_a, k, l) for each pair of maximal cones sharing the face
+    <n_i, n_j>, with n_k the third ray of cone_a and n_l of the other."""
+    out = []
+    for ca, cb in combinations(fan.max_cones, 2):
+        common = sorted(set(ca) & set(cb))
+        if len(common) == 2:
+            (k,), (l,) = set(ca) - set(common), set(cb) - set(common)
+            out.append((*common, ca, k, l))
+    return out
+
+
+def _columns(fan, cone):
+    return [[fan.rays[rho][t] for rho in cone] for t in range(3)]
+
+
+def wall_coefficients_by_inversion(fan):
+    """{(i, j): (a, b)} with n_k + n_l + a n_i + b n_j = 0, from inverting the
+    matrix of (n_i, n_j, n_k) once per wall: the reference for `fan.walls`,
+    which reads the dual basis of cone_a that it caches per cone."""
+    out = {}
+    for i, j, _, k, l in _adjacent_cones(fan):
+        inverse = unimodular_inverse_by_minors(_columns(fan, (i, j, k)))
+        alpha, beta, gamma = (sum(x * y for x, y in zip(row, fan.rays[l])) for row in inverse)
+        assert gamma == -1
+        out[(i, j)] = (-alpha, -beta)
+    return out
+
+
+def is_ample_by_characters(fan, coeffs):
+    """Strict convexity of the support function across every wall: the
+    reference for `intersect.is_ample`, which reads wall degrees.
+
+    Crossing each wall once suffices: the characters of adjacent cones agree
+    on the wall, so their difference is a multiple of the wall's defining
+    functional and the strict inequality is symmetric in the two sides.  The
+    character m of cone_a, <m, n_rho> = -c_rho on its rays, is
+    -sum_t c_(rho_t) m_t over the cone's dual basis m_t.
+    """
+    for _, _, ca, _, l in _adjacent_cones(fan):
+        duals = unimodular_inverse_by_minors(_columns(fan, ca))
+        m = [-sum(coeffs[rho] * d[t] for rho, d in zip(ca, duals)) for t in range(3)]
+        if sum(a * b for a, b in zip(m, fan.rays[l])) <= -coeffs[l]:
+            return False
+    return True
 
 
 def matmul(a, b):

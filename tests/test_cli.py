@@ -10,7 +10,7 @@ from toricurve import feasibility
 from toricurve.cli import ERRORS, RunConfig, main, run_pipeline
 from toricurve.embed import build_embedding_data, embedding_to_dict, save_embedding
 from toricurve.fan import load_fan, preset, save_fan
-from toricurve.intersect import XiVector
+from toricurve.intersect import XiVector, find_ample, xi_vector
 from toricurve.verify import Certificate
 
 
@@ -312,7 +312,15 @@ def test_run_rejects_zero_retries_as_a_usage_error(capsys, tmp_path):
     (RunConfig(preset_name="p3", max_retries=0), "max-retries must be at least 1"),
     (RunConfig(preset_name="p3", seed=-1), "seed must fit in 64 unsigned bits"),
     (RunConfig(preset_name="p3", torus=(1, 0, 1)), "torus entries must be nonzero"),
-], ids=["zero-retries", "negative-seed", "zero-torus"])
+    (RunConfig(preset_name="p3", seed="5"), "seed must be an integer, got '5'"),
+    (RunConfig(preset_name="p3", max_retries=2.5), "max-retries must be an integer, got 2.5"),
+    (RunConfig(preset_name="p3", xi_method="bogus"),
+     "xi-method must be intersection or kernel, got 'bogus'"),
+    (RunConfig(preset_name="p3", torus=("a", 1, 1)),
+     "torus must be three rationals, got ('a', 1, 1)"),
+    (RunConfig(preset_name="p3", ample=5), "ample must be a string, got 5"),
+], ids=["zero-retries", "negative-seed", "zero-torus", "str-seed", "float-retries",
+        "unknown-xi-method", "str-torus", "int-ample"])
 def test_run_pipeline_makes_the_range_checks_of_run(tmp_path, config, message):
     config.out_dir = str(tmp_path / "o")
     code, report = run_pipeline(config)
@@ -341,6 +349,8 @@ CONTRACT = (
         (["verify", "--data", "MISSING", "--out", "OUT"], "bad-input", 1),
         (["verify", "--data", "SHORT_XI", "--out", "OUT"], "bad-input", 1),
         (["verify", "--data", "ZERO_TORUS", "--out", "OUT"], "bad-input", 1),
+        (["verify", "--data", "OPEN_WALLS", "--out", "OUT"], "validation", 3),
+        (["verify", "--data", "EXTRA_CONE", "--out", "OUT"], "validation", 3),
         (["fan", "subdivide", "--preset", "p3", "--cone", "0,1,x"], "usage", 2),
         (["fan", "subdivide", "--preset", "p3", "--cone", "0,1,2,3"], "usage", 2),
     ]
@@ -386,7 +396,10 @@ CONTRACT = (
     + [(["xi", "--fan", "LADDER12", "--xi-method", "kernel"], "elimination-overflow", 1)]
 )
 COMMANDS = ("fan", "ample", "xi", "embed", "verify", "run", "demo")
-REPORTED = {"NONSMOOTH": ["non_primitive_ray", 0], "ORPHAN": ["unused_ray", 4]}  # by validate
+REPORTED = {  # by validate
+    "NONSMOOTH": ["non_primitive_ray", 0], "ORPHAN": ["unused_ray", 4],
+    "OPEN_WALLS": ["open_wall", [1, 2], 1], "EXTRA_CONE": ["bad_cone_intersection", 3, 6],
+}
 
 
 def _command_name(argv):
@@ -416,7 +429,22 @@ def test_every_command_obeys_the_exit_code_contract(capsys, monkeypatch, tmp_pat
             ("ZERO_TORUS", "torus", ["0", "1", "1"]),
         ):
             (tmp_path / name).write_text(json.dumps(dict(doc, **{key: value})), encoding="utf-8")
-    names = ("OUT", "DIR", "MALFORMED", "MISSING", "SHORT_XI", "ZERO_TORUS", "LADDER12")
+    # embedded curves on cone sets that are not fans: p3 less the cone (1, 2, 3)
+    # leaves open walls, bl-p3-point plus the subdivided cone (0, 1, 2) overlaps
+    for name, fan_name, edit in (
+        ("OPEN_WALLS", "p3", lambda cones: cones.remove([1, 2, 3])),
+        ("EXTRA_CONE", "bl-p3-point", lambda cones: cones.append([0, 1, 2])),
+    ):
+        if name in argv:
+            fan = preset(fan_name)
+            ample = find_ample(fan)
+            doc = embedding_to_dict(build_embedding_data(fan, ample, xi_vector(fan, ample), 0))
+            edit(doc["fan"]["cones"])
+            (tmp_path / name).write_text(json.dumps(doc), encoding="utf-8")
+    names = (
+        "OUT", "DIR", "MALFORMED", "MISSING", "SHORT_XI", "ZERO_TORUS", "OPEN_WALLS",
+        "EXTRA_CONE", "LADDER12",
+    )
     paths = {name: str(tmp_path / name) for name in names}
     paths["NONSMOOTH"] = write_bad_fan(tmp_path)
     paths["ORPHAN"] = write_orphan_fan(tmp_path)

@@ -238,10 +238,7 @@ def test_caches_keyed_by_fan_stay_at_their_bound(p3):
         _wall_by_pair(fan)
         for rho in range(fan.n_rays):
             assert triple_intersection(fan, rho, rho, rho) == 1
-    caches = (
-        validate, walls, fan_module._cone_set, fan_module._face_pairs, _wall_by_pair,
-        fan_module._dual_bases,
-    )
+    caches = (validate, walls, fan_module._cone_set, _wall_by_pair, fan_module._dual_bases)
     for cache in caches:
         info = cache.cache_info()
         assert info.maxsize == FAN_CACHE_SIZE

@@ -7,8 +7,15 @@ import pytest
 from hypothesis import given
 
 from conftest import ladder_fan
-from oracles import ChowOracle, farkas_refutes, self_triple_by_canonical_character
-from test_fan_properties import PROPERTY, chains
+from oracles import (
+    ChowOracle,
+    farkas_refutes,
+    is_ample_by_characters,
+    self_triple_by_canonical_character,
+    wall_coefficients_by_inversion,
+)
+from test_fan import random_subdivision_chain
+from test_fan_properties import PROPERTY, chains, change_basis
 from toricurve import feasibility
 from toricurve.fan import preset, star_subdivision, walls
 from toricurve.feasibility import verify_infeasibility_certificate
@@ -130,18 +137,45 @@ def test_is_ample_goldens(p3, p1p1p1):
     assert is_ample(p1p1p1, anticanonical)
 
 
+def sheared_chains(rng, count):
+    """The presets, then `count` star-subdivision chains of them up to nine
+    rays, in lattice bases made of up to four shears by +-1 or +-2."""
+    names = ("p3", "p1p1p1", "bl-p3-point")
+    fans = [preset(name) for name in names]
+    for _ in range(count):
+        fan = preset(rng.choice(names))
+        steps = [
+            (tuple(rng.sample(range(3), 2)), rng.choice((-2, -1, 1, 2)))
+            for _ in range(rng.randint(0, 4))
+        ]
+        fan = change_basis(fan, steps)
+        fans.append(random_subdivision_chain(fan, rng, rng.randint(fan.n_rays, 9)))
+    return fans
+
+
 def test_ample_iff_positive_wall_degrees():
-    """Strict convexity must coincide with positivity on every wall curve."""
+    """Positive wall degrees must coincide with strict convexity of the
+    support function, computed from cone characters, on random divisors and
+    on small perturbations of an ample one."""
     rng = random.Random(24)
-    for name in ("p3", "p1p1p1", "bl-p3-point"):
-        fan = preset(name)
+    verdicts = {True: 0, False: 0}
+    for fan in sheared_chains(rng, 20):
         n = fan.n_rays
+        ample = find_ample(fan).scale(2)
         for _ in range(12):
             d = TDivisor(tuple(rng.randint(-2, 3) for _ in range(n)))
-            positive = all(
-                wall_curve_degree(fan, w, d) > 0 for w in walls(fan)
-            )
-            assert is_ample(fan, d) == positive
+            near = ample + TDivisor(tuple(rng.randint(-1, 1) for _ in range(n)))
+            for divisor in (d, near):
+                verdict = is_ample(fan, divisor)
+                assert verdict == is_ample_by_characters(fan, divisor.coeffs), divisor
+                verdicts[verdict] += 1
+    assert min(verdicts.values()) >= 50, verdicts
+
+
+def test_wall_coefficients_match_one_inversion_per_wall():
+    for fan in sheared_chains(random.Random(26), 20):
+        got = {(w.i, w.j): (w.a, w.b) for w in walls(fan)}
+        assert got == wall_coefficients_by_inversion(fan), fan
 
 
 def test_find_ample_deterministic_goldens(p3, p1p1p1, blp3):
