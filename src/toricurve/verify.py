@@ -20,19 +20,23 @@ primitive factor over Z.  A rational point num / den enters a polynomial
 p over Z as den^n p(num / den), n p's degree in that variable, never by
 substitution over Q.
 
-Every gcd, remainder and factorization runs on sparse integer polynomials
-(`sympy.polys.rings`, Z[s, u], Z[u], Z[t]); factors come out primitive with
-positive leading coefficient, as over Q.  Resultants are this module's own:
-evaluation at consecutive integers, a Euclidean remainder sequence modulo
-one Mersenne prime past a proven coefficient bound, Newton interpolation
-and a symmetric lift.  No polynomial is factored with an excluded point's
-root in it: each excluded factor den * x - num is divided out first.  No
-gcd is computed when a nonzero resultant modulo q = 2^61 - 1, the table's
-first prime, proves two of its inputs coprime (inputs in one variable
-stripped first, the Bezoutians taken at one value of u); only an
-inconclusive test runs sympy's gcd.  The quick pass takes the pairwise
-resultants cheapest first and stops after two when a stripped candidate is
-constant or the two are proved coprime.  The Groebner fallback runs in a
+Polynomials are sparse over Z (`sympy.polys.rings`: Z[s, u], Z[u], Z[t]),
+and remainders are the ring's.  Gcds are GCDHEU on ints; sympy's gcd
+answers only when six evaluation points fail.  Linear and quadratic
+factors in one variable, and factors of degree 1 in s with an integer
+s-content, come from closed forms; sympy's factor_list takes the rest.
+Factors come out primitive with positive leading coefficient, as over Q.
+Resultants are this module's own: evaluation at consecutive integers, a
+Euclidean remainder sequence modulo one Mersenne prime past a proven
+coefficient bound, Newton interpolation and a symmetric lift.  No
+polynomial is factored with an excluded point's root in it: each excluded
+factor den * x - num is divided out first.  No gcd is computed when a
+nonzero resultant modulo q = 2^61 - 1, the table's first prime, proves two
+of its inputs coprime (inputs in one variable stripped first, the
+Bezoutians taken at one value of u); only an inconclusive test computes
+the gcd.  The quick pass takes the pairwise resultants cheapest first and
+stops after two when a stripped candidate is constant or the two are
+proved coprime.  The Groebner fallback runs in a
 lex ring in y, s, u, over Z when every input coefficient is an integer and
 over Q otherwise; no other polynomial is over Q, and its eliminant is
 cleared into Z[u] before it is factored.  Witness strings are the ring's
@@ -46,6 +50,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
+from math import gcd, isqrt
 
 from sympy.polys.domains import QQ, ZZ
 from sympy.polys.groebnertools import groebner
@@ -156,8 +161,173 @@ def _gcd_all(polys):
     for p in polys[1:]:
         if g.is_ground:
             break
-        g = g.gcd(p)
+        g = _gcd(g, p)
     return g
+
+
+def _gcd(f, g):
+    """gcd(f, g) over Z for f, g in one variable or in Z[s, u]: the gcd of
+    the contents times the primitive gcd with a positive leading coefficient.
+
+    GCDHEU (Char, Geddes & Gonnet, J. Symbolic Comput. 7(1), 1989) on ints,
+    _heu_gcd in one variable and _heu_gcd_su in two; sympy's gcd answers
+    only when _HEU_TRIES values of xi all fail.  sympy's result can carry a
+    negative leading coefficient (its heugcd keeps an input's sign when it
+    finds the gcd through a cofactor); no caller depends on that sign, and
+    it is made positive.
+    """
+    if f and g:
+        if f.ring.ngens == 1:
+            h = _heu_gcd(f.to_dense(), g.to_dense())
+            if h is not None:
+                return f.ring.from_dense(h)
+        else:
+            h = _heu_gcd_su(f, g)
+            if h is not None:
+                return h
+    h = f.gcd(g)
+    return -h if h.LC < 0 else h
+
+
+_HEU_TRIES = 6  # values of xi before a gcd goes to sympy, as in sympy's heugcd
+
+
+def _next_xi(xi: int) -> int:
+    return 73794 * xi * isqrt(isqrt(xi)) // 27011  # sympy's heugcd schedule
+
+
+def _heu_gcd(f: list, g: list) -> list | None:
+    """gcd(f, g) over Z for nonzero int lists, top degree first (no leading
+    zero), in the normal form of _gcd; None when GCDHEU fails.
+
+    The primitive parts are evaluated at xi = 2 min(|f|_inf, |g|_inf) + 29
+    and up, and the symmetric xi-adic digits of the integer gcd of the two
+    values make the candidate.  Once xi > 1 + 2 min(|f|_inf, |g|_inf), a
+    primitive candidate that divides both is their gcd (the GCDHEU theorem
+    of the paper cited in _gcd); the division is exact over Z, so an
+    accepted result is proved.
+    """
+    cf, cg = gcd(*f), gcd(*g)
+    f, g = [a // cf for a in f], [a // cg for a in g]
+    xi = 2 * min(max(map(abs, f)), max(map(abs, g))) + 29
+    for _ in range(_HEU_TRIES):
+        # xi exceeds every root's modulus, so the gcd is positive and so is
+        # its top digit: the candidate's leading coefficient
+        h = _digits(gcd(_horner(f, xi), _horner(g, xi)), xi)
+        ch = gcd(*h)
+        h = [a // ch for a in h]
+        if _divides(h, f) and _divides(h, g):
+            c = gcd(cf, cg)
+            return [c * a for a in h]
+        xi = _next_xi(xi)
+    return None
+
+
+def _heu_gcd_su(f, g):
+    """gcd(f, g) for nonzero f, g in Z[s, u] in the normal form of _gcd, or
+    None when GCDHEU fails.
+
+    u is set to xi, the gcd of the primitive parts' images is taken in Z[s]
+    by _heu_gcd, and each of its coefficients' symmetric xi-adic digits is
+    read back as a polynomial in u (the theorem _heu_gcd relies on holds in
+    several variables).  A primitive candidate is accepted when ring
+    division leaves no remainder from f and g.
+    """
+    F, G = _s_coefficients(f), _s_coefficients(g)
+    cf, cg = gcd(*chain(*F)), gcd(*chain(*G))
+    xi = 2 * min(max(map(abs, chain(*F))) // cf, max(map(abs, chain(*G))) // cg) + 29
+    for _ in range(_HEU_TRIES):
+        fx = _trim([_horner(row, xi) // cf for row in F])
+        gx = _trim([_horner(row, xi) // cg for row in G])
+        h = fx and gx and _heu_gcd(fx, gx)
+        if h:
+            # h's leading coefficient is positive, so is its top digit
+            rows = [_digits(a, xi) for a in h]
+            n = len(rows) - 1
+            ch = gcd(*chain(*rows))
+            cand = _Z.from_dict({(n - i, len(r) - 1 - j): a // ch
+                                 for i, r in enumerate(rows) for j, a in enumerate(r) if a})
+            if not f.rem(cand) and not g.rem(cand):
+                return cand * gcd(cf, cg)
+        xi = _next_xi(xi)
+    return None
+
+
+def _digits(v: int, xi: int) -> list:
+    """The symmetric xi-adic digits of v, top first: the int list h with
+    every |h_k| <= xi / 2 and h(xi) = v ([] for v = 0)."""
+    out = []
+    while v:
+        d = v % xi
+        if d > xi >> 1:
+            d -= xi
+        out.append(d)
+        v = (v - d) // xi
+    return out[::-1]
+
+
+def _trim(c: list) -> list:
+    """c without its leading zeros ([] when c is zero)."""
+    i = 0
+    while i < len(c) and not c[i]:
+        i += 1
+    return c[i:]
+
+
+def _divides(h: list, f: list) -> bool:
+    """Whether h divides f over Z, both int lists top first with nonzero
+    leading coefficients: long division with every quotient digit exact."""
+    m = len(h) - 1
+    if len(f) <= m:
+        return False
+    r = list(f)
+    for i in range(len(f) - m):
+        q, rest = divmod(r[i], h[0])
+        if rest:
+            return False
+        if q:
+            for j in range(1, m + 1):
+                r[i + j] -= q * h[j]
+    return not any(r[len(f) - m:])
+
+
+def _primitive(p):
+    """p's primitive part over Z with a positive leading coefficient."""
+    p = p.primitive()[1]
+    return -p if p.LC < 0 else p
+
+
+def _factor(p) -> list:
+    """p.factor_list()[1], up to order, for p nonconstant over Z in one
+    variable or in Z[s, u].
+
+    Closed forms first.  In one variable a linear p is its primitive part,
+    and a quadratic a x^2 + b x + c splits over Z exactly when its
+    discriminant is a square r^2: into den x - num for the roots
+    num / den = (-b +- r) / 2a, one factor doubled when r = 0.  In Z[s, u]
+    a p of degree 1 in s whose s-coefficients have an integer gcd in Z[u]
+    has an irreducible primitive part, by Gauss's lemma.  The rest goes to
+    sympy's factor_list.
+    """
+    if p.ring.ngens == 1:
+        c = p.to_dense()
+        if len(c) == 2:
+            return [(_primitive(p), 1)]
+        if len(c) == 3:
+            a, b, k = c
+            disc = b * b - 4 * a * k
+            r = isqrt(disc) if disc >= 0 else -1
+            if r * r != disc:
+                return [(_primitive(p), 1)]
+            roots = {Fraction(-b + r, 2 * a), Fraction(-b - r, 2 * a)}
+            return [(p.ring.from_dense([x.denominator, -x.numerator]), 3 - len(roots))
+                    for x in roots]
+    elif p.degree(0) == 1:
+        a, b = (_trim(row) for row in _s_coefficients(p))
+        content = _heu_gcd(a, b) if b else a
+        if content is not None and len(content) == 1:
+            return [(_primitive(p), 1)]
+    return p.factor_list()[1]
 
 
 def _coprime(polys: list) -> bool:
@@ -253,7 +423,7 @@ def _roots_and_factors(p, excluded_fr):
     if len(c) == 1:
         return [], []
     roots, higher = [], []
-    for mu, m in p.ring.from_dense(c).factor_list()[1]:
+    for mu, m in _factor(p.ring.from_dense(c)):
         if mu.degree() == 1:
             roots.append((_linear_root(mu), m))
         else:
@@ -488,7 +658,7 @@ def _finite_finite(chart, coords, NDs, Qs, excluded_fr, witnesses):
     g = _common_factor(Qs, excluded_fr)
     residual = list(Qs)
     if not g.is_ground:
-        for factor, _mult in _print_sorted(g.factor_list()[1]):
+        for factor, _mult in _print_sorted(_factor(g)):
             if factor == _s - _u:
                 continue  # extra tangency along the diagonal: immersion's job
             root_s = _axis_root(factor, _s)
@@ -653,9 +823,7 @@ def _resultant(f, g, cone) -> list:
     ]
     half = p >> 1
     coeffs = [c - p if c > half else c for c in _newton(x0, _resultants_mod(pairs, k), k)]
-    while len(coeffs) > 1 and not coeffs[0]:
-        del coeffs[0]
-    return coeffs
+    return _trim(coeffs) or [0]
 
 
 def _horner(c: list, x: int) -> int:

@@ -20,7 +20,9 @@ columns of a full Smith normal form (U, S, V, divisibility pass included)
 in place of the package's single sweep, the self-intersection V_rho^3 from a
 canonical character (Smith form plus a Hermite reduction) and the Groebner
 fallback's basis from `sympy.groebner` on expressions, resultants from
-sympy's subresultant PRS, and factoring before dropping excluded roots.  So
+sympy's subresultant PRS, gcds and factorizations from sympy's ring in
+place of the package's GCDHEU on ints and closed-form factors, and
+factoring before dropping excluded roots.  So
 do the random smoke scans: collision search on random pairs of points and
 chart gluing on random characters.  Tests compare package output against these oracles,
 never the other way around.
@@ -772,6 +774,29 @@ def resultant_by_prs(f, g):
     reference for the package's evaluation-interpolation resultant; its sign
     can differ from the Sylvester determinant's."""
     return f.resultant(g)
+
+
+def gcd_by_ring(polys):
+    """The gcd of nonzero polys by sympy's ring gcd, pairwise from the left
+    and stopping at a constant as `verify._gcd_all` does: the reference for
+    its GCDHEU on ints, and a gcd over Q as well as over Z.
+
+    The result's leading coefficient is made positive: sympy's heugcd keeps
+    the sign of an input when it recovers the gcd through a cofactor, as it
+    does for gcd(f, f) with f = -(2^61 - 1) t^2 + 5.
+    """
+    g = polys[0]
+    for p in polys[1:]:
+        if g.is_ground:
+            break
+        g = g.gcd(p)
+    return -g if g.LC < 0 else g
+
+
+def factor_list_by_ring(p) -> list:
+    """p's (factor, multiplicity) pairs from sympy's ring factor_list, sorted
+    by the printed pair: the reference for `verify._factor`'s closed forms."""
+    return sorted(p.factor_list()[1], key=lambda fm: f"({fm[0]}, {fm[1]})")
 
 
 def str_by_expr(p) -> str:

@@ -1,5 +1,6 @@
 """Chart certification: collision finding, tangency finding, pullback audit."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -18,6 +19,7 @@ from conftest import ladder_fan
 from negative_fixtures import doubled_point_data, symmetric_data
 from oracles import (
     brute_force_pair_scan,
+    gcd_by_ring,
     residuals_qq,
     resultant_by_prs,
     roots_and_factors_by_filter,
@@ -207,14 +209,14 @@ def test_a_du_whose_roots_are_all_excluded_is_never_factored(monkeypatch):
     c = next(c for c in chart_maps(data) if c.cone == (0, 1, 3))
     excluded = {p.finite for p in c.excluded if not p.is_infinity}
     residual = residuals_qq(c.coords)
-    du = verify._gcd_all([resultant_by_prs(f, g) for i, f in enumerate(residual)
-                          for g in residual[i + 1:]])
+    du = gcd_by_ring([resultant_by_prs(f, g) for i, f in enumerate(residual)
+                      for g in residual[i + 1:]])
     roots, higher = roots_and_factors_by_filter(du, set())
     assert du.degree() == 6 and roots and set(roots) <= excluded and not higher
 
     factored = []
-    real = PolyElement.factor_list
-    monkeypatch.setattr(PolyElement, "factor_list", lambda p: factored.append(p) or real(p))
+    real = verify._factor
+    monkeypatch.setattr(verify, "_factor", lambda p: factored.append(p) or real(p))
     result = chart_injective(c)
     assert (result.ok, result.method) == (True, "resultant")
     for p in factored:
@@ -448,7 +450,8 @@ def seed0_data(fan_name, rays, method):
 
 
 def test_clean_charts_close_without_a_gcd_and_with_two_resultants(monkeypatch):
-    """No heugcd and no third resultant on a chart the certificate proves clean."""
+    """No gcd of any kind (GCDHEU on ints or sympy's) and no third resultant
+    on a chart the certificate proves clean."""
     calls = []
     for name in ("_gcd_all", "_resultant"):
         def counted(*args, real=getattr(verify, name), name=name):
@@ -465,6 +468,27 @@ def test_clean_charts_close_without_a_gcd_and_with_two_resultants(monkeypatch):
     cert = certify(blp3)
     assert cert.embedded
     assert "_gcd_all" not in calls and calls.count("_resultant") <= 2 * len(cert.charts)
+
+
+def test_the_symmetric_fixture_needs_no_small_sympy_gcd_or_factorization(monkeypatch):
+    """symmetric_data's witnesses come from gcds in one variable and in
+    Z[s, u] and from factors of degree 1: GCDHEU on ints and the closed
+    forms settle them all, to the pinned certificate bytes, with no sympy gcd
+    or factor_list call below degree 3."""
+    calls = []
+
+    def degree(p):
+        return max(p.degree(i) for i in range(p.ring.ngens))
+
+    real_gcd, real_factor = PolyElement.gcd, PolyElement.factor_list
+    monkeypatch.setattr(PolyElement, "gcd", lambda f, g: calls.append(
+        ("gcd", max(degree(f), degree(g)))) or real_gcd(f, g))
+    monkeypatch.setattr(PolyElement, "factor_list", lambda p: calls.append(
+        ("factor_list", degree(p))) or real_factor(p))
+    text = dumps_certificate(certify(symmetric_data()))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "57d207af4a5d2201595b69578342d77770312cb184b00a0829a6ab9bf9f308bb")
+    assert not [c for c in calls if c[1] < 3], calls
 
 
 # (cone, ok, method, witnesses) of chart_injective per chart, pinned from a

@@ -21,23 +21,30 @@ and factors that factoring in full and then dropping the excluded roots
 gives.  Two pin the coprimality certificate modulo q = 2^61 - 1: it never
 proves a pair coprime whose gcd over Z is nonconstant, whether the pair
 lives in one variable or is made of symmetric Bezoutians, and it is
-inconclusive whenever q divides a leading coefficient.
+inconclusive whenever q divides a leading coefficient.  The last two pin
+the gcds and small factorizations taken in ints against sympy's ring:
+GCDHEU on planted common factors, with and without its sympy fallback, and
+the closed-form factors in one variable at degree 1 and 2 and in Z[s, u]
+at degree 1 in s.
 """
 
 from fractions import Fraction
 from itertools import combinations
+from unittest.mock import patch
 
 import pytest
 import sympy
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 from sympy.polys.domains import QQ, ZZ
 from sympy.polys.groebnertools import groebner
-from sympy.polys.rings import ring
+from sympy.polys.rings import PolyElement, ring
 
 from oracles import (
     cross_quotients_qq,
     factor_key_by_expr,
+    factor_list_by_ring,
+    gcd_by_ring,
     groebner_by_expr,
     resultant_by_prs,
     roots_and_factors_by_filter,
@@ -585,7 +592,7 @@ def univariate_families(draw):
 def test_a_one_variable_certificate_never_hides_a_shared_zero(case):
     polys, excluded = case
     got = verify._common_factor(polys, excluded)
-    want = verify._gcd_all(polys)
+    want = gcd_by_ring(polys)
     # one only when nothing is shared off the excluded points, else the Z gcd
     assert got == want or (got == got.ring.one and (
         want.is_ground or roots_and_factors_by_filter(want, excluded) == ([], [])))
@@ -593,7 +600,7 @@ def test_a_one_variable_certificate_never_hides_a_shared_zero(case):
         lists = [f.to_dense(), g.to_dense()]
         if f.LC % _Q == 0 or g.LC % _Q == 0:
             assert not verify._coprime(lists), "a leading coefficient vanishes mod q"
-        if not verify._gcd_all([f, g]).is_ground:
+        if not gcd_by_ring([f, g]).is_ground:
             assert not verify._coprime(lists), "coprime mod q with a nonconstant Z gcd"
 
 
@@ -622,7 +629,91 @@ def bezoutian_families(draw):
 @given(bezoutian_families())
 def test_bezoutians_with_a_shared_root_never_pass_the_bivariate_certificate(case):
     qs, excluded, planted = case
-    want = verify._gcd_all(qs)
+    want = gcd_by_ring(qs)
     got = verify._common_factor(qs, excluded)
     assert not (planted and want.is_ground)
     assert got == want or (got == got.ring.one and want.is_ground)
+
+
+# --- gcds and small factorizations in ints against sympy's ring ---------------
+
+
+@st.composite
+def gcd_families(draw):
+    """Two or three nonzero polynomials in Z[t] or Z[s, u], each times a
+    signed integer content, in most with a planted common factor: a random
+    one, a linear one with leading coefficient q, or (in Z[s, u]) a common
+    factor the Bezoutians of symmetric charts share; the rest are coprime
+    as a rule."""
+    gens_ring = draw(st.sampled_from((verify._zt.ring, verify._Z)))
+    if gens_ring.ngens == 1:
+        (t,) = gens_ring.gens
+        polys = [z_polys(draw, t) for _ in range(draw(st.integers(2, 3)))]
+        planted = (gens_ring.one, z_polys(draw, t, 1), _Q * t - draw(st.integers(-9, 9)))
+    else:
+        s, u = gens_ring.gens
+        polys = [draw(positive_polys(gens_ring, 2)) for _ in range(draw(st.integers(2, 3)))]
+        a = draw(st.integers(-9, 9))
+        planted = (gens_ring.one, draw(positive_polys(gens_ring, 2)), _Q * u - a,
+                   s + u, s * u - 2, s + u - 1, 2 * s * u - a * (s + u) + 3)
+    h = draw(st.sampled_from(planted))
+    contents = st.sampled_from((1, -1, 2, -3, 6, -12))
+    shared = draw(contents)
+    return [p * h * shared * draw(contents) for p in polys]
+
+
+@pytest.mark.parametrize("tries", [verify._HEU_TRIES, 0])
+@settings(PROPERTY, max_examples=200)
+@given(gcd_families())
+# at the first xi = 31 the value of the first input divides the second's,
+# so only the division of the second input refuses the candidate t + 1 or
+# s + u
+@example([verify._zt + 1, verify._zt + 33])
+@example([verify._s + verify._u, verify._s + 2 * verify._u - 31])
+def test_gcds_in_ints_equal_the_ring_gcd(tries, polys):
+    """With tries = 0 every pair goes to sympy's gcd, the fallback."""
+    with patch.object(verify, "_HEU_TRIES", tries):
+        assert verify._gcd_all(polys) == gcd_by_ring(polys)
+
+
+@st.composite
+def small_factor_inputs(draw):
+    """A signed content times: in one variable, one or two linear factors
+    den x - num (a square discriminant, a double root) or a random
+    quadratic (mostly not); in Z[s, u], A(u) s + B(u), times a factor h(u)
+    that is 1 half of the time; and whether sympy may be left to answer:
+    only when A, B and h leave an s-content that is not an integer."""
+    gens_ring = draw(st.sampled_from(ONE_VARIABLE + (verify._Z,)))
+    c = draw(st.sampled_from((1, -1, 2, -3, 6, -12)))
+    small = st.integers(-6, 6)
+    if gens_ring.ngens == 1:
+        (x,) = gens_ring.gens
+        kind = draw(st.sampled_from(("linear", "split", "double", "quadratic")))
+        linear = st.builds(lambda n, d: d * x - n, small, st.integers(1, 4))
+        if kind == "linear":
+            p = draw(linear)
+        elif kind == "split":
+            p = draw(linear) * draw(linear)
+        elif kind == "double":
+            p = draw(linear) ** 2
+        else:
+            p = draw(st.integers(1, 5)) * x**2 + draw(small) * x + draw(small)
+        return c * p, False
+    s, u = gens_ring.gens
+    a, b = (sum((draw(small) * u**i for i in range(draw(st.integers(1, 3)))), gens_ring.zero)
+            for _ in range(2))
+    assume(a)
+    h = draw(st.sampled_from((gens_ring.one, gens_ring.one, u, u - 2, 2 * u + 1)))
+    return c * h * (a * s + b), not gcd_by_ring([h * a, h * b] if b else [h * a]).is_ground
+
+
+@settings(PROPERTY, max_examples=300)
+@given(small_factor_inputs())
+def test_closed_form_factors_equal_the_ring_factor_list(case):
+    p, sympy_may_answer = case
+    calls = []
+    real = PolyElement.factor_list
+    with patch.object(PolyElement, "factor_list", lambda q: calls.append(q) or real(q)):
+        got = sorted(verify._factor(p), key=lambda fm: f"({fm[0]}, {fm[1]})")
+    assert got == factor_list_by_ring(p)
+    assert sympy_may_answer or not calls
