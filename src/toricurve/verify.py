@@ -20,11 +20,17 @@ primitive factor over Z.  A rational point num / den enters a polynomial
 p over Z as den^n p(num / den), n p's degree in that variable, never by
 substitution over Q.
 
-Polynomials are sparse over Z (`sympy.polys.rings`: Z[s, u], Z[u], Z[t]),
-and remainders are the ring's.  Gcds are GCDHEU on ints; sympy's gcd
-answers only when six evaluation points fail.  Linear and quadratic
-factors in one variable, and factors of degree 1 in s with an integer
-s-content, come from closed forms; sympy's factor_list takes the rest.
+Polynomials are int lists, top degree first, and a polynomial in Z[s, u]
+is the rows of its coefficients in s (_s_coefficients).  A chart on which
+_common_factor proves every gcd needless is decided on these alone, and
+sympy is never imported for it.  Any other chart imports sympy on first
+use (_sympy) and takes sparse ring elements over Z (`sympy.polys.rings`:
+Z[s, u], Z[u], Z[t]) for its remainders, exact quotients and witness
+strings.  Gcds are GCDHEU on ints, each candidate tried by exact long
+division of int lists or rows; sympy's gcd answers only when six
+evaluation points fail.  Linear and quadratic factors in one variable,
+and factors of degree 1 in s with an integer s-content, come from closed
+forms; sympy's factor_list takes the rest.
 Factors come out primitive with positive leading coefficient, as over Q.
 Resultants are this module's own: evaluation at consecutive integers, a
 Euclidean remainder sequence modulo one Mersenne prime past a proven
@@ -49,12 +55,9 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import chain, combinations
 from math import gcd, isqrt
-
-from sympy.polys.domains import QQ, ZZ
-from sympy.polys.groebnertools import groebner
-from sympy.polys.rings import ring
 
 from .curve import (
     CDivisor,
@@ -66,12 +69,39 @@ from .curve import (
 )
 from .embed import ChartMap, EmbeddingData, chart_maps, check_theorem_conditions
 
-_Z, _s, _u = ring("s,u", ZZ)
-_zs = ring("s", ZZ)[1]
-_zu = ring("u", ZZ)[1]  # also the ring of the resultants in s
-_zt = ring("t", ZZ)[1]
-_GQ, _gy, _gs, _gu = ring("y,s,u", QQ)  # lex, for the Groebner fallback
-_GZ = _GQ.clone(domain=ZZ)
+# sympy's rings and Groebner basis, bound as globals by _sympy() on first use
+_LAZY = ("_Z", "_s", "_u", "_zs", "_zu", "_zt", "_GQ", "_GZ", "QQ", "groebner")
+
+
+@cache
+def _sympy() -> dict:
+    """Import sympy, bind the names in _LAZY as this module's globals and
+    return the rings over Z by their generators ("s,u", "s", "u", "t").
+
+    Only a chart that is not proved clean needs a ring; a clean run never
+    imports sympy.
+    """
+    from sympy.polys.domains import QQ, ZZ
+    from sympy.polys.groebnertools import groebner
+    from sympy.polys.rings import ring
+
+    rings = {gens: ring(gens, ZZ)[0] for gens in ("s,u", "s", "u", "t")}
+    GQ = ring("y,s,u", QQ)[0]  # lex, for the Groebner fallback
+    globals().update(
+        _Z=rings["s,u"], _s=rings["s,u"].gens[0], _u=rings["s,u"].gens[1],
+        _zs=rings["s"].gens[0], _zu=rings["u"].gens[0], _zt=rings["t"].gens[0],
+        _GQ=GQ, _GZ=GQ.clone(domain=ZZ), QQ=QQ, groebner=groebner,
+    )
+    return rings
+
+
+def __getattr__(name: str):
+    """verify._zu and the other names in _LAZY, importing sympy (PEP 562)."""
+    if name in _LAZY:
+        _sympy()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 DEFAULT_DEGREE_CAP = 512
 
@@ -128,23 +158,32 @@ def _qq(x: Fraction):
     return QQ(x.numerator, x.denominator)
 
 
-def _bezoutian(N, D):
+def _bezoutian(N, D) -> list:
     """(N(s) D(u) - N(u) D(s)) / (s - u) in Z[s, u], for N and D int
-    tuples, top degree first.
+    tuples, top degree first, as its _s_coefficients rows ([] for zero).
 
     With N = sum a_i u^i, D = sum b_i u^i and c_ik = a_i b_k - a_k b_i,
     (s - u) Q = sum c_ik s^i u^k gives q_pk = c_(p+1)k + q_(p+1)(k-1),
-    filled row by row from the top.
+    filled row by row from the top.  Q is symmetric, so deg_u Q = deg_s Q.
     """
     n = max(len(N), len(D)) - 1
     a, b = (list(p[::-1]) + [0] * (n + 1 - len(p)) for p in (N, D))
-    terms = {}
+    rows = []
     row = [0] * n  # q_(p+1)k, zero above the top row
     for p in reversed(range(n)):
         ap, bp = a[p + 1], b[p + 1]
         row = [ap * b[k] - a[k] * bp + (row[k - 1] if k else 0) for k in range(n)]
-        terms.update(((p, k), v) for k, v in enumerate(row) if v)
-    return _Z.from_dict(terms)
+        if rows or any(row):
+            rows.append(row)
+    return [r[len(rows) - 1::-1] for r in rows]
+
+
+def _su(rows):
+    """The element of Z[s, u] with s-coefficient rows `rows`, top degree
+    first, each an int list in u, top degree first, of any length."""
+    n = len(rows) - 1
+    return _sympy()["s,u"].from_dict({(n - i, len(r) - 1 - j): a
+                                      for i, r in enumerate(rows) for j, a in enumerate(r) if a})
 
 
 def _linear_root(p) -> Fraction:
@@ -216,7 +255,7 @@ def _heu_gcd(f: list, g: list) -> list | None:
         h = _digits(gcd(_horner(f, xi), _horner(g, xi)), xi)
         ch = gcd(*h)
         h = [a // ch for a in h]
-        if _divides(h, f) and _divides(h, g):
+        if _exquo(f, h) is not None and _exquo(g, h) is not None:
             c = gcd(cf, cg)
             return [c * a for a in h]
         xi = _next_xi(xi)
@@ -230,8 +269,8 @@ def _heu_gcd_su(f, g):
     u is set to xi, the gcd of the primitive parts' images is taken in Z[s]
     by _heu_gcd, and each of its coefficients' symmetric xi-adic digits is
     read back as a polynomial in u (the theorem _heu_gcd relies on holds in
-    several variables).  A primitive candidate is accepted when ring
-    division leaves no remainder from f and g.
+    several variables).  A primitive candidate is accepted when it divides
+    f and g exactly (_divides_su).
     """
     F, G = _s_coefficients(f), _s_coefficients(g)
     cf, cg = gcd(*chain(*F)), gcd(*chain(*G))
@@ -243,14 +282,42 @@ def _heu_gcd_su(f, g):
         if h:
             # h's leading coefficient is positive, so is its top digit
             rows = [_digits(a, xi) for a in h]
-            n = len(rows) - 1
             ch = gcd(*chain(*rows))
-            cand = _Z.from_dict({(n - i, len(r) - 1 - j): a // ch
-                                 for i, r in enumerate(rows) for j, a in enumerate(r) if a})
-            if not f.rem(cand) and not g.rem(cand):
-                return cand * gcd(cf, cg)
+            cand = [[a // ch for a in r] for r in rows]
+            if _divides_su(cand, F) and _divides_su(cand, G):
+                return _su(cand) * gcd(cf, cg)
         xi = _next_xi(xi)
     return None
+
+
+def _divides_su(h: list, f: list) -> bool:
+    """Whether h divides f in Z[s, u], both s-coefficient rows with a
+    nonzero top row: long division in s, each quotient row an exact long
+    division in Z[u] by h's top row, and every remainder row zero."""
+    m = len(h) - 1
+    if len(f) <= m:
+        return False
+    h = [_trim(row) for row in h]
+    r = [_trim(row) for row in f]
+    for i in range(len(f) - m):
+        if r[i]:
+            q = _exquo(r[i], h[0])
+            if q is None:
+                return False
+            for j in range(1, m + 1):
+                r[i + j] = _minus_product(r[i + j], q, h[j])
+    return not any(r[len(f) - m:])
+
+
+def _minus_product(r: list, q: list, h: list) -> list:
+    """r - q h for int lists top first, without leading zeros."""
+    n = max(len(r), len(q) + len(h) - 1)
+    out = [0] * (n - len(r)) + r
+    top = n - len(q) - len(h) + 1  # the index of q h's top coefficient
+    for i, a in enumerate(q):
+        for j, b in enumerate(h):
+            out[top + i + j] -= a * b
+    return _trim(out)
 
 
 def _digits(v: int, xi: int) -> list:
@@ -274,21 +341,23 @@ def _trim(c: list) -> list:
     return c[i:]
 
 
-def _divides(h: list, f: list) -> bool:
-    """Whether h divides f over Z, both int lists top first with nonzero
-    leading coefficients: long division with every quotient digit exact."""
+def _exquo(f: list, h: list) -> list | None:
+    """f / h over Z for int lists top first with nonzero leading
+    coefficients, or None when h does not divide f: long division with
+    every quotient digit exact."""
     m = len(h) - 1
     if len(f) <= m:
-        return False
-    r = list(f)
+        return None
+    r, q = list(f), []
     for i in range(len(f) - m):
-        q, rest = divmod(r[i], h[0])
+        d, rest = divmod(r[i], h[0])
         if rest:
-            return False
-        if q:
+            return None
+        q.append(d)
+        if d:
             for j in range(1, m + 1):
-                r[i + j] -= q * h[j]
-    return not any(r[len(f) - m:])
+                r[i + j] -= d * h[j]
+    return None if any(r[len(f) - m:]) else q
 
 
 def _primitive(p):
@@ -345,11 +414,13 @@ def _coprime(polys: list) -> bool:
     return any(_resultants_mod([fg], _Q_BITS)[0] for fg in pairs)
 
 
-def _common_factor(polys, excluded_fr=()):
-    """gcd(polys) over Z for nonzero polys, or the ring's one when it is
-    proved needless: polys in one variable share no zero off the excluded
-    points, or polys in Z[s, u] no factor.
+def _common_factor(polys, gens: str, excluded_fr=()):
+    """gcd(polys) over Z for nonzero polys, or None when it is proved
+    needless: polys in one variable share no zero off the excluded points,
+    or polys in Z[s, u] no factor.
 
+    polys are int lists, top degree first with no leading zero, in the
+    variable gens ("u" or "t"), or _s_coefficients rows for gens = "s,u".
     Polys in one variable are stripped of the excluded points' factors and
     handed to _coprime.  Polys in Z[s, u], symmetric in s and u, are tested
     at u = a, the first integer a >= 0 off the excluded points (where the
@@ -357,19 +428,20 @@ def _common_factor(polys, excluded_fr=()):
     lc_s: a common factor h with deg_s h > 0 keeps its degree there, so
     every Res_s(Q_i(s, a), Q_j(s, a)) would vanish mod q, and the gcd of
     symmetric polynomials is symmetric up to sign, so deg_u h = deg_s h.
-    Otherwise _gcd_all.
+    Otherwise _gcd_all of polys as elements of sympy's ring.
     """
-    if polys[0].ring.ngens == 1:
-        lists = [_strip(p.to_dense(), excluded_fr) for p in polys]
-    else:
-        q = (1 << _Q_BITS) - 1
-        rows = [_s_coefficients(p) for p in polys]
-        # unless q divides every coefficient of some lc_s, one of these a fits
-        points = (a for a in range(sum(len(r[0]) for r in rows) + len(excluded_fr))
-                  if a not in excluded_fr)
-        a = next((a for a in points if all(_horner(r[0], a) % q for r in rows)), None)
-        lists = [] if a is None else [[_horner(row, a) for row in r] for r in rows]
-    return polys[0].ring.one if _coprime(lists) else _gcd_all(polys)
+    if gens != "s,u":
+        if _coprime([_strip(p, excluded_fr) for p in polys]):
+            return None
+        return _gcd_all([_sympy()[gens].from_dense(p) for p in polys])
+    q = (1 << _Q_BITS) - 1
+    # unless q divides every coefficient of some lc_s, one of these a fits
+    points = (a for a in range(sum(len(r[0]) for r in polys) + len(excluded_fr))
+              if a not in excluded_fr)
+    a = next((a for a in points if all(_horner(r[0], a) % q for r in polys)), None)
+    if a is not None and _coprime([[_horner(row, a) for row in r] for r in polys]):
+        return None
+    return _gcd_all([_su(r) for r in polys])
 
 
 def _print_sorted(items: list) -> list:
@@ -578,10 +650,12 @@ def _partner_witnesses(coords, NDs, residual, u0: Fraction, excluded_fr):
 
 
 def _saturation_poly(excluded_fr):
-    h = _gs - _gu
+    """1 - y (s - u) prod (s - e)(u - e) over the excluded points e."""
+    y, s, u = _GQ.gens
+    h = s - u
     for e in sorted(excluded_fr):
-        h *= (_gs - _qq(e)) * (_gu - _qq(e))
-    return h
+        h *= (s - _qq(e)) * (u - _qq(e))
+    return 1 - y * h
 
 
 def chart_injective(chart: ChartMap) -> CheckResult:
@@ -612,11 +686,11 @@ def chart_injective(chart: ChartMap) -> CheckResult:
         for N, D in NDs:
             pad = len(D) - len(N)
             n_d = 0 if pad else N[0]
-            h = [D[0] * a - n_d * b for a, b in zip((0,) * pad + N, D)]
-            h_polys.append(_zu.ring.from_dense(h))
+            h_polys.append(_trim([D[0] * a - n_d * b for a, b in zip((0,) * pad + N, D)]))
         assert all(h_polys), "a chart coordinate is constant"
-        g_inf = _common_factor(h_polys, excluded_fr)
-        if not g_inf.is_ground:
+        g_inf = _common_factor(h_polys, "u", excluded_fr)
+        if g_inf is not None and not g_inf.is_ground:
+            h_polys = [g_inf.ring.from_dense(h) for h in h_polys]
             witnesses.extend(
                 _zero_witnesses(
                     g_inf,
@@ -639,8 +713,8 @@ def chart_injective(chart: ChartMap) -> CheckResult:
     assert all(Qs), "a chart coordinate is constant"
 
     method = "linear"
-    if not all(q.is_ground for q in Qs):
-        if any(q.is_ground for q in Qs):
+    if not all(len(q) == 1 for q in Qs):  # a constant Q has one row
+        if any(len(q) == 1 for q in Qs):
             method = "resultant"  # some coordinate separates every pair
         else:
             method = _finite_finite(chart, coords, NDs, Qs, excluded_fr, witnesses)
@@ -653,11 +727,14 @@ def _finite_finite(chart, coords, NDs, Qs, excluded_fr, witnesses):
     """Dispatch shared factors, then decide the residual system.
 
     Every Q_i and residual has degree below deg N_i, D_i in s and in u, so
-    chart_injective's estimate bounds each pairwise resultant here.
+    chart_injective's estimate bounds each pairwise resultant here.  The
+    Q_i are _s_coefficients rows; the residuals become ring elements only
+    past the quick pass.
     """
-    g = _common_factor(Qs, excluded_fr)
-    residual = list(Qs)
-    if not g.is_ground:
+    g = _common_factor(Qs, "s,u", excluded_fr)
+    shared = g is not None and not g.is_ground
+    rows = Qs
+    if shared:
         for factor, _mult in _print_sorted(_factor(g)):
             if factor == _s - _u:
                 continue  # extra tangency along the diagonal: immersion's job
@@ -668,22 +745,25 @@ def _finite_finite(chart, coords, NDs, Qs, excluded_fr, witnesses):
             if root_u is not None and root_u in excluded_fr:
                 continue
             witnesses.append(_witness_from_curve(coords, NDs, factor, excluded_fr))
-        residual = [q.exquo(g) for q in Qs]
-
-    if any(r.is_ground for r in residual):
-        return "factor" if not g.is_ground else "resultant"
+        residual = [_su(q).exquo(g) for q in Qs]
+        if any(r.is_ground for r in residual):
+            return "factor"
+        rows = [_s_coefficients(r) for r in residual]
 
     # quick pass: a constant candidate gcd, excluded roots stripped, proves
     # the residual system has no common zeros off the excluded points.  The
     # residuals are symmetric in s and u up to sign, so eliminating u would
     # give these candidates in s: it cannot close a chart this pass leaves
     # open.
-    cands = _candidate_polys(residual, excluded_fr, chart.cone)
+    cands = _candidate_polys(rows, excluded_fr, chart.cone)
     if cands is _EMPTY:
         return "resultant"
-    du = None if cands is None else _common_factor(cands)
-    if du is not None and du.is_ground:
-        return "resultant"
+    du = None
+    if cands is not None:
+        du = _common_factor(cands, "u")
+        if du is None or du.is_ground:
+            return "resultant"
+    residual = [_su(r) for r in rows]
 
     # candidate roots in the u direction, partners recovered by univariate gcd
     if du is not None:
@@ -705,12 +785,12 @@ def _finite_finite(chart, coords, NDs, Qs, excluded_fr, witnesses):
     # the form elimination_poly prints in: scale each residual to the pinned
     # form, the one built from F = c N / lc(N), G = D / lc(D) (c the
     # coordinate's constant) and a monic gcd
-    lc_g = 1 if g.is_ground else g.LC
+    lc_g = g.LC if shared else 1
     gens = [
         r.set_ring(_GQ) * _qq(f.constant * lc_g / (N[0] * D[0]))
         for r, f, (N, D) in zip(residual, coords, NDs)
     ]
-    gens.append(1 - _gy * _saturation_poly(excluded_fr))
+    gens.append(_saturation_poly(excluded_fr))
     if all(QQ.denom(c) == 1 for p in gens for c in p.itercoeffs()):
         gens = [p.set_ring(_GZ) for p in gens]
     gb = groebner(gens, gens[0].ring)
@@ -746,7 +826,8 @@ _EMPTY = object()  # sentinel: the system certainly has no common zeros
 
 def _candidate_polys(residual, excluded_fr, cone):
     """Pairwise resultants in s, polynomials in u that vanish at every residual
-    common zero, with the factors of the excluded points stripped.
+    common zero, with the factors of the excluded points stripped: int lists
+    for residuals given as _s_coefficients rows.
 
     Pairs go cheapest first by D = deg_s f deg_u g + deg_s g deg_u f, which
     is 2 deg_s f deg_s g for residuals symmetric up to sign: the residuals
@@ -758,7 +839,7 @@ def _candidate_polys(residual, excluded_fr, cone):
     residual is nonconstant and symmetric up to sign, so it involves s.
     """
     cands = []
-    for f, g in combinations(sorted(residual, key=lambda r: r.degree()), 2):
+    for f, g in combinations(sorted(residual, key=len), 2):
         if _coprime(cands):
             return _EMPTY
         res = _resultant(f, g, cone)
@@ -767,7 +848,7 @@ def _candidate_polys(residual, excluded_fr, cone):
             if len(res) == 1:
                 return _EMPTY
             cands.append(res)
-    return [_zu.ring.from_dense(c) for c in cands] or None
+    return cands or None
 
 
 def _s_coefficients(f) -> list:
@@ -780,9 +861,10 @@ def _s_coefficients(f) -> list:
     return rows
 
 
-def _resultant(f, g, cone) -> list:
+def _resultant(F, G, cone) -> list:
     """Res_s(f, g), the Sylvester determinant, for f, g in Z[s, u] of positive
-    degree in s: an int list in u, top degree first, [0] if it vanishes.
+    degree in s given as _s_coefficients rows F, G: an int list in u, top
+    degree first, [0] if it vanishes.
 
     Evaluation-interpolation modulo one prime p (Collins, J. ACM 18(4), 1971;
     von zur Gathen & Gerhard, Modern Computer Algebra, ch. 6).  Res has
@@ -796,7 +878,6 @@ def _resultant(f, g, cone) -> list:
     block can reach), makes the lift exact.  A bound past the table raises
     DegreeOverflow.
     """
-    F, G = _s_coefficients(f), _s_coefficients(g)
     n, m = len(F) - 1, len(G) - 1
     du_f, du_g = len(F[0]) - 1, len(G[0]) - 1
     degree = n * du_g + m * du_f
@@ -956,10 +1037,11 @@ def chart_immersive(chart: ChartMap) -> CheckResult:
     excluded_fr = {p.finite for p in chart.excluded if not p.is_infinity}
     witnesses: list[dict] = []
 
-    w_polys = [_zt.ring.from_dense(_wronskian(*f.integer_parts)) for f in coords]
+    w_polys = [_trim(_wronskian(*f.integer_parts)) for f in coords]
     assert all(w_polys), "a chart coordinate is constant"
-    g = _common_factor(w_polys, excluded_fr)
-    if not g.is_ground:
+    g = _common_factor(w_polys, "t", excluded_fr)
+    if g is not None and not g.is_ground:
+        w_polys = [g.ring.from_dense(w) for w in w_polys]
         witnesses.extend(
             _zero_witnesses(
                 g,

@@ -24,7 +24,7 @@ from oracles import (
     resultant_by_prs,
     roots_and_factors_by_filter,
 )
-from test_replay_golden import involution_data
+from test_replay_golden import GOLDEN, involution_data
 from toricurve.curve import (
     INFINITY,
     CDivisor,
@@ -32,8 +32,8 @@ from toricurve.curve import (
     RationalFunction,
     evaluate_with_derivative,
 )
-from toricurve.embed import ChartMap, build_embedding_data, chart_maps
-from toricurve.fan import preset
+from toricurve.embed import ChartMap, build_embedding_data, chart_maps, save_embedding
+from toricurve.fan import preset, save_fan
 from toricurve.intersect import XiVector, find_ample, xi_vector
 from toricurve import verify
 from toricurve.verify import (
@@ -298,6 +298,85 @@ def test_polynomial_witnesses_print_without_building_a_sympy_expression():
          "verified": "groebner-saturation"}
     ]
     assert report["sympy.combinatorics"] == []
+
+
+def run_fresh(script: str, *args) -> dict:
+    """The JSON that script prints on its last line, run in a fresh
+    interpreter with src and tests on the path and args in sys.argv[1:]."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "tests")]))
+    done = subprocess.run([sys.executable, "-c", script, *map(str, args)], env=env, cwd=root,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+# every chart of these runs is proved clean in ints, so none builds a ring
+CLEAN_RUNS = textwrap.dedent("""
+    import contextlib, io, json, sys
+    from toricurve import cli
+    out = sys.argv[1]
+    runs = [["--preset", name] for name in ("p3", "p1p1p1", "bl-p3-point")]
+    runs += [["--fan", f"{out}/ladder{rays}.json", "--xi-method", "kernel"] for rays in (6, 9)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes = [cli.main(["run", *r, "--out", f"{out}/{i}"]) for i, r in enumerate(runs)]
+    print(json.dumps({"codes": codes, "sympy": sorted(m for m in sys.modules if m.split(".")[0] == "sympy")}))
+""")
+
+
+def test_clean_runs_never_import_sympy(tmp_path):
+    """run on the three presets and on the 6- and 9-ray kernel ladders,
+    from importing the CLI on, leaves no sympy module loaded."""
+    for rays in (6, 9):
+        save_fan(ladder_fan(rays), tmp_path / f"ladder{rays}.json")
+    report = run_fresh(CLEAN_RUNS, tmp_path)
+    assert report == {"codes": [0] * 5, "sympy": []}
+
+
+# a finder ahead of every other that refuses sympy and its submodules
+WITHOUT_SYMPY = textwrap.dedent("""
+    import contextlib, hashlib, io, json, sys
+
+    class NoSympy:
+        def find_spec(self, name, path=None, target=None):
+            if name.split(".")[0] == "sympy":
+                raise ModuleNotFoundError(f"no module named {name!r}", name=name)
+
+    sys.meta_path.insert(0, NoSympy())
+    from toricurve import cli
+    out = sys.argv[1]
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["run", "--preset", "p3", "--seed", "0", "--out", out])
+    with open(f"{out}/certificate.json", "rb") as fh:
+        print(json.dumps({"code": code, "certificate": hashlib.sha256(fh.read()).hexdigest()}))
+""")
+
+
+def test_run_on_p3_needs_no_sympy_and_writes_the_golden_certificate(tmp_path):
+    report = run_fresh(WITHOUT_SYMPY, tmp_path)
+    assert report == {"code": 0, "certificate": GOLDEN["run/p3/0"][1]}
+
+
+COLD_VERIFY = textwrap.dedent("""
+    import contextlib, io, json, sys
+    from toricurve import cli
+    data, out = sys.argv[1:]
+    before = "sympy" in sys.modules
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(["verify", "--data", data, "--out", out])
+    with open(f"{out}/certificate.json", encoding="utf-8") as fh:
+        print(json.dumps({"before": before, "after": "sympy" in sys.modules, "text": fh.read()}))
+""")
+
+
+def test_a_chart_that_needs_a_ring_imports_sympy_on_the_way(tmp_path):
+    """symmetric_data's charts share factors: verify from a cold process
+    imports sympy only once it runs, and writes the in-process bytes."""
+    data = symmetric_data()
+    save_embedding(data, tmp_path / "embedding.json")
+    report = run_fresh(COLD_VERIFY, tmp_path / "embedding.json", tmp_path / "out")
+    assert (report["before"], report["after"]) == (False, True)
+    assert report["text"] == dumps_certificate(certify(data))
 
 
 def test_degree_cap_aborts_oversized_eliminations(monkeypatch):

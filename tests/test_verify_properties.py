@@ -25,7 +25,9 @@ inconclusive whenever q divides a leading coefficient.  The last two pin
 the gcds and small factorizations taken in ints against sympy's ring:
 GCDHEU on planted common factors, with and without its sympy fallback, and
 the closed-form factors in one variable at degree 1 and 2 and in Z[s, u]
-at degree 1 in s.
+at degree 1 in s; GCDHEU's exact division on the int rows of Z[u][s]
+agrees with the ring's remainder test, and the Bezoutian's rows are the
+s-coefficients of the polynomial they stand for.
 """
 
 from fractions import Fraction
@@ -312,7 +314,7 @@ def swapped(p):
 @PROPERTY
 @given(coordinates())
 def test_bezoutian_is_the_divided_cross_difference_and_symmetric(f):
-    q = verify._bezoutian(*f.integer_parts)
+    q = verify._su(verify._bezoutian(*f.integer_parts))
     (reference,) = cross_quotients_qq([f])
     q_over_q = q.set_ring(reference.ring)
     assert q_over_q * reference.LC == reference * q_over_q.LC
@@ -322,7 +324,7 @@ def test_bezoutian_is_the_divided_cross_difference_and_symmetric(f):
 @PROPERTY
 @given(charts())
 def test_eliminating_u_swaps_the_variables_of_the_resultant_in_s(chart):
-    qs = [verify._bezoutian(*f.integer_parts) for f in chart.coords]
+    qs = [verify._su(verify._bezoutian(*f.integer_parts)) for f in chart.coords]
     assume(not any(q.is_ground for q in qs))
     g = verify._gcd_all(qs)
     residual = qs if g.is_ground else [q.exquo(g) for q in qs]
@@ -432,7 +434,8 @@ def resultant_pairs(draw):
 
 
 def assert_resultant_matches_prs(f, g):
-    got = verify._zu.ring.from_dense(verify._resultant(f, g, (0, 1, 2)))
+    got = verify._zu.ring.from_dense(
+        verify._resultant(verify._s_coefficients(f), verify._s_coefficients(g), (0, 1, 2)))
     want = resultant_by_prs(f, g)
     assert got in (want, -want)
 
@@ -446,7 +449,7 @@ def test_resultant_matches_the_subresultant_prs_up_to_sign(pair):
 @PROPERTY
 @given(charts())
 def test_resultant_of_chart_residuals_matches_the_subresultant_prs(chart):
-    qs = [verify._bezoutian(*f.integer_parts) for f in chart.coords]
+    qs = [verify._su(verify._bezoutian(*f.integer_parts)) for f in chart.coords]
     assume(not any(q.is_ground for q in qs))
     g = verify._gcd_all(qs)
     residual = qs if g.is_ground else [q.exquo(g) for q in qs]
@@ -591,10 +594,10 @@ def univariate_families(draw):
 @given(univariate_families())
 def test_a_one_variable_certificate_never_hides_a_shared_zero(case):
     polys, excluded = case
-    got = verify._common_factor(polys, excluded)
+    got = verify._common_factor([p.to_dense() for p in polys], "t", excluded)
     want = gcd_by_ring(polys)
-    # one only when nothing is shared off the excluded points, else the Z gcd
-    assert got == want or (got == got.ring.one and (
+    # None only when nothing is shared off the excluded points, else the Z gcd
+    assert got == want or (got is None and (
         want.is_ground or roots_and_factors_by_filter(want, excluded) == ([], [])))
     for f, g in combinations(polys, 2):
         lists = [f.to_dense(), g.to_dense()]
@@ -606,7 +609,7 @@ def test_a_one_variable_certificate_never_hides_a_shared_zero(case):
 
 @st.composite
 def bezoutian_families(draw):
-    """Two or three Bezoutians Q_i of coordinates N_i / D_i in Z[u]; in most,
+    """Two or three Bezoutians Q_i, as rows, of coordinates N_i / D_i in Z[u]; in most,
     every N_i and D_i share a planted root, whose factor's leading
     coefficient is a multiple of q a quarter of the time; and excluded
     points among the first values of u the test may pick."""
@@ -620,7 +623,7 @@ def bezoutian_families(draw):
     for _ in range(draw(st.integers(2, 3))):
         N, D = z_polys(draw, u), z_polys(draw, u)
         q = verify._bezoutian(*(tuple((p * factor).to_dense()) for p in (N, D)))
-        assume(q and not q.is_ground)
+        assume(len(q) > 1)  # neither zero nor constant
         qs.append(q)
     return qs, draw(st.sets(st.integers(0, 3).map(F), max_size=2)), plant != "none"
 
@@ -629,10 +632,10 @@ def bezoutian_families(draw):
 @given(bezoutian_families())
 def test_bezoutians_with_a_shared_root_never_pass_the_bivariate_certificate(case):
     qs, excluded, planted = case
-    want = gcd_by_ring(qs)
-    got = verify._common_factor(qs, excluded)
+    want = gcd_by_ring([verify._su(q) for q in qs])
+    got = verify._common_factor(qs, "s,u", excluded)
     assert not (planted and want.is_ground)
-    assert got == want or (got == got.ring.one and want.is_ground)
+    assert got == want or (got is None and want.is_ground)
 
 
 # --- gcds and small factorizations in ints against sympy's ring ---------------
@@ -674,6 +677,45 @@ def test_gcds_in_ints_equal_the_ring_gcd(tries, polys):
     """With tries = 0 every pair goes to sympy's gcd, the fallback."""
     with patch.object(verify, "_HEU_TRIES", tries):
         assert verify._gcd_all(polys) == gcd_by_ring(polys)
+
+
+@st.composite
+def row_divisions(draw):
+    """(h, f) in Z[s, u], h nonzero: f a multiple q h with a planted
+    quotient, a multiple plus a perturbation (mostly not a multiple), a
+    multiple of h's primitive part only, or unrelated; each with signed
+    contents, so leading coefficients come out negative too."""
+    R = verify._Z
+    contents = st.sampled_from((1, -1, 2, -3, 6, -12))
+    h = draw(positive_polys(R, 2)) * draw(contents)
+    q = draw(positive_polys(R, 2)) * draw(contents)
+    mode = draw(st.sampled_from(("multiple", "perturbed", "content", "unrelated")))
+    if mode == "multiple":
+        f = q * h
+    elif mode == "perturbed":
+        f = q * h + draw(positive_polys(R, 2)) * draw(contents)
+    elif mode == "content":
+        f = q * h.primitive()[1]
+    else:
+        f = draw(positive_polys(R, 3)) * draw(contents)
+    assume(f)
+    return h, f
+
+
+@settings(PROPERTY, max_examples=300)
+@given(row_divisions())
+def test_division_on_rows_is_the_ring_remainder_test(case):
+    h, f = case
+    rows_h, rows_f = verify._s_coefficients(h), verify._s_coefficients(f)
+    assert verify._divides_su(rows_h, rows_f) == (not f.rem(h))
+
+
+@PROPERTY
+@given(coordinates())
+def test_bezoutian_rows_are_the_s_coefficients_of_their_polynomial(f):
+    """Top s-degree first, no zero top row, each row deg_u + 1 wide."""
+    rows = verify._bezoutian(*f.integer_parts)
+    assert verify._s_coefficients(verify._su(rows)) == rows
 
 
 @st.composite
