@@ -26,8 +26,7 @@ _common_factor proves every gcd needless is decided on these alone, and
 sympy is never imported for it.  Any other chart imports sympy on first
 use (_sympy) and takes sparse ring elements over Z (`sympy.polys.rings`:
 Z[s, u], Z[u], Z[t]) for its remainders, exact quotients and witness
-strings.  Gcds are GCDHEU on ints, each candidate tried by exact long
-division of int lists or rows; sympy's gcd answers only when six
+strings.  Gcds are GCDHEU on ints; sympy's gcd answers only when six
 evaluation points fail.  Linear and quadratic factors in one variable,
 and factors of degree 1 in s with an integer s-content, come from closed
 forms; sympy's factor_list takes the rest.
@@ -74,25 +73,23 @@ _LAZY = ("_Z", "_s", "_u", "_zs", "_zu", "_zt", "_GQ", "_GZ", "QQ", "groebner")
 
 
 @cache
-def _sympy() -> dict:
-    """Import sympy, bind the names in _LAZY as this module's globals and
-    return the rings over Z by their generators ("s,u", "s", "u", "t").
+def _sympy() -> None:
+    """Import sympy and bind the names in _LAZY as this module's globals.
 
     Only a chart that is not proved clean needs a ring; a clean run never
     imports sympy.
     """
-    from sympy.polys.domains import QQ, ZZ
-    from sympy.polys.groebnertools import groebner
+    global _Z, _s, _u, _zs, _zu, _zt, _GQ, _GZ, QQ, groebner
+    from sympy.polys import domains, groebnertools
     from sympy.polys.rings import ring
 
-    rings = {gens: ring(gens, ZZ)[0] for gens in ("s,u", "s", "u", "t")}
-    GQ = ring("y,s,u", QQ)[0]  # lex, for the Groebner fallback
-    globals().update(
-        _Z=rings["s,u"], _s=rings["s,u"].gens[0], _u=rings["s,u"].gens[1],
-        _zs=rings["s"].gens[0], _zu=rings["u"].gens[0], _zt=rings["t"].gens[0],
-        _GQ=GQ, _GZ=GQ.clone(domain=ZZ), QQ=QQ, groebner=groebner,
-    )
-    return rings
+    QQ, groebner = domains.QQ, groebnertools.groebner
+    _Z, _s, _u = ring("s,u", domains.ZZ)
+    _zs = ring("s", domains.ZZ)[1]
+    _zu = ring("u", domains.ZZ)[1]  # also the ring of the resultants in s
+    _zt = ring("t", domains.ZZ)[1]
+    _GQ = ring("y,s,u", QQ)[0]  # lex, for the Groebner fallback
+    _GZ = _GQ.clone(domain=domains.ZZ)
 
 
 def __getattr__(name: str):
@@ -181,9 +178,10 @@ def _bezoutian(N, D) -> list:
 def _su(rows):
     """The element of Z[s, u] with s-coefficient rows `rows`, top degree
     first, each an int list in u, top degree first, of any length."""
+    _sympy()
     n = len(rows) - 1
-    return _sympy()["s,u"].from_dict({(n - i, len(r) - 1 - j): a
-                                      for i, r in enumerate(rows) for j, a in enumerate(r) if a})
+    return _Z.from_dict({(n - i, len(r) - 1 - j): a
+                         for i, r in enumerate(rows) for j, a in enumerate(r) if a})
 
 
 def _linear_root(p) -> Fraction:
@@ -255,7 +253,7 @@ def _heu_gcd(f: list, g: list) -> list | None:
         h = _digits(gcd(_horner(f, xi), _horner(g, xi)), xi)
         ch = gcd(*h)
         h = [a // ch for a in h]
-        if _exquo(f, h) is not None and _exquo(g, h) is not None:
+        if _divides(h, f) and _divides(h, g):
             c = gcd(cf, cg)
             return [c * a for a in h]
         xi = _next_xi(xi)
@@ -269,8 +267,8 @@ def _heu_gcd_su(f, g):
     u is set to xi, the gcd of the primitive parts' images is taken in Z[s]
     by _heu_gcd, and each of its coefficients' symmetric xi-adic digits is
     read back as a polynomial in u (the theorem _heu_gcd relies on holds in
-    several variables).  A primitive candidate is accepted when it divides
-    f and g exactly (_divides_su).
+    several variables).  A primitive candidate is accepted when ring
+    division leaves no remainder from f and g.
     """
     F, G = _s_coefficients(f), _s_coefficients(g)
     cf, cg = gcd(*chain(*F)), gcd(*chain(*G))
@@ -283,41 +281,11 @@ def _heu_gcd_su(f, g):
             # h's leading coefficient is positive, so is its top digit
             rows = [_digits(a, xi) for a in h]
             ch = gcd(*chain(*rows))
-            cand = [[a // ch for a in r] for r in rows]
-            if _divides_su(cand, F) and _divides_su(cand, G):
-                return _su(cand) * gcd(cf, cg)
+            cand = _su([[a // ch for a in r] for r in rows])
+            if not f.rem(cand) and not g.rem(cand):
+                return cand * gcd(cf, cg)
         xi = _next_xi(xi)
     return None
-
-
-def _divides_su(h: list, f: list) -> bool:
-    """Whether h divides f in Z[s, u], both s-coefficient rows with a
-    nonzero top row: long division in s, each quotient row an exact long
-    division in Z[u] by h's top row, and every remainder row zero."""
-    m = len(h) - 1
-    if len(f) <= m:
-        return False
-    h = [_trim(row) for row in h]
-    r = [_trim(row) for row in f]
-    for i in range(len(f) - m):
-        if r[i]:
-            q = _exquo(r[i], h[0])
-            if q is None:
-                return False
-            for j in range(1, m + 1):
-                r[i + j] = _minus_product(r[i + j], q, h[j])
-    return not any(r[len(f) - m:])
-
-
-def _minus_product(r: list, q: list, h: list) -> list:
-    """r - q h for int lists top first, without leading zeros."""
-    n = max(len(r), len(q) + len(h) - 1)
-    out = [0] * (n - len(r)) + r
-    top = n - len(q) - len(h) + 1  # the index of q h's top coefficient
-    for i, a in enumerate(q):
-        for j, b in enumerate(h):
-            out[top + i + j] -= a * b
-    return _trim(out)
 
 
 def _digits(v: int, xi: int) -> list:
@@ -341,23 +309,21 @@ def _trim(c: list) -> list:
     return c[i:]
 
 
-def _exquo(f: list, h: list) -> list | None:
-    """f / h over Z for int lists top first with nonzero leading
-    coefficients, or None when h does not divide f: long division with
-    every quotient digit exact."""
+def _divides(h: list, f: list) -> bool:
+    """Whether h divides f over Z, both int lists top first with nonzero
+    leading coefficients: long division with every quotient digit exact."""
     m = len(h) - 1
     if len(f) <= m:
-        return None
-    r, q = list(f), []
+        return False
+    r = list(f)
     for i in range(len(f) - m):
-        d, rest = divmod(r[i], h[0])
+        q, rest = divmod(r[i], h[0])
         if rest:
-            return None
-        q.append(d)
-        if d:
+            return False
+        if q:
             for j in range(1, m + 1):
-                r[i + j] -= d * h[j]
-    return None if any(r[len(f) - m:]) else q
+                r[i + j] -= q * h[j]
+    return not any(r[len(f) - m:])
 
 
 def _primitive(p):
@@ -433,7 +399,9 @@ def _common_factor(polys, gens: str, excluded_fr=()):
     if gens != "s,u":
         if _coprime([_strip(p, excluded_fr) for p in polys]):
             return None
-        return _gcd_all([_sympy()[gens].from_dense(p) for p in polys])
+        _sympy()
+        ring = {"u": _zu, "t": _zt}[gens].ring
+        return _gcd_all([ring.from_dense(p) for p in polys])
     q = (1 << _Q_BITS) - 1
     # unless q divides every coefficient of some lc_s, one of these a fits
     points = (a for a in range(sum(len(r[0]) for r in polys) + len(excluded_fr))
@@ -733,7 +701,7 @@ def _finite_finite(chart, coords, NDs, Qs, excluded_fr, witnesses):
     """
     g = _common_factor(Qs, "s,u", excluded_fr)
     shared = g is not None and not g.is_ground
-    rows = Qs
+    rows, residual = Qs, None
     if shared:
         for factor, _mult in _print_sorted(_factor(g)):
             if factor == _s - _u:
@@ -763,7 +731,7 @@ def _finite_finite(chart, coords, NDs, Qs, excluded_fr, witnesses):
         du = _common_factor(cands, "u")
         if du is None or du.is_ground:
             return "resultant"
-    residual = [_su(r) for r in rows]
+    residual = residual or [_su(r) for r in rows]
 
     # candidate roots in the u direction, partners recovered by univariate gcd
     if du is not None:

@@ -25,9 +25,8 @@ inconclusive whenever q divides a leading coefficient.  The last two pin
 the gcds and small factorizations taken in ints against sympy's ring:
 GCDHEU on planted common factors, with and without its sympy fallback, and
 the closed-form factors in one variable at degree 1 and 2 and in Z[s, u]
-at degree 1 in s; GCDHEU's exact division on the int rows of Z[u][s]
-agrees with the ring's remainder test, and the Bezoutian's rows are the
-s-coefficients of the polynomial they stand for.
+at degree 1 in s; and the Bezoutian's rows are the s-coefficients of the
+polynomial they stand for.
 """
 
 from fractions import Fraction
@@ -677,37 +676,6 @@ def test_gcds_in_ints_equal_the_ring_gcd(tries, polys):
     """With tries = 0 every pair goes to sympy's gcd, the fallback."""
     with patch.object(verify, "_HEU_TRIES", tries):
         assert verify._gcd_all(polys) == gcd_by_ring(polys)
-
-
-@st.composite
-def row_divisions(draw):
-    """(h, f) in Z[s, u], h nonzero: f a multiple q h with a planted
-    quotient, a multiple plus a perturbation (mostly not a multiple), a
-    multiple of h's primitive part only, or unrelated; each with signed
-    contents, so leading coefficients come out negative too."""
-    R = verify._Z
-    contents = st.sampled_from((1, -1, 2, -3, 6, -12))
-    h = draw(positive_polys(R, 2)) * draw(contents)
-    q = draw(positive_polys(R, 2)) * draw(contents)
-    mode = draw(st.sampled_from(("multiple", "perturbed", "content", "unrelated")))
-    if mode == "multiple":
-        f = q * h
-    elif mode == "perturbed":
-        f = q * h + draw(positive_polys(R, 2)) * draw(contents)
-    elif mode == "content":
-        f = q * h.primitive()[1]
-    else:
-        f = draw(positive_polys(R, 3)) * draw(contents)
-    assume(f)
-    return h, f
-
-
-@settings(PROPERTY, max_examples=300)
-@given(row_divisions())
-def test_division_on_rows_is_the_ring_remainder_test(case):
-    h, f = case
-    rows_h, rows_f = verify._s_coefficients(h), verify._s_coefficients(f)
-    assert verify._divides_su(rows_h, rows_f) == (not f.rem(h))
 
 
 @PROPERTY
