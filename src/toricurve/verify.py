@@ -21,15 +21,17 @@ p over Z as den^n p(num / den), n p's degree in that variable, never by
 substitution over Q.
 
 Polynomials are int lists, top degree first, and a polynomial in Z[s, u]
-is the rows of its coefficients in s (_s_coefficients).  A chart on which
-_common_factor proves every gcd needless is decided on these alone, and
-sympy is never imported for it.  Any other chart imports sympy on first
-use (_sympy) and takes sparse ring elements over Z (`sympy.polys.rings`:
-Z[s, u], Z[u], Z[t]) for its remainders, exact quotients and witness
-strings.  Gcds are GCDHEU on ints; sympy's gcd answers only when six
-evaluation points fail.  Linear and quadratic factors in one variable,
-and factors of degree 1 in s with an integer s-content, come from closed
-forms; sympy's factor_list takes the rest.
+is the rows of its coefficients in s (_s_coefficients), on clean and
+refuting charts alike.  Gcds are GCDHEU on ints, a candidate accepted once
+it divides exactly (in Z[s, u] by long division on rows, in Z[u][s]).
+Rational roots in one variable come from closed forms up to degree 2 and,
+above, from p-adic lifting of the roots modulo a small prime, each
+accepted only once it evaluates to zero exactly; what is left once they
+are divided out is irreducible at degree 2 or 3.  A factor of degree 1
+in s with an integer s-content is irreducible.  sympy is imported on
+first use (_sympy) for three things only: a gcd that six evaluation
+points fail, factor_list of what is left at degree >= 4 in one variable
+or past the closed form in Z[s, u], and the Groebner fallback.
 Factors come out primitive with positive leading coefficient, as over Q.
 Resultants are this module's own: evaluation at consecutive integers, a
 Euclidean remainder sequence modulo one Mersenne prime past a proven
@@ -44,9 +46,11 @@ stops after two when a stripped candidate is constant or the two are
 proved coprime.  The Groebner fallback runs in a
 lex ring in y, s, u, over Z when every input coefficient is an integer and
 over Q otherwise; no other polynomial is over Q, and its eliminant is
-cleared into Z[u] before it is factored.  Witness strings are the ring's
-own str(p), which for these polynomials is what sympy's Expr would print;
-a list of factors is printed to sort it only when it holds two or more.
+cleared into Z[u] before its rational roots are sought.  Witness strings
+print from int lists and rows (_str) as sympy's ring prints them, which
+for these polynomials is what sympy's Expr would print; the eliminant is
+the ring's own str over Q.  A list of factors is printed to sort it only
+when it holds two or more.
 """
 from __future__ import annotations
 
@@ -55,7 +59,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import chain, combinations
+from itertools import chain, combinations, count
 from math import gcd, isqrt
 
 from .curve import (
@@ -69,25 +73,23 @@ from .curve import (
 from .embed import ChartMap, EmbeddingData, chart_maps, check_theorem_conditions
 
 # sympy's rings and Groebner basis, bound as globals by _sympy() on first use
-_LAZY = ("_Z", "_s", "_u", "_zs", "_zu", "_zt", "_GQ", "_GZ", "QQ", "groebner")
+_LAZY = ("_Z", "_zu", "_GQ", "_GZ", "QQ", "groebner")
 
 
 @cache
 def _sympy() -> None:
     """Import sympy and bind the names in _LAZY as this module's globals.
 
-    Only a chart that is not proved clean needs a ring; a clean run never
-    imports sympy.
+    Only the Groebner fallback, a gcd GCDHEU gives up on and a factorization
+    in Z[s, u] or of degree >= 4 in one variable need a ring.
     """
-    global _Z, _s, _u, _zs, _zu, _zt, _GQ, _GZ, QQ, groebner
+    global _Z, _zu, _GQ, _GZ, QQ, groebner
     from sympy.polys import domains, groebnertools
     from sympy.polys.rings import ring
 
     QQ, groebner = domains.QQ, groebnertools.groebner
-    _Z, _s, _u = ring("s,u", domains.ZZ)
-    _zs = ring("s", domains.ZZ)[1]
-    _zu = ring("u", domains.ZZ)[1]  # also the ring of the resultants in s
-    _zt = ring("t", domains.ZZ)[1]
+    _Z = ring("s,u", domains.ZZ)[0]
+    _zu = ring("u", domains.ZZ)[1]  # also the ring the eliminant is cleared into
     _GQ = ring("y,s,u", QQ)[0]  # lex, for the Groebner fallback
     _GZ = _GQ.clone(domain=domains.ZZ)
 
@@ -184,27 +186,69 @@ def _su(rows):
                          for i, r in enumerate(rows) for j, a in enumerate(r) if a})
 
 
-def _linear_root(p) -> Fraction:
-    """The root of a * x + b, a primitive factor with integer a and b."""
-    return Fraction(int(-p.coeff(1)), int(p.LC))
+def _in_ring(p):
+    """p, an int list or rows, as an element of sympy's Z[u] or Z[s, u]."""
+    _sympy()
+    return _su(p) if isinstance(p[0], list) else _zu.ring.from_dense(p)
 
 
-def _total_degree(p) -> int:
-    return max(map(sum, p.itermonoms()))
+def _ints(h) -> list:
+    """h, an element of sympy's Z[u] or Z[s, u], as an int list or rows."""
+    return _s_coefficients(h) if h.ring.ngens == 2 else [int(a) for a in h.to_dense()]
+
+
+def _rows(R: list) -> list:
+    """R, s-coefficient rows of int lists in u of any length, in the form
+    _s_coefficients gives: no zero top row, each row deg_u + 1 wide ([] for
+    zero)."""
+    R = [_trim(r) for r in R]
+    while R and not R[0]:
+        del R[0]
+    width = max(map(len, R), default=0)
+    return [[0] * (width - len(r)) + r for r in R]
+
+
+def _total_degree(rows) -> int:
+    n = len(rows) - 1
+    return max(n - i + len(r) - 1 - j for i, r in enumerate(rows) for j, a in enumerate(r) if a)
+
+
+def _str(p: list, gens: str) -> str:
+    """str(p) for p as an element of sympy's ring over Z: an int list in the
+    variable gens ("s", "u" or "t") or, for gens = "s,u", rows in Z[s, u].
+
+    Terms in lex order, each c*s**i*u**j with c left out when it is +-1,
+    joined by " + " and " - "; a leading minus is "-", zero is "0".
+    """
+    if gens == "s,u":
+        terms = [(a, (("s", len(p) - 1 - i), ("u", len(r) - 1 - j)))
+                 for i, r in enumerate(p) for j, a in enumerate(r) if a]
+    else:
+        terms = [(a, ((gens, len(p) - 1 - j),)) for j, a in enumerate(p) if a]
+    text = ""
+    for a, monomial in terms:
+        factors = [x if k == 1 else f"{x}**{k}" for x, k in monomial if k]
+        if abs(a) != 1 or not factors:
+            factors.insert(0, str(abs(a)))
+        text += (" - " if a < 0 else " + ") + "*".join(factors)
+    return text[3:] if text.startswith(" + ") else "-" + text[3:] if text else "0"
 
 
 def _gcd_all(polys):
+    """The gcd of nonzero polys (all int lists or all rows) by _gcd,
+    pairwise from the left, stopping at a constant."""
     g = polys[0]
     for p in polys[1:]:
-        if g.is_ground:
+        if len(g) == 1 and not (isinstance(g[0], list) and len(g[0]) > 1):
             break
         g = _gcd(g, p)
     return g
 
 
 def _gcd(f, g):
-    """gcd(f, g) over Z for f, g in one variable or in Z[s, u]: the gcd of
-    the contents times the primitive gcd with a positive leading coefficient.
+    """gcd(f, g) over Z for nonzero int lists in one variable or rows in
+    Z[s, u]: the gcd of the contents times the primitive gcd with a
+    positive leading coefficient.
 
     GCDHEU (Char, Geddes & Gonnet, J. Symbolic Comput. 7(1), 1989) on ints,
     _heu_gcd in one variable and _heu_gcd_su in two; sympy's gcd answers
@@ -213,17 +257,11 @@ def _gcd(f, g):
     finds the gcd through a cofactor); no caller depends on that sign, and
     it is made positive.
     """
-    if f and g:
-        if f.ring.ngens == 1:
-            h = _heu_gcd(f.to_dense(), g.to_dense())
-            if h is not None:
-                return f.ring.from_dense(h)
-        else:
-            h = _heu_gcd_su(f, g)
-            if h is not None:
-                return h
-    h = f.gcd(g)
-    return -h if h.LC < 0 else h
+    h = (_heu_gcd_su if isinstance(f[0], list) else _heu_gcd)(f, g)
+    if h is None:
+        h = _in_ring(f).gcd(_in_ring(g))
+        h = _ints(-h if h.LC < 0 else h)
+    return h
 
 
 _HEU_TRIES = 6  # values of xi before a gcd goes to sympy, as in sympy's heugcd
@@ -260,17 +298,16 @@ def _heu_gcd(f: list, g: list) -> list | None:
     return None
 
 
-def _heu_gcd_su(f, g):
-    """gcd(f, g) for nonzero f, g in Z[s, u] in the normal form of _gcd, or
-    None when GCDHEU fails.
+def _heu_gcd_su(F: list, G: list) -> list | None:
+    """gcd(F, G) for nonzero rows in Z[s, u] in the normal form of _gcd, as
+    rows, or None when GCDHEU fails.
 
     u is set to xi, the gcd of the primitive parts' images is taken in Z[s]
     by _heu_gcd, and each of its coefficients' symmetric xi-adic digits is
     read back as a polynomial in u (the theorem _heu_gcd relies on holds in
-    several variables).  A primitive candidate is accepted when ring
-    division leaves no remainder from f and g.
+    several variables).  A primitive candidate is accepted when it divides
+    F and G exactly (_exquo_su).
     """
-    F, G = _s_coefficients(f), _s_coefficients(g)
     cf, cg = gcd(*chain(*F)), gcd(*chain(*G))
     xi = 2 * min(max(map(abs, chain(*F))) // cf, max(map(abs, chain(*G))) // cg) + 29
     for _ in range(_HEU_TRIES):
@@ -281,9 +318,10 @@ def _heu_gcd_su(f, g):
             # h's leading coefficient is positive, so is its top digit
             rows = [_digits(a, xi) for a in h]
             ch = gcd(*chain(*rows))
-            cand = _su([[a // ch for a in r] for r in rows])
-            if not f.rem(cand) and not g.rem(cand):
-                return cand * gcd(cf, cg)
+            cand = _rows([[a // ch for a in r] for r in rows])
+            if _exquo_su(F, cand) is not None and _exquo_su(G, cand) is not None:
+                c = gcd(cf, cg)
+                return [[c * a for a in r] for r in cand]
         xi = _next_xi(xi)
     return None
 
@@ -309,60 +347,83 @@ def _trim(c: list) -> list:
     return c[i:]
 
 
-def _divides(h: list, f: list) -> bool:
-    """Whether h divides f over Z, both int lists top first with nonzero
-    leading coefficients: long division with every quotient digit exact."""
+def _exquo(f: list, h: list) -> list | None:
+    """f / h over Z for int lists top first, h with a nonzero leading
+    coefficient: long division with every quotient digit exact; None when h
+    does not divide f ([] for f zero)."""
     m = len(h) - 1
-    if len(f) <= m:
-        return False
-    r = list(f)
-    for i in range(len(f) - m):
-        q, rest = divmod(r[i], h[0])
+    r = _trim(f)
+    if len(r) <= m:
+        return None if r else []
+    q = []
+    for i in range(len(r) - m):
+        d, rest = divmod(r[i], h[0])
         if rest:
-            return False
-        if q:
+            return None
+        q.append(d)
+        if d:
             for j in range(1, m + 1):
-                r[i + j] -= q * h[j]
-    return not any(r[len(f) - m:])
+                r[i + j] -= d * h[j]
+    return None if any(r[len(r) - m:]) else q
 
 
-def _primitive(p):
-    """p's primitive part over Z with a positive leading coefficient."""
-    p = p.primitive()[1]
-    return -p if p.LC < 0 else p
+def _divides(h: list, f: list) -> bool:
+    """Whether h divides f over Z (see _exquo)."""
+    return _exquo(f, h) is not None
+
+
+def _exquo_su(F: list, G: list) -> list | None:
+    """F / G as rows for rows F, G in Z[s, u], G nonzero; None when G does
+    not divide F ([] for F zero).
+
+    s -> x^w, u -> x, w the width of F's rows (so deg_u F < w), maps
+    Z[s, u] into Z[x]: a ring map, one to one on polynomials of degree < w
+    in u.  So G divides F exactly when _exquo divides G's image into F's
+    with a quotient whose every block of w coefficients, a row of F / G,
+    has degree below w - deg_u G.
+    """
+    w, dg = max(map(len, F), default=0), max(map(len, G)) - 1
+    if not F or dg >= w:
+        return None if F else []
+
+    def image(R):
+        return _trim([a for r in R for a in [0] * (w - len(r)) + r])
+
+    q = _exquo(image(F), image(G))
+    if q is None:
+        return None
+    q = [0] * (-len(q) % w) + q
+    Q = [q[i:i + w] for i in range(0, len(q), w)]
+    return None if any(any(r[:dg]) for r in Q) else _rows(Q)
+
+
+def _primitive(c: list) -> list:
+    """c's primitive part with a positive leading coefficient, for a nonzero
+    int list top first."""
+    g = gcd(*c) if c[0] > 0 else -gcd(*c)
+    return [a // g for a in c]
 
 
 def _factor(p) -> list:
-    """p.factor_list()[1], up to order, for p nonconstant over Z in one
-    variable or in Z[s, u].
+    """p.factor_list()[1], up to order, as int lists or rows, for p
+    nonconstant: rows in Z[s, u], or an int list in one variable with no
+    rational root.
 
-    Closed forms first.  In one variable a linear p is its primitive part,
-    and a quadratic a x^2 + b x + c splits over Z exactly when its
-    discriminant is a square r^2: into den x - num for the roots
-    num / den = (-b +- r) / 2a, one factor doubled when r = 0.  In Z[s, u]
+    In one variable such a p of degree 2 or 3 is irreducible.  In Z[s, u]
     a p of degree 1 in s whose s-coefficients have an integer gcd in Z[u]
     has an irreducible primitive part, by Gauss's lemma.  The rest goes to
     sympy's factor_list.
     """
-    if p.ring.ngens == 1:
-        c = p.to_dense()
-        if len(c) == 2:
-            return [(_primitive(p), 1)]
-        if len(c) == 3:
-            a, b, k = c
-            disc = b * b - 4 * a * k
-            r = isqrt(disc) if disc >= 0 else -1
-            if r * r != disc:
-                return [(_primitive(p), 1)]
-            roots = {Fraction(-b + r, 2 * a), Fraction(-b - r, 2 * a)}
-            return [(p.ring.from_dense([x.denominator, -x.numerator]), 3 - len(roots))
-                    for x in roots]
-    elif p.degree(0) == 1:
-        a, b = (_trim(row) for row in _s_coefficients(p))
+    two = isinstance(p[0], list)
+    if not two and len(p) <= 4:
+        return [(_primitive(p), 1)]
+    if two and len(p) == 2:
+        a, b = (_trim(row) for row in p)
         content = _heu_gcd(a, b) if b else a
         if content is not None and len(content) == 1:
-            return [(_primitive(p), 1)]
-    return p.factor_list()[1]
+            c = gcd(*chain(*p)) if a[0] > 0 else -gcd(*chain(*p))
+            return [([[x // c for x in r] for r in p], 1)]
+    return [(_ints(f), m) for f, m in _in_ring(p).factor_list()[1]]
 
 
 def _coprime(polys: list) -> bool:
@@ -394,14 +455,12 @@ def _common_factor(polys, gens: str, excluded_fr=()):
     lc_s: a common factor h with deg_s h > 0 keeps its degree there, so
     every Res_s(Q_i(s, a), Q_j(s, a)) would vanish mod q, and the gcd of
     symmetric polynomials is symmetric up to sign, so deg_u h = deg_s h.
-    Otherwise _gcd_all of polys as elements of sympy's ring.
+    Otherwise _gcd_all of polys, in their own form.
     """
     if gens != "s,u":
         if _coprime([_strip(p, excluded_fr) for p in polys]):
             return None
-        _sympy()
-        ring = {"u": _zu, "t": _zt}[gens].ring
-        return _gcd_all([ring.from_dense(p) for p in polys])
+        return _gcd_all(polys)
     q = (1 << _Q_BITS) - 1
     # unless q divides every coefficient of some lc_s, one of these a fits
     points = (a for a in range(sum(len(r[0]) for r in polys) + len(excluded_fr))
@@ -409,14 +468,14 @@ def _common_factor(polys, gens: str, excluded_fr=()):
     a = next((a for a in points if all(_horner(r[0], a) % q for r in polys)), None)
     if a is not None and _coprime([[_horner(row, a) for row in r] for r in polys]):
         return None
-    return _gcd_all([_su(r) for r in polys])
+    return _gcd_all(polys)
 
 
-def _print_sorted(items: list) -> list:
+def _print_sorted(items: list, show=str) -> list:
     """(x, multiplicity) pairs in certificate order, sorted by the printed
-    pair "(x, m)"; one item is left unprinted."""
+    pair "(x, m)", x printed by show; one item is left unprinted."""
     if len(items) > 1:
-        items.sort(key=lambda xm: f"({xm[0]}, {xm[1]})")
+        items.sort(key=lambda xm: f"({show(xm[0])}, {xm[1]})")
     return items
 
 
@@ -448,39 +507,95 @@ def _strip(c: list, excluded_fr) -> list:
     return c
 
 
-def _roots_and_factors(p, excluded_fr):
-    """Factor p, nonconstant in a ring of one variable over Z, once its
-    excluded roots are gone.
+def _rational_roots(c: list, excluded_fr) -> tuple[list, list]:
+    """The rational roots of c, a nonconstant int list, that are not
+    excluded points, in certificate order; and what is left of c once the
+    factor den * x - num of every excluded point and of every root is
+    divided out as often as it divides.
 
-    Every excluded point's linear factor is stripped first, so what is left
-    is factored (if it is not constant) in p's ring.  Returns the rational
-    roots that are not excluded points, from the linear factors, and the
-    irreducible factors of degree >= 2, the candidates for a congruence
+    Linear and quadratic c have closed forms: a x^2 + b x + k has rational
+    roots exactly when its discriminant is a square r^2, (-b +- r) / 2a.
+    Higher degrees go to _lifted_roots.
+    """
+    c = _strip(c, excluded_fr)
+    found = ()
+    if len(c) == 2:
+        found = (Fraction(-c[1], c[0]),)
+    elif len(c) == 3:
+        a, b, k = c
+        disc = b * b - 4 * a * k
+        r = isqrt(disc) if disc >= 0 else -1
+        if r * r == disc:
+            found = {Fraction(-b + r, 2 * a), Fraction(-b - r, 2 * a)}
+    elif len(c) > 3:
+        found = _lifted_roots(c)
+    roots = []
+    for x in found:
+        n = len(c)
+        c = _strip(c, (x,))
+        roots.append((x, n - len(c)))
+    return [x for x, _ in _print_sorted(roots)], c
+
+
+def _lifted_roots(c: list) -> list:
+    """The rational roots of c, an int list of degree >= 3, by p-adic
+    lifting (Loos, SIAM J. Comput. 12(2), 1983).
+
+    f = c / gcd(c, c') is c's squarefree part by GCDHEU (c' is the Wronskian
+    of c and 1).  p is the first prime not dividing lc(f) at whose roots
+    mod p f' does not vanish, as at any p that divides neither lc(f) nor
+    disc(f).  A root num / den of f has den | lc(f), so it reduces to a
+    simple root mod p, which Newton's iteration lifts uniquely mod
+    m = p^(2^k) until m > 2 (|lc| + max |f_i|), twice Cauchy's bound on
+    |lc num / den|: lc num / den is the symmetric residue of lc r mod m.  A
+    candidate counts only once den^n f(num / den) is zero exactly.
+    """
+    f = _primitive(_exquo(c, _gcd(c, _wronskian(c, [1]))))
+    df = _wronskian(f, [1])
+    lc = f[0]
+    bound = 2 * (lc + max(map(abs, f[1:])))
+
+    def zeros(p):
+        return [x for x in range(p) if not _horner(f, x) % p]
+
+    p = next(p for p in count(2) if lc % p and all(p % q for q in range(2, isqrt(p) + 1))
+             and all(_horner(df, x) % p for x in zeros(p)))
+    out = []
+    for r in zeros(p):
+        m = p
+        while m <= bound:
+            m *= m
+            r = (r - _horner(f, r) * pow(_horner(df, r), -1, m)) % m
+        v = lc * r % m
+        x = Fraction(v - m if v > m >> 1 else v, lc)
+        if not _homogeneous(f, x.numerator, x.denominator):
+            out.append(x)
+    return out
+
+
+def _roots_and_factors(c: list, excluded_fr, gens: str):
+    """The rational roots of c, a nonconstant int list in the variable gens,
+    that are not excluded points, and the irreducible factors of degree >= 2
+    of what _rational_roots leaves, the candidates for a congruence
     re-check; each list in the fixed order that decides which witness is
     found first.
     """
-    c = _strip(p.to_dense(), excluded_fr)
-    if len(c) == 1:
-        return [], []
-    roots, higher = [], []
-    for mu, m in _factor(p.ring.from_dense(c)):
-        if mu.degree() == 1:
-            roots.append((_linear_root(mu), m))
-        else:
-            higher.append((mu, m))
-    return [r for r, _ in _print_sorted(roots)], [mu for mu, _ in _print_sorted(higher)]
+    roots, rest = _rational_roots(c, excluded_fr)
+    higher = _factor(rest) if len(rest) > 1 else []
+    return roots, [mu for mu, _ in _print_sorted(higher, lambda mu: _str(mu, gens))]
 
 
-def _zero_witnesses(p, excluded_fr, at_root, at_factor):
+def _zero_witnesses(p, gens: str, excluded_fr, at_root, at_factor):
     """The re-checked witnesses on the zeros of p, lazily, in certificate order.
 
-    p is a polynomial in one variable, factored at once.  Its rational roots
-    off the excluded points come first, then its irreducible factors of
-    degree >= 2, as _roots_and_factors lists them; each is re-checked only
-    when the iterator reaches it.  at_root(x) and at_factor(mu) re-check one
-    exactly and return its witness, or a false value when the check fails.
+    p is an int list in the variable gens, factored at once.  Its rational
+    roots off the excluded points come first, then its irreducible factors
+    of degree >= 2, as _roots_and_factors lists them; each is re-checked
+    only when the iterator reaches it.  at_root(x) and at_factor(mu) re-check
+    one exactly and return its witness, or a false value when the check
+    fails.
     """
-    roots, higher = _roots_and_factors(p, excluded_fr)
+    roots, higher = _roots_and_factors(p, excluded_fr, gens)
     return filter(None, chain(map(at_root, roots), map(at_factor, higher)))
 
 
@@ -494,26 +609,12 @@ def _rational_candidates():
         yield Fraction(-(2 * k - 1), 2)
 
 
-def _axis_root(factor, var):
-    """If factor is linear in `var` alone, its rational root, else None."""
-    other = _u if var == _s else _s
-    if factor.degree(other) != 0 or factor.degree(var) != 1:
-        return None
-    return _linear_root(factor)
-
-
-def _at(p, var: int, x: Fraction, ring):
-    """den^n p(num / den) for p in Z[s, u], x = num / den substituted for
-    the variable of index `var` (0 for s, 1 for u), n = p's degree in it: a
-    polynomial over Z in the other variable, in `ring` (Z[u] or Z[s])."""
-    num, den = x.numerator, x.denominator
-    n = p.degree(var)
-    powers = [(num**i) * den ** (n - i) for i in range(n + 1)]
-    out: dict = {}
-    for monom, c in p.iterterms():
-        j = (monom[1 - var],)
-        out[j] = out.get(j, 0) + c * powers[monom[var]]
-    return ring.from_dict({j: c for j, c in out.items() if c})
+def _at(p: list, var: int, x: Fraction) -> list:
+    """den^n p(num / den) for rows p in Z[s, u], x = num / den substituted
+    for the variable of index `var` (0 for s, 1 for u), n = p's degree in
+    it: an int list in the other variable ([] for zero)."""
+    lines = zip(*p) if var == 0 else p  # the coefficients of each power of the other
+    return _trim([_homogeneous(c, x.numerator, x.denominator) for c in lines])
 
 
 def _collision_holds(coords, s0: Fraction, u0: Fraction) -> bool:
@@ -526,55 +627,58 @@ def _collision_holds(coords, s0: Fraction, u0: Fraction) -> bool:
     return True
 
 
-def _congruence_collision(NDs, s0: Fraction, mu) -> bool:
+def _congruence_collision(NDs, s0: Fraction, mu: list) -> bool:
     """Check p_i(s0) = p_i(alpha) for every root alpha of mu(u), exactly.
 
     N_i(u) D_i(s0) - N_i(s0) D_i(u) = 0 mod mu(u) states the collision in
     Q[u]/(mu).  With s0 = a / b and n = max(deg N_i, deg D_i), the ints
     N^ = b^n N_i(s0) and D^ = b^n D_i(s0) make N_i D^ - N^ D_i, b^n times
-    that polynomial, one over Z, built in mu's ring (whatever its variable
-    is named); mu is primitive, so by Gauss's lemma it divides it in Q[u]
-    exactly when the remainder over Z is zero.  N_i and D_i are int tuples.
+    that polynomial, one over Z; mu (an int list) is primitive, so by
+    Gauss's lemma it divides it in Q[u] exactly when it divides it over Z.
+    N_i and D_i are int tuples.
     """
     a, b = s0.numerator, s0.denominator
     for N, D in NDs:
         n = max(len(N), len(D))
         N, D = ((0,) * (n - len(p)) + p for p in (N, D))
         Nh, Dh = _homogeneous(N, a, b), _homogeneous(D, a, b)
-        if mu.ring.from_dense([nk * Dh - Nh * dk for nk, dk in zip(N, D)]).rem(mu):
+        if not _divides(mu, [nk * Dh - Nh * dk for nk, dk in zip(N, D)]):
             return False
     return True
 
 
-def _conjugate_witness(s0: Fraction, mu) -> dict:
+def _conjugate_witness(s0: Fraction, mu: str) -> dict:
     return {
         "kind": "collision-conjugate",
         "s": str(s0),
-        "partner_poly": str(mu),
+        "partner_poly": mu,
         "verified": "congruence",
     }
 
 
 def _witness_from_curve(coords, NDs, factor, excluded_fr):
-    """A verified collision witness on the zero curve of a common factor."""
+    """A verified collision witness on the zero curve of a common factor
+    (rows in Z[s, u])."""
     for s0 in _rational_candidates():
         if s0 in excluded_fr:
             continue
-        psi = _at(factor, 0, s0, _zu.ring)
+        psi = _at(factor, 0, s0)
         if not psi:
             # factor is s - s0 itself; any u pairs with s0
             for u0 in _rational_candidates():
                 if u0 != s0 and u0 not in excluded_fr and _collision_holds(coords, s0, u0):
                     return _pair_witness(s0, u0)
             continue
-        if psi.is_ground:
+        if len(psi) == 1:
             continue
         found = next(
             _zero_witnesses(
                 psi,
+                "u",
                 excluded_fr,
                 lambda u0: u0 != s0 and _collision_holds(coords, s0, u0) and _pair_witness(s0, u0),
-                lambda mu: _congruence_collision(NDs, s0, mu) and _conjugate_witness(s0, mu),
+                lambda mu: _congruence_collision(NDs, s0, mu)
+                and _conjugate_witness(s0, _str(mu, "u")),
             ),
             None,
         )
@@ -582,7 +686,7 @@ def _witness_from_curve(coords, NDs, factor, excluded_fr):
             return found
     return {
         "kind": "collision-curve",
-        "poly": str(factor),
+        "poly": _str(factor, "s,u"),
         "verified": "common-factor-division",
     }
 
@@ -599,20 +703,21 @@ def _pair_witness(s0: Fraction, u0: Fraction) -> dict:
 
 def _partner_witnesses(coords, NDs, residual, u0: Fraction, excluded_fr):
     """All verified collisions with second coordinate u0 (rational); the
-    residuals in Z[s, u], specialised to Z[s]."""
+    residuals, rows in Z[s, u], specialised to int lists in s."""
     if u0 in excluded_fr:
         return []
-    specialized = [p for p in (_at(r, 1, u0, _zs.ring) for r in residual) if p]
+    specialized = [p for p in (_at(r, 1, u0) for r in residual) if p]
     assert specialized, "all coordinates degenerate at a candidate"
     d = _gcd_all(specialized)
-    if d.is_ground:
+    if len(d) == 1:
         return []
     return list(
         _zero_witnesses(
             d,
+            "s",
             excluded_fr,
             lambda s0: s0 != u0 and _collision_holds(coords, s0, u0) and _pair_witness(s0, u0),
-            lambda mu: _congruence_collision(NDs, u0, mu) and _conjugate_witness(u0, mu),
+            lambda mu: _congruence_collision(NDs, u0, mu) and _conjugate_witness(u0, _str(mu, "s")),
         )
     )
 
@@ -657,20 +762,20 @@ def chart_injective(chart: ChartMap) -> CheckResult:
             h_polys.append(_trim([D[0] * a - n_d * b for a, b in zip((0,) * pad + N, D)]))
         assert all(h_polys), "a chart coordinate is constant"
         g_inf = _common_factor(h_polys, "u", excluded_fr)
-        if g_inf is not None and not g_inf.is_ground:
-            h_polys = [g_inf.ring.from_dense(h) for h in h_polys]
+        if g_inf is not None and len(g_inf) > 1:
             witnesses.extend(
                 _zero_witnesses(
                     g_inf,
+                    "u",
                     excluded_fr,
                     lambda u0: all(
                         evaluate(f, CurvePoint(u0)) == c for f, c in zip(coords, inf_values)
                     )
                     and {"kind": "collision-with-infinity", "u": str(u0), "verified": "evaluation"},
-                    lambda mu: all(not h.rem(mu) for h in h_polys)
+                    lambda mu: all(_divides(mu, h) for h in h_polys)
                     and {
                         "kind": "collision-with-infinity-conjugate",
-                        "poly": str(mu),
+                        "poly": _str(mu, "u"),
                         "verified": "congruence",
                     },
                 )
@@ -696,50 +801,47 @@ def _finite_finite(chart, coords, NDs, Qs, excluded_fr, witnesses):
 
     Every Q_i and residual has degree below deg N_i, D_i in s and in u, so
     chart_injective's estimate bounds each pairwise resultant here.  The
-    Q_i are _s_coefficients rows; the residuals become ring elements only
-    past the quick pass.
+    Q_i, their gcd, its factors and the residuals are _s_coefficients rows;
+    the gcd and the residuals are symmetric up to sign, so one row means a
+    constant.
     """
     g = _common_factor(Qs, "s,u", excluded_fr)
-    shared = g is not None and not g.is_ground
-    rows, residual = Qs, None
+    shared = g is not None and len(g) > 1
+    residual = Qs
     if shared:
-        for factor, _mult in _print_sorted(_factor(g)):
-            if factor == _s - _u:
-                continue  # extra tangency along the diagonal: immersion's job
-            root_s = _axis_root(factor, _s)
-            if root_s is not None and root_s in excluded_fr:
-                continue
-            root_u = _axis_root(factor, _u)
-            if root_u is not None and root_u in excluded_fr:
-                continue
+        for factor, _mult in _print_sorted(_factor(g), lambda f: _str(f, "s,u")):
+            if factor == [[0, 1], [-1, 0]]:
+                continue  # s - u: extra tangency along the diagonal, immersion's job
+            if len(factor) * len(factor[0]) == 2:  # a s + b or a u + b
+                a, b = chain(*factor)
+                if Fraction(-b, a) in excluded_fr:
+                    continue
             witnesses.append(_witness_from_curve(coords, NDs, factor, excluded_fr))
-        residual = [_su(q).exquo(g) for q in Qs]
-        if any(r.is_ground for r in residual):
+        residual = [_exquo_su(q, g) for q in Qs]
+        if any(len(r) == 1 for r in residual):
             return "factor"
-        rows = [_s_coefficients(r) for r in residual]
 
     # quick pass: a constant candidate gcd, excluded roots stripped, proves
     # the residual system has no common zeros off the excluded points.  The
     # residuals are symmetric in s and u up to sign, so eliminating u would
     # give these candidates in s: it cannot close a chart this pass leaves
     # open.
-    cands = _candidate_polys(rows, excluded_fr, chart.cone)
+    cands = _candidate_polys(residual, excluded_fr, chart.cone)
     if cands is _EMPTY:
         return "resultant"
     du = None
     if cands is not None:
         du = _common_factor(cands, "u")
-        if du is None or du.is_ground:
+        if du is None or len(du) == 1:
             return "resultant"
-    residual = residual or [_su(r) for r in rows]
 
     # candidate roots in the u direction, partners recovered by univariate gcd
     if du is not None:
-        roots, higher = _roots_and_factors(du, excluded_fr)
+        roots, rest = _rational_roots(du, excluded_fr)
         found = len(witnesses)
         for u0 in roots:
             witnesses.extend(_partner_witnesses(coords, NDs, residual, u0, excluded_fr))
-        if witnesses[found:] or not higher:
+        if witnesses[found:] or len(rest) == 1:
             return "resultant"  # every candidate dispatched, or a collision found
 
     # Groebner saturation decides the rest exactly
@@ -753,9 +855,9 @@ def _finite_finite(chart, coords, NDs, Qs, excluded_fr, witnesses):
     # the form elimination_poly prints in: scale each residual to the pinned
     # form, the one built from F = c N / lc(N), G = D / lc(D) (c the
     # coordinate's constant) and a monic gcd
-    lc_g = g.LC if shared else 1
+    lc_g = _trim(g[0])[0] if shared else 1
     gens = [
-        r.set_ring(_GQ) * _qq(f.constant * lc_g / (N[0] * D[0]))
+        _su(r).set_ring(_GQ) * _qq(f.constant * lc_g / (N[0] * D[0]))
         for r, f, (N, D) in zip(residual, coords, NDs)
     ]
     gens.append(_saturation_poly(excluded_fr))
@@ -767,7 +869,8 @@ def _finite_finite(chart, coords, NDs, Qs, excluded_fr, witnesses):
     elim_u = [p for p in gb if p.degree(0) <= 0 and p.degree(1) <= 0]  # free of y, s
     assert elim_u, "saturated zero-dimensional ideal has a univariate member"
     elim = elim_u[0]
-    roots, _higher = _roots_and_factors(elim.clear_denoms()[1].set_ring(_zu.ring), excluded_fr)
+    cleared = _ints(elim.clear_denoms()[1].set_ring(_zu.ring))
+    roots, _rest = _rational_roots(cleared, excluded_fr)
     found = len(witnesses)
     for u0 in roots:
         witnesses.extend(_partner_witnesses(coords, NDs, residual, u0, excluded_fr))
@@ -1008,16 +1111,16 @@ def chart_immersive(chart: ChartMap) -> CheckResult:
     w_polys = [_trim(_wronskian(*f.integer_parts)) for f in coords]
     assert all(w_polys), "a chart coordinate is constant"
     g = _common_factor(w_polys, "t", excluded_fr)
-    if g is not None and not g.is_ground:
-        w_polys = [g.ring.from_dense(w) for w in w_polys]
+    if g is not None and len(g) > 1:
         witnesses.extend(
             _zero_witnesses(
                 g,
+                "t",
                 excluded_fr,
                 lambda t0: _tangent_at(coords, CurvePoint(t0))
                 and {"kind": "tangent-point", "t": str(t0), "verified": "evaluation"},
-                lambda mu: all(not w.rem(mu) for w in w_polys)
-                and {"kind": "tangent-conjugate", "poly": str(mu), "verified": "congruence"},
+                lambda mu: all(_divides(mu, w) for w in w_polys)
+                and {"kind": "tangent-conjugate", "poly": _str(mu, "t"), "verified": "congruence"},
             )
         )
 

@@ -795,7 +795,8 @@ def gcd_by_ring(polys):
 
 def factor_list_by_ring(p) -> list:
     """p's (factor, multiplicity) pairs from sympy's ring factor_list, sorted
-    by the printed pair: the reference for `verify._factor`'s closed forms."""
+    by the printed pair: the reference for `verify._factor`'s closed forms
+    and for the rational roots `verify._rational_roots` finds."""
     return sorted(p.factor_list()[1], key=lambda fm: f"({fm[0]}, {fm[1]})")
 
 
@@ -813,7 +814,8 @@ def factor_key_by_expr(item) -> str:
 
 def roots_and_factors_by_filter(p, excluded):
     """Factor p, a polynomial in one variable of any ring, in that ring, then
-    drop the excluded roots: the package's helper strips them first instead.
+    drop the excluded roots: the package strips them first instead, then
+    finds the rational roots without factoring.
 
     Returns the rational roots off `excluded` and the factors of degree >= 2,
     sorted as certificates list them.

@@ -13,8 +13,9 @@ Fraction.
 The witness re-checks run in ints too: factored functions are evaluated
 with their derivatives by homogeneous products, a rational point enters a
 polynomial over Z scaled by its denominator's power, and the congruence
-re-check is a remainder over Z.  Each must agree with the Fraction
-evaluator and the substitutions over Q it replaced.
+re-check is an exact division over Z, all on int lists and rows.  Each
+must agree with the Fraction evaluator and the substitutions over Q it
+replaced.
 """
 
 from fractions import Fraction
@@ -24,7 +25,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sympy.polys.domains import QQ
+from sympy.polys.domains import QQ, ZZ
 from sympy.polys.rings import ring
 
 from oracles import (
@@ -51,6 +52,8 @@ from toricurve.embed import epsilon_function
 from toricurve.intlinalg import NotUnimodular, unimodular_inverse
 
 F = Fraction
+_ZSU = ring("s,u", ZZ)[0]
+_ZS, _ZU, _ZT = (ring(x, ZZ)[1] for x in "sut")
 
 # derandomized, so the suite is a deterministic gate; widen max_examples
 # locally to search harder
@@ -216,7 +219,7 @@ def test_epsilon_function_is_the_product_of_powers(epsilon, m):
 @PROPERTY
 @given(functions())
 def test_integer_parts_are_the_ring_products_in_both_rings(f):
-    for x in (verify._zu, verify._zt):
+    for x in (_ZU, _ZT):
         want = integer_parts_by_ring_products(f, x)
         assert f.integer_parts == tuple(tuple(p.to_dense()) for p in want)
 
@@ -224,7 +227,7 @@ def test_integer_parts_are_the_ring_products_in_both_rings(f):
 @PROPERTY
 @given(functions())
 def test_derivative_numerator_from_the_int_lists_is_the_ring_one(f):
-    t = verify._zt
+    t = _ZT
     N, D = integer_parts_by_ring_products(f, t)
     w = t.ring.from_dense(verify._wronskian(*f.integer_parts))
     assert w == N.diff(t) * D - N * D.diff(t)
@@ -274,17 +277,17 @@ _QSU = ring("s,u", QQ)[0]
 def bivariate(draw):
     terms = draw(st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 4)),
                                  st.integers(-50, 50).filter(bool), min_size=1, max_size=8))
-    return verify._Z.from_dict(terms)
+    return _ZSU.from_dict(terms)
 
 
 @PROPERTY
 @given(bivariate(), rationals, st.sampled_from((0, 1)))
 def test_specialisation_is_the_substitution_over_q_times_a_denominator_power(p, x, var):
-    target = (verify._zu, verify._zs)[var].ring  # the ring of the other variable
-    got = verify._at(p, var, x, target)
+    target = (_ZU, _ZS)[var].ring  # the ring of the other variable
+    got = verify._at(verify._s_coefficients(p), var, x)
     want = p.set_ring(_QSU).subs(_QSU.gens[var], QQ(x.numerator, x.denominator))
-    assert got.ring is target
-    assert got.as_expr() == (want * x.denominator ** p.degree(var)).as_expr()
+    assert all(type(c) is int for c in got) and got[:1] != [0]  # an int list, trimmed
+    assert target.from_dense(got).as_expr() == (want * x.denominator ** p.degree(var)).as_expr()
 
 
 @st.composite
@@ -299,12 +302,12 @@ def congruence_cases(draw):
     x = QQ(s0.numerator, s0.denominator)
     Qu = ring("u", QQ)[0]
     N, D = (Qu.from_dense(p) for p in NDs[0])
-    h = (N * D(x) - N(x) * D).clear_denoms()[1].set_ring(verify._zu.ring)
+    h = (N * D(x) - N(x) * D).clear_denoms()[1].set_ring(_ZU.ring)
     factors = [] if h.is_ground else [mu for mu, _ in h.factor_list()[1]]
     if factors and draw(st.booleans()):
         return NDs, s0, draw(st.sampled_from(factors)), True
     lead = draw(st.integers(-6, 6).filter(bool))
-    mu = verify._zu.ring.from_dense([lead] + draw(st.lists(st.integers(-6, 6), min_size=1, max_size=3)))
+    mu = _ZU.ring.from_dense([lead] + draw(st.lists(st.integers(-6, 6), min_size=1, max_size=3)))
     return NDs, s0, mu.primitive()[1], False
 
 
@@ -312,12 +315,13 @@ def congruence_cases(draw):
 @given(congruence_cases())
 def test_congruence_over_z_matches_the_congruence_over_q(case):
     NDs, s0, mu, planted = case
-    in_zu = [tuple(map(verify._zu.ring.from_dense, nd)) for nd in NDs]
-    assert verify._congruence_collision(NDs, s0, mu) == congruence_collision_qq(
+    in_zu = [tuple(map(_ZU.ring.from_dense, nd)) for nd in NDs]
+    mu_ints = [int(c) for c in mu.to_dense()]
+    assert verify._congruence_collision(NDs, s0, mu_ints) == congruence_collision_qq(
         in_zu, s0, mu.set_ring(_QSU)
     )
     if planted:
-        assert verify._congruence_collision(NDs[:1], s0, mu)
+        assert verify._congruence_collision(NDs[:1], s0, mu_ints)
 
 
 @st.composite

@@ -24,7 +24,7 @@ from oracles import (
     resultant_by_prs,
     roots_and_factors_by_filter,
 )
-from test_replay_golden import GOLDEN, involution_data
+from test_replay_golden import GOLDEN, INVOLUTIONS, involution_data
 from toricurve.curve import (
     INFINITY,
     CDivisor,
@@ -220,29 +220,33 @@ def test_a_du_whose_roots_are_all_excluded_is_never_factored(monkeypatch):
     result = chart_injective(c)
     assert (result.ok, result.method) == (True, "resultant")
     for p in factored:
-        (x,) = [i for i in range(p.ring.ngens) if p.degree(i) > 0] or [None]
-        if x is None:
-            continue
-        var = p.ring.symbols[x]
-        assert not any(p.as_expr().subs(var, sympy.Rational(e.numerator, e.denominator)) == 0
-                       for e in excluded)
+        if isinstance(p[0], list):  # rows in Z[s, u]: only a factor in one variable is checked
+            if len(p) == 1:
+                p = p[0]  # in u alone
+            elif all(len(row) == 1 for row in p):
+                p = [row[0] for row in p]  # in s alone
+            else:
+                continue
+        assert not any(verify._homogeneous(p, e.numerator, e.denominator) == 0 for e in excluded)
 
 
 def test_linear_root_of_an_integer_factor_is_an_exact_fraction():
-    root = verify._linear_root(3 * verify._s - 2)
-    assert type(root) is Fraction and root == F(2, 3)
+    (root,), rest = verify._rational_roots([3, -2], set())
+    assert type(root) is Fraction and root == F(2, 3) and rest == [1]
 
 
 def test_congruence_rechecks_accept_a_non_monic_polynomial():
     # f = (t - 1)^3 / t^3 takes f(-1) = 8 at both roots of 7u^2 - 4u + 1,
     # and f(inf) = 1 at both roots of 3u^2 - 3u + 1
     f = rf({1: 3, 0: -3})
-    u = verify._zu
-    assert verify._congruence_collision([f.integer_parts] * 3, F(-1), 7 * u ** 2 - 4 * u + 1)
-    assert not verify._congruence_collision([f.integer_parts] * 3, F(-2), 7 * u ** 2 - 4 * u + 1)
-    N, D = (u.ring.from_dense(p) for p in f.integer_parts)
+    assert verify._congruence_collision([f.integer_parts] * 3, F(-1), [7, -4, 1])
+    assert not verify._congruence_collision([f.integer_parts] * 3, F(-2), [7, -4, 1])
+    zu, u = sympy.polys.rings.ring("u", sympy.ZZ)
+    N, D = (zu.from_dense(p) for p in f.integer_parts)
     assert not (N - D).rem(3 * u ** 2 - 3 * u + 1)  # a remainder over Z
     assert (N - 2 * D).rem(3 * u ** 2 - 3 * u + 1)
+    assert verify._divides([3, -3, 1], (N - D).to_dense())
+    assert not verify._divides([3, -3, 1], (N - 2 * D).to_dense())
 
 
 def test_groebner_fallback_receives_the_rational_residuals(monkeypatch):
@@ -334,8 +338,8 @@ def test_clean_runs_never_import_sympy(tmp_path):
 
 
 # a finder ahead of every other that refuses sympy and its submodules
-WITHOUT_SYMPY = textwrap.dedent("""
-    import contextlib, hashlib, io, json, sys
+NO_SYMPY = textwrap.dedent("""
+    import sys
 
     class NoSympy:
         def find_spec(self, name, path=None, target=None):
@@ -343,6 +347,10 @@ WITHOUT_SYMPY = textwrap.dedent("""
                 raise ModuleNotFoundError(f"no module named {name!r}", name=name)
 
     sys.meta_path.insert(0, NoSympy())
+""")
+
+WITHOUT_SYMPY = NO_SYMPY + textwrap.dedent("""
+    import contextlib, hashlib, io, json
     from toricurve import cli
     out = sys.argv[1]
     with contextlib.redirect_stdout(io.StringIO()):
@@ -370,13 +378,45 @@ COLD_VERIFY = textwrap.dedent("""
 
 
 def test_a_chart_that_needs_a_ring_imports_sympy_on_the_way(tmp_path):
-    """symmetric_data's charts share factors: verify from a cold process
-    imports sympy only once it runs, and writes the in-process bytes."""
-    data = symmetric_data()
+    """bl-p3-point's "some" inverse-involution data reaches the Groebner
+    fallback: verify from a cold process imports sympy only once it runs,
+    and writes the in-process bytes."""
+    data = involution_data("bl-p3-point", "inv", "some")
     save_embedding(data, tmp_path / "embedding.json")
     report = run_fresh(COLD_VERIFY, tmp_path / "embedding.json", tmp_path / "out")
     assert (report["before"], report["after"]) == (False, True)
     assert report["text"] == dumps_certificate(certify(data))
+
+
+# the involution goldens named in argv, certified with sympy refused
+INVOLUTIONS_WITHOUT_SYMPY = NO_SYMPY + textwrap.dedent("""
+    import json
+    from test_replay_golden import INVOLUTIONS, _certify_digest, involution_data
+    print(json.dumps({f"certify/{label}": _certify_digest(involution_data(*INVOLUTIONS[label]))
+                      for label in sys.argv[1:]}))
+""")
+
+
+def test_refuting_involution_goldens_certify_without_sympy(monkeypatch):
+    """Every involution golden whose charts never reach the Groebner
+    fallback (a spy on it names the rest) certifies to its pinned bytes in
+    a process that cannot import sympy: witnesses, factors and exact
+    divisions all run on int lists and rows."""
+    reached = set()
+    real = verify.groebner
+    label = None
+
+    def spy(*args, **kwargs):
+        reached.add(label)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "groebner", spy)
+    for label, args in INVOLUTIONS.items():
+        certify(involution_data(*args))
+    assert reached == {"bl-some-inv2"}
+    labels = sorted(set(INVOLUTIONS) - reached)
+    report = run_fresh(INVOLUTIONS_WITHOUT_SYMPY, *labels)
+    assert report == {f"certify/{label}": GOLDEN[f"certify/{label}"] for label in labels}
 
 
 def test_degree_cap_aborts_oversized_eliminations(monkeypatch):

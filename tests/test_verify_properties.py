@@ -21,12 +21,15 @@ and factors that factoring in full and then dropping the excluded roots
 gives.  Two pin the coprimality certificate modulo q = 2^61 - 1: it never
 proves a pair coprime whose gcd over Z is nonconstant, whether the pair
 lives in one variable or is made of symmetric Bezoutians, and it is
-inconclusive whenever q divides a leading coefficient.  The last two pin
-the gcds and small factorizations taken in ints against sympy's ring:
-GCDHEU on planted common factors, with and without its sympy fallback, and
-the closed-form factors in one variable at degree 1 and 2 and in Z[s, u]
-at degree 1 in s; and the Bezoutian's rows are the s-coefficients of the
-polynomial they stand for.
+inconclusive whenever q divides a leading coefficient.  The rest pin the
+package's int lists and rows against sympy's ring: GCDHEU on planted
+common factors, with and without its sympy fallback; the closed-form
+roots and factors in one variable at degree 1 and 2 and in Z[s, u] at
+degree 1 in s; the Bezoutian's rows as the s-coefficients of the
+polynomial they stand for; the printer against the ring's str; the
+exact division on rows against the ring's exquo and rem; and the p-adic
+root search against factor_list, on repeated roots, excluded points,
+leading coefficients and roots past 200 bits and quartics with no root.
 """
 
 from fractions import Fraction
@@ -61,6 +64,9 @@ IDENTITY_DUALS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 T, S, U = sympy.symbols("t s u")
 GRID = sorted({F(n, d) for n in range(-12, 13) for d in (1, 2, 3, 4)})
 INF = "inf"
+# the rings of one variable the tests build polynomials in; the package holds
+# polynomials as int lists and s-coefficient rows
+Z_S, Z_U, Z_T = (ring(x, ZZ)[0] for x in "sut")
 
 roots = st.builds(F, st.integers(-5, 5), st.integers(1, 3))
 exponents = st.sampled_from((-2, -1, 1, 2))
@@ -320,14 +326,30 @@ def test_bezoutian_is_the_divided_cross_difference_and_symmetric(f):
     assert swapped(q) == q
 
 
+def as_ints(p):
+    """p, an element of a ring over Z, as the package holds it: an int list
+    in one variable, _s_coefficients rows in Z[s, u], [] for zero."""
+    if not p:
+        return []
+    return verify._s_coefficients(p) if p.ring.ngens == 2 else [int(c) for c in p.to_dense()]
+
+
+def residuals_in_ring(chart):
+    """The chart's Bezoutians, divided by their gcd when it is not constant,
+    as rows, then as elements of Z[s, u]; none of them constant."""
+    qs = [verify._bezoutian(*f.integer_parts) for f in chart.coords]
+    assume(not any(len(q) == 1 for q in qs))  # symmetric: one row is a constant
+    g = verify._gcd_all(qs)
+    residual = [verify._su(r) for r in (qs if len(g) == 1 else
+                                        [verify._exquo_su(q, g) for q in qs])]
+    assume(not any(r.is_ground for r in residual))
+    return residual
+
+
 @PROPERTY
 @given(charts())
 def test_eliminating_u_swaps_the_variables_of_the_resultant_in_s(chart):
-    qs = [verify._su(verify._bezoutian(*f.integer_parts)) for f in chart.coords]
-    assume(not any(q.is_ground for q in qs))
-    g = verify._gcd_all(qs)
-    residual = qs if g.is_ground else [q.exquo(g) for q in qs]
-    assume(not any(r.is_ground for r in residual))
+    residual = residuals_in_ring(chart)
     by_u = ring("u,s", ZZ)[0]  # the resultant eliminates the first generator
     for f, h in combinations(residual, 2):
         in_s = f.resultant(h)
@@ -433,7 +455,7 @@ def resultant_pairs(draw):
 
 
 def assert_resultant_matches_prs(f, g):
-    got = verify._zu.ring.from_dense(
+    got = Z_U.from_dense(
         verify._resultant(verify._s_coefficients(f), verify._s_coefficients(g), (0, 1, 2)))
     want = resultant_by_prs(f, g)
     assert got in (want, -want)
@@ -448,19 +470,14 @@ def test_resultant_matches_the_subresultant_prs_up_to_sign(pair):
 @PROPERTY
 @given(charts())
 def test_resultant_of_chart_residuals_matches_the_subresultant_prs(chart):
-    qs = [verify._su(verify._bezoutian(*f.integer_parts)) for f in chart.coords]
-    assume(not any(q.is_ground for q in qs))
-    g = verify._gcd_all(qs)
-    residual = qs if g.is_ground else [q.exquo(g) for q in qs]
-    assume(not any(r.is_ground for r in residual))
-    for f, h in combinations(residual, 2):
+    for f, h in combinations(residuals_in_ring(chart), 2):
         assert_resultant_matches_prs(f, h)
 
 
-# the rings _roots_and_factors receives: Z[u] for the resultants, g_inf, the
-# witness searches in u and the Groebner eliminant cleared of denominators,
-# Z[s] for the partner searches, Z[t] for the immersion gcd
-ONE_VARIABLE = (verify._zu.ring, verify._zs.ring, verify._zt.ring)
+# the variables of the int lists _roots_and_factors receives: u for the
+# resultants, g_inf, the witness searches in u and the Groebner eliminant
+# cleared of denominators, s for the partner searches, t for the immersion gcd
+ONE_VARIABLE = (Z_U, Z_S, Z_T)
 
 
 @st.composite
@@ -488,19 +505,20 @@ def one_variable_polys(draw):
 @given(one_variable_polys())
 def test_stripping_before_factoring_matches_factoring_then_filtering(case):
     p, excluded = case
-    roots, higher = verify._roots_and_factors(p, excluded)
+    gens = str(p.ring.symbols[0])
+    roots, higher = verify._roots_and_factors(as_ints(p), excluded, gens)
     want_roots, want_higher = roots_and_factors_by_filter(p, excluded)
     assert roots == want_roots
-    assert [mu.ring for mu in higher] == [p.ring] * len(want_higher)
-    assert higher == want_higher
-    assert [str(mu) for mu in higher] == [str_by_expr(mu) for mu in want_higher]
+    assert [{type(c) for c in mu} for mu in higher] == [{int}] * len(want_higher)
+    assert [p.ring.from_dense(mu) for mu in higher] == want_higher
+    assert [verify._str(mu, gens) for mu in higher] == [str_by_expr(mu) for mu in want_higher]
 
 
 # --- witness strings: the ring's own str against sympy's Expr ------------------
 
 # the rings whose elements a witness prints: factors and partners in Z[s],
 # Z[u] and Z[t], curves of collisions in Z[s, u]
-PRINTED = (verify._zs.ring, verify._zu.ring, verify._zt.ring, verify._Z)
+PRINTED = (Z_S, Z_U, Z_T, _ZSU)
 coefficients = st.sampled_from((0, 1, -1, 2, -36, 10**6)) | st.integers(-50, 50)
 
 
@@ -521,15 +539,18 @@ def test_ring_str_of_factors_over_z_is_the_expr_str_in_the_same_order(data):
     """Witness strings are str(p) for factors over Z, which factor_list gives
     with positive leading coefficients; lists of them sort by "(p, m)"."""
     gens_ring = data.draw(st.sampled_from(PRINTED))
+    gens = ",".join(map(str, gens_ring.symbols))
     degree = 2 if gens_ring.ngens == 2 else 3
     polys = data.draw(st.lists(positive_polys(gens_ring, degree), min_size=1, max_size=3))
     product = gens_ring.one
     for p in polys:
-        assert str(p) == str_by_expr(p)
+        assert verify._str(as_ints(p), gens) == str(p) == str_by_expr(p)
         product *= p
     items = product.factor_list()[1]
-    assert [str(mu) for mu, _ in items] == [str_by_expr(mu) for mu, _ in items]
-    assert verify._print_sorted(list(items)) == sorted(items, key=factor_key_by_expr)
+    assert [verify._str(as_ints(mu), gens) for mu, _ in items] == [str_by_expr(mu) for mu, _ in items]
+    got = verify._print_sorted([(as_ints(mu), m) for mu, m in items],
+                               lambda mu: verify._str(mu, gens))
+    assert got == [(as_ints(mu), m) for mu, m in sorted(items, key=factor_key_by_expr)]
 
 
 @st.composite
@@ -551,8 +572,8 @@ def eliminants(draw):
 def test_eliminant_prints_as_expr_and_clears_into_z_with_the_same_roots(p, excluded):
     assert verify._eliminant_str(p) == str_by_expr(p)
     if not p.is_ground:
-        cleared = p.clear_denoms()[1].set_ring(verify._zu.ring)
-        roots, _ = verify._roots_and_factors(cleared, excluded)
+        cleared = p.clear_denoms()[1].set_ring(Z_U)
+        roots, _ = verify._rational_roots(as_ints(cleared), excluded)
         assert roots == roots_and_factors_by_filter(p, excluded)[0]
 
 
@@ -573,7 +594,7 @@ def univariate_families(draw):
     """Two or three nonzero polynomials in Z[t]; in most a planted common
     factor of positive degree, which may be an excluded point's linear
     factor or have a leading coefficient divisible by q; and excluded points."""
-    t = verify._zt
+    (t,) = Z_T.gens
     excluded = draw(st.sets(st.builds(F, st.integers(-4, 4), st.integers(1, 3)), max_size=3))
     polys = [z_polys(draw, t) for _ in range(draw(st.integers(2, 3)))]
     plant = draw(st.sampled_from(("none", "random", "excluded", "q-lead")))
@@ -593,13 +614,13 @@ def univariate_families(draw):
 @given(univariate_families())
 def test_a_one_variable_certificate_never_hides_a_shared_zero(case):
     polys, excluded = case
-    got = verify._common_factor([p.to_dense() for p in polys], "t", excluded)
+    got = verify._common_factor([as_ints(p) for p in polys], "t", excluded)
     want = gcd_by_ring(polys)
     # None only when nothing is shared off the excluded points, else the Z gcd
-    assert got == want or (got is None and (
+    assert got == as_ints(want) or (got is None and (
         want.is_ground or roots_and_factors_by_filter(want, excluded) == ([], [])))
     for f, g in combinations(polys, 2):
-        lists = [f.to_dense(), g.to_dense()]
+        lists = [as_ints(f), as_ints(g)]
         if f.LC % _Q == 0 or g.LC % _Q == 0:
             assert not verify._coprime(lists), "a leading coefficient vanishes mod q"
         if not gcd_by_ring([f, g]).is_ground:
@@ -612,7 +633,7 @@ def bezoutian_families(draw):
     every N_i and D_i share a planted root, whose factor's leading
     coefficient is a multiple of q a quarter of the time; and excluded
     points among the first values of u the test may pick."""
-    u = verify._zu
+    (u,) = Z_U.gens
     root = draw(st.builds(F, st.integers(-4, 4), st.integers(1, 3)))
     plant = draw(st.sampled_from(("none", "root", "root", "q-lead")))
     factor = {"none": u.ring.one,
@@ -634,7 +655,7 @@ def test_bezoutians_with_a_shared_root_never_pass_the_bivariate_certificate(case
     want = gcd_by_ring([verify._su(q) for q in qs])
     got = verify._common_factor(qs, "s,u", excluded)
     assert not (planted and want.is_ground)
-    assert got == want or (got is None and want.is_ground)
+    assert got == as_ints(want) or (got is None and want.is_ground)
 
 
 # --- gcds and small factorizations in ints against sympy's ring ---------------
@@ -647,7 +668,7 @@ def gcd_families(draw):
     one, a linear one with leading coefficient q, or (in Z[s, u]) a common
     factor the Bezoutians of symmetric charts share; the rest are coprime
     as a rule."""
-    gens_ring = draw(st.sampled_from((verify._zt.ring, verify._Z)))
+    gens_ring = draw(st.sampled_from((Z_T, _ZSU)))
     if gens_ring.ngens == 1:
         (t,) = gens_ring.gens
         polys = [z_polys(draw, t) for _ in range(draw(st.integers(2, 3)))]
@@ -670,12 +691,12 @@ def gcd_families(draw):
 # at the first xi = 31 the value of the first input divides the second's,
 # so only the division of the second input refuses the candidate t + 1 or
 # s + u
-@example([verify._zt + 1, verify._zt + 33])
-@example([verify._s + verify._u, verify._s + 2 * verify._u - 31])
+@example([Z_T.gens[0] + 1, Z_T.gens[0] + 33])
+@example([_ZS + _ZU, _ZS + 2 * _ZU - 31])
 def test_gcds_in_ints_equal_the_ring_gcd(tries, polys):
     """With tries = 0 every pair goes to sympy's gcd, the fallback."""
     with patch.object(verify, "_HEU_TRIES", tries):
-        assert verify._gcd_all(polys) == gcd_by_ring(polys)
+        assert verify._gcd_all([as_ints(p) for p in polys]) == as_ints(gcd_by_ring(polys))
 
 
 @PROPERTY
@@ -693,7 +714,7 @@ def small_factor_inputs(draw):
     quadratic (mostly not); in Z[s, u], A(u) s + B(u), times a factor h(u)
     that is 1 half of the time; and whether sympy may be left to answer:
     only when A, B and h leave an s-content that is not an integer."""
-    gens_ring = draw(st.sampled_from(ONE_VARIABLE + (verify._Z,)))
+    gens_ring = draw(st.sampled_from(ONE_VARIABLE + (_ZSU,)))
     c = draw(st.sampled_from((1, -1, 2, -3, 6, -12)))
     small = st.integers(-6, 6)
     if gens_ring.ngens == 1:
@@ -724,6 +745,130 @@ def test_closed_form_factors_equal_the_ring_factor_list(case):
     calls = []
     real = PolyElement.factor_list
     with patch.object(PolyElement, "factor_list", lambda q: calls.append(q) or real(q)):
-        got = sorted(verify._factor(p), key=lambda fm: f"({fm[0]}, {fm[1]})")
+        if p.ring.ngens == 1:
+            # rational roots by closed forms, then what is left of degree 2
+            roots, rest = verify._rational_roots(as_ints(p), ())
+            factors = [(p.ring.from_dense(mu), m) for mu, m in
+                       (verify._factor(rest) if len(rest) > 1 else [])]
+            factors += [(lin, multiplicity(p, lin)) for lin in
+                        (p.ring.from_dense([x.denominator, -x.numerator]) for x in roots)]
+        else:
+            factors = [(verify._su(f), m) for f, m in verify._factor(as_ints(p))]
+        got = sorted(factors, key=lambda fm: f"({fm[0]}, {fm[1]})")
     assert got == factor_list_by_ring(p)
     assert sympy_may_answer or not calls
+
+
+def multiplicity(p, factor) -> int:
+    """How often factor divides p, by the ring's remainder."""
+    m = 0
+    while not p.rem(factor):
+        p, m = p.exquo(factor), m + 1
+    return m
+
+
+# --- int lists and rows against sympy's ring: printing, division, roots -------
+
+wide_coefficients = coefficients | st.integers(-2**210, 2**210)
+
+
+@st.composite
+def printable_polys(draw):
+    """Any polynomial over Z in one of PRINTED: zero, constants, missing
+    terms, coefficients +-1 and past 200 bits, either sign in front."""
+    gens_ring = draw(st.sampled_from(PRINTED))
+    monoms = st.tuples(*[st.integers(0, 5)] * gens_ring.ngens)
+    terms = draw(st.dictionaries(monoms, wide_coefficients, max_size=7))
+    return gens_ring.from_dict({m: c for m, c in terms.items() if c})
+
+
+@settings(PROPERTY, max_examples=300)
+@given(printable_polys())
+def test_the_printer_on_int_lists_and_rows_is_the_ring_str(p):
+    assert verify._str(as_ints(p), ",".join(map(str, p.ring.symbols))) == str(p)
+
+
+@st.composite
+def division_pairs(draw):
+    """F and G in Z[s, u], G nonzero and of degree 0 in s some of the time:
+    F = G H (zero when H is), F = G H plus one stray term, an unrelated F,
+    or an F whose image under s -> x^w, u -> x, w = deg_u F + 1, is a
+    multiple of G's, which G need not divide."""
+    heights = st.sampled_from((1, 5, 10**20))
+    G = draw(s_u_polys(heights))
+    shape = draw(st.sampled_from(("s", "s", "u alone", "constant")))
+    if shape == "u alone":
+        G = _ZSU.from_dict({(0, j): c for (i, j), c in G.items() if i == G.degree(0)})
+    elif shape == "constant":
+        G = _ZSU(draw(st.sampled_from((1, -1, 3, 10**20))))
+    H = draw(s_u_polys(heights)) * draw(st.sampled_from((1, 0, -2)))
+    mode = draw(st.sampled_from(("exact", "exact", "stray", "unrelated", "image")))
+    if mode == "exact":
+        return G * H, G
+    if mode == "image":
+        w = G.degree(1) + 1 + draw(st.integers(0, 2))
+        image = Z_T.from_dict({(i * w + j,): c for (i, j), c in G.items()})
+        image *= Z_T.from_dense(draw(st.lists(st.integers(-5, 5), min_size=1, max_size=6)))
+        return _ZSU.from_dict({divmod(k, w): c for (k,), c in image.items()}), G
+    if mode == "stray":
+        i, j, c = draw(st.integers(0, 4)), draw(st.integers(0, 4)), draw(st.integers(1, 9))
+        return G * H + _ZS**i * _ZU**j * c, G
+    return draw(s_u_polys(heights)), G
+
+
+@settings(PROPERTY, max_examples=300)
+@given(division_pairs())
+@example((_ZS - 1, _ZU + 1))  # s - 1 maps to x^2 - 1 = (x + 1)(x - 1), but u + 1 does not divide it
+def test_division_on_rows_is_the_ring_division(pair):
+    F, G = pair
+    got = verify._exquo_su(as_ints(F), as_ints(G))
+    if F.rem(G):
+        assert got is None
+    else:
+        assert got == as_ints(F.exquo(G))
+
+
+@st.composite
+def root_search_inputs(draw):
+    """A signed content, up to 200 bits, times linear factors den x - num,
+    some repeated, some at excluded points, with roots past 200 bits some
+    of the time; times a part with no rational root: an irreducible
+    quadratic or cubic, a quartic that splits into two irreducible
+    quadratics, or a quadratic with a 200-bit coefficient.  And the
+    excluded points."""
+    (x,) = Z_U.gens
+    small = st.builds(F, st.integers(-9, 9), st.integers(1, 5))
+    huge = st.builds(F, st.integers(-2**210, 2**210), st.integers(1, 2**205))
+    roots = draw(st.dictionaries(small | huge, st.integers(1, 3), max_size=4))
+    excluded = set(draw(st.lists(st.sampled_from(sorted(roots) or [F(0)]), max_size=2)))
+    excluded |= draw(st.sets(small, max_size=2))
+    p = Z_U.one * draw(st.sampled_from((1, -1, 6, -35, 2**201 + 1)))
+    for a, m in roots.items():
+        p *= (a.denominator * x - a.numerator) ** m
+    k = draw(st.integers(1, 30))
+    p *= draw(st.sampled_from((
+        Z_U.one,
+        2 * x**2 + 2 * x + k,  # discriminant 4 - 8k < 0
+        x**3 + x + 2 * k - 1,  # an integer root would make r^3 + r odd
+        (x**2 + k) * (x**2 + 2),  # two irreducible quadratics, no root
+        (x**2 - 2) * (3 * x**2 - 1),
+        x**2 + 2**200 + k,
+    )))
+    assume(not p.is_ground)
+    return p, excluded
+
+
+@settings(PROPERTY, max_examples=200)
+@given(root_search_inputs())
+def test_root_search_matches_the_ring_factor_list(case):
+    """The rational roots off the excluded points are the ring's, in the
+    same order, and what is left is, up to a constant, the product of the
+    ring's factors of degree >= 2."""
+    p, excluded = case
+    roots, rest = verify._rational_roots(as_ints(p), excluded)
+    assert roots == roots_and_factors_by_filter(p, excluded)[0]
+    left = Z_U.one
+    for mu, m in factor_list_by_ring(p):
+        if mu.degree() >= 2:
+            left *= mu**m
+    assert Z_U.from_dense(rest).primitive()[1] in (left, -left)
