@@ -14,7 +14,10 @@ exponents in one dict keyed by (num, den), and no Fraction is rebuilt from
 a Fraction.  Evaluation is homogeneous and in ints: at t = a / b each
 factor r = rn / rd contributes the int d = a rd - rn b, the value and the
 log-derivative accumulate as int numerators and denominators, and a result
-is the only Fraction built.
+is the only Fraction built.  Negation, scaling, inverses, powers, div f and
+principal functions keep their input's order and skip the sort.  The
+sampler compares candidates as reduced (num, den) int pairs and builds a
+CurvePoint only for a point it keeps.
 """
 from __future__ import annotations
 
@@ -69,6 +72,13 @@ def _canonical(keyed: list, repeated: str, zero: str) -> tuple:
     if not all(n for _, _, n in keyed):
         raise ValueError(zero)
     return tuple((x, n) for _, x, n in keyed)
+
+
+def _trusted(cls, **fields):
+    """An instance of `cls` whose fields are already canonical: no sort, no checks."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,6 +158,12 @@ class CDivisor:
         return sum(m for _, m in self.entries)
 
     @property
+    def at_infinity(self) -> int:
+        """The multiplicity at infinity, which sorts last."""
+        e = self.entries
+        return e[-1][1] if e and e[-1][0].is_infinity else 0
+
+    @property
     def is_reduced(self) -> bool:
         return all(m == 1 for _, m in self.entries)
 
@@ -164,12 +180,12 @@ class CDivisor:
         return CDivisor.of(self.entries + other.entries)
 
     def __neg__(self) -> "CDivisor":
-        return CDivisor(tuple((p, -m) for p, m in self.entries))
+        return _trusted(CDivisor, entries=tuple((p, -m) for p, m in self.entries))
 
     def scale(self, k: int) -> "CDivisor":
         if k == 0:
             return CDivisor(())
-        return CDivisor(tuple((p, k * m) for p, m in self.entries))
+        return _trusted(CDivisor, entries=tuple((p, k * m) for p, m in self.entries))
 
 
 @dataclass(frozen=True)
@@ -242,7 +258,7 @@ class RationalFunction:
         o = self.order_at_infinity
         if o:
             entries.append((INFINITY, o))
-        return CDivisor(tuple(entries))
+        return _trusted(CDivisor, entries=tuple(entries))
 
     def __mul__(self, other: "RationalFunction") -> "RationalFunction":
         return RationalFunction.of(
@@ -250,35 +266,54 @@ class RationalFunction:
         )
 
     def inverse(self) -> "RationalFunction":
-        return RationalFunction(
-            1 / self.constant, tuple((r, -e) for r, e in self.factors)
-        )
+        factors = tuple((r, -e) for r, e in self.factors)
+        return _trusted(RationalFunction, constant=1 / self.constant, factors=factors)
 
     def __pow__(self, k: int) -> "RationalFunction":
         if k == 0:
             return RationalFunction.one()
-        return RationalFunction(
-            self.constant ** k, tuple((r, k * e) for r, e in self.factors)
-        )
+        factors = tuple((r, k * e) for r, e in self.factors)
+        return _trusted(RationalFunction, constant=self.constant ** k, factors=factors)
 
     def scale(self, c) -> "RationalFunction":
-        return RationalFunction(self.constant * _fraction(c), self.factors)
+        c = self.constant * _fraction(c)
+        if not c:
+            raise ValueError("the zero function is not representable")
+        return _trusted(RationalFunction, constant=c, factors=self.factors)
 
 
 def principal_function(divisor: CDivisor) -> RationalFunction:
     """The monic-normalized function with the given degree-zero divisor.
 
-    Finite points become factors; the multiplicity at infinity is forced to
-    minus the finite total, which is exactly the degree-zero condition.
+    Finite points become factors, already in order; the multiplicity at
+    infinity is forced to minus the finite total, which is exactly the
+    degree-zero condition.
     """
     if divisor.degree != 0:
         raise NotDegreeZero(f"divisor has degree {divisor.degree}")
-    factors = tuple(
-        (p.finite, m) for p, m in divisor.entries if not p.is_infinity
-    )
-    f = RationalFunction(Fraction(1), factors)
-    assert f.divisor() == divisor
+    at_infinity = divisor.at_infinity
+    entries = divisor.entries[:-1] if at_infinity else divisor.entries
+    factors = tuple((p.finite, m) for p, m in entries)
+    f = _trusted(RationalFunction, constant=Fraction(1), factors=factors)
+    assert f.order_at_infinity == at_infinity
     return f
+
+
+def has_divisor(f: RationalFunction, divisors, coeffs) -> bool:
+    """Whether div f = sum_k coeffs[k] * divisors[k].
+
+    Both sides are (num, den) -> multiplicity dicts, infinity at (1, 0), so
+    no point is built and nothing is sorted.
+    """
+    want: dict = {}
+    for k, d in zip(coeffs, divisors):
+        if k:
+            for p, m in d.entries:
+                want[p._reduced] = want.get(p._reduced, 0) + k * m
+    have = {(r.numerator, r.denominator): e for r, e in f.factors}
+    if f.order_at_infinity:
+        have[INFINITY._reduced] = f.order_at_infinity
+    return have == {key: m for key, m in want.items() if m}
 
 
 def evaluate(f: RationalFunction, p: CurvePoint):
@@ -373,39 +408,43 @@ def _mix(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _hash_rational(seed: int, counter: int) -> Fraction:
-    h = _mix((_mix(seed & _MASK) + counter) & _MASK)
-    num = (h % 241) - 120
-    den = 1 + ((h >> 32) % 4)
-    return Fraction(num, den)
+def _pair(p) -> tuple[int, int]:
+    """The reduced (num, den) of a point, (1, 0) at infinity."""
+    if isinstance(p, CurvePoint):
+        return p._reduced
+    x = _fraction(p)
+    return x.numerator, x.denominator
 
 
 def sample_divisor(degree: int, seed: int, avoid=frozenset()) -> CDivisor:
     """Reduced degree-`degree` divisor of fresh finite points.
 
-    Deterministic in (degree, seed, avoid): candidates come from a counter
-    hash stream; anything in `avoid` or already chosen is skipped.
+    Deterministic in (degree, seed, avoid): candidate `counter` is
+    (h % 241 - 120) / (1 + (h >> 32) % 4) with h the splitmix64 hash of
+    mix(seed) + counter; anything in `avoid` or already chosen is skipped.
+    Candidates are compared as reduced (num, den) int pairs, and only the
+    points kept become CurvePoints, sorted once.
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    avoid_points = set()
-    for p in avoid:
-        if isinstance(p, CurvePoint):
-            avoid_points.add(p)
-        else:
-            avoid_points.add(CurvePoint.of(p))
+    taken = {_pair(p) for p in avoid}
+    base = _mix(seed & _MASK)
     chosen: list[CurvePoint] = []
     counter = 0
     while len(chosen) < degree:
-        candidate = CurvePoint(_hash_rational(seed, counter))
+        h = _mix((base + counter) & _MASK)
         counter += 1
-        if candidate in avoid_points:
+        num, den = (h % 241) - 120, 1 + ((h >> 32) % 4)
+        g = math.gcd(num, den)
+        pair = num // g, den // g
+        if pair in taken:
             continue
-        avoid_points.add(candidate)
-        chosen.append(candidate)
+        taken.add(pair)
+        chosen.append(CurvePoint(Fraction(*pair)))
         if counter > 100000:
             raise RuntimeError("candidate stream exhausted")
-    return CDivisor(tuple((p, 1) for p in chosen))
+    chosen.sort(key=CurvePoint.sort_key)
+    return _trusted(CDivisor, entries=tuple((p, 1) for p in chosen))
 
 
 class ProjectiveLine:

@@ -16,6 +16,7 @@ from .curve import (
     CurvePoint,
     ProjectiveLine,
     RationalFunction,
+    has_divisor,
     principal_function,
 )
 from .fan import Fan, dual_basis, fan_from_dict, fan_to_dict, primitive_collections, validate
@@ -31,6 +32,20 @@ class XiMismatch(ValueError):
 
 class BadEmbeddingFile(ValueError):
     """Embedding data file does not match the expected structure."""
+
+
+class DivisorAtInfinity(ValueError):
+    """A D_rho holds the point at infinity, which no chart or file can carry."""
+
+    def __init__(self, rho: int):
+        super().__init__(f"D_{rho} holds the point at infinity")
+        self.ray = rho
+
+
+def refuse_infinity(rho: int, d: CDivisor) -> None:
+    """Raise DivisorAtInfinity if D_rho holds the point at infinity."""
+    if d.at_infinity:
+        raise DivisorAtInfinity(rho)
 
 
 @dataclass(frozen=True)
@@ -153,11 +168,10 @@ def check_theorem_conditions(data: EmbeddingData) -> ConditionsReport:
     (any non-face contains a minimal one, so these suffice), and each div
     eps_i must equal the pairing combination of the divisors on the nose.
     """
+    supports = [d.support() for d in data.divisors]
     disjoint_failures = []
     for coll in primitive_collections(data.fan):
-        shared = frozenset.intersection(
-            *(data.divisors[rho].support() for rho in coll)
-        )
+        shared = frozenset.intersection(*(supports[rho] for rho in coll))
         if shared:
             pts = tuple(sorted(shared, key=lambda p: p.sort_key()))
             disjoint_failures.append((coll, pts))
@@ -165,11 +179,10 @@ def check_theorem_conditions(data: EmbeddingData) -> ConditionsReport:
     a = pairing_matrix(data.fan)
     divisor_failures = []
     for i in range(3):
-        expected = pairing_divisor(data.divisors, a[i])
-        actual = data.epsilon[i].divisor()
-        if actual != expected:
-            diff = actual + (-expected)
-            divisor_failures.append((i, tuple(diff.entries)))
+        f = data.epsilon[i]
+        if not has_divisor(f, data.divisors, a[i]):
+            diff = f.divisor() + (-pairing_divisor(data.divisors, a[i]))
+            divisor_failures.append((i, diff.entries))
 
     return ConditionsReport(tuple(disjoint_failures), tuple(divisor_failures))
 
@@ -207,7 +220,8 @@ def _parse_fraction(s) -> Fraction:
         raise BadEmbeddingFile(f"bad rational {s!r}") from exc
 
 
-def _divisor_to_list(d: CDivisor) -> list:
+def _divisor_to_list(rho: int, d: CDivisor) -> list:
+    refuse_infinity(rho, d)
     return [[str(p.finite), m] for p, m in d.entries]
 
 
@@ -249,7 +263,7 @@ def embedding_to_dict(data: EmbeddingData) -> dict:
         "fan": fan_to_dict(data.fan),
         "ample": list(data.ample.coeffs) if data.ample is not None else None,
         "xi": {"values": list(data.xi.values), "method": data.xi.method},
-        "divisors": [_divisor_to_list(d) for d in data.divisors],
+        "divisors": [_divisor_to_list(rho, d) for rho, d in enumerate(data.divisors)],
         "epsilon": [_function_to_dict(f) for f in data.epsilon],
         "torus": [str(x) for x in data.torus],
     }

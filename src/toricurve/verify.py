@@ -70,7 +70,7 @@ from .curve import (
     evaluate,
     evaluate_with_derivative,
 )
-from .embed import ChartMap, EmbeddingData, chart_maps, check_theorem_conditions
+from .embed import ChartMap, EmbeddingData, chart_maps, check_theorem_conditions, refuse_infinity
 
 # sympy's rings and Groebner basis, bound as globals by _sympy() on first use
 _LAZY = ("_Z", "_zu", "_GQ", "_GZ", "QQ", "groebner")
@@ -1178,6 +1178,8 @@ def certify(data: EmbeddingData) -> Certificate:
             "morphism conditions fail; nothing to certify: "
             f"{conditions.disjointness_failures + conditions.divisor_failures}"
         )
+    for rho, d in enumerate(data.divisors):
+        refuse_infinity(rho, d)
     charts = chart_maps(data)
     records = []
     for chart in charts:

@@ -3,7 +3,7 @@
 from dataclasses import replace
 from fractions import Fraction
 
-from toricurve.curve import CDivisor, CurvePoint, RationalFunction, principal_function
+from toricurve.curve import INFINITY, CDivisor, CurvePoint, RationalFunction, principal_function
 from toricurve.embed import EmbeddingData, build_embedding_data
 from toricurve.fan import preset
 from toricurve.intersect import XiVector, find_ample, xi_vector
@@ -69,4 +69,16 @@ def doubled_point_data() -> EmbeddingData:
         principal_function(divisors[i] + divisors[3].scale(-1)) for i in range(3)
     )
     return EmbeddingData(fan, None, XiVector((2, 2, 2, 2), "kernel"),
+                         divisors, epsilon, ONES)
+
+
+def divisor_at_infinity_data() -> EmbeddingData:
+    """p3 with D_3 the point at infinity: a morphism, but no chart or file holds it."""
+    fan = preset("p3")
+    divisors = tuple(CDivisor.of({CurvePoint.of(F(a)): 1}) for a in (0, 1, 2))
+    divisors += (CDivisor.of({INFINITY: 1}),)
+    epsilon = tuple(
+        principal_function(divisors[i] + divisors[3].scale(-1)) for i in range(3)
+    )
+    return EmbeddingData(fan, None, XiVector((1, 1, 1, 1), "intersection"),
                          divisors, epsilon, ONES)

@@ -12,7 +12,9 @@ rows with sparse provenance dicts in place of the int rows of
 and exact division in place of the integer Bezoutian.  The straightforward
 forms of the package's fast paths live here too: divisors and factored
 functions canonicalised by a set and a Fraction sort, character functions
-as products of powers, N and D as ring products, the inverse of a
+as products of powers, the sampler with a CurvePoint per candidate,
+principal functions checked by rebuilding their divisor, and the morphism
+conditions compared as whole divisors, N and D as ring products, the inverse of a
 unimodular matrix minor by minor, each wall's coefficients from one such
 inverse per wall, ampleness as strict convexity of the support function
 over cone characters, the integer kernel basis as the V kernel
@@ -36,7 +38,18 @@ import sympy
 from sympy.polys.domains import QQ
 from sympy.polys.rings import ring
 
-from toricurve.curve import INFINITY, POLE, CurvePoint, _hash_rational
+from toricurve.curve import (
+    _MASK,
+    INFINITY,
+    POLE,
+    CDivisor,
+    CurvePoint,
+    NotDegreeZero,
+    RationalFunction,
+    _mix,
+)
+from toricurve.embed import ConditionsReport, pairing_matrix
+from toricurve.fan import primitive_collections
 from toricurve.feasibility import Infeasible, Unbounded
 from toricurve.intersect import triple_intersection
 from toricurve.intlinalg import NotUnimodular, det
@@ -517,6 +530,84 @@ def epsilon_by_powers(epsilon, m) -> FunctionReference:
         if k:
             out = out * (FunctionReference(f.constant, f.factors) ** k)
     return out
+
+
+def _hash_rational(seed: int, counter: int) -> Fraction:
+    """The sampler's candidate stream, one Fraction per counter."""
+    h = _mix((_mix(seed & _MASK) + counter) & _MASK)
+    return Fraction((h % 241) - 120, 1 + ((h >> 32) % 4))
+
+
+def sample_divisor_by_points(degree: int, seed: int, avoid=frozenset()) -> CDivisor:
+    """The sampler as a CurvePoint per candidate, checked against a set of
+    CurvePoints, the chosen points canonicalised by CDivisor's own sort."""
+    if degree < 0:
+        raise ValueError("degree must be nonnegative")
+    avoid_points = set()
+    for p in avoid:
+        if isinstance(p, CurvePoint):
+            avoid_points.add(p)
+        else:
+            avoid_points.add(CurvePoint.of(p))
+    chosen = []
+    counter = 0
+    while len(chosen) < degree:
+        candidate = CurvePoint(_hash_rational(seed, counter))
+        counter += 1
+        if candidate in avoid_points:
+            continue
+        avoid_points.add(candidate)
+        chosen.append(candidate)
+        if counter > 100000:
+            raise RuntimeError("candidate stream exhausted")
+    return CDivisor(tuple((p, 1) for p in chosen))
+
+
+def divisor_by_points(f) -> CDivisor:
+    """div f with every entry through CDivisor's canonicalising constructor."""
+    entries = [(CurvePoint(r), e) for r, e in f.factors]
+    o = -sum(e for _, e in f.factors)
+    if o:
+        entries.append((INFINITY, o))
+    return CDivisor(tuple(entries))
+
+
+def principal_function_by_rebuild(divisor: CDivisor) -> RationalFunction:
+    """The function through RationalFunction's canonicalising constructor,
+    checked by rebuilding its divisor."""
+    if divisor.degree != 0:
+        raise NotDegreeZero(f"divisor has degree {divisor.degree}")
+    factors = tuple((p.finite, m) for p, m in divisor.entries if not p.is_infinity)
+    f = RationalFunction(Fraction(1), factors)
+    assert divisor_by_points(f) == divisor
+    return f
+
+
+def pairing_divisor_by_points(divisors, coeffs) -> CDivisor:
+    """sum_rho coeffs[rho] * D_rho summed in a dict keyed by CurvePoint."""
+    return CDivisor.of(
+        (p, k * m) for k, d in zip(coeffs, divisors) if k for p, m in d.entries
+    )
+
+
+def conditions_by_divisors(data) -> ConditionsReport:
+    """The morphism conditions with one support per collection member and
+    div eps_i compared with the pairing combination as whole CDivisors."""
+    disjoint_failures = []
+    for coll in primitive_collections(data.fan):
+        shared = frozenset.intersection(*(data.divisors[rho].support() for rho in coll))
+        if shared:
+            pts = tuple(sorted(shared, key=lambda p: p.sort_key()))
+            disjoint_failures.append((coll, pts))
+    a = pairing_matrix(data.fan)
+    divisor_failures = []
+    for i in range(3):
+        expected = pairing_divisor_by_points(data.divisors, a[i])
+        actual = divisor_by_points(data.epsilon[i])
+        if actual != expected:
+            diff = actual + (-expected)
+            divisor_failures.append((i, tuple(diff.entries)))
+    return ConditionsReport(tuple(disjoint_failures), tuple(divisor_failures))
 
 
 def integer_parts_by_ring_products(f, x):

@@ -170,6 +170,18 @@ def test_sample_divisor_goldens():
     assert len(d.support()) == 3
     assert not (d.support() & avoid)
     assert sample_divisor(3, 11, frozenset(avoid)) == d
+    # the points themselves, which fix the candidate stream (splitmix64 over
+    # the 241 x 4 grid) apart from any replay digest
+    assert [str(p) for p, _ in d.entries] == ["-28", "-14", "109/3"]
+    assert [str(p) for p, _ in sample_divisor(5, 2024).entries] == [
+        "-91", "-105/4", "-5/2", "7/3", "38"
+    ]
+    assert [str(p) for p, _ in sample_divisor(4, 7).entries] == ["11/2", "53/2", "28", "30"]
+    # avoiding two of those four, given as a Fraction and an int, draws two more
+    avoid = {Fraction(11, 2), 28, CurvePoint.of("-1/2"), INFINITY}
+    assert [str(p) for p, _ in sample_divisor(4, 7, avoid).entries] == [
+        "-111/2", "53/2", "30", "83/2"
+    ]
 
 
 def test_sample_divisor_determinism_and_spread():

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from negative_fixtures import divisor_at_infinity_data
 from oracles import transition_mismatches
 from toricurve.curve import (
     CDivisor,
@@ -17,6 +18,7 @@ from toricurve.curve import (
 )
 from toricurve.embed import (
     BadEmbeddingFile,
+    DivisorAtInfinity,
     XiMismatch,
     build_embedding_data,
     chart_maps,
@@ -214,6 +216,14 @@ def test_serialization_round_trip():
         again = loads_embedding(text)
         assert again == data
         assert dumps_embedding(again) == text
+
+
+def test_serialization_refuses_a_divisor_at_infinity():
+    """The file format holds finite points only, so a D_rho at infinity is refused by name."""
+    data = divisor_at_infinity_data()
+    with pytest.raises(DivisorAtInfinity, match="D_3 holds the point at infinity") as err:
+        dumps_embedding(data)
+    assert err.value.ray == 3
 
 
 def test_serialization_rejects_malformed():

@@ -16,7 +16,7 @@ import sympy
 from sympy.polys.rings import PolyElement
 
 from conftest import ladder_fan
-from negative_fixtures import doubled_point_data, symmetric_data
+from negative_fixtures import divisor_at_infinity_data, doubled_point_data, symmetric_data
 from oracles import (
     brute_force_pair_scan,
     gcd_by_ring,
@@ -32,7 +32,14 @@ from toricurve.curve import (
     RationalFunction,
     evaluate_with_derivative,
 )
-from toricurve.embed import ChartMap, build_embedding_data, chart_maps, save_embedding
+from toricurve.embed import (
+    ChartMap,
+    DivisorAtInfinity,
+    build_embedding_data,
+    chart_maps,
+    check_theorem_conditions,
+    save_embedding,
+)
 from toricurve.fan import preset, save_fan
 from toricurve.intersect import XiVector, find_ample, xi_vector
 from toricurve import verify
@@ -510,6 +517,19 @@ def test_certify_refuses_data_that_fails_the_morphism_conditions():
     broken = replace(data, divisors=(shared,) + data.divisors[1:])
     with pytest.raises(ValueError, match="nothing to certify"):
         certify(broken)
+
+
+def test_certify_refuses_a_divisor_at_infinity_before_the_charts(monkeypatch):
+    data = divisor_at_infinity_data()
+    assert check_theorem_conditions(data).passed
+
+    def no_charts(data):
+        raise AssertionError("charts were built")
+
+    monkeypatch.setattr(verify, "chart_maps", no_charts)
+    with pytest.raises(DivisorAtInfinity, match="D_3 holds the point at infinity") as err:
+        certify(data)
+    assert err.value.ray == 3
 
 
 def test_presets_certify_as_embedded():
