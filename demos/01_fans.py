@@ -1,10 +1,12 @@
 """
-Fans: presets, validation, walls, primitive collections, subdivision.
+Fans: presets, validation, walls, primitive collections, subdivision, and a
+fan that closes every wall yet covers the sphere twice.
 
 Run with:  python3 demos/01_fans.py
 """
 
 from toricurve.fan import (
+    Fan,
     preset,
     primitive_collections,
     star_subdivision,
@@ -59,3 +61,20 @@ once = star_subdivision(preset("p3"), (0, 1, 2))
 blowup = preset("bl-p3-point")
 print(f"rays match:  {once.rays == blowup.rays}")
 print(f"cones match: {once.max_cones == blowup.max_cones}")
+
+banner("7. Closed walls are not enough: a ring of rays winding twice")
+# N and S over a ring around the z-axis whose every consecutive 2x2
+# determinant is 1, so every cone is smooth and every wall has two cones on
+# opposite sides; but the ring goes round twice, so a generic direction lies
+# in two cones and validate falls back to the pairwise separation scan
+ring = ((1, 0, 0), (0, 1, 0), (-1, 0, 0), (0, -1, 0), (1, 1, 0), (-2, -1, 0), (-1, -1, 0))
+double_cover = Fan(
+    ((0, 0, 1), (0, 0, -1)) + ring,
+    tuple((pole, 2 + t, 2 + (t + 1) % 7) for t in range(7) for pole in (0, 1)),
+)
+report = validate(double_cover)
+bad = [issue for issue in report.issues if issue[0] == "bad_cone_intersection"]
+assert report.smooth and not report.complete and bad[0] == ("bad_cone_intersection", 0, 6)
+print(f"smooth={report.smooth} complete={report.complete} counts={report.counts}")
+print(f"{len(bad)} overlapping cone pairs, the first {bad[0][1:]}: "
+      f"{double_cover.max_cones[bad[0][1]]} and {double_cover.max_cones[bad[0][2]]}")

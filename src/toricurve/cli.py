@@ -17,7 +17,7 @@ from pathlib import Path
 from .embed import build_embedding_data, check_theorem_conditions, dumps_embedding, load_embedding
 from .fan import (
     ConeNotInFan, Fan, MalformedFan, UnknownPreset,
-    dumps_fan, load_fan, preset, star_subdivision, validate,
+    _pair_census, dumps_fan, load_fan, preset, star_subdivision, validate,
 )
 from .feasibility import EliminationOverflow
 from .intersect import NotProjective, TDivisor, find_ample, xi_vector
@@ -316,8 +316,9 @@ def _cmd_fan_subdivide(args, report: dict) -> int:
     cone = _parse_cone(args.cone)
     result = star_subdivision(_load_input_fan(args.preset, args.fan), cone)
     _fan_output(result, args.out, report)
+    # counted as validate counts them, but not validated
     report.update(
-        status="ok", counts=[result.n_rays, 3 * result.n_rays - 6, 2 * result.n_rays - 4]
+        status="ok", counts=[result.n_rays, len(_pair_census(result)), len(result.max_cones)]
     )
     return EXIT_OK
 

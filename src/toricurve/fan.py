@@ -2,11 +2,13 @@
 
 A fan is a tuple of primitive ray generators plus maximal cones given as
 index triples.  Everything downstream (walls, intersection numbers, ample
-search) assumes smooth and complete; validate() decides both exactly, the
-separation of each pair of maximal cones by homogeneous Fourier-Motzkin
-over int (feasibility.homogeneous_feasible), not by the ample search's
-find_point.  Results keyed by Fan are memoised in caches of FAN_CACHE_SIZE
-entries each.
+search) assumes smooth and complete; validate() decides both exactly.  A
+complete simplicial fan is a triangulation of the sphere (Fulton, 2.4), and
+validate certifies that in linear time by one sheet count; only a fan that
+fails the certificate has each pair of maximal cones separated by
+homogeneous Fourier-Motzkin over int (feasibility.homogeneous_feasible),
+not by the ample search's find_point.  Results keyed by Fan are memoised in
+caches of FAN_CACHE_SIZE entries each.
 """
 from __future__ import annotations
 
@@ -24,6 +26,9 @@ Vec3 = tuple[int, int, int]
 
 # entries in each lru_cache keyed by Fan; bounded so long runs stay flat
 FAN_CACHE_SIZE = 32
+
+# validate's sheet-count probes, tried in order until one is off every wall plane
+_PROBES = ((1, 3, 7), (-11, 5, 17), (19, -13, 2), (7, 23, -29))
 
 
 class MalformedFan(ValueError):
@@ -161,18 +166,48 @@ def _cones_intersect_in_face(fan: Fan, ca, cb) -> bool:
     return homogeneous_feasible(rows, 3)
 
 
+def _one_sheet(fan: Fan, census, dets) -> bool:
+    """validate's certificate that every two maximal cones meet in a face:
+    (b)-(d), given that every 2-face has two cones (a)."""
+    cones = fan.max_cones
+    for pair, owners in census.items():  # (c): det(n_i, n_j, n_k) is -det(cone) iff k is mid-cone
+        sa, sb = (dets[c] if cones[c][1] in pair else -dets[c] for c in owners)
+        if sa * sb >= 0:
+            return False
+    for p in _PROBES:  # (d)
+        side = {(i, j): det((fan.rays[i], fan.rays[j], p)) for i, j in census}
+        if 0 not in side.values():  # p is off every wall plane
+            # p is inside (x, y, z) iff putting it in place of any one ray keeps the det's sign
+            return 1 == sum(d * side[y, z] > 0 and d * side[x, z] < 0 and d * side[x, y] > 0
+                            for (x, y, z), d in zip(cones, dets))
+    return False
+
+
 @lru_cache(maxsize=FAN_CACHE_SIZE)
 def validate(fan: Fan) -> ValidationReport:
     """Smoothness and completeness, with exact criteria and issue codes.
 
-    Memoised per Fan, so a precondition re-check downstream is a lookup.
+    Every two maximal cones meet in a common face when (a) each 2-face has
+    two cones, (b) each cone has det != 0, (c) at each wall (i, j) with
+    opposite rays k, l, det(n_i, n_j, n_k) * det(n_i, n_j, n_l) < 0, and (d)
+    a probe p off every wall plane lies in the open interior of exactly one
+    cone.  (c) is read off the cone determinants, so it checks (b) too.  By
+    (a)-(c) the radial map from the cones' traces, a closed pseudo-surface,
+    to the unit sphere is orientation-preserving and a local homeomorphism
+    across every edge: a branched cover whose sheet count is the number of
+    cones holding a generic point.  (d) makes that 1, so the map is a
+    homeomorphism and two cones meet in the face their shared rays span.
+    Only a fan failing this runs the pairwise Fourier-Motzkin scan, which
+    names the bad pairs.  Memoised per Fan, so a precondition re-check
+    downstream is a lookup.
     """
     issues: list[tuple] = []
     for idx, ray in enumerate(fan.rays):
         if not is_primitive(ray):
             issues.append(("non_primitive_ray", idx))
-    for idx, cone in enumerate(fan.max_cones):
-        if abs(det(cone_matrix(fan, cone))) != 1:
+    dets = [det(cone_matrix(fan, cone)) for cone in fan.max_cones]
+    for idx, d in enumerate(dets):
+        if abs(d) != 1:
             issues.append(("cone_not_unimodular", idx))
     smooth = not issues
 
@@ -184,11 +219,12 @@ def validate(fan: Fan) -> ValidationReport:
         if len(owners) != 2:
             complete = False
             issues.append(("open_wall", pair, len(owners)))
-    for a in range(len(fan.max_cones)):
-        for b in range(a + 1, len(fan.max_cones)):
-            if not _cones_intersect_in_face(fan, fan.max_cones[a], fan.max_cones[b]):
-                complete = False
-                issues.append(("bad_cone_intersection", a, b))
+    if not (complete and _one_sheet(fan, census, dets)):  # complete so far is (a)
+        for a in range(len(fan.max_cones)):
+            for b in range(a + 1, len(fan.max_cones)):
+                if not _cones_intersect_in_face(fan, fan.max_cones[a], fan.max_cones[b]):
+                    complete = False
+                    issues.append(("bad_cone_intersection", a, b))
     if fan.max_cones:
         used = {idx for cone in fan.max_cones for idx in cone}
         for idx in range(fan.n_rays):

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from toricurve.fan import load_fan, preset, star_subdivision
+from toricurve.fan import Fan, load_fan, preset, star_subdivision
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -16,6 +16,13 @@ def ladder_fan(rays: int):
     while fan.n_rays < rays:
         fan = star_subdivision(fan, rng.choice(fan.max_cones))
     return fan
+
+
+def in_basis(fan, columns):
+    """The fan with every ray n replaced by M n, M the matrix of these columns."""
+    rays = tuple(tuple(sum(col[t] * x for col, x in zip(columns, ray)) for t in range(3))
+                 for ray in fan.rays)
+    return Fan(rays, fan.max_cones, fan.name)
 
 
 # one line per acceptance criterion, echoed at the end of the run
@@ -47,3 +54,16 @@ def blp3():
 @pytest.fixture(scope="session")
 def nonprojective():
     return load_fan(FIXTURES / "nonprojective.fan")
+
+
+@pytest.fixture(scope="session")
+def double_cover():
+    """Smooth, every wall closed with its cones on opposite sides, but the ring
+    of rays around the z-axis winds twice: only validate's sheet count fails."""
+    return load_fan(FIXTURES / "double_cover.fan")
+
+
+@pytest.fixture(scope="session")
+def probe_on_wall():
+    """p3 in a basis that sends ray 0 to validate's first probe direction."""
+    return in_basis(preset("p3"), ((1, 3, 7), (0, 1, 0), (0, 0, 1)))

@@ -6,7 +6,8 @@ Groebner bases, plain Fraction arithmetic (evaluation of factored
 functions and derivatives factor by factor, in place of the integer
 homogeneous evaluation; congruences by substitution over Q in place of the
 homogeneous test over Z), margin-1 Fraction feasibility in
-place of the integer cone-separation test, Fourier-Motzkin over Fraction
+place of the integer cone-separation test, the pairwise separation scan in
+place of validate's sheet-count certificate, Fourier-Motzkin over Fraction
 rows with sparse provenance dicts in place of the int rows of
 `feasibility`, and the divided cross differences built over Q by product
 and exact division in place of the integer Bezoutian.  The straightforward
@@ -49,7 +50,10 @@ from toricurve.curve import (
     _mix,
 )
 from toricurve.embed import ConditionsReport, pairing_matrix
-from toricurve.fan import primitive_collections
+from toricurve.fan import (
+    Fan, ValidationReport, _cones_intersect_in_face, _pair_census, cone_matrix, is_primitive,
+    primitive_collections,
+)
 from toricurve.feasibility import Infeasible, Unbounded
 from toricurve.intersect import triple_intersection
 from toricurve.intlinalg import NotUnimodular, det
@@ -330,6 +334,43 @@ def cones_meet_in_face_lp(rays, ca, cb):
         return True
     except Infeasible:
         return False
+
+
+def validate_by_pair_scan(fan: Fan) -> ValidationReport:
+    """fan.validate as it was before the sheet-count certificate, unmemoised:
+    every pair of maximal cones goes through the Fourier-Motzkin separation
+    test.  The body is kept verbatim.
+    """
+    issues: list[tuple] = []
+    for idx, ray in enumerate(fan.rays):
+        if not is_primitive(ray):
+            issues.append(("non_primitive_ray", idx))
+    for idx, cone in enumerate(fan.max_cones):
+        if abs(det(cone_matrix(fan, cone))) != 1:
+            issues.append(("cone_not_unimodular", idx))
+    smooth = not issues
+
+    census = _pair_census(fan)
+    complete = bool(fan.max_cones)
+    if not fan.max_cones:
+        issues.append(("no_cones",))
+    for pair, owners in sorted(census.items()):
+        if len(owners) != 2:
+            complete = False
+            issues.append(("open_wall", pair, len(owners)))
+    for a in range(len(fan.max_cones)):
+        for b in range(a + 1, len(fan.max_cones)):
+            if not _cones_intersect_in_face(fan, fan.max_cones[a], fan.max_cones[b]):
+                complete = False
+                issues.append(("bad_cone_intersection", a, b))
+    if fan.max_cones:
+        used = {idx for cone in fan.max_cones for idx in cone}
+        for idx in range(fan.n_rays):
+            if idx not in used:
+                complete = False
+                issues.append(("unused_ray", idx))
+    counts = (len(fan.rays), len(census), len(fan.max_cones))
+    return ValidationReport(smooth, complete, counts, tuple(issues))
 
 
 def cross_quotients_qq(coords):

@@ -9,7 +9,7 @@ from negative_fixtures import symmetric_data
 from toricurve import feasibility
 from toricurve.cli import ERRORS, RunConfig, main, run_pipeline
 from toricurve.embed import build_embedding_data, embedding_to_dict, save_embedding
-from toricurve.fan import load_fan, preset, save_fan
+from toricurve.fan import Fan, load_fan, preset, save_fan
 from toricurve.intersect import XiVector, find_ample, xi_vector
 from toricurve.verify import Certificate
 
@@ -182,6 +182,19 @@ def test_fan_subdivide_matches_the_blowup_preset(capsys, tmp_path):
     blowup = preset("bl-p3-point")
     assert result.rays == blowup.rays
     assert result.max_cones == blowup.max_cones
+
+
+def test_fan_subdivide_counts_the_fan_it_writes(capsys, tmp_path):
+    # one cone, not a complete fan: Euler's counts would say [4, 6, 4]
+    one_cone = tmp_path / "cone.fan"
+    save_fan(Fan(((1, 0, 0), (0, 1, 0), (0, 0, 1)), ((0, 1, 2),)), one_cone)
+    out = tmp_path / "out.fan"
+    code, report = run_cli(
+        capsys, ["fan", "subdivide", "--fan", str(one_cone), "--cone", "0,1,2", "--out", str(out)]
+    )
+    assert (code, report["counts"]) == (0, [4, 6, 3])
+    _, check = run_cli(capsys, ["fan", "validate", "--fan", str(out)])
+    assert check["counts"] == report["counts"]
 
 
 def test_fan_subdivide_rejects_a_missing_cone(capsys):
@@ -392,6 +405,10 @@ CONTRACT = (
         (argv + ["--preset", "p3", "--xi-method", "kernel", "--ample", "MISSING"], "usage", 2)
         for argv in (["xi"], FAN_COMMANDS["embed"])
     ]
+    # smooth, every wall closed, but two sheets: fan validate's verdict is a
+    # report, not an error
+    + [(["fan", "validate", "--fan", "DOUBLE_COVER"], "invalid", 3)]
+    + [(FAN_COMMANDS["run"] + ["--fan", "DOUBLE_COVER"], "validation", 3)]
     # kernel degrees past the Fourier-Motzkin row cap, lowered to 1000 here
     + [(["xi", "--fan", "LADDER12", "--xi-method", "kernel"], "elimination-overflow", 1)]
 )
@@ -399,6 +416,7 @@ COMMANDS = ("fan", "ample", "xi", "embed", "verify", "run", "demo")
 REPORTED = {  # by validate
     "NONSMOOTH": ["non_primitive_ray", 0], "ORPHAN": ["unused_ray", 4],
     "OPEN_WALLS": ["open_wall", [1, 2], 1], "EXTRA_CONE": ["bad_cone_intersection", 3, 6],
+    "DOUBLE_COVER": ["bad_cone_intersection", 0, 6],
 }
 
 
@@ -448,11 +466,16 @@ def test_every_command_obeys_the_exit_code_contract(capsys, monkeypatch, tmp_pat
     paths = {name: str(tmp_path / name) for name in names}
     paths["NONSMOOTH"] = write_bad_fan(tmp_path)
     paths["ORPHAN"] = write_orphan_fan(tmp_path)
+    paths["DOUBLE_COVER"] = str(FIXTURES / "double_cover.fan")
     reported = [REPORTED[a] for a in argv if a in REPORTED]
     argv = [paths.get(a, a) for a in argv]
     got, report = run_cli(capsys, argv)
-    assert (got, report["error"]["kind"]) == (code, kind), report["error"]
     assert report["command"] == _command_name(argv)
+    if kind == "invalid":
+        assert (got, report["status"]) == (code, "invalid")
+        assert reported and reported[0] in report["issues"]
+        return
+    assert (got, report["error"]["kind"]) == (code, kind), report["error"]
     assert report["status"] == "error" and report["error"]["message"]
     if kind == "not-projective":
         assert len(report["error"]["farkas_certificate"]) > 0

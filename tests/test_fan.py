@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from conftest import FIXTURES
+from conftest import FIXTURES, in_basis
+from oracles import validate_by_pair_scan
 from toricurve import fan as fan_module
 from toricurve.fan import (
     FAN_CACHE_SIZE,
@@ -13,6 +14,7 @@ from toricurve.fan import (
     MalformedFan,
     NotComplete,
     UnknownPreset,
+    _pair_census,
     dual_basis,
     dumps_fan,
     fan_from_dict,
@@ -129,6 +131,38 @@ def test_validate_empty_fan():
     report = validate(Fan(((1, 0, 0),), ()))
     assert not report.complete
     assert ("no_cones",) in report.issues
+
+
+def test_validate_rejects_the_double_cover_by_its_sheet_count_alone(double_cover):
+    # (a)-(c) hold: every wall has two cones, on opposite sides (walls checks that)
+    assert all(len(owners) == 2 for owners in _pair_census(double_cover).values())
+    assert len(walls(double_cover)) == 21
+    report = validate(double_cover)
+    assert (report.smooth, report.complete, report.counts) == (True, False, (9, 21, 14))
+    assert len(report.issues) == 28
+    assert {i[0] for i in report.issues} == {"bad_cone_intersection"}
+    assert report.issues[0] == ("bad_cone_intersection", 0, 6)
+
+
+def test_validate_accepts_a_fan_whose_first_probe_is_a_ray(probe_on_wall):
+    assert probe_on_wall.rays[0] == fan_module._PROBES[0]
+    report = validate(probe_on_wall)
+    assert report.ok and report.issues == ()
+
+
+@pytest.fixture
+def double_cover_probe_on_edge(double_cover):
+    """The double cover in a basis that sends N + r_0, on an edge of one sheet
+    and inside a cone of the other, to the first probe: were that probe
+    taken, its open count would be 1."""
+    return in_basis(double_cover, ((1, 3, 6), (0, 1, 0), (0, 0, 1)))
+
+
+@pytest.mark.parametrize("name", ["p3", "p1p1p1", "blp3", "nonprojective", "double_cover",
+                                  "double_cover_probe_on_edge", "probe_on_wall"])
+def test_validate_equals_the_pair_scan_on_the_named_fans(request, name):
+    fan = request.getfixturevalue(name)
+    assert validate(fan) == validate_by_pair_scan(fan)
 
 
 def test_wall_goldens_p1p1p1(p1p1p1):

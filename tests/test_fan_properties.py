@@ -9,19 +9,24 @@ chains, the ample divisor found must be ample with every wall degree
 positive in the quotient-ring oracle, both degree vectors must be positive
 kernel vectors of the ray matrix, and on chains of up to six rays the
 built embedding's chart transitions must agree.  The one-pass pairing
-divisor must equal the incremental sum it replaced.
+divisor must equal the incremental sum it replaced.  `validate` must give
+the same report, issues in the same order, as the pairwise separation scan
+its sheet-count certificate stands in for, on small fans, chains and chains
+with one mutation each.
 """
 
 from fractions import Fraction
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, given, reject, settings
 from hypothesis import strategies as st
 
-from oracles import ChowOracle, cones_meet_in_face_lp, transition_mismatches
+from oracles import ChowOracle, cones_meet_in_face_lp, transition_mismatches, validate_by_pair_scan
 from test_fan import wall_relation_holds
 from toricurve.curve import CDivisor, CurvePoint
 from toricurve.embed import build_embedding_data, chart_maps, pairing_divisor
-from toricurve.fan import Fan, _cones_intersect_in_face, preset, star_subdivision, validate, walls
+from toricurve.fan import (
+    Fan, MalformedFan, _cones_intersect_in_face, preset, star_subdivision, validate, walls,
+)
 from toricurve.intersect import find_ample, is_ample, xi_vector
 
 # derandomized, so the suite is a deterministic gate; widen max_examples
@@ -131,6 +136,47 @@ def test_subdivision_chains_in_random_bases_stay_valid(fan):
     assert r - e + c == 2
     assert c == 2 * r - 4
     assert all(wall_relation_holds(fan, w) for w in walls(fan))
+
+
+@st.composite
+def mutated_chains(draw):
+    """A chain with one ray perturbed by +-1 or +-2 in one coordinate, negated,
+    swapped with another or replaced by a sum of two rays; or with a cone
+    dropped or an extra cone added."""
+    fan = draw(chains())
+    rays, cones, n = list(fan.rays), list(fan.max_cones), fan.n_rays
+    r, s, t = draw(st.permutations(range(n)))[:3]
+    kind = draw(st.sampled_from(("perturb", "negate", "swap", "sum", "drop", "extra")))
+    if kind == "perturb":
+        ray = list(rays[r])
+        ray[draw(st.integers(0, 2))] += draw(st.sampled_from((-2, -1, 1, 2)))
+        rays[r] = tuple(ray)
+    elif kind == "negate":
+        rays[r] = tuple(-x for x in rays[r])
+    elif kind == "swap":
+        rays[r], rays[s] = rays[s], rays[r]
+    elif kind == "sum":
+        rays[r] = tuple(x + y for x, y in zip(rays[s], rays[t]))
+    elif kind == "drop":
+        cones.pop(draw(st.integers(0, len(cones) - 1)))
+    else:
+        cones.append((r, s, t))
+    try:
+        return Fan(tuple(rays), tuple(cones))
+    except MalformedFan:  # a duplicate ray or cone
+        reject()
+
+
+@PROPERTY
+@given(st.one_of(small_fans(), chains()))
+def test_validate_equals_the_pair_scan(fan):
+    assert validate(fan) == validate_by_pair_scan(fan)
+
+
+@settings(PROPERTY, max_examples=400)
+@given(mutated_chains())
+def test_validate_equals_the_pair_scan_on_mutated_chains(fan):
+    assert validate(fan) == validate_by_pair_scan(fan)
 
 
 def unit(n, j):
