@@ -5,7 +5,6 @@ the certifier produces for each failure.
 Run with:  python3 demos/04_negative_controls.py
 """
 
-from dataclasses import replace
 from fractions import Fraction
 
 from toricurve.curve import CDivisor, CurvePoint, RationalFunction, principal_function
@@ -71,14 +70,14 @@ banner("3. Tampered data never reaches certification")
 cube = preset("p1p1p1")
 boxy = build_embedding_data(cube, find_ample(cube), xi_vector(cube, find_ample(cube)), 0)
 bump = CDivisor.of({CurvePoint.of(F(10)): 1})
-shared = replace(boxy, divisors=(boxy.divisors[0] + bump, boxy.divisors[1] + bump)
-                 + boxy.divisors[2:])
+shared = boxy._replace(divisors=(boxy.divisors[0] + bump, boxy.divisors[1] + bump)
+                       + boxy.divisors[2:])
 report = check_theorem_conditions(shared)
 print(f"planted shared point -> pass={report.passed}, "
       f"disjointness witnesses {[f for f in report.disjointness_failures if f[0] == (0, 1)]}")
 good = build_embedding_data(fan, find_ample(fan), xi_vector(fan, find_ample(fan)), 0)
 stray = RationalFunction.of(1, {F(99): 1})
-crooked = replace(good, epsilon=(good.epsilon[0] * stray,) + good.epsilon[1:])
+crooked = good._replace(epsilon=(good.epsilon[0] * stray,) + good.epsilon[1:])
 report = check_theorem_conditions(crooked)
 index, diff = report.divisor_failures[0]
 print(f"stray character factor -> pass={report.passed}, "

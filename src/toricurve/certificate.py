@@ -1,0 +1,68 @@
+"""What verify hands back: per-chart results, the certificate and its JSON.
+
+Kept apart from verify, so the CLI can print a certificate and name a
+DegreeOverflow without loading the certification code itself.
+"""
+from __future__ import annotations
+
+import json
+from typing import NamedTuple
+
+
+class DegreeOverflow(RuntimeError):
+    """A polynomial elimination step would exceed the degree cap."""
+
+    def __init__(self, cone, estimate: int, cap: int, what: str = "elimination degree estimate"):
+        super().__init__(f"chart {cone}: {what} {estimate} exceeds cap {cap}")
+        self.cone = cone
+        self.estimate = estimate
+        self.cap = cap
+
+
+class CheckResult(NamedTuple):
+    ok: bool
+    method: str
+    witnesses: tuple = ()
+
+
+class ChartRecord(NamedTuple):
+    cone: tuple[int, int, int]
+    injective: bool
+    immersive: bool
+    injectivity_method: str
+    witnesses: tuple = ()
+
+
+class Certificate(NamedTuple):
+    charts: tuple[ChartRecord, ...]
+    pullback_ok: bool
+    pullback_witnesses: tuple
+    embedded: bool
+
+    @property
+    def verdict_vector(self) -> tuple:
+        return tuple(
+            (r.cone, r.injective, r.immersive) for r in self.charts
+        ) + (("pullback", self.pullback_ok),)
+
+
+def certificate_to_dict(cert: Certificate) -> dict:
+    return {
+        "charts": [
+            {
+                "cone": list(r.cone),
+                "injective": r.injective,
+                "immersive": r.immersive,
+                "injectivity_method": r.injectivity_method,
+                "witnesses": [dict(w) for w in r.witnesses],
+            }
+            for r in cert.charts
+        ],
+        "pullback_ok": cert.pullback_ok,
+        "pullback_witnesses": [dict(w) for w in cert.pullback_witnesses],
+        "embedded": cert.embedded,
+    }
+
+
+def dumps_certificate(cert: Certificate) -> str:
+    return json.dumps(certificate_to_dict(cert), indent=2, sort_keys=True) + "\n"

@@ -10,10 +10,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
+from .certificate import DegreeOverflow, dumps_certificate
 from .embed import build_embedding_data, check_theorem_conditions, dumps_embedding, load_embedding
 from .fan import (
     ConeNotInFan, Fan, MalformedFan, UnknownPreset,
@@ -21,7 +21,6 @@ from .fan import (
 )
 from .feasibility import EliminationOverflow
 from .intersect import NotProjective, TDivisor, find_ample, xi_vector
-from .verify import DegreeOverflow, certify, dumps_certificate
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -70,16 +69,29 @@ ERRORS = (
 )
 
 
-@dataclass
 class RunConfig:
-    fan_path: str | None = None
-    preset_name: str | None = None
-    ample: str = "auto"  # "auto" or a divisor file path
-    xi_method: str = "intersection"
-    seed: int = 0
-    torus: tuple = (Fraction(1), Fraction(1), Fraction(1))
-    max_retries: int = 3
-    out_dir: str = "toricurve-out"
+    """The flags of ``run``; ``ample`` is "auto" or a divisor file path."""
+
+    def __init__(self, fan_path: str | None = None, preset_name: str | None = None,
+                 ample: str = "auto", xi_method: str = "intersection", seed: int = 0,
+                 torus: tuple = (Fraction(1), Fraction(1), Fraction(1)),
+                 max_retries: int = 3, out_dir: str = "toricurve-out") -> None:
+        self.fan_path = fan_path
+        self.preset_name = preset_name
+        self.ample = ample
+        self.xi_method = xi_method
+        self.seed = seed
+        self.torus = torus
+        self.max_retries = max_retries
+        self.out_dir = out_dir
+
+
+def certify(data):
+    """verify.certify, imported on first call: ``embed`` and the fan commands
+    never load the certification code."""
+    from .verify import certify
+
+    return certify(data)
 
 
 def _fail(report: dict, exc: Exception) -> int:

@@ -22,7 +22,6 @@ CurvePoint only for a point it keeps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -77,27 +76,24 @@ def _canonical(keyed: list, repeated: str, zero: str) -> tuple:
 def _trusted(cls, **fields):
     """An instance of `cls` whose fields are already canonical: no sort, no checks."""
     obj = object.__new__(cls)
-    obj.__dict__.update(fields)
+    for name, value in fields.items():
+        setattr(obj, name, value)
     return obj
 
 
-@dataclass(frozen=True, eq=False)
 class CurvePoint:
     """A rational point of the line: a reduced fraction or infinity."""
 
-    finite: Fraction | None = None
+    __slots__ = ("finite", "_reduced", "_order", "_hash")
 
-    def __post_init__(self) -> None:
-        x = self.finite
-        if x is None:  # 1/0 in these coordinates, which no finite point reduces to
-            reduced, order = (1, 0), _INFINITY_ORDER
+    def __init__(self, finite: Fraction | None = None) -> None:
+        if finite is None:  # 1/0 in these coordinates, which no finite point reduces to
+            self._reduced, self._order = (1, 0), _INFINITY_ORDER
         else:
-            x = _fraction(x)
-            reduced, order = (x.numerator, x.denominator), _order(x)
-            object.__setattr__(self, "finite", x)
-        object.__setattr__(self, "_reduced", reduced)
-        object.__setattr__(self, "_order", order)
-        object.__setattr__(self, "_hash", hash(reduced))
+            finite = _fraction(finite)
+            self._reduced, self._order = (finite.numerator, finite.denominator), _order(finite)
+        self.finite = finite
+        self._hash = hash(self._reduced)
 
     @classmethod
     def of(cls, value) -> "CurvePoint":
@@ -129,19 +125,26 @@ class CurvePoint:
 INFINITY = CurvePoint.infinity()
 
 
-@dataclass(frozen=True)
 class CDivisor:
     """Formal sum of points with nonzero integer multiplicities."""
 
-    entries: tuple[tuple[CurvePoint, int], ...]
+    __slots__ = ("entries",)
 
-    def __post_init__(self) -> None:
-        canon = _canonical(
-            [(p._order, p, m) for p, m in self.entries],
+    def __init__(self, entries: tuple[tuple[CurvePoint, int], ...]) -> None:
+        self.entries = _canonical(
+            [(p._order, p, m) for p, m in entries],
             "divisor points must be distinct",
             "zero multiplicities are not stored",
         )
-        object.__setattr__(self, "entries", canon)
+
+    def __eq__(self, other) -> bool:
+        return self.entries == other.entries if other.__class__ is CDivisor else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.entries,))
+
+    def __repr__(self) -> str:
+        return f"CDivisor(entries={self.entries!r})"
 
     @classmethod
     def of(cls, mapping) -> "CDivisor":
@@ -188,26 +191,34 @@ class CDivisor:
         return _trusted(CDivisor, entries=tuple((p, k * m) for p, m in self.entries))
 
 
-@dataclass(frozen=True)
 class RationalFunction:
-    """c * prod (t - root)^exp with distinct rational roots and c != 0."""
+    """c * prod (t - root)^exp with distinct rational roots and c != 0.
 
-    constant: Fraction
-    factors: tuple[tuple[Fraction, int], ...]
+    Not slotted: integer_parts is cached in the instance dict.
+    """
 
-    def __post_init__(self) -> None:
-        c = _fraction(self.constant)
-        if not c:
+    def __init__(self, constant: Fraction, factors: tuple[tuple[Fraction, int], ...]) -> None:
+        self.constant = _fraction(constant)
+        if not self.constant:
             raise ValueError("the zero function is not representable")
         keyed = []
-        for r, e in self.factors:
+        for r, e in factors:
             r = _fraction(r)
             keyed.append((_order(r), r, e))
-        canon = _canonical(
+        self.factors = _canonical(
             keyed, "factor roots must be distinct", "zero exponents are not stored"
         )
-        object.__setattr__(self, "constant", c)
-        object.__setattr__(self, "factors", canon)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not RationalFunction:
+            return NotImplemented
+        return (self.constant, self.factors) == (other.constant, other.factors)
+
+    def __hash__(self) -> int:
+        return hash((self.constant, self.factors))
+
+    def __repr__(self) -> str:
+        return f"RationalFunction(constant={self.constant!r}, factors={self.factors!r})"
 
     @classmethod
     def one(cls) -> "RationalFunction":

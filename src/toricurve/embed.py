@@ -8,14 +8,15 @@ coordinates dual to each maximal cone.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .curve import (
     CDivisor,
     CurvePoint,
     ProjectiveLine,
     RationalFunction,
+    _trusted,
     has_divisor,
     principal_function,
 )
@@ -48,8 +49,7 @@ def refuse_infinity(rho: int, d: CDivisor) -> None:
         raise DivisorAtInfinity(rho)
 
 
-@dataclass(frozen=True)
-class EmbeddingData:
+class EmbeddingData(NamedTuple):
     fan: Fan
     ample: TDivisor | None
     xi: XiVector
@@ -58,8 +58,7 @@ class EmbeddingData:
     torus: tuple[Fraction, Fraction, Fraction]
 
 
-@dataclass(frozen=True)
-class ChartMap:
+class ChartMap(NamedTuple):
     """Coordinates of the candidate on the affine chart of one maximal cone."""
 
     cone: tuple[int, int, int]
@@ -68,8 +67,7 @@ class ChartMap:
     excluded: tuple[CurvePoint, ...]  # support of the divisors of rays off the cone
 
 
-@dataclass(frozen=True)
-class ConditionsReport:
+class ConditionsReport(NamedTuple):
     """Outcome of the two morphism conditions, with witnesses on failure."""
 
     disjointness_failures: tuple[tuple, ...]
@@ -94,10 +92,20 @@ def _check_xi(fan: Fan, xi: XiVector) -> None:
 
 
 def pairing_divisor(divisors, coeffs) -> CDivisor:
-    """sum_rho coeffs[rho] * D_rho, summed in one pass over the scaled entries."""
-    return CDivisor.of(
-        (p, k * m) for k, d in zip(coeffs, divisors) if k for p, m in d.entries
-    )
+    """sum_rho coeffs[rho] * D_rho.
+
+    Each D_rho is sorted, so one sort of the scaled entries merges the runs;
+    equal points land side by side, their multiplicities are summed and
+    zeros dropped.
+    """
+    scaled = [(p, k * m) for k, d in zip(coeffs, divisors) if k for p, m in d.entries]
+    scaled.sort(key=lambda e: e[0]._order)
+    entries = []
+    for p, m in scaled:
+        if entries and entries[-1][0]._reduced == p._reduced:
+            m += entries.pop()[1]
+        entries.append((p, m))
+    return _trusted(CDivisor, entries=tuple(e for e in entries if e[1]))
 
 
 def build_embedding_data(

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
 from functools import lru_cache
+from typing import NamedTuple
 
 # find_point is unused here but stays bound: pipebench/tracing.py wraps it
 # by this module attribute
@@ -59,20 +59,18 @@ def is_primitive(ray: Vec3) -> bool:
     return ray != (0, 0, 0) and math.gcd(*[abs(x) for x in ray]) == 1
 
 
-@dataclass(frozen=True)
 class Fan:
     """Rays plus maximal cones (sorted index triples)."""
 
-    rays: tuple[Vec3, ...]
-    max_cones: tuple[tuple[int, int, int], ...]
-    name: str = ""
+    __slots__ = ("rays", "max_cones", "name")
 
-    def __post_init__(self) -> None:
-        rays = tuple(_as_ray(r) for r in self.rays)
+    def __init__(self, rays: tuple[Vec3, ...], max_cones: tuple[tuple[int, int, int], ...],
+                 name: str = "") -> None:
+        rays = tuple(_as_ray(r) for r in rays)
         if len(set(rays)) != len(rays):
             raise MalformedFan("duplicate rays")
         cones = []
-        for cone in self.max_cones:
+        for cone in max_cones:
             if not isinstance(cone, (list, tuple)) or len(cone) != 3:
                 raise MalformedFan(f"cone must be an index triple, got {cone!r}")
             if not all(isinstance(i, int) and not isinstance(i, bool) for i in cone):
@@ -84,10 +82,20 @@ class Fan:
             cones.append(tuple(sorted(cone)))
         if len(set(cones)) != len(cones):
             raise MalformedFan("duplicate maximal cones")
-        if not isinstance(self.name, str):
+        if not isinstance(name, str):
             raise MalformedFan("name must be a string")
-        object.__setattr__(self, "rays", rays)
-        object.__setattr__(self, "max_cones", tuple(cones))
+        self.rays, self.max_cones, self.name = rays, tuple(cones), name
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Fan:
+            return NotImplemented
+        return (self.rays, self.max_cones, self.name) == (other.rays, other.max_cones, other.name)
+
+    def __hash__(self) -> int:
+        return hash((self.rays, self.max_cones, self.name))
+
+    def __repr__(self) -> str:
+        return f"Fan(rays={self.rays!r}, max_cones={self.max_cones!r}, name={self.name!r})"
 
     @property
     def n_rays(self) -> int:
@@ -123,8 +131,7 @@ def dual_basis(fan: Fan, cone: tuple[int, int, int]) -> tuple[tuple[int, ...], .
     return duals
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     smooth: bool
     complete: bool
     counts: tuple[int, int, int]  # rays, 2-faces, maximal cones
@@ -235,8 +242,7 @@ def validate(fan: Fan) -> ValidationReport:
     return ValidationReport(smooth, complete, counts, tuple(issues))
 
 
-@dataclass(frozen=True)
-class Wall:
+class Wall(NamedTuple):
     """A 2-face <n_i, n_j> with its two adjacent maximal cones.
 
     The opposite rays n_k (of cone_a) and n_l (of cone_b) satisfy the exact
@@ -351,7 +357,7 @@ def preset(name: str) -> Fan:
         return Fan(rays=rays, max_cones=cones, name="p1p1p1")
     if name == "bl-p3-point":
         fan = star_subdivision(preset("p3"), (0, 1, 2))
-        return replace(fan, name="bl-p3-point")
+        return Fan(fan.rays, fan.max_cones, "bl-p3-point")
     raise UnknownPreset(f"unknown preset {name!r}")
 
 

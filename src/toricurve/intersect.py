@@ -8,10 +8,10 @@ degrees.  Nothing is ever rounded.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from typing import NamedTuple
 
 from .fan import (
     FAN_CACHE_SIZE, Fan, NotComplete, Wall, dual_basis, ray_matrix, walls, _cone_set,
@@ -37,16 +37,24 @@ class NoPositiveKernel(ValueError):
     """No strictly positive integer vector in the ray matrix kernel."""
 
 
-@dataclass(frozen=True)
 class TDivisor:
     """Toric divisor sum_rho coeffs[rho] * V_rho."""
 
-    coeffs: tuple[int, ...]
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, coeffs: tuple[int, ...]) -> None:
+        self.coeffs = tuple(coeffs)
         if not all(isinstance(c, int) and not isinstance(c, bool) for c in self.coeffs):
             raise ValueError("divisor coefficients must be ints")
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
+
+    def __eq__(self, other) -> bool:
+        return self.coeffs == other.coeffs if other.__class__ is TDivisor else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.coeffs,))
+
+    def __repr__(self) -> str:
+        return f"TDivisor(coeffs={self.coeffs!r})"
 
     @classmethod
     def zero(cls, fan: Fan) -> "TDivisor":
@@ -66,8 +74,7 @@ class TDivisor:
         return TDivisor(tuple(k * a for a in self.coeffs))
 
 
-@dataclass(frozen=True)
-class XiVector:
+class XiVector(NamedTuple):
     """Strictly positive integer degrees, one per ray, in the ray matrix kernel."""
 
     values: tuple[int, ...]

@@ -56,12 +56,14 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import chain, combinations, count
 from math import gcd, isqrt
 
+from .certificate import (  # noqa: F401, the last two re-exported
+    Certificate, ChartRecord, CheckResult, DegreeOverflow, certificate_to_dict, dumps_certificate,
+)
 from .curve import (
     CDivisor,
     CurvePoint,
@@ -111,46 +113,6 @@ _MERSENNE_EXPONENTS = (
     9941, 11213, 19937, 21701, 23209, 44497, 86243, 110503, 132049, 216091,
 )
 _Q_BITS = _MERSENNE_EXPONENTS[0]  # q = 2^61 - 1, the modulus of _coprime
-
-
-class DegreeOverflow(RuntimeError):
-    """A polynomial elimination step would exceed the degree cap."""
-
-    def __init__(self, cone, estimate: int, cap: int, what: str = "elimination degree estimate"):
-        super().__init__(f"chart {cone}: {what} {estimate} exceeds cap {cap}")
-        self.cone = cone
-        self.estimate = estimate
-        self.cap = cap
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    ok: bool
-    method: str
-    witnesses: tuple = ()
-
-
-@dataclass(frozen=True)
-class ChartRecord:
-    cone: tuple[int, int, int]
-    injective: bool
-    immersive: bool
-    injectivity_method: str
-    witnesses: tuple = ()
-
-
-@dataclass(frozen=True)
-class Certificate:
-    charts: tuple[ChartRecord, ...]
-    pullback_ok: bool
-    pullback_witnesses: tuple
-    embedded: bool
-
-    @property
-    def verdict_vector(self) -> tuple:
-        return tuple(
-            (r.cone, r.injective, r.immersive) for r in self.charts
-        ) + (("pullback", self.pullback_ok),)
 
 
 def _qq(x: Fraction):
@@ -1198,24 +1160,3 @@ def certify(data: EmbeddingData) -> Certificate:
     embedded = all(r.injective and r.immersive for r in records) and pull.ok
     return Certificate(tuple(records), pull.ok, pull.witnesses, embedded)
 
-
-def certificate_to_dict(cert: Certificate) -> dict:
-    return {
-        "charts": [
-            {
-                "cone": list(r.cone),
-                "injective": r.injective,
-                "immersive": r.immersive,
-                "injectivity_method": r.injectivity_method,
-                "witnesses": [dict(w) for w in r.witnesses],
-            }
-            for r in cert.charts
-        ],
-        "pullback_ok": cert.pullback_ok,
-        "pullback_witnesses": [dict(w) for w in cert.pullback_witnesses],
-        "embedded": cert.embedded,
-    }
-
-
-def dumps_certificate(cert: Certificate) -> str:
-    return json.dumps(certificate_to_dict(cert), indent=2, sort_keys=True) + "\n"

@@ -1,6 +1,5 @@
 """Hand-built embedding data that must fail certification in a known way."""
 
-from dataclasses import replace
 from fractions import Fraction
 
 from toricurve.curve import INFINITY, CDivisor, CurvePoint, RationalFunction, principal_function
@@ -23,8 +22,7 @@ def shared_point_data():
     data = pipeline_data("p1p1p1", seed=4)
     z = CurvePoint.of(F(1000))
     bump = CDivisor.of([(z, 1)])
-    tampered = replace(
-        data,
+    tampered = data._replace(
         divisors=(data.divisors[0] + bump, data.divisors[1] + bump) + data.divisors[2:],
     )
     return tampered, z
@@ -34,8 +32,7 @@ def extra_zero_data():
     """One character multiplied by a stray linear factor."""
     data = pipeline_data("p3", seed=6)
     z = CurvePoint.of(F(999))
-    tampered = replace(
-        data,
+    tampered = data._replace(
         epsilon=(data.epsilon[0] * RationalFunction.of(1, {F(999): 1}),)
         + data.epsilon[1:],
     )

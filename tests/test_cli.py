@@ -1,11 +1,18 @@
 """Command line behavior: reports, exit codes, artifacts, retries."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import toricurve
 from conftest import FIXTURES, ladder_fan
 from negative_fixtures import symmetric_data
+from test_verify import run_fresh
 from toricurve import feasibility
 from toricurve.cli import ERRORS, RunConfig, main, run_pipeline
 from toricurve.embed import build_embedding_data, embedding_to_dict, save_embedding
@@ -510,3 +517,51 @@ def test_help_still_exits_zero_with_the_usage_text(capsys):
         main(["--help"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("usage: toricurve")
+
+
+def test_the_cli_runs_as_a_module_without_a_runpy_warning():
+    """``python -m toricurve.cli``: importing the package must not import
+    the CLI first, which runpy reports as a RuntimeWarning."""
+    root = Path(__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "toricurve.cli", "fan", "preset", "p3"],
+        env=dict(os.environ, PYTHONPATH=str(root / "src")), cwd=root, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["status"] == "ok"
+
+
+# the watched modules loaded by importing the CLI, then after one command
+WHAT_LOADS = textwrap.dedent("""
+    import contextlib, io, json, sys
+    from toricurve import cli
+    watched = ("dataclasses", "toricurve.verify")
+    before = [m for m in watched if m in sys.modules]
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main([sys.argv[1], "--preset", "p3", "--out", sys.argv[2]])
+    print(json.dumps({"before": before, "code": code, "after": [m for m in watched if m in sys.modules]}))
+""")
+
+
+@pytest.mark.parametrize("command, after", [("embed", []), ("run", ["toricurve.verify"])])
+def test_a_process_loads_only_the_code_its_command_runs(tmp_path, command, after):
+    report = run_fresh(WHAT_LOADS, command, tmp_path)
+    assert report == {"before": [], "code": 0, "after": after}
+
+
+def test_every_export_is_the_object_of_its_module():
+    """The package resolves its exports lazily; each is its module's own
+    object, listed by dir() and importable by name."""
+    import importlib
+
+    assert len(set(toricurve.__all__)) == len(toricurve.__all__) == 61
+    for module, names in toricurve._EXPORTS.items():
+        home = importlib.import_module(f"toricurve.{module}")
+        for name in names:
+            assert getattr(toricurve, name) is getattr(home, name), name
+    assert set(toricurve.__all__) <= set(dir(toricurve))
+    from toricurve import DegreeOverflow, certify
+    from toricurve import verify
+    assert (DegreeOverflow, certify) == (verify.DegreeOverflow, verify.certify)
+    with pytest.raises(AttributeError):
+        toricurve.no_such_name

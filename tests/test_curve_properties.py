@@ -10,7 +10,6 @@ oracles.py give: equal objects with their entries in the same order, and
 the same failure tuples in the same order.
 """
 
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -174,7 +173,7 @@ def _pipeline(name, seed):
 def _with_divisor(data, rho, extra):
     divisors = list(data.divisors)
     divisors[rho] = divisors[rho] + CDivisor(extra)
-    return replace(data, divisors=tuple(divisors))
+    return data._replace(divisors=tuple(divisors))
 
 
 def _tampered(name, seed):
@@ -191,11 +190,11 @@ def _tampered(name, seed):
     bent[i] = bent[i] * RationalFunction(F(2), ((z.finite, 1), (F(-1, 999), -1)))
     return [
         ("passes", data),
-        ("scaled", replace(data, epsilon=tuple(f.scale(F(-5, 2)) for f in data.epsilon))),
+        ("scaled", data._replace(epsilon=tuple(f.scale(F(-5, 2)) for f in data.epsilon))),
         ("shared", shared),  # a primitive collection meets, and the pairings move
-        ("bent", replace(data, epsilon=tuple(bent))),  # div eps_i is off at two points
+        ("bent", data._replace(epsilon=tuple(bent))),  # div eps_i is off at two points
         ("infinity", _with_divisor(data, rho, ((INFINITY, 1),))),  # off at infinity only
-        ("swapped", replace(data, epsilon=data.epsilon[1::-1] + data.epsilon[2:])),
+        ("swapped", data._replace(epsilon=data.epsilon[1::-1] + data.epsilon[2:])),
         ("doubled", _with_divisor(data, rho, tuple((p, 1) for p, _ in data.divisors[rho].entries))),
     ], (z, i, rho, coll, a)
 

@@ -2,7 +2,6 @@
 
 import json
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -139,8 +138,7 @@ def test_condition_one_violation_shared_point():
     data = pipeline_data("p1p1p1", seed=4)
     z = CurvePoint.of(Fraction(1000))
     bump = CDivisor.of([(z, 1)])
-    tampered = replace(
-        data,
+    tampered = data._replace(
         divisors=(data.divisors[0] + bump, data.divisors[1] + bump) + data.divisors[2:],
     )
     report = check_theorem_conditions(tampered)
@@ -156,7 +154,7 @@ def test_condition_two_violation_extra_zero():
     data = pipeline_data("p3", seed=6)
     z = Fraction(999)
     extra = RationalFunction.of(1, {z: 1})
-    tampered = replace(data, epsilon=(data.epsilon[0] * extra,) + data.epsilon[1:])
+    tampered = data._replace(epsilon=(data.epsilon[0] * extra,) + data.epsilon[1:])
     report = check_theorem_conditions(tampered)
     assert not report.passed
     assert len(report.divisor_failures) == 1

@@ -6,7 +6,6 @@ import os
 import subprocess
 import sys
 import textwrap
-from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -497,7 +496,7 @@ def test_tampered_chart_coordinate_is_caught_with_the_exact_difference():
     data = build_embedding_data(preset("p3"), None, XiVector((1, 1, 1, 1), "intersection"), 3)
     charts = chart_maps(data)
     smuggled = charts[0].coords[0] * rf({17: 1})
-    bad = replace(charts[0], coords=(smuggled,) + charts[0].coords[1:])
+    bad = charts[0]._replace(coords=(smuggled,) + charts[0].coords[1:])
     result = pullback_check(data, (bad,) + charts[1:])
     assert not result.ok
     assert result.witnesses == (
@@ -514,7 +513,7 @@ def test_tampered_chart_coordinate_is_caught_with_the_exact_difference():
 def test_certify_refuses_data_that_fails_the_morphism_conditions():
     data = symmetric_data()
     shared = CDivisor.of({CurvePoint.of(F(2)): 1, CurvePoint.of(F(3)): 1})
-    broken = replace(data, divisors=(shared,) + data.divisors[1:])
+    broken = data._replace(divisors=(shared,) + data.divisors[1:])
     with pytest.raises(ValueError, match="nothing to certify"):
         certify(broken)
 
