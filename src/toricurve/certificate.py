@@ -5,8 +5,9 @@ DegreeOverflow without loading the certification code itself.
 """
 from __future__ import annotations
 
-import json
 from typing import NamedTuple
+
+from .fan import dumps_json
 
 
 class DegreeOverflow(RuntimeError):
@@ -65,4 +66,4 @@ def certificate_to_dict(cert: Certificate) -> dict:
 
 
 def dumps_certificate(cert: Certificate) -> str:
-    return json.dumps(certificate_to_dict(cert), indent=2, sort_keys=True) + "\n"
+    return dumps_json(certificate_to_dict(cert), sort_keys=True) + "\n"

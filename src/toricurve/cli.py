@@ -17,7 +17,7 @@ from .certificate import DegreeOverflow, dumps_certificate
 from .embed import build_embedding_data, check_theorem_conditions, dumps_embedding, load_embedding
 from .fan import (
     ConeNotInFan, Fan, MalformedFan, UnknownPreset,
-    _pair_census, dumps_fan, load_fan, preset, star_subdivision, validate,
+    _pair_census, dumps_fan, dumps_json, fan_to_dict, load_fan, preset, star_subdivision, validate,
 )
 from .feasibility import EliminationOverflow
 from .intersect import NotProjective, TDivisor, find_ample, xi_vector
@@ -121,7 +121,7 @@ def _apply(step, arg, report: dict) -> int:
 def _emit(report: dict, code: int) -> int:
     report = dict(report)
     report["exit_code"] = code
-    print(json.dumps(report, indent=2, sort_keys=True))
+    print(dumps_json(report, sort_keys=True))
     return code
 
 
@@ -302,12 +302,11 @@ def _pipeline(config: RunConfig, report: dict) -> int:
 
 def _fan_output(fan: Fan, out: str | None, report: dict) -> None:
     """Write the fan to ``out``, or put it in the report when there is none."""
-    text = dumps_fan(fan)
     if out:
-        _write(Path(out), text)
+        _write(Path(out), dumps_fan(fan))
         report["artifacts"] = {"fan": out}
     else:
-        report["fan"] = json.loads(text)
+        report["fan"] = fan_to_dict(fan)
 
 
 def _cmd_fan_validate(args, report: dict) -> int:
@@ -340,7 +339,7 @@ def _cmd_ample_find(args, report: dict) -> int:
     _require_valid(_validation(fan))
     doc = {"coeffs": list(find_ample(fan).coeffs)}
     if args.out:
-        _write(Path(args.out), json.dumps(doc, indent=2) + "\n")
+        _write(Path(args.out), dumps_json(doc) + "\n")
         report["artifacts"] = {"divisor": args.out}
     report.update(status="ok", divisor=doc)
     return EXIT_OK

@@ -427,18 +427,20 @@ def _pair(p) -> tuple[int, int]:
     return x.numerator, x.denominator
 
 
-def sample_divisor(degree: int, seed: int, avoid=frozenset()) -> CDivisor:
+def sample_divisor(degree: int, seed: int, avoid=frozenset(), taken=None) -> CDivisor:
     """Reduced degree-`degree` divisor of fresh finite points.
 
     Deterministic in (degree, seed, avoid): candidate `counter` is
     (h % 241 - 120) / (1 + (h >> 32) % 4) with h the splitmix64 hash of
     mix(seed) + counter; anything in `avoid` or already chosen is skipped.
     Candidates are compared as reduced (num, den) int pairs, and only the
-    points kept become CurvePoints, sorted once.
+    points kept become CurvePoints, sorted once.  A chain of draws shares one
+    set of such pairs, `taken`: avoided too, it gains `avoid`'s and those drawn.
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    taken = {_pair(p) for p in avoid}
+    taken = set() if taken is None else taken
+    taken.update(map(_pair, avoid))
     base = _mix(seed & _MASK)
     chosen: list[CurvePoint] = []
     counter = 0
@@ -465,5 +467,5 @@ class ProjectiveLine:
     class attribute.
     """
 
-    def sample_divisor(self, degree: int, seed: int, avoid=frozenset()) -> CDivisor:
-        return sample_divisor(degree, seed, avoid)
+    def sample_divisor(self, degree: int, seed: int, avoid=frozenset(), taken=None) -> CDivisor:
+        return sample_divisor(degree, seed, avoid, taken)

@@ -21,7 +21,7 @@ from .curve import (
     principal_function,
 )
 from .fan import Fan, dual_basis, fan_from_dict, fan_to_dict, primitive_collections, validate
-from .fan import ray_matrix as pairing_matrix  # a[i][rho] = <m_i, n_rho>
+from .fan import dumps_json, ray_matrix as pairing_matrix  # a[i][rho] = <m_i, n_rho>
 from .intersect import TDivisor, XiVector
 
 Vec3 = tuple[int, int, int]
@@ -129,12 +129,9 @@ def build_embedding_data(
         raise ValueError("torus element must be three nonzero rationals")
     curve = ProjectiveLine()
 
-    avoid: set[CurvePoint] = set()
-    divisors = []
-    for rho in range(fan.n_rays):
-        d = curve.sample_divisor(xi.values[rho], seed + rho, avoid)
-        avoid |= d.support()
-        divisors.append(d)
+    taken: set[tuple[int, int]] = set()  # reduced (num, den) of every point drawn so far
+    divisors = [curve.sample_divisor(xi.values[rho], seed + rho, taken=taken)
+                for rho in range(fan.n_rays)]
 
     a = pairing_matrix(fan)
     epsilon = []
@@ -326,7 +323,7 @@ def embedding_from_dict(doc) -> EmbeddingData:
 
 
 def dumps_embedding(data: EmbeddingData) -> str:
-    return json.dumps(embedding_to_dict(data), indent=2) + "\n"
+    return dumps_json(embedding_to_dict(data)) + "\n"
 
 
 def loads_embedding(text: str) -> EmbeddingData:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii as _quote
 from typing import NamedTuple
 
 # find_point is unused here but stays bound: pipebench/tracing.py wraps it
@@ -389,8 +390,33 @@ def fan_from_dict(doc) -> Fan:
     )
 
 
+def dumps_json(obj, sort_keys: bool = False) -> str:
+    """json.dumps with an indent of 2, byte for byte, about twice as fast.
+
+    json's C encoder skips indented output; here each list, tuple and dict is one
+    join per level, exact str, int, bool and None inline.  json writes the rest (a
+    float, a subclass, a non-str key), re-indented: ensure_ascii escapes newlines.
+    """
+    def enc(x, indent: str) -> str:
+        t, inner = type(x), indent + "  "
+        if t is list or t is tuple:
+            body = [_quote(v) if type(v) is str else repr(v) if type(v) is int else enc(v, inner)
+                    for v in x]
+            return "[" + inner + ("," + inner).join(body) + indent + "]" if x else "[]"
+        if t is dict and all(type(k) is str for k in x):
+            body = [_quote(k) + ": " + enc(v, inner)
+                    for k, v in (sorted(x.items()) if sort_keys else x.items())]
+            return "{" + inner + ("," + inner).join(body) + indent + "}" if x else "{}"
+        if t is str or t is int:
+            return _quote(x) if t is str else repr(x)
+        if t is bool or x is None:
+            return "null" if x is None else "true" if x else "false"
+        return json.dumps(x, indent=2, sort_keys=sort_keys).replace("\n", indent)
+    return enc(obj, "\n")
+
+
 def dumps_fan(fan: Fan) -> str:
-    return json.dumps(fan_to_dict(fan), indent=2) + "\n"
+    return dumps_json(fan_to_dict(fan)) + "\n"
 
 
 def loads_fan(text: str) -> Fan:

@@ -427,6 +427,28 @@ REPORTED = {  # by validate
 }
 
 
+@pytest.mark.parametrize("argv, shows", [
+    (["embed", "--preset", "p3", "--seed", "5", "--out", "OUT"], ("conditions_pass",)),
+    (["run", "--preset", "p3", "--seed", "5", "--out", "OUT"], ("certificate",)),
+    (["verify", "--data", "SYMMETRIC", "--out", "OUT"], ("charts",)),
+    (["fan", "preset", "bl-p3-point"], ("fan",)),
+    (["run", "--fan", NONPROJECTIVE, "--out", "OUT"], ("error", "farkas_certificate")),
+    (["run", "--fan", "NONSMOOTH", "--out", "OUT"], ("error", "issues")),
+], ids=["embed", "run", "refuting verify", "fan preset", "not-projective", "validation"])
+def test_the_report_is_json_text_sorted_with_an_indent_of_two(capsys, tmp_path, argv, shows):
+    """The replay digests cover the files a command writes, not its stdout."""
+    save_embedding(symmetric_data(), tmp_path / "SYMMETRIC")
+    paths = {"OUT": str(tmp_path / "OUT"), "SYMMETRIC": str(tmp_path / "SYMMETRIC"),
+             "NONSMOOTH": write_bad_fan(tmp_path)}
+    main([paths.get(a, a) for a in argv])
+    out = capsys.readouterr().out
+    report = json.loads(out)
+    assert out == json.dumps(report, indent=2, sort_keys=True) + "\n"
+    for key in shows:  # the report holds the part this command adds
+        report = report[key]
+    assert report
+
+
 def _command_name(argv):
     if argv[0] not in COMMANDS:
         return None

@@ -98,13 +98,16 @@ def test_the_sampler_matches_the_reference(degree, seed, avoid):
 @PROPERTY
 @given(st.lists(st.integers(1, 70), min_size=1, max_size=8), st.integers(0, 2**64))
 def test_a_chain_of_draws_avoiding_each_other_matches_the_reference(degrees, seed):
-    """As build_embedding_data draws: each divisor avoids the points before it."""
-    new_avoid, ref_avoid = set(), set()
+    """Each divisor avoids the points before it, given as points or, as
+    build_embedding_data gives them, as one growing set of reduced pairs."""
+    new_avoid, ref_avoid, taken = set(), set(), set()
     for rho, degree in enumerate(degrees):
         new = sample_divisor(degree, seed + rho, new_avoid)
         same_divisor(new, sample_divisor_by_points(degree, seed + rho, ref_avoid))
+        assert sample_divisor(degree, seed + rho, taken=taken) == new
         new_avoid |= new.support()
         ref_avoid |= new.support()
+        assert taken == {(p.finite.numerator, p.finite.denominator) for p in new_avoid}
 
 
 @st.composite
