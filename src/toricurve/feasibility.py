@@ -2,18 +2,22 @@
 
 One Fourier-Motzkin elimination (Schrijver, Theory of Linear and Integer
 Programming, 1986, §12.2) serves find_point and minimize.  A constraint
-sum_i c_i x_i >= rhs is one int row (c_0..c_{w-1}, rhs, p_0..p_{m-1}), scaled
-by the lcm of its denominators, p its multiplier on each of the m inputs.
-Combined rows are divided by the gcd of all their entries, so a Farkas
-certificate is the p part of a row 0 >= positive.  homogeneous_feasible
-decides strict homogeneous systems (fan validation's cone separation) by its
-own elimination over int.  Worst-case exponential, fine at fan scale; an
+sum_i c_i x_i >= rhs is one int row (c_0..c_{w-1}, rhs), scaled by the lcm of
+its denominators; combined rows are divided by the gcd of their entries.
+Only a system found infeasible is eliminated again, with provenance columns
+p_0..p_{m-1}, each row's multiplier on the m inputs: its rows differ from
+the first pass's by positive factors, so every decision repeats, and the p
+part of the row 0 >= positive is the Farkas certificate.  Back-substitution
+keeps one common denominator.  homogeneous_feasible decides strict
+homogeneous systems (fan validation's cone separation) by its own
+elimination over int.  Worst-case exponential, fine at fan scale; an
 elimination level that would hold more than MAX_FM_ROWS rows raises
 EliminationOverflow instead of taking all memory.
 """
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 
@@ -47,14 +51,9 @@ class Infeasible(Exception):
         self.certificate = certificate
 
 
-def _refuted(row, width: int) -> Infeasible:
-    """The row 0 >= positive as an Infeasible carrying its provenance."""
-    return Infeasible({i: Fraction(p) for i, p in enumerate(row[width + 1:]) if p})
-
-
 def _primitive(values) -> tuple[int, ...]:
     g = math.gcd(*values)
-    return tuple(x // g for x in values)
+    return tuple(values) if g == 1 else tuple(x // g for x in values)
 
 
 def _eliminate(rows, var: int, width: int):
@@ -70,68 +69,84 @@ def _eliminate(rows, var: int, width: int):
         a = lo[var]
         for up in uppers:
             b = -up[var]  # b > 0: combine with weights b and a
-            head = [b * x + a * y for x, y in zip(lo[:width + 1], up[:width + 1])]
-            if any(head[:width]):
-                key = _primitive(head)
+            row = [b * x + a * y for x, y in zip(lo, up)]
+            if any(row[:width]):
+                key = _primitive(row[:width + 1])
                 if key in seen:
                     continue
                 seen.add(key)
-            elif head[width] <= 0:
-                continue
-            tail = [b * x + a * y for x, y in zip(lo[width + 1:], up[width + 1:])]
-            row = _primitive(head + tail)
-            if not any(head[:width]):
-                raise _refuted(row, width)
-            out.append(row)
-            if len(out) > MAX_FM_ROWS:
-                raise EliminationOverflow(var, len(out))
+                out.append(key if len(row) == width + 1 else _primitive(row))
+                if len(out) > MAX_FM_ROWS:
+                    raise EliminationOverflow(var, len(out))
+            elif row[width] > 0:
+                row = _primitive(row)
+                raise Infeasible({i: Fraction(p) for i, p in enumerate(row[width + 1:]) if p})
     return out
 
 
-def _fourier_motzkin(constraints, width: int, n_elim: int):
+def _fourier_motzkin(constraints, width: int, n_elim: int, provenance: bool = False):
     """Eliminate x_{n_elim-1} down to x_0 from the constraints' int rows.
 
     Returns (levels, rows): levels[k] holds the rows just before x_k was
     eliminated, rows what is left.  Variable-free inputs are dropped or refute.
+    The provenance columns come only in the second pass over a refuted system.
     """
     constraints = list(constraints)
     if any(len(coeffs) != width for coeffs, _ in constraints):
         raise ValueError("constraint arity mismatch")
-    rows = []
+    rows, m = [], len(constraints)
     for idx, (coeffs, rhs) in enumerate(constraints):
-        values = [Fraction(v) for v in (*coeffs, rhs)]
-        scale = math.lcm(*(v.denominator for v in values))
-        row = [v.numerator * (scale // v.denominator) for v in values] + [0] * len(constraints)
-        row[width + 1 + idx] = scale
+        row, scale = (*coeffs, rhs), 1
+        if not all(type(v) is int for v in row):
+            values = [Fraction(v) for v in row]
+            scale = math.lcm(*(v.denominator for v in values))
+            row = tuple(v.numerator * (scale // v.denominator) for v in values)
         if any(row[:width]):
-            rows.append(tuple(row))
+            rows.append(row + (0,) * idx + (scale,) + (0,) * (m - 1 - idx) if provenance else row)
         elif row[width] > 0:
-            raise _refuted(row, width)
+            raise Infeasible({idx: Fraction(scale)})
     levels = []
-    for var in range(n_elim - 1, -1, -1):
-        levels.append(rows)
-        rows = _eliminate(rows, var, width)
-    levels.reverse()
-    return levels, rows
+    try:
+        for var in range(n_elim - 1, -1, -1):
+            levels.append(rows)
+            rows = _eliminate(rows, var, width)
+    except Infeasible:
+        if provenance:
+            raise
+    else:
+        levels.reverse()
+        return levels, rows
+    return _fourier_motzkin(constraints, width, n_elim, provenance=True)
 
 
-def _back_substitute(levels, width: int, assignment: dict[int, Fraction]) -> list[Fraction]:
-    """Fix x_0, x_1, ... in turn: tightest lower bound, else upper bound, else 0."""
+def _back_substitute(levels, width: int, nums: list[int], den: int) -> list[Fraction]:
+    """Fix x_0, x_1, ... in turn: tightest lower bound, else upper bound, else 0.
+
+    The values fixed so far, and on entry those fixed beforehand, are
+    nums[k] / den, so each bound is an int fraction p / q, q > 0 for a lower
+    bound and q < 0 for an upper one, and bounds compare by cross-multiplying.
+    """
+    point = []
     for var, rows in enumerate(levels):
         lo, hi = None, None
         for row in rows:
             c = row[var]
             if not c:
                 continue
-            rest = row[width] - sum(row[k] * v for k, v in assignment.items() if row[k])
-            bound = Fraction(rest) / c
+            p, q = row[width] * den - sum(map(operator.mul, row, nums)), c * den
             if c > 0:
-                lo = bound if lo is None else max(lo, bound)
-            else:
-                hi = bound if hi is None else min(hi, bound)
-        assert lo is None or hi is None or lo <= hi
-        assignment[var] = lo if lo is not None else hi if hi is not None else Fraction(0)
-    return [assignment[k] for k in range(len(levels))]
+                if lo is None or p * lo[1] > lo[0] * q:
+                    lo = p, q
+            elif hi is None or p * hi[1] < hi[0] * q:
+                hi = p, q
+        assert lo is None or hi is None or lo[0] * hi[1] >= hi[0] * lo[1]
+        value = Fraction(*(lo or hi or (0, 1)))
+        scale = value.denominator // math.gcd(den, value.denominator)
+        if scale > 1:
+            den, nums = den * scale, [x * scale for x in nums]
+        nums[var] = value.numerator * (den // value.denominator)
+        point.append(value)
+    return point
 
 
 def find_point(constraints, n_vars: int) -> list[Fraction]:
@@ -142,7 +157,7 @@ def find_point(constraints, n_vars: int) -> list[Fraction]:
     picks the tightest lower bound when there is one.
     """
     levels, _ = _fourier_motzkin(constraints, n_vars, n_vars)
-    return _back_substitute(levels, n_vars, {})
+    return _back_substitute(levels, n_vars, [0] * n_vars, 1)
 
 
 def minimize(objective, constraints, n_vars: int):
@@ -153,7 +168,7 @@ def minimize(objective, constraints, n_vars: int):
     pair of inequalities and every x is eliminated; z's tightest lower bound
     is the optimum, and back-substitution starts from it.
     """
-    obj = tuple(Fraction(c) for c in objective)
+    obj = tuple(c if type(c) is int else Fraction(c) for c in objective)
     if len(obj) != n_vars:
         raise ValueError("objective arity mismatch")
     ext = [(tuple(coeffs) + (0,), rhs) for coeffs, rhs in constraints]
@@ -164,7 +179,7 @@ def minimize(objective, constraints, n_vars: int):
     if not bounds:
         raise Unbounded()
     lo = max(bounds)
-    point = _back_substitute(levels, n_vars + 1, {n_vars: lo})
+    point = _back_substitute(levels, n_vars + 1, [0] * n_vars + [lo.numerator], lo.denominator)
     value = sum(c * x for c, x in zip(obj, point))
     assert value == lo
     return value, point

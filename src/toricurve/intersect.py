@@ -105,26 +105,8 @@ def _two_repeat(fan: Fan, rep: int, other: int) -> int:
 
 
 def _self_triple(fan: Fan, rho: int) -> int:
-    """V_rho^3 by moving one factor off V_rho along a principal divisor.
-
-    div(chi^m) = sum_sigma <m, n_sigma> V_sigma is principal (Fulton, §5.1),
-    so for any m with <m, n_rho> = -1 we have V_rho ~ sum_{sigma != rho}
-    <m, n_sigma> V_sigma and V_rho^3 = sum_{sigma != rho} <m, n_sigma>
-    V_rho^2 V_sigma, whichever such m is taken.  Minus the row for rho of the
-    dual basis of a maximal cone containing rho is one.
-    """
-    cone = next((c for c in fan.max_cones if rho in c), None)
-    if cone is None:
-        raise NotComplete(f"ray {rho} lies in no maximal cone")
-    m = [-x for x in dual_basis(fan, cone)[cone.index(rho)]]
-    total = 0
-    for other in range(fan.n_rays):
-        if other == rho:
-            continue
-        w = sum(a * b for a, b in zip(m, fan.rays[other]))
-        if w:
-            total += w * _two_repeat(fan, rho, other)
-    return total
+    """V_rho^3: the degree of V_rho against its own square."""
+    return _square_degrees(fan, TDivisor.unit(fan, rho))[rho]
 
 
 def triple_intersection(fan: Fan, i: int, j: int, k: int) -> int:
@@ -158,6 +140,31 @@ def triple_product(fan: Fan, d1: TDivisor, d2: TDivisor, d3: TDivisor) -> int:
                 if cs:
                     total += cp * cq * cs * triple_intersection(fan, p, q, s)
     return total
+
+
+def _square_degrees(fan: Fan, divisor: TDivisor) -> tuple[int, ...]:
+    """A^2 . V_rho for every ray rho, A = sum_rho a_rho V_rho the divisor, from
+    the wall degrees.
+
+    On the wall <n_i, n_j> with A-degree d, A . V_i . V_j = d.  div(chi^m) =
+    sum_sigma <m, n_sigma> V_sigma is principal (Fulton, §5.1), so for any m_j
+    with <m_j, n_j> = -1, V_j ~ sum_{i != j} <m_j, n_i> V_i and A . V_j^2 sums
+    <m_j, n_i> d over j's walls.  Minus the row for j of the dual basis of a
+    maximal cone containing j is such an m_j.  So each wall adds
+    d (a_i + a_j <m_j, n_i>) to A^2 . V_j, and symmetrically to A^2 . V_i.
+    """
+    ms = []
+    for rho in range(fan.n_rays):
+        cone = next((c for c in fan.max_cones if rho in c), None)
+        if cone is None:
+            raise NotComplete(f"ray {rho} lies in no maximal cone")
+        ms.append([-x for x in dual_basis(fan, cone)[cone.index(rho)]])
+    a, out = divisor.coeffs, [0] * fan.n_rays
+    for wall in walls(fan):
+        d = wall_curve_degree(fan, wall, divisor)
+        for s, t in ((wall.i, wall.j), (wall.j, wall.i)):
+            out[s] += d * (a[t] + a[s] * sum(x * y for x, y in zip(ms[s], fan.rays[t])))
+    return tuple(out)
 
 
 def is_ample(fan: Fan, divisor: TDivisor) -> bool:
@@ -230,10 +237,7 @@ def xi_vector(fan: Fan, ample: TDivisor | None, method: str = "intersection") ->
     if method == "intersection":
         if ample is None or not is_ample(fan, ample):
             raise NotAmple("intersection method needs an ample divisor")
-        values = tuple(
-            triple_product(fan, ample, ample, TDivisor.unit(fan, j))
-            for j in range(fan.n_rays)
-        )
+        values = _square_degrees(fan, ample)
     elif method == "kernel":
         basis = integer_kernel_basis(A)
         if not basis:

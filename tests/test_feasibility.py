@@ -3,6 +3,8 @@
 The int-row elimination is also compared with the Fraction-row reference in
 `oracles` on random small systems: the same points and optima, the same
 verdicts, and certificates with the same support up to one positive factor.
+A table of refutations pins certificates exactly, multipliers included, and
+back-substitution's branches are pinned point by point.
 """
 
 import random
@@ -14,7 +16,9 @@ from hypothesis import strategies as st
 
 from oracles import farkas_refutes, fm_find_point, fm_minimize
 from test_fan_properties import PROPERTY
+from toricurve import feasibility
 from toricurve.feasibility import (
+    EliminationOverflow,
     Infeasible,
     Unbounded,
     find_point,
@@ -106,6 +110,103 @@ def test_random_infeasible_certificates():
         cert = err.value.certificate
         assert verify_infeasibility_certificate(constraints, cert, n)
         assert farkas_refutes(constraints, cert, n)
+
+
+Q = Fraction
+
+# (objective or None for find_point, constraints, n_vars, certificate), each
+# certificate exactly as the elimination with provenance columns returns it
+EXACT_REFUTATIONS = {
+    # the first variable-free input with a positive right-hand side, times its scale
+    "input": (None, [((1, 0), 0), ((0, 0), Q(1, 3)), ((0, 0), 2)], 2, {1: 3}),
+    # eliminating x_2 first pairs row 1 with row 2 before row 3
+    "first level": (
+        None, [((1, 0, 0), 0), ((0, 0, 2), 3), ((0, 0, -3), -1), ((0, 0, -1), 0)], 3,
+        {1: 3, 2: 2}),
+    "first level, made primitive": (None, [((0, 2), 1), ((0, -2), 1)], 2, {0: 1, 1: 1}),
+    "middle level": (
+        None, [((1, 0, 0), 0), ((0, 2, 1), 1), ((0, 0, -1), 0), ((0, -3, 0), 0)], 3,
+        {1: 3, 2: 3, 3: 2}),
+    "last level": (
+        None, [((2, 0), 0), ((-3, 1), -1), ((-1, -1), 2), ((0, 1), -5)], 2,
+        {0: 2, 1: 1, 2: 1}),
+    "last level, fractions": (
+        None,
+        [((Q(1, 2), 1, 0), Q(1, 3)), ((0, -1, Q(2, 3)), 0), ((0, 0, -1), Q(1, 4)),
+         ((-1, 0, 0), 0)],
+        3, {0: 6, 1: 6, 2: 4, 3: 3}),
+    "last level, four variables": (
+        None,
+        [((-1, 0, 0, 0), 0), ((2, 1, 0, 0), 1), ((0, -1, 3, 0), 0), ((0, 0, -3, 2), 1),
+         ((-1, 0, 0, -2), 0)],
+        4, {0: 1, 1: 1, 2: 1, 3: 1, 4: 1}),
+    "minimize": ((1, -1), [((1, 0), 1), ((0, 1), 0), ((-1, -2), 0)], 2, {0: 1, 1: 2, 2: 1}),
+    # indices 5 and 6 are the two rows that pin z to the objective
+    "minimize, z rows": (
+        (-1, 2, 2),
+        [((-1, 1, -2), 0), ((0, 1, 1), 0), ((-2, -2, 2), -1), ((-2, -2, 1), 2),
+         ((2, 1, 0), 1)],
+        3, {0: 2, 2: 1, 3: 2, 4: 4, 5: 1, 6: 1}),
+    "minimize, z rows, fractions": (
+        (2, 1, -1),
+        [((1, -2, 2), 1), ((-2, 0, -1), -2), ((-1, 2, 2), 2), ((0, -1, -1), 1),
+         ((0, 2, 1), Q(1, 2))],
+        3, {0: 1, 2: 1, 3: 8, 4: 4, 5: 2, 6: 2}),
+}
+
+
+@pytest.mark.parametrize("name", EXACT_REFUTATIONS)
+def test_refutations_return_the_exact_certificate(name):
+    objective, constraints, n, want = EXACT_REFUTATIONS[name]
+    with pytest.raises(Infeasible) as err:
+        if objective is None:
+            find_point(constraints, n)
+        else:
+            minimize(objective, constraints, n)
+    got = err.value.certificate
+    assert got == want
+    assert all(type(v) is Fraction for v in got.values())
+
+
+def test_the_row_cap_stops_at_a_pinned_level(monkeypatch):
+    """The levels hold 9, 11, 25 and 103 rows; a cap of 25 stops eliminating x_1."""
+    rng = random.Random(3)
+    constraints = [(tuple(rng.randint(-3, 3) for _ in range(4)), rng.randint(-5, 0))
+                   for _ in range(9)]
+    monkeypatch.setattr(feasibility, "MAX_FM_ROWS", 25)
+    with pytest.raises(EliminationOverflow) as err:
+        find_point(constraints, 4)
+    assert (err.value.var, err.value.rows) == (1, 26)
+
+
+BRANCHES = {
+    # only upper bounds: the tightest one, whichever comes first
+    "upper bounds": (find_point, ([((-1,), -5), ((-1,), -3)], 1), [3]),
+    "upper bounds, reversed": (find_point, ([((-1,), -3), ((-1,), -5)], 1), [3]),
+    "upper bound after x_0": (find_point, ([((2, -1), -7), ((0, 1), 1)], 2), [-3, 1]),
+    "free variable": (find_point, ([((0, 1), 2)], 2), [0, 2]),
+    "lo == hi": (find_point, ([((3,), 2), ((-3,), -2)], 1), [Q(2, 3)]),
+    # x_1's bound reads x_0 = 1/2 over the common denominator
+    "common denominator": (find_point, ([((2, 0), 1), ((-1, 3), 0)], 2), [Q(1, 2), Q(1, 6)]),
+    "common denominator, twice": (
+        find_point, ([((3, 0, 0), 1), ((0, 2, 0), 1), ((-1, -1, 5), 0)], 3),
+        [Q(1, 3), Q(1, 2), Q(1, 6)]),
+    # a fractional z starts the back-substitution
+    "fractional z": (minimize, ((2,), [((3,), 1)], 1), (Q(2, 3), [Q(1, 3)])),
+    "fractional z, two variables": (
+        minimize, ((1, 1), [((2, 0), 1), ((0, 3), 1)], 2), (Q(5, 6), [Q(1, 2), Q(1, 3)])),
+    "fractional z, x_1 at its bound": (
+        minimize, ((1, 2), [((4, 1), 1), ((1, 0), 0), ((0, 1), 0)], 2), (Q(1, 4), [Q(1, 4), 0])),
+}
+
+
+@pytest.mark.parametrize("name", BRANCHES)
+def test_back_substitution_branches(name):
+    solve, args, want = BRANCHES[name]
+    got = solve(*args)
+    assert got == want
+    point = got if solve is find_point else got[1]
+    assert all(type(x) is Fraction for x in point)
 
 
 def test_certificate_verifier_rejects_junk():

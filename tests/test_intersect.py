@@ -24,6 +24,7 @@ from toricurve.intersect import (
     NotAmple,
     NotProjective,
     TDivisor,
+    _square_degrees,
     find_ample,
     is_ample,
     triple_intersection,
@@ -225,6 +226,25 @@ def test_xi_matches_oracle_degree_vector():
         expansion = oracle.degree_vector(list(coeffs))
         assert expansion == tuple(Fraction(v) for v in frozen)
         assert xi_vector(fan, TDivisor(coeffs)).values == frozen
+
+
+@pytest.mark.parametrize("rays", range(6, 13))
+def test_xi_reads_the_square_off_the_wall_degrees(rays):
+    """The wall-degree pass gives triple_product's A^2 . V_j, for the ample
+    divisor and for divisors that are not ample; up to 8 rays the quotient
+    ring gives them too."""
+    fan = ladder_fan(rays)
+    rng = random.Random(rays)
+    ample = find_ample(fan)
+    oracle = ChowOracle(fan.rays, fan.max_cones) if rays <= 8 else None  # fan.name repeats
+    divisors = [ample] + [TDivisor(tuple(rng.randint(-3, 3) for _ in range(rays)))
+                          for _ in range(3)]
+    for d in divisors:
+        want = tuple(triple_product(fan, d, d, TDivisor.unit(fan, j)) for j in range(rays))
+        assert _square_degrees(fan, d) == want
+        if oracle:
+            assert oracle.degree_vector(list(d.coeffs)) == want
+    assert xi_vector(fan, ample).values == _square_degrees(fan, ample)
 
 
 def test_xi_kernel_goldens(p3, p1p1p1, blp3):
