@@ -21,7 +21,7 @@ from typing import NamedTuple
 # find_point is unused here but stays bound: pipebench/tracing.py wraps it
 # by this module attribute
 from .feasibility import find_point, homogeneous_feasible  # noqa: F401
-from .intlinalg import det, unimodular_inverse
+from .intlinalg import cross, dot, unimodular_inverse
 
 Vec3 = tuple[int, int, int]
 
@@ -182,8 +182,9 @@ def _one_sheet(fan: Fan, census, dets) -> bool:
         sa, sb = (dets[c] if cones[c][1] in pair else -dets[c] for c in owners)
         if sa * sb >= 0:
             return False
-    for p in _PROBES:  # (d)
-        side = {(i, j): det((fan.rays[i], fan.rays[j], p)) for i, j in census}
+    normals = {(i, j): cross(fan.rays[i], fan.rays[j]) for i, j in census}
+    for p in _PROBES:  # (d): det(n_i, n_j, p) = p . (n_i x n_j)
+        side = {pair: dot(normal, p) for pair, normal in normals.items()}
         if 0 not in side.values():  # p is off every wall plane
             # p is inside (x, y, z) iff putting it in place of any one ray keeps the det's sign
             return 1 == sum(d * side[y, z] > 0 and d * side[x, z] < 0 and d * side[x, y] > 0
@@ -213,7 +214,7 @@ def validate(fan: Fan) -> ValidationReport:
     for idx, ray in enumerate(fan.rays):
         if not is_primitive(ray):
             issues.append(("non_primitive_ray", idx))
-    dets = [det(cone_matrix(fan, cone)) for cone in fan.max_cones]
+    dets = [dot(fan.rays[i], cross(fan.rays[j], fan.rays[k])) for i, j, k in fan.max_cones]
     for idx, d in enumerate(dets):
         if abs(d) != 1:
             issues.append(("cone_not_unimodular", idx))
@@ -277,17 +278,15 @@ def walls(fan: Fan) -> tuple[Wall, ...]:
         cb = fan.max_cones[owners[1]]
         k = next(x for x in ca if x not in pair)
         l = next(x for x in cb if x not in pair)
+        ni, nj, nk, nl = (fan.rays[x] for x in (i, j, k, l))
         # coordinates of n_l in the basis (n_i, n_j, n_k) of cone_a
         duals = dual_basis(fan, ca)
-        alpha, beta, gamma = (
-            sum(x * y for x, y in zip(duals[ca.index(rho)], fan.rays[l]))
-            for rho in (i, j, k)
-        )
+        alpha, beta, gamma = (dot(duals[ca.index(rho)], nl) for rho in (i, j, k))
         if gamma != -1:
             raise MalformedFan(f"cones at wall {pair} do not lie on opposite sides")
-        wall = Wall(i, j, ca, cb, k, l, -alpha, -beta)
-        assert all(sum(w * fan.rays[rho][t] for rho, w in wall.terms) == 0 for t in range(3))
-        out.append(wall)
+        a, b = -alpha, -beta
+        assert all(x + y + a * u + b * v == 0 for x, y, u, v in zip(nk, nl, ni, nj))
+        out.append(Wall(i, j, ca, cb, k, l, a, b))
     return tuple(out)
 
 
@@ -300,30 +299,22 @@ def primitive_collections(fan: Fan) -> tuple[tuple[int, ...], ...]:
     """Minimal sets of rays that span no cone (sizes 2 to 4).
 
     Faces have at most 3 rays, so any 4-set is a non-face; minimality caps
-    the search at size 4.
+    the search at size 4.  Read off the edges: non-edges, triangles of edges
+    that are not cones, and 4-sets whose four triples are cones, each found
+    from its lowest three as a cone plus a later neighbour of the third.
     """
     cones = _cone_set(fan)
-    pairs = frozenset(_pair_census(fan))
+    later: list[set[int]] = [set() for _ in fan.rays]
+    for i, j in _pair_census(fan):
+        later[i].add(j)
     n = fan.n_rays
-    out = []
+    out = [(i, j) for i in range(n) for j in range(i + 1, n) if j not in later[i]]
     for i in range(n):
-        for j in range(i + 1, n):
-            if (i, j) not in pairs:
-                out.append((i, j))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if (i, j) not in pairs:
-                continue
-            for k in range(j + 1, n):
-                if (i, k) in pairs and (j, k) in pairs and (i, j, k) not in cones:
-                    out.append((i, j, k))
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                for l in range(k + 1, n):
-                    triples = ((i, j, k), (i, j, l), (i, k, l), (j, k, l))
-                    if all(t in cones for t in triples):
-                        out.append((i, j, k, l))
+        for j in later[i]:
+            out.extend((i, j, k) for k in later[i] & later[j] if (i, j, k) not in cones)
+    for i, j, k in cones:
+        out.extend((i, j, k, l) for l in later[k]
+                   if (i, j, l) in cones and (i, k, l) in cones and (j, k, l) in cones)
     return tuple(sorted(out, key=lambda c: (len(c), c)))
 
 

@@ -8,16 +8,15 @@ degrees.  Nothing is ever rounded.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 from typing import NamedTuple
 
 from .fan import (
     FAN_CACHE_SIZE, Fan, NotComplete, Wall, dual_basis, ray_matrix, walls, _cone_set,
 )
 from .feasibility import Infeasible, find_point, minimize
-from .intlinalg import integer_kernel_basis
+from .intlinalg import dot, integer_kernel_basis
 
 
 class NotAmple(ValueError):
@@ -163,7 +162,7 @@ def _square_degrees(fan: Fan, divisor: TDivisor) -> tuple[int, ...]:
     for wall in walls(fan):
         d = wall_curve_degree(fan, wall, divisor)
         for s, t in ((wall.i, wall.j), (wall.j, wall.i)):
-            out[s] += d * (a[t] + a[s] * sum(x * y for x, y in zip(ms[s], fan.rays[t])))
+            out[s] += d * (a[t] + a[s] * dot(ms[s], fan.rays[t]))
     return tuple(out)
 
 
@@ -248,12 +247,13 @@ def xi_vector(fan: Fan, ample: TDivisor | None, method: str = "intersection") ->
             _, y = minimize(objective, rows, len(basis))
         except Infeasible as exc:
             raise NoPositiveKernel("no positive combination of kernel basis") from exc
-        rat = [
-            sum(Fraction(vec[j]) * y[t] for t, vec in enumerate(basis))
-            for j in range(fan.n_rays)
-        ]
-        scale = lcm(*(f.denominator for f in rat))
-        values = tuple(int(f * scale) for f in rat)
+        # v / den = sum_t y_t basis_t over one common denominator of y; dividing
+        # v by gcd(den, v) scales the sum by the lcm of its reduced denominators
+        den = lcm(*(f.denominator for f in y))
+        ys = [f.numerator * (den // f.denominator) for f in y]
+        v = [sum(vec[j] * yt for vec, yt in zip(basis, ys)) for j in range(fan.n_rays)]
+        g = gcd(den, *v)
+        values = tuple(x // g for x in v)
     else:
         raise ValueError(f"unknown method {method!r}")
 

@@ -1,8 +1,9 @@
 """Exact integer linear algebra on plain int rows.
 
-Determinants, inverses of unimodular matrices and integer kernel bases.  A
-matrix is a list or tuple of equal-length int rows.  No floating point
-anywhere: entries are Python ints and every result is exact.
+Determinants, integer kernel bases, and the rank-3 cross and dot products
+behind inverses of unimodular 3 x 3 matrices.  A matrix is a list or tuple
+of equal-length int rows.  No floating point anywhere: entries are Python
+ints and every result is exact.
 """
 from __future__ import annotations
 
@@ -85,24 +86,29 @@ def integer_kernel_basis(rows) -> list[tuple[int, ...]]:
     return basis
 
 
+def cross(u, v) -> tuple[int, int, int]:
+    """Cross product of two rank-3 int vectors."""
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
+def dot(u, v) -> int:
+    """Pairing of two rank-3 int vectors."""
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
 def unimodular_inverse(rows) -> tuple[tuple[int, ...], ...]:
-    """Exact inverse of a matrix with determinant +-1, via the adjugate."""
-    n = len(rows)
-    if any(len(row) != n for row in rows):
+    """Exact inverse of a 3 x 3 matrix with determinant +-1, via the adjugate:
+    with columns c_0, c_1, c_2, row t is c_(t+1) x c_(t+2) (indices mod 3)
+    times det = c_0 . (c_1 x c_2), as dividing by +-1 is multiplying by it."""
+    if any(len(row) != len(rows) for row in rows):
         raise NotUnimodular("matrix is not square")
-    rows = [list(row) for row in rows]
-    d = det(rows)
+    if len(rows) != 3:
+        raise NotUnimodular(f"matrix is {len(rows)} x {len(rows)}, not 3 x 3")
+    cols = tuple(zip(*rows))
+    adj = (cross(cols[1], cols[2]), cross(cols[2], cols[0]), cross(cols[0], cols[1]))
+    d = dot(cols[0], adj[0])
     if d not in (1, -1):
         raise NotUnimodular(f"determinant is {d}, not +-1")
-
-    def cofactor(i: int, j: int) -> int:
-        minor = [row[:j] + row[j + 1:] for a, row in enumerate(rows) if a != i]
-        return -det(minor) if (i + j) % 2 else det(minor)
-
-    # adjugate / det; det is +-1 so dividing is multiplying by det
-    out = tuple(tuple(d * cofactor(j, i) for j in range(n)) for i in range(n))
-    assert all(
-        sum(out[i][t] * rows[t][j] for t in range(n)) == int(i == j)
-        for i in range(n) for j in range(n)
-    )
+    out = tuple(tuple(d * x for x in row) for row in adj)
+    assert all(dot(m, c) == (s == t) for s, m in enumerate(out) for t, c in enumerate(cols))
     return out

@@ -16,7 +16,9 @@ functions canonicalised by a set and a Fraction sort, character functions
 as products of powers, the sampler with a CurvePoint per candidate,
 principal functions checked by rebuilding their divisor, and the morphism
 conditions compared as whole divisors, N and D as ring products, the inverse of a
-unimodular matrix minor by minor, each wall's coefficients from one such
+unimodular matrix minor by minor, the primitive collections by looping
+over every 2-, 3- and 4-subset of rays, kernel xi scaled by the lcm of the
+reduced denominators of Fraction sums, each wall's coefficients from one such
 inverse per wall, ampleness as strict convexity of the support function
 over cone characters, the integer kernel basis as the V kernel
 columns of a full Smith normal form (U, S, V, divisibility pass included)
@@ -34,6 +36,7 @@ never the other way around.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from math import lcm
 
 import sympy
 from sympy.polys.domains import QQ
@@ -661,6 +664,43 @@ def integer_parts_by_ring_products(f, x):
         else:
             den *= lin ** -e
     return num, den
+
+
+def primitive_collections_by_subsets(fan):
+    """Every 2-, 3- and 4-subset of rays tested in turn: the reference for
+    `fan.primitive_collections`, which reads the collections off the edges."""
+    cones = frozenset(fan.max_cones)
+    pairs = frozenset(_pair_census(fan))
+    n = fan.n_rays
+    out = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if (i, j) not in pairs:
+                out.append((i, j))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if (i, j) not in pairs:
+                continue
+            for k in range(j + 1, n):
+                if (i, k) in pairs and (j, k) in pairs and (i, j, k) not in cones:
+                    out.append((i, j, k))
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                for l in range(k + 1, n):
+                    triples = ((i, j, k), (i, j, l), (i, k, l), (j, k, l))
+                    if all(t in cones for t in triples):
+                        out.append((i, j, k, l))
+    return tuple(sorted(out, key=lambda c: (len(c), c)))
+
+
+def kernel_xi_by_fractions(basis, y, n_rays):
+    """sum_t y_t basis_t as Fractions, scaled by the lcm of their reduced
+    denominators: the reference for kernel `intersect.xi_vector`, which puts
+    y over one denominator and divides by a gcd."""
+    rat = [sum(Fraction(vec[j]) * y[t] for t, vec in enumerate(basis)) for j in range(n_rays)]
+    scale = lcm(*(f.denominator for f in rat))
+    return tuple(int(f * scale) for f in rat)
 
 
 def unimodular_inverse_by_minors(rows):

@@ -3,8 +3,8 @@
 Divisors and factored functions canonicalise in one sort by an int-led key
 and merge exponents in one dict keyed by (num, den); character functions
 are built in one merge; N and D, and the immersion numerator N' D - N D',
-are multiplied as dense int lists; the inverse of a unimodular matrix takes
-its cofactors from row lists.  Each must give exactly what the plain
+are multiplied as dense int lists; the inverse of a unimodular 3 x 3 matrix
+takes its rows from cross products of its columns.  Each must give exactly what the plain
 construction gives: the same tuples, the same equality and hash, the same
 errors.  Rationals reach denominators of 10^6, and a small pool makes
 points repeat, merge and cancel; equal values arrive as int, str and
@@ -18,6 +18,7 @@ must agree with the Fraction evaluator and the substitutions over Q it
 replaced.
 """
 
+import random
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -49,7 +50,7 @@ from toricurve.curve import (
     evaluate_with_derivative,
 )
 from toricurve.embed import epsilon_function
-from toricurve.intlinalg import NotUnimodular, unimodular_inverse
+from toricurve.intlinalg import NotUnimodular, det, unimodular_inverse
 
 F = Fraction
 _ZSU = ring("s,u", ZZ)[0]
@@ -345,13 +346,43 @@ def square_matrices(draw):
 @PROPERTY
 @given(square_matrices())
 def test_unimodular_inverse_matches_the_minor_by_minor_adjugate(B):
-    got, want = outcome(unimodular_inverse, B), outcome(unimodular_inverse_by_minors, B)
+    got = outcome(unimodular_inverse, B)
+    if len(B) != 3:  # the package works in rank 3 only
+        assert got == f"ValueError: matrix is {len(B)} x {len(B)}, not 3 x 3"
+        return
+    want = outcome(unimodular_inverse_by_minors, B)
     assert got == want
     if isinstance(got, tuple):
         eye = [[int(i == j) for j in range(len(B))] for i in range(len(B))]
         assert matmul(got, B) == eye == matmul(B, got)
     else:
         assert got.startswith("ValueError: determinant is")
+
+
+def test_unimodular_inverse_matches_the_minors_on_3x3_draws():
+    """Unimodular draws, det 0 and det +-k, each well represented."""
+    rng, seen = random.Random(23), {"unimodular": 0, "det 0": 0, "det +-k": 0}
+    for _ in range(600):
+        rows = [[int(i == j) for j in range(3)] for i in range(3)]
+        for _ in range(rng.randint(0, 10)):
+            i, j = rng.sample(range(3), 2)
+            q = rng.randint(-5, 5)
+            rows[i] = [x + q * y for x, y in zip(rows[i], rows[j])]
+        i, j, k = rng.sample(range(3), 3)
+        kind = rng.randrange(4)
+        if kind == 0:  # det 0: row i in the span of the other two
+            a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+            rows[i] = [a * x + b * y for x, y in zip(rows[j], rows[k])]
+        elif kind == 1:  # mostly det +-k for k >= 2
+            rows[i] = [rng.randint(-6, 6) for _ in range(3)]
+        got, want = outcome(unimodular_inverse, rows), outcome(unimodular_inverse_by_minors, rows)
+        assert got == want, rows
+        d = det(rows)
+        seen["unimodular" if abs(d) == 1 else "det 0" if d == 0 else "det +-k"] += 1
+        if abs(d) == 1:
+            eye = [[int(i == j) for j in range(3)] for i in range(3)]
+            assert matmul(got, rows) == eye == matmul(rows, got)
+    assert min(seen.values()) >= 30, seen
 
 
 def test_unimodular_inverse_rejects_a_matrix_that_is_not_square():

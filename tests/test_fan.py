@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from conftest import FIXTURES, in_basis
-from oracles import validate_by_pair_scan
+from conftest import FIXTURES, in_basis, ladder_fan
+from oracles import primitive_collections_by_subsets, validate_by_pair_scan
 from toricurve import fan as fan_module
 from toricurve.fan import (
     FAN_CACHE_SIZE,
@@ -204,6 +204,17 @@ def test_primitive_collections_goldens(p3, p1p1p1, blp3):
     assert primitive_collections(p3) == ((0, 1, 2, 3),)
     assert primitive_collections(p1p1p1) == ((0, 1), (2, 3), (4, 5))
     assert primitive_collections(blp3) == ((3, 4), (0, 1, 2))
+
+
+def test_primitive_collections_equal_the_subset_loops():
+    """The presets, the Random(7) ladder from 4 to 14 rays, and p3 with one of
+    its cones left out, where one 4-set has three of its four triples as cones."""
+    fans = [preset(n) for n in ("p3", "p1p1p1", "bl-p3-point")]
+    fans += [ladder_fan(rays) for rays in range(4, 15)]
+    cones = preset("p3").max_cones
+    fans += [Fan(preset("p3").rays, cones[:t] + cones[t + 1:]) for t in range(4)]
+    for fan in fans:
+        assert primitive_collections(fan) == primitive_collections_by_subsets(fan), fan
 
 
 def test_primitive_collections_are_minimal_nonfaces():

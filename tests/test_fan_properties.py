@@ -12,7 +12,8 @@ built embedding's chart transitions must agree.  The one-pass pairing
 divisor must equal the incremental sum it replaced.  `validate` must give
 the same report, issues in the same order, as the pairwise separation scan
 its sheet-count certificate stands in for, on small fans, chains and chains
-with one mutation each.
+with one mutation each; on the same three kinds of fan, valid or not, the
+primitive collections read off the edges must equal the subset loops.
 """
 
 from fractions import Fraction
@@ -20,12 +21,16 @@ from fractions import Fraction
 from hypothesis import HealthCheck, given, reject, settings
 from hypothesis import strategies as st
 
-from oracles import ChowOracle, cones_meet_in_face_lp, transition_mismatches, validate_by_pair_scan
+from oracles import (
+    ChowOracle, cones_meet_in_face_lp, primitive_collections_by_subsets, transition_mismatches,
+    validate_by_pair_scan,
+)
 from test_fan import wall_relation_holds
 from toricurve.curve import CDivisor, CurvePoint
 from toricurve.embed import build_embedding_data, chart_maps, pairing_divisor
 from toricurve.fan import (
-    Fan, MalformedFan, _cones_intersect_in_face, preset, star_subdivision, validate, walls,
+    Fan, MalformedFan, _cones_intersect_in_face, preset, primitive_collections, star_subdivision,
+    validate, walls,
 )
 from toricurve.intersect import find_ample, is_ample, xi_vector
 
@@ -177,6 +182,12 @@ def test_validate_equals_the_pair_scan(fan):
 @given(mutated_chains())
 def test_validate_equals_the_pair_scan_on_mutated_chains(fan):
     assert validate(fan) == validate_by_pair_scan(fan)
+
+
+@settings(PROPERTY, max_examples=300)
+@given(st.one_of(small_fans(), chains(), mutated_chains()))
+def test_primitive_collections_equal_the_subset_loops(fan):
+    assert primitive_collections(fan) == primitive_collections_by_subsets(fan)
 
 
 def unit(n, j):

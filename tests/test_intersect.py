@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given
@@ -11,14 +12,16 @@ from oracles import (
     ChowOracle,
     farkas_refutes,
     is_ample_by_characters,
+    kernel_xi_by_fractions,
     self_triple_by_canonical_character,
     wall_coefficients_by_inversion,
 )
 from test_fan import random_subdivision_chain
 from test_fan_properties import PROPERTY, chains, change_basis
-from toricurve import feasibility
-from toricurve.fan import preset, star_subdivision, walls
+from toricurve import feasibility, intersect
+from toricurve.fan import preset, ray_matrix, star_subdivision, walls
 from toricurve.feasibility import verify_infeasibility_certificate
+from toricurve.intlinalg import integer_kernel_basis
 from toricurve.intersect import (
     NoPositiveKernel,
     NotAmple,
@@ -251,6 +254,49 @@ def test_xi_kernel_goldens(p3, p1p1p1, blp3):
     assert xi_vector(p3, None, method="kernel").values == (1, 1, 1, 1)
     assert xi_vector(p1p1p1, None, method="kernel").values == (1, 1, 1, 1, 1, 1)
     assert xi_vector(blp3, None, method="kernel").values == (1, 1, 1, 2, 1)
+
+
+def kernel_fans():
+    return [preset(n) for n in ("p3", "p1p1p1", "bl-p3-point")] + [
+        ladder_fan(rays) for rays in range(5, 13)]
+
+
+def spy_minimize(monkeypatch):
+    """Record the optimum y of every minimize call xi_vector makes."""
+    ys = []
+
+    def spy(*args):
+        optimum, y = feasibility.minimize(*args)
+        ys.append(y)
+        return optimum, y
+    monkeypatch.setattr(intersect, "minimize", spy)
+    return ys
+
+
+def test_xi_kernel_scaling_equals_the_fraction_sums(monkeypatch):
+    ys = spy_minimize(monkeypatch)
+    for fan in kernel_fans():
+        values = xi_vector(fan, None, method="kernel").values
+        basis = integer_kernel_basis(ray_matrix(fan))
+        assert values == kernel_xi_by_fractions(basis, ys[-1], fan.n_rays)
+
+
+def test_xi_kernel_scaling_divides_out_a_common_factor(monkeypatch):
+    """A tripled kernel basis makes minimize return y / 3: y is fractional,
+    den, the lcm of its denominators, is 3, and every sum shares the factor 3
+    with den, so only the gcd division gives the degrees back."""
+    for fan in kernel_fans():
+        want = xi_vector(fan, None, method="kernel").values
+        basis = [tuple(3 * x for x in vec) for vec in integer_kernel_basis(ray_matrix(fan))]
+        with monkeypatch.context() as patch:
+            patch.setattr(intersect, "integer_kernel_basis", lambda rows: basis)
+            ys = spy_minimize(patch)
+            got = xi_vector(fan, None, method="kernel").values
+        den = lcm(*(f.denominator for f in ys[-1]))
+        sums = [int(sum(vec[j] * f * den for vec, f in zip(basis, ys[-1])))
+                for j in range(fan.n_rays)]
+        assert den > 1 and gcd(den, *sums) > 1, fan  # the branch the gcd serves ran
+        assert got == want == kernel_xi_by_fractions(basis, ys[-1], fan.n_rays)
 
 
 def test_xi_kernel_on_the_twelve_ray_ladder():
