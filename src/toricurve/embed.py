@@ -193,11 +193,18 @@ def check_theorem_conditions(data: EmbeddingData) -> ConditionsReport:
 
 
 def chart_maps(data: EmbeddingData) -> tuple[ChartMap, ...]:
-    """Per maximal cone: dual basis rows and the three coordinate functions."""
-    charts = []
+    """Per maximal cone: dual basis rows and the three coordinate functions.
+
+    A dual row's negative is a dual row of the cone across its wall, so
+    eps(m) is built once per +-m and eps(-m) is its inverse.
+    """
+    charts, chars = [], {}
     for cone in data.fan.max_cones:
         duals = dual_basis(data.fan, cone)
-        coords = tuple(epsilon_function(data, l) for l in duals)
+        for m in (m for m in duals if m not in chars):
+            neg = tuple(-k for k in m)
+            chars[m] = chars[neg].inverse() if neg in chars else epsilon_function(data, m)
+        coords = tuple(chars[m] for m in duals)
         excluded: set[CurvePoint] = set()
         for rho in range(data.fan.n_rays):
             if rho not in cone:

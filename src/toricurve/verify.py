@@ -119,14 +119,17 @@ def _qq(x: Fraction):
     return QQ(x.numerator, x.denominator)
 
 
-def _bezoutian(N, D) -> list:
+def _bezoutian(N, D, memo=None) -> list:
     """(N(s) D(u) - N(u) D(s)) / (s - u) in Z[s, u], for N and D int
     tuples, top degree first, as its _s_coefficients rows ([] for zero).
 
     With N = sum a_i u^i, D = sum b_i u^i and c_ik = a_i b_k - a_k b_i,
     (s - u) Q = sum c_ik s^i u^k gives q_pk = c_(p+1)k + q_(p+1)(k-1),
     filled row by row from the top.  Q is symmetric, so deg_u Q = deg_s Q.
+    A memo (see certify) holds Q under (N, D) and -Q under (D, N).
     """
+    if memo is not None and (N, D) in memo:
+        return memo[N, D]
     n = max(len(N), len(D)) - 1
     a, b = (list(p[::-1]) + [0] * (n + 1 - len(p)) for p in (N, D))
     rows = []
@@ -136,7 +139,10 @@ def _bezoutian(N, D) -> list:
         row = [ap * b[k] - a[k] * bp + (row[k - 1] if k else 0) for k in range(n)]
         if rows or any(row):
             rows.append(row)
-    return [r[len(rows) - 1::-1] for r in rows]
+    Q = [r[len(rows) - 1::-1] for r in rows]
+    if memo is not None:
+        memo[N, D], memo[D, N] = Q, [[-a for a in r] for r in Q]
+    return Q
 
 
 def _su(rows):
@@ -693,8 +699,9 @@ def _saturation_poly(excluded_fr):
     return 1 - y * h
 
 
-def chart_injective(chart: ChartMap) -> CheckResult:
+def chart_injective(chart: ChartMap, memo=None) -> CheckResult:
     """Decide injectivity of the chart coordinates off the excluded points."""
+    memo = {} if memo is None else memo  # Bezoutians and resultants, see certify
     coords = chart.coords
     excluded_fr = {p.finite for p in chart.excluded if not p.is_infinity}
     NDs = [f.integer_parts for f in coords]
@@ -744,7 +751,7 @@ def chart_injective(chart: ChartMap) -> CheckResult:
             )
 
     # finite-finite collisions: the Bezoutians Q_i
-    Qs = [_bezoutian(N, D) for N, D in NDs]
+    Qs = [_bezoutian(N, D, memo) for N, D in NDs]
     assert all(Qs), "a chart coordinate is constant"
 
     method = "linear"
@@ -752,13 +759,13 @@ def chart_injective(chart: ChartMap) -> CheckResult:
         if any(len(q) == 1 for q in Qs):
             method = "resultant"  # some coordinate separates every pair
         else:
-            method = _finite_finite(chart, coords, NDs, Qs, excluded_fr, witnesses)
+            method = _finite_finite(chart, coords, NDs, Qs, excluded_fr, witnesses, memo)
 
     witnesses.sort(key=lambda w: json.dumps(w, sort_keys=True))
     return CheckResult(not witnesses, method, tuple(witnesses))
 
 
-def _finite_finite(chart, coords, NDs, Qs, excluded_fr, witnesses):
+def _finite_finite(chart, coords, NDs, Qs, excluded_fr, witnesses, memo):
     """Dispatch shared factors, then decide the residual system.
 
     Every Q_i and residual has degree below deg N_i, D_i in s and in u, so
@@ -788,7 +795,7 @@ def _finite_finite(chart, coords, NDs, Qs, excluded_fr, witnesses):
     # residuals are symmetric in s and u up to sign, so eliminating u would
     # give these candidates in s: it cannot close a chart this pass leaves
     # open.
-    cands = _candidate_polys(residual, excluded_fr, chart.cone)
+    cands = _candidate_polys(residual, excluded_fr, chart.cone, memo)
     if cands is _EMPTY:
         return "resultant"
     du = None
@@ -857,7 +864,7 @@ def _eliminant_str(p) -> str:
 _EMPTY = object()  # sentinel: the system certainly has no common zeros
 
 
-def _candidate_polys(residual, excluded_fr, cone):
+def _candidate_polys(residual, excluded_fr, cone, memo):
     """Pairwise resultants in s, polynomials in u that vanish at every residual
     common zero, with the factors of the excluded points stripped: int lists
     for residuals given as _s_coefficients rows.
@@ -875,7 +882,7 @@ def _candidate_polys(residual, excluded_fr, cone):
     for f, g in combinations(sorted(residual, key=len), 2):
         if _coprime(cands):
             return _EMPTY
-        res = _resultant(f, g, cone)
+        res = _resultant(f, g, cone, memo)
         if res != [0]:
             res = _strip(res, excluded_fr)
             if len(res) == 1:
@@ -894,7 +901,7 @@ def _s_coefficients(f) -> list:
     return rows
 
 
-def _resultant(F, G, cone) -> list:
+def _resultant(F, G, cone, memo=None) -> list:
     """Res_s(f, g), the Sylvester determinant, for f, g in Z[s, u] of positive
     degree in s given as _s_coefficients rows F, G: an int list in u, top
     degree first, [0] if it vanishes.
@@ -910,7 +917,19 @@ def _resultant(F, G, cone) -> list:
     first Mersenne prime 2^k - 1 past twice that (and past the last point a
     block can reach), makes the lift exact.  A bound past the table raises
     DegreeOverflow.
+
+    A memo (see certify) holds one Res per pair up to sign and order, by
+    Res(a F, b G) = a^deg_s G b^deg_s F Res(F, G) = (-1)^(deg_s F deg_s G)
+    Res(b G, a F); the bound is the same for all of them.
     """
+    if memo is not None:  # keyed by F and G made positive in their first nonzero coefficient
+        a, b = (1 if next(filter(None, P[0])) > 0 else -1 for P in (F, G))
+        A, B = (tuple(tuple(c * x for x in r) for r in P) for c, P in ((a, F), (b, G)))
+        sign = a ** (len(G) - 1) * b ** (len(F) - 1)
+        if B < A:
+            A, B, sign = B, A, sign * (-1) ** ((len(F) - 1) * (len(G) - 1))
+        if (A, B) in memo:
+            return [sign * c for c in memo[A, B]]
     n, m = len(F) - 1, len(G) - 1
     du_f, du_g = len(F[0]) - 1, len(G[0]) - 1
     degree = n * du_g + m * du_f
@@ -937,7 +956,10 @@ def _resultant(F, G, cone) -> list:
     ]
     half = p >> 1
     coeffs = [c - p if c > half else c for c in _newton(x0, _resultants_mod(pairs, k), k)]
-    return _trim(coeffs) or [0]
+    res = _trim(coeffs) or [0]
+    if memo is not None:
+        memo[A, B] = [sign * c for c in res]
+    return res
 
 
 def _horner(c: list, x: int) -> int:
@@ -1133,7 +1155,8 @@ def pullback_check(data: EmbeddingData, charts) -> CheckResult:
 
 
 def certify(data: EmbeddingData) -> Certificate:
-    """Full certification across every chart plus the pullback check."""
+    """Full certification across every chart plus the pullback check; the
+    charts share Bezoutians and resultants through one memo, for this call only."""
     conditions = check_theorem_conditions(data)
     if not conditions.passed:
         raise ValueError(
@@ -1143,9 +1166,9 @@ def certify(data: EmbeddingData) -> Certificate:
     for rho, d in enumerate(data.divisors):
         refuse_infinity(rho, d)
     charts = chart_maps(data)
-    records = []
+    records, memo = [], {}
     for chart in charts:
-        inj = chart_injective(chart)
+        inj = chart_injective(chart, memo)
         imm = chart_immersive(chart)
         records.append(
             ChartRecord(

@@ -25,9 +25,10 @@ columns of a full Smith normal form (U, S, V, divisibility pass included)
 in place of the package's single sweep, the self-intersection V_rho^3 from a
 canonical character (Smith form plus a Hermite reduction) and the Groebner
 fallback's basis from `sympy.groebner` on expressions, resultants from
-sympy's subresultant PRS, gcds and factorizations from sympy's ring in
-place of the package's GCDHEU on ints and closed-form factors, and
-factoring before dropping excluded roots.  So
+sympy's subresultant PRS and, sign included, the Sylvester determinant
+over Z[u], gcds and factorizations from sympy's ring in place of the
+package's GCDHEU on ints and closed-form factors, and factoring before
+dropping excluded roots.  So
 do the random smoke scans: collision search on random pairs of points and
 chart gluing on random characters.  Tests compare package output against these oracles,
 never the other way around.
@@ -39,7 +40,8 @@ from itertools import combinations, product
 from math import lcm
 
 import sympy
-from sympy.polys.domains import QQ
+from sympy.polys.domains import QQ, ZZ
+from sympy.polys.matrices import DomainMatrix
 from sympy.polys.rings import ring
 
 from toricurve.curve import (
@@ -946,6 +948,19 @@ def resultant_by_prs(f, g):
     reference for the package's evaluation-interpolation resultant; its sign
     can differ from the Sylvester determinant's."""
     return f.resultant(g)
+
+
+def resultant_by_sylvester(f, g):
+    """Res_s(f, g) for f, g in Z[s, u] of positive degree in s: the
+    determinant of the Sylvester matrix over Z[u] by DomainMatrix, the
+    reference for the sign that the subresultant PRS does not fix."""
+    zu = ring("u", ZZ)[0]
+    n, m = f.degree(0), g.degree(0)
+    coeffs = [[zu({(j,): c for (i, j), c in p.items() if i == k}) for k in range(d, -1, -1)]
+              for p, d in ((f, n), (g, m))]
+    rows = [[zu.zero] * i + coeffs[0] + [zu.zero] * (m - 1 - i) for i in range(m)]
+    rows += [[zu.zero] * i + coeffs[1] + [zu.zero] * (n - 1 - i) for i in range(n)]
+    return DomainMatrix(rows, (n + m, n + m), zu.to_domain()).det()
 
 
 def gcd_by_ring(polys):

@@ -31,12 +31,14 @@ from toricurve.curve import (
     RationalFunction,
     evaluate_with_derivative,
 )
+from toricurve import embed
 from toricurve.embed import (
     ChartMap,
     DivisorAtInfinity,
     build_embedding_data,
     chart_maps,
     check_theorem_conditions,
+    epsilon_function,
     save_embedding,
 )
 from toricurve.fan import preset, save_fan
@@ -657,3 +659,45 @@ def test_ladder_fan_charts_keep_their_pinned_verdicts(rays, method):
         r = chart_injective(c)
         got.append((c.cone, r.ok, r.method, r.witnesses))
     assert got == LADDER_GOLDEN[rays, method]
+
+
+def chart_data_sets() -> dict:
+    """The presets, the ladder fans of 4 to 10 rays and the refute fixtures."""
+    sets = {name: seed0_data(name, 0, "intersection") for name in ("p3", "p1p1p1", "bl-p3-point")}
+    sets.update((f"ladder-{rays}", seed0_data("p3", rays, "kernel")) for rays in range(4, 11))
+    sets.update((label, involution_data(*args)) for label, args in INVOLUTIONS.items())
+    return sets
+
+
+def test_chart_coordinates_are_the_characters_of_their_dual_rows():
+    """chart_maps inverts the character of m for -m; each coordinate is still
+    epsilon_function's, down to its integer parts."""
+    for label, data in chart_data_sets().items():
+        for c in chart_maps(data):
+            for m, f in zip(c.duals, c.coords):
+                want = epsilon_function(data, m)
+                assert f == want, (label, c.cone, m)
+                assert f.integer_parts == want.integer_parts, (label, c.cone, m)
+
+
+@pytest.mark.parametrize("name, classes", [("p3", 6), ("p1p1p1", 3), ("bl-p3-point", 6)])
+def test_chart_maps_builds_each_character_once_up_to_sign(monkeypatch, name, classes):
+    calls = []
+    real = embed.epsilon_function
+    monkeypatch.setattr(embed, "epsilon_function", lambda data, m: calls.append(m) or real(data, m))
+    charts = chart_maps(seed0_data(name, 0, "intersection"))
+    duals = {m for c in charts for m in c.duals}
+    assert len(calls) == classes == len({max(m, tuple(-k for k in m)) for m in duals})
+
+
+def test_the_certify_memo_does_not_outlive_the_call(monkeypatch):
+    """Certifying the same data again, with the prime table cut to 2^61 - 1,
+    raises the DegreeOverflow a first call raises: nothing the first call
+    computed with the full table is read back."""
+    data = seed0_data("bl-p3-point", 0, "intersection")
+    assert certify(data).embedded
+    monkeypatch.setattr(verify, "_MERSENNE_EXPONENTS", (61,))
+    with pytest.raises(DegreeOverflow) as err:
+        certify(data)
+    assert (err.value.cone, err.value.estimate, err.value.cap) == ((0, 1, 3), 125, 61)
+    assert "resultant modulus bits" in str(err.value)

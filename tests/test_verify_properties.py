@@ -18,7 +18,9 @@ inputs as expressions.  Two more pin the certification quick pass: the
 evaluation-interpolation resultant equals sympy's subresultant PRS up to
 sign, and factoring with the excluded roots stripped first gives the roots
 and factors that factoring in full and then dropping the excluded roots
-gives.  Two pin the coprimality certificate modulo q = 2^61 - 1: it never
+gives.  Two pin the per-certify memo: a resultant read back for F and G
+up to sign and order carries the Sylvester determinant's sign, and the
+Bezoutian of (D, N) is the negated Bezoutian of (N, D).  Two pin the coprimality certificate modulo q = 2^61 - 1: it never
 proves a pair coprime whose gcd over Z is nonconstant, whether the pair
 lives in one variable or is made of symmetric Bezoutians, and it is
 inconclusive whenever q divides a leading coefficient.  The rest pin the
@@ -33,7 +35,7 @@ leading coefficients and roots past 200 bits and quartics with no root.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from unittest.mock import patch
 
 import pytest
@@ -51,6 +53,7 @@ from oracles import (
     gcd_by_ring,
     groebner_by_expr,
     resultant_by_prs,
+    resultant_by_sylvester,
     roots_and_factors_by_filter,
     str_by_expr,
 )
@@ -472,6 +475,54 @@ def test_resultant_matches_the_subresultant_prs_up_to_sign(pair):
 def test_resultant_of_chart_residuals_matches_the_subresultant_prs(chart):
     for f, h in combinations(residuals_in_ring(chart), 2):
         assert_resultant_matches_prs(f, h)
+
+
+@st.composite
+def sign_rule_pairs(draw):
+    """Two polynomials in Z[s, u] of degree 1 to 3 in s and at most 2 in u,
+    with coefficients in [-5, 5]."""
+    def poly():
+        n, d = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+        terms = draw(st.dictionaries(
+            st.tuples(st.integers(0, n - 1), st.integers(0, d)), st.integers(-5, 5), max_size=6))
+        terms[n, draw(st.integers(0, d))] = draw(st.integers(-5, 5).filter(bool))
+        return _ZSU.from_dict(terms)
+
+    return poly(), poly()
+
+
+@settings(PROPERTY, max_examples=100)
+@given(sign_rule_pairs())
+@example((_ZS * _ZU - 2, -_ZS**3 + _ZU))  # odd times odd: a swap flips the sign
+@example((_ZS**2 - _ZU, 2 * _ZS + _ZU + 1))  # -F flips the sign, -G keeps it
+def test_one_memo_entry_serves_a_resultant_up_to_sign_and_order(pair):
+    """Res(a F, b G) = a^deg_s G b^deg_s F Res(F, G) = (-1)^(deg_s F deg_s G)
+    Res(b G, a F): after the first call every sign choice and order is read
+    from the same memo entry, and each equals the Sylvester determinant."""
+    f, g = pair
+    memo = {}
+    for a, b in product((1, -1), repeat=2):
+        for x, y in ((a * f, b * g), (b * g, a * f)):
+            got = verify._resultant(verify._s_coefficients(x), verify._s_coefficients(y),
+                                    (0, 1, 2), memo)
+            want = resultant_by_sylvester(x, y)
+            assert Z_U.from_dense(got) == want
+            assert want in (resultant_by_prs(x, y), -resultant_by_prs(x, y))
+    assert len(memo) == 1
+
+
+@PROPERTY
+@given(coordinates())
+def test_the_bezoutian_of_d_and_n_is_the_negated_bezoutian_of_n_and_d(f):
+    """Q(D, N) = -Q(N, D), computed or read from the memo entry of (N, D)."""
+    N, D = f.integer_parts
+    q = verify._bezoutian(N, D)
+    negated = [[-a for a in r] for r in q]
+    assert verify._bezoutian(D, N) == negated
+    memo = {}
+    assert verify._bezoutian(N, D, memo) == q
+    assert verify._bezoutian(D, N, memo) == negated
+    assert verify._bezoutian(N, D, memo) == q
 
 
 # the variables of the int lists _roots_and_factors receives: u for the
