@@ -205,16 +205,14 @@ def chart_maps(data: EmbeddingData) -> tuple[ChartMap, ...]:
             neg = tuple(-k for k in m)
             chars[m] = chars[neg].inverse() if neg in chars else epsilon_function(data, m)
         coords = tuple(chars[m] for m in duals)
-        excluded: set[CurvePoint] = set()
-        for rho in range(data.fan.n_rays):
-            if rho not in cone:
-                excluded |= data.divisors[rho].support()
-        ex = tuple(sorted(excluded, key=lambda p: p.sort_key()))
+        excluded = {p._reduced: p for rho, d in enumerate(data.divisors) if rho not in cone
+                    for p, _ in d.entries}  # the off-cone supports by (num, den)
         for p in coords:
             # poles sit exactly on divisors of rays off the cone, and the
             # degree-zero divisors leave order 0 at infinity
             assert p.order_at_infinity == 0
-            assert all(CurvePoint(r) in excluded for r, e in p.factors if e < 0)
+            assert all((r.numerator, r.denominator) in excluded for r, e in p.factors if e < 0)
+        ex = tuple(sorted(excluded.values(), key=CurvePoint.sort_key))
         charts.append(ChartMap(cone, duals, coords, ex))
     return tuple(charts)
 

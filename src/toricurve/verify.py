@@ -33,10 +33,12 @@ first use (_sympy) for three things only: a gcd that six evaluation
 points fail, factor_list of what is left at degree >= 4 in one variable
 or past the closed form in Z[s, u], and the Groebner fallback.
 Factors come out primitive with positive leading coefficient, as over Q.
-Resultants are this module's own: evaluation at consecutive integers, a
-Euclidean remainder sequence modulo one Mersenne prime past a proven
-coefficient bound, Newton interpolation and a symmetric lift.  No
-polynomial is factored with an excluded point's root in it: each excluded
+Resultants are this module's own.  With a side of degree at most 2 in the
+eliminated variable, a closed form over Z (_res_small) takes them exactly,
+in Z[s, u] on rows packed at u = 2^k past twice a proven coefficient bound
+(Kronecker substitution); past that, evaluation at consecutive integers, a
+remainder sequence modulo one Mersenne prime past the bound, Newton
+interpolation and a symmetric lift.  No polynomial is factored with an excluded point's root in it: each excluded
 factor den * x - num is divided out first.  No gcd is computed when a
 nonzero resultant modulo q = 2^61 - 1, the table's first prime, proves two
 of its inputs coprime (inputs in one variable stripped first, the
@@ -398,15 +400,55 @@ def _coprime(polys: list) -> bool:
     """Whether a nonzero resultant mod q = 2^61 - 1 proves some pair of polys
     (int lists, top degree first) coprime over Z; False is inconclusive.
 
-    When q divides neither leading coefficient, Res(f mod q, g mod q) =
-    Res(f, g) mod q (Collins, J. ACM 18(4), 1971; Brown, J. ACM 18(4),
-    1971), so a nonzero value makes Res(f, g) nonzero and gcd(f, g)
-    constant.  A pair with a leading coefficient divisible by q is skipped.
+    When q divides neither leading coefficient, reduction mod q keeps both
+    degrees, so it maps the Sylvester matrix entrywise and Res(f mod q,
+    g mod q) = Res(f, g) mod q (Collins, J. ACM 18(4), 1971; Brown, J. ACM
+    18(4), 1971): a nonzero value makes gcd(f, g) constant.  Other pairs are
+    skipped.  Res(f, g) is _res_small's exact integer when a degree is at
+    most 2, else a remainder sequence mod q.
     """
     q = (1 << _Q_BITS) - 1
-    reduced = [[a % q for a in p] for p in polys]
-    pairs = ((f, g) for f, g in combinations(reduced, 2) if f[0] and g[0])
-    return any(_resultants_mod([fg], _Q_BITS)[0] for fg in pairs)
+    for f, g in combinations(polys, 2):
+        if f[0] % q and g[0] % q:
+            r = _res_small(f, g)
+            if r is None:
+                r = _resultants_mod([([a % q for a in f], [a % q for a in g])], _Q_BITS)[0]
+            if r % q:
+                return True
+    return False
+
+
+def _res_small(f: list, g: list) -> int | None:
+    """Res(f, g), the Sylvester determinant over Z, for int lists top degree
+    first with nonzero leading coefficients, when min(deg f, deg g) <= 2;
+    None otherwise.
+
+    Res(g, f) = (-1)^(n m) Res(f, g) puts the lower degree n first; then,
+    with a = lc(f) and m = deg g, Res(f, g) = a^m prod g(alpha) over f's roots.
+    A constant gives a^m; a linear a x + b gives a^m g(-b / a), by
+    homogeneous Horner.  For a x^2 + b x + c the pseudo-remainder
+    a^(m-1) g mod f = r1 x + r0 makes Res = a^(2-m) prod (r1 alpha + r0)
+    = (a r0^2 - b r0 r1 + c r1^2) / a^(m-1), exactly; r1 = 0 and r = 0 are
+    the cases r0^2 / a^(m-2) and 0 of the same formula.
+    """
+    n, m = len(f) - 1, len(g) - 1
+    if n > m:
+        r = _res_small(g, f)
+        return -r if r and n * m & 1 else r
+    if n > 2:
+        return None
+    a = f[0]
+    if n < 2:
+        return a**m if n == 0 else _homogeneous(g, -f[1], a)
+    b, c = f[1], f[2]
+    r = list(g)
+    for t in range(m - 1):  # one pseudo-division step, times a, per degree
+        lead = r[t]
+        r[t + 1], r[t + 2] = a * r[t + 1] - lead * b, a * r[t + 2] - lead * c
+        for j in range(t + 3, m + 1):
+            r[j] *= a
+    r1, r0 = r[-2], r[-1]
+    return ((a * r0 - b * r1) * r0 + c * r1 * r1) // a ** (m - 1)
 
 
 def _common_factor(polys, gens: str, excluded_fr=()):
@@ -699,19 +741,22 @@ def _saturation_poly(excluded_fr):
     return 1 - y * h
 
 
+def _degree_estimate(chart: ChartMap) -> int:
+    """max 2 deg f_i deg f_j over pairs of coordinates; DegreeOverflow past the cap."""
+    degs = [max(map(len, f.integer_parts)) - 1 for f in chart.coords]
+    est = max(2 * a * b for a, b in combinations(degs, 2))
+    if est > DEFAULT_DEGREE_CAP:
+        raise DegreeOverflow(chart.cone, est, DEFAULT_DEGREE_CAP)
+    return est
+
+
 def chart_injective(chart: ChartMap, memo=None) -> CheckResult:
     """Decide injectivity of the chart coordinates off the excluded points."""
     memo = {} if memo is None else memo  # Bezoutians and resultants, see certify
+    _degree_estimate(chart)
     coords = chart.coords
     excluded_fr = {p.finite for p in chart.excluded if not p.is_infinity}
     NDs = [f.integer_parts for f in coords]
-    degs = [max(len(N), len(D)) - 1 for N, D in NDs]
-    est0 = max(
-        2 * degs[i] * degs[j] for i in range(3) for j in range(i + 1, 3)
-    )
-    if est0 > DEFAULT_DEGREE_CAP:
-        raise DegreeOverflow(chart.cone, est0, DEFAULT_DEGREE_CAP)
-
     witnesses: list[dict] = []
 
     # collisions with the point at infinity: p_i(u) = p_i(inf) for all i.
@@ -769,7 +814,7 @@ def _finite_finite(chart, coords, NDs, Qs, excluded_fr, witnesses, memo):
     """Dispatch shared factors, then decide the residual system.
 
     Every Q_i and residual has degree below deg N_i, D_i in s and in u, so
-    chart_injective's estimate bounds each pairwise resultant here.  The
+    _degree_estimate bounds each pairwise resultant here.  The
     Q_i, their gcd, its factors and the residuals are _s_coefficients rows;
     the gcd and the residuals are symmetric up to sign, so one row means a
     constant.
@@ -906,17 +951,26 @@ def _resultant(F, G, cone, memo=None) -> list:
     degree in s given as _s_coefficients rows F, G: an int list in u, top
     degree first, [0] if it vanishes.
 
-    Evaluation-interpolation modulo one prime p (Collins, J. ACM 18(4), 1971;
-    von zur Gathen & Gerhard, Modern Computer Algebra, ch. 6).  Res has
-    degree at most D = deg_s f deg_u g + deg_s g deg_u f in u.  It is taken
-    at D + 1 consecutive integers u, the first block from 0 up on which no
-    leading coefficient in s vanishes mod p, by a Euclidean remainder
-    sequence mod p, then interpolated by Newton and lifted to (-p/2, p/2).
     Each Sylvester row's entries have 1-norms summing to |f|_1 or |g|_1, so
-    |f|_1^deg_s g |g|_1^deg_s f bounds every coefficient of Res, and p, the
-    first Mersenne prime 2^k - 1 past twice that (and past the last point a
-    block can reach), makes the lift exact.  A bound past the table raises
-    DegreeOverflow.
+    |f|_1^deg_s g |g|_1^deg_s f bounds every coefficient of Res; `need` is
+    twice that (and past the last point a block can reach).  A need past
+    the last Mersenne prime 2^k - 1 of the table raises DegreeOverflow.
+
+    When min(deg_s f, deg_s g) <= 2, by Kronecker substitution (von zur
+    Gathen & Gerhard, Modern Computer Algebra, 8.4): each row is taken at
+    u = X = 2^bitlen(need) > need >= 2 |f|_1, 2 |g|_1, Res of the two
+    integer polynomials in s exactly (_res_small), and Res(X) read back as
+    symmetric X-adic digits.  A nonzero polynomial with coefficients below
+    X / 2 in absolute value is nonzero at X, its top term outweighing the
+    rest, so lc_s keeps the degrees in s and Res commutes with u = X; the
+    coefficients of Res are below X / 2 too, so they are its digits.
+
+    Otherwise evaluation-interpolation modulo the first Mersenne prime
+    p > need (Collins, J. ACM 18(4), 1971; ibid., ch. 6).  Res has degree at
+    most D = deg_s f deg_u g + deg_s g deg_u f in u.  It is taken at D + 1
+    consecutive integers u, the first block from 0 up on which no leading
+    coefficient in s vanishes mod p, by a Euclidean remainder sequence mod
+    p, then interpolated by Newton and lifted to (-p/2, p/2), exactly.
 
     A memo (see certify) holds one Res per pair up to sign and order, by
     Res(a F, b G) = a^deg_s G b^deg_s F Res(F, G) = (-1)^(deg_s F deg_s G)
@@ -944,19 +998,24 @@ def _resultant(F, G, cone, memo=None) -> list:
         raise DegreeOverflow(
             cone, need.bit_length(), _MERSENNE_EXPONENTS[-1], "resultant modulus bits"
         )
-    p = (1 << k) - 1
-    x0 = x = 0
-    while x - x0 <= degree:
-        if not _horner(F[0], x) % p or not _horner(G[0], x) % p:
-            x0 = x + 1
-        x += 1
-    pairs = [
-        ([_horner(row, x) % p for row in F], [_horner(row, x) % p for row in G])
-        for x in range(x0, x)
-    ]
-    half = p >> 1
-    coeffs = [c - p if c > half else c for c in _newton(x0, _resultants_mod(pairs, k), k)]
-    res = _trim(coeffs) or [0]
+    if min(n, m) <= 2:
+        X = 1 << need.bit_length()
+        v = _res_small([_horner(r, X) for r in F], [_horner(r, X) for r in G])
+        res = _digits(v, X) or [0]
+    else:
+        p = (1 << k) - 1
+        x0 = x = 0
+        while x - x0 <= degree:
+            if not _horner(F[0], x) % p or not _horner(G[0], x) % p:
+                x0 = x + 1
+            x += 1
+        pairs = [
+            ([_horner(row, x) % p for row in F], [_horner(row, x) % p for row in G])
+            for x in range(x0, x)
+        ]
+        half = p >> 1
+        coeffs = [c - p if c > half else c for c in _newton(x0, _resultants_mod(pairs, k), k)]
+        res = _trim(coeffs) or [0]
     if memo is not None:
         memo[A, B] = [sign * c for c in res]
     return res
@@ -1116,20 +1175,19 @@ def chart_immersive(chart: ChartMap) -> CheckResult:
 
 
 def pullback_check(data: EmbeddingData, charts) -> CheckResult:
-    """Zero divisors of chart coordinates must be the sampled divisors, reduced."""
+    """Zero divisors of chart coordinates must be the sampled divisors, reduced:
+    (num, den) -> multiplicity dicts, with a divisor built only for a witness."""
     witnesses: list[dict] = []
     for chart in charts:
-        excluded = set(chart.excluded)
-        for pos, rho in enumerate(chart.cone):
-            f = chart.coords[pos]
-            zeros = CDivisor.of(
-                [
-                    (CurvePoint(r), e)
-                    for r, e in f.factors
-                    if e > 0 and CurvePoint(r) not in excluded
-                ]
-            )
+        excluded = {p._reduced for p in chart.excluded}
+        for f, rho in zip(chart.coords, chart.cone):
+            zeros = [(r, e) for r, e in f.factors
+                     if e > 0 and (r.numerator, r.denominator) not in excluded]
             expected = data.divisors[rho]
+            if expected.is_reduced and ({(r.numerator, r.denominator): e for r, e in zeros}
+                                        == {p._reduced: m for p, m in expected.entries}):
+                continue
+            zeros = CDivisor.of([(CurvePoint(r), e) for r, e in zeros])
             if zeros != expected:
                 diff = zeros + (-expected)
                 witnesses.append(
@@ -1166,6 +1224,8 @@ def certify(data: EmbeddingData) -> Certificate:
     for rho, d in enumerate(data.divisors):
         refuse_infinity(rho, d)
     charts = chart_maps(data)
+    for chart in charts:  # an oversized chart stops the call before any elimination
+        _degree_estimate(chart)
     records, memo = [], {}
     for chart in charts:
         inj = chart_injective(chart, memo)

@@ -26,7 +26,9 @@ in place of the package's single sweep, the self-intersection V_rho^3 from a
 canonical character (Smith form plus a Hermite reduction) and the Groebner
 fallback's basis from `sympy.groebner` on expressions, resultants from
 sympy's subresultant PRS and, sign included, the Sylvester determinant
-over Z[u], gcds and factorizations from sympy's ring in place of the
+over Z[u], the coprimality test mod 2^61 - 1 as a remainder sequence on
+every reduced pair in place of the exact small-degree resultant, gcds and
+factorizations from sympy's ring in place of the
 package's GCDHEU on ints and closed-form factors, and factoring before
 dropping excluded roots.  So
 do the random smoke scans: collision search on random pairs of points and
@@ -62,6 +64,7 @@ from toricurve.fan import (
 from toricurve.feasibility import Infeasible, Unbounded
 from toricurve.intersect import triple_intersection
 from toricurve.intlinalg import NotUnimodular, det
+from toricurve.verify import _Q_BITS, _resultants_mod
 
 _QSU, _QS, _QU = ring("s,u", QQ)
 
@@ -961,6 +964,16 @@ def resultant_by_sylvester(f, g):
     rows = [[zu.zero] * i + coeffs[0] + [zu.zero] * (m - 1 - i) for i in range(m)]
     rows += [[zu.zero] * i + coeffs[1] + [zu.zero] * (n - 1 - i) for i in range(n)]
     return DomainMatrix(rows, (n + m, n + m), zu.to_domain()).det()
+
+
+def coprime_by_remainders_mod_q(polys) -> bool:
+    """verify._coprime's reference: a remainder sequence mod q = 2^61 - 1 on
+    every pair of polys (int lists, top degree first) whose leading
+    coefficients q does not divide, reduced mod q first."""
+    q = (1 << _Q_BITS) - 1
+    reduced = [[a % q for a in p] for p in polys]
+    pairs = ((f, g) for f, g in combinations(reduced, 2) if f[0] and g[0])
+    return any(_resultants_mod([fg], _Q_BITS)[0] for fg in pairs)
 
 
 def gcd_by_ring(polys):

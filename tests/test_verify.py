@@ -452,6 +452,27 @@ def test_a_resultant_bound_past_the_prime_table_aborts_naming_the_chart(monkeypa
     assert "resultant modulus bits" in str(err.value)
 
 
+@pytest.mark.parametrize("rays, cap, cone, estimate", [
+    (7, 30, (0, 3, 4), 40),  # charts 0-2 estimate 24
+    (9, 150, (0, 3, 6), 264),  # (0, 3, 4) 84 and (0, 1, 5) 72 come first
+])
+def test_certify_checks_every_chart_estimate_before_any_elimination(monkeypatch, rays, cap,
+                                                                    cone, estimate):
+    """The first chart over the cap, in chart order, stops certify before
+    chart_injective runs on any chart."""
+    data = seed0_data("p3", rays, "kernel")
+    estimates = [verify._degree_estimate(c) for c in chart_maps(data)]
+    assert estimates[0] <= cap < max(estimates)
+    calls = []
+    real = verify.chart_injective
+    monkeypatch.setattr(verify, "chart_injective", lambda *a: calls.append(a) or real(*a))
+    monkeypatch.setattr(verify, "DEFAULT_DEGREE_CAP", cap)
+    with pytest.raises(DegreeOverflow) as err:
+        certify(data)
+    assert (err.value.cone, err.value.estimate, err.value.cap) == (cone, estimate, cap)
+    assert not calls
+
+
 def test_symmetric_construction_fails_in_every_chart():
     data = symmetric_data()
     cert = certify(data)

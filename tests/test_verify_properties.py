@@ -20,7 +20,13 @@ sign, and factoring with the excluded roots stripped first gives the roots
 and factors that factoring in full and then dropping the excluded roots
 gives.  Two pin the per-certify memo: a resultant read back for F and G
 up to sign and order carries the Sylvester determinant's sign, and the
-Bezoutian of (D, N) is the negated Bezoutian of (N, D).  Two pin the coprimality certificate modulo q = 2^61 - 1: it never
+Bezoutian of (D, N) is the negated Bezoutian of (N, D).  Four pin the
+exact small-degree resultants: the closed form against the Sylvester
+determinant over Z, for degrees 0 to 5 with one at most 2; _resultant
+against it on the Kronecker path and on the modular one; _coprime's
+verdict against a remainder sequence mod q on every reduced pair; and a
+spy that lets _newton run only under a pair whose degrees in s both
+exceed 2.  Two pin the coprimality certificate modulo q = 2^61 - 1: it never
 proves a pair coprime whose gcd over Z is nonconstant, whether the pair
 lives in one variable or is made of symmetric Bezoutians, and it is
 inconclusive whenever q divides a leading coefficient.  The rest pin the
@@ -46,7 +52,9 @@ from sympy.polys.domains import QQ, ZZ
 from sympy.polys.groebnertools import groebner
 from sympy.polys.rings import PolyElement, ring
 
+from conftest import ladder_fan
 from oracles import (
+    coprime_by_remainders_mod_q,
     cross_quotients_qq,
     factor_key_by_expr,
     factor_list_by_ring,
@@ -59,7 +67,9 @@ from oracles import (
 )
 from toricurve import verify
 from toricurve.curve import CurvePoint, RationalFunction
-from toricurve.embed import ChartMap
+from toricurve.embed import ChartMap, build_embedding_data
+from toricurve.fan import preset, star_subdivision
+from toricurve.intersect import find_ample, xi_vector
 from toricurve.verify import DegreeOverflow, chart_immersive, chart_injective
 
 F = Fraction
@@ -707,6 +717,138 @@ def test_bezoutians_with_a_shared_root_never_pass_the_bivariate_certificate(case
     got = verify._common_factor(qs, "s,u", excluded)
     assert not (planted and want.is_ground)
     assert got == as_ints(want) or (got is None and want.is_ground)
+
+
+# --- exact small-degree resultants by Kronecker substitution -------------------
+
+
+def sylvester_of_lists(f, g):
+    """The Sylvester determinant over Z of int lists f, g, top degree first,
+    by the oracle on the same polynomials in s alone."""
+    f, g = (_ZSU.from_dict({(len(p) - 1 - i, 0): c for i, c in enumerate(p) if c}) for p in (f, g))
+    return resultant_by_sylvester(f, g)
+
+
+@st.composite
+def small_degree_pairs(draw):
+    """Int lists f, g with nonzero leading coefficients, one of degree 0 to
+    2 and the other 0 to 5, in either order; coefficients small or past
+    2^64 and of either sign, and in some a planted common root."""
+    h = draw(st.sampled_from((3, 50, 2**70)))
+    coef = st.integers(-h, h)
+    (t,) = Z_T.gens
+
+    def poly(d):
+        return Z_T.from_dense([draw(coef.filter(bool))] + draw(st.lists(coef, min_size=d, max_size=d)))
+
+    f, g = poly(draw(st.integers(0, 2))), poly(draw(st.integers(0, 5)))
+    if f.degree() < 2 and g.degree() < 5 and draw(st.booleans()):
+        root = draw(st.builds(F, st.integers(-4, 4), st.integers(1, 3)))
+        f, g = (p * (root.denominator * t - root.numerator) for p in (f, g))
+    pair = [as_ints(f), as_ints(g)]
+    return pair[::-1] if draw(st.booleans()) else pair
+
+
+@settings(PROPERTY, max_examples=300)
+@given(small_degree_pairs())
+@example([[2, 0, 2], [1, 0, 1, 5]])  # r1 = 0: 4 g = 20 mod f
+@example([[3, -5, -2], [1, -1, -1, -2]])  # r = 0: the common root 2
+@example([[-2, 1, -3], [-1, 4, 0, 7, -5]])  # negative leading coefficients
+@example([[5, 0, 1, 3], [2, 7]])  # swapped, 3 * 1 odd: the sign flips
+@example([[1, 0, 1, 3, 4], [-3, 1, 2]])  # swapped, 4 * 2 even
+@example([[-7], [2, 0, 0, 1]])  # a constant: (-7)^3
+@example([[4], [9]])  # two constants: the empty determinant
+def test_small_resultants_are_the_sylvester_determinant(pair):
+    f, g = pair
+    assert verify._res_small(f, g) == sylvester_of_lists(f, g)
+
+
+def test_small_resultants_refuse_two_degrees_past_two():
+    assert verify._res_small([1, 0, 0, 1], [1, 2, 3, 4]) is None
+    assert verify._res_small([1, 2, 3], [1, 0, 0, 0, 0, 0, 1]) is not None
+
+
+@settings(PROPERTY, max_examples=200)
+@given(resultant_pairs())
+@example((_ZS**3 * _ZU + _ZS - 2, _ZS**4 - _ZU**2 * _ZS**3 + 3))  # 3 x 4: modulo p
+@example((_ZS**3 - _ZU, 2 * _ZS**3 + _ZS * _ZU**2 - 1))  # 3 x 3: modulo p
+@example((7 * _ZS, _ZS + 1000))  # Res = 7000 against the bound 7 * 1001
+@example((_ZU**2 * _ZS**2 - _ZU, -(_ZU**2) * _ZS**4 + _ZS - 1))  # 2 x 4
+def test_resultant_is_the_sylvester_determinant_on_both_paths(pair):
+    """deg_s 1 to 4 on each side: Kronecker substitution when one is at most
+    2, evaluation and interpolation modulo p when both are past 2."""
+    f, g = pair
+    got = verify._resultant(verify._s_coefficients(f), verify._s_coefficients(g), (0, 1, 2))
+    assert Z_U.from_dense(got) == resultant_by_sylvester(f, g)
+
+
+@st.composite
+def coprime_families(draw):
+    """Two to four int lists of degree 0 to 6 with nonzero leading
+    coefficients; small coefficients, coefficients near multiples of q, and
+    leading coefficients divisible by q."""
+    coef = st.one_of(st.integers(-9, 9), st.integers(-3, 3).map(lambda k: k * _Q + 1),
+                     st.integers(-2**80, 2**80))
+    lead = st.one_of(coef.filter(bool), st.sampled_from((_Q, -2 * _Q)))
+    return [[draw(lead)] + draw(st.lists(coef, max_size=6)) for _ in range(draw(st.integers(2, 4)))]
+
+
+@settings(PROPERTY, max_examples=300)
+@given(coprime_families())
+@example([[1, 0], [1, -_Q]])  # Res(t, t - q) = -q: nonzero, yet 0 mod q
+@example([[_Q, 1], [1, 0, 5]])  # q | lc: the only pair is skipped
+@example([[_Q, 1], [1, 0, 5], [2, 3]])  # the skipped pair, then two that decide
+@example([[1, 2, 3, 4, 5], [1, 0, 0, 0, 1], [3, 1]])  # degrees 4 x 4 go modulo q
+def test_coprime_gives_the_verdict_of_the_remainder_sequences_mod_q(polys):
+    assert verify._coprime(polys) == coprime_by_remainders_mod_q(polys)
+    if len(polys) == 2 and (polys[0][0] % _Q == 0 or polys[1][0] % _Q == 0):
+        assert not verify._coprime(polys)
+
+
+def chain_fan(*cones):
+    fan = preset("p3")
+    for cone in cones:
+        fan = star_subdivision(fan, cone)
+    return fan
+
+
+@pytest.mark.parametrize("fan, method, interpolations", [
+    (preset("p3"), "intersection", 0),
+    (preset("p1p1p1"), "intersection", 0),
+    (preset("bl-p3-point"), "intersection", 0),
+    (ladder_fan(6), "kernel", 0),
+    (ladder_fan(7), "kernel", 3),  # (0, 3, 4) 3 x 3, (0, 3, 6) 4 x 6 twice
+    (ladder_fan(8), "kernel", 4),  # (0, 3, 4) 3 x 4, (0, 3, 6) 4 x 6 and 4 x 7; the
+    # 3 x 4 pairs of (0, 1, 7) are read from the memo
+    (chain_fan((0, 1, 2), (0, 1, 3)), "kernel", 0),
+    (chain_fan((0, 1, 2), (0, 1, 3), (1, 2, 3)), "kernel", 0),
+    (chain_fan((0, 1, 2), (0, 1, 3), (1, 2, 3), (2, 3, 6)), "kernel", 0),
+], ids=["p3", "p1p1p1", "bl-p3-point", "ladder6", "ladder7", "ladder8",
+        "chain6", "chain7", "chain8"])
+def test_only_resultants_of_two_degrees_past_two_interpolate(monkeypatch, fan, method,
+                                                             interpolations):
+    """Certifying runs _newton once per pairwise resultant whose degrees in
+    s both exceed 2, and never on the presets, the 6-ray ladder or the p3
+    chains of 6 to 8 rays: each of their resultants has a side of degree at
+    most 2 and is taken exactly by Kronecker substitution."""
+    shapes, interpolated = [], []
+    real_resultant, real_newton = verify._resultant, verify._newton
+
+    def resultant(F, G, cone, memo=None):
+        shapes.append((len(F) - 1, len(G) - 1))
+        try:
+            return real_resultant(F, G, cone, memo)
+        finally:
+            shapes.pop()
+
+    monkeypatch.setattr(verify, "_resultant", resultant)
+    monkeypatch.setattr(verify, "_newton", lambda *args: interpolated.append(shapes[-1])
+                        or real_newton(*args))
+    ample = find_ample(fan)
+    xi = xi_vector(fan, ample if method == "intersection" else None, method=method)
+    assert verify.certify(build_embedding_data(fan, None, xi, 0)).embedded
+    assert len(interpolated) == interpolations
+    assert all(min(shape) > 2 for shape in interpolated)
 
 
 # --- gcds and small factorizations in ints against sympy's ring ---------------
