@@ -29,7 +29,6 @@ _EXPORTS = {
         "BadEmbeddingFile", "ChartMap", "ConditionsReport", "EmbeddingData",
         "XiMismatch", "build_embedding_data", "chart_maps",
         "check_theorem_conditions", "epsilon_function", "load_embedding",
-        "save_embedding",
     ),
     "certificate": ("Certificate", "ChartRecord", "CheckResult", "DegreeOverflow"),
     "verify": ("certify", "chart_immersive", "chart_injective", "pullback_check"),

@@ -16,8 +16,9 @@ factor r = rn / rd contributes the int d = a rd - rn b, the value and the
 log-derivative accumulate as int numerators and denominators, and a result
 is the only Fraction built.  Negation, scaling, inverses, powers, div f and
 principal functions keep their input's order and skip the sort.  The
-sampler compares candidates as reduced (num, den) int pairs and builds a
-CurvePoint only for a point it keeps.
+sampler runs splitmix64 inline on plain ints, compares candidates as
+reduced (num, den) pairs, sorts the pairs it keeps once by the int key, and
+builds each kept CurvePoint from its pair with no second reduction.
 """
 from __future__ import annotations
 
@@ -172,12 +173,6 @@ class CDivisor:
 
     def support(self) -> frozenset[CurvePoint]:
         return frozenset(p for p, _ in self.entries)
-
-    def multiplicity(self, p: CurvePoint) -> int:
-        for q, m in self.entries:
-            if q == p:
-                return m
-        return 0
 
     def __add__(self, other: "CDivisor") -> "CDivisor":
         return CDivisor.of(self.entries + other.entries)
@@ -409,11 +404,12 @@ def evaluate_with_derivative(f: RationalFunction, p: CurvePoint):
 
 
 _MASK = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15  # splitmix64's increment
 
 
 def _mix(z: int) -> int:
     """splitmix64 avalanche; deterministic across platforms."""
-    z = (z + 0x9E3779B97F4A7C15) & _MASK
+    z = (z + _GAMMA) & _MASK
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
     return z ^ (z >> 31)
@@ -433,31 +429,46 @@ def sample_divisor(degree: int, seed: int, avoid=frozenset(), taken=None) -> CDi
     Deterministic in (degree, seed, avoid): candidate `counter` is
     (h % 241 - 120) / (1 + (h >> 32) % 4) with h the splitmix64 hash of
     mix(seed) + counter; anything in `avoid` or already chosen is skipped.
-    Candidates are compared as reduced (num, den) int pairs, and only the
-    points kept become CurvePoints, sorted once.  A chain of draws shares one
-    set of such pairs, `taken`: avoided too, it gains `avoid`'s and those drawn.
+    The hash runs inline: its increment is added once, to mix(seed), and each
+    candidate costs its two multiply-xorshift rounds.  Candidates are compared
+    as reduced (num, den) int pairs; a kept pair is keyed by (num << 32) // den,
+    exact on the grid, whose distinct values are at least 1/12 apart.  The kept
+    pairs are sorted once, and each becomes a CurvePoint whose Fraction is
+    built from the pair with no second gcd.  A chain of draws shares one set
+    of such pairs, `taken`: avoided too, it gains `avoid`'s and those drawn.
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     taken = set() if taken is None else taken
     taken.update(map(_pair, avoid))
-    base = _mix(seed & _MASK)
-    chosen: list[CurvePoint] = []
+    z0 = (_mix(seed & _MASK) + _GAMMA) & _MASK
+    chosen: list[tuple[int, tuple[int, int]]] = []
     counter = 0
     while len(chosen) < degree:
-        h = _mix((base + counter) & _MASK)
+        z = (z0 + counter) & _MASK
         counter += 1
-        num, den = (h % 241) - 120, 1 + ((h >> 32) % 4)
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+        h = z ^ (z >> 31)
+        num, den = h % 241 - 120, 1 + (h >> 32) % 4
         g = math.gcd(num, den)
         pair = num // g, den // g
         if pair in taken:
             continue
         taken.add(pair)
-        chosen.append(CurvePoint(Fraction(*pair)))
+        chosen.append(((pair[0] << 32) // pair[1], pair))
         if counter > 100000:
             raise RuntimeError("candidate stream exhausted")
-    chosen.sort(key=CurvePoint.sort_key)
-    return _trusted(CDivisor, entries=tuple((p, 1) for p in chosen))
+    chosen.sort()
+    entries = []
+    for key, pair in chosen:
+        # the fields CurvePoint(Fraction(*pair)) would set, from the reduced pair
+        r = object.__new__(Fraction)
+        r._numerator, r._denominator = pair
+        p = object.__new__(CurvePoint)
+        p.finite, p._reduced, p._order, p._hash = r, pair, (key, r), hash(pair)
+        entries.append((p, 1))
+    return _trusted(CDivisor, entries=tuple(entries))
 
 
 class ProjectiveLine:

@@ -339,11 +339,6 @@ def loads_embedding(text: str) -> EmbeddingData:
     return embedding_from_dict(doc)
 
 
-def save_embedding(data: EmbeddingData, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_embedding(data))
-
-
 def load_embedding(path) -> EmbeddingData:
     with open(path, "r", encoding="utf-8") as fh:
         return loads_embedding(fh.read())

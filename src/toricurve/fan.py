@@ -385,13 +385,19 @@ def dumps_json(obj, sort_keys: bool = False) -> str:
     """json.dumps with an indent of 2, byte for byte, about twice as fast.
 
     json's C encoder skips indented output; here each list, tuple and dict is one
-    join per level, exact str, int, bool and None inline.  json writes the rest (a
-    float, a subclass, a non-str key), re-indented: ensure_ascii escapes newlines.
+    join per level, exact str, int, bool and None inline.  An item that is exactly
+    a list [str, int], such as a [text, multiplicity] row of a divisor, a factor
+    list or a witness, is one format.  json writes the rest (a float, a subclass,
+    a non-str key), re-indented: ensure_ascii escapes newlines.
     """
     def enc(x, indent: str) -> str:
         t, inner = type(x), indent + "  "
         if t is list or t is tuple:
-            body = [_quote(v) if type(v) is str else repr(v) if type(v) is int else enc(v, inner)
+            pad = inner + "  "
+            body = [_quote(v) if type(v) is str else repr(v) if type(v) is int
+                    else f"[{pad}{_quote(v[0])},{pad}{v[1]!r}{inner}]"
+                    if type(v) is list and len(v) == 2 and type(v[0]) is str and type(v[1]) is int
+                    else enc(v, inner)
                     for v in x]
             return "[" + inner + ("," + inner).join(body) + indent + "]" if x else "[]"
         if t is dict and all(type(k) is str for k in x):

@@ -56,21 +56,8 @@ class TDivisor:
         return f"TDivisor(coeffs={self.coeffs!r})"
 
     @classmethod
-    def zero(cls, fan: Fan) -> "TDivisor":
-        return cls((0,) * fan.n_rays)
-
-    @classmethod
     def unit(cls, fan: Fan, rho: int) -> "TDivisor":
         return cls(tuple(1 if t == rho else 0 for t in range(fan.n_rays)))
-
-    def __add__(self, other: "TDivisor") -> "TDivisor":
-        return TDivisor(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "TDivisor":
-        return TDivisor(tuple(-a for a in self.coeffs))
-
-    def scale(self, k: int) -> "TDivisor":
-        return TDivisor(tuple(k * a for a in self.coeffs))
 
 
 class XiVector(NamedTuple):

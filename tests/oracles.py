@@ -587,12 +587,14 @@ def _hash_rational(seed: int, counter: int) -> Fraction:
     return Fraction((h % 241) - 120, 1 + ((h >> 32) % 4))
 
 
-def sample_divisor_by_points(degree: int, seed: int, avoid=frozenset()) -> CDivisor:
+def sample_divisor_by_points(degree: int, seed: int, avoid=frozenset(), taken=None) -> CDivisor:
     """The sampler as a CurvePoint per candidate, checked against a set of
-    CurvePoints, the chosen points canonicalised by CDivisor's own sort."""
+    CurvePoints, the chosen points canonicalised by CDivisor's own sort.
+    `taken`, a set of CurvePoints, is avoided too and gains avoid's points
+    and those drawn."""
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    avoid_points = set()
+    avoid_points = set() if taken is None else taken
     for p in avoid:
         if isinstance(p, CurvePoint):
             avoid_points.add(p)

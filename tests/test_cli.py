@@ -15,7 +15,7 @@ from negative_fixtures import symmetric_data
 from test_verify import run_fresh
 from toricurve import feasibility
 from toricurve.cli import ERRORS, RunConfig, main, run_pipeline
-from toricurve.embed import build_embedding_data, embedding_to_dict, save_embedding
+from toricurve.embed import build_embedding_data, dumps_embedding, embedding_to_dict
 from toricurve.fan import Fan, load_fan, preset, save_fan
 from toricurve.intersect import XiVector, find_ample, xi_vector
 from toricurve.verify import Certificate
@@ -269,7 +269,7 @@ def test_embed_then_verify_round_trip(capsys, tmp_path):
 
 def test_verify_flags_a_failing_embedding_file(capsys, tmp_path):
     path = tmp_path / "symmetric.json"
-    save_embedding(symmetric_data(), path)
+    path.write_text(dumps_embedding(symmetric_data()), encoding="utf-8")
     code, report = run_cli(
         capsys, ["verify", "--data", str(path), "--out", str(tmp_path / "o")]
     )
@@ -437,7 +437,7 @@ REPORTED = {  # by validate
 ], ids=["embed", "run", "refuting verify", "fan preset", "not-projective", "validation"])
 def test_the_report_is_json_text_sorted_with_an_indent_of_two(capsys, tmp_path, argv, shows):
     """The replay digests cover the files a command writes, not its stdout."""
-    save_embedding(symmetric_data(), tmp_path / "SYMMETRIC")
+    (tmp_path / "SYMMETRIC").write_text(dumps_embedding(symmetric_data()), encoding="utf-8")
     paths = {"OUT": str(tmp_path / "OUT"), "SYMMETRIC": str(tmp_path / "SYMMETRIC"),
              "NONSMOOTH": write_bad_fan(tmp_path)}
     main([paths.get(a, a) for a in argv])
@@ -576,7 +576,7 @@ def test_every_export_is_the_object_of_its_module():
     object, listed by dir() and importable by name."""
     import importlib
 
-    assert len(set(toricurve.__all__)) == len(toricurve.__all__) == 61
+    assert len(set(toricurve.__all__)) == len(toricurve.__all__) == 60
     for module, names in toricurve._EXPORTS.items():
         home = importlib.import_module(f"toricurve.{module}")
         for name in names:

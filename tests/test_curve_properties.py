@@ -1,9 +1,10 @@
 """The curve layer's int-pair paths against the point-by-point references.
 
-The sampler dedups candidates on reduced (num, den) int pairs and builds a
-CurvePoint only for a point it keeps; principal functions and the
-order-preserving operations (negation, scaling, inverse, powers, divisors)
-build their result without sorting it again; check_theorem_conditions asks
+The sampler runs splitmix64 inline, dedups candidates on reduced (num, den)
+int pairs, sorts the kept pairs by value and builds a CurvePoint only for a
+point it keeps, leaving the reference's set of taken points; principal
+functions and the order-preserving operations (negation, scaling, inverse,
+powers, divisors) build their result without sorting it again; check_theorem_conditions asks
 has_divisor, which compares div eps_i with its pairing combination as
 (num, den) -> multiplicity dicts.  Each must give what the references in
 oracles.py give: equal objects with their entries in the same order, and
@@ -84,15 +85,37 @@ def same_function(new, ref):
     assert hash(new) == hash(ref)
 
 
+def pairs(points) -> set:
+    return {p._reduced for p in points}
+
+
 @PROPERTY
 @given(st.integers(0, 600), st.integers(-2**70, 2**70), st.lists(avoided(), max_size=12))
 @example(600, 0, [])
 @example(600, 5, [INFINITY, 0, F(1, 2), CurvePoint.of(-120), F(-119, 4)])
+@example(0, 3, [INFINITY, F(1, 7), F(10**30, 3)])
+@example(40, 9, [INFINITY, F(1, 7), CurvePoint(F(10**30, 3)), F(-10**30, 3), F(7, 2)])
+@example(639, 1, [INFINITY, F(1, 7), F(10**30, 3), 0, F(1, 4)])
 def test_the_sampler_matches_the_reference(degree, seed, avoid):
-    # 12 avoided points and 600 draws stay inside the 641-point pool
-    new = sample_divisor(degree, seed, avoid)
-    same_divisor(new, sample_divisor_by_points(degree, seed, avoid))
+    # 12 avoided points and 600 draws stay inside the 641-point pool; so do
+    # the two grid points avoided beside 639 draws
+    taken, ref_taken = set(), set()
+    new = sample_divisor(degree, seed, avoid, taken)
+    same_divisor(new, sample_divisor_by_points(degree, seed, avoid, ref_taken))
     assert new.degree == degree and new.is_reduced
+    avoided_points = {p if isinstance(p, CurvePoint) else CurvePoint.of(p) for p in avoid}
+    assert taken == pairs(ref_taken) == pairs(new.support() | avoided_points)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1, -5])
+def test_641_draws_exhaust_the_grid_in_value_order(seed):
+    """The candidates reduce to 641 distinct points, every one of which a
+    long enough stream reaches; a draw of all of them lists them by value."""
+    grid_points = sorted({F(n, d) for n in range(-120, 121) for d in range(1, 5)})
+    assert len(grid_points) == 641
+    new = sample_divisor(641, seed)
+    assert [p.finite for p, _ in new.entries] == grid_points
+    same_divisor(new, sample_divisor_by_points(641, seed))
 
 
 @PROPERTY
@@ -100,14 +123,15 @@ def test_the_sampler_matches_the_reference(degree, seed, avoid):
 def test_a_chain_of_draws_avoiding_each_other_matches_the_reference(degrees, seed):
     """Each divisor avoids the points before it, given as points or, as
     build_embedding_data gives them, as one growing set of reduced pairs."""
-    new_avoid, ref_avoid, taken = set(), set(), set()
+    new_avoid, ref_avoid, taken, ref_taken = set(), set(), set(), set()
     for rho, degree in enumerate(degrees):
         new = sample_divisor(degree, seed + rho, new_avoid)
         same_divisor(new, sample_divisor_by_points(degree, seed + rho, ref_avoid))
-        assert sample_divisor(degree, seed + rho, taken=taken) == new
+        same_divisor(sample_divisor(degree, seed + rho, taken=taken), new)
+        same_divisor(sample_divisor_by_points(degree, seed + rho, taken=ref_taken), new)
         new_avoid |= new.support()
         ref_avoid |= new.support()
-        assert taken == {(p.finite.numerator, p.finite.denominator) for p in new_avoid}
+        assert taken == pairs(ref_taken) == pairs(new_avoid)
 
 
 @st.composite

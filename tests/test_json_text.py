@@ -6,7 +6,9 @@ give json.dumps's text with an indent of 2 byte for byte, sorted or not, and
 raise json's TypeError, message included, on every tree json rejects.  The
 trees mix what the writer encodes itself (exact str, int, bool, None, lists,
 tuples and str-keyed dicts) with what it hands back to json: floats,
-subclasses, an IntEnum and dicts with non-str keys.
+subclasses, an IntEnum and dicts with non-str keys.  A list item that is
+exactly [str, int] is written in one format, so pairs and near misses of
+that shape are pinned as examples.
 """
 
 import json
@@ -98,6 +100,14 @@ def same_as_json(tree) -> None:
 @example({Colour.RED: [Colour.DEEP], Name("k"): Name('"\n')})
 @example(Items([Record(b=1, a=[2, 3]), {3: "x", None: 2, 1.5: False}]))
 @example(["\U0001f600\ud800\x00", 10**40, -(10**30)])
+# [str, int] items, which the writer formats in one piece, and near misses,
+# which it must not: a bool or None second, the wrong order, a tuple, a third
+# entry, a pair one level down, a str subclass or an IntEnum in a pair
+@example([["a\"\\é\n", 2**70], ["x", -1], ["", 0]])
+@example([["x", True], ["x", False], ["x", None]])
+@example([[1, "x"], ("x", 1), ["x", 1, 2], [["x", 1]], ["x"], Items(["x", 1])])
+@example([[Name("x"), 1], ["x", Colour.RED], ["x", Colour.DEEP]])
+@example({"b": [["x", 1]], "a": {"d": [["y", -2], ["w", 2**64]], "c": [["z", 3]]}})
 def test_the_writer_writes_json_text(tree):
     same_as_json(tree)
 

@@ -38,8 +38,8 @@ from toricurve.embed import (
     build_embedding_data,
     chart_maps,
     check_theorem_conditions,
+    dumps_embedding,
     epsilon_function,
-    save_embedding,
 )
 from toricurve.fan import preset, save_fan
 from toricurve.intersect import XiVector, find_ample, xi_vector
@@ -390,7 +390,7 @@ def test_a_chart_that_needs_a_ring_imports_sympy_on_the_way(tmp_path):
     fallback: verify from a cold process imports sympy only once it runs,
     and writes the in-process bytes."""
     data = involution_data("bl-p3-point", "inv", "some")
-    save_embedding(data, tmp_path / "embedding.json")
+    (tmp_path / "embedding.json").write_text(dumps_embedding(data), encoding="utf-8")
     report = run_fresh(COLD_VERIFY, tmp_path / "embedding.json", tmp_path / "out")
     assert (report["before"], report["after"]) == (False, True)
     assert report["text"] == dumps_certificate(certify(data))
