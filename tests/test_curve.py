@@ -78,7 +78,8 @@ def test_cdivisor_accumulates_and_drops_zeros():
     assert d.degree == 2
     assert not d.is_reduced
     assert d.support() == frozenset({q})
-    assert dict(d.entries).get(q, 0) == 2 and dict(d.entries).get(p, 0) == 0
+    multiplicities = dict(d.entries)
+    assert multiplicities.get(q, 0) == 2 and multiplicities.get(p, 0) == 0
     assert (d + (-d)).entries == ()
     assert d.scale(3).degree == 6
 

@@ -4,11 +4,11 @@ The sampler runs splitmix64 inline, dedups candidates on reduced (num, den)
 int pairs, sorts the kept pairs by value and builds a CurvePoint only for a
 point it keeps, leaving the reference's set of taken points; principal
 functions and the order-preserving operations (negation, scaling, inverse,
-powers, divisors) build their result without sorting it again; check_theorem_conditions asks
-has_divisor, which compares div eps_i with its pairing combination as
-(num, den) -> multiplicity dicts.  Each must give what the references in
-oracles.py give: equal objects with their entries in the same order, and
-the same failure tuples in the same order.
+powers, divisors) build their result without sorting it again;
+check_theorem_conditions asks has_divisor, which compares div eps_i with its
+pairing combination as (num, den) -> multiplicity dicts.  Each must give
+what the references in oracles.py give: equal objects with their entries in
+the same order, and the same failure tuples in the same order.
 """
 
 from fractions import Fraction
