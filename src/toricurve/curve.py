@@ -16,9 +16,10 @@ factor r = rn / rd contributes the int d = a rd - rn b, the value and the
 log-derivative accumulate as int numerators and denominators, and a result
 is the only Fraction built.  Negation, scaling, inverses, powers, div f and
 principal functions keep their input's order and skip the sort.  The
-sampler runs splitmix64 inline on plain ints, compares candidates as
-reduced (num, den) pairs, sorts the pairs it keeps once by the int key, and
-builds each kept CurvePoint from its pair with no second reduction.
+sampler runs splitmix64 inline on plain ints, checks candidates as
+reduced (num, den) pairs against the one set of pairs it is given to avoid,
+sorts the pairs it keeps once by the int key, and builds each kept
+CurvePoint from its pair with no second reduction.
 """
 from __future__ import annotations
 
@@ -317,8 +318,9 @@ def has_divisor(f: RationalFunction, divisors, coeffs) -> bool:
             for p, m in d.entries:
                 want[p._reduced] = want.get(p._reduced, 0) + k * m
     have = {(r.numerator, r.denominator): e for r, e in f.factors}
-    if f.order_at_infinity:
-        have[INFINITY._reduced] = f.order_at_infinity
+    o = f.order_at_infinity
+    if o:
+        have[INFINITY._reduced] = o
     return have == {key: m for key, m in want.items() if m}
 
 
@@ -415,32 +417,24 @@ def _mix(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _pair(p) -> tuple[int, int]:
-    """The reduced (num, den) of a point, (1, 0) at infinity."""
-    if isinstance(p, CurvePoint):
-        return p._reduced
-    x = _fraction(p)
-    return x.numerator, x.denominator
-
-
-def sample_divisor(degree: int, seed: int, avoid=frozenset(), taken=None) -> CDivisor:
+def sample_divisor(degree: int, seed: int, taken=None) -> CDivisor:
     """Reduced degree-`degree` divisor of fresh finite points.
 
-    Deterministic in (degree, seed, avoid): candidate `counter` is
+    Deterministic in (degree, seed, taken): candidate `counter` is
     (h % 241 - 120) / (1 + (h >> 32) % 4) with h the splitmix64 hash of
-    mix(seed) + counter; anything in `avoid` or already chosen is skipped.
+    mix(seed) + counter; a point in `taken`, drawn ones included, is skipped.
     The hash runs inline: its increment is added once, to mix(seed), and each
     candidate costs its two multiply-xorshift rounds.  Candidates are compared
     as reduced (num, den) int pairs; a kept pair is keyed by (num << 32) // den,
     exact on the grid, whose distinct values are at least 1/12 apart.  The kept
     pairs are sorted once, and each becomes a CurvePoint whose Fraction is
-    built from the pair with no second gcd.  A chain of draws shares one set
-    of such pairs, `taken`: avoided too, it gains `avoid`'s and those drawn.
+    built from the pair with no second gcd.  `taken` is a set of reduced
+    (num, den) pairs, infinity (1, 0), and gains the pairs drawn, so draws
+    that share it give disjoint divisors.
     """
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     taken = set() if taken is None else taken
-    taken.update(map(_pair, avoid))
     z0 = (_mix(seed & _MASK) + _GAMMA) & _MASK
     chosen: list[tuple[int, tuple[int, int]]] = []
     counter = 0
@@ -474,9 +468,9 @@ def sample_divisor(degree: int, seed: int, avoid=frozenset(), taken=None) -> CDi
 class ProjectiveLine:
     """The genus-zero curve every embedding here is built on.
 
-    Its sampler stays a method because pipebench/tracing.py wraps it by this
-    class attribute.
+    Its sampler, sample_divisor with the same taken pairs, stays a method
+    because pipebench/tracing.py wraps it by this class attribute.
     """
 
-    def sample_divisor(self, degree: int, seed: int, avoid=frozenset(), taken=None) -> CDivisor:
-        return sample_divisor(degree, seed, avoid, taken)
+    def sample_divisor(self, degree: int, seed: int, taken=None) -> CDivisor:
+        return sample_divisor(degree, seed, taken)

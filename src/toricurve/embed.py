@@ -136,8 +136,7 @@ def build_embedding_data(
     a = pairing_matrix(fan)
     epsilon = []
     for i in range(3):
-        combo = pairing_divisor(divisors, a[i])
-        assert combo.degree == 0  # xi is in the kernel, degrees cancel
+        combo = pairing_divisor(divisors, a[i])  # degree 0: xi is in the kernel
         epsilon.append(principal_function(combo).scale(torus_f[i]))
 
     return EmbeddingData(

@@ -5,9 +5,8 @@ index triples.  Everything downstream (walls, intersection numbers, ample
 search) assumes smooth and complete; validate() decides both exactly.  A
 complete simplicial fan is a triangulation of the sphere (Fulton, 2.4), and
 validate certifies that in linear time by one sheet count; only a fan that
-fails the certificate has each pair of maximal cones separated by
-homogeneous Fourier-Motzkin over int (feasibility.homogeneous_feasible),
-not by the ample search's find_point.  Results keyed by Fan are memoised in
+fails the certificate has each pair of maximal cones separated, by the same
+find_point the ample search runs.  Results keyed by Fan are memoised in
 caches of FAN_CACHE_SIZE entries each.
 """
 from __future__ import annotations
@@ -18,9 +17,7 @@ from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quote
 from typing import NamedTuple
 
-# find_point is unused here but stays bound: pipebench/tracing.py wraps it
-# by this module attribute
-from .feasibility import find_point, homogeneous_feasible  # noqa: F401
+from .feasibility import Infeasible, find_point
 from .intlinalg import cross, dot, unimodular_inverse
 
 Vec3 = tuple[int, int, int]
@@ -157,21 +154,26 @@ def _cones_intersect_in_face(fan: Fan, ca, cb) -> bool:
 
     There is a linear functional m vanishing on the shared rays, positive on
     the other rays of ca and negative on the other rays of cb iff the
-    intersection is the face spanned by the shared rays.
+    intersection is the face spanned by the shared rays.  The system is
+    homogeneous, so strict inequalities scale to a margin of 1.
     """
     common = set(ca) & set(cb)
     rows = []
     for idx in ca:
         ray = fan.rays[idx]
         if idx in common:
-            rows.append((ray, False))
-            rows.append((tuple(-x for x in ray), False))
+            rows.append((ray, 0))
+            rows.append((tuple(-x for x in ray), 0))
         else:
-            rows.append((ray, True))
+            rows.append((ray, 1))
     for idx in cb:
         if idx not in common:
-            rows.append((tuple(-x for x in fan.rays[idx]), True))
-    return homogeneous_feasible(rows, 3)
+            rows.append((tuple(-x for x in fan.rays[idx]), 1))
+    try:
+        find_point(rows, 3)
+    except Infeasible:
+        return False
+    return True
 
 
 def _one_sheet(fan: Fan, census, dets) -> bool:

@@ -1,16 +1,15 @@
 """Exact linear feasibility and minimization over the rationals.
 
 One Fourier-Motzkin elimination (Schrijver, Theory of Linear and Integer
-Programming, 1986, §12.2) serves find_point and minimize.  A constraint
+Programming, 1986, §12.2) serves find_point (the ample search and fan
+validation's cone separation) and minimize.  A constraint
 sum_i c_i x_i >= rhs is one int row (c_0..c_{w-1}, rhs), scaled by the lcm of
 its denominators; combined rows are divided by the gcd of their entries.
 Only a system found infeasible is eliminated again, with provenance columns
 p_0..p_{m-1}, each row's multiplier on the m inputs: its rows differ from
 the first pass's by positive factors, so every decision repeats, and the p
 part of the row 0 >= positive is the Farkas certificate.  Back-substitution
-keeps one common denominator.  homogeneous_feasible decides strict
-homogeneous systems (fan validation's cone separation) by its own
-elimination over int.  Worst-case exponential, fine at fan scale; an
+keeps one common denominator.  Worst-case exponential, fine at fan scale; an
 elimination level that would hold more than MAX_FM_ROWS rows raises
 EliminationOverflow instead of taking all memory.
 """
@@ -183,31 +182,6 @@ def minimize(objective, constraints, n_vars: int):
     value = sum(c * x for c, x in zip(obj, point))
     assert value == lo
     return value, point
-
-
-def homogeneous_feasible(rows, n_vars: int) -> bool:
-    """Whether some x satisfies every row: coeffs . x > 0 if strict, else >= 0.
-
-    rows: iterable of (coeffs, strict) with int coefficients.  Homogeneous
-    Fourier-Motzkin over int: a row with a positive and one with a negative
-    coefficient on the eliminated variable combine with positive integer
-    multipliers, divided by the gcd, strict if either parent is; a strict row
-    with no variables left is the contradiction 0 > 0.
-    """
-    work = {(tuple(c), bool(s)) for c, s in rows}
-    for var in range(n_vars - 1, -1, -1):
-        lowers = [r for r in work if r[0][var] > 0]
-        uppers = [r for r in work if r[0][var] < 0]
-        work = {r for r in work if not r[0][var]}
-        for lo, lo_strict in lowers:
-            for up, up_strict in uppers:
-                a, b = lo[var], -up[var]
-                coeffs = tuple(b * x + a * y for x, y in zip(lo, up))
-                g = math.gcd(*coeffs)
-                if g > 1:
-                    coeffs = tuple(x // g for x in coeffs)
-                work.add((coeffs, lo_strict or up_strict))
-    return not any(strict for _, strict in work)
 
 
 def verify_infeasibility_certificate(constraints, certificate, n_vars: int) -> bool:

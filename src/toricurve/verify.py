@@ -121,16 +121,16 @@ def _qq(x: Fraction):
     return QQ(x.numerator, x.denominator)
 
 
-def _bezoutian(N, D, memo=None) -> list:
+def _bezoutian(N, D, memo: dict) -> list:
     """(N(s) D(u) - N(u) D(s)) / (s - u) in Z[s, u], for N and D int
     tuples, top degree first, as its _s_coefficients rows ([] for zero).
 
     With N = sum a_i u^i, D = sum b_i u^i and c_ik = a_i b_k - a_k b_i,
     (s - u) Q = sum c_ik s^i u^k gives q_pk = c_(p+1)k + q_(p+1)(k-1),
     filled row by row from the top.  Q is symmetric, so deg_u Q = deg_s Q.
-    A memo (see certify) holds Q under (N, D) and -Q under (D, N).
+    The memo (see certify) holds Q under (N, D) and -Q under (D, N).
     """
-    if memo is not None and (N, D) in memo:
+    if (N, D) in memo:
         return memo[N, D]
     n = max(len(N), len(D)) - 1
     a, b = (list(p[::-1]) + [0] * (n + 1 - len(p)) for p in (N, D))
@@ -142,8 +142,7 @@ def _bezoutian(N, D, memo=None) -> list:
         if rows or any(row):
             rows.append(row)
     Q = [r[len(rows) - 1::-1] for r in rows]
-    if memo is not None:
-        memo[N, D], memo[D, N] = Q, [[-a for a in r] for r in Q]
+    memo[N, D], memo[D, N] = Q, [[-a for a in r] for r in Q]
     return Q
 
 
@@ -946,7 +945,7 @@ def _s_coefficients(f) -> list:
     return rows
 
 
-def _resultant(F, G, cone, memo=None) -> list:
+def _resultant(F, G, cone, memo: dict) -> list:
     """Res_s(f, g), the Sylvester determinant, for f, g in Z[s, u] of positive
     degree in s given as _s_coefficients rows F, G: an int list in u, top
     degree first, [0] if it vanishes.
@@ -972,18 +971,18 @@ def _resultant(F, G, cone, memo=None) -> list:
     coefficient in s vanishes mod p, by a Euclidean remainder sequence mod
     p, then interpolated by Newton and lifted to (-p/2, p/2), exactly.
 
-    A memo (see certify) holds one Res per pair up to sign and order, by
+    The memo (see certify) holds one Res per pair up to sign and order, by
     Res(a F, b G) = a^deg_s G b^deg_s F Res(F, G) = (-1)^(deg_s F deg_s G)
     Res(b G, a F); the bound is the same for all of them.
     """
-    if memo is not None:  # keyed by F and G made positive in their first nonzero coefficient
-        a, b = (1 if next(filter(None, P[0])) > 0 else -1 for P in (F, G))
-        A, B = (tuple(tuple(c * x for x in r) for r in P) for c, P in ((a, F), (b, G)))
-        sign = a ** (len(G) - 1) * b ** (len(F) - 1)
-        if B < A:
-            A, B, sign = B, A, sign * (-1) ** ((len(F) - 1) * (len(G) - 1))
-        if (A, B) in memo:
-            return [sign * c for c in memo[A, B]]
+    # keyed by F and G made positive in their first nonzero coefficient
+    a, b = (1 if next(filter(None, P[0])) > 0 else -1 for P in (F, G))
+    A, B = (tuple(tuple(c * x for x in r) for r in P) for c, P in ((a, F), (b, G)))
+    sign = a ** (len(G) - 1) * b ** (len(F) - 1)
+    if B < A:
+        A, B, sign = B, A, sign * (-1) ** ((len(F) - 1) * (len(G) - 1))
+    if (A, B) in memo:
+        return [sign * c for c in memo[A, B]]
     n, m = len(F) - 1, len(G) - 1
     du_f, du_g = len(F[0]) - 1, len(G[0]) - 1
     degree = n * du_g + m * du_f
@@ -1016,8 +1015,7 @@ def _resultant(F, G, cone, memo=None) -> list:
         half = p >> 1
         coeffs = [c - p if c > half else c for c in _newton(x0, _resultants_mod(pairs, k), k)]
         res = _trim(coeffs) or [0]
-    if memo is not None:
-        memo[A, B] = [sign * c for c in res]
+    memo[A, B] = [sign * c for c in res]
     return res
 
 

@@ -587,27 +587,21 @@ def _hash_rational(seed: int, counter: int) -> Fraction:
     return Fraction((h % 241) - 120, 1 + ((h >> 32) % 4))
 
 
-def sample_divisor_by_points(degree: int, seed: int, avoid=frozenset(), taken=None) -> CDivisor:
+def sample_divisor_by_points(degree: int, seed: int, taken=None) -> CDivisor:
     """The sampler as a CurvePoint per candidate, checked against a set of
     CurvePoints, the chosen points canonicalised by CDivisor's own sort.
-    `taken`, a set of CurvePoints, is avoided too and gains avoid's points
-    and those drawn."""
+    `taken`, a set of CurvePoints, is avoided and gains those drawn."""
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    avoid_points = set() if taken is None else taken
-    for p in avoid:
-        if isinstance(p, CurvePoint):
-            avoid_points.add(p)
-        else:
-            avoid_points.add(CurvePoint.of(p))
+    taken = set() if taken is None else taken
     chosen = []
     counter = 0
     while len(chosen) < degree:
         candidate = CurvePoint(_hash_rational(seed, counter))
         counter += 1
-        if candidate in avoid_points:
+        if candidate in taken:
             continue
-        avoid_points.add(candidate)
+        taken.add(candidate)
         chosen.append(candidate)
         if counter > 100000:
             raise RuntimeError("candidate stream exhausted")

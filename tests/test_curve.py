@@ -165,12 +165,14 @@ def test_order_bookkeeping():
 def test_sample_divisor_goldens():
     assert sample_divisor(0, 7).entries == ()
     avoid = {CurvePoint.of(0), INFINITY}
-    d = sample_divisor(3, 11, avoid)
+    taken = {(0, 1), (1, 0)}
+    d = sample_divisor(3, 11, set(taken))
     assert d.degree == 3
     assert d.is_reduced
     assert len(d.support()) == 3
     assert not (d.support() & avoid)
-    assert sample_divisor(3, 11, frozenset(avoid)) == d
+    assert sample_divisor(3, 11, taken) == d
+    assert taken == {(0, 1), (1, 0)} | {p._reduced for p in d.support()}
     # the points themselves, which fix the candidate stream (splitmix64 over
     # the 241 x 4 grid) apart from any replay digest
     assert [str(p) for p, _ in d.entries] == ["-28", "-14", "109/3"]
@@ -178,9 +180,9 @@ def test_sample_divisor_goldens():
         "-91", "-105/4", "-5/2", "7/3", "38"
     ]
     assert [str(p) for p, _ in sample_divisor(4, 7).entries] == ["11/2", "53/2", "28", "30"]
-    # avoiding two of those four, given as a Fraction and an int, draws two more
-    avoid = {Fraction(11, 2), 28, CurvePoint.of("-1/2"), INFINITY}
-    assert [str(p) for p, _ in sample_divisor(4, 7, avoid).entries] == [
+    # avoiding two of those four draws two more
+    taken = {(11, 2), (28, 1), (-1, 2), (1, 0)}
+    assert [str(p) for p, _ in sample_divisor(4, 7, taken).entries] == [
         "-111/2", "53/2", "30", "83/2"
     ]
 
@@ -192,8 +194,9 @@ def test_sample_divisor_determinism_and_spread():
         seed = rng.randrange(2**32)
         degree = rng.randint(1, 5)
         avoid = {CurvePoint.of(rng.randint(-3, 3)) for _ in range(rng.randint(0, 3))}
-        d = sample_divisor(degree, seed, avoid)
-        assert d == sample_divisor(degree, seed, avoid)
+        taken = {p._reduced for p in avoid}
+        d = sample_divisor(degree, seed, set(taken))
+        assert d == sample_divisor(degree, seed, set(taken))
         assert d.degree == degree and d.is_reduced
         assert not (d.support() & avoid)
         seen.add(d.entries)

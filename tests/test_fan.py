@@ -27,7 +27,7 @@ from toricurve.fan import (
     walls,
 )
 from toricurve.intersect import _wall_by_pair, triple_intersection
-from toricurve.intlinalg import NotUnimodular
+from toricurve.intlinalg import NotUnimodular, cross, dot
 
 
 def wall_relation_holds(fan, wall):
@@ -163,6 +163,31 @@ def double_cover_probe_on_edge(double_cover):
 def test_validate_equals_the_pair_scan_on_the_named_fans(request, name):
     fan = request.getfixturevalue(name)
     assert validate(fan) == validate_by_pair_scan(fan)
+
+
+def test_validate_falls_back_to_the_pair_scan_on_a_valid_fan(monkeypatch, p1p1p1):
+    """With every probe on a wall plane the sheet count gives up, and each
+    pair of cones goes through find_point: feasible systems, all of them."""
+    probes = ((1, 0, 0), (0, 1, 0), (0, 0, 1))  # rays of both fans
+    monkeypatch.setattr(fan_module, "_PROBES", probes)
+    calls = []
+    real_find_point = fan_module.find_point
+
+    def find_point(constraints, n_vars):
+        calls.append(n_vars)
+        return real_find_point(constraints, n_vars)
+
+    monkeypatch.setattr(fan_module, "find_point", find_point)
+    for base in (p1p1p1, ladder_fan(7)):
+        fan = Fan(base.rays, base.max_cones, "pair scan")  # not in validate's cache
+        assert all(0 in {dot(cross(fan.rays[i], fan.rays[j]), p) for i, j in _pair_census(fan)}
+                   for p in probes)
+        calls.clear()
+        report = validate(fan)
+        n = len(fan.max_cones)
+        assert len(calls) == n * (n - 1) // 2
+        assert report.ok
+        assert report == validate_by_pair_scan(fan)
 
 
 def test_wall_goldens_p1p1p1(p1p1p1):

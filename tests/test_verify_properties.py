@@ -332,7 +332,7 @@ def swapped(p):
 @PROPERTY
 @given(coordinates())
 def test_bezoutian_is_the_divided_cross_difference_and_symmetric(f):
-    q = verify._su(verify._bezoutian(*f.integer_parts))
+    q = verify._su(verify._bezoutian(*f.integer_parts, {}))
     (reference,) = cross_quotients_qq([f])
     q_over_q = q.set_ring(reference.ring)
     assert q_over_q * reference.LC == reference * q_over_q.LC
@@ -350,7 +350,7 @@ def as_ints(p):
 def residuals_in_ring(chart):
     """The chart's Bezoutians, divided by their gcd when it is not constant,
     as rows, then as elements of Z[s, u]; none of them constant."""
-    qs = [verify._bezoutian(*f.integer_parts) for f in chart.coords]
+    qs = [verify._bezoutian(*f.integer_parts, {}) for f in chart.coords]
     assume(not any(len(q) == 1 for q in qs))  # symmetric: one row is a constant
     g = verify._gcd_all(qs)
     residual = [verify._su(r) for r in (qs if len(g) == 1 else
@@ -469,7 +469,7 @@ def resultant_pairs(draw):
 
 def assert_resultant_matches_prs(f, g):
     got = Z_U.from_dense(
-        verify._resultant(verify._s_coefficients(f), verify._s_coefficients(g), (0, 1, 2)))
+        verify._resultant(verify._s_coefficients(f), verify._s_coefficients(g), (0, 1, 2), {}))
     want = resultant_by_prs(f, g)
     assert got in (want, -want)
 
@@ -526,9 +526,9 @@ def test_one_memo_entry_serves_a_resultant_up_to_sign_and_order(pair):
 def test_the_bezoutian_of_d_and_n_is_the_negated_bezoutian_of_n_and_d(f):
     """Q(D, N) = -Q(N, D), computed or read from the memo entry of (N, D)."""
     N, D = f.integer_parts
-    q = verify._bezoutian(N, D)
+    q = verify._bezoutian(N, D, {})
     negated = [[-a for a in r] for r in q]
-    assert verify._bezoutian(D, N) == negated
+    assert verify._bezoutian(D, N, {}) == negated
     memo = {}
     assert verify._bezoutian(N, D, memo) == q
     assert verify._bezoutian(D, N, memo) == negated
@@ -703,7 +703,7 @@ def bezoutian_families(draw):
     qs = []
     for _ in range(draw(st.integers(2, 3))):
         N, D = z_polys(draw, u), z_polys(draw, u)
-        q = verify._bezoutian(*(tuple((p * factor).to_dense()) for p in (N, D)))
+        q = verify._bezoutian(*(tuple((p * factor).to_dense()) for p in (N, D)), {})
         assume(len(q) > 1)  # neither zero nor constant
         qs.append(q)
     return qs, draw(st.sets(st.integers(0, 3).map(F), max_size=2)), plant != "none"
@@ -778,7 +778,7 @@ def test_resultant_is_the_sylvester_determinant_on_both_paths(pair):
     """deg_s 1 to 4 on each side: Kronecker substitution when one is at most
     2, evaluation and interpolation modulo p when both are past 2."""
     f, g = pair
-    got = verify._resultant(verify._s_coefficients(f), verify._s_coefficients(g), (0, 1, 2))
+    got = verify._resultant(verify._s_coefficients(f), verify._s_coefficients(g), (0, 1, 2), {})
     assert Z_U.from_dense(got) == resultant_by_sylvester(f, g)
 
 
@@ -834,7 +834,7 @@ def test_only_resultants_of_two_degrees_past_two_interpolate(monkeypatch, fan, m
     shapes, interpolated = [], []
     real_resultant, real_newton = verify._resultant, verify._newton
 
-    def resultant(F, G, cone, memo=None):
+    def resultant(F, G, cone, memo):
         shapes.append((len(F) - 1, len(G) - 1))
         try:
             return real_resultant(F, G, cone, memo)
@@ -896,7 +896,7 @@ def test_gcds_in_ints_equal_the_ring_gcd(tries, polys):
 @given(coordinates())
 def test_bezoutian_rows_are_the_s_coefficients_of_their_polynomial(f):
     """Top s-degree first, no zero top row, each row deg_u + 1 wide."""
-    rows = verify._bezoutian(*f.integer_parts)
+    rows = verify._bezoutian(*f.integer_parts, {})
     assert verify._s_coefficients(verify._su(rows)) == rows
 
 
