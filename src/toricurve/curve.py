@@ -301,9 +301,7 @@ def principal_function(divisor: CDivisor) -> RationalFunction:
     at_infinity = divisor.at_infinity
     entries = divisor.entries[:-1] if at_infinity else divisor.entries
     factors = tuple((p.finite, m) for p, m in entries)
-    f = _trusted(RationalFunction, constant=Fraction(1), factors=factors)
-    assert f.order_at_infinity == at_infinity
-    return f
+    return _trusted(RationalFunction, constant=Fraction(1), factors=factors)
 
 
 def has_divisor(f: RationalFunction, divisors, coeffs) -> bool:

@@ -26,8 +26,9 @@ in place of the package's single sweep, the self-intersection V_rho^3 from a
 canonical character (Smith form plus a Hermite reduction) and the Groebner
 fallback's basis from `sympy.groebner` on expressions, resultants from
 sympy's subresultant PRS and, sign included, the Sylvester determinant
-over Z[u], the coprimality test mod 2^61 - 1 as a remainder sequence on
-every reduced pair in place of the exact small-degree resultant, gcds and
+over Z[u], the coprimality test mod 2^61 - 1 as the subresultant PRS over Z on
+every pair, reduced mod q, in place of the exact small-degree resultant and
+the remainder sequence mod q, gcds and
 factorizations from sympy's ring in place of the
 package's GCDHEU on ints and closed-form factors, and factoring before
 dropping excluded roots.  So
@@ -64,7 +65,7 @@ from toricurve.fan import (
 from toricurve.feasibility import Infeasible, Unbounded
 from toricurve.intersect import triple_intersection
 from toricurve.intlinalg import NotUnimodular, det
-from toricurve.verify import _Q_BITS, _resultants_mod
+from toricurve.poly import _Q_BITS
 
 _QSU, _QS, _QU = ring("s,u", QQ)
 
@@ -945,7 +946,8 @@ def groebner_by_expr(polys, gens_ring):
 def resultant_by_prs(f, g):
     """Res_s(f, g) for f, g in Z[s, u] by sympy's subresultant PRS, the
     reference for the package's evaluation-interpolation resultant; its sign
-    can differ from the Sylvester determinant's."""
+    can differ from the Sylvester determinant's.  For f, g in one variable
+    it is the integer Res(f, g) up to sign."""
     return f.resultant(g)
 
 
@@ -963,18 +965,19 @@ def resultant_by_sylvester(f, g):
 
 
 def coprime_by_remainders_mod_q(polys) -> bool:
-    """verify._coprime's reference: a remainder sequence mod q = 2^61 - 1 on
-    every pair of polys (int lists, top degree first) whose leading
-    coefficients q does not divide, reduced mod q first."""
+    """poly._coprime's reference: on every pair of polys (int lists, top
+    degree first) whose leading coefficients q = 2^61 - 1 does not divide,
+    Res over Z by sympy's subresultant PRS, reduced mod q.  It shares no
+    code with the package's closed form or its remainder sequence mod q."""
     q = (1 << _Q_BITS) - 1
-    reduced = [[a % q for a in p] for p in polys]
-    pairs = ((f, g) for f, g in combinations(reduced, 2) if f[0] and g[0])
-    return any(_resultants_mod([fg], _Q_BITS)[0] for fg in pairs)
+    zt = ring("t", ZZ)[0]
+    pairs = ((f, g) for f, g in combinations(polys, 2) if f[0] % q and g[0] % q)
+    return any(resultant_by_prs(zt.from_dense(f), zt.from_dense(g)) % q for f, g in pairs)
 
 
 def gcd_by_ring(polys):
     """The gcd of nonzero polys by sympy's ring gcd, pairwise from the left
-    and stopping at a constant as `verify._gcd_all` does: the reference for
+    and stopping at a constant as `poly._gcd_all` does: the reference for
     its GCDHEU on ints, and a gcd over Q as well as over Z.
 
     The result's leading coefficient is made positive: sympy's heugcd keeps
@@ -991,8 +994,8 @@ def gcd_by_ring(polys):
 
 def factor_list_by_ring(p) -> list:
     """p's (factor, multiplicity) pairs from sympy's ring factor_list, sorted
-    by the printed pair: the reference for `verify._factor`'s closed forms
-    and for the rational roots `verify._rational_roots` finds."""
+    by the printed pair: the reference for `poly._factor`'s closed forms
+    and for the rational roots `poly._rational_roots` finds."""
     return sorted(p.factor_list()[1], key=lambda fm: f"({fm[0]}, {fm[1]})")
 
 

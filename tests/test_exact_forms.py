@@ -39,7 +39,7 @@ from oracles import (
     matmul,
     unimodular_inverse_by_minors,
 )
-from toricurve import verify
+from toricurve import poly, verify
 from toricurve.curve import (
     INFINITY,
     POLE,
@@ -230,7 +230,7 @@ def test_integer_parts_are_the_ring_products_in_both_rings(f):
 def test_derivative_numerator_from_the_int_lists_is_the_ring_one(f):
     t = _ZT
     N, D = integer_parts_by_ring_products(f, t)
-    w = t.ring.from_dense(verify._wronskian(*f.integer_parts))
+    w = t.ring.from_dense(poly._wronskian(*f.integer_parts))
     assert w == N.diff(t) * D - N * D.diff(t)
 
 
@@ -285,7 +285,7 @@ def bivariate(draw):
 @given(bivariate(), rationals, st.sampled_from((0, 1)))
 def test_specialisation_is_the_substitution_over_q_times_a_denominator_power(p, x, var):
     target = (_ZU, _ZS)[var].ring  # the ring of the other variable
-    got = verify._at(verify._s_coefficients(p), var, x)
+    got = poly._at(poly._ints(p), var, x)
     want = p.set_ring(_QSU).subs(_QSU.gens[var], QQ(x.numerator, x.denominator))
     assert all(type(c) is int for c in got) and got[:1] != [0]  # an int list, trimmed
     assert target.from_dense(got).as_expr() == (want * x.denominator ** p.degree(var)).as_expr()

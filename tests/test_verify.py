@@ -43,7 +43,7 @@ from toricurve.embed import (
 )
 from toricurve.fan import preset, save_fan
 from toricurve.intersect import XiVector, find_ample, xi_vector
-from toricurve import verify
+from toricurve import poly, verify
 from toricurve.verify import (
     DegreeOverflow,
     certify,
@@ -223,7 +223,7 @@ def test_a_du_whose_roots_are_all_excluded_is_never_factored(monkeypatch):
     assert du.degree() == 6 and roots and set(roots) <= excluded and not higher
 
     factored = []
-    real = verify._factor
+    real = verify._factor  # only verify calls _factor, so the spy watches verify
     monkeypatch.setattr(verify, "_factor", lambda p: factored.append(p) or real(p))
     result = chart_injective(c)
     assert (result.ok, result.method) == (True, "resultant")
@@ -235,11 +235,11 @@ def test_a_du_whose_roots_are_all_excluded_is_never_factored(monkeypatch):
                 p = [row[0] for row in p]  # in s alone
             else:
                 continue
-        assert not any(verify._homogeneous(p, e.numerator, e.denominator) == 0 for e in excluded)
+        assert not any(poly._homogeneous(p, e.numerator, e.denominator) == 0 for e in excluded)
 
 
 def test_linear_root_of_an_integer_factor_is_an_exact_fraction():
-    (root,), rest = verify._rational_roots([3, -2], set())
+    (root,), rest = poly._rational_roots([3, -2], set())
     assert type(root) is Fraction and root == F(2, 3) and rest == [1]
 
 
@@ -253,8 +253,8 @@ def test_congruence_rechecks_accept_a_non_monic_polynomial():
     N, D = (zu.from_dense(p) for p in f.integer_parts)
     assert not (N - D).rem(3 * u ** 2 - 3 * u + 1)  # a remainder over Z
     assert (N - 2 * D).rem(3 * u ** 2 - 3 * u + 1)
-    assert verify._divides([3, -3, 1], (N - D).to_dense())
-    assert not verify._divides([3, -3, 1], (N - 2 * D).to_dense())
+    assert poly._divides([3, -3, 1], (N - D).to_dense())
+    assert not poly._divides([3, -3, 1], (N - 2 * D).to_dense())
 
 
 def test_groebner_fallback_receives_the_rational_residuals(monkeypatch):
@@ -263,13 +263,13 @@ def test_groebner_fallback_receives_the_rational_residuals(monkeypatch):
     that reach the fallback must hand it the residuals built over Q with a
     monic gcd."""
     calls = []
-    real = verify.groebner
+    real = poly.groebner
 
     def spy(polys, gens_ring, *args, **kwargs):
         calls.append(polys)
         return real(polys, gens_ring, *args, **kwargs)
 
-    monkeypatch.setattr(verify, "groebner", spy)
+    monkeypatch.setattr(poly, "groebner", spy)
     charts = chart_maps(involution_data("bl-p3-point", "inv", "some"))[:3]
     for c in charts:
         assert chart_injective(c).method == "groebner"
@@ -345,6 +345,21 @@ def test_clean_runs_never_import_sympy(tmp_path):
     assert report == {"codes": [0] * 5, "sympy": []}
 
 
+POLY_ALONE = textwrap.dedent("""
+    import json, sys
+    import toricurve.poly
+    print(json.dumps(sorted(m for m in sys.modules
+                            if m.split(".")[0] == "sympy" or m.startswith("toricurve."))))
+""")
+
+
+def test_poly_imports_no_other_package_module_and_no_sympy():
+    """toricurve.poly, imported in a fresh interpreter, loads no other module
+    of the package (no curve, embed, verify, fan or certificate) and no
+    sympy module: the arithmetic stands below the chart layer."""
+    assert run_fresh(POLY_ALONE) == ["toricurve.poly"]
+
+
 # a finder ahead of every other that refuses sympy and its submodules
 NO_SYMPY = textwrap.dedent("""
     import sys
@@ -411,14 +426,14 @@ def test_refuting_involution_goldens_certify_without_sympy(monkeypatch):
     a process that cannot import sympy: witnesses, factors and exact
     divisions all run on int lists and rows."""
     reached = set()
-    real = verify.groebner
+    real = poly.groebner
     label = None
 
     def spy(*args, **kwargs):
         reached.add(label)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(verify, "groebner", spy)
+    monkeypatch.setattr(poly, "groebner", spy)
     for label, args in INVOLUTIONS.items():
         certify(involution_data(*args))
     assert reached == {"bl-some-inv2"}
@@ -612,13 +627,14 @@ def seed0_data(fan_name, rays, method):
 
 def test_clean_charts_close_without_a_gcd_and_with_two_resultants(monkeypatch):
     """No gcd of any kind (GCDHEU on ints or sympy's) and no third resultant
-    on a chart the certificate proves clean."""
+    on a chart the certificate proves clean.  verify calls _gcd_all, and so
+    does poly's _common_factor, so the spy watches both modules."""
     calls = []
-    for name in ("_gcd_all", "_resultant"):
-        def counted(*args, real=getattr(verify, name), name=name):
+    for module, name in ((verify, "_gcd_all"), (poly, "_gcd_all"), (verify, "_resultant")):
+        def counted(*args, real=getattr(module, name), name=name):
             calls.append(name)
             return real(*args)
-        monkeypatch.setattr(verify, name, counted)
+        monkeypatch.setattr(module, name, counted)
     blp3 = seed0_data("bl-p3-point", 0, "intersection")
     for c in chart_maps(blp3) + chart_maps(seed0_data("p3", 9, "kernel")):
         calls.clear()

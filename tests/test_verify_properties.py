@@ -24,13 +24,13 @@ Bezoutian of (D, N) is the negated Bezoutian of (N, D).  Four pin the
 exact small-degree resultants: the closed form against the Sylvester
 determinant over Z, for degrees 0 to 5 with one at most 2; _resultant
 against it on the Kronecker path and on the modular one; _coprime's
-verdict against a remainder sequence mod q on every reduced pair; and a
-spy that lets _newton run only under a pair whose degrees in s both
-exceed 2.  Two pin the coprimality certificate modulo q = 2^61 - 1: it never
+verdict against the subresultant PRS over Z, reduced mod q, on every
+pair; and a spy that lets _newton run only under a pair whose degrees in
+s both exceed 2.  Two pin the coprimality certificate modulo q = 2^61 - 1: it never
 proves a pair coprime whose gcd over Z is nonconstant, whether the pair
 lives in one variable or is made of symmetric Bezoutians, and it is
 inconclusive whenever q divides a leading coefficient.  The rest pin the
-package's int lists and rows against sympy's ring: GCDHEU on planted
+int lists and rows of `toricurve.poly` against sympy's ring: GCDHEU on planted
 common factors, with and without its sympy fallback; the closed-form
 roots and factors in one variable at degree 1 and 2 and in Z[s, u] at
 degree 1 in s; the Bezoutian's rows as the s-coefficients of the
@@ -65,7 +65,7 @@ from oracles import (
     roots_and_factors_by_filter,
     str_by_expr,
 )
-from toricurve import verify
+from toricurve import poly, verify
 from toricurve.curve import CurvePoint, RationalFunction
 from toricurve.embed import ChartMap, build_embedding_data
 from toricurve.fan import preset, star_subdivision
@@ -332,7 +332,7 @@ def swapped(p):
 @PROPERTY
 @given(coordinates())
 def test_bezoutian_is_the_divided_cross_difference_and_symmetric(f):
-    q = verify._su(verify._bezoutian(*f.integer_parts, {}))
+    q = poly._in_ring(poly._bezoutian(*f.integer_parts, {}))
     (reference,) = cross_quotients_qq([f])
     q_over_q = q.set_ring(reference.ring)
     assert q_over_q * reference.LC == reference * q_over_q.LC
@@ -341,20 +341,18 @@ def test_bezoutian_is_the_divided_cross_difference_and_symmetric(f):
 
 def as_ints(p):
     """p, an element of a ring over Z, as the package holds it: an int list
-    in one variable, _s_coefficients rows in Z[s, u], [] for zero."""
-    if not p:
-        return []
-    return verify._s_coefficients(p) if p.ring.ngens == 2 else [int(c) for c in p.to_dense()]
+    in one variable, s-coefficient rows in Z[s, u], [] for zero."""
+    return poly._ints(p) if p else []
 
 
 def residuals_in_ring(chart):
     """The chart's Bezoutians, divided by their gcd when it is not constant,
     as rows, then as elements of Z[s, u]; none of them constant."""
-    qs = [verify._bezoutian(*f.integer_parts, {}) for f in chart.coords]
+    qs = [poly._bezoutian(*f.integer_parts, {}) for f in chart.coords]
     assume(not any(len(q) == 1 for q in qs))  # symmetric: one row is a constant
-    g = verify._gcd_all(qs)
-    residual = [verify._su(r) for r in (qs if len(g) == 1 else
-                                        [verify._exquo_su(q, g) for q in qs])]
+    g = poly._gcd_all(qs)
+    residual = [poly._in_ring(r) for r in (qs if len(g) == 1 else
+                                           [poly._exquo_su(q, g) for q in qs])]
     assume(not any(r.is_ground for r in residual))
     return residual
 
@@ -411,10 +409,10 @@ def test_ring_groebner_fallback_matches_sympy_groebner_on_expressions(chart):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(verify, "_candidate_polys", lambda *a: None)
-        mp.setattr(verify, "groebner", ring_groebner)
+        mp.setattr(poly, "groebner", ring_groebner)
         got = injective_or_skip(chart)
         assume(calls)  # the chart reached the fallback
-        mp.setattr(verify, "groebner", expr_groebner)
+        mp.setattr(poly, "groebner", expr_groebner)
         want = injective_or_skip(chart)
     polys, gens_ring, basis = calls[0]
     exprs, domain = groebner_by_expr(polys, gens_ring)
@@ -469,7 +467,7 @@ def resultant_pairs(draw):
 
 def assert_resultant_matches_prs(f, g):
     got = Z_U.from_dense(
-        verify._resultant(verify._s_coefficients(f), verify._s_coefficients(g), (0, 1, 2), {}))
+        verify._resultant(poly._ints(f), poly._ints(g), (0, 1, 2), {}))
     want = resultant_by_prs(f, g)
     assert got in (want, -want)
 
@@ -513,7 +511,7 @@ def test_one_memo_entry_serves_a_resultant_up_to_sign_and_order(pair):
     memo = {}
     for a, b in product((1, -1), repeat=2):
         for x, y in ((a * f, b * g), (b * g, a * f)):
-            got = verify._resultant(verify._s_coefficients(x), verify._s_coefficients(y),
+            got = verify._resultant(poly._ints(x), poly._ints(y),
                                     (0, 1, 2), memo)
             want = resultant_by_sylvester(x, y)
             assert Z_U.from_dense(got) == want
@@ -526,13 +524,13 @@ def test_one_memo_entry_serves_a_resultant_up_to_sign_and_order(pair):
 def test_the_bezoutian_of_d_and_n_is_the_negated_bezoutian_of_n_and_d(f):
     """Q(D, N) = -Q(N, D), computed or read from the memo entry of (N, D)."""
     N, D = f.integer_parts
-    q = verify._bezoutian(N, D, {})
+    q = poly._bezoutian(N, D, {})
     negated = [[-a for a in r] for r in q]
-    assert verify._bezoutian(D, N, {}) == negated
+    assert poly._bezoutian(D, N, {}) == negated
     memo = {}
-    assert verify._bezoutian(N, D, memo) == q
-    assert verify._bezoutian(D, N, memo) == negated
-    assert verify._bezoutian(N, D, memo) == q
+    assert poly._bezoutian(N, D, memo) == q
+    assert poly._bezoutian(D, N, memo) == negated
+    assert poly._bezoutian(N, D, memo) == q
 
 
 # the variables of the int lists _roots_and_factors receives: u for the
@@ -572,7 +570,7 @@ def test_stripping_before_factoring_matches_factoring_then_filtering(case):
     assert roots == want_roots
     assert [{type(c) for c in mu} for mu in higher] == [{int}] * len(want_higher)
     assert [p.ring.from_dense(mu) for mu in higher] == want_higher
-    assert [verify._str(mu, gens) for mu in higher] == [str_by_expr(mu) for mu in want_higher]
+    assert [poly._str(mu, gens) for mu in higher] == [str_by_expr(mu) for mu in want_higher]
 
 
 # --- witness strings: the ring's own str against sympy's Expr ------------------
@@ -605,12 +603,12 @@ def test_ring_str_of_factors_over_z_is_the_expr_str_in_the_same_order(data):
     polys = data.draw(st.lists(positive_polys(gens_ring, degree), min_size=1, max_size=3))
     product = gens_ring.one
     for p in polys:
-        assert verify._str(as_ints(p), gens) == str(p) == str_by_expr(p)
+        assert poly._str(as_ints(p), gens) == str(p) == str_by_expr(p)
         product *= p
     items = product.factor_list()[1]
-    assert [verify._str(as_ints(mu), gens) for mu, _ in items] == [str_by_expr(mu) for mu, _ in items]
-    got = verify._print_sorted([(as_ints(mu), m) for mu, m in items],
-                               lambda mu: verify._str(mu, gens))
+    assert [poly._str(as_ints(mu), gens) for mu, _ in items] == [str_by_expr(mu) for mu, _ in items]
+    got = poly._print_sorted([(as_ints(mu), m) for mu, m in items],
+                             lambda mu: poly._str(mu, gens))
     assert got == [(as_ints(mu), m) for mu, m in sorted(items, key=factor_key_by_expr)]
 
 
@@ -619,7 +617,7 @@ def eliminants(draw):
     """A Groebner eliminant: a polynomial in u alone of the lex ring in y, s,
     u over Q (fractions, numerators or denominators of 1, zero terms) or,
     with integer coefficients, over Z; positive leading coefficient."""
-    gens_ring = draw(st.sampled_from((verify._GQ, verify._GZ)))
+    gens_ring = draw(st.sampled_from((poly._GQ, poly._GZ)))
     dens = st.just(1) if gens_ring.domain == ZZ else st.sampled_from((1, 2, 3, 36, 1000))
     coeffs = draw(st.lists(st.builds(F, coefficients, dens), min_size=1, max_size=6))
     p = gens_ring.from_dict({(0, 0, k): QQ(c.numerator, c.denominator)
@@ -631,14 +629,14 @@ def eliminants(draw):
 @settings(PROPERTY, max_examples=200)
 @given(eliminants(), st.sets(st.builds(F, st.integers(-6, 6), st.integers(1, 3)), max_size=4))
 def test_eliminant_prints_as_expr_and_clears_into_z_with_the_same_roots(p, excluded):
-    assert verify._eliminant_str(p) == str_by_expr(p)
+    assert poly._eliminant_str(p) == str_by_expr(p)
     if not p.is_ground:
         cleared = p.clear_denoms()[1].set_ring(Z_U)
-        roots, _ = verify._rational_roots(as_ints(cleared), excluded)
+        roots, _ = poly._rational_roots(as_ints(cleared), excluded)
         assert roots == roots_and_factors_by_filter(p, excluded)[0]
 
 
-_Q = (1 << verify._Q_BITS) - 1  # the modulus of the coprimality certificate
+_Q = (1 << poly._Q_BITS) - 1  # the modulus of the coprimality certificate
 
 
 def z_polys(draw, var, min_degree=0):
@@ -675,7 +673,7 @@ def univariate_families(draw):
 @given(univariate_families())
 def test_a_one_variable_certificate_never_hides_a_shared_zero(case):
     polys, excluded = case
-    got = verify._common_factor([as_ints(p) for p in polys], "t", excluded)
+    got = poly._common_factor([as_ints(p) for p in polys], "t", excluded)
     want = gcd_by_ring(polys)
     # None only when nothing is shared off the excluded points, else the Z gcd
     assert got == as_ints(want) or (got is None and (
@@ -683,9 +681,9 @@ def test_a_one_variable_certificate_never_hides_a_shared_zero(case):
     for f, g in combinations(polys, 2):
         lists = [as_ints(f), as_ints(g)]
         if f.LC % _Q == 0 or g.LC % _Q == 0:
-            assert not verify._coprime(lists), "a leading coefficient vanishes mod q"
+            assert not poly._coprime(lists), "a leading coefficient vanishes mod q"
         if not gcd_by_ring([f, g]).is_ground:
-            assert not verify._coprime(lists), "coprime mod q with a nonconstant Z gcd"
+            assert not poly._coprime(lists), "coprime mod q with a nonconstant Z gcd"
 
 
 @st.composite
@@ -703,7 +701,7 @@ def bezoutian_families(draw):
     qs = []
     for _ in range(draw(st.integers(2, 3))):
         N, D = z_polys(draw, u), z_polys(draw, u)
-        q = verify._bezoutian(*(tuple((p * factor).to_dense()) for p in (N, D)), {})
+        q = poly._bezoutian(*(tuple((p * factor).to_dense()) for p in (N, D)), {})
         assume(len(q) > 1)  # neither zero nor constant
         qs.append(q)
     return qs, draw(st.sets(st.integers(0, 3).map(F), max_size=2)), plant != "none"
@@ -713,8 +711,8 @@ def bezoutian_families(draw):
 @given(bezoutian_families())
 def test_bezoutians_with_a_shared_root_never_pass_the_bivariate_certificate(case):
     qs, excluded, planted = case
-    want = gcd_by_ring([verify._su(q) for q in qs])
-    got = verify._common_factor(qs, "s,u", excluded)
+    want = gcd_by_ring([poly._in_ring(q) for q in qs])
+    got = poly._common_factor(qs, "s,u", excluded)
     assert not (planted and want.is_ground)
     assert got == as_ints(want) or (got is None and want.is_ground)
 
@@ -760,12 +758,12 @@ def small_degree_pairs(draw):
 @example([[4], [9]])  # two constants: the empty determinant
 def test_small_resultants_are_the_sylvester_determinant(pair):
     f, g = pair
-    assert verify._res_small(f, g) == sylvester_of_lists(f, g)
+    assert poly._res_small(f, g) == sylvester_of_lists(f, g)
 
 
 def test_small_resultants_refuse_two_degrees_past_two():
-    assert verify._res_small([1, 0, 0, 1], [1, 2, 3, 4]) is None
-    assert verify._res_small([1, 2, 3], [1, 0, 0, 0, 0, 0, 1]) is not None
+    assert poly._res_small([1, 0, 0, 1], [1, 2, 3, 4]) is None
+    assert poly._res_small([1, 2, 3], [1, 0, 0, 0, 0, 0, 1]) is not None
 
 
 @settings(PROPERTY, max_examples=200)
@@ -778,7 +776,7 @@ def test_resultant_is_the_sylvester_determinant_on_both_paths(pair):
     """deg_s 1 to 4 on each side: Kronecker substitution when one is at most
     2, evaluation and interpolation modulo p when both are past 2."""
     f, g = pair
-    got = verify._resultant(verify._s_coefficients(f), verify._s_coefficients(g), (0, 1, 2), {})
+    got = verify._resultant(poly._ints(f), poly._ints(g), (0, 1, 2), {})
     assert Z_U.from_dense(got) == resultant_by_sylvester(f, g)
 
 
@@ -800,9 +798,9 @@ def coprime_families(draw):
 @example([[_Q, 1], [1, 0, 5], [2, 3]])  # the skipped pair, then two that decide
 @example([[1, 2, 3, 4, 5], [1, 0, 0, 0, 1], [3, 1]])  # degrees 4 x 4 go modulo q
 def test_coprime_gives_the_verdict_of_the_remainder_sequences_mod_q(polys):
-    assert verify._coprime(polys) == coprime_by_remainders_mod_q(polys)
+    assert poly._coprime(polys) == coprime_by_remainders_mod_q(polys)
     if len(polys) == 2 and (polys[0][0] % _Q == 0 or polys[1][0] % _Q == 0):
-        assert not verify._coprime(polys)
+        assert not poly._coprime(polys)
 
 
 def chain_fan(*cones):
@@ -832,7 +830,7 @@ def test_only_resultants_of_two_degrees_past_two_interpolate(monkeypatch, fan, m
     chains of 6 to 8 rays: each of their resultants has a side of degree at
     most 2 and is taken exactly by Kronecker substitution."""
     shapes, interpolated = [], []
-    real_resultant, real_newton = verify._resultant, verify._newton
+    real_resultant, real_newton = verify._resultant, poly._newton
 
     def resultant(F, G, cone, memo):
         shapes.append((len(F) - 1, len(G) - 1))
@@ -841,8 +839,9 @@ def test_only_resultants_of_two_degrees_past_two_interpolate(monkeypatch, fan, m
         finally:
             shapes.pop()
 
+    # each spy patches the module whose globals resolve the call
     monkeypatch.setattr(verify, "_resultant", resultant)
-    monkeypatch.setattr(verify, "_newton", lambda *args: interpolated.append(shapes[-1])
+    monkeypatch.setattr(poly, "_newton", lambda *args: interpolated.append(shapes[-1])
                         or real_newton(*args))
     ample = find_ample(fan)
     xi = xi_vector(fan, ample if method == "intersection" else None, method=method)
@@ -878,7 +877,7 @@ def gcd_families(draw):
     return [p * h * shared * draw(contents) for p in polys]
 
 
-@pytest.mark.parametrize("tries", [verify._HEU_TRIES, 0])
+@pytest.mark.parametrize("tries", [poly._HEU_TRIES, 0])
 @settings(PROPERTY, max_examples=200)
 @given(gcd_families())
 # at the first xi = 31 the value of the first input divides the second's,
@@ -886,18 +885,20 @@ def gcd_families(draw):
 # s + u
 @example([Z_T.gens[0] + 1, Z_T.gens[0] + 33])
 @example([_ZS + _ZU, _ZS + 2 * _ZU - 31])
+@example([-_ZSU.one, _ZSU.one])  # a negative constant first: the gcd stops there, made positive
+@example([Z_T(-3), Z_T.gens[0] + 2])
 def test_gcds_in_ints_equal_the_ring_gcd(tries, polys):
     """With tries = 0 every pair goes to sympy's gcd, the fallback."""
-    with patch.object(verify, "_HEU_TRIES", tries):
-        assert verify._gcd_all([as_ints(p) for p in polys]) == as_ints(gcd_by_ring(polys))
+    with patch.object(poly, "_HEU_TRIES", tries):
+        assert poly._gcd_all([as_ints(p) for p in polys]) == as_ints(gcd_by_ring(polys))
 
 
 @PROPERTY
 @given(coordinates())
 def test_bezoutian_rows_are_the_s_coefficients_of_their_polynomial(f):
     """Top s-degree first, no zero top row, each row deg_u + 1 wide."""
-    rows = verify._bezoutian(*f.integer_parts, {})
-    assert verify._s_coefficients(verify._su(rows)) == rows
+    rows = poly._bezoutian(*f.integer_parts, {})
+    assert poly._ints(poly._in_ring(rows)) == rows
 
 
 @st.composite
@@ -940,13 +941,13 @@ def test_closed_form_factors_equal_the_ring_factor_list(case):
     with patch.object(PolyElement, "factor_list", lambda q: calls.append(q) or real(q)):
         if p.ring.ngens == 1:
             # rational roots by closed forms, then what is left of degree 2
-            roots, rest = verify._rational_roots(as_ints(p), ())
+            roots, rest = poly._rational_roots(as_ints(p), ())
             factors = [(p.ring.from_dense(mu), m) for mu, m in
-                       (verify._factor(rest) if len(rest) > 1 else [])]
+                       (poly._factor(rest) if len(rest) > 1 else [])]
             factors += [(lin, multiplicity(p, lin)) for lin in
                         (p.ring.from_dense([x.denominator, -x.numerator]) for x in roots)]
         else:
-            factors = [(verify._su(f), m) for f, m in verify._factor(as_ints(p))]
+            factors = [(poly._in_ring(f), m) for f, m in poly._factor(as_ints(p))]
         got = sorted(factors, key=lambda fm: f"({fm[0]}, {fm[1]})")
     assert got == factor_list_by_ring(p)
     assert sympy_may_answer or not calls
@@ -978,7 +979,7 @@ def printable_polys(draw):
 @settings(PROPERTY, max_examples=300)
 @given(printable_polys())
 def test_the_printer_on_int_lists_and_rows_is_the_ring_str(p):
-    assert verify._str(as_ints(p), ",".join(map(str, p.ring.symbols))) == str(p)
+    assert poly._str(as_ints(p), ",".join(map(str, p.ring.symbols))) == str(p)
 
 
 @st.composite
@@ -1014,7 +1015,7 @@ def division_pairs(draw):
 @example((_ZS - 1, _ZU + 1))  # s - 1 maps to x^2 - 1 = (x + 1)(x - 1), but u + 1 does not divide it
 def test_division_on_rows_is_the_ring_division(pair):
     F, G = pair
-    got = verify._exquo_su(as_ints(F), as_ints(G))
+    got = poly._exquo_su(as_ints(F), as_ints(G))
     if F.rem(G):
         assert got is None
     else:
@@ -1058,7 +1059,7 @@ def test_root_search_matches_the_ring_factor_list(case):
     same order, and what is left is, up to a constant, the product of the
     ring's factors of degree >= 2."""
     p, excluded = case
-    roots, rest = verify._rational_roots(as_ints(p), excluded)
+    roots, rest = poly._rational_roots(as_ints(p), excluded)
     assert roots == roots_and_factors_by_filter(p, excluded)[0]
     left = Z_U.one
     for mu, m in factor_list_by_ring(p):
