@@ -32,21 +32,8 @@ class NotDegreeZero(ValueError):
     """principal_function needs a degree-zero divisor."""
 
 
-class _Pole:
-    """Marker returned when evaluating at a pole.  A value, not an error."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "POLE"
-
-
-POLE = _Pole()
+# what evaluate_with_derivative returns at a pole, as evaluate does: a value, not an error
+POLE = None
 
 
 def _fraction(x) -> Fraction:

@@ -6,8 +6,9 @@ search) assumes smooth and complete; validate() decides both exactly.  A
 complete simplicial fan is a triangulation of the sphere (Fulton, 2.4), and
 validate certifies that in linear time by one sheet count; only a fan that
 fails the certificate has each pair of maximal cones separated, by the same
-find_point the ample search runs.  Results keyed by Fan are memoised in
-caches of FAN_CACHE_SIZE entries each.
+find_point the ample search runs.  validate, walls and the dual bases are
+memoised per Fan, FAN_CACHE_SIZE entries each; a result that costs less to
+build than the Fan's hash is not.
 """
 from __future__ import annotations
 
@@ -292,11 +293,6 @@ def walls(fan: Fan) -> tuple[Wall, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=FAN_CACHE_SIZE)
-def _cone_set(fan: Fan) -> frozenset:
-    return frozenset(fan.max_cones)
-
-
 def primitive_collections(fan: Fan) -> tuple[tuple[int, ...], ...]:
     """Minimal sets of rays that span no cone (sizes 2 to 4).
 
@@ -305,7 +301,7 @@ def primitive_collections(fan: Fan) -> tuple[tuple[int, ...], ...]:
     that are not cones, and 4-sets whose four triples are cones, each found
     from its lowest three as a cone plus a later neighbour of the third.
     """
-    cones = _cone_set(fan)
+    cones = frozenset(fan.max_cones)
     later: list[set[int]] = [set() for _ in fan.rays]
     for i, j in _pair_census(fan):
         later[i].add(j)
@@ -323,7 +319,7 @@ def primitive_collections(fan: Fan) -> tuple[tuple[int, ...], ...]:
 def star_subdivision(fan: Fan, cone) -> Fan:
     """Insert the ray sum of a maximal cone and fan out its three facets."""
     target = tuple(sorted(cone))
-    if len(target) != 3 or target not in _cone_set(fan):
+    if len(target) != 3 or target not in fan.max_cones:
         raise ConeNotInFan(f"{cone!r} is not a maximal cone of the fan")
     i, j, k = target
     new_ray = tuple(

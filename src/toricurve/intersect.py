@@ -8,13 +8,10 @@ degrees.  Nothing is ever rounded.
 """
 from __future__ import annotations
 
-from functools import lru_cache
 from math import gcd, lcm
 from typing import NamedTuple
 
-from .fan import (
-    FAN_CACHE_SIZE, Fan, NotComplete, Wall, dual_basis, ray_matrix, walls, _cone_set,
-)
+from .fan import Fan, NotComplete, Wall, dual_basis, ray_matrix, walls
 from .feasibility import Infeasible, find_point, minimize
 from .intlinalg import dot, integer_kernel_basis
 
@@ -67,11 +64,6 @@ class XiVector(NamedTuple):
     method: str
 
 
-@lru_cache(maxsize=FAN_CACHE_SIZE)
-def _wall_by_pair(fan: Fan) -> dict[tuple[int, int], Wall]:
-    return {(w.i, w.j): w for w in walls(fan)}
-
-
 def wall_curve_degree(fan: Fan, wall: Wall, divisor: TDivisor) -> int:
     """Degree of O(divisor) on the curve dual to the wall.
 
@@ -81,33 +73,12 @@ def wall_curve_degree(fan: Fan, wall: Wall, divisor: TDivisor) -> int:
     return sum(w * divisor.coeffs[rho] for rho, w in wall.terms)
 
 
-def _two_repeat(fan: Fan, rep: int, other: int) -> int:
-    """V_rep . V_rep . V_other for rep != other: the degree of V_rep on the
-    curve of the wall <n_rep, n_other>, which is rep's weight in its relation."""
-    wall = _wall_by_pair(fan).get((min(rep, other), max(rep, other)))
-    if wall is None:
-        return 0  # the two divisors do not meet
-    return wall.a if rep == wall.i else wall.b
-
-
-def _self_triple(fan: Fan, rho: int) -> int:
-    """V_rho^3: the degree of V_rho against its own square."""
-    return _square_degrees(fan, TDivisor.unit(fan, rho))[rho]
-
-
 def triple_intersection(fan: Fan, i: int, j: int, k: int) -> int:
     """V_i . V_j . V_k as an exact integer."""
     for idx in (i, j, k):
         if not 0 <= idx < fan.n_rays:
             raise ValueError(f"ray index out of range: {idx}")
-    a, b, c = sorted((i, j, k))
-    if a == b == c:
-        return _self_triple(fan, a)
-    if a == b:
-        return _two_repeat(fan, a, c)
-    if b == c:
-        return _two_repeat(fan, b, a)
-    return 1 if (a, b, c) in _cone_set(fan) else 0
+    return _mixed_degrees(fan, TDivisor.unit(fan, i), TDivisor.unit(fan, j))[k]
 
 
 def triple_product(fan: Fan, d1: TDivisor, d2: TDivisor, d3: TDivisor) -> int:
@@ -115,29 +86,19 @@ def triple_product(fan: Fan, d1: TDivisor, d2: TDivisor, d3: TDivisor) -> int:
     for d in (d1, d2, d3):
         if len(d.coeffs) != fan.n_rays:
             raise ValueError("divisor length does not match fan")
-    total = 0
-    for p, cp in enumerate(d1.coeffs):
-        if not cp:
-            continue
-        for q, cq in enumerate(d2.coeffs):
-            if not cq:
-                continue
-            for s, cs in enumerate(d3.coeffs):
-                if cs:
-                    total += cp * cq * cs * triple_intersection(fan, p, q, s)
-    return total
+    return sum(c * x for c, x in zip(d3.coeffs, _mixed_degrees(fan, d1, d2)))
 
 
-def _square_degrees(fan: Fan, divisor: TDivisor) -> tuple[int, ...]:
-    """A^2 . V_rho for every ray rho, A = sum_rho a_rho V_rho the divisor, from
-    the wall degrees.
+def _mixed_degrees(fan: Fan, A: TDivisor, B: TDivisor) -> tuple[int, ...]:
+    """A . B . V_rho for every ray rho, B = sum_rho b_rho V_rho, from the wall
+    degrees of A.
 
     On the wall <n_i, n_j> with A-degree d, A . V_i . V_j = d.  div(chi^m) =
     sum_sigma <m, n_sigma> V_sigma is principal (Fulton, §5.1), so for any m_j
     with <m_j, n_j> = -1, V_j ~ sum_{i != j} <m_j, n_i> V_i and A . V_j^2 sums
     <m_j, n_i> d over j's walls.  Minus the row for j of the dual basis of a
     maximal cone containing j is such an m_j.  So each wall adds
-    d (a_i + a_j <m_j, n_i>) to A^2 . V_j, and symmetrically to A^2 . V_i.
+    d (b_i + b_j <m_j, n_i>) to A . B . V_j, and symmetrically to A . B . V_i.
     """
     ms = []
     for rho in range(fan.n_rays):
@@ -145,11 +106,11 @@ def _square_degrees(fan: Fan, divisor: TDivisor) -> tuple[int, ...]:
         if cone is None:
             raise NotComplete(f"ray {rho} lies in no maximal cone")
         ms.append([-x for x in dual_basis(fan, cone)[cone.index(rho)]])
-    a, out = divisor.coeffs, [0] * fan.n_rays
+    b, out = B.coeffs, [0] * fan.n_rays
     for wall in walls(fan):
-        d = wall_curve_degree(fan, wall, divisor)
+        d = wall_curve_degree(fan, wall, A)
         for s, t in ((wall.i, wall.j), (wall.j, wall.i)):
-            out[s] += d * (a[t] + a[s] * dot(ms[s], fan.rays[t]))
+            out[s] += d * (b[t] + b[s] * dot(ms[s], fan.rays[t]))
     return tuple(out)
 
 
@@ -223,7 +184,7 @@ def xi_vector(fan: Fan, ample: TDivisor | None, method: str = "intersection") ->
     if method == "intersection":
         if ample is None or not is_ample(fan, ample):
             raise NotAmple("intersection method needs an ample divisor")
-        values = _square_degrees(fan, ample)
+        values = _mixed_degrees(fan, ample, ample)
     elif method == "kernel":
         basis = integer_kernel_basis(A)
         if not basis:

@@ -128,17 +128,12 @@ def _conjugate_witness(s0: Fraction, mu: str) -> dict:
 
 def _witness_from_curve(coords, NDs, factor, excluded_fr):
     """A verified collision witness on the zero curve of a common factor
-    (rows in Z[s, u])."""
+    (rows in Z[s, u]), irreducible and of positive degree in u (see
+    _finite_finite), so s - s0 divides it for no s0."""
     for s0 in _rational_candidates():
         if s0 in excluded_fr:
             continue
         psi = _at(factor, 0, s0)
-        if not psi:
-            # factor is s - s0 itself; any u pairs with s0
-            for u0 in _rational_candidates():
-                if u0 != s0 and u0 not in excluded_fr and _collision_holds(coords, s0, u0):
-                    return _pair_witness(s0, u0)
-            continue
         if len(psi) == 1:
             continue
         found = next(
@@ -173,9 +168,8 @@ def _pair_witness(s0: Fraction, u0: Fraction) -> dict:
 
 def _partner_witnesses(coords, NDs, residual, u0: Fraction, excluded_fr):
     """All verified collisions with second coordinate u0 (rational); the
-    residuals, rows in Z[s, u], specialised to int lists in s."""
-    if u0 in excluded_fr:
-        return []
+    residuals, rows in Z[s, u], specialised to int lists in s.  u0 is a
+    root _rational_roots found, so it is no excluded point."""
     specialized = [p for p in (_at(r, 1, u0) for r in residual) if p]
     assert specialized, "all coordinates degenerate at a candidate"
     d = _gcd_all(specialized)
@@ -269,18 +263,20 @@ def _finite_finite(chart, coords, NDs, Qs, excluded_fr, witnesses, memo):
     Q_i, their gcd, its factors and the residuals are s-coefficient rows;
     the gcd and the residuals are symmetric up to sign, so one row means a
     constant.
+
+    Every irreducible factor of g = gcd(Q_i) has positive degree in s and
+    in u and is not s - u, so each one is a curve of collisions off the
+    diagonal.  A factor free of u, with a root e, would give Q_i(e, u) = 0,
+    that is N_i(u) D_i(e) = N_i(e) D_i(u) for every i; a factor s - u would
+    give Q_i(s, s) = N_i' D_i - N_i D_i' = 0.  Either makes f_i constant,
+    since N_i and D_i share no root; g is symmetric up to sign, so no factor
+    is free of s either.
     """
     g = _common_factor(Qs, "s,u", excluded_fr)
     shared = g is not None and len(g) > 1
     residual = Qs
     if shared:
         for factor, _mult in _print_sorted(_factor(g), lambda f: _str(f, "s,u")):
-            if factor == [[0, 1], [-1, 0]]:
-                continue  # s - u: extra tangency along the diagonal, immersion's job
-            if len(factor) * len(factor[0]) == 2:  # a s + b or a u + b
-                a, b = chain(*factor)
-                if Fraction(-b, a) in excluded_fr:
-                    continue
             witnesses.append(_witness_from_curve(coords, NDs, factor, excluded_fr))
         residual = [_exquo_su(q, g) for q in Qs]
         if any(len(r) == 1 for r in residual):

@@ -367,6 +367,7 @@ CONTRACT = (
         (["fan", "preset", "p2"], "unknown-preset", 2),
         (["fan", "preset", "p3", "--out", "DIR"], "bad-input", 1),
         (["verify", "--data", "MISSING", "--out", "OUT"], "bad-input", 1),
+        (["verify", "--data", "NOT_JSON", "--out", "OUT"], "bad-input", 1),
         (["verify", "--data", "SHORT_XI", "--out", "OUT"], "bad-input", 1),
         (["verify", "--data", "ZERO_TORUS", "--out", "OUT"], "bad-input", 1),
         (["verify", "--data", "OPEN_WALLS", "--out", "OUT"], "validation", 3),
@@ -383,8 +384,9 @@ CONTRACT = (
         )
     ]
     + [(["demo", "p3", "--seed", seed, "--out", "OUT"], "usage", 2) for seed in ("-1", "x")]
-    + [
-        (argv + ["--preset", "p3", "--ample", "MISSING"], "bad-input", 1)
+    + [  # a divisor file that is missing, not an object, not ints, or one entry short
+        (argv + ["--preset", "p3", "--ample", divisor], "bad-input", 1)
+        for divisor in ("MISSING", "DIVISOR_LIST", "DIVISOR_FLOATS", "DIVISOR_SHORT")
         for argv in (["xi"], FAN_COMMANDS["embed"], FAN_COMMANDS["run"])
     ]
     + [
@@ -465,7 +467,12 @@ def test_every_command_obeys_the_exit_code_contract(capsys, monkeypatch, tmp_pat
     if "LADDER12" in argv:
         save_fan(ladder_fan(12), tmp_path / "LADDER12")
         monkeypatch.setattr(feasibility, "MAX_FM_ROWS", 1000)
-    (tmp_path / "MALFORMED").write_text('{"name": "x", "rays": 5, "cones": []}', encoding="utf-8")
+    for name, text in (
+        ("MALFORMED", '{"name": "x", "rays": 5, "cones": []}'), ("NOT_JSON", "not json"),
+        ("DIVISOR_LIST", "[0, 0, 0, 1]"), ("DIVISOR_FLOATS", '{"coeffs": [0, 0, 0, 1.5]}'),
+        ("DIVISOR_SHORT", '{"coeffs": [0, 0, 1]}'),
+    ):
+        (tmp_path / name).write_text(text, encoding="utf-8")
     if {"SHORT_XI", "ZERO_TORUS"} & set(argv):
         # an embedded p3 curve whose xi keeps 2 of its 4 entries, or whose
         # torus element has a zero entry
@@ -490,7 +497,7 @@ def test_every_command_obeys_the_exit_code_contract(capsys, monkeypatch, tmp_pat
             (tmp_path / name).write_text(json.dumps(doc), encoding="utf-8")
     names = (
         "OUT", "DIR", "MALFORMED", "MISSING", "SHORT_XI", "ZERO_TORUS", "OPEN_WALLS",
-        "EXTRA_CONE", "LADDER12",
+        "EXTRA_CONE", "LADDER12", "NOT_JSON", "DIVISOR_LIST", "DIVISOR_FLOATS", "DIVISOR_SHORT",
     )
     paths = {name: str(tmp_path / name) for name in names}
     paths["NONSMOOTH"] = write_bad_fan(tmp_path)
@@ -525,6 +532,26 @@ def test_run_pipeline_keeps_the_partial_report_of_a_failed_run(tmp_path):
     code, report = run_pipeline(RunConfig(preset_name="p2"))
     assert (code, report["error"]["kind"]) == (2, "unknown-preset")
     assert "validation" not in report
+    code, report = run_pipeline(RunConfig(out_dir=str(tmp_path / "o")))
+    assert (code, report["error"]) == (3, {"kind": "bad-fan",
+                                           "message": "either --fan or --preset is required"})
+
+
+def test_an_ample_file_from_ample_find_stands_in_for_auto(capsys, tmp_path):
+    """run and xi read the divisor ample find writes and give what --ample auto gives."""
+    divisor = str(tmp_path / "D")
+    assert run_cli(capsys, ["ample", "find", "--preset", "p3", "--out", divisor])[0] == 0
+    files, xis = [], []
+    for source in ("auto", divisor):
+        out = tmp_path / ("auto" if source == "auto" else "file")
+        code, _ = run_cli(capsys, ["run", "--preset", "p3", "--ample", source, "--out", str(out)])
+        assert code == 0
+        files.append([(out / name).read_bytes() for name in ("embedding.json", "certificate.json")])
+        code, report = run_cli(capsys, ["xi", "--preset", "p3", "--ample", source])
+        assert code == 0
+        xis.append(report["xi"])
+    assert files[0] == files[1]
+    assert xis[0] == xis[1] == {"values": [1, 1, 1, 1], "method": "intersection"}
 
 
 def test_no_row_of_the_errors_table_is_shadowed_by_an_earlier_one():

@@ -212,6 +212,11 @@ def test_projective_line_facade():
         assert evaluate_with_derivative(f, p)[0] == 0
 
 
+def test_sample_divisor_rejects_a_negative_degree():
+    with pytest.raises(ValueError, match="degree must be nonnegative"):
+        sample_divisor(-1, 0)
+
+
 def test_rational_function_rejects_zero_constant():
     with pytest.raises(ValueError):
         RationalFunction.of(0, {Fraction(1): 1})

@@ -76,6 +76,8 @@ def test_xi_mismatch_rejected(p3):
         build_embedding_data(p3, None, XiVector((1, 1, 1, 2), "kernel"), 0)
     with pytest.raises(XiMismatch):
         build_embedding_data(p3, None, XiVector((0, 0, 0, 0), "kernel"), 0)
+    with pytest.raises(XiMismatch, match="length does not match"):
+        build_embedding_data(p3, None, XiVector((1, 1, 1), "kernel"), 0)
 
 
 def test_invalid_fan_rejected():
@@ -277,6 +279,8 @@ def _set(path, value):
             dict(f, factors=[[r, True] for r, _ in f["factors"]]) for f in e
         ]),
         _set(("epsilon",), lambda e: [dict(f, factors=5) for f in e]),
+        _set(("torus",), [1, 1, 1]),
+        _set(("divisors",), lambda d: [5] + d[1:]),
     ],
     ids=[
         "xi-values-not-a-list", "xi-two-entries", "xi-five-entries", "xi-values-an-object",
@@ -284,7 +288,8 @@ def _set(path, value):
         "ample-one-entry", "ample-not-a-list", "epsilon-not-a-list", "torus-not-a-list",
         "torus-zero-entry",
         "xi-values-booleans", "ample-booleans", "divisor-multiplicity-true",
-        "factor-exponent-true", "factors-not-a-list",
+        "factor-exponent-true", "factors-not-a-list", "torus-entries-not-strings",
+        "divisor-not-a-list",
     ],
 )
 def test_embedding_shapes_that_do_not_fit_the_fan_are_rejected(mutate):

@@ -26,7 +26,7 @@ from toricurve.fan import (
     validate,
     walls,
 )
-from toricurve.intersect import _wall_by_pair, triple_intersection
+from toricurve.intersect import triple_intersection
 from toricurve.intlinalg import NotUnimodular, cross, dot
 
 
@@ -305,10 +305,9 @@ def test_caches_keyed_by_fan_stay_at_their_bound(p3):
         fan = Fan(rays, p3.max_cones)
         assert validate(fan).ok
         primitive_collections(fan)
-        _wall_by_pair(fan)
         for rho in range(fan.n_rays):
             assert triple_intersection(fan, rho, rho, rho) == 1
-    caches = (validate, walls, fan_module._cone_set, _wall_by_pair, fan_module._dual_bases)
+    caches = (validate, walls, fan_module._dual_bases)
     for cache in caches:
         info = cache.cache_info()
         assert info.maxsize == FAN_CACHE_SIZE
@@ -351,6 +350,12 @@ def test_fan_constructor_rejections(p3):
         Fan(p3.rays, ((0, 1),))
     with pytest.raises(MalformedFan):
         Fan(((1, 0),), ())
+    with pytest.raises(MalformedFan, match="ray entries must be ints"):
+        Fan(((1, 0, 0.5),), ())
+    with pytest.raises(MalformedFan, match="cone indices must be ints"):
+        Fan(p3.rays, ((0, 1, 2.0),))
+    with pytest.raises(MalformedFan, match="name must be a string"):
+        Fan(p3.rays, p3.max_cones, 5)
 
 
 def test_cone_order_is_normalized(p3):
@@ -386,3 +391,5 @@ def test_strict_parsing_errors():
         fan_from_dict({"name": "x", "rays": [[1, 0]], "cones": []})
     with pytest.raises(MalformedFan):
         fan_from_dict({"name": "x", "rays": "nope", "cones": []})
+    with pytest.raises(MalformedFan, match="fan document must be an object"):
+        loads_fan("[]")

@@ -73,6 +73,16 @@ def test_minimize_unbounded():
         minimize((1,), [((-1,), -3)], 1)  # minimize x with only x <= 3
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: find_point([((1, 0), 1)], 1), "constraint arity mismatch"),
+    (lambda: minimize((1, 0), [((1,), 1)], 1), "objective arity mismatch"),
+], ids=["constraint-width", "objective-width"])
+def test_arity_mismatches_are_refused(call, message):
+    with pytest.raises(ValueError, match=message) as err:
+        call()
+    assert err.type is ValueError
+
+
 def test_minimize_infeasible():
     with pytest.raises(Infeasible):
         minimize((1, 1), [((1, 0), 1), ((-1, 0), 0)], 2)

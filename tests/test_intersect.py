@@ -19,7 +19,7 @@ from oracles import (
 from test_fan import random_subdivision_chain
 from test_fan_properties import PROPERTY, chains, change_basis
 from toricurve import feasibility, intersect
-from toricurve.fan import preset, ray_matrix, star_subdivision, walls
+from toricurve.fan import Fan, preset, ray_matrix, star_subdivision, walls
 from toricurve.feasibility import verify_infeasibility_certificate
 from toricurve.intlinalg import integer_kernel_basis
 from toricurve.intersect import (
@@ -27,7 +27,7 @@ from toricurve.intersect import (
     NotAmple,
     NotProjective,
     TDivisor,
-    _square_degrees,
+    _mixed_degrees,
     find_ample,
     is_ample,
     triple_intersection,
@@ -235,21 +235,27 @@ def test_xi_matches_oracle_degree_vector():
 
 @pytest.mark.parametrize("rays", range(6, 13))
 def test_xi_reads_the_square_off_the_wall_degrees(rays):
-    """The wall-degree pass gives triple_product's A^2 . V_j, for the ample
-    divisor and for divisors that are not ample; up to 8 rays the quotient
-    ring gives them too."""
+    """The wall-degree pass gives A . B . V_j for the ample divisor and for
+    divisors that are not ample: the same for (A, B) as for (B, A), zero
+    against every principal divisor, and up to 8 rays the quotient ring's
+    value."""
     fan = ladder_fan(rays)
     rng = random.Random(rays)
     ample = find_ample(fan)
     oracle = ChowOracle(fan.rays, fan.max_cones) if rays <= 8 else None  # fan.name repeats
-    divisors = [ample] + [TDivisor(tuple(rng.randint(-3, 3) for _ in range(rays)))
-                          for _ in range(3)]
-    for d in divisors:
-        want = tuple(triple_product(fan, d, d, TDivisor.unit(fan, j)) for j in range(rays))
-        assert _square_degrees(fan, d) == want
+
+    def draw():
+        return TDivisor(tuple(rng.randint(-3, 3) for _ in range(rays)))
+
+    for A, B in ((ample, ample), (ample, draw()), (draw(), draw())):
+        got = _mixed_degrees(fan, A, B)
+        assert got == _mixed_degrees(fan, B, A)
+        assert all(sum(a * v for a, v in zip(row, got)) == 0 for row in ray_matrix(fan))
         if oracle:
-            assert oracle.degree_vector(list(d.coeffs)) == want
-    assert xi_vector(fan, ample).values == _square_degrees(fan, ample)
+            want = tuple(oracle.triple_product(A.coeffs, B.coeffs, unit(rays, j))
+                         for j in range(rays))
+            assert got == want
+    assert xi_vector(fan, ample).values == _mixed_degrees(fan, ample, ample)
 
 
 def test_xi_kernel_goldens(p3, p1p1p1, blp3):
@@ -356,8 +362,6 @@ def test_xi_requires_ample(p3, p1p1p1):
 
 
 def test_xi_kernel_rejects_injective_matrix():
-    from toricurve.fan import Fan
-
     fan = Fan(((1, 0, 0), (0, 1, 0), (0, 0, 1)), ((0, 1, 2),))
     with pytest.raises(NoPositiveKernel):
         xi_vector(fan, None, method="kernel")
@@ -371,6 +375,22 @@ def test_divisor_arithmetic(p3):
     assert TDivisor((0,) * p3.n_rays).coeffs == (0, 0, 0, 0)
     with pytest.raises(ValueError):
         triple_product(p3, d, d, TDivisor((1, 0, 0)))
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda p3: TDivisor((1, 0.5, 0, 0)), ValueError),
+    (lambda p3: triple_intersection(p3, 0, 1, 4), ValueError),
+    (lambda p3: is_ample(p3, TDivisor((1, 0, 0))), ValueError),
+    (lambda p3: xi_vector(p3, None, method="bogus"), ValueError),
+    # every ray in the half-space x + y + z > 0: a kernel, but no positive vector in it
+    (lambda p3: xi_vector(Fan(((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0)), ((0, 1, 2),)),
+                          None, method="kernel"), NoPositiveKernel),
+], ids=["non-int-coefficient", "ray-index-out-of-range", "divisor-length",
+        "unknown-xi-method", "kernel-in-a-half-space"])
+def test_intersect_input_checks(p3, call, error):
+    with pytest.raises(error) as err:
+        call(p3)
+    assert err.type is error
 
 
 @PROPERTY

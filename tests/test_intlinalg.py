@@ -214,3 +214,8 @@ def test_det_matches_sympy():
         n = rng.randint(1, 4)
         rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
         assert det(rows) == int(sympy.Matrix(rows).det())
+
+
+def test_det_refuses_a_matrix_that_is_not_square():
+    with pytest.raises(ValueError, match="non-square"):
+        det([[1, 2, 3], [4, 5, 6]])

@@ -467,6 +467,29 @@ def test_a_resultant_bound_past_the_prime_table_aborts_naming_the_chart(monkeypa
     assert "resultant modulus bits" in str(err.value)
 
 
+def test_the_bezout_bound_of_the_groebner_stage_aborts_naming_the_chart(monkeypatch):
+    """Degrees 5, 6 and 7 estimate 2 * 6 * 7 = 84 pairwise, and the residuals'
+    Bezout number is 120: a cap between them lets the chart reach the
+    Groebner stage, which refuses it before any basis is computed."""
+    coords = (rf({-3: 2, -2: 2, 0: 1}), rf({-3: 3, 3: 3}), rf({-3: 3, -2: 3, -1: 1}))
+    c = ChartMap((2, 5, 7), IDENTITY_DUALS, coords, ())
+    assert chart_injective(c).method == "groebner"
+    monkeypatch.setattr(verify, "DEFAULT_DEGREE_CAP", 100)
+    monkeypatch.setattr(poly, "groebner", lambda *a: pytest.fail("basis computed"))
+    assert verify._degree_estimate(c) == 84
+    with pytest.raises(DegreeOverflow) as err:
+        chart_injective(c)
+    assert (err.value.cone, err.value.estimate, err.value.cap) == ((2, 5, 7), 120, 100)
+    assert str(err.value) == "chart (2, 5, 7): elimination degree estimate 120 exceeds cap 100"
+
+
+def test_the_collision_recheck_refuses_a_pair_that_does_not_collide():
+    coords = (rf({0: 2}), rf({0: 3}))
+    assert verify._collision_holds(coords, F(2), F(2))
+    assert not verify._collision_holds(coords, F(1), F(-1))  # t^2 agrees there, t^3 does not
+    assert not verify._collision_holds((rf({0: -1}),), F(0), F(0))  # a pole
+
+
 @pytest.mark.parametrize("rays, cap, cone, estimate", [
     (7, 30, (0, 3, 4), 40),  # charts 0-2 estimate 24
     (9, 150, (0, 3, 6), 264),  # (0, 3, 4) 84 and (0, 1, 5) 72 come first

@@ -368,6 +368,34 @@ def test_eliminating_u_swaps_the_variables_of_the_resultant_in_s(chart):
         assert in_s.ring.from_dict(dict(in_u)) in (in_s, -in_s)
 
 
+@st.composite
+def shared_factor_coordinates(draw):
+    """Three coordinates whose Bezoutians share a factor: all invariant under
+    one reflection, or (f, f, f), or (f, f^2, f^3)."""
+    mode = draw(st.sampled_from(("reflection", "same", "powers")))
+    if mode == "reflection":
+        centre = draw(st.sampled_from((F(0), F(1, 2), F(1))))
+        return [draw(invariant_coordinates(centre)) for _ in range(3)]
+    f = draw(coordinates())
+    return [f, f, f] if mode == "same" else [f, f**2, f**3]
+
+
+@PROPERTY
+@given(shared_factor_coordinates())
+def test_every_factor_of_the_bezoutians_gcd_is_a_curve_off_the_diagonal(coords):
+    """Each irreducible factor of gcd(Q_i) has positive degree in s and in
+    u and is not s - u, as _finite_finite relies on: a factor free of u, or
+    s - u, would make some coordinate constant."""
+    qs = [poly._bezoutian(*f.integer_parts, {}) for f in coords]
+    assume(all(len(q) > 1 for q in qs))  # symmetric: one row is a constant
+    g = poly._gcd_all(qs)
+    assume(len(g) > 1)
+    for factor, _ in poly._factor(g):
+        assert len(factor) > 1  # positive degree in s
+        assert any(len(poly._trim(row)) > 1 for row in factor)  # and in u
+        assert factor not in ([[0, 1], [-1, 0]], [[0, -1], [1, 0]])  # not s - u
+
+
 def expr_groebner(polys, gens_ring):
     """The fallback's basis through sympy.groebner, in the ring sympy picked."""
     exprs, domain = groebner_by_expr(polys, gens_ring)
