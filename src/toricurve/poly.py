@@ -38,13 +38,11 @@ from functools import cache
 from itertools import chain, combinations, count
 from math import gcd, isqrt
 
-# sympy's rings and Groebner basis, bound as globals by _sympy() on first use
-_LAZY = ("_Z", "_zu", "_GQ", "_GZ", "QQ", "groebner")
-
 
 @cache
 def _sympy() -> None:
-    """Import sympy and bind the names in _LAZY as this module's globals.
+    """Import sympy and bind its rings and Groebner basis as this module's
+    globals: _Z, _zu, _GQ, _GZ, QQ and groebner.
 
     Only the Groebner fallback, a gcd GCDHEU gives up on and a factorization
     in Z[s, u] or of degree >= 4 in one variable need a ring.
@@ -58,14 +56,6 @@ def _sympy() -> None:
     _zu = ring("u", domains.ZZ)[1]  # also the ring the eliminant is cleared into
     _GQ = ring("y,s,u", QQ)[0]  # lex, for the Groebner fallback
     _GZ = _GQ.clone(domain=domains.ZZ)
-
-
-def __getattr__(name: str):
-    """poly._zu and the other names in _LAZY, importing sympy (PEP 562)."""
-    if name in _LAZY:
-        _sympy()
-        return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # exponents k of Mersenne primes 2^k - 1, each proven prime by the

@@ -8,8 +8,10 @@ coefficients, have any common factor dispatched by factoring, and the
 residual system is decided by pairwise resultants eliminating s, with a
 Groebner saturation fallback.  Each Q_i is symmetric in s and u, so the
 residuals are symmetric up to sign and eliminating u would only swap the
-variables: one direction suffices.  Immersivity is a univariate gcd of the
-N_i' D_i - N_i D_i' plus a derivative check at infinity.
+variables: one direction suffices.  The collisions with the point at
+infinity are the common zeros of the Q_i's top rows in s.  Immersivity is
+a univariate gcd of the N_i' D_i - N_i D_i' plus a derivative check at
+infinity.
 
 Every witness is re-checked exactly, in ints.  Each candidate polynomial
 is factored once (excluded roots stripped first) and read in one order:
@@ -75,6 +77,26 @@ def _zero_witnesses(p, gens: str, excluded_fr, at_root, at_factor):
     """
     roots, higher = _roots_and_factors(p, excluded_fr, gens)
     return filter(None, chain(map(at_root, roots), map(at_factor, higher)))
+
+
+def _common_zeros(polys, gens: str, excluded_fr, holds, kind: str, conjugate_kind: str):
+    """The re-checked witnesses on the common zeros of polys off the excluded
+    points, int lists in the variable gens: none when _common_factor proves
+    there are none, else those on the zeros of their gcd.  A rational zero x
+    is re-checked by holds(CurvePoint(x)), an irreducible factor mu by
+    dividing every one of polys exactly.
+    """
+    g = _common_factor(polys, gens, excluded_fr)
+    if g is None or len(g) == 1:
+        return ()
+    return _zero_witnesses(
+        g,
+        gens,
+        excluded_fr,
+        lambda x: holds(CurvePoint(x)) and {"kind": kind, gens: str(x), "verified": "evaluation"},
+        lambda mu: all(_divides(mu, p) for p in polys)
+        and {"kind": conjugate_kind, "poly": _str(mu, gens), "verified": "congruence"},
+    )
 
 
 def _rational_candidates():
@@ -204,46 +226,25 @@ def chart_injective(chart: ChartMap, memo=None) -> CheckResult:
     NDs = [f.integer_parts for f in coords]
     witnesses: list[dict] = []
 
-    # collisions with the point at infinity: p_i(u) = p_i(inf) for all i.
-    # Skipped when infinity is off the domain (a pole or excluded point).
-    inf_values = [evaluate(f, INFINITY) for f in coords]
-    infinity_in_domain = (
-        all(c is not None for c in inf_values)
-        and not any(p.is_infinity for p in chart.excluded)
-    )
-    if infinity_in_domain:
-        # deg N_i <= deg D_i = d, so p_i(u) = p_i(inf) iff
-        # lc(D_i) N_i(u) = n_d D_i(u), n_d the coefficient of u^d in N_i
-        h_polys = []
-        for N, D in NDs:
-            pad = len(D) - len(N)
-            n_d = 0 if pad else N[0]
-            h_polys.append(_trim([D[0] * a - n_d * b for a, b in zip((0,) * pad + N, D)]))
-        assert all(h_polys), "a chart coordinate is constant"
-        g_inf = _common_factor(h_polys, "u", excluded_fr)
-        if g_inf is not None and len(g_inf) > 1:
-            witnesses.extend(
-                _zero_witnesses(
-                    g_inf,
-                    "u",
-                    excluded_fr,
-                    lambda u0: all(
-                        evaluate(f, CurvePoint(u0)) == c for f, c in zip(coords, inf_values)
-                    )
-                    and {"kind": "collision-with-infinity", "u": str(u0), "verified": "evaluation"},
-                    lambda mu: all(_divides(mu, h) for h in h_polys)
-                    and {
-                        "kind": "collision-with-infinity-conjugate",
-                        "poly": _str(mu, "u"),
-                        "verified": "congruence",
-                    },
-                )
-            )
-
-    # finite-finite collisions: the Bezoutians Q_i
+    # the Bezoutians Q_i, rows in s
     Qs = [_bezoutian(N, D, memo) for N, D in NDs]
     assert all(Qs), "a chart coordinate is constant"
 
+    # collisions with the point at infinity: p_i(u) = p_i(inf) for all i.
+    # Skipped when infinity is off the domain (a pole or excluded point);
+    # on it deg N_i <= deg D_i = d, and the s^d coefficient of (s - u) Q_i
+    # is n_d D_i(u) - lc(D_i) N_i(u), n_d the coefficient of u^d in N_i.
+    # That vanishes exactly where p_i(u) = p_i(inf), and is nonzero since
+    # f_i is not constant, so it is Q_i's top row; its sign moves no gcd,
+    # root, factor or divisibility the witnesses read.
+    inf_values = [evaluate(f, INFINITY) for f in coords]
+    if None not in inf_values and INFINITY not in chart.excluded:
+        witnesses.extend(_common_zeros(
+            [_trim(q[0]) for q in Qs], "u", excluded_fr,
+            lambda p: all(evaluate(f, p) == c for f, c in zip(coords, inf_values)),
+            "collision-with-infinity", "collision-with-infinity-conjugate"))
+
+    # finite-finite collisions
     method = "linear"
     if not all(len(q) == 1 for q in Qs):  # a constant Q has one row
         if any(len(q) == 1 for q in Qs):
@@ -290,14 +291,11 @@ def _finite_finite(chart, coords, NDs, Qs, excluded_fr, witnesses, memo):
     cands = _candidate_polys(residual, excluded_fr, chart.cone, memo)
     if cands is _EMPTY:
         return "resultant"
-    du = None
     if cands is not None:
         du = _gcd_all(cands)
         if len(du) == 1:
             return "resultant"
-
-    # candidate roots in the u direction, partners recovered by univariate gcd
-    if du is not None:
+        # candidate roots in the u direction, partners recovered by univariate gcd
         roots, rest = _rational_roots(du, excluded_fr)
         found = len(witnesses)
         for u0 in roots:
@@ -427,23 +425,10 @@ def chart_immersive(chart: ChartMap) -> CheckResult:
     """No common zero of all coordinate derivatives on the chart domain."""
     coords = chart.coords
     excluded_fr = {p.finite for p in chart.excluded if not p.is_infinity}
-    witnesses: list[dict] = []
-
     w_polys = [_trim(_wronskian(*f.integer_parts)) for f in coords]
     assert all(w_polys), "a chart coordinate is constant"
-    g = _common_factor(w_polys, "t", excluded_fr)
-    if g is not None and len(g) > 1:
-        witnesses.extend(
-            _zero_witnesses(
-                g,
-                "t",
-                excluded_fr,
-                lambda t0: _tangent_at(coords, CurvePoint(t0))
-                and {"kind": "tangent-point", "t": str(t0), "verified": "evaluation"},
-                lambda mu: all(_divides(mu, w) for w in w_polys)
-                and {"kind": "tangent-conjugate", "poly": _str(mu, "t"), "verified": "congruence"},
-            )
-        )
+    witnesses = list(_common_zeros(w_polys, "t", excluded_fr, lambda p: _tangent_at(coords, p),
+                                   "tangent-point", "tangent-conjugate"))
 
     if INFINITY not in chart.excluded and _tangent_at(coords, INFINITY):
         witnesses.append({"kind": "tangent-infinity", "verified": "evaluation"})
@@ -453,39 +438,26 @@ def chart_immersive(chart: ChartMap) -> CheckResult:
 
 
 def pullback_check(data: EmbeddingData, charts) -> CheckResult:
-    """Zero divisors of chart coordinates must be the sampled divisors, reduced:
-    (num, den) -> multiplicity dicts, with a divisor built only for a witness."""
+    """Zero divisors of chart coordinates must be the sampled divisors, reduced.
+
+    Both sides are (num, den) -> multiplicity dicts, the zeros taken off the
+    excluded points; a divisor is built only for a mismatch witness.
+    """
     witnesses: list[dict] = []
     for chart in charts:
         excluded = {p._reduced for p in chart.excluded}
         for f, rho in zip(chart.coords, chart.cone):
-            zeros = [(r, e) for r, e in f.factors
-                     if e > 0 and (r.numerator, r.denominator) not in excluded]
+            zeros = {(r.numerator, r.denominator): e for r, e in f.factors
+                     if e > 0 and (r.numerator, r.denominator) not in excluded}
             expected = data.divisors[rho]
-            if expected.is_reduced and ({(r.numerator, r.denominator): e for r, e in zeros}
-                                        == {p._reduced: m for p, m in expected.entries}):
-                continue
-            zeros = CDivisor.of([(CurvePoint(r), e) for r, e in zeros])
-            if zeros != expected:
-                diff = zeros + (-expected)
-                witnesses.append(
-                    {
-                        "kind": "pullback-mismatch",
-                        "cone": list(chart.cone),
-                        "ray": rho,
-                        "difference": [[str(p), m] for p, m in diff.entries],
-                    }
-                )
-            elif not zeros.is_reduced:
-                bad = [p for p, m in zeros.entries if m != 1]
-                witnesses.append(
-                    {
-                        "kind": "pullback-not-reduced",
-                        "cone": list(chart.cone),
-                        "ray": rho,
-                        "points": [str(p) for p in bad],
-                    }
-                )
+            if zeros != {p._reduced: m for p, m in expected.entries}:
+                diff = CDivisor.of([(Fraction(*x), e) for x, e in zeros.items()]) + (-expected)
+                witnesses.append({"kind": "pullback-mismatch", "cone": list(chart.cone),
+                                  "ray": rho, "difference": [[str(p), m] for p, m in diff.entries]})
+            elif not expected.is_reduced:
+                bad = [str(p) for p, m in expected.entries if m != 1]
+                witnesses.append({"kind": "pullback-not-reduced", "cone": list(chart.cone),
+                                  "ray": rho, "points": bad})
     witnesses.sort(key=lambda w: json.dumps(w, sort_keys=True))
     return CheckResult(not witnesses, "exact-divisor", tuple(witnesses))
 

@@ -9,8 +9,10 @@ homogeneous test over Z), margin-1 Fraction feasibility in
 place of the integer cone-separation test, the pairwise separation scan in
 place of validate's sheet-count certificate, Fourier-Motzkin over Fraction
 rows with sparse provenance dicts in place of the int rows of
-`feasibility`, and the divided cross differences built over Q by product
-and exact division in place of the integer Bezoutian.  The straightforward
+`feasibility`, the divided cross differences built over Q by product
+and exact division in place of the integer Bezoutian, and the
+collision-with-infinity polynomial built from N and D in place of the
+Bezoutian's top row.  The straightforward
 forms of the package's fast paths live here too: divisors and factored
 functions canonicalised by a set and a Fraction sort, character functions
 as products of powers, the sampler with a CurvePoint per candidate,
@@ -401,6 +403,20 @@ def cross_quotients_qq(coords):
         Fu, Gu = F.compose(_QS, _QU), G.compose(_QS, _QU)
         out.append((F * Gu - Fu * G).exquo(_QS - _QU))
     return out
+
+
+def infinity_collision_poly(N, D) -> list:
+    """h = lc(D) N - n_d D for int tuples N, D, top degree first, with
+    deg N <= deg D = d and n_d the coefficient of t^d in N: N / D takes
+    its value at infinity exactly where h vanishes.  An int list without
+    leading zeros, built from N and D where the certifier reads -h off the
+    Bezoutian's top row."""
+    pad = len(D) - len(N)
+    n_d = 0 if pad else N[0]
+    h = [D[0] * a - n_d * b for a, b in zip((0,) * pad + tuple(N), D)]
+    while h and not h[0]:
+        h = h[1:]
+    return h
 
 
 def residuals_qq(coords):

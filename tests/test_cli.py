@@ -9,7 +9,6 @@ from pathlib import Path
 
 import pytest
 
-import toricurve
 from conftest import FIXTURES, ladder_fan
 from negative_fixtures import symmetric_data
 from test_verify import run_fresh
@@ -596,21 +595,3 @@ WHAT_LOADS = textwrap.dedent("""
 def test_a_process_loads_only_the_code_its_command_runs(tmp_path, command, after):
     report = run_fresh(WHAT_LOADS, command, tmp_path)
     assert report == {"before": [], "code": 0, "after": after}
-
-
-def test_every_export_is_the_object_of_its_module():
-    """The package resolves its exports lazily; each is its module's own
-    object, listed by dir() and importable by name."""
-    import importlib
-
-    assert len(set(toricurve.__all__)) == len(toricurve.__all__) == 60
-    for module, names in toricurve._EXPORTS.items():
-        home = importlib.import_module(f"toricurve.{module}")
-        for name in names:
-            assert getattr(toricurve, name) is getattr(home, name), name
-    assert set(toricurve.__all__) <= set(dir(toricurve))
-    from toricurve import DegreeOverflow, certify
-    from toricurve import verify
-    assert (DegreeOverflow, certify) == (verify.DegreeOverflow, verify.certify)
-    with pytest.raises(AttributeError):
-        toricurve.no_such_name

@@ -19,6 +19,7 @@ from negative_fixtures import divisor_at_infinity_data, doubled_point_data, symm
 from oracles import (
     brute_force_pair_scan,
     gcd_by_ring,
+    infinity_collision_poly,
     residuals_qq,
     resultant_by_prs,
     roots_and_factors_by_filter,
@@ -147,6 +148,25 @@ def test_collision_with_the_point_at_infinity():
         assert value_at(f, CurvePoint.of(F(2, 3))) == value_at(f, INFINITY)
 
 
+def test_the_infinity_polynomials_are_the_trimmed_top_rows(monkeypatch):
+    """The collisions with the point at infinity are sought among the common
+    zeros of each coordinate's -h (see oracles), read off its Bezoutian's
+    top row, with the leading zero a constant numerator leaves trimmed."""
+    coords = (rf({1: -1, -1: -1}), rf({0: 1, 2: -1, -2: -1}), rf({3: 1, 1: -2}))
+    handed = []
+    real = verify._common_factor
+
+    def spy(polys, gens, excluded_fr):
+        if gens == "u":
+            handed.append(polys)
+        return real(polys, gens, excluded_fr)
+
+    monkeypatch.setattr(verify, "_common_factor", spy)
+    chart_injective(chart(coords, excluded=(1, -1, 2, -2)))
+    assert handed == [[[-a for a in infinity_collision_poly(*f.integer_parts)] for f in coords]]
+    assert handed[0][0] == [-1]
+
+
 def test_excluding_infinity_silences_the_infinity_collision():
     f1 = rf({1: 1, 2: 1, 0: -2})
     inj = chart_injective(chart((f1, f1 ** 2, f1 ** 3), excluded=(INFINITY,)))
@@ -177,6 +197,25 @@ def test_conjugate_collisions_are_certified_by_congruence():
     cross = sympy.expand(num * (-1) - (-8) * den)  # f(-1) = -8
     assert sympy.rem(cross, 7 * u ** 2 - 4 * u + 1, u) == 0
     assert sympy.rem(sympy.expand(num - den), 3 * u ** 2 - 3 * u + 1, u) == 0
+
+
+def test_a_conjugate_common_zero_is_rechecked_against_every_polynomial(monkeypatch):
+    """_common_zeros re-checks a factor of the gcd by dividing every one of
+    the polynomials, so a wrong gcd, here a factor of the first one only,
+    yields no witness."""
+    shared = [[1, 0, -2], [1, -5, -2, 10]]  # t^2 - 2 and (t^2 - 2)(t - 5)
+    apart = [[1, 0, -2], [1, 0, -3]]
+    rechecked = {"kind": "tangent-conjugate", "poly": "t**2 - 2", "verified": "congruence"}
+
+    def zeros(polys):
+        return list(verify._common_zeros(polys, "t", set(), lambda p: True,
+                                         "tangent-point", "tangent-conjugate"))
+
+    assert zeros(shared) == [rechecked]
+    assert zeros(apart) == []
+    monkeypatch.setattr(verify, "_common_factor", lambda polys, gens, excluded_fr: polys[0])
+    assert zeros(shared) == [rechecked]
+    assert zeros(apart) == []
 
 
 def test_groebner_saturation_reports_an_algebraic_collision():
@@ -263,6 +302,7 @@ def test_groebner_fallback_receives_the_rational_residuals(monkeypatch):
     that reach the fallback must hand it the residuals built over Q with a
     monic gcd."""
     calls = []
+    poly._sympy()  # binds poly.groebner, so the spy replaces it for good
     real = poly.groebner
 
     def spy(polys, gens_ring, *args, **kwargs):
@@ -426,6 +466,7 @@ def test_refuting_involution_goldens_certify_without_sympy(monkeypatch):
     a process that cannot import sympy: witnesses, factors and exact
     divisions all run on int lists and rows."""
     reached = set()
+    poly._sympy()  # binds poly.groebner, so the spy replaces it for good
     real = poly.groebner
     label = None
 
@@ -554,6 +595,9 @@ def test_doubled_point_fails_only_the_pullback_audit():
 
 
 def test_tampered_chart_coordinate_is_caught_with_the_exact_difference():
+    """A smuggled or a lost zero is a pullback-mismatch with the exact
+    difference, and so is a D_rho that is not reduced and not the zeros
+    either; a zero at an excluded point is no zero on the chart."""
     data = build_embedding_data(preset("p3"), None, XiVector((1, 1, 1, 1), "intersection"), 3)
     charts = chart_maps(data)
     smuggled = charts[0].coords[0] * rf({17: 1})
@@ -569,6 +613,24 @@ def test_tampered_chart_coordinate_is_caught_with_the_exact_difference():
         },
     )
     assert pullback_check(data, charts).ok
+
+    first, rho = charts[0], charts[0].cone[0]
+    ((zero, _),) = data.divisors[rho].entries
+    (pole,) = first.excluded
+    assert dict(first.coords[0].factors) == {zero.finite: 1, pole.finite: -1}
+    doubled = data._replace(divisors=tuple(
+        d.scale(2) if i == rho else d for i, d in enumerate(data.divisors)))
+    for d, tamper, difference in (
+        (data, {zero.finite: -1}, [[str(zero), -1]]),  # the zero lost
+        (data, {pole.finite: 2}, None),  # a simple zero at the excluded point
+        (doubled, {}, [[str(zero), -1]]),  # D_rho twice the zero, which is simple
+    ):
+        bad = first._replace(coords=(first.coords[0] * rf(tamper),) + first.coords[1:])
+        result = pullback_check(d, (bad,))
+        assert result.ok == (difference is None)
+        if difference is not None:
+            assert result.witnesses == ({"kind": "pullback-mismatch", "cone": list(first.cone),
+                                         "ray": rho, "difference": difference},)
 
 
 def test_certify_refuses_data_that_fails_the_morphism_conditions():

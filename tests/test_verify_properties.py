@@ -20,7 +20,10 @@ sign, and factoring with the excluded roots stripped first gives the roots
 and factors that factoring in full and then dropping the excluded roots
 gives.  Two pin the per-certify memo: a resultant read back for F and G
 up to sign and order carries the Sylvester determinant's sign, and the
-Bezoutian of (D, N) is the negated Bezoutian of (N, D).  Four pin the
+Bezoutian of (D, N) is the negated Bezoutian of (N, D).  One pins the
+identity the collision check at infinity reads: the Bezoutian's top row,
+leading zeros trimmed, is the negated polynomial the oracle builds from N
+and D, for deg N = deg D, deg N < deg D and a constant N.  Four pin the
 exact small-degree resultants: the closed form against the Sylvester
 determinant over Z, for degrees 0 to 5 with one at most 2; _resultant
 against it on the Kronecker path and on the modular one; _coprime's
@@ -60,6 +63,7 @@ from oracles import (
     factor_list_by_ring,
     gcd_by_ring,
     groebner_by_expr,
+    infinity_collision_poly,
     resultant_by_prs,
     resultant_by_sylvester,
     roots_and_factors_by_filter,
@@ -561,8 +565,38 @@ def test_the_bezoutian_of_d_and_n_is_the_negated_bezoutian_of_n_and_d(f):
     assert poly._bezoutian(N, D, memo) == q
 
 
+def int_polys(degree):
+    """Int lists of the given degree, top degree first, small coefficients."""
+    return st.lists(st.integers(-6, 6), min_size=degree + 1, max_size=degree + 1).filter(
+        lambda c: c[0])
+
+
+@st.composite
+def numerators_and_denominators(draw):
+    """Int tuples N and D, top degree first, with 0 <= deg N <= deg D <= 5."""
+    d = draw(st.integers(1, 5))
+    N = draw(int_polys(draw(st.integers(0, d))))
+    return tuple(N), tuple(draw(int_polys(d)))
+
+
+@PROPERTY
+@given(numerators_and_denominators())
+@example(((3, -1, 2), (1, 0, 4)))  # deg N = deg D
+@example(((2, 5), (1, 0, 0, -1)))  # deg N < deg D
+@example(((7,), (2, 0, 1)))  # a constant N: the top row has a leading zero
+def test_the_bezoutians_top_row_is_the_negated_infinity_polynomial(nd):
+    """With deg N <= deg D, the top row in s of the Bezoutian of (N, D) is
+    -h, h = lc(D) N - n_d D: chart_injective reads its collisions with the
+    point at infinity off the Bezoutians it builds anyway."""
+    N, D = nd
+    h = infinity_collision_poly(N, D)
+    assume(h)  # N proportional to D: the Bezoutian is zero
+    assert poly._trim(poly._bezoutian(N, D, {})[0]) == [-a for a in h]
+
+
 # the variables of the int lists _roots_and_factors receives: u for the
-# resultants, g_inf, the witness searches in u and the Groebner eliminant
+# resultants, the gcd of the Bezoutians' top rows (collisions with infinity),
+# the witness searches in u and the Groebner eliminant
 # cleared of denominators, s for the partner searches, t for the immersion gcd
 ONE_VARIABLE = (Z_U, Z_S, Z_T)
 
@@ -645,6 +679,7 @@ def eliminants(draw):
     """A Groebner eliminant: a polynomial in u alone of the lex ring in y, s,
     u over Q (fractions, numerators or denominators of 1, zero terms) or,
     with integer coefficients, over Z; positive leading coefficient."""
+    poly._sympy()  # binds the rings
     gens_ring = draw(st.sampled_from((poly._GQ, poly._GZ)))
     dens = st.just(1) if gens_ring.domain == ZZ else st.sampled_from((1, 2, 3, 36, 1000))
     coeffs = draw(st.lists(st.builds(F, coefficients, dens), min_size=1, max_size=6))
