@@ -3,7 +3,7 @@
 Every command prints one JSON report to stdout and signals the outcome in
 the exit code, so runs are scriptable and replayable.  A command that fails
 raises; ``ERRORS`` maps what it raised to the report's error ``kind`` and
-the exit code, in ``main`` and in ``run_pipeline`` alike.
+the exit code in ``main``.
 """
 from __future__ import annotations
 
@@ -69,23 +69,6 @@ ERRORS = (
 )
 
 
-class RunConfig:
-    """The flags of ``run``; ``ample`` is "auto" or a divisor file path."""
-
-    def __init__(self, fan_path: str | None = None, preset_name: str | None = None,
-                 ample: str = "auto", xi_method: str = "intersection", seed: int = 0,
-                 torus: tuple = (Fraction(1), Fraction(1), Fraction(1)),
-                 max_retries: int = 3, out_dir: str = "toricurve-out") -> None:
-        self.fan_path = fan_path
-        self.preset_name = preset_name
-        self.ample = ample
-        self.xi_method = xi_method
-        self.seed = seed
-        self.torus = torus
-        self.max_retries = max_retries
-        self.out_dir = out_dir
-
-
 def certify(data):
     """verify.certify, imported on first call: ``embed`` and the fan commands
     never load the certification code."""
@@ -108,14 +91,6 @@ def _fail(report: dict, exc: Exception) -> int:
     report["status"] = "error"
     report["error"] = error
     return code
-
-
-def _apply(step, arg, report: dict) -> int:
-    """``step(arg, report)``, or the ``ERRORS`` envelope of the Exception it raised."""
-    try:
-        return step(arg, report)
-    except Exception as exc:
-        return _fail(report, exc)
 
 
 def _emit(report: dict, code: int) -> int:
@@ -160,17 +135,11 @@ def _parse_seed(text: str) -> int:
 
 
 def _check_ranges(seed: int, torus, max_retries: int = 1) -> None:
-    """The type and range checks of ``embed``, ``run``, ``demo`` and ``run_pipeline``."""
-    for name, value in (("seed", seed), ("max-retries", max_retries)):
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise UsageError(f"{name} must be an integer, got {value!r}")
+    """The range checks of ``embed``, ``run`` and ``demo`` on their parsed flags."""
     if max_retries < 1:
         raise UsageError("max-retries must be at least 1")
     if not 0 <= seed < 2**64:
         raise UsageError("seed must fit in 64 unsigned bits")
-    if not (isinstance(torus, (tuple, list)) and len(torus) == 3
-            and all(isinstance(v, (int, Fraction)) and not isinstance(v, bool) for v in torus)):
-        raise UsageError(f"torus must be three rationals, got {torus!r}")
     if any(v == 0 for v in torus):
         raise UsageError("torus entries must be nonzero")
 
@@ -230,74 +199,66 @@ def _write(path: Path, text: str) -> None:
     path.write_text(text, encoding="utf-8")
 
 
-def run_pipeline(config: RunConfig):
+def _cmd_run(args, report: dict) -> int:
     """Validate, find degrees, sample, certify; retry on certificate failure.
 
-    Returns (exit_code, report).  Artifacts are only written for a
-    successful attempt, so failed runs leave no partial state; a failed
-    report keeps what the run learnt before it failed.
+    Artifacts are only written for a successful attempt, so failed runs
+    leave no partial state; a failed report keeps what the run learnt
+    before it failed.
     """
-    report: dict = {"command": "run"}
-    return _apply(_pipeline, config, report), report
-
-
-def _pipeline(config: RunConfig, report: dict) -> int:
-    # a RunConfig is checked whole before anything is opened
-    _check_ranges(config.seed, config.torus, config.max_retries)
-    if config.xi_method not in ("intersection", "kernel"):
-        raise UsageError(f"xi-method must be intersection or kernel, got {config.xi_method!r}")
-    for name, value in (("ample", config.ample), ("out", config.out_dir),
-                        ("fan", config.fan_path), ("preset", config.preset_name)):
-        if not isinstance(value, str) and (value is not None or name in ("ample", "out")):
-            raise UsageError(f"{name} must be a string, got {value!r}")
+    # every flag is checked before anything is opened
+    seed, torus = _parse_seed(args.seed), _parse_torus(args.torus)
+    _check_ranges(seed, torus, args.max_retries)
     report["config"] = {
-        "fan": config.fan_path,
-        "preset": config.preset_name,
-        "ample": config.ample,
-        "xi_method": config.xi_method,
-        "seed": config.seed,
-        "torus": [str(x) for x in config.torus],
-        "max_retries": config.max_retries,
-        "out": config.out_dir,
+        "fan": args.fan,
+        "preset": args.preset,
+        "ample": args.ample,
+        "xi_method": args.xi_method,
+        "seed": seed,
+        "torus": [str(x) for x in torus],
+        "max_retries": args.max_retries,
+        "out": args.out,
     }
-    fan = _load_input_fan(config.preset_name, config.fan_path)
+    fan = _load_input_fan(args.preset, args.fan)
     report["validation"] = _validation(fan)
     _require_valid(report["validation"])
 
     # Unlike ``embed`` and ``xi``, ``run`` computes the ample divisor under
     # --xi-method kernel too and records it in embedding.json; the pinned
     # certify and embed digests fix both byte streams.
-    ample = _ample(fan, config.ample)
+    ample = _ample(fan, args.ample)
     report["ample"] = list(ample.coeffs)
-    xi = xi_vector(fan, ample, method=config.xi_method)
+    xi = xi_vector(fan, ample, method=args.xi_method)
     report["xi"] = _xi_doc(xi)
 
     attempts = report["attempts"] = []
-    for attempt in range(config.max_retries):
-        seed = config.seed + attempt
-        data = build_embedding_data(fan, ample, xi, seed, config.torus)
+    for attempt in range(args.max_retries):
+        # the sampler reads its seed mod 2^64, so a retry past 2^64 - 1 wraps
+        # to 0: the report then names a seed that --seed accepts and replays
+        attempt_seed = (seed + attempt) % 2**64
+        data = build_embedding_data(fan, ample, xi, attempt_seed, torus)
         certificate = certify(data)
         if not certificate.embedded:
             witnesses = [dict(w) for r in certificate.charts for w in r.witnesses]
             attempts.append(
-                {"seed": seed, "outcome": "certificate-failed", "witnesses": witnesses[:8]}
+                {"seed": attempt_seed, "outcome": "certificate-failed", "witnesses": witnesses[:8]}
             )
             continue
-        out = Path(config.out_dir)
+        out = Path(args.out)
         embedding_path = out / "embedding.json"
         certificate_path = out / "certificate.json"
         _write(embedding_path, dumps_embedding(data))
         _write(certificate_path, dumps_certificate(certificate))
-        attempts.append({"seed": seed, "outcome": "ok"})
+        attempts.append({"seed": attempt_seed, "outcome": "ok"})
         report.update(
             status="ok",
-            seed_used=seed,
+            seed_used=attempt_seed,
             retries=attempt,
             artifacts={"embedding": str(embedding_path), "certificate": str(certificate_path)},
             certificate={"embedded": True, "charts": len(certificate.charts)},
         )
         return EXIT_OK
-    raise RetriesExhausted(f"no certified embedding after {config.max_retries} attempts")
+    raise RetriesExhausted(f"no certified embedding after {args.max_retries} attempts")
 
 
 def _fan_output(fan: Fan, out: str | None, report: dict) -> None:
@@ -390,20 +351,6 @@ def _cmd_verify(args, report: dict) -> int:
     return EXIT_OK if certificate.embedded else EXIT_CERTIFICATE
 
 
-def _cmd_run(args, report: dict) -> int:
-    config = RunConfig(
-        fan_path=args.fan, preset_name=args.preset, ample=args.ample,
-        xi_method=args.xi_method, seed=_parse_seed(args.seed),
-        torus=_parse_torus(args.torus), max_retries=args.max_retries, out_dir=args.out,
-    )
-    return _pipeline(config, report)
-
-
-def _cmd_demo(args, report: dict) -> int:
-    config = RunConfig(preset_name=args.name, seed=_parse_seed(args.seed), out_dir=args.out)
-    return _pipeline(config, report)
-
-
 def _add_command(sub, name: str, handler, help: str) -> argparse.ArgumentParser:
     """A subcommand whose report says ``"command": name``."""
     parser = sub.add_parser(name.split()[-1], help=help)
@@ -485,15 +432,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", default="toricurve-out")
 
-    p = _add_command(sub, "run", _cmd_run, "full pipeline with retries")
-    _add_fan_source(p)
-    _add_pipeline_flags(p)
-    p.add_argument("--max-retries", type=int, default=3)
+    run = _add_command(sub, "run", _cmd_run, "full pipeline with retries")
+    _add_fan_source(run)
+    _add_pipeline_flags(run)
+    run.add_argument("--max-retries", type=int, default=3)
 
-    p = _add_command(sub, "demo", _cmd_demo, "full pipeline on a preset with defaults")
-    p.add_argument("name")
+    # demo is run on a preset, with run's defaults for the flags it lacks
+    p = _add_command(sub, "demo", _cmd_run, "full pipeline on a preset with defaults")
+    p.add_argument("preset", metavar="name")
     p.add_argument("--seed", default="0", help="integer in [0, 2^64)")
     p.add_argument("--out", default="toricurve-out")
+    p.set_defaults(**{dest: run.get_default(dest)
+                      for dest in ("fan", "ample", "xi_method", "torus", "max_retries")})
 
     return parser
 
@@ -511,7 +461,11 @@ def main(argv=None) -> int:
         report = {"command": exc.command}
         return _emit(report, _fail(report, exc))
     report = {"command": args.command_name}
-    return _emit(report, _apply(args.handler, args, report))
+    try:
+        code = args.handler(args, report)
+    except Exception as exc:
+        code = _fail(report, exc)
+    return _emit(report, code)
 
 
 if __name__ == "__main__":

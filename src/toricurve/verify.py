@@ -32,8 +32,8 @@ import json
 from fractions import Fraction
 from itertools import chain, combinations
 
-from .certificate import (  # noqa: F401, the last two re-exported
-    Certificate, ChartRecord, CheckResult, DegreeOverflow, certificate_to_dict, dumps_certificate,
+from .certificate import (  # noqa: F401, certificate_to_dict re-exported
+    Certificate, ChartRecord, CheckResult, DegreeOverflow, certificate_to_dict,
 )
 from .curve import (
     CDivisor,
@@ -188,24 +188,28 @@ def _pair_witness(s0: Fraction, u0: Fraction) -> dict:
     }
 
 
-def _partner_witnesses(coords, NDs, residual, u0: Fraction, excluded_fr):
-    """All verified collisions with second coordinate u0 (rational); the
-    residuals, rows in Z[s, u], specialised to int lists in s.  u0 is a
-    root _rational_roots found, so it is no excluded point."""
-    specialized = [p for p in (_at(r, 1, u0) for r in residual) if p]
-    assert specialized, "all coordinates degenerate at a candidate"
-    d = _gcd_all(specialized)
-    if len(d) == 1:
-        return []
-    return list(
-        _zero_witnesses(
-            d,
-            "s",
-            excluded_fr,
-            lambda s0: s0 != u0 and _collision_holds(coords, s0, u0) and _pair_witness(s0, u0),
-            lambda mu: _congruence_collision(NDs, u0, mu) and _conjugate_witness(u0, _str(mu, "s")),
-        )
-    )
+def _partner_witnesses(coords, NDs, residual, p, excluded_fr):
+    """(every verified collision whose second coordinate u0 is a rational
+    root of p off the excluded points, what _rational_roots leaves of p).
+
+    p is an int list in u; at each u0 the residuals, rows in Z[s, u], are
+    specialised to int lists in s and their gcd's zeros re-checked."""
+    roots, rest = _rational_roots(p, excluded_fr)
+    witnesses = []
+    for u0 in roots:
+        specialized = [q for q in (_at(r, 1, u0) for r in residual) if q]
+        assert specialized, "all coordinates degenerate at a candidate"
+        d = _gcd_all(specialized)
+        if len(d) > 1:  # extend runs the lazy re-checks while u0 is this root
+            witnesses.extend(_zero_witnesses(
+                d,
+                "s",
+                excluded_fr,
+                lambda s0: s0 != u0 and _collision_holds(coords, s0, u0) and _pair_witness(s0, u0),
+                lambda mu: _congruence_collision(NDs, u0, mu)
+                and _conjugate_witness(u0, _str(mu, "s")),
+            ))
+    return witnesses, rest
 
 
 def _degree_estimate(chart: ChartMap) -> int:
@@ -296,11 +300,9 @@ def _finite_finite(chart, coords, NDs, Qs, excluded_fr, witnesses, memo):
         if len(du) == 1:
             return "resultant"
         # candidate roots in the u direction, partners recovered by univariate gcd
-        roots, rest = _rational_roots(du, excluded_fr)
-        found = len(witnesses)
-        for u0 in roots:
-            witnesses.extend(_partner_witnesses(coords, NDs, residual, u0, excluded_fr))
-        if witnesses[found:] or len(rest) == 1:
+        partners, rest = _partner_witnesses(coords, NDs, residual, du, excluded_fr)
+        witnesses.extend(partners)
+        if partners or len(rest) == 1:
             return "resultant"  # every candidate dispatched, or a collision found
 
     # Groebner saturation decides the rest exactly
@@ -318,18 +320,14 @@ def _finite_finite(chart, coords, NDs, Qs, excluded_fr, witnesses, memo):
     if eliminant is None:
         return "groebner"
     cleared, text = eliminant
-    roots, _rest = _rational_roots(cleared, excluded_fr)
-    found = len(witnesses)
-    for u0 in roots:
-        witnesses.extend(_partner_witnesses(coords, NDs, residual, u0, excluded_fr))
-    if not witnesses[found:]:
-        witnesses.append(
-            {
-                "kind": "collision-system",
-                "elimination_poly": text,
-                "verified": "groebner-saturation",
-            }
-        )
+    partners, _rest = _partner_witnesses(coords, NDs, residual, cleared, excluded_fr)
+    witnesses.extend(partners or [
+        {
+            "kind": "collision-system",
+            "elimination_poly": text,
+            "verified": "groebner-saturation",
+        }
+    ])
     return "groebner"
 
 

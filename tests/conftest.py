@@ -1,10 +1,14 @@
-"""Shared fixtures and the acceptance report hook."""
+"""Shared fixtures, the in-process CLI runner and the acceptance report hook."""
 
+import contextlib
+import io
+import json
 import random
 from pathlib import Path
 
 import pytest
 
+from toricurve.cli import main
 from toricurve.fan import Fan, load_fan, preset, star_subdivision
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -16,6 +20,16 @@ def ladder_fan(rays: int):
     while fan.n_rays < rays:
         fan = star_subdivision(fan, rng.choice(fan.max_cones))
     return fan
+
+
+def run_main(argv):
+    """``toricurve.cli.main(argv)`` in this process: (exit code, the report it printed)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    report = json.loads(out.getvalue())
+    assert report["exit_code"] == code
+    return code, report
 
 
 def in_basis(fan, columns):

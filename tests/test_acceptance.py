@@ -8,7 +8,7 @@ import random
 import time
 from fractions import Fraction
 
-from conftest import ACCEPTANCE_LINES
+from conftest import ACCEPTANCE_LINES, run_main
 from negative_fixtures import (
     doubled_point_data,
     extra_zero_data,
@@ -17,7 +17,6 @@ from negative_fixtures import (
     symmetric_data,
 )
 from oracles import ChowOracle, brute_force_pair_scan, transition_mismatches
-from toricurve.cli import RunConfig, run_pipeline
 from toricurve.curve import INFINITY, CurvePoint, evaluate_with_derivative
 from toricurve.embed import build_embedding_data, chart_maps, check_theorem_conditions
 from toricurve.fan import preset, star_subdivision, validate
@@ -109,12 +108,10 @@ def test_acceptance_4_sixty_certified_runs(tmp_path):
         total_retries = 0
         for name in PRESETS:
             for seed in range(20):
-                config = RunConfig(
-                    preset_name=name,
-                    seed=seed,
-                    out_dir=str(tmp_path / f"{name}-{seed}"),
+                out = str(tmp_path / f"{name}-{seed}")
+                code, report = run_main(
+                    ["run", "--preset", name, "--seed", str(seed), "--out", out]
                 )
-                code, report = run_pipeline(config)
                 assert code == 0, (name, seed, report.get("error"))
                 total_retries += report["retries"]
         assert total_retries <= 3

@@ -24,12 +24,14 @@ from itertools import combinations, product
 import pytest
 
 import negative_fixtures
-from toricurve.cli import RunConfig, main, run_pipeline
+from conftest import run_main
+from toricurve.certificate import dumps_certificate
+from toricurve.cli import main
 from toricurve.curve import CDivisor, CurvePoint, principal_function
 from toricurve.embed import EmbeddingData, check_theorem_conditions, pairing_matrix
 from toricurve.fan import Fan, preset, save_fan, star_subdivision
 from toricurve.intersect import XiVector, xi_vector
-from toricurve.verify import certify, dumps_certificate
+from toricurve.verify import certify
 
 F = Fraction
 PRESETS = ("p3", "p1p1p1", "bl-p3-point")
@@ -102,8 +104,8 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _run_digests(config: RunConfig):
-    code, report = run_pipeline(config)
+def _run_digests(argv):
+    code, report = run_main(["run"] + argv)
     assert code == 0, report.get("error")
     paths = report["artifacts"]
     with open(paths["embedding"], "rb") as fh:
@@ -192,7 +194,7 @@ def involution_data(base: str, kind: str, mode: str) -> EmbeddingData:
 
 
 def _preset_case(name, seed, tmp):
-    return _run_digests(RunConfig(preset_name=name, seed=seed, out_dir=str(tmp)))
+    return _run_digests(["--preset", name, "--seed", str(seed), "--out", str(tmp)])
 
 
 def _chain_case(tmp):
@@ -202,8 +204,7 @@ def _chain_case(tmp):
     path = tmp / "chain.fan"
     tmp.mkdir(parents=True, exist_ok=True)
     save_fan(fan, path)
-    config = RunConfig(fan_path=str(path), xi_method="kernel", seed=0, out_dir=str(tmp / "out"))
-    return _run_digests(config)
+    return _run_digests(["--fan", str(path), "--xi-method", "kernel", "--out", str(tmp / "out")])
 
 
 FIXTURE_DATA = {
