@@ -348,6 +348,26 @@ def test_run_rejects_zero_retries_as_a_usage_error(tmp_path):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--max-retries", "0"], "max-retries must be at least 1"),
+    (["--seed", "-1"], "seed must fit in 64 unsigned bits"),
+    (["--torus", "1,0,1"], "torus entries must be nonzero"),
+    (["--seed", "5x"], "seed must be an integer, got '5x'"),
+    (["--max-retries", "2.5"], "argument --max-retries: invalid int value: '2.5'"),
+    (["--xi-method", "bogus"], "argument --xi-method: invalid choice: "),
+    (["--torus", "a,1,1"], "torus needs three comma-separated rationals, got 'a,1,1'"),
+], ids=["zero-retries", "negative-seed", "zero-torus", "str-seed", "float-retries",
+        "unknown-xi-method", "str-torus"])
+def test_run_pipeline_makes_the_range_checks_of_run(tmp_path, flags, message):
+    """``run`` refuses each flag value before any work: exit 2, kind usage, the
+    message (its start, where argparse words it), no config and no output."""
+    code, report = run_main(["run", "--preset", "p3", *flags, "--out", str(tmp_path / "o")])
+    assert (code, report["error"]["kind"]) == (2, "usage")
+    assert report["error"]["message"].startswith(message)
+    assert "config" not in report
+    assert not (tmp_path / "o").exists()
+
+
 NONPROJECTIVE = str(FIXTURES / "nonprojective.fan")
 FAN_COMMANDS = {  # command -> argv before its fan source
     "fan validate": ["fan", "validate"],
