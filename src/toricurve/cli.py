@@ -10,11 +10,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from .certificate import DegreeOverflow, dumps_certificate
-from .embed import build_embedding_data, check_theorem_conditions, dumps_embedding, load_embedding
+from .embed import (
+    _parse_fraction, build_embedding_data, check_theorem_conditions, dumps_embedding, load_embedding,
+)
 from .fan import (
     ConeNotInFan, Fan, MalformedFan, UnknownPreset,
     _pair_census, dumps_fan, dumps_json, fan_to_dict, load_fan, preset, star_subdivision, validate,
@@ -123,7 +124,7 @@ def _parse_values(text: str, convert, count: int, message: str) -> tuple:
 
 
 def _parse_torus(text: str):
-    return _parse_values(text, Fraction, 3, "torus needs three comma-separated rationals")
+    return _parse_values(text, _parse_fraction, 3, "torus needs three comma-separated rationals")
 
 
 def _parse_cone(text: str):

@@ -221,8 +221,11 @@ def _is_int(x) -> bool:
 
 
 def _parse_fraction(s) -> Fraction:
+    """p, p/q or a decimal; not 1e3, since Fraction would expand 10^exponent first."""
     if not isinstance(s, str):
         raise BadEmbeddingFile(f"expected a rational string, got {s!r}")
+    if "e" in s or "E" in s:
+        raise BadEmbeddingFile(f"bad rational {s!r}: no exponent notation")
     try:
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:

@@ -96,6 +96,16 @@ def _bezoutian(N, D, memo: dict) -> list:
     return Q
 
 
+def _diagonal(Q: list) -> list:
+    """Q(t, t) = N' D - N D', trimmed, for Q the Bezoutian of N and D (square
+    rows): differentiate (s - u) Q = N(s) D(u) - N(u) D(s) in s at s = u = t."""
+    w = [0] * (2 * len(Q) - 1)
+    for i, row in enumerate(Q):
+        for j, a in enumerate(row):
+            w[i + j] += a
+    return _trim(w)
+
+
 def _in_ring(p):
     """p, an int list or s-coefficient rows (each an int list in u, top
     degree first, of any length), as an element of sympy's Z[u] or Z[s, u]."""
@@ -504,17 +514,18 @@ def _lifted_roots(c: list) -> list:
     """The rational roots of c, an int list of degree >= 3, by p-adic
     lifting (Loos, SIAM J. Comput. 12(2), 1983).
 
-    f = c / gcd(c, c') is c's squarefree part by GCDHEU (c' is the Wronskian
-    of c and 1).  p is the first prime not dividing lc(f) at whose roots
-    mod p f' does not vanish, as at any p that divides neither lc(f) nor
-    disc(f).  A root num / den of f has den | lc(f), so it reduces to a
-    simple root mod p, which Newton's iteration lifts uniquely mod
-    m = p^(2^k) until m > 2 (|lc| + max |f_i|), twice Cauchy's bound on
-    |lc num / den|: lc num / den is the symmetric residue of lc r mod m.  A
-    candidate counts only once den^n f(num / den) is zero exactly.
+    f = c / gcd(c, c') is c's squarefree part by GCDHEU.  p is the first
+    prime not dividing lc(f) at whose roots mod p f' does not vanish, as at
+    any p dividing neither lc(f) nor disc(f).  A root num / den of f has
+    den | lc(f), so it reduces to a simple root mod p, which Newton's
+    iteration lifts uniquely mod m = p^(2^k) until m > 2 (|lc| + max |f_i|),
+    twice Cauchy's bound on |lc num / den|: lc num / den is the symmetric
+    residue of lc r mod m.  A candidate counts once den^n f(num / den) = 0.
     """
-    f = _primitive(_exquo(c, _gcd(c, _wronskian(c, [1]))))
-    df = _wronskian(f, [1])
+    def derivative(p):
+        return [(len(p) - 1 - i) * a for i, a in enumerate(p[:-1])]
+    f = _primitive(_exquo(c, _gcd(c, derivative(c))))
+    df = derivative(f)
     lc = f[0]
     bound = 2 * (lc + max(map(abs, f[1:])))
 
@@ -718,14 +729,3 @@ def _newton(x0: int, ys: list, k: int) -> list:
         poly = [poly[0]] + [(b - x * a) % p for a, b in zip(poly, poly[1:])] + [(diffs[j] - x * poly[-1]) % p]
     return poly
 
-
-def _wronskian(N, D) -> list:
-    """N' D - N D' for int lists N, D, top degree first: N[p] D[r] adds
-    (n - p - m + r) N[p] D[r] at index p + r, n = deg N, m = deg D; the
-    last index, N[n] D[m]'s with factor 0, is dropped."""
-    n, m = len(N) - 1, len(D) - 1
-    w = [0] * (n + m + 1)
-    for p, a in enumerate(N):
-        for r, b in enumerate(D):
-            w[p + r] += (n - p - m + r) * a * b
-    return w[:-1]

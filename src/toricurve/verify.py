@@ -9,9 +9,9 @@ residual system is decided by pairwise resultants eliminating s, with a
 Groebner saturation fallback.  Each Q_i is symmetric in s and u, so the
 residuals are symmetric up to sign and eliminating u would only swap the
 variables: one direction suffices.  The collisions with the point at
-infinity are the common zeros of the Q_i's top rows in s.  Immersivity is
-a univariate gcd of the N_i' D_i - N_i D_i' plus a derivative check at
-infinity.
+infinity are the common zeros of the Q_i's top rows in s, the tangent points
+those of their diagonals Q_i(t, t) = N_i' D_i - N_i D_i' (differentiate
+(s - u) Q_i in s at s = u = t), with a derivative check at infinity.
 
 Every witness is re-checked exactly, in ints.  Each candidate polynomial
 is factored once (excluded roots stripped first) and read in one order:
@@ -46,8 +46,8 @@ from .curve import (
 from .embed import ChartMap, EmbeddingData, chart_maps, check_theorem_conditions, refuse_infinity
 from .poly import (
     _MERSENNE_EXPONENTS, _at, _bezoutian, _common_factor, _coprime, _divides, _eliminant,
-    _exquo_su, _factor, _gcd_all, _homogeneous, _print_sorted, _rational_roots,
-    _res_interpolated, _res_kronecker, _str, _strip, _total_degree, _trim, _wronskian,
+    _diagonal, _exquo_su, _factor, _gcd_all, _homogeneous, _print_sorted, _rational_roots,
+    _res_interpolated, _res_kronecker, _str, _strip, _total_degree, _trim,
 )
 
 DEFAULT_DEGREE_CAP = 512
@@ -213,8 +213,10 @@ def _partner_witnesses(coords, NDs, residual, p, excluded_fr):
 
 
 def _degree_estimate(chart: ChartMap) -> int:
-    """max 2 deg f_i deg f_j over pairs of coordinates; DegreeOverflow past the cap."""
-    degs = [max(map(len, f.integer_parts)) - 1 for f in chart.coords]
+    """max 2 deg f_i deg f_j over pairs of coordinates, each deg f_i read off its
+    exponents before N_i, D_i are expanded; DegreeOverflow past the cap."""
+    degs = [max(sum(e for _, e in f.factors if e > 0), sum(-e for _, e in f.factors if e < 0))
+            for f in chart.coords]
     est = max(2 * a * b for a, b in combinations(degs, 2))
     if est > DEFAULT_DEGREE_CAP:
         raise DegreeOverflow(chart.cone, est, DEFAULT_DEGREE_CAP)
@@ -412,18 +414,16 @@ def _resultant(F, G, cone, memo: dict) -> list:
 
 def _tangent_at(coords, point: CurvePoint) -> bool:
     """Every coordinate is regular at point with zero derivative there."""
-    for f in coords:
-        v = evaluate_with_derivative(f, point)
-        if v is POLE or v[1]:
-            return False
-    return True
+    values = (evaluate_with_derivative(f, point) for f in coords)
+    return all(v is not POLE and not v[1] for v in values)
 
 
-def chart_immersive(chart: ChartMap) -> CheckResult:
+def chart_immersive(chart: ChartMap, memo=None) -> CheckResult:
     """No common zero of all coordinate derivatives on the chart domain."""
     coords = chart.coords
     excluded_fr = {p.finite for p in chart.excluded if not p.is_infinity}
-    w_polys = [_trim(_wronskian(*f.integer_parts)) for f in coords]
+    memo = {} if memo is None else memo  # the Bezoutians chart_injective built
+    w_polys = [_diagonal(_bezoutian(*f.integer_parts, memo)) for f in coords]
     assert all(w_polys), "a chart coordinate is constant"
     witnesses = list(_common_zeros(w_polys, "t", excluded_fr, lambda p: _tangent_at(coords, p),
                                    "tangent-point", "tangent-conjugate"))
@@ -477,7 +477,7 @@ def certify(data: EmbeddingData) -> Certificate:
     records, memo = [], {}
     for chart in charts:
         inj = chart_injective(chart, memo)
-        imm = chart_immersive(chart)
+        imm = chart_immersive(chart, memo)
         records.append(
             ChartRecord(
                 cone=chart.cone,

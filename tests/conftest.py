@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import random
+import signal
 from pathlib import Path
 
 import pytest
@@ -30,6 +31,27 @@ def run_main(argv):
     report = json.loads(out.getvalue())
     assert report["exit_code"] == code
     return code, report
+
+
+class OverBudget(BaseException):
+    """Raised into the code under test when a ``budget`` runs out; not an
+    Exception, so cli.main's error table cannot turn it into a report."""
+
+
+@contextlib.contextmanager
+def budget(seconds: float):
+    """Stop the block with OverBudget once ``seconds`` of wall time pass
+    (SIGALRM, so the main thread of a POSIX process only)."""
+    def expire(signum, frame):
+        raise OverBudget(f"the block outlived its {seconds} s budget")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def in_basis(fan, columns):

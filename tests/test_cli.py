@@ -9,12 +9,15 @@ from pathlib import Path
 
 import pytest
 
-from conftest import FIXTURES, ladder_fan, run_main
+from conftest import FIXTURES, budget, ladder_fan, run_main
 from negative_fixtures import symmetric_data
 from test_verify import run_fresh
 from toricurve import feasibility
 from toricurve.cli import ERRORS, main
-from toricurve.embed import build_embedding_data, dumps_embedding, embedding_to_dict
+from toricurve.embed import (
+    build_embedding_data, check_theorem_conditions, dumps_embedding, embedding_to_dict,
+    load_embedding,
+)
 from toricurve.fan import Fan, load_fan, preset, save_fan
 from toricurve.intersect import XiVector, find_ample, xi_vector
 from toricurve.verify import Certificate
@@ -314,6 +317,59 @@ def test_verify_rejects_a_malformed_data_file(tmp_path):
     assert report["error"]["kind"] == "bad-input"
 
 
+def p3_embedding_doc(tmp_path):
+    """The embedding.json of ``embed --preset p3 --seed 0`` (intersection xi)."""
+    code, report = run_main(["embed", "--preset", "p3", "--seed", "0", "--out", str(tmp_path / "p3")])
+    assert code == 0
+    return json.loads(Path(report["artifacts"]["embedding"]).read_text(encoding="utf-8"))
+
+
+def test_an_oversized_chart_is_refused_before_its_coordinates_are_expanded(tmp_path):
+    """Each D_rho's one point at multiplicity 3000, the epsilon exponents scaled
+    to match: the file passes the morphism conditions, and verify reads every
+    coordinate's degree 3000 off the exponents, never expanding its N and D."""
+    doc = p3_embedding_doc(tmp_path)
+    doc["divisors"] = [[[p, 3000 * m] for p, m in d] for d in doc["divisors"]]
+    for f in doc["epsilon"]:
+        f["factors"] = [[r, 3000 * e] for r, e in f["factors"]]
+    path = tmp_path / "heavy.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with budget(1.0):
+        assert check_theorem_conditions(load_embedding(path)).passed
+        code, report = run_main(["verify", "--data", str(path), "--out", str(tmp_path / "o")])
+    assert (code, report["error"]["kind"]) == (1, "degree-overflow")
+    assert report["error"]["message"] == (
+        "chart (0, 1, 2): elimination degree estimate 18000000 exceeds cap 512"
+    )
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_torus_entry_in_exponent_notation_is_refused_at_once(tmp_path):
+    """Fraction("1e9999999") would compute 10^9999999 first."""
+    doc = p3_embedding_doc(tmp_path)
+    doc["torus"][0] = "1e9999999"
+    path = tmp_path / "exponent.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with budget(1.0):
+        code, report = run_main(["verify", "--data", str(path), "--out", str(tmp_path / "o")])
+    assert (code, report["error"]["kind"]) == (1, "bad-input")
+    assert report["error"]["message"] == "bad rational '1e9999999': no exponent notation"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["embed", "run"])
+def test_a_torus_flag_in_exponent_notation_is_a_usage_error_at_once(tmp_path, command):
+    with budget(1.0):
+        code, report = run_main(
+            [command, "--preset", "p3", "--torus", "1e9999999,1,1", "--out", str(tmp_path / "o")]
+        )
+    assert (code, report["error"]["kind"]) == (2, "usage")
+    assert report["error"]["message"] == (
+        "torus needs three comma-separated rationals, got '1e9999999,1,1'"
+    )
+    assert not (tmp_path / "o").exists()
+
+
 def test_usage_errors_are_reported_before_any_work(tmp_path):
     code, report = run_main(
         ["run", "--preset", "p3", "--seed", "-1", "--out", str(tmp_path / "o")]
@@ -400,6 +456,7 @@ CONTRACT = (
         for flag, value in (
             ("--seed", "-1"), ("--seed", "x"), ("--seed", str(2**64)),
             ("--torus", "a,b,c"), ("--torus", "1/0,1,1"), ("--torus", "1,0,1"),
+            ("--torus", "1e3,1,1"),
         )
     ]
     + [(["demo", "p3", "--seed", seed, "--out", "OUT"], "usage", 2) for seed in ("-1", "x")]

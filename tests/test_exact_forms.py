@@ -228,9 +228,10 @@ def test_integer_parts_are_the_ring_products_in_both_rings(f):
 @PROPERTY
 @given(functions())
 def test_derivative_numerator_from_the_int_lists_is_the_ring_one(f):
+    """The Bezoutian's diagonal Q(t, t), which chart_immersive reads, is N' D - N D'."""
     t = _ZT
     N, D = integer_parts_by_ring_products(f, t)
-    w = t.ring.from_dense(poly._wronskian(*f.integer_parts))
+    w = t.ring.from_dense(poly._diagonal(poly._bezoutian(*f.integer_parts, {})))
     assert w == N.diff(t) * D - N * D.diff(t)
 
 

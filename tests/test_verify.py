@@ -531,6 +531,21 @@ def test_the_collision_recheck_refuses_a_pair_that_does_not_collide():
     assert not verify._collision_holds((rf({0: -1}),), F(0), F(0))  # a pole
 
 
+def test_a_curve_witness_walks_the_half_integers_then_names_the_curve():
+    """t^2, t^4 and t^6 collide along s + u = 0.  With the candidates 0, +-1,
+    ..., +-59 excluded the walk reaches s = 1/2 and its partner -1/2; with
+    every candidate excluded it names the curve itself."""
+    coords = (rf({0: 2}), rf({0: 4}), rf({0: 6}))
+    NDs = [f.integer_parts for f in coords]
+    (factor, _), = poly._factor(poly._gcd_all([poly._bezoutian(N, D, {}) for N, D in NDs]))
+    candidates = set(verify._rational_candidates())
+    integers = {x for x in candidates if x.denominator == 1}
+    assert verify._witness_from_curve(coords, NDs, factor, integers) == {
+        "kind": "collision-pair", "s": "-1/2", "u": "1/2", "verified": "evaluation"}
+    assert verify._witness_from_curve(coords, NDs, factor, candidates) == {
+        "kind": "collision-curve", "poly": "s + u", "verified": "common-factor-division"}
+
+
 @pytest.mark.parametrize("rays, cap, cone, estimate", [
     (7, 30, (0, 3, 4), 40),  # charts 0-2 estimate 24
     (9, 150, (0, 3, 6), 264),  # (0, 3, 4) 84 and (0, 1, 5) 72 come first
@@ -708,6 +723,22 @@ def seed0_data(fan_name, rays, method):
     ample = find_ample(fan)
     xi = xi_vector(fan, ample if method == "intersection" else None, method=method)
     return build_embedding_data(fan, ample, xi, 0)
+
+
+def test_chart_immersive_reads_the_bezoutians_chart_injective_built(monkeypatch):
+    """certify hands both checks one memo, and every W_i chart_immersive
+    takes is the diagonal of a Q_i held there, not of one rebuilt."""
+    memos, diagonals = [], []
+    real_injective, real_diagonal = verify.chart_injective, verify._diagonal
+    monkeypatch.setattr(verify, "chart_injective",
+                        lambda c, memo: memos.append(memo) or real_injective(c, memo))
+    monkeypatch.setattr(verify, "_diagonal", lambda Q: diagonals.append(Q) or real_diagonal(Q))
+    data = seed0_data("bl-p3-point", 0, "intersection")
+    assert certify(data).embedded
+    held = {id(Q) for Q in memos[0].values()}
+    assert all(memo is memos[0] for memo in memos)
+    assert len(diagonals) == 3 * len(chart_maps(data))
+    assert all(id(Q) in held for Q in diagonals)
 
 
 def test_clean_charts_close_without_a_gcd_and_with_two_resultants(monkeypatch):
