@@ -169,7 +169,8 @@ def _str(p: list, gens: str) -> str:
 
 def _gcd_all(polys):
     """The gcd of nonzero polys (all int lists or all rows) by _gcd,
-    pairwise from the left, stopping at a constant, made positive."""
+    pairwise from the left, stopping at a constant, made positive; a single
+    poly comes back as given, whatever its sign."""
     g = polys[0]
     for p in polys[1:]:
         if len(g) == 1 and not (isinstance(g[0], list) and len(g[0]) > 1):

@@ -13,8 +13,12 @@ infinity are the common zeros of the Q_i's top rows in s, the tangent points
 those of their diagonals Q_i(t, t) = N_i' D_i - N_i D_i' (differentiate
 (s - u) Q_i in s at s = u = t), with a derivative check at infinity.
 
-Every witness is re-checked exactly, in ints.  Each candidate polynomial
-is factored once (excluded roots stripped first) and read in one order:
+A constant coordinate separates no points and has no derivative zero to
+add, so it drops out of both systems; a chart with none left collides and
+is tangent everywhere.
+
+Every witness is re-checked exactly, in ints.  Each gcd a search computes
+is read by _zero_witnesses, excluded roots stripped first, in one order:
 rational roots, then irreducible factors of degree >= 2.  A rational
 witness is re-checked by evaluating the factored coordinates
 homogeneously at num / den, an algebraic one by a congruence modulo its
@@ -30,7 +34,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain, combinations, islice
 
 from .certificate import (  # noqa: F401, certificate_to_dict re-exported
     Certificate, ChartRecord, CheckResult, DegreeOverflow, certificate_to_dict,
@@ -53,60 +57,31 @@ from .poly import (
 DEFAULT_DEGREE_CAP = 512
 
 
-def _roots_and_factors(c: list, excluded_fr, gens: str):
-    """The rational roots of c, a nonconstant int list in the variable gens,
-    that are not excluded points, and the irreducible factors of degree >= 2
-    of what _rational_roots leaves, the candidates for a congruence
-    re-check; each list in the fixed order that decides which witness is
-    found first.
+def _zero_witnesses(g, gens: str, excluded_fr, at_root, at_factor):
+    """The re-checked witnesses on the zeros of g, lazily, in certificate order.
+
+    g is a gcd the caller computed, an int list in the variable gens; None
+    or a constant has no zeros.  Its rational roots off the excluded points
+    come first, then the irreducible factors of degree >= 2 of what
+    _rational_roots leaves, factored only when the iterator reaches them.
+    at_root(x) and at_factor(mu) re-check one exactly and return its
+    witness, or a false value when the check fails.
     """
-    roots, rest = _rational_roots(c, excluded_fr)
-    higher = _factor(rest) if len(rest) > 1 else []
-    return roots, [mu for mu, _ in _print_sorted(higher, lambda mu: _str(mu, gens))]
-
-
-def _zero_witnesses(p, gens: str, excluded_fr, at_root, at_factor):
-    """The re-checked witnesses on the zeros of p, lazily, in certificate order.
-
-    p is an int list in the variable gens, factored at once.  Its rational
-    roots off the excluded points come first, then its irreducible factors
-    of degree >= 2, as _roots_and_factors lists them; each is re-checked
-    only when the iterator reaches it.  at_root(x) and at_factor(mu) re-check
-    one exactly and return its witness, or a false value when the check
-    fails.
-    """
-    roots, higher = _roots_and_factors(p, excluded_fr, gens)
-    return filter(None, chain(map(at_root, roots), map(at_factor, higher)))
-
-
-def _common_zeros(polys, gens: str, excluded_fr, holds, kind: str, conjugate_kind: str):
-    """The re-checked witnesses on the common zeros of polys off the excluded
-    points, int lists in the variable gens: none when _common_factor proves
-    there are none, else those on the zeros of their gcd.  A rational zero x
-    is re-checked by holds(CurvePoint(x)), an irreducible factor mu by
-    dividing every one of polys exactly.
-    """
-    g = _common_factor(polys, gens, excluded_fr)
     if g is None or len(g) == 1:
-        return ()
-    return _zero_witnesses(
-        g,
-        gens,
-        excluded_fr,
-        lambda x: holds(CurvePoint(x)) and {"kind": kind, gens: str(x), "verified": "evaluation"},
-        lambda mu: all(_divides(mu, p) for p in polys)
-        and {"kind": conjugate_kind, "poly": _str(mu, gens), "verified": "congruence"},
-    )
+        return
+    roots, rest = _rational_roots(g, excluded_fr)
+    yield from filter(None, map(at_root, roots))
+    if len(rest) > 1:
+        higher = _print_sorted(_factor(rest), lambda mu: _str(mu, gens))
+        yield from filter(None, (at_factor(mu) for mu, _ in higher))
 
 
-def _rational_candidates():
-    yield Fraction(0)
-    for k in range(1, 60):
-        yield Fraction(k)
-        yield Fraction(-k)
-    for k in range(1, 60):
-        yield Fraction(2 * k - 1, 2)
-        yield Fraction(-(2 * k - 1), 2)
+def _rational_candidates(excluded_fr=()):
+    """0, 1, -1, ..., 59, -59, then 1/2, -1/2, ..., 117/2, -117/2, lazily,
+    the excluded points left out."""
+    halves = (Fraction(2 * k - 1, 2) for k in range(1, 60))
+    signed = chain.from_iterable((x, -x) for x in chain(map(Fraction, range(1, 60)), halves))
+    return (x for x in chain([Fraction(0)], signed) if x not in excluded_fr)
 
 
 def _collision_holds(coords, s0: Fraction, u0: Fraction) -> bool:
@@ -139,77 +114,47 @@ def _congruence_collision(NDs, s0: Fraction, mu: list) -> bool:
     return True
 
 
-def _conjugate_witness(s0: Fraction, mu: str) -> dict:
-    return {
-        "kind": "collision-conjugate",
-        "s": str(s0),
-        "partner_poly": mu,
-        "verified": "congruence",
-    }
+def _collisions_at(coords, NDs, rows, var: int, x0: Fraction, excluded_fr):
+    """The re-checked collisions (x0, y), lazily: rows in Z[s, u] vanish at
+    every collision, x0 goes in place of s (var 0) or u (var 1), and each y
+    is a zero of the gcd of what is left, an int list in the other variable.
+    A rational y != x0 is re-checked by evaluation, an irreducible factor
+    by _congruence_collision."""
+    gens = "su"[1 - var]
+    specialized = [q for q in (_at(r, var, x0) for r in rows) if q]
+    assert specialized, "all coordinates degenerate at a candidate"
+    return _zero_witnesses(
+        _gcd_all(specialized),
+        gens,
+        excluded_fr,
+        lambda y: y != x0 and _collision_holds(coords, x0, y) and {
+            "kind": "collision-pair", "s": str(min(x0, y)), "u": str(max(x0, y)),
+            "verified": "evaluation"},
+        lambda mu: _congruence_collision(NDs, x0, mu) and {
+            "kind": "collision-conjugate", "s": str(x0), "partner_poly": _str(mu, gens),
+            "verified": "congruence"},
+    )
 
 
 def _witness_from_curve(coords, NDs, factor, excluded_fr):
     """A verified collision witness on the zero curve of a common factor
     (rows in Z[s, u]), irreducible and of positive degree in u (see
-    _finite_finite), so s - s0 divides it for no s0."""
-    for s0 in _rational_candidates():
-        if s0 in excluded_fr:
-            continue
-        psi = _at(factor, 0, s0)
-        if len(psi) == 1:
-            continue
-        found = next(
-            _zero_witnesses(
-                psi,
-                "u",
-                excluded_fr,
-                lambda u0: u0 != s0 and _collision_holds(coords, s0, u0) and _pair_witness(s0, u0),
-                lambda mu: _congruence_collision(NDs, s0, mu)
-                and _conjugate_witness(s0, _str(mu, "u")),
-            ),
-            None,
-        )
-        if found:
-            return found
-    return {
-        "kind": "collision-curve",
-        "poly": _str(factor, "s,u"),
-        "verified": "common-factor-division",
-    }
-
-
-def _pair_witness(s0: Fraction, u0: Fraction) -> dict:
-    a, b = sorted((s0, u0))
-    return {
-        "kind": "collision-pair",
-        "s": str(a),
-        "u": str(b),
-        "verified": "evaluation",
-    }
+    _finite_finite), so s - s0 divides it for no s0: the first over the
+    rational candidates s0, else the curve itself."""
+    found = (next(_collisions_at(coords, NDs, [factor], 0, s0, excluded_fr), None)
+             for s0 in _rational_candidates(excluded_fr))
+    return next(filter(None, found), {"kind": "collision-curve", "poly": _str(factor, "s,u"),
+                                      "verified": "common-factor-division"})
 
 
 def _partner_witnesses(coords, NDs, residual, p, excluded_fr):
     """(every verified collision whose second coordinate u0 is a rational
     root of p off the excluded points, what _rational_roots leaves of p).
 
-    p is an int list in u; at each u0 the residuals, rows in Z[s, u], are
-    specialised to int lists in s and their gcd's zeros re-checked."""
+    p is an int list in u; the residuals are rows in Z[s, u]."""
     roots, rest = _rational_roots(p, excluded_fr)
-    witnesses = []
-    for u0 in roots:
-        specialized = [q for q in (_at(r, 1, u0) for r in residual) if q]
-        assert specialized, "all coordinates degenerate at a candidate"
-        d = _gcd_all(specialized)
-        if len(d) > 1:  # extend runs the lazy re-checks while u0 is this root
-            witnesses.extend(_zero_witnesses(
-                d,
-                "s",
-                excluded_fr,
-                lambda s0: s0 != u0 and _collision_holds(coords, s0, u0) and _pair_witness(s0, u0),
-                lambda mu: _congruence_collision(NDs, u0, mu)
-                and _conjugate_witness(u0, _str(mu, "s")),
-            ))
-    return witnesses, rest
+    at = (_collisions_at(coords, NDs, residual, 1, u0, excluded_fr) for u0 in roots)
+    return list(chain.from_iterable(at)), rest
 
 
 def _degree_estimate(chart: ChartMap) -> int:
@@ -227,14 +172,18 @@ def chart_injective(chart: ChartMap, memo=None) -> CheckResult:
     """Decide injectivity of the chart coordinates off the excluded points."""
     memo = {} if memo is None else memo  # Bezoutians and resultants, see certify
     _degree_estimate(chart)
-    coords = chart.coords
+    coords = [f for f in chart.coords if f.factors]  # a constant one separates no points
     excluded_fr = {p.finite for p in chart.excluded if not p.is_infinity}
+    if not coords:  # every two points collide
+        s0, u0 = sorted(islice(_rational_candidates(excluded_fr), 2))
+        witnesses = [{"kind": "collision-pair", "s": str(s0), "u": str(u0),
+                      "verified": "evaluation"}] if _collision_holds(chart.coords, s0, u0) else []
+        return CheckResult(not witnesses, "factor", tuple(witnesses))
     NDs = [f.integer_parts for f in coords]
     witnesses: list[dict] = []
 
     # the Bezoutians Q_i, rows in s
     Qs = [_bezoutian(N, D, memo) for N, D in NDs]
-    assert all(Qs), "a chart coordinate is constant"
 
     # collisions with the point at infinity: p_i(u) = p_i(inf) for all i.
     # Skipped when infinity is off the domain (a pole or excluded point);
@@ -245,10 +194,17 @@ def chart_injective(chart: ChartMap, memo=None) -> CheckResult:
     # root, factor or divisibility the witnesses read.
     inf_values = [evaluate(f, INFINITY) for f in coords]
     if None not in inf_values and INFINITY not in chart.excluded:
-        witnesses.extend(_common_zeros(
-            [_trim(q[0]) for q in Qs], "u", excluded_fr,
-            lambda p: all(evaluate(f, p) == c for f, c in zip(coords, inf_values)),
-            "collision-with-infinity", "collision-with-infinity-conjugate"))
+        tops = [_trim(q[0]) for q in Qs]
+        witnesses.extend(_zero_witnesses(
+            _common_factor(tops, "u", excluded_fr),
+            "u",
+            excluded_fr,
+            lambda u0: all(evaluate(f, CurvePoint(u0)) == c for f, c in zip(coords, inf_values))
+            and {"kind": "collision-with-infinity", "u": str(u0), "verified": "evaluation"},
+            lambda mu: all(_divides(mu, p) for p in tops) and {
+                "kind": "collision-with-infinity-conjugate", "poly": _str(mu, "u"),
+                "verified": "congruence"},
+        ))
 
     # finite-finite collisions
     method = "linear"
@@ -423,10 +379,23 @@ def chart_immersive(chart: ChartMap, memo=None) -> CheckResult:
     coords = chart.coords
     excluded_fr = {p.finite for p in chart.excluded if not p.is_infinity}
     memo = {} if memo is None else memo  # the Bezoutians chart_injective built
-    w_polys = [_diagonal(_bezoutian(*f.integer_parts, memo)) for f in coords]
-    assert all(w_polys), "a chart coordinate is constant"
-    witnesses = list(_common_zeros(w_polys, "t", excluded_fr, lambda p: _tangent_at(coords, p),
-                                   "tangent-point", "tangent-conjugate"))
+    w_polys = [_diagonal(_bezoutian(*f.integer_parts, memo)) for f in coords if f.factors]
+
+    def at_point(t0):
+        return _tangent_at(coords, CurvePoint(t0)) and {
+            "kind": "tangent-point", "t": str(t0), "verified": "evaluation"}
+
+    if not w_polys:  # every coordinate is constant, so tangent everywhere
+        witnesses = list(filter(None, [at_point(next(_rational_candidates(excluded_fr)))]))
+    else:
+        witnesses = list(_zero_witnesses(
+            _common_factor(w_polys, "t", excluded_fr),
+            "t",
+            excluded_fr,
+            at_point,
+            lambda mu: all(_divides(mu, w) for w in w_polys)
+            and {"kind": "tangent-conjugate", "poly": _str(mu, "t"), "verified": "congruence"},
+        ))
 
     if INFINITY not in chart.excluded and _tangent_at(coords, INFINITY):
         witnesses.append({"kind": "tangent-infinity", "verified": "evaluation"})

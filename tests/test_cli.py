@@ -14,9 +14,10 @@ from negative_fixtures import symmetric_data
 from test_verify import run_fresh
 from toricurve import feasibility
 from toricurve.cli import ERRORS, main
+from toricurve.curve import CurvePoint, evaluate, evaluate_with_derivative
 from toricurve.embed import (
-    build_embedding_data, check_theorem_conditions, dumps_embedding, embedding_to_dict,
-    load_embedding,
+    build_embedding_data, chart_maps, check_theorem_conditions, dumps_embedding,
+    embedding_to_dict, load_embedding,
 )
 from toricurve.fan import Fan, load_fan, preset, save_fan
 from toricurve.intersect import XiVector, find_ample, xi_vector
@@ -322,6 +323,60 @@ def p3_embedding_doc(tmp_path):
     code, report = run_main(["embed", "--preset", "p3", "--seed", "0", "--out", str(tmp_path / "p3")])
     assert code == 0
     return json.loads(Path(report["artifacts"]["embedding"]).read_text(encoding="utf-8"))
+
+
+def verify_constant_coordinates(tmp_path, divisors, epsilon):
+    """verify on p3 with xi = (1, 1, 1, 1) and the given divisors and epsilon,
+    a file that passes the morphism conditions: (exit code, certificate, charts)."""
+    doc = p3_embedding_doc(tmp_path)
+    doc["divisors"], doc["epsilon"] = divisors, epsilon
+    path = tmp_path / "constant.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    data = load_embedding(path)
+    assert check_theorem_conditions(data).passed
+    code, report = run_main(["verify", "--data", str(path), "--out", str(tmp_path / "o")])
+    certificate = json.loads((tmp_path / "o" / "certificate.json").read_text(encoding="utf-8"))
+    return code, certificate, chart_maps(data)
+
+
+def test_a_constant_chart_coordinate_drops_out_of_the_chart_checks(tmp_path):
+    """D_0 = D_3 = {1}, D_1 = {2}, D_2 = {3} and epsilon = (1, (t - 2)/(t - 1),
+    (t - 3)/(t - 1)): {0, 3} is a face, so the conditions hold, but the
+    coordinate of ray 0 on chart (0, 1, 2) and of ray 3 on (1, 2, 3) is
+    constant.  It separates no points and drops out of the checks; the other
+    two separate every pair, and the pullback finds the point 1 of D_0 and
+    of D_3 missing from its zeros."""
+    one = {"constant": "1", "factors": []}
+    code, certificate, charts = verify_constant_coordinates(
+        tmp_path, [[["1", 1]], [["2", 1]], [["3", 1]], [["1", 1]]],
+        [one] + [{"constant": "1", "factors": [[r, 1], ["1", -1]]} for r in ("2", "3")])
+    assert [[not f.factors for f in c.coords] for c in charts] == [
+        [True, False, False], [False] * 3, [False] * 3, [False, False, True]]
+    assert code == 5
+    assert all(c["injective"] and c["immersive"] and not c["witnesses"]
+               for c in certificate["charts"])
+    assert certificate["pullback_witnesses"] == [
+        {"cone": cone, "difference": [["1", -1]], "kind": "pullback-mismatch", "ray": ray}
+        for cone, ray in (([0, 1, 2], 0), ([1, 2, 3], 3))]
+
+
+def test_a_chart_of_constant_coordinates_is_neither_injective_nor_immersive(tmp_path):
+    """Every divisor empty and epsilon constant: every chart coordinate is
+    constant, so the first two candidates collide and the first is a
+    tangent point, each re-checked by evaluation."""
+    one = {"constant": "1", "factors": []}
+    code, certificate, charts = verify_constant_coordinates(tmp_path, [[]] * 4, [one] * 3)
+    assert code == 5
+    for record, chart in zip(certificate["charts"], charts):
+        assert (record["injective"], record["immersive"]) == (False, False)
+        assert record["injectivity_method"] == "factor"
+        pair, tangent = (w for w in record["witnesses"]
+                         if w["kind"] in ("collision-pair", "tangent-point"))
+        assert pair == {"kind": "collision-pair", "s": "0", "u": "1", "verified": "evaluation"}
+        assert tangent == {"kind": "tangent-point", "t": "0", "verified": "evaluation"}
+        for f in chart.coords:
+            assert evaluate(f, CurvePoint.of(0)) == evaluate(f, CurvePoint.of(1))
+            assert evaluate_with_derivative(f, CurvePoint.of(0))[1] == 0
 
 
 def test_an_oversized_chart_is_refused_before_its_coordinates_are_expanded(tmp_path):

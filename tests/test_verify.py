@@ -12,12 +12,14 @@ from pathlib import Path
 
 import pytest
 import sympy
-from sympy.polys.rings import PolyElement
+from sympy.polys.domains import QQ, ZZ
+from sympy.polys.rings import PolyElement, ring
 
 from conftest import ladder_fan
 from negative_fixtures import divisor_at_infinity_data, doubled_point_data, symmetric_data
 from oracles import (
     brute_force_pair_scan,
+    congruence_collision_qq,
     gcd_by_ring,
     infinity_collision_poly,
     residuals_qq,
@@ -199,23 +201,65 @@ def test_conjugate_collisions_are_certified_by_congruence():
     assert sympy.rem(sympy.expand(num - den), 3 * u ** 2 - 3 * u + 1, u) == 0
 
 
-def test_a_conjugate_common_zero_is_rechecked_against_every_polynomial(monkeypatch):
-    """_common_zeros re-checks a factor of the gcd by dividing every one of
-    the polynomials, so a wrong gcd, here a factor of the first one only,
-    yields no witness."""
-    shared = [[1, 0, -2], [1, -5, -2, 10]]  # t^2 - 2 and (t^2 - 2)(t - 5)
-    apart = [[1, 0, -2], [1, 0, -3]]
-    rechecked = {"kind": "tangent-conjugate", "poly": "t**2 - 2", "verified": "congruence"}
+def test_the_quick_pass_certifies_a_conjugate_partner_by_congruence():
+    """f1 = t (t + 3)^2 / (t + 1)^2, f2 = t (t + 1)^2 and f1 f2 = t^2 (t + 3)^2,
+    -1 excluded: the quick pass's candidates share the root u0 = 1, and the
+    partners of 1 are the roots of s^2 + 3s + 4, where f1 and f2 take
+    f1(1) = 4 and f2(1) = 4."""
+    coords = (rf({0: 1, -3: 2, -1: -2}), rf({0: 1, -1: 2}), rf({0: 2, -3: 2}))
+    inj = chart_injective(chart(coords, excluded=(-1,)))
+    assert (inj.ok, inj.method) == (False, "resultant")
+    assert inj.witnesses == ({"kind": "collision-conjugate", "s": "1",
+                              "partner_poly": "s**2 + 3*s + 4", "verified": "congruence"},)
+    Zu, u = ring("u", ZZ)
+    NDs = [tuple(map(Zu.from_dense, f.integer_parts)) for f in coords]
+    assert congruence_collision_qq(NDs, F(1), (u**2 + 3*u + 4).set_ring(ring("s,u", QQ)[0]))
 
-    def zeros(polys):
-        return list(verify._common_zeros(polys, "t", set(), lambda p: True,
-                                         "tangent-point", "tangent-conjugate"))
+
+def test_a_conjugate_common_zero_is_rechecked_against_every_polynomial(monkeypatch):
+    """chart_immersive re-checks a factor of the gcd of the W_i by dividing
+    every one of them, so a wrong gcd, here the first W_i alone, yields no
+    witness.  f = t(t - 1)/(t + 1) has W = t^2 + 2t - 1, and f^2 has
+    W = 2 t (t - 1)(t + 1) (t^2 + 2t - 1); t^2 has W = 2t."""
+    f = rf({0: 1, 1: 1, -1: -1})
+    shared = (f, rf({0: 2, 1: 2, -1: -2}))
+    apart = (f, rf({0: 2}))
+    rechecked = {"kind": "tangent-conjugate", "poly": "t**2 + 2*t - 1", "verified": "congruence"}
+
+    def zeros(coords):
+        return list(chart_immersive(chart(coords, excluded=(-1,))).witnesses)
 
     assert zeros(shared) == [rechecked]
     assert zeros(apart) == []
     monkeypatch.setattr(verify, "_common_factor", lambda polys, gens, excluded_fr: polys[0])
     assert zeros(shared) == [rechecked]
     assert zeros(apart) == []
+
+
+@pytest.mark.parametrize("bits", [2, 3, 5])
+def test_an_inconclusive_modulus_leaves_every_chart_result_unchanged(monkeypatch, bits):
+    """With q = 3, 7 or 31 in place of 2^61 - 1, _coprime gives up on
+    resultants that are coprime over Z, so some chart's candidates come back
+    unproved; their gcd du is then constant, or its roots partnerless, and
+    every chart of the three presets, seed 0, ends as it does at 2^61 - 1."""
+    charts = [c for name in ("p3", "p1p1p1", "bl-p3-point")
+              for c in chart_maps(seed0_data(name, 0, "intersection"))]
+    want = [(chart_injective(c), chart_immersive(c)) for c in charts]
+    unproved, partnered = [], []
+    real_cands, real_partners = verify._candidate_polys, verify._partner_witnesses
+
+    def cands(*args):
+        got = real_cands(*args)
+        if isinstance(got, list):
+            unproved.append(got)
+        return got
+
+    monkeypatch.setattr(verify, "_candidate_polys", cands)
+    monkeypatch.setattr(verify, "_partner_witnesses",
+                        lambda *a: partnered.append(a) or real_partners(*a))
+    monkeypatch.setattr(poly, "_Q_BITS", bits)
+    assert [(chart_injective(c), chart_immersive(c)) for c in charts] == want
+    assert len(unproved) > len(partnered)  # some du was constant
 
 
 def test_groebner_saturation_reports_an_algebraic_collision():

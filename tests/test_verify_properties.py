@@ -594,7 +594,7 @@ def test_the_bezoutians_top_row_is_the_negated_infinity_polynomial(nd):
     assert poly._trim(poly._bezoutian(N, D, {})[0]) == [-a for a in h]
 
 
-# the variables of the int lists _roots_and_factors receives: u for the
+# the variables of the int lists _zero_witnesses receives: u for the
 # resultants, the gcd of the Bezoutians' top rows (collisions with infinity),
 # the witness searches in u and the Groebner eliminant
 # cleared of denominators, s for the partner searches, t for the immersion gcd
@@ -627,7 +627,11 @@ def one_variable_polys(draw):
 def test_stripping_before_factoring_matches_factoring_then_filtering(case):
     p, excluded = case
     gens = str(p.ring.symbols[0])
-    roots, higher = verify._roots_and_factors(as_ints(p), excluded, gens)
+    read = list(verify._zero_witnesses(as_ints(p), gens, excluded, lambda x: ("root", x),
+                                       lambda mu: ("factor", mu)))
+    roots = [x for kind, x in read if kind == "root"]
+    higher = [mu for kind, mu in read if kind == "factor"]
+    assert read == [("root", x) for x in roots] + [("factor", mu) for mu in higher]
     want_roots, want_higher = roots_and_factors_by_filter(p, excluded)
     assert roots == want_roots
     assert [{type(c) for c in mu} for mu in higher] == [{int}] * len(want_higher)
