@@ -24,6 +24,7 @@ CurvePoint from its pair with no second reduction.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 
@@ -60,14 +61,6 @@ def _canonical(keyed: list, repeated: str, zero: str) -> tuple:
     if not all(n for _, _, n in keyed):
         raise ValueError(zero)
     return tuple((x, n) for _, x, n in keyed)
-
-
-def _trusted(cls, **fields):
-    """An instance of `cls` whose fields are already canonical: no sort, no checks."""
-    obj = object.__new__(cls)
-    for name, value in fields.items():
-        setattr(obj, name, value)
-    return obj
 
 
 class CurvePoint:
@@ -114,26 +107,18 @@ class CurvePoint:
 INFINITY = CurvePoint.infinity()
 
 
-class CDivisor:
-    """Formal sum of points with nonzero integer multiplicities."""
+class CDivisor(namedtuple("CDivisor", "entries")):
+    """Formal sum of points with nonzero integer multiplicities; _make takes
+    canonical entries as they are."""
 
-    __slots__ = ("entries",)
+    __mul__ = __rmul__ = None  # no tuple repetition
 
-    def __init__(self, entries: tuple[tuple[CurvePoint, int], ...]) -> None:
-        self.entries = _canonical(
+    def __new__(cls, entries: tuple[tuple[CurvePoint, int], ...]) -> "CDivisor":
+        return super().__new__(cls, _canonical(
             [(p._order, p, m) for p, m in entries],
             "divisor points must be distinct",
             "zero multiplicities are not stored",
-        )
-
-    def __eq__(self, other) -> bool:
-        return self.entries == other.entries if other.__class__ is CDivisor else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.entries,))
-
-    def __repr__(self) -> str:
-        return f"CDivisor(entries={self.entries!r})"
+        ))
 
     @classmethod
     def of(cls, mapping) -> "CDivisor":
@@ -166,42 +151,35 @@ class CDivisor:
         return CDivisor.of(self.entries + other.entries)
 
     def __neg__(self) -> "CDivisor":
-        return _trusted(CDivisor, entries=tuple((p, -m) for p, m in self.entries))
+        return CDivisor._make((tuple((p, -m) for p, m in self.entries),))
 
     def scale(self, k: int) -> "CDivisor":
         if k == 0:
             return CDivisor(())
-        return _trusted(CDivisor, entries=tuple((p, k * m) for p, m in self.entries))
+        return CDivisor._make((tuple((p, k * m) for p, m in self.entries),))
 
 
-class RationalFunction:
-    """c * prod (t - root)^exp with distinct rational roots and c != 0.
+class RationalFunction(namedtuple("RationalFunction", "constant factors")):
+    """c * prod (t - root)^exp with distinct rational roots and c != 0; _make
+    takes a canonical (constant, factors) as it is.
 
     Not slotted: integer_parts is cached in the instance dict.
     """
 
-    def __init__(self, constant: Fraction, factors: tuple[tuple[Fraction, int], ...]) -> None:
-        self.constant = _fraction(constant)
-        if not self.constant:
+    __add__ = __radd__ = __rmul__ = None  # no tuple concatenation or repetition
+
+    def __new__(cls, constant: Fraction,
+                factors: tuple[tuple[Fraction, int], ...]) -> "RationalFunction":
+        constant = _fraction(constant)
+        if not constant:
             raise ValueError("the zero function is not representable")
         keyed = []
         for r, e in factors:
             r = _fraction(r)
             keyed.append((_order(r), r, e))
-        self.factors = _canonical(
+        return super().__new__(cls, constant, _canonical(
             keyed, "factor roots must be distinct", "zero exponents are not stored"
-        )
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not RationalFunction:
-            return NotImplemented
-        return (self.constant, self.factors) == (other.constant, other.factors)
-
-    def __hash__(self) -> int:
-        return hash((self.constant, self.factors))
-
-    def __repr__(self) -> str:
-        return f"RationalFunction(constant={self.constant!r}, factors={self.factors!r})"
+        ))
 
     @classmethod
     def one(cls) -> "RationalFunction":
@@ -252,7 +230,7 @@ class RationalFunction:
         o = self.order_at_infinity
         if o:
             entries.append((INFINITY, o))
-        return _trusted(CDivisor, entries=tuple(entries))
+        return CDivisor._make((tuple(entries),))
 
     def __mul__(self, other: "RationalFunction") -> "RationalFunction":
         return RationalFunction.of(
@@ -261,19 +239,19 @@ class RationalFunction:
 
     def inverse(self) -> "RationalFunction":
         factors = tuple((r, -e) for r, e in self.factors)
-        return _trusted(RationalFunction, constant=1 / self.constant, factors=factors)
+        return RationalFunction._make((1 / self.constant, factors))
 
     def __pow__(self, k: int) -> "RationalFunction":
         if k == 0:
             return RationalFunction.one()
         factors = tuple((r, k * e) for r, e in self.factors)
-        return _trusted(RationalFunction, constant=self.constant ** k, factors=factors)
+        return RationalFunction._make((self.constant ** k, factors))
 
     def scale(self, c) -> "RationalFunction":
         c = self.constant * _fraction(c)
         if not c:
             raise ValueError("the zero function is not representable")
-        return _trusted(RationalFunction, constant=c, factors=self.factors)
+        return RationalFunction._make((c, self.factors))
 
 
 def principal_function(divisor: CDivisor) -> RationalFunction:
@@ -288,7 +266,7 @@ def principal_function(divisor: CDivisor) -> RationalFunction:
     at_infinity = divisor.at_infinity
     entries = divisor.entries[:-1] if at_infinity else divisor.entries
     factors = tuple((p.finite, m) for p, m in entries)
-    return _trusted(RationalFunction, constant=Fraction(1), factors=factors)
+    return RationalFunction._make((Fraction(1), factors))
 
 
 def has_divisor(f: RationalFunction, divisors, coeffs) -> bool:
@@ -447,7 +425,7 @@ def sample_divisor(degree: int, seed: int, taken=None) -> CDivisor:
         p = object.__new__(CurvePoint)
         p.finite, p._reduced, p._order, p._hash = r, pair, (key, r), hash(pair)
         entries.append((p, 1))
-    return _trusted(CDivisor, entries=tuple(entries))
+    return CDivisor._make((tuple(entries),))
 
 
 class ProjectiveLine:

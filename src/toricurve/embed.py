@@ -16,7 +16,6 @@ from .curve import (
     CurvePoint,
     ProjectiveLine,
     RationalFunction,
-    _trusted,
     has_divisor,
     principal_function,
 )
@@ -105,7 +104,7 @@ def pairing_divisor(divisors, coeffs) -> CDivisor:
         if entries and entries[-1][0]._reduced == p._reduced:
             m += entries.pop()[1]
         entries.append((p, m))
-    return _trusted(CDivisor, entries=tuple(e for e in entries if e[1]))
+    return CDivisor._make((tuple(e for e in entries if e[1]),))
 
 
 def build_embedding_data(

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import namedtuple
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _quote
 from typing import NamedTuple
@@ -25,9 +26,6 @@ Vec3 = tuple[int, int, int]
 
 # entries in each lru_cache keyed by Fan; bounded so long runs stay flat
 FAN_CACHE_SIZE = 32
-
-# validate's sheet-count probes, tried in order until one is off every wall plane
-_PROBES = ((1, 3, 7), (-11, 5, 17), (19, -13, 2), (7, 23, -29))
 
 
 class MalformedFan(ValueError):
@@ -58,19 +56,20 @@ def is_primitive(ray: Vec3) -> bool:
     return ray != (0, 0, 0) and math.gcd(*[abs(x) for x in ray]) == 1
 
 
-class Fan:
+class Fan(namedtuple("Fan", "rays max_cones name")):
     """Rays plus maximal cones (sorted index triples)."""
 
-    __slots__ = ("rays", "max_cones", "name")
+    __add__ = __radd__ = __mul__ = __rmul__ = None  # no tuple concatenation or repetition
 
-    def __init__(self, rays: tuple[Vec3, ...], max_cones: tuple[tuple[int, int, int], ...],
-                 name: str = "") -> None:
+    def __new__(cls, rays: tuple[Vec3, ...], max_cones: tuple[tuple[int, int, int], ...],
+                name: str = "") -> "Fan":
         rays = tuple(_as_ray(r) for r in rays)
         if len(set(rays)) != len(rays):
             raise MalformedFan("duplicate rays")
         cones = []
         for cone in max_cones:
-            if not isinstance(cone, (list, tuple)) or len(cone) != 3:
+            cone = tuple(cone) if isinstance(cone, list) else cone  # a JSON array
+            if not isinstance(cone, tuple) or len(cone) != 3:
                 raise MalformedFan(f"cone must be an index triple, got {cone!r}")
             if not all(isinstance(i, int) and not isinstance(i, bool) for i in cone):
                 raise MalformedFan(f"cone indices must be ints, got {cone!r}")
@@ -83,18 +82,7 @@ class Fan:
             raise MalformedFan("duplicate maximal cones")
         if not isinstance(name, str):
             raise MalformedFan("name must be a string")
-        self.rays, self.max_cones, self.name = rays, tuple(cones), name
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not Fan:
-            return NotImplemented
-        return (self.rays, self.max_cones, self.name) == (other.rays, other.max_cones, other.name)
-
-    def __hash__(self) -> int:
-        return hash((self.rays, self.max_cones, self.name))
-
-    def __repr__(self) -> str:
-        return f"Fan(rays={self.rays!r}, max_cones={self.max_cones!r}, name={self.name!r})"
+        return super().__new__(cls, rays, tuple(cones), name)
 
     @property
     def n_rays(self) -> int:
@@ -186,13 +174,14 @@ def _one_sheet(fan: Fan, census, dets) -> bool:
         if sa * sb >= 0:
             return False
     normals = {(i, j): cross(fan.rays[i], fan.rays[j]) for i, j in census}
-    for p in _PROBES:  # (d): det(n_i, n_j, p) = p . (n_i x n_j)
-        side = {pair: dot(normal, p) for pair, normal in normals.items()}
-        if 0 not in side.values():  # p is off every wall plane
-            # p is inside (x, y, z) iff putting it in place of any one ray keeps the det's sign
-            return 1 == sum(d * side[y, z] > 0 and d * side[x, z] < 0 and d * side[x, y] > 0
-                            for (x, y, z), d in zip(cones, dets))
-    return False
+    # (d) with p = (1, m, m^2), m = 2 max|entry| + 1: n . p is n in base m with digits
+    # below m / 2, so it is 0 only for n = 0, which (c) refused; p is off every wall plane
+    m = 2 * max(abs(x) for normal in normals.values() for x in normal) + 1
+    p = (1, m, m * m)
+    side = {pair: dot(normal, p) for pair, normal in normals.items()}  # det(n_i, n_j, p)
+    # p is inside (x, y, z) iff putting it in place of any one ray keeps the det's sign
+    return 1 == sum(d * side[y, z] > 0 and d * side[x, z] < 0 and d * side[x, y] > 0
+                    for (x, y, z), d in zip(cones, dets))
 
 
 @lru_cache(maxsize=FAN_CACHE_SIZE)
@@ -370,13 +359,7 @@ def fan_from_dict(doc) -> Fan:
         raise MalformedFan(f"missing fields: {sorted(required - keys)}")
     if not isinstance(doc["rays"], list) or not isinstance(doc["cones"], list):
         raise MalformedFan("rays and cones must be arrays")
-    return Fan(
-        rays=tuple(_as_ray(r) for r in doc["rays"]),
-        max_cones=tuple(
-            tuple(c) if isinstance(c, list) else c for c in doc["cones"]
-        ),
-        name=doc["name"],
-    )
+    return Fan(doc["rays"], doc["cones"], doc["name"])
 
 
 def dumps_json(obj, sort_keys: bool = False) -> str:

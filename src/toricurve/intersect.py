@@ -8,6 +8,7 @@ degrees.  Nothing is ever rounded.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from math import gcd, lcm
 from typing import NamedTuple
 
@@ -33,24 +34,16 @@ class NoPositiveKernel(ValueError):
     """No strictly positive integer vector in the ray matrix kernel."""
 
 
-class TDivisor:
+class TDivisor(namedtuple("TDivisor", "coeffs")):
     """Toric divisor sum_rho coeffs[rho] * V_rho."""
 
-    __slots__ = ("coeffs",)
+    __add__ = __radd__ = __mul__ = __rmul__ = None  # no tuple concatenation or repetition
 
-    def __init__(self, coeffs: tuple[int, ...]) -> None:
-        self.coeffs = tuple(coeffs)
-        if not all(isinstance(c, int) and not isinstance(c, bool) for c in self.coeffs):
+    def __new__(cls, coeffs: tuple[int, ...]) -> "TDivisor":
+        coeffs = tuple(coeffs)
+        if not all(isinstance(c, int) and not isinstance(c, bool) for c in coeffs):
             raise ValueError("divisor coefficients must be ints")
-
-    def __eq__(self, other) -> bool:
-        return self.coeffs == other.coeffs if other.__class__ is TDivisor else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.coeffs,))
-
-    def __repr__(self) -> str:
-        return f"TDivisor(coeffs={self.coeffs!r})"
+        return super().__new__(cls, coeffs)
 
     @classmethod
     def unit(cls, fan: Fan, rho: int) -> "TDivisor":

@@ -101,5 +101,6 @@ def double_cover():
 
 @pytest.fixture(scope="session")
 def probe_on_wall():
-    """p3 in a basis that sends ray 0 to validate's first probe direction."""
+    """p3 in a basis that sends ray 0 to (1, 3, 7), the first of the fixed
+    probes validate once tried."""
     return in_basis(preset("p3"), ((1, 3, 7), (0, 1, 0), (0, 0, 1)))

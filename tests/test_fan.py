@@ -144,17 +144,45 @@ def test_validate_rejects_the_double_cover_by_its_sheet_count_alone(double_cover
     assert report.issues[0] == ("bad_cone_intersection", 0, 6)
 
 
-def test_validate_accepts_a_fan_whose_first_probe_is_a_ray(probe_on_wall):
-    assert probe_on_wall.rays[0] == fan_module._PROBES[0]
-    report = validate(probe_on_wall)
+def sheet_probe(fan):
+    """The probe validate's sheet count takes: (1, m, m^2), m = 2 max|entry| + 1
+    over the wall normals."""
+    normals = [cross(fan.rays[i], fan.rays[j]) for i, j in _pair_census(fan)]
+    m = 2 * max(abs(x) for normal in normals for x in normal) + 1
+    return (1, m, m * m), normals
+
+
+@pytest.fixture
+def no_pair_scan(monkeypatch):
+    """find_point calls from fan.py, the pair scan's only route to an answer."""
+    calls = []
+    real_find_point = fan_module.find_point
+
+    def find_point(constraints, n_vars):
+        calls.append(n_vars)
+        return real_find_point(constraints, n_vars)
+
+    monkeypatch.setattr(fan_module, "find_point", find_point)
+    return calls
+
+
+def test_validate_accepts_a_fan_whose_first_probe_is_a_ray(probe_on_wall, no_pair_scan):
+    # (1, 3, 7), the first of the fixed probes validate once tried, is ray 0 and so
+    # on three wall planes; the computed probe misses every one of them
+    ray, (p, normals) = probe_on_wall.rays[0], sheet_probe(probe_on_wall)
+    assert ray == (1, 3, 7) and sum(dot(normal, ray) == 0 for normal in normals) == 3
+    assert all(dot(normal, p) != 0 for normal in normals)
+    report = validate(Fan(probe_on_wall.rays, probe_on_wall.max_cones, "probe on wall"))
     assert report.ok and report.issues == ()
+    assert no_pair_scan == []
 
 
 @pytest.fixture
 def double_cover_probe_on_edge(double_cover):
     """The double cover in a basis that sends N + r_0, on an edge of one sheet
-    and inside a cone of the other, to the first probe: were that probe
-    taken, its open count would be 1."""
+    and inside a cone of the other, to (1, 3, 7), the first of the fixed
+    probes validate once tried: were that probe taken, its open count would
+    be 1."""
     return in_basis(double_cover, ((1, 3, 6), (0, 1, 0), (0, 0, 1)))
 
 
@@ -165,29 +193,22 @@ def test_validate_equals_the_pair_scan_on_the_named_fans(request, name):
     assert validate(fan) == validate_by_pair_scan(fan)
 
 
-def test_validate_falls_back_to_the_pair_scan_on_a_valid_fan(monkeypatch, p1p1p1):
-    """With every probe on a wall plane the sheet count gives up, and each
-    pair of cones goes through find_point: feasible systems, all of them."""
-    probes = ((1, 0, 0), (0, 1, 0), (0, 0, 1))  # rays of both fans
-    monkeypatch.setattr(fan_module, "_PROBES", probes)
-    calls = []
-    real_find_point = fan_module.find_point
-
-    def find_point(constraints, n_vars):
-        calls.append(n_vars)
-        return real_find_point(constraints, n_vars)
-
-    monkeypatch.setattr(fan_module, "find_point", find_point)
-    for base in (p1p1p1, ladder_fan(7)):
-        fan = Fan(base.rays, base.max_cones, "pair scan")  # not in validate's cache
-        assert all(0 in {dot(cross(fan.rays[i], fan.rays[j]), p) for i, j in _pair_census(fan)}
-                   for p in probes)
-        calls.clear()
-        report = validate(fan)
-        n = len(fan.max_cones)
-        assert len(calls) == n * (n - 1) // 2
-        assert report.ok
-        assert report == validate_by_pair_scan(fan)
+def test_valid_fans_never_reach_the_pair_scan(no_pair_scan):
+    """The computed probe is off every wall plane of a fan that passes (c), so
+    the sheet count decides every valid fan: presets, ladders and fans in
+    lattice bases with large entries, none of them in validate's cache."""
+    shears = (((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+              ((1, 0, 0), (1000, 1, 0), (-999, 12345, 1)),
+              ((1, 10**12, 0), (0, 1, 0), (3**40, -(7**25), 1)))
+    bases = [preset(name) for name in ("p3", "p1p1p1", "bl-p3-point")]
+    bases += [ladder_fan(rays) for rays in range(5, 13)]
+    for base in bases:
+        for columns in shears:
+            fan = in_basis(base, columns)
+            p, normals = sheet_probe(fan)
+            assert all(dot(normal, p) != 0 for normal in normals)
+            assert validate(Fan(fan.rays, fan.max_cones, "sheet count")).ok
+    assert no_pair_scan == []
 
 
 def test_wall_goldens_p1p1p1(p1p1p1):
@@ -393,3 +414,26 @@ def test_strict_parsing_errors():
         fan_from_dict({"name": "x", "rays": "nope", "cones": []})
     with pytest.raises(MalformedFan, match="fan document must be an object"):
         loads_fan("[]")
+
+
+@pytest.mark.parametrize("rays, cones, message", [
+    ([[1, 0]], [], "ray must be a triple of ints, got [1, 0]"),
+    ([[1, 0, True]], [], "ray entries must be ints, got [1, 0, True]"),
+    ([[1, 0, 0], [1, 0, 0]], [], "duplicate rays"),
+    ([[1, 0, 0]], [[0, 1]], "cone must be an index triple, got (0, 1)"),
+    ([[1, 0, 0]], [[0, 1, "a"]], "cone indices must be ints, got (0, 1, 'a')"),
+    ([[1, 0, 0]], [[0, 1, 9]], "cone index out of range: (0, 1, 9)"),
+    ([[1, 0, 0], [0, 1, 0]], [[0, 1, 1]], "cone repeats a ray: (0, 1, 1)"),
+    ([[1, 0, 0]], [None], "cone must be an index triple, got None"),
+])
+def test_fan_from_dict_refuses_with_the_constructors_messages(rays, cones, message):
+    # the arrays go to Fan as they are; a cone array is named as the tuple it becomes
+    with pytest.raises(MalformedFan) as info:
+        fan_from_dict({"name": "x", "rays": rays, "cones": cones})
+    assert str(info.value) == message
+
+
+def test_fan_from_dict_takes_json_arrays(p3):
+    doc = {"name": "p3", "rays": [list(r) for r in p3.rays],
+           "cones": [list(reversed(c)) for c in p3.max_cones]}
+    assert fan_from_dict(doc) == p3
