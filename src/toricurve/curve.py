@@ -111,7 +111,7 @@ class CDivisor(namedtuple("CDivisor", "entries")):
     """Formal sum of points with nonzero integer multiplicities; _make takes
     canonical entries as they are."""
 
-    __mul__ = __rmul__ = None  # no tuple repetition
+    __radd__ = __mul__ = __rmul__ = None  # no tuple concatenation or repetition
 
     def __new__(cls, entries: tuple[tuple[CurvePoint, int], ...]) -> "CDivisor":
         return super().__new__(cls, _canonical(

@@ -109,6 +109,7 @@ def guarded():
         ("() + fan", lambda: () + p3), ("fan * 2", lambda: p3 * 2), ("2 * fan", lambda: 2 * p3),
         ("D + D", lambda: D + D), ("D + ()", lambda: D + ()), ("() + D", lambda: () + D),
         ("D * 2", lambda: D * 2), ("2 * D", lambda: 2 * D),
+        ("() + d", lambda: () + d),
         ("d * 2", lambda: d * 2), ("2 * d", lambda: 2 * d), ("d * d", lambda: d * d),
         ("f + f", lambda: f + f), ("f + ()", lambda: f + ()), ("() + f", lambda: () + f),
         ("2 * f", lambda: 2 * f),

@@ -1,14 +1,15 @@
 """In-process A/B of two ``src/toricurve`` trees on one pipebench workload.
 
-Both trees are copied under a temp dir as two packages, ``ab_a`` and
+Tree A is the ``src`` named by ``--a`` (the parent), tree B this checkout's
+``src``.  Both are copied under a temp dir as two packages, ``ab_a`` and
 ``ab_b`` (every import inside the package is relative, so a copy works under
 any name), and loaded into this one process.  A rep runs every pool op of
-the workload, the ``POOL`` rounds of ``pipebench/workloads.py`` without its
-hang ops, through both trees' ``cli.main``.  Which tree goes first is drawn
-per op.  Each rep prints the summed time of both arms and their ratio, B
-over A, and the run ends with the median ratio.  With ``--aa`` both packages
-are copies of tree A: an A/A control, whose ratios show what the harness
-itself cannot tell apart.
+the workload, the ``POOL`` rounds of ``pipebench/workloads.py`` at seed 1
+without its hang ops, through both trees' ``cli.main``.  Which tree goes
+first is drawn per op.  Each of the five reps prints the summed time of both
+arms and their ratio, B over A, and the run ends with the median ratio.
+With ``--aa`` both packages are copies of tree A: an A/A control, whose
+ratios show what the harness itself cannot tell apart.
 
 Each rep starts with every ``lru_cache`` of both packages cleared and one
 garbage collection, so no rep answers from the one before.  Exit codes and
@@ -19,8 +20,8 @@ pipebench is read, never changed: its generator writes the op inputs with
 the ``toricurve`` of the checkout this script sits in, and every input and
 output file goes under the temp dir, which is removed at the end.
 
-    python3 tools/inprocess_ab.py --a ../parent/src --workload refute --reps 5
-    python3 tools/inprocess_ab.py --a ../parent/src --workload refute --reps 5 --aa
+    python3 tools/inprocess_ab.py --a ../parent/src --workload refute
+    python3 tools/inprocess_ab.py --a ../parent/src --workload refute --aa
 """
 from __future__ import annotations
 
@@ -39,6 +40,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+SEED, REPS = 1, 5
 
 
 def _load(src: Path, name: str, home: Path):
@@ -74,11 +76,7 @@ def _call(main, op, out: Path):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--a", type=Path, required=True, help="src/ of tree A (the parent)")
-    parser.add_argument("--b", type=Path, default=ROOT / "src",
-                        help="src/ of tree B (default: this checkout's)")
     parser.add_argument("--workload", required=True, choices=("certify", "embed", "refute"))
-    parser.add_argument("--reps", type=int, default=5)
-    parser.add_argument("--seed", type=int, default=1, help="the workload seed and the order draw")
     parser.add_argument("--aa", action="store_true", help="load tree A as both packages")
     args = parser.parse_args(argv)
 
@@ -89,12 +87,12 @@ def main(argv=None) -> int:
         home = Path(tmp)
         sys.path.insert(0, str(home / "packages"))
         mains = (_load(args.a, "ab_a", home / "packages"),
-                 _load(args.a if args.aa else args.b, "ab_b", home / "packages"))
-        ops = [op for ops in rounds(WORKLOADS[args.workload], args.seed, POOL, home / "inputs")
+                 _load(args.a if args.aa else ROOT / "src", "ab_b", home / "packages"))
+        ops = [op for ops in rounds(WORKLOADS[args.workload], SEED, POOL, home / "inputs")
                for op in ops]
-        rng = random.Random(f"inprocess-ab:{args.seed}")
+        rng = random.Random(f"inprocess-ab:{SEED}")
         ratios, differ = [], 0
-        for rep in range(args.reps):
+        for rep in range(REPS):
             for package in ("ab_a", "ab_b"):
                 _clear_caches(package)
             gc.collect()
