@@ -27,7 +27,7 @@ banner("1. Symmetric divisors: every character is even, so t and -t collide")
 fan = preset("p3")
 points = [F(2), F(3), F(4), F(5)]
 divisors = tuple(
-    CDivisor.of({CurvePoint.of(a): 1, CurvePoint.of(-a): 1}) for a in points
+    CDivisor.of({CurvePoint(a): 1, CurvePoint(-a): 1}) for a in points
 )
 epsilon = tuple(
     principal_function(divisors[i] + divisors[3].scale(-1)) for i in range(3)
@@ -45,10 +45,10 @@ print(f"first witness in full: {first}")
 
 banner("2. A doubled point: ramification breaks the pullback audit")
 divisors = (
-    CDivisor.of({CurvePoint.of(F(1)): 2}),
-    CDivisor.of({CurvePoint.of(F(2)): 1, CurvePoint.of(F(3)): 1}),
-    CDivisor.of({CurvePoint.of(F(4)): 1, CurvePoint.of(F(6)): 1}),
-    CDivisor.of({CurvePoint.of(F(7)): 1, CurvePoint.of(F(8)): 1}),
+    CDivisor.of({CurvePoint(F(1)): 2}),
+    CDivisor.of({CurvePoint(F(2)): 1, CurvePoint(F(3)): 1}),
+    CDivisor.of({CurvePoint(F(4)): 1, CurvePoint(F(6)): 1}),
+    CDivisor.of({CurvePoint(F(7)): 1, CurvePoint(F(8)): 1}),
 )
 epsilon = tuple(
     principal_function(divisors[i] + divisors[3].scale(-1)) for i in range(3)
@@ -69,7 +69,7 @@ banner("3. Tampered data never reaches certification")
 # must stay disjoint; plant one shared point and watch the witness appear
 cube = preset("p1p1p1")
 boxy = build_embedding_data(cube, find_ample(cube), xi_vector(cube, find_ample(cube)), 0)
-bump = CDivisor.of({CurvePoint.of(F(10)): 1})
+bump = CDivisor.of({CurvePoint(F(10)): 1})
 shared = boxy._replace(divisors=(boxy.divisors[0] + bump, boxy.divisors[1] + bump)
                        + boxy.divisors[2:])
 report = check_theorem_conditions(shared)

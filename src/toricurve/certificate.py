@@ -48,21 +48,8 @@ class Certificate(NamedTuple):
 
 
 def certificate_to_dict(cert: Certificate) -> dict:
-    return {
-        "charts": [
-            {
-                "cone": list(r.cone),
-                "injective": r.injective,
-                "immersive": r.immersive,
-                "injectivity_method": r.injectivity_method,
-                "witnesses": [dict(w) for w in r.witnesses],
-            }
-            for r in cert.charts
-        ],
-        "pullback_ok": cert.pullback_ok,
-        "pullback_witnesses": [dict(w) for w in cert.pullback_witnesses],
-        "embedded": cert.embedded,
-    }
+    """certificate.json's object: the fields of the certificate and of each chart record."""
+    return {**cert._asdict(), "charts": [r._asdict() for r in cert.charts]}
 
 
 def dumps_certificate(cert: Certificate) -> str:

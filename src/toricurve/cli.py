@@ -17,7 +17,7 @@ from .embed import (
     _parse_fraction, build_embedding_data, check_theorem_conditions, dumps_embedding, load_embedding,
 )
 from .fan import (
-    ConeNotInFan, Fan, MalformedFan, UnknownPreset,
+    ConeNotInFan, Fan, MalformedFan, UnknownPreset, ValidationReport,
     _pair_census, dumps_fan, dumps_json, fan_to_dict, load_fan, preset, star_subdivision, validate,
 )
 from .feasibility import EliminationOverflow
@@ -44,7 +44,7 @@ class UsageError(ValueError):
 class InvalidFan(ValueError):
     """The fan is not smooth and complete; ``issues`` lists why."""
 
-    def __init__(self, issues: list):
+    def __init__(self, issues: tuple):
         super().__init__("fan must be smooth and complete")
         self.issues = issues
 
@@ -175,24 +175,9 @@ def _degrees(fan: Fan, source: str, method: str):
     return ample, xi_vector(fan, ample, method=method)
 
 
-def _xi_doc(xi) -> dict:
-    return {"values": list(xi.values), "method": xi.method}
-
-
-def _validation(fan: Fan) -> dict:
-    """validate's verdict as report fields, for ``fan validate`` and ``_require_valid``."""
-    check = validate(fan)
-    return {
-        "smooth": check.smooth,
-        "complete": check.complete,
-        "counts": list(check.counts),
-        "issues": [list(i) for i in check.issues],
-    }
-
-
-def _require_valid(validation: dict) -> None:
-    if not (validation["smooth"] and validation["complete"]):
-        raise InvalidFan(validation["issues"])
+def _require_valid(check: ValidationReport) -> None:
+    if not check.ok:
+        raise InvalidFan(check.issues)
 
 
 def _write(path: Path, text: str) -> None:
@@ -221,8 +206,9 @@ def _cmd_run(args, report: dict) -> int:
         "out": args.out,
     }
     fan = _load_input_fan(args.preset, args.fan)
-    report["validation"] = _validation(fan)
-    _require_valid(report["validation"])
+    check = validate(fan)
+    report["validation"] = check._asdict()
+    _require_valid(check)
 
     # Unlike ``embed`` and ``xi``, ``run`` computes the ample divisor under
     # --xi-method kernel too and records it in embedding.json; the pinned
@@ -230,7 +216,7 @@ def _cmd_run(args, report: dict) -> int:
     ample = _ample(fan, args.ample)
     report["ample"] = list(ample.coeffs)
     xi = xi_vector(fan, ample, method=args.xi_method)
-    report["xi"] = _xi_doc(xi)
+    report["xi"] = xi._asdict()
 
     attempts = report["attempts"] = []
     for attempt in range(args.max_retries):
@@ -272,10 +258,9 @@ def _fan_output(fan: Fan, out: str | None, report: dict) -> None:
 
 
 def _cmd_fan_validate(args, report: dict) -> int:
-    validation = _validation(_load_input_fan(args.preset, args.fan))
-    ok = validation["smooth"] and validation["complete"]
-    report.update(validation, status="ok" if ok else "invalid")
-    return EXIT_OK if ok else EXIT_VALIDATION
+    check = validate(_load_input_fan(args.preset, args.fan))
+    report.update(check._asdict(), status="ok" if check.ok else "invalid")
+    return EXIT_OK if check.ok else EXIT_VALIDATION
 
 
 def _cmd_fan_preset(args, report: dict) -> int:
@@ -298,8 +283,8 @@ def _cmd_fan_subdivide(args, report: dict) -> int:
 
 def _cmd_ample_find(args, report: dict) -> int:
     fan = _load_input_fan(args.preset, args.fan)
-    _require_valid(_validation(fan))
-    doc = {"coeffs": list(find_ample(fan).coeffs)}
+    _require_valid(validate(fan))
+    doc = find_ample(fan)._asdict()
     if args.out:
         _write(Path(args.out), dumps_json(doc) + "\n")
         report["artifacts"] = {"divisor": args.out}
@@ -310,9 +295,9 @@ def _cmd_ample_find(args, report: dict) -> int:
 def _cmd_xi(args, report: dict) -> int:
     _check_ample_flag(args)
     fan = _load_input_fan(args.preset, args.fan)
-    _require_valid(_validation(fan))
+    _require_valid(validate(fan))
     _, xi = _degrees(fan, args.ample, args.xi_method)
-    report.update(status="ok", xi=_xi_doc(xi))
+    report.update(status="ok", xi=xi._asdict())
     return EXIT_OK
 
 
@@ -322,20 +307,20 @@ def _cmd_embed(args, report: dict) -> int:
     _check_ranges(seed, torus)
     _check_ample_flag(args)
     fan = _load_input_fan(args.preset, args.fan)
-    _require_valid(_validation(fan))
+    _require_valid(validate(fan))
     ample, xi = _degrees(fan, args.ample, args.xi_method)
     data = build_embedding_data(fan, ample, xi, seed, torus)
     conditions = check_theorem_conditions(data)
     out = Path(args.out) / "embedding.json"
     _write(out, dumps_embedding(data))
-    report.update(status="ok", conditions_pass=conditions.passed, xi=_xi_doc(xi),
+    report.update(status="ok", conditions_pass=conditions.passed, xi=xi._asdict(),
                   artifacts={"embedding": str(out)})
     return EXIT_OK
 
 
 def _cmd_verify(args, report: dict) -> int:
     data = load_embedding(args.data)
-    _require_valid(_validation(data.fan))
+    _require_valid(validate(data.fan))
     certificate = certify(data)
     out = Path(args.out) / "certificate.json"
     _write(out, dumps_certificate(certificate))

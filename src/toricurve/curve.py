@@ -64,11 +64,11 @@ def _canonical(keyed: list, repeated: str, zero: str) -> tuple:
 
 
 class CurvePoint:
-    """A rational point of the line: a reduced fraction or infinity."""
+    """A rational point of the line: CurvePoint(x) for a rational x, CurvePoint() at infinity."""
 
     __slots__ = ("finite", "_reduced", "_order", "_hash")
 
-    def __init__(self, finite: Fraction | None = None) -> None:
+    def __init__(self, finite=None) -> None:
         if finite is None:  # 1/0 in these coordinates, which no finite point reduces to
             self._reduced, self._order = (1, 0), _INFINITY_ORDER
         else:
@@ -76,14 +76,6 @@ class CurvePoint:
             self._reduced, self._order = (finite.numerator, finite.denominator), _order(finite)
         self.finite = finite
         self._hash = hash(self._reduced)
-
-    @classmethod
-    def of(cls, value) -> "CurvePoint":
-        return cls(_fraction(value))
-
-    @classmethod
-    def infinity(cls) -> "CurvePoint":
-        return cls(None)
 
     @property
     def is_infinity(self) -> bool:
@@ -104,7 +96,7 @@ class CurvePoint:
         return "inf" if self.finite is None else str(self.finite)
 
 
-INFINITY = CurvePoint.infinity()
+INFINITY = CurvePoint()
 
 
 class CDivisor(namedtuple("CDivisor", "entries")):
@@ -126,7 +118,7 @@ class CDivisor(namedtuple("CDivisor", "entries")):
         acc: dict[CurvePoint, int] = {}
         for p, m in items:
             if not isinstance(p, CurvePoint):
-                p = CurvePoint.of(p)
+                p = CurvePoint(p)
             acc[p] = acc.get(p, 0) + m
         return cls(tuple((p, m) for p, m in acc.items() if m))
 
@@ -148,6 +140,8 @@ class CDivisor(namedtuple("CDivisor", "entries")):
         return frozenset(p for p, _ in self.entries)
 
     def __add__(self, other: "CDivisor") -> "CDivisor":
+        if not isinstance(other, CDivisor):
+            return NotImplemented
         return CDivisor.of(self.entries + other.entries)
 
     def __neg__(self) -> "CDivisor":
@@ -233,6 +227,8 @@ class RationalFunction(namedtuple("RationalFunction", "constant factors")):
         return CDivisor._make((tuple(entries),))
 
     def __mul__(self, other: "RationalFunction") -> "RationalFunction":
+        if not isinstance(other, RationalFunction):
+            return NotImplemented
         return RationalFunction.of(
             self.constant * other.constant, self.factors + other.factors
         )

@@ -236,15 +236,20 @@ def _divisor_to_list(rho: int, d: CDivisor) -> list:
     return [[str(p.finite), m] for p, m in d.entries]
 
 
+def _rows(items, what: str) -> list:
+    """(rational, int) pairs from [text, int] rows; BadEmbeddingFile names ``what``."""
+    rows = []
+    for item in items:
+        if not isinstance(item, list) or len(item) != 2 or not _is_int(item[1]):
+            raise BadEmbeddingFile(f"bad {what} entry {item!r}")
+        rows.append((_parse_fraction(item[0]), item[1]))
+    return rows
+
+
 def _divisor_from_list(items) -> CDivisor:
     if not isinstance(items, list):
         raise BadEmbeddingFile("divisor must be an array")
-    entries = []
-    for item in items:
-        if not isinstance(item, list) or len(item) != 2 or not _is_int(item[1]):
-            raise BadEmbeddingFile(f"bad divisor entry {item!r}")
-        entries.append((CurvePoint(_parse_fraction(item[0])), item[1]))
-    return CDivisor(tuple(entries))
+    return CDivisor([(CurvePoint(p), m) for p, m in _rows(items, "divisor")])
 
 
 def _function_to_dict(f: RationalFunction) -> dict:
@@ -261,19 +266,15 @@ def _function_from_dict(doc) -> RationalFunction:
         or not isinstance(doc["factors"], list)
     ):
         raise BadEmbeddingFile(f"bad function object {doc!r}")
-    factors = []
-    for item in doc["factors"]:
-        if not isinstance(item, list) or len(item) != 2 or not _is_int(item[1]):
-            raise BadEmbeddingFile(f"bad factor entry {item!r}")
-        factors.append((_parse_fraction(item[0]), item[1]))
-    return RationalFunction(_parse_fraction(doc["constant"]), tuple(factors))
+    factors = _rows(doc["factors"], "factor")  # checked before the constant
+    return RationalFunction(_parse_fraction(doc["constant"]), factors)
 
 
 def embedding_to_dict(data: EmbeddingData) -> dict:
     return {
         "fan": fan_to_dict(data.fan),
         "ample": list(data.ample.coeffs) if data.ample is not None else None,
-        "xi": {"values": list(data.xi.values), "method": data.xi.method},
+        "xi": data.xi._asdict(),
         "divisors": [_divisor_to_list(rho, d) for rho, d in enumerate(data.divisors)],
         "epsilon": [_function_to_dict(f) for f in data.epsilon],
         "torus": [str(x) for x in data.torus],

@@ -532,7 +532,7 @@ class DivisorReference:
         acc = {}
         for p, m in items:
             if not isinstance(p, CurvePoint):
-                p = CurvePoint.of(p)
+                p = CurvePoint(p)
             acc[p] = acc.get(p, 0) + m
         return cls(tuple((p, m) for p, m in acc.items() if m))
 

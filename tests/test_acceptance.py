@@ -132,7 +132,7 @@ def test_acceptance_5_negative_controls():
                 s, u = F(w["s"]), F(w["u"])
                 assert s != 0 and u == -s
         # the witness pair must survive direct evaluation in every chart
-        minus, plus = CurvePoint.of(F(-1)), CurvePoint.of(F(1))
+        minus, plus = CurvePoint(F(-1)), CurvePoint(F(1))
         for chart in chart_maps(data):
             for f in chart.coords:
                 left = evaluate_with_derivative(f, minus)

@@ -375,8 +375,8 @@ def test_a_chart_of_constant_coordinates_is_neither_injective_nor_immersive(tmp_
         assert pair == {"kind": "collision-pair", "s": "0", "u": "1", "verified": "evaluation"}
         assert tangent == {"kind": "tangent-point", "t": "0", "verified": "evaluation"}
         for f in chart.coords:
-            assert evaluate(f, CurvePoint.of(0)) == evaluate(f, CurvePoint.of(1))
-            assert evaluate_with_derivative(f, CurvePoint.of(0))[1] == 0
+            assert evaluate(f, CurvePoint(0)) == evaluate(f, CurvePoint(1))
+            assert evaluate_with_derivative(f, CurvePoint(0))[1] == 0
 
 
 def test_an_oversized_chart_is_refused_before_its_coordinates_are_expanded(tmp_path):

@@ -63,16 +63,16 @@ def random_function(rng) -> RationalFunction:
 
 
 def test_curve_point_basics():
-    p = CurvePoint.of(Fraction(1, 2))
+    p = CurvePoint(Fraction(1, 2))
     assert not p.is_infinity
     assert INFINITY.is_infinity
-    assert CurvePoint.infinity() == INFINITY
+    assert CurvePoint() == INFINITY
     assert sorted([INFINITY, p], key=lambda q: q.sort_key())[0] == p
     assert repr(INFINITY) == "inf"
 
 
 def test_cdivisor_accumulates_and_drops_zeros():
-    p, q = CurvePoint.of(1), CurvePoint.of(2)
+    p, q = CurvePoint(1), CurvePoint(2)
     d = CDivisor.of([(p, 1), (q, 2), (p, -1)])
     assert d.entries == ((q, 2),)
     assert d.degree == 2
@@ -85,7 +85,7 @@ def test_cdivisor_accumulates_and_drops_zeros():
 
 
 def test_principal_function_two_points():
-    a, b = CurvePoint.of(2), CurvePoint.of(5)
+    a, b = CurvePoint(2), CurvePoint(5)
     f = principal_function(CDivisor.of([(a, 1), (b, -1)]))
     assert f.constant == 1
     assert f.factors == ((Fraction(2), 1), (Fraction(5), -1))
@@ -93,7 +93,7 @@ def test_principal_function_two_points():
 
 def test_principal_function_with_infinity():
     # 2(1) - (0) - (inf) gives (t-1)^2 / t
-    d = CDivisor.of([(CurvePoint.of(1), 2), (CurvePoint.of(0), -1), (INFINITY, -1)])
+    d = CDivisor.of([(CurvePoint(1), 2), (CurvePoint(0), -1), (INFINITY, -1)])
     f = principal_function(d)
     assert f.factors == ((Fraction(0), -1), (Fraction(1), 2))
     assert f.order_at_infinity == -1
@@ -102,14 +102,14 @@ def test_principal_function_with_infinity():
 
 def test_principal_function_requires_degree_zero():
     with pytest.raises(NotDegreeZero):
-        principal_function(CDivisor.of([(CurvePoint.of(0), 1)]))
+        principal_function(CDivisor.of([(CurvePoint(0), 1)]))
 
 
 def test_principal_round_trip_random():
     rng = random.Random(41)
     for _ in range(30):
         points = rng.sample(range(-6, 7), rng.randint(2, 4))
-        entries = [(CurvePoint.of(p), rng.choice([-2, -1, 1, 2])) for p in points]
+        entries = [(CurvePoint(p), rng.choice([-2, -1, 1, 2])) for p in points]
         total = sum(e for _, e in entries)
         entries.append((INFINITY, -total))
         d = CDivisor.of(entries)
@@ -130,13 +130,13 @@ def test_function_multiplication_adds_divisors():
 def test_evaluate_goldens():
     # (t-1)^2 / t
     f = RationalFunction.of(1, {Fraction(1): 2, Fraction(0): -1})
-    assert evaluate_with_derivative(f, CurvePoint.of(2)) == (Fraction(1, 2), Fraction(3, 4))
-    assert evaluate_with_derivative(f, CurvePoint.of(0)) is POLE
+    assert evaluate_with_derivative(f, CurvePoint(2)) == (Fraction(1, 2), Fraction(3, 4))
+    assert evaluate_with_derivative(f, CurvePoint(0)) is POLE
     assert evaluate_with_derivative(f, INFINITY) is POLE
     assert f.order_at_infinity == -1
     g = RationalFunction.of(1, {Fraction(3): 1, Fraction(7): -1})
-    assert evaluate_with_derivative(g, CurvePoint.of(7)) is POLE
-    assert evaluate_with_derivative(g, CurvePoint.of(3)) == (Fraction(0), Fraction(1, -4))
+    assert evaluate_with_derivative(g, CurvePoint(7)) is POLE
+    assert evaluate_with_derivative(g, CurvePoint(3)) == (Fraction(0), Fraction(1, -4))
 
 
 def test_evaluate_matches_sympy():
@@ -145,7 +145,7 @@ def test_evaluate_matches_sympy():
     for _ in range(40):
         f = random_function(rng)
         expr = to_sympy(f)
-        points = [CurvePoint.of(Fraction(n, 2)) for n in range(-4, 5)]
+        points = [CurvePoint(Fraction(n, 2)) for n in range(-4, 5)]
         points.append(INFINITY)
         for p in rng.sample(points, 4):
             got = evaluate_with_derivative(f, p)
@@ -155,16 +155,16 @@ def test_evaluate_matches_sympy():
 
 def test_order_bookkeeping():
     f = RationalFunction.of(Fraction(5), {Fraction(2): 3, Fraction(1): -1})
-    assert f.order_at(CurvePoint.of(2)) == 3
-    assert f.order_at(CurvePoint.of(1)) == -1
-    assert f.order_at(CurvePoint.of(9)) == 0
+    assert f.order_at(CurvePoint(2)) == 3
+    assert f.order_at(CurvePoint(1)) == -1
+    assert f.order_at(CurvePoint(9)) == 0
     assert f.order_at(INFINITY) == -2
     assert f.order_at_infinity == -2
 
 
 def test_sample_divisor_goldens():
     assert sample_divisor(0, 7).entries == ()
-    avoid = {CurvePoint.of(0), INFINITY}
+    avoid = {CurvePoint(0), INFINITY}
     taken = {(0, 1), (1, 0)}
     d = sample_divisor(3, 11, set(taken))
     assert d.degree == 3
@@ -193,7 +193,7 @@ def test_sample_divisor_determinism_and_spread():
     for _ in range(25):
         seed = rng.randrange(2**32)
         degree = rng.randint(1, 5)
-        avoid = {CurvePoint.of(rng.randint(-3, 3)) for _ in range(rng.randint(0, 3))}
+        avoid = {CurvePoint(rng.randint(-3, 3)) for _ in range(rng.randint(0, 3))}
         taken = {p._reduced for p in avoid}
         d = sample_divisor(degree, seed, set(taken))
         assert d == sample_divisor(degree, seed, set(taken))

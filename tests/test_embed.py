@@ -138,7 +138,7 @@ def test_conditions_pass_on_presets():
 def test_condition_one_violation_shared_point():
     """A point on both divisors of an opposite-ray pair must be reported."""
     data = pipeline_data("p1p1p1", seed=4)
-    z = CurvePoint.of(Fraction(1000))
+    z = CurvePoint(Fraction(1000))
     bump = CDivisor.of([(z, 1)])
     tampered = data._replace(
         divisors=(data.divisors[0] + bump, data.divisors[1] + bump) + data.divisors[2:],
@@ -163,7 +163,7 @@ def test_condition_two_violation_extra_zero():
     index, diff = report.divisor_failures[0]
     assert index == 0
     # the extra zero, balanced by the pole the factor adds at infinity
-    assert (CurvePoint.of(z), 1) in diff
+    assert (CurvePoint(z), 1) in diff
     assert (INFINITY, -1) in diff
 
 
@@ -191,7 +191,7 @@ def test_charts_are_regular_everywhere():
         data = pipeline_data(name, seed=7)
         for chart in chart_maps(data):
             excluded = set(chart.excluded)
-            probes = [CurvePoint.of(Fraction(n, 7)) for n in range(-8, 9)]
+            probes = [CurvePoint(Fraction(n, 7)) for n in range(-8, 9)]
             probes.append(INFINITY)
             for f in chart.coords:
                 assert f.order_at_infinity == 0

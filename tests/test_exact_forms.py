@@ -152,7 +152,7 @@ def same_function(new, ref):
 @given(rationals, small)
 def test_equal_points_from_int_str_and_fraction_are_one_point(value, other):
     forms = [value, str(value)] + ([int(value)] if value.denominator == 1 else [])
-    points = [CurvePoint.of(x) for x in forms] + [CurvePoint(value)]
+    points = [CurvePoint(x) for x in forms] + [CurvePoint(value)]
     assert all(p == points[0] and hash(p) == hash(points[0]) for p in points)
     assert len({*points, INFINITY}) == 2
     assert all(type(p.finite) is Fraction for p in points)
@@ -252,7 +252,7 @@ def evaluation_cases(draw):
         return f, INFINITY
     if kind == "root" and f.factors:
         root = draw(st.sampled_from(f.factors))[0]
-        return f, CurvePoint.of(draw(spelled(root)))
+        return f, CurvePoint(draw(spelled(root)))
     return f, CurvePoint(draw(rationals))
 
 
@@ -392,10 +392,10 @@ def test_unimodular_inverse_rejects_a_matrix_that_is_not_square():
 
 
 @pytest.mark.parametrize("build, message", [
-    (lambda: CDivisor(((CurvePoint.of(1), 1), (CurvePoint.of("2/2"), 2))),
+    (lambda: CDivisor(((CurvePoint(1), 1), (CurvePoint("2/2"), 2))),
      "divisor points must be distinct"),
     (lambda: CDivisor(((INFINITY, 1), (CurvePoint(None), -1))), "divisor points must be distinct"),
-    (lambda: CDivisor(((CurvePoint.of(1), 0),)), "zero multiplicities are not stored"),
+    (lambda: CDivisor(((CurvePoint(1), 0),)), "zero multiplicities are not stored"),
     (lambda: RationalFunction(F(1), ((F(1, 2), 1), (F(2, 4), -1))), "factor roots must be distinct"),
     (lambda: RationalFunction(F(1), ((1, 1), (F(1), 1))), "factor roots must be distinct"),
     (lambda: RationalFunction(F(1), ((F(3), 0),)), "zero exponents are not stored"),

@@ -16,6 +16,7 @@ import contextlib
 import functools
 import hashlib
 import io
+import json
 import random
 import sys
 from fractions import Fraction
@@ -25,12 +26,12 @@ import pytest
 
 import negative_fixtures
 from conftest import run_main
-from toricurve.certificate import dumps_certificate
+from toricurve.certificate import Certificate, ChartRecord, dumps_certificate
 from toricurve.cli import main
 from toricurve.curve import CDivisor, CurvePoint, principal_function
 from toricurve.embed import EmbeddingData, check_theorem_conditions, pairing_matrix
-from toricurve.fan import Fan, preset, save_fan, star_subdivision
-from toricurve.intersect import XiVector, xi_vector
+from toricurve.fan import Fan, ValidationReport, preset, save_fan, star_subdivision
+from toricurve.intersect import TDivisor, XiVector, xi_vector
 from toricurve.verify import certify
 
 F = Fraction
@@ -290,6 +291,25 @@ def test_run_pipeline_replays_the_pinned_bytes(name, seed, tmp_path):
 
 def test_kernel_chain_replays_the_pinned_bytes(tmp_path):
     assert _chain_case(tmp_path) == GOLDEN["run/chain6-kernel/0"]
+
+
+def test_each_record_is_written_as_its_fields(tmp_path):
+    """The JSON objects that mirror a record are its _asdict(), so renaming a
+    field renames a key of a pinned file or a report."""
+    code, report = run_main(["run", "--preset", "p3", "--seed", "0", "--out", str(tmp_path)])
+    assert code == 0
+    with open(report["artifacts"]["certificate"], "rb") as fh:
+        text = fh.read()
+    assert _sha(text) == GOLDEN["run/p3/0"][1]  # a golden certificate.json
+    cert = json.loads(text)
+    assert list(cert) == sorted(Certificate._fields)  # the writer sorts keys
+    assert cert["charts"] and all(list(c) == sorted(ChartRecord._fields) for c in cert["charts"])
+    assert list(report["validation"]) == sorted(ValidationReport._fields)
+    with open(report["artifacts"]["embedding"], encoding="utf-8") as fh:
+        assert list(json.load(fh)["xi"]) == list(XiVector._fields)  # in field order
+    ample = tmp_path / "ample.json"
+    assert run_main(["ample", "find", "--preset", "p3", "--out", str(ample)])[0] == 0
+    assert list(json.loads(ample.read_text(encoding="utf-8"))) == list(TDivisor._fields)
 
 
 @pytest.mark.parametrize("label", sorted(FIXTURE_DATA))

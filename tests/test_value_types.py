@@ -101,7 +101,8 @@ def test_constructors_still_check_their_fields():
 
 
 def guarded():
-    """(name, operation) for each tuple operator a type does not define."""
+    """(name, operation) for each tuple operator a type does not define, and
+    for a foreign operand of an operator it does define."""
     p3, D = preset("p3"), TDivisor((1, 2))
     d, f = CDivisor.of({2: 1}), RationalFunction.of(1, {2: 1})
     return [
@@ -109,10 +110,10 @@ def guarded():
         ("() + fan", lambda: () + p3), ("fan * 2", lambda: p3 * 2), ("2 * fan", lambda: 2 * p3),
         ("D + D", lambda: D + D), ("D + ()", lambda: D + ()), ("() + D", lambda: () + D),
         ("D * 2", lambda: D * 2), ("2 * D", lambda: 2 * D),
-        ("() + d", lambda: () + d),
+        ("() + d", lambda: () + d), ("d + 1", lambda: d + 1), ("d + (1,)", lambda: d + (1,)),
         ("d * 2", lambda: d * 2), ("2 * d", lambda: 2 * d), ("d * d", lambda: d * d),
         ("f + f", lambda: f + f), ("f + ()", lambda: f + ()), ("() + f", lambda: () + f),
-        ("2 * f", lambda: 2 * f),
+        ("2 * f", lambda: 2 * f), ("f * 2", lambda: f * 2), ("f * (1, 2)", lambda: f * (1, 2)),
     ]
 
 

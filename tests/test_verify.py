@@ -65,7 +65,7 @@ def rf(factors, constant=1):
 
 
 def chart(coords, excluded=()):
-    pts = tuple(p if isinstance(p, CurvePoint) else CurvePoint.of(F(p)) for p in excluded)
+    pts = tuple(p if isinstance(p, CurvePoint) else CurvePoint(F(p)) for p in excluded)
     return ChartMap((0, 1, 2), IDENTITY_DUALS, tuple(coords), pts)
 
 
@@ -97,7 +97,7 @@ def test_even_coordinates_yield_a_verified_collision_pair():
     )
     # the witness must survive direct evaluation
     for f in coords:
-        assert value_at(f, CurvePoint.of(F(-1))) == value_at(f, CurvePoint.of(F(1)))
+        assert value_at(f, CurvePoint(F(-1))) == value_at(f, CurvePoint(F(1)))
 
 
 def test_cusp_shows_up_as_a_tangent_point_until_excluded():
@@ -147,7 +147,7 @@ def test_collision_with_the_point_at_infinity():
     assert inj.witnesses[0]["s"] == "1" and inj.witnesses[0]["u"] == "2"
     assert inj.witnesses[1]["u"] == "2/3"
     for f in coords:
-        assert value_at(f, CurvePoint.of(F(2, 3))) == value_at(f, INFINITY)
+        assert value_at(f, CurvePoint(F(2, 3))) == value_at(f, INFINITY)
 
 
 def test_the_infinity_polynomials_are_the_trimmed_top_rows(monkeypatch):
@@ -634,7 +634,7 @@ def test_symmetric_construction_fails_in_every_chart():
     # every chart really does identify t = -1 with t = 1
     for c in chart_maps(data):
         for f in c.coords:
-            assert value_at(f, CurvePoint.of(F(-1))) == value_at(f, CurvePoint.of(F(1)))
+            assert value_at(f, CurvePoint(F(-1))) == value_at(f, CurvePoint(F(1)))
 
 
 def test_doubled_point_fails_only_the_pullback_audit():
@@ -694,7 +694,7 @@ def test_tampered_chart_coordinate_is_caught_with_the_exact_difference():
 
 def test_certify_refuses_data_that_fails_the_morphism_conditions():
     data = symmetric_data()
-    shared = CDivisor.of({CurvePoint.of(F(2)): 1, CurvePoint.of(F(3)): 1})
+    shared = CDivisor.of({CurvePoint(F(2)): 1, CurvePoint(F(3)): 1})
     broken = data._replace(divisors=(shared,) + data.divisors[1:])
     with pytest.raises(ValueError, match="nothing to certify"):
         certify(broken)
