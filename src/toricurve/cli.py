@@ -17,8 +17,8 @@ from .embed import (
     _parse_fraction, build_embedding_data, check_theorem_conditions, dumps_embedding, load_embedding,
 )
 from .fan import (
-    ConeNotInFan, Fan, MalformedFan, UnknownPreset, ValidationReport,
-    _pair_census, dumps_fan, dumps_json, fan_to_dict, load_fan, preset, star_subdivision, validate,
+    ConeNotInFan, Fan, MalformedFan, UnknownPreset, ValidationReport, _is_int, _pair_census,
+    dumps_fan, dumps_json, fan_to_dict, load_fan, preset, star_subdivision, validate,
 )
 from .feasibility import EliminationOverflow
 from .intersect import NotProjective, TDivisor, find_ample, xi_vector
@@ -151,7 +151,7 @@ def _load_divisor(path: str, fan: Fan) -> TDivisor:
     if not isinstance(doc, dict) or set(doc) != {"coeffs"}:
         raise ValueError(f"divisor file must have exactly a coeffs field: {path}")
     coeffs = doc["coeffs"]
-    if not isinstance(coeffs, list) or not all(isinstance(x, int) for x in coeffs):
+    if not isinstance(coeffs, list) or not all(map(_is_int, coeffs)):
         raise ValueError("coeffs must be an int array")
     if len(coeffs) != fan.n_rays:
         raise ValueError("divisor length does not match the fan")

@@ -20,7 +20,7 @@ from .curve import (
     principal_function,
 )
 from .fan import Fan, dual_basis, fan_from_dict, fan_to_dict, primitive_collections, validate
-from .fan import dumps_json, ray_matrix as pairing_matrix  # a[i][rho] = <m_i, n_rho>
+from .fan import _is_int, dumps_json, ray_matrix as pairing_matrix  # a[i][rho] = <m_i, n_rho>
 from .intersect import TDivisor, XiVector
 
 Vec3 = tuple[int, int, int]
@@ -215,10 +215,6 @@ def chart_maps(data: EmbeddingData) -> tuple[ChartMap, ...]:
     return tuple(charts)
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)  # JSON true is no count
-
-
 def _parse_fraction(s) -> Fraction:
     """p, p/q or a decimal; not 1e3, since Fraction would expand 10^exponent first."""
     if not isinstance(s, str):
@@ -285,7 +281,7 @@ def _int_list(value, length: int) -> bool:
     return (
         isinstance(value, list)
         and len(value) == length
-        and all(_is_int(x) for x in value)
+        and all(map(_is_int, value))
     )
 
 

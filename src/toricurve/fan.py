@@ -44,10 +44,14 @@ class UnknownPreset(ValueError):
     """No preset fan with that name."""
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)  # JSON true is no count
+
+
 def _as_ray(value) -> Vec3:
     if not isinstance(value, (list, tuple)) or len(value) != 3:
         raise MalformedFan(f"ray must be a triple of ints, got {value!r}")
-    if not all(isinstance(x, int) and not isinstance(x, bool) for x in value):
+    if not all(map(_is_int, value)):
         raise MalformedFan(f"ray entries must be ints, got {value!r}")
     return (value[0], value[1], value[2])
 
@@ -71,7 +75,7 @@ class Fan(namedtuple("Fan", "rays max_cones name")):
             cone = tuple(cone) if isinstance(cone, list) else cone  # a JSON array
             if not isinstance(cone, tuple) or len(cone) != 3:
                 raise MalformedFan(f"cone must be an index triple, got {cone!r}")
-            if not all(isinstance(i, int) and not isinstance(i, bool) for i in cone):
+            if not all(map(_is_int, cone)):
                 raise MalformedFan(f"cone indices must be ints, got {cone!r}")
             if any(not 0 <= i < len(rays) for i in cone):
                 raise MalformedFan(f"cone index out of range: {cone!r}")

@@ -12,7 +12,7 @@ from collections import namedtuple
 from math import gcd, lcm
 from typing import NamedTuple
 
-from .fan import Fan, NotComplete, Wall, dual_basis, ray_matrix, walls
+from .fan import Fan, NotComplete, Wall, _is_int, dual_basis, ray_matrix, walls
 from .feasibility import Infeasible, find_point, minimize
 from .intlinalg import dot, integer_kernel_basis
 
@@ -41,13 +41,9 @@ class TDivisor(namedtuple("TDivisor", "coeffs")):
 
     def __new__(cls, coeffs: tuple[int, ...]) -> "TDivisor":
         coeffs = tuple(coeffs)
-        if not all(isinstance(c, int) and not isinstance(c, bool) for c in coeffs):
+        if not all(map(_is_int, coeffs)):
             raise ValueError("divisor coefficients must be ints")
         return super().__new__(cls, coeffs)
-
-    @classmethod
-    def unit(cls, fan: Fan, rho: int) -> "TDivisor":
-        return cls(tuple(1 if t == rho else 0 for t in range(fan.n_rays)))
 
 
 class XiVector(NamedTuple):
@@ -66,16 +62,8 @@ def wall_curve_degree(fan: Fan, wall: Wall, divisor: TDivisor) -> int:
     return sum(w * divisor.coeffs[rho] for rho, w in wall.terms)
 
 
-def triple_intersection(fan: Fan, i: int, j: int, k: int) -> int:
-    """V_i . V_j . V_k as an exact integer."""
-    for idx in (i, j, k):
-        if not 0 <= idx < fan.n_rays:
-            raise ValueError(f"ray index out of range: {idx}")
-    return _mixed_degrees(fan, TDivisor.unit(fan, i), TDivisor.unit(fan, j))[k]
-
-
 def triple_product(fan: Fan, d1: TDivisor, d2: TDivisor, d3: TDivisor) -> int:
-    """Trilinear extension of triple_intersection to divisors."""
+    """d1 . d2 . d3 as an exact integer: V_i . V_j . V_k for unit divisors."""
     for d in (d1, d2, d3):
         if len(d.coeffs) != fan.n_rays:
             raise ValueError("divisor length does not match fan")

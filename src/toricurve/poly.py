@@ -131,12 +131,10 @@ def _ints(h) -> list:
 
 
 def _rows(R: list) -> list:
-    """R, s-coefficient rows of int lists in u of any length, in the form
-    _ints gives: no zero top row, each row deg_u + 1 wide ([] for
+    """R, s-coefficient rows of int lists in u of any length with a nonzero
+    top row, in the form _ints gives: each row deg_u + 1 wide ([] for
     zero)."""
     R = [_trim(r) for r in R]
-    while R and not R[0]:
-        del R[0]
     width = max(map(len, R), default=0)
     return [[0] * (width - len(r)) + r for r in R]
 
@@ -222,7 +220,7 @@ def _heu_gcd(f: list, g: list) -> list | None:
     for _ in range(_HEU_TRIES):
         # xi exceeds every root's modulus, so the gcd is positive and so is
         # its top digit: the candidate's leading coefficient
-        h = _digits(gcd(_horner(f, xi), _horner(g, xi)), xi)
+        h = _digits(gcd(_homogeneous(f, xi, 1), _homogeneous(g, xi, 1)), xi)
         ch = gcd(*h)
         h = [a // ch for a in h]
         if _divides(h, f) and _divides(h, g):
@@ -245,8 +243,8 @@ def _heu_gcd_su(F: list, G: list) -> list | None:
     cf, cg = gcd(*chain(*F)), gcd(*chain(*G))
     xi = 2 * min(max(map(abs, chain(*F))) // cf, max(map(abs, chain(*G))) // cg) + 29
     for _ in range(_HEU_TRIES):
-        fx = _trim([_horner(row, xi) // cf for row in F])
-        gx = _trim([_horner(row, xi) // cg for row in G])
+        fx = _trim([_homogeneous(row, xi, 1) // cf for row in F])
+        gx = _trim([_homogeneous(row, xi, 1) // cg for row in G])
         h = fx and gx and _heu_gcd(fx, gx)
         if h:
             # h's leading coefficient is positive, so is its top digit
@@ -439,8 +437,8 @@ def _common_factor(polys, gens: str, excluded_fr):
     # unless q divides every coefficient of some lc_s, one of these a fits
     points = (a for a in range(sum(len(r[0]) for r in polys) + len(excluded_fr))
               if a not in excluded_fr)
-    a = next((a for a in points if all(_horner(r[0], a) % q for r in polys)), None)
-    if a is not None and _coprime([[_horner(row, a) for row in r] for r in polys]):
+    a = next((a for a in points if all(_homogeneous(r[0], a, 1) % q for r in polys)), None)
+    if a is not None and _coprime([[_homogeneous(row, a, 1) for row in r] for r in polys]):
         return None
     return _gcd_all(polys)
 
@@ -531,16 +529,16 @@ def _lifted_roots(c: list) -> list:
     bound = 2 * (lc + max(map(abs, f[1:])))
 
     def zeros(p):
-        return [x for x in range(p) if not _horner(f, x) % p]
+        return [x for x in range(p) if not _homogeneous(f, x, 1) % p]
 
     p = next(p for p in count(2) if lc % p and all(p % q for q in range(2, isqrt(p) + 1))
-             and all(_horner(df, x) % p for x in zeros(p)))
+             and all(_homogeneous(df, x, 1) % p for x in zeros(p)))
     out = []
     for r in zeros(p):
         m = p
         while m <= bound:
             m *= m
-            r = (r - _horner(f, r) * pow(_horner(df, r), -1, m)) % m
+            r = (r - _homogeneous(f, r, 1) * pow(_homogeneous(df, r, 1), -1, m)) % m
         v = lc * r % m
         x = Fraction(v - m if v > m >> 1 else v, lc)
         if not _homogeneous(f, x.numerator, x.denominator):
@@ -602,7 +600,7 @@ def _res_kronecker(F, G, need: int) -> list:
     coefficients of Res are below X / 2 too, so they are its digits.
     """
     X = 1 << need.bit_length()
-    v = _res_small([_horner(r, X) for r in F], [_horner(r, X) for r in G])
+    v = _res_small([_homogeneous(r, X, 1) for r in F], [_homogeneous(r, X, 1) for r in G])
     return _digits(v, X) or [0]
 
 
@@ -616,23 +614,16 @@ def _res_interpolated(F, G, degree: int, k: int) -> list:
     p = (1 << k) - 1
     x0 = x = 0
     while x - x0 <= degree:
-        if not _horner(F[0], x) % p or not _horner(G[0], x) % p:
+        if not _homogeneous(F[0], x, 1) % p or not _homogeneous(G[0], x, 1) % p:
             x0 = x + 1
         x += 1
     pairs = [
-        ([_horner(row, x) % p for row in F], [_horner(row, x) % p for row in G])
+        ([_homogeneous(row, x, 1) % p for row in F], [_homogeneous(row, x, 1) % p for row in G])
         for x in range(x0, x)
     ]
     half = p >> 1
     coeffs = [c - p if c > half else c for c in _newton(x0, _resultants_mod(pairs, k), k)]
     return _trim(coeffs) or [0]
-
-
-def _horner(c: list, x: int) -> int:
-    v = 0
-    for a in c:
-        v = v * x + a
-    return v
 
 
 # Arithmetic mod a Mersenne prime p = 2^k - 1 folds a product z as

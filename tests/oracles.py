@@ -36,7 +36,9 @@ package's GCDHEU on ints and closed-form factors, and factoring before
 dropping excluded roots.  So
 do the random smoke scans: collision search on random pairs of points and
 chart gluing on random characters.  Tests compare package output against these oracles,
-never the other way around.
+never the other way around.  Two helpers here are not oracles but test-only
+views of the package: `unit_divisor` (V_rho) and `triple_intersection`, entry
+k of `intersect._mixed_degrees` for two unit divisors.
 """
 
 from dataclasses import dataclass
@@ -65,7 +67,7 @@ from toricurve.fan import (
     primitive_collections,
 )
 from toricurve.feasibility import Infeasible, Unbounded
-from toricurve.intersect import triple_intersection
+from toricurve.intersect import TDivisor, _mixed_degrees
 from toricurve.intlinalg import NotUnimodular, det
 from toricurve.poly import _Q_BITS
 
@@ -936,6 +938,19 @@ def character_pairing_neg_one(ray):
         m = [x - q * y for x, y in zip(m, row)]
     assert sum(a * b for a, b in zip(m, ray)) == -1
     return tuple(m)
+
+
+def unit_divisor(fan, rho):
+    """V_rho as a TDivisor."""
+    return TDivisor(tuple(1 if t == rho else 0 for t in range(fan.n_rays)))
+
+
+def triple_intersection(fan, i, j, k):
+    """V_i . V_j . V_k as an exact integer: entry k of the package's one wall pass."""
+    for idx in (i, j, k):
+        if not 0 <= idx < fan.n_rays:
+            raise ValueError(f"ray index out of range: {idx}")
+    return _mixed_degrees(fan, unit_divisor(fan, i), unit_divisor(fan, j))[k]
 
 
 def self_triple_by_canonical_character(fan, rho):

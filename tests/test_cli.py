@@ -682,6 +682,17 @@ def test_an_ample_file_from_ample_find_stands_in_for_auto(tmp_path):
     assert xis[0] == xis[1] == {"values": [1, 1, 1, 1], "method": "intersection"}
 
 
+def test_an_ample_file_with_a_json_true_gets_the_cli_message(tmp_path):
+    """true is no count: the divisor reader refuses it with its own message."""
+    divisor = tmp_path / "D"
+    divisor.write_text('{"coeffs": [true, 0, 0, 0]}', encoding="utf-8")
+    for argv in (["xi"], ["embed", "--out", str(tmp_path / "e")],
+                 ["run", "--out", str(tmp_path / "r")]):
+        code, report = run_main(argv + ["--preset", "p3", "--ample", str(divisor)])
+        assert (code, report["error"]) == (
+            1, {"kind": "bad-input", "message": "coeffs must be an int array"})
+
+
 def test_no_row_of_the_errors_table_is_shadowed_by_an_earlier_one():
     for i, (types, _, _) in enumerate(ERRORS):
         for later, kind, _ in ERRORS[i + 1:]:

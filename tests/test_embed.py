@@ -281,6 +281,8 @@ def _set(path, value):
         _set(("epsilon",), lambda e: [dict(f, factors=5) for f in e]),
         _set(("torus",), [1, 1, 1]),
         _set(("divisors",), lambda d: [5] + d[1:]),
+        _set(("epsilon",), lambda e: e[:2]),
+        _set(("epsilon",), lambda e: e + e[:1]),
     ],
     ids=[
         "xi-values-not-a-list", "xi-two-entries", "xi-five-entries", "xi-values-an-object",
@@ -289,7 +291,7 @@ def _set(path, value):
         "torus-zero-entry",
         "xi-values-booleans", "ample-booleans", "divisor-multiplicity-true",
         "factor-exponent-true", "factors-not-a-list", "torus-entries-not-strings",
-        "divisor-not-a-list",
+        "divisor-not-a-list", "epsilon-two-functions", "epsilon-four-functions",
     ],
 )
 def test_embedding_shapes_that_do_not_fit_the_fan_are_rejected(mutate):

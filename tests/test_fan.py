@@ -5,7 +5,7 @@ import random
 import pytest
 
 from conftest import FIXTURES, in_basis, ladder_fan
-from oracles import primitive_collections_by_subsets, validate_by_pair_scan
+from oracles import primitive_collections_by_subsets, triple_intersection, validate_by_pair_scan
 from toricurve import fan as fan_module
 from toricurve.fan import (
     FAN_CACHE_SIZE,
@@ -26,7 +26,6 @@ from toricurve.fan import (
     validate,
     walls,
 )
-from toricurve.intersect import triple_intersection
 from toricurve.intlinalg import NotUnimodular, cross, dot
 
 

@@ -14,6 +14,8 @@ from oracles import (
     is_ample_by_characters,
     kernel_xi_by_fractions,
     self_triple_by_canonical_character,
+    triple_intersection,
+    unit_divisor,
     wall_coefficients_by_inversion,
 )
 from test_fan import random_subdivision_chain
@@ -30,7 +32,6 @@ from toricurve.intersect import (
     _mixed_degrees,
     find_ample,
     is_ample,
-    triple_intersection,
     triple_product,
     wall_curve_degree,
     xi_vector,
@@ -59,10 +60,10 @@ def principal_coeffs(fan, m):
 def test_wall_degree_goldens(p3, p1p1p1):
     by_pair = {(w.i, w.j): w for w in walls(p1p1p1)}
     w = by_pair[(0, 2)]  # <e1, e2>
-    assert wall_curve_degree(p1p1p1, w, TDivisor.unit(p1p1p1, 4)) == 1
-    assert wall_curve_degree(p1p1p1, w, TDivisor.unit(p1p1p1, 0)) == 0
+    assert wall_curve_degree(p1p1p1, w, unit_divisor(p1p1p1, 4)) == 1
+    assert wall_curve_degree(p1p1p1, w, unit_divisor(p1p1p1, 0)) == 0
     w3 = {(w.i, w.j): w for w in walls(p3)}[(0, 1)]
-    assert wall_curve_degree(p3, w3, TDivisor.unit(p3, 0)) == 1
+    assert wall_curve_degree(p3, w3, unit_divisor(p3, 0)) == 1
 
 
 def test_wall_degree_matches_oracle():
@@ -73,7 +74,7 @@ def test_wall_degree_matches_oracle():
         n = fan.n_rays
         for w in walls(fan):
             for rho in range(n):
-                got = wall_curve_degree(fan, w, TDivisor.unit(fan, rho))
+                got = wall_curve_degree(fan, w, unit_divisor(fan, rho))
                 want = oracle.triple_product(unit(n, w.i), unit(n, w.j), unit(n, rho))
                 assert got == want
 
@@ -136,9 +137,9 @@ def test_linear_equivalence_invariance():
 
 
 def test_is_ample_goldens(p3, p1p1p1):
-    assert is_ample(p3, TDivisor.unit(p3, 0))
-    assert not is_ample(p3, TDivisor(tuple(-c for c in TDivisor.unit(p3, 0).coeffs)))
-    assert not is_ample(p1p1p1, TDivisor.unit(p1p1p1, 0))  # nef only
+    assert is_ample(p3, unit_divisor(p3, 0))
+    assert not is_ample(p3, TDivisor(tuple(-c for c in unit_divisor(p3, 0).coeffs)))
+    assert not is_ample(p1p1p1, unit_divisor(p1p1p1, 0))  # nef only
     anticanonical = TDivisor(tuple([1] * 6))
     assert is_ample(p1p1p1, anticanonical)
 
@@ -211,7 +212,7 @@ def test_not_projective_fixture(nonprojective):
 
 
 def test_xi_intersection_goldens(p3, p1p1p1, blp3):
-    assert xi_vector(p3, TDivisor.unit(p3, 0)).values == (1, 1, 1, 1)
+    assert xi_vector(p3, unit_divisor(p3, 0)).values == (1, 1, 1, 1)
     total = TDivisor(tuple([1] * 6))
     assert xi_vector(p1p1p1, total).values == (8, 8, 8, 8, 8, 8)
     two_h_minus_e = TDivisor((0, 0, 0, 2, -1))
@@ -358,7 +359,7 @@ def test_xi_requires_ample(p3, p1p1p1):
     with pytest.raises(NotAmple):
         xi_vector(p3, None)
     with pytest.raises(NotAmple):
-        xi_vector(p1p1p1, TDivisor.unit(p1p1p1, 0))
+        xi_vector(p1p1p1, unit_divisor(p1p1p1, 0))
 
 
 def test_xi_kernel_rejects_injective_matrix():
@@ -368,8 +369,8 @@ def test_xi_kernel_rejects_injective_matrix():
 
 
 def test_divisor_arithmetic(p3):
-    d = TDivisor(tuple(a + 3 * b for a, b in zip(TDivisor.unit(p3, 0).coeffs,
-                                                 TDivisor.unit(p3, 1).coeffs)))
+    d = TDivisor(tuple(a + 3 * b for a, b in zip(unit_divisor(p3, 0).coeffs,
+                                                 unit_divisor(p3, 1).coeffs)))
     assert d.coeffs == (1, 3, 0, 0)
     assert TDivisor(tuple(-c for c in d.coeffs)).coeffs == (-1, -3, 0, 0)
     assert TDivisor((0,) * p3.n_rays).coeffs == (0, 0, 0, 0)

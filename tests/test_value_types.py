@@ -52,7 +52,7 @@ def test_separately_built_equal_instances_are_equal():
     p3 = preset("p3")
     assert Fan([list(r) for r in p3.rays], [c[::-1] for c in p3.max_cones], "p3") == p3
     assert Fan(p3.rays, p3.max_cones) != p3  # the name is a field
-    assert TDivisor(iter((0, 1, 0, 0))) == TDivisor.unit(preset("p3"), 1)
+    assert TDivisor(iter((0, 1, 0, 0))) == TDivisor((0, 1, 0, 0))
     d = CDivisor.of({Fraction(1, 2): -3, 2: 1})
     assert CDivisor(((CurvePoint(2), 1), (half(), -3))) == d
     assert CDivisor.of({2: 2, Fraction(1, 2): -3}) + CDivisor.of({2: -1}) == d
@@ -128,6 +128,14 @@ def test_the_operators_a_type_defines_are_its_own():
     assert d + d == d.scale(2) and -d == d.scale(-1)
     f = RationalFunction.of(Fraction(2), {1: 1, 3: -2})
     assert f * f == f ** 2 and (f * f.inverse()) == RationalFunction.one()
+
+
+def test_a_curve_point_equals_no_number():
+    # CurvePoint.__eq__ answers NotImplemented to a foreign operand, so
+    # Python falls back to identity
+    assert CurvePoint(1) != 1
+    assert CurvePoint(Fraction(1, 2)) != Fraction(1, 2)
+    assert CurvePoint() != None  # noqa: E711, the operator is what is tested
 
 
 def test_integer_parts_is_cached_on_the_instance():
