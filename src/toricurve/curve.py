@@ -11,11 +11,12 @@ by the exact key ((num << 32) // den, value): the first entry is a plain
 int, the Fraction comparison only breaks its ties, and equal points land
 side by side, so the same pass finds repeats.  Products and merges sum
 exponents in one dict keyed by (num, den), and no Fraction is rebuilt from
-a Fraction.  Evaluation is homogeneous and in ints: at t = a / b each
-factor r = rn / rd contributes the int d = a rd - rn b, the value and the
-log-derivative accumulate as int numerators and denominators, and a result
-is the only Fraction built.  Negation, scaling, inverses, powers, div f and
-principal functions keep their input's order and skip the sort.  The
+a Fraction.  Evaluation is homogeneous and in ints, in one loop
+(evaluate_ints): at t = a / b each factor r = rn / rd contributes the int
+d = a rd - rn b, the value and the log-derivative accumulate as unreduced
+int numerators and denominators, and a result is the only Fraction built.
+Negation, scaling, inverses, powers, div f and principal functions keep
+their input's order and skip the sort.  The
 sampler runs splitmix64 inline on plain ints, checks candidates as
 reduced (num, den) pairs against the one set of pairs it is given to avoid,
 sorts the pairs it keeps once by the int key, and builds each kept
@@ -283,43 +284,57 @@ def has_divisor(f: RationalFunction, divisors, coeffs) -> bool:
     return have == {key: m for key, m in want.items() if m}
 
 
-def evaluate(f: RationalFunction, p: CurvePoint):
-    """f(p) as an exact rational, or None at a pole.
+def evaluate_ints(f: RationalFunction, a: int, b: int, log: bool = False):
+    """f at t = a / b (b > 0) in ints: POLE, or (m, num, den, ln, ld) with m
+    the order of f's zero at t (0 off its zeros), no pair reduced.
 
-    At t = a / b each factor r = rn / rd contributes
-    (t - r)^e = (a rd - rn b)^e / (b rd)^e, multiplied into one int
-    numerator and one int denominator; one Fraction is built at the end.
+    Each factor r = rn / rd that does not vanish contributes (t - r)^e =
+    (a rd - rn b)^e / (b rd)^e to f = num / den and, with `log`, e / (t - r)
+    = b e rd / d (d = a rd - rn b) to ln / ld, so f'/f = b ln / ld.  At a
+    zero the loop stops with num = 0, unless `log` and m = 1: then it goes
+    on, and num / den is the product of the other factors, f'(t).
     """
-    if p.is_infinity:
-        m = f.order_at_infinity
-        if m < 0:
-            return None
-        return f.constant if m == 0 else Fraction(0)
-    a, b = p._reduced
     num, den = f.constant.numerator, f.constant.denominator
+    ln, ld, m = 0, 1, 0
     for r, e in f.factors:
         rn, rd = r.numerator, r.denominator
         d = a * rd - rn * b
         if not d:  # t is this root: roots are distinct, so no other factor vanishes
-            return None if e < 0 else Fraction(0)
+            if e < 0:
+                return POLE
+            if e > 1 or not log:
+                return e, 0, 1, 0, 1
+            m = 1
+            continue
         if e > 0:
             num *= d ** e
             den *= (b * rd) ** e
         else:
             num *= (b * rd) ** -e
             den *= d ** -e
-    return Fraction(num, den)
+        if log:
+            ln, ld = ln * d + e * rd * ld, ld * d
+    return m, num, den, ln, ld
+
+
+def evaluate(f: RationalFunction, p: CurvePoint):
+    """f(p) as an exact rational, or None at a pole: at a finite p, one
+    Fraction built from evaluate_ints."""
+    if p.is_infinity:
+        m = f.order_at_infinity
+        if m < 0:
+            return None
+        return f.constant if m == 0 else Fraction(0)
+    v = evaluate_ints(f, *p._reduced)
+    return None if v is POLE else Fraction(v[1], v[2])
 
 
 def evaluate_with_derivative(f: RationalFunction, p: CurvePoint):
     """(f(p), f'(p)) as exact rationals, or POLE.
 
     At infinity the local coordinate is s = 1/t and the derivative is taken
-    in s, so an order-m zero at infinity reports (0, 0) for m > 1.
-
-    In ints, as in `evaluate`, with f'/f = sum e / (t - r) = b sum e rd / d
-    (d = a rd - rn b) accumulated as one int numerator over prod d; the two
-    results are the only Fractions built.
+    in s, so an order-m zero at infinity reports (0, 0) for m > 1.  At a
+    finite p the two Fractions are built from evaluate_ints.
     """
     if p.is_infinity:
         m = f.order_at_infinity
@@ -339,27 +354,11 @@ def evaluate_with_derivative(f: RationalFunction, p: CurvePoint):
         return c, Fraction(-c.numerator * sn, c.denominator * sd)
 
     a, b = p._reduced
-    num, den = f.constant.numerator, f.constant.denominator
-    ln, ld = 0, 1  # sum e rd / d over the factors that do not vanish
-    simple_zero = False
-    for r, e in f.factors:
-        rn, rd = r.numerator, r.denominator
-        d = a * rd - rn * b
-        if not d:  # t is this root: roots are distinct, so no other factor vanishes
-            if e < 0:
-                return POLE
-            if e > 1:
-                return Fraction(0), Fraction(0)
-            simple_zero = True
-            continue
-        if e > 0:
-            num *= d ** e
-            den *= (b * rd) ** e
-        else:
-            num *= (b * rd) ** -e
-            den *= d ** -e
-        ln, ld = ln * d + e * rd * ld, ld * d
-    if simple_zero:  # f' is the product of the other factors
+    v = evaluate_ints(f, a, b, True)
+    if v is POLE:
+        return POLE
+    m, num, den, ln, ld = v
+    if m:  # f' is the product of the other factors at a simple zero, else 0
         return Fraction(0), Fraction(num, den)
     return Fraction(num, den), Fraction(num * b * ln, den * ld)
 

@@ -2,16 +2,18 @@
 
 Polynomials are int lists, top degree first, and a polynomial in Z[s, u]
 is the rows of its coefficients in s (_ints), on clean and refuting charts
-alike.  Gcds are GCDHEU on ints, a candidate accepted once it divides
-exactly (in Z[s, u] by long division on rows, in Z[u][s]).  Rational roots
-in one variable come from closed forms up to degree 2 and, above, from
-p-adic lifting of the roots modulo a small prime, each accepted only once
-it evaluates to zero exactly; what is left once they are divided out is
-irreducible at degree 2 or 3.  A factor of degree 1 in s with an integer
-s-content is irreducible.  sympy is imported on first use (_sympy) for
-three things only: a gcd that six evaluation points fail, factor_list of
-what is left at degree >= 4 in one variable or past the closed form in
-Z[s, u], and the Groebner fallback; no other module holds a sympy object.
+alike.  A gcd is first one exact division, by the lower operand's
+primitive part; if it fails, GCDHEU on ints, a candidate accepted once it
+divides exactly (in Z[s, u] by long division on rows, in Z[u][s]); then
+sympy.  Rational roots in one variable come from closed forms up to degree
+2 and, above, from p-adic lifting of the roots modulo a small prime, each
+accepted only once it evaluates to zero exactly; what is left once they
+are divided out is irreducible at degree 2 or 3.  A factor of degree 1 in
+s with an integer s-content is irreducible.  sympy is imported on first
+use (_sympy) for three things only: a gcd that six evaluation points
+fail, factor_list of what is left at degree >= 4 in one variable or past
+the closed form in Z[s, u], and the Groebner fallback; no other module
+holds a sympy object.
 Factors come out primitive with positive leading coefficient, as over Q.
 Resultants are this module's own: exact by a closed form over Z with a
 side of degree at most 2 in the eliminated variable (_res_small, and in
@@ -182,6 +184,9 @@ def _gcd(f, g):
     Z[s, u]: the gcd of the contents times the primitive gcd with a
     positive leading coefficient.
 
+    First one exact division by p, the lower operand's (in s, for rows)
+    primitive part with a positive leading coefficient, as _rows in Z[s, u]:
+    if p divides the other, p is the primitive gcd (Gauss's lemma).  Else
     GCDHEU (Char, Geddes & Gonnet, J. Symbolic Comput. 7(1), 1989) on ints,
     _heu_gcd in one variable and _heu_gcd_su in two; sympy's gcd answers
     only when _HEU_TRIES values of xi all fail.  sympy's result can carry a
@@ -189,7 +194,16 @@ def _gcd(f, g):
     finds the gcd through a cofactor); no caller depends on that sign, and
     it is made positive.
     """
-    h = (_heu_gcd_su if isinstance(f[0], list) else _heu_gcd)(f, g)
+    two = isinstance(f[0], list)
+    hi, lo = (g, f) if len(f) < len(g) else (f, g)
+    c_hi, c_lo = (gcd(*chain(*h)) if two else gcd(*h) for h in (hi, lo))
+    if (next(filter(None, lo[0])) if two else lo[0]) < 0:
+        c_lo = -c_lo
+    c = gcd(c_hi, c_lo)
+    p = _rows([[a // c_lo for a in r] for r in lo]) if two else [a // c_lo for a in lo]
+    if (_exquo_su if two else _exquo)(hi, p) is not None:
+        return [[c * a for a in r] for r in p] if two else [c * a for a in p]
+    h = (_heu_gcd_su if two else _heu_gcd)(f, g)
     if h is None:
         h = _in_ring(f).gcd(_in_ring(g))
         h = _ints(-h if h.LC < 0 else h)
@@ -485,10 +499,14 @@ def _rational_roots(c: list, excluded_fr) -> tuple[list, list]:
     factor den * x - num of every excluded point and of every root is
     divided out as often as it divides.
 
-    Linear and quadratic c have closed forms: a x^2 + b x + k has rational
-    roots exactly when its discriminant is a square r^2, (-b +- r) / 2a.
-    Higher degrees go to _lifted_roots.
+    Linear and quadratic c have closed forms: a x + b has the one root
+    num / den = -b / a, with no strip, and leaves a / den; a x^2 + b x + k
+    has rational roots exactly when its discriminant is a square r^2,
+    (-b +- r) / 2a.  Higher degrees go to _lifted_roots.
     """
+    if len(c) == 2:
+        x = Fraction(-c[1], c[0])
+        return [] if x in excluded_fr else [x], [c[0] // x.denominator]
     c = _strip(c, excluded_fr)
     found = ()
     if len(c) == 2:

@@ -45,6 +45,7 @@ from .curve import (
     INFINITY,
     POLE,
     evaluate,
+    evaluate_ints,
     evaluate_with_derivative,
 )
 from .embed import ChartMap, EmbeddingData, chart_maps, check_theorem_conditions, refuse_infinity
@@ -85,11 +86,13 @@ def _rational_candidates(excluded_fr=()):
 
 
 def _collision_holds(coords, s0: Fraction, u0: Fraction) -> bool:
-    """Direct re-check by evaluation, independent of the elimination machinery."""
-    ps, pu = CurvePoint(s0), CurvePoint(u0)
+    """Direct re-check by evaluation, independent of the elimination
+    machinery: every coordinate is finite at s0 and u0 with equal values,
+    the unreduced (num, den) pairs of evaluate_ints compared crosswise."""
+    a, b, c, d = s0.numerator, s0.denominator, u0.numerator, u0.denominator
     for f in coords:
-        vs = evaluate(f, ps)
-        if vs is None or vs != evaluate(f, pu):
+        vs, vu = evaluate_ints(f, a, b), evaluate_ints(f, c, d)
+        if vs is POLE or vu is POLE or vs[1] * vu[2] != vu[1] * vs[2]:
             return False
     return True
 
@@ -241,7 +244,7 @@ def _finite_finite(chart, coords, NDs, Qs, excluded_fr, witnesses, memo):
     if shared:
         for factor, _mult in _print_sorted(_factor(g), lambda f: _str(f, "s,u")):
             witnesses.append(_witness_from_curve(coords, NDs, factor, excluded_fr))
-        residual = [_exquo_su(q, g) for q in Qs]
+        residual = [_scalar_quotient(q, g) or _exquo_su(q, g) for q in Qs]
         if any(len(r) == 1 for r in residual):
             return "factor"
 
@@ -287,6 +290,15 @@ def _finite_finite(chart, coords, NDs, Qs, excluded_fr, witnesses, memo):
         }
     ])
     return "groebner"
+
+
+def _scalar_quotient(q, g):
+    """[[k]] when the rows q are k g for an integer k, else None."""
+    if len(q) == len(g):
+        k = next(filter(None, q[0])) // next(filter(None, g[0]))
+        if q == [[k * a for a in r] for r in g]:
+            return [[k]]
+    return None
 
 
 _EMPTY = object()  # sentinel: the system certainly has no common zeros
@@ -368,10 +380,15 @@ def _resultant(F, G, cone, memo: dict) -> list:
     return res
 
 
-def _tangent_at(coords, point: CurvePoint) -> bool:
-    """Every coordinate is regular at point with zero derivative there."""
-    values = (evaluate_with_derivative(f, point) for f in coords)
-    return all(v is not POLE and not v[1] for v in values)
+def _tangent_at(coords, t0) -> bool:
+    """Every coordinate is regular at t0, INFINITY or a rational, with zero
+    derivative there.  At a finite t0, f' vanishes at a zero of order > 1,
+    never at a simple one, and elsewhere where ln does (see evaluate_ints)."""
+    if t0 is INFINITY:
+        values = (evaluate_with_derivative(f, t0) for f in coords)
+        return all(v is not POLE and not v[1] for v in values)
+    values = (evaluate_ints(f, t0.numerator, t0.denominator, True) for f in coords)
+    return all(v is not POLE and v[0] != 1 and (v[0] or not v[3]) for v in values)
 
 
 def chart_immersive(chart: ChartMap, memo=None) -> CheckResult:
@@ -382,7 +399,7 @@ def chart_immersive(chart: ChartMap, memo=None) -> CheckResult:
     w_polys = [_diagonal(_bezoutian(*f.integer_parts, memo)) for f in coords if f.factors]
 
     def at_point(t0):
-        return _tangent_at(coords, CurvePoint(t0)) and {
+        return _tangent_at(coords, t0) and {
             "kind": "tangent-point", "t": str(t0), "verified": "evaluation"}
 
     if not w_polys:  # every coordinate is constant, so tangent everywhere

@@ -24,7 +24,6 @@ from toricurve.embed import (
     check_theorem_conditions,
     dumps_embedding,
     embedding_from_dict,
-    embedding_to_dict,
     epsilon_function,
     loads_embedding,
     pairing_matrix,
@@ -227,24 +226,21 @@ def test_serialization_refuses_a_divisor_at_infinity():
 
 
 def test_serialization_rejects_malformed():
+    """Each bad document is a JSON round trip of a good one with one fault,
+    refused with the message for that fault."""
     data = pipeline_data("p3", seed=11)
-    doc = embedding_to_dict(data)
-    with pytest.raises(BadEmbeddingFile):
+    doc = json.loads(dumps_embedding(data))
+    with pytest.raises(BadEmbeddingFile, match="document must be an object"):
         loads_embedding("[1, 2]")
-    with pytest.raises(BadEmbeddingFile):
+    no_torus = r"fields must be exactly .*, got \['ample', 'divisors', 'epsilon', 'fan', 'xi'\]"
+    with pytest.raises(BadEmbeddingFile, match=no_torus):
         embedding_from_dict({k: v for k, v in doc.items() if k != "torus"})
-    extra = dict(doc)
-    extra["comment"] = "hi"
-    with pytest.raises(BadEmbeddingFile):
-        embedding_from_dict(extra)
-    bad = dict(doc)
-    bad["torus"] = ["1", "0.5x", "1"]
-    with pytest.raises(BadEmbeddingFile):
-        embedding_from_dict(bad)
-    bad = dict(doc)
-    bad["epsilon"] = doc["epsilon"][:2]
-    with pytest.raises(BadEmbeddingFile):
-        embedding_from_dict(bad)
+    with pytest.raises(BadEmbeddingFile, match=r"fields must be exactly .*'comment'"):
+        embedding_from_dict({**doc, "comment": "hi"})
+    with pytest.raises(BadEmbeddingFile, match="bad rational '0.5x'"):
+        embedding_from_dict({**doc, "torus": ["1", "0.5x", "1"]})
+    with pytest.raises(BadEmbeddingFile, match="exactly three character functions expected"):
+        embedding_from_dict({**doc, "epsilon": doc["epsilon"][:2]})
 
 
 def _set(path, value):

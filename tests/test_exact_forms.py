@@ -23,7 +23,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from sympy.polys.domains import QQ, ZZ
@@ -324,6 +324,72 @@ def test_congruence_over_z_matches_the_congruence_over_q(case):
     )
     if planted:
         assert verify._congruence_collision(NDs[:1], s0, mu_ints)
+
+
+@st.composite
+def recheck_cases(draw):
+    """One to three factored functions and points c, s0 and u0.
+
+    Each function is random or invariant under t -> 2c - t, times (t - c)^k
+    for k in -1..3, so at c it has a pole, a simple or a multiple zero, or,
+    when invariant, a zero derivative with a nonzero value.  s0 is c plus a
+    small step, a root of one of the functions, or any rational; u0 is
+    2c - s0 half the time, where an invariant function takes s0's value.
+    Poles below t give the int denominators their sign changes."""
+    c = draw(small)
+
+    def invariant():
+        factors = {}
+        for d, e in draw(st.dictionaries(small.filter(bool), st.sampled_from((-2, -1, 1, 2)),
+                                         max_size=3)).items():
+            factors[c + d] = factors[c - d] = e
+        return RationalFunction.of(draw(small.filter(bool)), factors)
+
+    fs = []
+    for _ in range(draw(st.integers(1, 3))):
+        f = invariant() if draw(st.booleans()) else draw(functions(small))
+        k = draw(st.sampled_from((0, 0, -1, 1, 2, 3)))
+        fs.append(f * RationalFunction.of(1, {c: k}) if k else f)
+    kind = draw(st.sampled_from(("step", "root", "free")))
+    roots = [r for f in fs for r, _ in f.factors]
+    if kind == "root" and roots:
+        s0 = draw(st.sampled_from(roots))
+    else:
+        s0 = c + draw(small) if kind == "step" else draw(rationals)
+    u0 = 2 * c - s0 if draw(st.booleans()) else draw(small)
+    return fs, c, s0, u0
+
+
+def _fraction_values(fs, point):
+    return [evaluate_by_fractions(f, point) for f in fs]
+
+
+@PROPERTY
+@given(recheck_cases())
+@example(([RationalFunction.of(2, {1: 1, -1: 1}), RationalFunction.of(1, {F(1, 2): -1})],
+          F(0), F(1, 3), F(-1, 3)))
+def test_the_collision_recheck_matches_the_fraction_reference(case):
+    """Equal finite values at s0 and u0 for every function, compared as
+    unreduced int pairs, exactly when the Fraction values are equal."""
+    fs, _, s0, u0 = case
+    vs, vu = _fraction_values(fs, CurvePoint(s0)), _fraction_values(fs, CurvePoint(u0))
+    want = all(a is not POLE and b is not POLE and a[0] == b[0] for a, b in zip(vs, vu))
+    assert verify._collision_holds(fs, s0, u0) == want
+
+
+@PROPERTY
+@given(recheck_cases())
+# t (t - 1)(t + 1) at 0: a simple zero where the other factors' log-derivative vanishes
+@example(([RationalFunction.of(1, {0: 1, 1: 1, -1: 1})], F(0), F(0), F(0)))
+@example(([RationalFunction.of(F(-3, 2), {F(1, 2): 2, F(5, 2): -1})], F(1, 2), F(3), F(-2)))
+def test_the_tangent_recheck_matches_the_fraction_reference(case):
+    """Regular with a zero derivative at every function, from the order of
+    the zero and the log-derivative's numerator, exactly when the Fraction
+    derivatives all vanish; at c, s0 and the point at infinity."""
+    fs, c, s0, _ = case
+    for t0, point in ((c, CurvePoint(c)), (s0, CurvePoint(s0)), (INFINITY, INFINITY)):
+        want = all(v is not POLE and v[1] == 0 for v in _fraction_values(fs, point))
+        assert verify._tangent_at(fs, t0) == want, t0
 
 
 @st.composite

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -898,3 +899,13 @@ def test_the_certify_memo_does_not_outlive_the_call(monkeypatch):
         certify(data)
     assert (err.value.cone, err.value.estimate, err.value.cap) == ((0, 1, 3), 125, 61)
     assert "resultant modulus bits" in str(err.value)
+
+
+def test_the_witness_rechecks_evaluate_through_curves_one_loop():
+    """The tier-1 twin of CI's "One factor-evaluation loop" step: the factor
+    contribution a rd - rn b is written once, in curve.evaluate_ints, and
+    never in verify, whose collision and tangent re-checks call it."""
+    src = Path(verify.__file__).resolve().parent
+    pattern = re.compile(r"\ba \* rd - rn \* b\b")
+    assert not pattern.search((src / "verify.py").read_text())
+    assert len(pattern.findall((src / "curve.py").read_text())) == 1

@@ -944,20 +944,65 @@ def gcd_families(draw):
     return [p * h * shared * draw(contents) for p in polys]
 
 
+_T = Z_T.gens[0]
+# neither operand's primitive part divides the other, so these pass the
+# division test and reach GCDHEU, and with tries = 0 sympy's gcd
+NO_DIVISION = ([6 * (_T + 1) * (_T - 2), -4 * (_T + 1) * (_T + 3)],
+               [(_ZS + _ZU) * (_ZS * _ZU - 2), 3 * (_ZS + _ZU) * (_ZS + _ZU - 1)])
+
+
 @pytest.mark.parametrize("tries", [poly._HEU_TRIES, 0])
 @settings(PROPERTY, max_examples=200)
 @given(gcd_families())
 # at the first xi = 31 the value of the first input divides the second's,
 # so only the division of the second input refuses the candidate t + 1 or
 # s + u
-@example([Z_T.gens[0] + 1, Z_T.gens[0] + 33])
+@example([_T + 1, _T + 33])
 @example([_ZS + _ZU, _ZS + 2 * _ZU - 31])
 @example([-_ZSU.one, _ZSU.one])  # a negative constant first: the gcd stops there, made positive
-@example([Z_T(-3), Z_T.gens[0] + 2])
+@example([Z_T(-3), _T + 2])
+# the lower operand's primitive part divides the other: negative and
+# non-unit contents, a constant second operand, proportional operands, and
+# operands in Z[s, u] whose rows differ in width
+@example([-6 * (_T + 1) * (_T - 2), 4 * (_T + 1)])
+@example([10 * (_T**2 - 2), -4 * _T**2 + 8])
+@example([6 * _T**2 + 2, Z_T(-4)])
+@example([-6 * (_ZS + _ZU) * (_ZS * _ZU - 2), -9 * (_ZS + _ZU)])
+@example([6 * _ZS * _ZU + 2, _ZSU(-4)])
+@example([-3 * (_ZS * _ZU - 2) * (_ZS + _ZU), 6 * (_ZS * _ZU - 2) * (_ZS + _ZU)])
+@example([(2 * _ZS + _ZU) * (_ZS**2 + _ZU**3), -4 * _ZS - 2 * _ZU])
+@example([(_ZS + _ZU**3) * (_ZS**2 + 1), 2 * _ZS + 2 * _ZU**3])
+@example(NO_DIVISION[0])
+@example(NO_DIVISION[1])
 def test_gcds_in_ints_equal_the_ring_gcd(tries, polys):
-    """With tries = 0 every pair goes to sympy's gcd, the fallback."""
+    """With tries = 0 every pair the division test leaves goes to sympy's
+    gcd, the fallback."""
     with patch.object(poly, "_HEU_TRIES", tries):
         assert poly._gcd_all([as_ints(p) for p in polys]) == as_ints(gcd_by_ring(polys))
+
+
+@pytest.mark.parametrize("tries", [poly._HEU_TRIES, 0])
+@pytest.mark.parametrize("polys", NO_DIVISION, ids=["Z[t]", "Z[s, u]"])
+def test_a_gcd_the_division_leaves_reaches_gcdheu_and_then_sympy(tries, polys):
+    """GCDHEU answers with its tries, and with none sympy's gcd does."""
+    heu = "_heu_gcd_su" if polys[0].ring.ngens == 2 else "_heu_gcd"
+    with patch.object(poly, "_HEU_TRIES", tries), \
+            patch.object(poly, heu, wraps=getattr(poly, heu)) as gcdheu, \
+            patch.object(poly, "_in_ring", wraps=poly._in_ring) as to_sympy:
+        assert poly._gcd(*map(as_ints, polys)) == as_ints(gcd_by_ring(polys))
+    assert gcdheu.call_count == 1
+    assert to_sympy.called == (tries == 0)
+
+
+def test_the_division_test_returns_rows_in_normal_form():
+    """Rows of unequal width, the top one unpadded, give the gcd as _ints
+    rows, each deg_u + 1 wide: gcd(contents) times the lower operand's
+    primitive part with a positive leading coefficient."""
+    lower = [[2], [0, 2, 2]]  # 2 s + 2 u + 2
+    other = poly._ints(poly._in_ring(lower) * (3 * _ZS - 3 * _ZU))  # content 6
+    assert poly._gcd(other, lower) == [[0, 2], [2, 2]]
+    assert poly._gcd([[-4], [-4, -4]], other) == [[0, 2], [2, 2]]
+    assert poly._gcd(other, [[-9], [0, -9, -9]]) == [[0, 3], [3, 3]]
 
 
 @PROPERTY
@@ -1133,3 +1178,16 @@ def test_root_search_matches_the_ring_factor_list(case):
         if mu.degree() >= 2:
             left *= mu**m
     assert Z_U.from_dense(rest).primitive()[1] in (left, -left)
+
+
+@pytest.mark.parametrize("c", [[6, -4], [-6, 4], [4, 6], [-3, -12]])
+def test_a_linear_root_is_read_as_the_horner_strip_reads_it(c):
+    """6x - 4 and its kin: the closed form gives the root and what is left
+    that _strip, with its Horner test per excluded point, gives, whether
+    the root is excluded or not."""
+    x = F(-c[1], c[0])
+    left = poly._strip(c, {x})
+    assert len(left) == 1 and left[0] * (x.denominator * Z_U.gens[0] - x.numerator) == Z_U.from_dense(c)
+    assert poly._rational_roots(c, {x, x + 1}) == ([], left)
+    assert poly._rational_roots(c, {x + 1}) == ([x], left)
+    assert poly._rational_roots(c, set()) == ([x], left)
