@@ -180,9 +180,9 @@ def _gcd_all(polys):
 
 
 def _gcd(f, g):
-    """gcd(f, g) over Z for nonzero int lists in one variable or rows in
-    Z[s, u]: the gcd of the contents times the primitive gcd with a
-    positive leading coefficient.
+    """gcd(f, g) over Z for nonzero int lists in one variable (no leading
+    zero) or rows in Z[s, u] (no zero top row): the gcd of the contents
+    times the primitive gcd with a positive leading coefficient.
 
     First one exact division by p, the lower operand's (in s, for rows)
     primitive part with a positive leading coefficient, as _rows in Z[s, u]:

@@ -945,8 +945,8 @@ def gcd_families(draw):
 
 
 _T = Z_T.gens[0]
-# neither operand's primitive part divides the other, so these pass the
-# division test and reach GCDHEU, and with tries = 0 sympy's gcd
+# neither operand's primitive part divides the other, so the division test
+# leaves these to GCDHEU, and with tries = 0 to sympy's gcd
 NO_DIVISION = ([6 * (_T + 1) * (_T - 2), -4 * (_T + 1) * (_T + 3)],
                [(_ZS + _ZU) * (_ZS * _ZU - 2), 3 * (_ZS + _ZU) * (_ZS + _ZU - 1)])
 
@@ -1187,7 +1187,8 @@ def test_a_linear_root_is_read_as_the_horner_strip_reads_it(c):
     the root is excluded or not."""
     x = F(-c[1], c[0])
     left = poly._strip(c, {x})
-    assert len(left) == 1 and left[0] * (x.denominator * Z_U.gens[0] - x.numerator) == Z_U.from_dense(c)
+    linear = x.denominator * Z_U.gens[0] - x.numerator
+    assert len(left) == 1 and left[0] * linear == Z_U.from_dense(c)
     assert poly._rational_roots(c, {x, x + 1}) == ([], left)
     assert poly._rational_roots(c, {x + 1}) == ([x], left)
     assert poly._rational_roots(c, set()) == ([x], left)
