@@ -2,18 +2,21 @@
 
 Polynomials are int lists, top degree first, and a polynomial in Z[s, u]
 is the rows of its coefficients in s (_ints), on clean and refuting charts
-alike.  A gcd is first one exact division, by the lower operand's
-primitive part; if it fails, GCDHEU on ints, a candidate accepted once it
-divides exactly (in Z[s, u] by long division on rows, in Z[u][s]); then
-sympy.  Rational roots in one variable come from closed forms up to degree
-2 and, above, from p-adic lifting of the roots modulo a small prime, each
+alike.  Either has one normal form, _split: a content signed as the
+leading coefficient (_lc), and a primitive part that leads positive.
+_gcd, GCDHEU's one caller, tries one exact division by the lower
+operand's primitive part, then GCDHEU on both primitive parts in ints, a
+candidate accepted once it divides exactly (in Z[s, u] by long division
+on rows, in Z[u][s]), then sympy; gcd(contents) multiplies the result.
+Rational roots in one variable come from closed forms up to degree 2 and,
+above, from p-adic lifting of the roots modulo a small prime, each
 accepted only once it evaluates to zero exactly; what is left once they
 are divided out is irreducible at degree 2 or 3.  A factor of degree 1 in
-s with an integer s-content is irreducible.  sympy is imported on first
-use (_sympy) for three things only: a gcd that six evaluation points
-fail, factor_list of what is left at degree >= 4 in one variable or past
-the closed form in Z[s, u], and the Groebner fallback; no other module
-holds a sympy object.
+s whose s-content, a _gcd, is an integer is irreducible.  sympy is
+imported on first use (_sympy) for three things only: a gcd that six
+evaluation points fail, factor_list of what is left at degree >= 4 in one
+variable or past the closed form in Z[s, u], and the Groebner fallback;
+no other module holds a sympy object.
 Factors come out primitive with positive leading coefficient, as over Q.
 Resultants are this module's own: exact by a closed form over Z with a
 side of degree at most 2 in the eliminated variable (_res_small, and in
@@ -181,33 +184,42 @@ def _gcd_all(polys):
 
 def _gcd(f, g):
     """gcd(f, g) over Z for nonzero int lists in one variable (no leading
-    zero) or rows in Z[s, u] (no zero top row): the gcd of the contents
-    times the primitive gcd with a positive leading coefficient.
+    zero) or rows in Z[s, u] (no zero top row): gcd(contents) times the
+    primitive gcd with a positive leading coefficient, rows as _rows.
 
-    First one exact division by p, the lower operand's (in s, for rows)
-    primitive part with a positive leading coefficient, as _rows in Z[s, u]:
-    if p divides the other, p is the primitive gcd (Gauss's lemma).  Else
-    GCDHEU (Char, Geddes & Gonnet, J. Symbolic Comput. 7(1), 1989) on ints,
-    _heu_gcd in one variable and _heu_gcd_su in two; sympy's gcd answers
-    only when _HEU_TRIES values of xi all fail.  sympy's result can carry a
-    negative leading coefficient (its heugcd keeps an input's sign when it
-    finds the gcd through a cofactor); no caller depends on that sign, and
-    it is made positive.
+    GCDHEU's one caller.  First _split the lower operand (in s, for rows):
+    if its primitive part p divides the other exactly, p is the primitive
+    gcd (Gauss's lemma).  Else _split the other too, and GCDHEU (Char,
+    Geddes & Gonnet, J. Symbolic Comput. 7(1), 1989) takes both primitive
+    parts, _heu_gcd in one variable and _heu_gcd_su in two; sympy's gcd of
+    them, made positive, answers only when _HEU_TRIES values of xi all
+    fail.  gcd(contents) multiplies the result once, here.
     """
     two = isinstance(f[0], list)
     hi, lo = (g, f) if len(f) < len(g) else (f, g)
-    c_hi, c_lo = (gcd(*chain(*h)) if two else gcd(*h) for h in (hi, lo))
-    if (next(filter(None, lo[0])) if two else lo[0]) < 0:
-        c_lo = -c_lo
-    c = gcd(c_hi, c_lo)
-    p = _rows([[a // c_lo for a in r] for r in lo]) if two else [a // c_lo for a in lo]
-    if (_exquo_su if two else _exquo)(hi, p) is not None:
-        return [[c * a for a in r] for r in p] if two else [c * a for a in p]
-    h = (_heu_gcd_su if two else _heu_gcd)(f, g)
-    if h is None:
-        h = _in_ring(f).gcd(_in_ring(g))
-        h = _ints(-h if h.LC < 0 else h)
-    return h
+    c, p = _split(lo)
+    c = gcd(c, *chain(*hi)) if two else gcd(c, *hi)
+    if (_exquo_su if two else _exquo)(hi, p) is None:
+        q = _split(hi)[1]
+        h = (_heu_gcd_su if two else _heu_gcd)(q, p)
+        p = _split(_ints(_in_ring(q).gcd(_in_ring(p))))[1] if h is None else h
+    return [[c * a for a in r] for r in p] if two else [c * a for a in p]
+
+
+def _lc(p):
+    """The leading coefficient of an int list with no leading zero, or of
+    rows in Z[s, u] with a nonzero top row: the top row's first nonzero."""
+    return next(filter(None, p[0])) if isinstance(p[0], list) else p[0]
+
+
+def _split(p) -> tuple:
+    """(c, q) with p = c q, for p as in _lc: c the content of p with the
+    sign of _lc(p), so q is primitive with a positive leading coefficient;
+    rows come back in _rows form."""
+    two = isinstance(p[0], list)
+    c = gcd(*chain(*p)) if two else gcd(*p)
+    c = c if _lc(p) > 0 else -c
+    return (c, _rows([[a // c for a in r] for r in p])) if two else (c, [a // c for a in p])
 
 
 _HEU_TRIES = 6  # values of xi before a gcd goes to sympy, as in sympy's heugcd
@@ -218,56 +230,45 @@ def _next_xi(xi: int) -> int:
 
 
 def _heu_gcd(f: list, g: list) -> list | None:
-    """gcd(f, g) over Z for nonzero int lists, top degree first (no leading
-    zero), in the normal form of _gcd; None when GCDHEU fails.
+    """gcd(f, g) over Z for primitive int lists with positive leading
+    coefficients, top degree first, as an int list in the same form; None
+    when GCDHEU fails.  Only _gcd calls it.
 
-    The primitive parts are evaluated at xi = 2 min(|f|_inf, |g|_inf) + 29
-    and up, and the symmetric xi-adic digits of the integer gcd of the two
-    values make the candidate.  Once xi > 1 + 2 min(|f|_inf, |g|_inf), a
-    primitive candidate that divides both is their gcd (the GCDHEU theorem
-    of the paper cited in _gcd); the division is exact over Z, so an
-    accepted result is proved.
+    f and g are evaluated at xi = 2 min(|f|_inf, |g|_inf) + 29 and up, and
+    the symmetric xi-adic digits of the integer gcd of the two values make
+    the candidate, made primitive.  Once xi > 1 + 2 min(|f|_inf, |g|_inf),
+    a primitive candidate that divides both is their gcd (the GCDHEU
+    theorem of the paper cited in _gcd); the division is exact over Z, so
+    an accepted result is proved.
     """
-    cf, cg = gcd(*f), gcd(*g)
-    f, g = [a // cf for a in f], [a // cg for a in g]
     xi = 2 * min(max(map(abs, f)), max(map(abs, g))) + 29
     for _ in range(_HEU_TRIES):
-        # xi exceeds every root's modulus, so the gcd is positive and so is
-        # its top digit: the candidate's leading coefficient
-        h = _digits(gcd(_homogeneous(f, xi, 1), _homogeneous(g, xi, 1)), xi)
-        ch = gcd(*h)
-        h = [a // ch for a in h]
+        h = _split(_digits(gcd(_homogeneous(f, xi, 1), _homogeneous(g, xi, 1)), xi))[1]
         if _divides(h, f) and _divides(h, g):
-            c = gcd(cf, cg)
-            return [c * a for a in h]
+            return h
         xi = _next_xi(xi)
     return None
 
 
 def _heu_gcd_su(F: list, G: list) -> list | None:
-    """gcd(F, G) for nonzero rows in Z[s, u] in the normal form of _gcd, as
-    rows, or None when GCDHEU fails.
+    """gcd(F, G) for primitive rows in Z[s, u] with positive leading
+    coefficients, as _rows, or None when GCDHEU fails.  Only _gcd calls it.
 
-    u is set to xi, the gcd of the primitive parts' images is taken in Z[s]
-    by _heu_gcd, and each of its coefficients' symmetric xi-adic digits is
-    read back as a polynomial in u (the theorem _heu_gcd relies on holds in
-    several variables).  A primitive candidate is accepted when it divides
-    F and G exactly (_exquo_su).
+    u is set to xi, the images' gcd is taken in Z[s] by _gcd, and the
+    symmetric xi-adic digits of each of its coefficients are read back as a
+    polynomial in u (the theorem _heu_gcd relies on holds in several
+    variables); the candidate, made primitive, is accepted when it divides
+    F and G exactly (_exquo_su).  An image gcd GCDHEU misses goes to sympy
+    in _gcd, not to the next xi: the result is the same, as every candidate
+    is still accepted only by exact division.
     """
-    cf, cg = gcd(*chain(*F)), gcd(*chain(*G))
-    xi = 2 * min(max(map(abs, chain(*F))) // cf, max(map(abs, chain(*G))) // cg) + 29
+    xi = 2 * min(max(map(abs, chain(*F))), max(map(abs, chain(*G)))) + 29
     for _ in range(_HEU_TRIES):
-        fx = _trim([_homogeneous(row, xi, 1) // cf for row in F])
-        gx = _trim([_homogeneous(row, xi, 1) // cg for row in G])
-        h = fx and gx and _heu_gcd(fx, gx)
-        if h:
-            # h's leading coefficient is positive, so is its top digit
-            rows = [_digits(a, xi) for a in h]
-            ch = gcd(*chain(*rows))
-            cand = _rows([[a // ch for a in r] for r in rows])
+        fx, gx = (_trim([_homogeneous(row, xi, 1) for row in R]) for R in (F, G))
+        if fx and gx:
+            cand = _split([_digits(a, xi) for a in _gcd(fx, gx)])[1]
             if _exquo_su(F, cand) is not None and _exquo_su(G, cand) is not None:
-                c = gcd(cf, cg)
-                return [[c * a for a in r] for r in cand]
+                return cand
         xi = _next_xi(xi)
     return None
 
@@ -343,13 +344,6 @@ def _exquo_su(F: list, G: list) -> list | None:
     return None if any(any(r[:dg]) for r in Q) else _rows(Q)
 
 
-def _primitive(c: list) -> list:
-    """c's primitive part with a positive leading coefficient, for a nonzero
-    int list top first."""
-    g = gcd(*c) if c[0] > 0 else -gcd(*c)
-    return [a // g for a in c]
-
-
 def _factor(p) -> list:
     """p.factor_list()[1], up to order, as int lists or rows, for p
     nonconstant: rows in Z[s, u], or an int list in one variable with no
@@ -362,13 +356,12 @@ def _factor(p) -> list:
     """
     two = isinstance(p[0], list)
     if not two and len(p) <= 4:
-        return [(_primitive(p), 1)]
+        return [(_split(p)[1], 1)]
     if two and len(p) == 2:
         a, b = (_trim(row) for row in p)
-        content = _heu_gcd(a, b) if b else a
-        if content is not None and len(content) == 1:
-            c = gcd(*chain(*p)) if a[0] > 0 else -gcd(*chain(*p))
-            return [([[x // c for x in r] for r in p], 1)]
+        s_content = _gcd(a, b) if b else a  # gcd of the s-coefficients in Z[u]
+        if len(s_content) == 1:
+            return [(_split(p)[1], 1)]
     return [(_ints(f), m) for f, m in _in_ring(p).factor_list()[1]]
 
 
@@ -541,7 +534,7 @@ def _lifted_roots(c: list) -> list:
     """
     def derivative(p):
         return [(len(p) - 1 - i) * a for i, a in enumerate(p[:-1])]
-    f = _primitive(_exquo(c, _gcd(c, derivative(c))))
+    f = _split(_exquo(c, _gcd(c, derivative(c))))[1]
     df = derivative(f)
     lc = f[0]
     bound = 2 * (lc + max(map(abs, f[1:])))

@@ -51,7 +51,7 @@ from .curve import (
 from .embed import ChartMap, EmbeddingData, chart_maps, check_theorem_conditions, refuse_infinity
 from .poly import (
     _MERSENNE_EXPONENTS, _at, _bezoutian, _common_factor, _coprime, _divides, _eliminant,
-    _diagonal, _exquo_su, _factor, _gcd_all, _homogeneous, _print_sorted, _rational_roots,
+    _diagonal, _exquo_su, _factor, _gcd_all, _homogeneous, _lc, _print_sorted, _rational_roots,
     _res_interpolated, _res_kronecker, _str, _strip, _total_degree, _trim,
 )
 
@@ -275,7 +275,7 @@ def _finite_finite(chart, coords, NDs, Qs, excluded_fr, witnesses, memo):
     # the scales fix the form elimination_poly prints in (see _eliminant): the
     # pinned one, built from F = c N / lc(N), G = D / lc(D) (c the
     # coordinate's constant) and a monic gcd
-    lc_g = _trim(g[0])[0] if shared else 1
+    lc_g = _lc(g) if shared else 1
     scales = [f.constant * lc_g / (N[0] * D[0]) for f, (N, D) in zip(coords, NDs)]
     eliminant = _eliminant(residual, scales, excluded_fr)
     if eliminant is None:
@@ -295,7 +295,7 @@ def _finite_finite(chart, coords, NDs, Qs, excluded_fr, witnesses, memo):
 def _scalar_quotient(q, g):
     """[[k]] when the rows q are k g for an integer k, else None."""
     if len(q) == len(g):
-        k = next(filter(None, q[0])) // next(filter(None, g[0]))
+        k = _lc(q) // _lc(g)
         if q == [[k * a for a in r] for r in g]:
             return [[k]]
     return None
@@ -351,7 +351,7 @@ def _resultant(F, G, cone, memo: dict) -> list:
     Res(b G, a F); the bound is the same for all of them.
     """
     # keyed by F and G made positive in their first nonzero coefficient
-    a, b = (1 if next(filter(None, P[0])) > 0 else -1 for P in (F, G))
+    a, b = (1 if _lc(P) > 0 else -1 for P in (F, G))
     A, B = (tuple(tuple(c * x for x in r) for r in P) for c, P in ((a, F), (b, G)))
     sign = a ** (len(G) - 1) * b ** (len(F) - 1)
     if B < A:

@@ -1,5 +1,6 @@
 """Chart certification: collision finding, tangency finding, pullback audit."""
 
+import ast
 import hashlib
 import json
 import os
@@ -909,3 +910,21 @@ def test_the_witness_rechecks_evaluate_through_curves_one_loop():
     pattern = re.compile(r"\ba \* rd - rn \* b\b")
     assert not pattern.search((src / "verify.py").read_text())
     assert len(pattern.findall((src / "curve.py").read_text())) == 1
+
+
+def test_gcd_operands_have_one_normal_form():
+    """The tier-1 twin of CI's "One polynomial module" step on gcd operands:
+    poly._split and poly._lc are the one content-and-sign split, so neither
+    poly nor verify defines a _primitive, verify reads no leading coefficient
+    of rows by hand, and no function of the package but poly._gcd names
+    _heu_gcd or _heu_gcd_su."""
+    src = Path(verify.__file__).resolve().parent
+    texts = {path.name: path.read_text() for path in sorted(src.glob("*.py"))}
+    assert not re.search(r"def _primitive\b", texts["poly.py"] + texts["verify.py"])
+    assert not re.search(r"next\(filter\(None, \w+\[0\]\)\)|_trim\(\w+\[0\]\)\[0\]",
+                         texts["verify.py"])
+    users = {(name, getattr(top, "name", None))
+             for name, text in texts.items() for top in ast.parse(text).body
+             for node in ast.walk(top)
+             if isinstance(node, ast.Name) and node.id in ("_heu_gcd", "_heu_gcd_su")}
+    assert users == {("poly.py", "_gcd")}

@@ -34,9 +34,11 @@ proves a pair coprime whose gcd over Z is nonconstant, whether the pair
 lives in one variable or is made of symmetric Bezoutians, and it is
 inconclusive whenever q divides a leading coefficient.  The rest pin the
 int lists and rows of `toricurve.poly` against sympy's ring: GCDHEU on planted
-common factors, with and without its sympy fallback; the closed-form
-roots and factors in one variable at degree 1 and 2 and in Z[s, u] at
-degree 1 in s; the Bezoutian's rows as the s-coefficients of the
+common factors, with and without its sympy fallback, and its candidate made
+primitive; the normal form of a gcd operand, _split and _lc, against the
+ring's primitive() and LC on int lists and padded or unpadded rows; the
+closed-form roots and factors in one variable at degree 1 and 2 and in
+Z[s, u] at degree 1 in s; the Bezoutian's rows as the s-coefficients of the
 polynomial they stand for; the printer against the ring's str; the
 exact division on rows against the ring's exquo and rem; and the p-adic
 root search against factor_list, on repeated roots, excluded points,
@@ -1005,6 +1007,52 @@ def test_the_division_test_returns_rows_in_normal_form():
     assert poly._gcd(other, [[-9], [0, -9, -9]]) == [[0, 3], [3, 3]]
 
 
+def test_gcdheu_makes_its_candidate_primitive():
+    """At the first xi the integer gcd of the values can carry a factor
+    the polynomials' gcd does not: (t + 1)^2 and (t + 1)(t + 3) at xi = 33
+    give 2 * 34, whose digits 2t + 2 divide neither, and in Z[s, u] the
+    images of (s + u)(u + 1) and (s + u)(u + 3) at xi = 31 have the gcd
+    2 (s + 31).  Made primitive, the candidate is the gcd at that first xi."""
+    with patch.object(poly, "_HEU_TRIES", 1):
+        assert poly._heu_gcd([1, 2, 1], [1, 4, 3]) == [1, 1]
+        assert poly._heu_gcd_su([[0, 1, 1], [1, 1, 0]], [[0, 1, 3], [1, 3, 0]]) == [[0, 1], [1, 0]]
+
+
+@st.composite
+def split_inputs(draw):
+    """A nonzero polynomial over Z times a signed content, some of them not
+    units, with either sign in front: an int list, or s-rows, a single row
+    (a polynomial in u alone) some of the time, given with k leading zero
+    columns and, some of the time, with its top row unpadded."""
+    gens_ring = draw(st.sampled_from((Z_T, _ZSU, _ZSU)))
+    p = draw(positive_polys(gens_ring))
+    if gens_ring.ngens == 2 and draw(st.booleans()):
+        p = _ZSU.from_dict({(0, j): c for (_, j), c in p.items()})
+    p *= draw(st.sampled_from((1, -1, 2, -3, 6, -12, -2**70)))
+    rows = as_ints(p)
+    if gens_ring.ngens == 2:
+        k = draw(st.integers(0, 2))
+        rows = [[0] * k + r for r in rows]
+        if draw(st.booleans()):
+            rows[0] = poly._trim(rows[0])
+    return p, rows
+
+
+@PROPERTY
+@given(split_inputs())
+@example((-6 * _ZU**2 + 4, [[0, -6, 0, 4]]))  # u alone, a leading zero column
+@example((-2 * _ZS * _ZU + 4 * _ZU**2, [[-2, 0], [0, 4, 0, 0]]))  # top row unpadded
+def test_split_and_lc_are_the_rings_primitive_and_lc(case):
+    """poly._split is the ring's primitive() with the sign moved so that the
+    primitive part leads positive, its rows in _ints form, and poly._lc the
+    ring's LC, however the rows are padded."""
+    p, rows = case
+    content, primitive = p.primitive()
+    sign = 1 if p.LC > 0 else -1
+    assert poly._lc(rows) == p.LC
+    assert poly._split(rows) == (sign * content, as_ints(sign * primitive))
+
+
 @PROPERTY
 @given(coordinates())
 def test_bezoutian_rows_are_the_s_coefficients_of_their_polynomial(f):
@@ -1046,6 +1094,13 @@ def small_factor_inputs(draw):
 
 @settings(PROPERTY, max_examples=300)
 @given(small_factor_inputs())
+# the s-content test for degree 1 in s, a _gcd of the two rows: a zero lower
+# row (p = c h A s) with a constant and a nonconstant content, a nonconstant
+# h(u), and a negative c with a constant content
+@example((-6 * 5 * _ZS, False))
+@example((2 * (_ZU - 2) * (3 * _ZU + 1) * _ZS, True))
+@example((-3 * (_ZU - 2) * ((2 * _ZU + 1) * _ZS + _ZU + 4), True))
+@example((-6 * (2 * _ZS + 4 * _ZU - 6), False))
 def test_closed_form_factors_equal_the_ring_factor_list(case):
     p, sympy_may_answer = case
     calls = []
