@@ -158,7 +158,8 @@ class RationalFunction(namedtuple("RationalFunction", "constant factors")):
     """c * prod (t - root)^exp with distinct rational roots and c != 0; _make
     takes a canonical (constant, factors) as it is.
 
-    Not slotted: integer_parts is cached in the instance dict.
+    Not slotted: integer_parts, and the function an inverse inverts, sit in
+    the instance dict.
     """
 
     __add__ = __radd__ = __rmul__ = None  # no tuple concatenation or repetition
@@ -199,7 +200,9 @@ class RationalFunction(namedtuple("RationalFunction", "constant factors")):
     def integer_parts(self) -> tuple[tuple, tuple]:
         """Int coefficients of N and D, top degree first, with f = K N / D
         for a rational K: one factor den * t - num per root num / den, built
-        once per function."""
+        once per function and its inverse."""
+        if "_inverse_of" in vars(self):
+            return self._inverse_of.integer_parts[::-1]
         parts = [[1], [1]]  # N, D
         for r, e in self.factors:
             for _ in range(abs(e)):
@@ -235,8 +238,11 @@ class RationalFunction(namedtuple("RationalFunction", "constant factors")):
         )
 
     def inverse(self) -> "RationalFunction":
+        """1 / f, whose integer_parts are f's, swapped, expanded once for both."""
         factors = tuple((r, -e) for r, e in self.factors)
-        return RationalFunction._make((1 / self.constant, factors))
+        inverse = RationalFunction._make((1 / self.constant, factors))
+        inverse._inverse_of = self
+        return inverse
 
     def __pow__(self, k: int) -> "RationalFunction":
         if k == 0:

@@ -16,6 +16,7 @@ from .curve import (
     CurvePoint,
     ProjectiveLine,
     RationalFunction,
+    _order,
     has_divisor,
     principal_function,
 )
@@ -148,20 +149,32 @@ def build_embedding_data(
     )
 
 
-def epsilon_function(data: EmbeddingData, m) -> RationalFunction:
-    """eps(m) = prod eps_i^{m_i}; the homomorphism on the character lattice.
+def _exponent_table(epsilon) -> list:
+    """(root, e_1, e_2, e_3) per root of the eps_i, in root order, e_i the
+    exponent of t - root in eps_i: their factor lists merged once."""
+    rows: dict = {}
+    for i, f in enumerate(epsilon):
+        for r, e in f.factors:
+            rows.setdefault((r.numerator, r.denominator), [_order(r), r, 0, 0, 0])[2 + i] = e
+    return [tuple(row[1:]) for row in sorted(rows.values())]
 
-    That is prod c_i^{m_i} * prod (t - r)^{sum_i m_i e_i(r)}, with the
-    exponents of each root summed in one pass.
-    """
-    constant = Fraction(1)
-    for f, k in zip(data.epsilon, m):
-        if k:
-            constant *= f.constant ** k
-    return RationalFunction.of(
-        constant,
-        ((r, k * e) for f, k in zip(data.epsilon, m) if k for r, e in f.factors),
-    )
+
+def _character(epsilon, table, m) -> RationalFunction:
+    """chi^m = prod eps_i^{m_i}: prod c_i^{m_i} times (t - r)^<m, e(r)> per
+    row of the exponent table, in its order, zero exponents dropped."""
+    num = den = 1
+    for f, k in zip(epsilon, m):  # prod c_i^{m_i} in ints, one Fraction built
+        n, d = f.constant.numerator, f.constant.denominator
+        num, den = (num * n ** k, den * d ** k) if k >= 0 else (num * d ** -k, den * n ** -k)
+    a, b, c = m
+    return RationalFunction._make((Fraction(num, den), tuple(
+        (r, e) for r, e1, e2, e3 in table if (e := a * e1 + b * e2 + c * e3))))
+
+
+def epsilon_function(data: EmbeddingData, m) -> RationalFunction:
+    """eps(m) = prod eps_i^{m_i}, the homomorphism on the character lattice,
+    as chart_maps builds it."""
+    return _character(data.epsilon, _exponent_table(data.epsilon), m)
 
 
 def check_theorem_conditions(data: EmbeddingData) -> ConditionsReport:
@@ -193,25 +206,27 @@ def check_theorem_conditions(data: EmbeddingData) -> ConditionsReport:
 def chart_maps(data: EmbeddingData) -> tuple[ChartMap, ...]:
     """Per maximal cone: dual basis rows and the three coordinate functions.
 
-    A dual row's negative is a dual row of the cone across its wall, so
-    eps(m) is built once per +-m and eps(-m) is its inverse.
+    Each chi^m is a dot product per row of one exponent table.  A dual row's
+    negative is a dual row of the cone across its wall, so chi^m is built
+    once per +-m and chi^-m is its inverse, whose N and D are chi^m's,
+    swapped.  The excluded points come off one sorted list of all points.
     """
+    table = _exponent_table(data.epsilon)
+    points = sorted((p._order, rho, p) for rho, d in enumerate(data.divisors) for p, _ in d.entries)
+    # the degree-zero divisors leave each eps_i, so each chi^m, order 0 at infinity
+    assert all(f.order_at_infinity == 0 for f in data.epsilon)
     charts, chars = [], {}
     for cone in data.fan.max_cones:
         duals = dual_basis(data.fan, cone)
         for m in (m for m in duals if m not in chars):
             neg = tuple(-k for k in m)
-            chars[m] = chars[neg].inverse() if neg in chars else epsilon_function(data, m)
+            chars[m] = chars[neg].inverse() if neg in chars else _character(data.epsilon, table, m)
         coords = tuple(chars[m] for m in duals)
-        excluded = {p._reduced: p for rho, d in enumerate(data.divisors) if rho not in cone
-                    for p, _ in d.entries}  # the off-cone supports by (num, den)
-        for p in coords:
-            # poles sit exactly on divisors of rays off the cone, and the
-            # degree-zero divisors leave order 0 at infinity
-            assert p.order_at_infinity == 0
-            assert all((r.numerator, r.denominator) in excluded for r, e in p.factors if e < 0)
-        ex = tuple(sorted(excluded.values(), key=CurvePoint.sort_key))
-        charts.append(ChartMap(cone, duals, coords, ex))
+        # the off-cone supports by (num, den), in order
+        excluded = {p._reduced: p for _, rho, p in points if rho not in cone}
+        for f in coords:  # poles sit exactly on divisors of rays off the cone
+            assert all((r.numerator, r.denominator) in excluded for r, e in f.factors if e < 0)
+        charts.append(ChartMap(cone, duals, coords, tuple(excluded.values())))
     return tuple(charts)
 
 

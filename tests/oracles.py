@@ -41,6 +41,7 @@ views of the package: `unit_divisor` (V_rho) and `triple_intersection`, entry
 k of `intersect._mixed_degrees` for two unit divisors.
 """
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
@@ -51,6 +52,8 @@ from sympy.polys.domains import QQ, ZZ
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.rings import ring
 
+from toricurve import verify
+from toricurve.certificate import CheckResult
 from toricurve.curve import (
     _MASK,
     INFINITY,
@@ -60,6 +63,7 @@ from toricurve.curve import (
     NotDegreeZero,
     RationalFunction,
     _mix,
+    evaluate,
 )
 from toricurve.embed import ConditionsReport, pairing_matrix
 from toricurve.fan import (
@@ -69,7 +73,9 @@ from toricurve.fan import (
 from toricurve.feasibility import Infeasible, Unbounded
 from toricurve.intersect import TDivisor, _mixed_degrees
 from toricurve.intlinalg import NotUnimodular, det
-from toricurve.poly import _Q_BITS
+from toricurve.poly import (
+    _Q_BITS, _bezoutian, _common_factor, _diagonal, _divides, _str, _trim,
+)
 
 _QSU, _QS, _QU = ring("s,u", QQ)
 
@@ -1130,3 +1136,64 @@ def transition_mismatches(data, charts, n_points, seed):
             mismatches.append((ca.cone, cb.cone, m, point, value_a, value_b))
         checked += 1
     return mismatches
+
+
+# --- the per-chart searches the torus pass replaced ---------------------------
+
+def _by_certificate_order(witnesses) -> list:
+    return sorted(witnesses, key=lambda w: json.dumps(w, sort_keys=True))
+
+
+def infinity_collisions_by_chart(chart) -> list:
+    """The collisions with the point at infinity of one chart, as
+    chart_injective found them before the torus pass: the zeros of the gcd
+    of the chart's own Bezoutians' top rows, its excluded points stripped,
+    each rational root re-checked by evaluation and each factor of degree
+    >= 2 by dividing every top row; none when infinity is excluded or a
+    coordinate has a pole there."""
+    coords = [f for f in chart.coords if f.factors]
+    excluded_fr = {p.finite for p in chart.excluded if not p.is_infinity}
+    inf_values = [evaluate(f, INFINITY) for f in coords]
+    if not coords or None in inf_values or INFINITY in chart.excluded:
+        return []
+    tops = [_trim(_bezoutian(*f.integer_parts, {})[0]) for f in coords]
+    return _by_certificate_order(verify._zero_witnesses(
+        _common_factor(tops, "u", excluded_fr),
+        "u",
+        excluded_fr,
+        lambda u0: all(evaluate(f, CurvePoint(u0)) == c for f, c in zip(coords, inf_values))
+        and {"kind": "collision-with-infinity", "u": str(u0), "verified": "evaluation"},
+        lambda mu: all(_divides(mu, p) for p in tops) and {
+            "kind": "collision-with-infinity-conjugate", "poly": _str(mu, "u"),
+            "verified": "congruence"},
+    ))
+
+
+def chart_immersive_by_chart(chart) -> CheckResult:
+    """chart_immersive as it was before the torus pass: the zeros of the gcd
+    of the chart's own diagonals N_i' D_i - N_i D_i', its excluded points
+    stripped, each rational one re-checked by _tangent_at and each factor of
+    degree >= 2 by dividing every diagonal; then infinity by _tangent_at."""
+    coords = chart.coords
+    excluded_fr = {p.finite for p in chart.excluded if not p.is_infinity}
+    w_polys = [_diagonal(_bezoutian(*f.integer_parts, {})) for f in coords if f.factors]
+
+    def at_point(t0):
+        return verify._tangent_at(coords, t0) and {
+            "kind": "tangent-point", "t": str(t0), "verified": "evaluation"}
+
+    if not w_polys:  # every coordinate is constant, so tangent everywhere
+        witnesses = list(filter(None, [at_point(next(verify._rational_candidates(excluded_fr)))]))
+    else:
+        witnesses = list(verify._zero_witnesses(
+            _common_factor(w_polys, "t", excluded_fr),
+            "t",
+            excluded_fr,
+            at_point,
+            lambda mu: all(_divides(mu, w) for w in w_polys)
+            and {"kind": "tangent-conjugate", "poly": _str(mu, "t"), "verified": "congruence"},
+        ))
+    if INFINITY not in chart.excluded and verify._tangent_at(coords, INFINITY):
+        witnesses.append({"kind": "tangent-infinity", "verified": "evaluation"})
+    witnesses = _by_certificate_order(witnesses)
+    return CheckResult(not witnesses, "derivative-gcd", tuple(witnesses))

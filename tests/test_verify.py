@@ -771,20 +771,29 @@ def seed0_data(fan_name, rays, method):
     return build_embedding_data(fan, ample, xi, 0)
 
 
-def test_chart_immersive_reads_the_bezoutians_chart_injective_built(monkeypatch):
-    """certify hands both checks one memo, and every W_i chart_immersive
-    takes is the diagonal of a Q_i held there, not of one rebuilt."""
-    memos, diagonals = [], []
+def test_certify_runs_one_torus_pass_per_call(monkeypatch):
+    """certify hands every chart one memo, which holds one torus pass: the
+    collisions with infinity and the tangent points are sought by one
+    _common_factor call in u and one in t per call, and every W_i read is
+    the diagonal of a Q_i held in the memo, not of one rebuilt.  The
+    refuting data's charts re-check conjugate tangents against their own
+    W_i."""
     real_injective, real_diagonal = verify.chart_injective, verify._diagonal
-    monkeypatch.setattr(verify, "chart_injective",
-                        lambda c, memo: memos.append(memo) or real_injective(c, memo))
-    monkeypatch.setattr(verify, "_diagonal", lambda Q: diagonals.append(Q) or real_diagonal(Q))
-    data = seed0_data("bl-p3-point", 0, "intersection")
-    assert certify(data).embedded
-    held = {id(Q) for Q in memos[0].values()}
-    assert all(memo is memos[0] for memo in memos)
-    assert len(diagonals) == 3 * len(chart_maps(data))
-    assert all(id(Q) in held for Q in diagonals)
+    real_common = verify._common_factor
+    for data in (seed0_data("bl-p3-point", 0, "intersection"),
+                 involution_data(*INVOLUTIONS["bl-inv2"])):
+        memos, diagonals, searches = [], [], []
+        monkeypatch.setattr(verify, "chart_injective",
+                            lambda c, memo: memos.append(memo) or real_injective(c, memo))
+        monkeypatch.setattr(verify, "_diagonal",
+                            lambda Q: diagonals.append(Q) or real_diagonal(Q))
+        monkeypatch.setattr(verify, "_common_factor", lambda polys, gens, ex: searches.append(
+            gens) or real_common(polys, gens, ex))
+        cert = certify(data)
+        assert len(memos) == len(cert.charts) and all(memo is memos[0] for memo in memos)
+        assert (searches.count("u"), searches.count("t")) == (1, 1)
+        held = {id(Q) for Q in memos[0].values()}
+        assert diagonals and all(id(Q) in held for Q in diagonals)
 
 
 def test_clean_charts_close_without_a_gcd_and_with_two_resultants(monkeypatch):
@@ -881,12 +890,23 @@ def test_chart_coordinates_are_the_characters_of_their_dual_rows():
 
 @pytest.mark.parametrize("name, classes", [("p3", 6), ("p1p1p1", 3), ("bl-p3-point", 6)])
 def test_chart_maps_builds_each_character_once_up_to_sign(monkeypatch, name, classes):
-    calls = []
-    real = embed.epsilon_function
-    monkeypatch.setattr(embed, "epsilon_function", lambda data, m: calls.append(m) or real(data, m))
+    """One exponent table per call, one chi^m per +-m class, and chi^-m's N
+    and D are chi^m's, swapped, not expanded again."""
+    tables, calls = [], []
+    real_table, real_character = embed._exponent_table, embed._character
+    monkeypatch.setattr(embed, "_exponent_table",
+                        lambda epsilon: tables.append(epsilon) or real_table(epsilon))
+    monkeypatch.setattr(embed, "_character", lambda epsilon, table, m: calls.append(m) or
+                        real_character(epsilon, table, m))
     charts = chart_maps(seed0_data(name, 0, "intersection"))
     duals = {m for c in charts for m in c.duals}
+    assert len(tables) == 1
     assert len(calls) == classes == len({max(m, tuple(-k for k in m)) for m in duals})
+    coords = {m: f for c in charts for m, f in zip(c.duals, c.coords)}
+    for m in calls:
+        N, D = coords[m].integer_parts
+        inverse = coords[tuple(-k for k in m)].integer_parts
+        assert inverse[0] is D and inverse[1] is N
 
 
 def test_the_certify_memo_does_not_outlive_the_call(monkeypatch):

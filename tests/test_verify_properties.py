@@ -58,7 +58,9 @@ from sympy.polys.groebnertools import groebner
 from sympy.polys.rings import PolyElement, ring
 
 from conftest import ladder_fan
+from negative_fixtures import doubled_point_data
 from oracles import (
+    chart_immersive_by_chart,
     coprime_by_remainders_mod_q,
     cross_quotients_qq,
     factor_key_by_expr,
@@ -66,17 +68,21 @@ from oracles import (
     gcd_by_ring,
     groebner_by_expr,
     infinity_collision_poly,
+    infinity_collisions_by_chart,
     resultant_by_prs,
     resultant_by_sylvester,
     roots_and_factors_by_filter,
     str_by_expr,
 )
 from toricurve import poly, verify
-from toricurve.curve import CurvePoint, RationalFunction
-from toricurve.embed import ChartMap, build_embedding_data
+from test_replay_golden import INVOLUTIONS, involution_data
+from toricurve.curve import INFINITY, CDivisor, CurvePoint, RationalFunction, principal_function
+from toricurve.embed import (
+    ChartMap, EmbeddingData, build_embedding_data, chart_maps, pairing_divisor, pairing_matrix,
+)
 from toricurve.fan import preset, star_subdivision
-from toricurve.intersect import find_ample, xi_vector
-from toricurve.verify import DegreeOverflow, chart_immersive, chart_injective
+from toricurve.intersect import XiVector, find_ample, xi_vector
+from toricurve.verify import DegreeOverflow, certify, chart_immersive, chart_injective
 
 F = Fraction
 IDENTITY_DUALS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
@@ -1247,3 +1253,112 @@ def test_a_linear_root_is_read_as_the_horner_strip_reads_it(c):
     assert poly._rational_roots(c, {x, x + 1}) == ([], left)
     assert poly._rational_roots(c, {x + 1}) == ([x], left)
     assert poly._rational_roots(c, set()) == ([x], left)
+
+
+# --- the torus pass against the per-chart searches it replaced -----------------
+
+INFINITY_KINDS = ("collision-with-infinity", "collision-with-infinity-conjugate")
+
+
+def curve_data(divisors, fan_name="p3", xi=(1, 1, 1, 1)):
+    """Embedding data on a preset whose eps_i are the principal functions of
+    the pairing combinations of the given divisors (lists of (point, mult))."""
+    fan = preset(fan_name)
+    divisors = tuple(CDivisor.of([(F(x), m) for x, m in d]) for d in divisors)
+    a = pairing_matrix(fan)
+    epsilon = tuple(principal_function(pairing_divisor(divisors, a[i])) for i in range(3))
+    return EmbeddingData(fan, None, XiVector(xi, "kernel"), divisors, epsilon, (F(1),) * 3)
+
+
+def pipeline(fan, method, seed=0):
+    ample = find_ample(fan)
+    return build_embedding_data(
+        fan, ample, xi_vector(fan, ample if method == "intersection" else None, method=method),
+        seed)
+
+
+TORUS_DATA = {
+    **{f"{name}/{seed}": (lambda name=name, seed=seed: pipeline(preset(name), "intersection",
+                                                                 seed))
+       for name in ("p3", "p1p1p1", "bl-p3-point") for seed in (0, 1)},
+    "ladder-6-intersection": lambda: pipeline(ladder_fan(6), "intersection"),
+    **{f"ladder-{rays}-kernel": (lambda rays=rays: pipeline(ladder_fan(rays), "kernel"))
+       for rays in (6, 7, 8, 9)},
+    **{f"involution/{label}": (lambda args=args: involution_data(*args))
+       for label, args in INVOLUTIONS.items()},
+    "doubled-point": doubled_point_data,
+    # D_0 = 2 * {1}, and D_1 holds 5 three times: no coordinate has a simple
+    # zero at 5 on the charts of ray 1
+    "non-reduced": lambda: curve_data([[(1, 2), (2, 1)], [(5, 3)], [(3, 1), (4, 2)],
+                                       [(6, 1), (7, 1), (8, 1)]], xi=(3, 3, 3, 3)),
+    # rays 0 and 1 span a cone of p3 and share the point 1
+    "shared-in-a-cone": lambda: curve_data([[(1, 1), (2, 1)], [(1, 1), (3, 1)],
+                                            [(4, 1), (5, 1)], [(6, 1), (7, 1)]], xi=(2,) * 4),
+    "empty": lambda: curve_data([[]] * 4),
+    "constant-coordinate": lambda: curve_data([[(1, 1)], [(2, 1)], [(3, 1)], [(1, 1)]]),
+}
+
+
+@pytest.mark.parametrize("label", sorted(TORUS_DATA))
+def test_certify_finds_what_the_per_chart_searches_found(label):
+    """Per chart, certify's collisions with infinity and its tangent
+    witnesses are those the chart's own gcds give, excluded points
+    stripped: on presets and ladders, on involution-invariant data, on
+    non-reduced divisors, on two rays of one cone sharing a point, and on
+    empty divisors, where coordinates are constant."""
+    data = TORUS_DATA[label]()
+    charts = chart_maps(data)
+    cert = certify(data)
+    for record, chart in zip(cert.charts, charts):
+        at_infinity = [w for w in record.witnesses if w["kind"] in INFINITY_KINDS]
+        assert at_infinity == infinity_collisions_by_chart(chart), chart.cone
+        tangents = tuple(w for w in record.witnesses if w["kind"].startswith("tangent"))
+        imm = chart_immersive_by_chart(chart)
+        assert (record.immersive, tangents) == (imm.ok, imm.witnesses), chart.cone
+
+
+@st.composite
+def hand_charts(draw):
+    """Charts whose coordinates may have a zero or a pole at infinity or be
+    constant, whose excluded points may hold infinity and may leave poles
+    out; in some every coordinate has a zero of order 2 or 3 at one point,
+    a cusp, and in some the coordinates share a zero at infinity and at one
+    finite point."""
+    mode = draw(st.sampled_from(("random", "cusp", "zero-at-infinity")))
+    coords = [draw(coordinates()) for _ in range(3)]
+    if mode == "cusp":
+        r = draw(roots)
+        coords = [RationalFunction.of(f.constant, dict(f.factors) | {r: draw(st.sampled_from(
+            (2, 3)))}) for f in coords]
+    elif mode == "zero-at-infinity":
+        r = draw(roots)
+        coords = [RationalFunction.of(f.constant, {a: -abs(e) for a, e in f.factors if a != r}
+                                      | {r + 1: -2, r: 1}) for f in coords]
+    if draw(st.booleans()):
+        coords[draw(st.integers(0, 2))] = RationalFunction.of(draw(constants), {})
+    poles = sorted({r for f in coords for r, e in f.factors if e < 0})
+    kept = draw(st.lists(st.sampled_from(poles), unique=True)) if poles else []
+    extra = draw(st.lists(st.sampled_from(GRID), max_size=2))
+    excluded = [CurvePoint(p) for p in sorted(set(poles) - set(kept) | set(extra))]
+    if draw(st.booleans()):
+        excluded.append(INFINITY)
+    return ChartMap((0, 1, 2), IDENTITY_DUALS, tuple(coords), tuple(excluded))
+
+
+@PROPERTY
+@given(hand_charts())
+@example(ChartMap((0, 1, 2), IDENTITY_DUALS, (
+    RationalFunction.of(1, {F(1): 1, F(2): -1, F(3): -1}),
+    RationalFunction.of(1, {F(1): 2, F(2): -1, F(3): -1, F(4): -1}),
+    RationalFunction.of(1, {F(1): 1, F(2): -2})), (CurvePoint(F(2)),)))
+def test_a_direct_chart_call_finds_what_the_per_chart_searches_found(chart):
+    """A chart checked on its own builds its torus pass from its own
+    coordinates, S its excluded points and their zeros and poles, and finds
+    the collisions with infinity and the tangents its own gcds give.  In the
+    example every coordinate vanishes at 1 and at infinity, so 1 collides
+    with infinity, a point of S the pass strips."""
+    assert chart_immersive(chart) == chart_immersive_by_chart(chart)
+    poles = {r for f in chart.coords for r, e in f.factors if e < 0}
+    if poles <= {p.finite for p in chart.excluded}:
+        got = [w for w in chart_injective(chart).witnesses if w["kind"] in INFINITY_KINDS]
+        assert got == infinity_collisions_by_chart(chart)
