@@ -158,8 +158,7 @@ class RationalFunction(namedtuple("RationalFunction", "constant factors")):
     """c * prod (t - root)^exp with distinct rational roots and c != 0; _make
     takes a canonical (constant, factors) as it is.
 
-    Not slotted: integer_parts, and the function an inverse inverts, sit in
-    the instance dict.
+    Not slotted: the instance dict caches integer_parts and an inverse's source.
     """
 
     __add__ = __radd__ = __rmul__ = None  # no tuple concatenation or repetition

@@ -208,9 +208,8 @@ def chart_maps(data: EmbeddingData) -> tuple[ChartMap, ...]:
 
     Each chi^m is a dot product per row of one exponent table.  A dual row's
     negative is a dual row of the cone across its wall, so chi^m is built
-    once per +-m and chi^-m is its inverse, whose N and D are chi^m's,
-    swapped.  The excluded points come off one sorted list of all points.
-    """
+    once per +-m and chi^-m is its inverse.  The excluded points come off
+    one sorted list of all points."""
     table = _exponent_table(data.epsilon)
     points = sorted((p._order, rho, p) for rho, d in enumerate(data.divisors) for p, _ in d.entries)
     # the degree-zero divisors leave each eps_i, so each chi^m, order 0 at infinity

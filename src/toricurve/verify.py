@@ -182,12 +182,12 @@ def _degree_estimate(chart: ChartMap) -> int:
 _Torus = namedtuple("_Torus", "infinity_collisions tangents infinity_tangent")
 
 
-def _torus(chart: ChartMap, memo: dict) -> _Torus:
-    """certify's torus pass, which its memo holds under _Torus, else the
-    chart's own, S its excluded points and its coordinates' zeros and poles:
-    the common zeros off S of the Q_i's top rows and of their diagonals, as
-    (x, None) per rational root and (None, mu) per factor of degree >= 2,
-    and whether infinity is tangent."""
+def _torus(chart: ChartMap, memo: dict, asks="ut") -> _Torus:
+    """certify's torus pass, held in its memo under _Torus, else the chart's
+    own, S its excluded points and its coordinates' zeros and poles: the
+    common zeros off S of the Q_i's top rows (u) and of their diagonals (t)
+    that asks names, (x, None) per rational root, (None, mu) per factor, and
+    whether infinity is tangent."""
     if _Torus in memo:
         return memo[_Torus]
     funcs = [f for f in chart.coords if f.factors]  # a constant one adds no condition
@@ -195,12 +195,12 @@ def _torus(chart: ChartMap, memo: dict) -> _Torus:
         r for f in funcs for r, _ in f.factors)
     Qs = [_bezoutian(*f.integer_parts, memo) for f in funcs]
 
-    def zeros(polys, gens):
-        g = _common_factor(polys, gens, s_fr) if polys else None
+    def zeros(gens, rows):
+        g = _common_factor(rows(), gens, s_fr) if Qs and gens in asks else None
         return tuple(_zero_witnesses(g, gens, s_fr, lambda x: (x, None), lambda mu: (None, mu)))
 
-    return _Torus(zeros([_trim(q[0]) for q in Qs], "u"), zeros(list(map(_diagonal, Qs)), "t"),
-                  _tangent_at(funcs, INFINITY))
+    return _Torus(zeros("u", lambda: [_trim(q[0]) for q in Qs]),
+                  zeros("t", lambda: list(map(_diagonal, Qs))), _tangent_at(funcs, INFINITY))
 
 
 def _rechecked(zeros, at_root, at_factor) -> list:
@@ -238,8 +238,9 @@ def chart_injective(chart: ChartMap, memo=None) -> CheckResult:
     inf_values = [evaluate(f, INFINITY) for f in coords]
     if all(c is not None for c in inf_values) and INFINITY not in chart.excluded:
         in_s = {r for f, c in zip(coords, inf_values) if not c for r, e in f.factors if e > 0}
+        zeros = _torus(chart, memo, "u").infinity_collisions
         witnesses.extend(_rechecked(
-            _torus(chart, memo).infinity_collisions + tuple((x, None) for x in in_s - excluded_fr),
+            zeros + tuple((x, None) for x in in_s - excluded_fr),
             lambda u0: all(evaluate(f, CurvePoint(u0)) == c for f, c in zip(coords, inf_values))
             and {"kind": "collision-with-infinity", "u": str(u0), "verified": "evaluation"},
             lambda mu: all(_divides(mu, _trim(q[0])) for q in Qs) and {
@@ -435,7 +436,7 @@ def chart_immersive(chart: ChartMap, memo=None) -> CheckResult:
     re-checked in this chart's coordinates (the memo is chart_injective's)."""
     coords = chart.coords
     memo = {} if memo is None else memo
-    torus = _torus(chart, memo)
+    torus = _torus(chart, memo, "t")
     in_s = {r for f in coords for r, e in f.factors if e > 1}
     if in_s or all(not f.factors for f in coords):  # all constant: tangent everywhere
         excluded_fr = {p.finite for p in chart.excluded if not p.is_infinity}

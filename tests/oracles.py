@@ -12,7 +12,9 @@ rows with sparse provenance dicts in place of the int rows of
 `feasibility`, the divided cross differences built over Q by product
 and exact division in place of the integer Bezoutian, and the
 collision-with-infinity polynomial built from N and D in place of the
-Bezoutian's top row.  The straightforward
+Bezoutian's top row; the collisions with infinity and the tangent points
+searched chart by chart, each from the gcd of the chart's own top rows or
+diagonals, in place of certify's one torus pass per curve.  The straightforward
 forms of the package's fast paths live here too: divisors and factored
 functions canonicalised by a set and a Fraction sort, character functions
 as products of powers, the sampler with a CurvePoint per candidate,

@@ -922,6 +922,18 @@ def test_the_certify_memo_does_not_outlive_the_call(monkeypatch):
     assert "resultant modulus bits" in str(err.value)
 
 
+def test_the_torus_pass_does_not_outlive_the_call():
+    """Each certify call builds its own torus pass: certified after a clean
+    curve, a refuting one still gets its pinned bytes, its collisions with
+    infinity and its tangents included, and the clean one, certified after
+    it, stays clean."""
+    clean = seed0_data("bl-p3-point", 0, "intersection")
+    assert certify(clean).embedded
+    text = dumps_certificate(certify(involution_data(*INVOLUTIONS["bl-inv2"])))
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN["certify/bl-inv2"]
+    assert certify(clean).embedded
+
+
 def test_the_witness_rechecks_evaluate_through_curves_one_loop():
     """The tier-1 twin of CI's "One factor-evaluation loop" step: the factor
     contribution a rd - rn b is written once, in curve.evaluate_ints, and

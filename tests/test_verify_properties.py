@@ -43,6 +43,13 @@ polynomial they stand for; the printer against the ring's str; the
 exact division on rows against the ring's exquo and rem; and the p-adic
 root search against factor_list, on repeated roots, excluded points,
 leading coefficients and roots past 200 bits and quartics with no root.
+Two pin the torus pass against the per-chart searches it replaced, kept in
+`oracles.py`: chart by chart, certify's collisions with infinity and
+tangent witnesses are those the chart's own gcds give, on presets,
+ladders, involution-invariant data, non-reduced divisors, two rays of one
+cone sharing a point and empty divisors; and so are those of a chart
+checked on its own, with zeros or poles at infinity, infinity excluded,
+poles left in the domain, constant coordinates and cusps.
 """
 
 from fractions import Fraction
