@@ -195,12 +195,13 @@ def _torus(chart: ChartMap, memo: dict, asks="ut") -> _Torus:
         r for f in funcs for r, _ in f.factors)
     Qs = [_bezoutian(*f.integer_parts, memo) for f in funcs]
 
-    def zeros(gens, rows):
-        g = _common_factor(rows(), gens, s_fr) if Qs and gens in asks else None
+    def zeros(gens, polys):
+        g = _common_factor(polys, gens, s_fr) if polys else None
         return tuple(_zero_witnesses(g, gens, s_fr, lambda x: (x, None), lambda mu: (None, mu)))
 
-    return _Torus(zeros("u", lambda: [_trim(q[0]) for q in Qs]),
-                  zeros("t", lambda: list(map(_diagonal, Qs))), _tangent_at(funcs, INFINITY))
+    tops = [_trim(q[0]) for q in Qs] if "u" in asks else []
+    diagonals = [_diagonal(q) for q in Qs] if "t" in asks else []
+    return _Torus(zeros("u", tops), zeros("t", diagonals), _tangent_at(funcs, INFINITY))
 
 
 def _rechecked(zeros, at_root, at_factor) -> list:
