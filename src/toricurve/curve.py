@@ -238,8 +238,7 @@ class RationalFunction(namedtuple("RationalFunction", "constant factors")):
 
     def inverse(self) -> "RationalFunction":
         """1 / f, whose integer_parts are f's, swapped, expanded once for both."""
-        factors = tuple((r, -e) for r, e in self.factors)
-        inverse = RationalFunction._make((1 / self.constant, factors))
+        inverse = self._make((1 / self.constant, tuple((r, -e) for r, e in self.factors)))
         inverse._inverse_of = self
         return inverse
 

@@ -16,7 +16,6 @@ from .curve import (
     CurvePoint,
     ProjectiveLine,
     RationalFunction,
-    _order,
     has_divisor,
     principal_function,
 )
@@ -155,8 +154,8 @@ def _exponent_table(epsilon) -> list:
     rows: dict = {}
     for i, f in enumerate(epsilon):
         for r, e in f.factors:
-            rows.setdefault((r.numerator, r.denominator), [_order(r), r, 0, 0, 0])[2 + i] = e
-    return [tuple(row[1:]) for row in sorted(rows.values())]
+            rows.setdefault((r.numerator, r.denominator), [r, 0, 0, 0])[1 + i] = e
+    return sorted(map(tuple, rows.values()))
 
 
 def _character(epsilon, table, m) -> RationalFunction:
@@ -172,8 +171,7 @@ def _character(epsilon, table, m) -> RationalFunction:
 
 
 def epsilon_function(data: EmbeddingData, m) -> RationalFunction:
-    """eps(m) = prod eps_i^{m_i}, the homomorphism on the character lattice,
-    as chart_maps builds it."""
+    """eps(m) = prod eps_i^{m_i}, the homomorphism on the character lattice."""
     return _character(data.epsilon, _exponent_table(data.epsilon), m)
 
 
@@ -206,14 +204,12 @@ def check_theorem_conditions(data: EmbeddingData) -> ConditionsReport:
 def chart_maps(data: EmbeddingData) -> tuple[ChartMap, ...]:
     """Per maximal cone: dual basis rows and the three coordinate functions.
 
-    Each chi^m is a dot product per row of one exponent table.  A dual row's
-    negative is a dual row of the cone across its wall, so chi^m is built
-    once per +-m and chi^-m is its inverse.  The excluded points come off
-    one sorted list of all points."""
+    Each chi^m is read off one exponent table, once per +-m: a dual row's
+    negative is a dual row of the cone across its wall, and chi^-m is the
+    inverse.  The excluded points come off one sorted list of all points."""
     table = _exponent_table(data.epsilon)
     points = sorted((p._order, rho, p) for rho, d in enumerate(data.divisors) for p, _ in d.entries)
-    # the degree-zero divisors leave each eps_i, so each chi^m, order 0 at infinity
-    assert all(f.order_at_infinity == 0 for f in data.epsilon)
+    assert all(f.order_at_infinity == 0 for f in data.epsilon)  # so every chi^m, by degree 0
     charts, chars = [], {}
     for cone in data.fan.max_cones:
         duals = dual_basis(data.fan, cone)
@@ -221,8 +217,7 @@ def chart_maps(data: EmbeddingData) -> tuple[ChartMap, ...]:
             neg = tuple(-k for k in m)
             chars[m] = chars[neg].inverse() if neg in chars else _character(data.epsilon, table, m)
         coords = tuple(chars[m] for m in duals)
-        # the off-cone supports by (num, den), in order
-        excluded = {p._reduced: p for _, rho, p in points if rho not in cone}
+        excluded = {p._reduced: p for _, rho, p in points if rho not in cone}  # off-cone, sorted
         for f in coords:  # poles sit exactly on divisors of rays off the cone
             assert all((r.numerator, r.denominator) in excluded for r, e in f.factors if e < 0)
         charts.append(ChartMap(cone, duals, coords, tuple(excluded.values())))

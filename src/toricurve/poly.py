@@ -427,18 +427,17 @@ def _common_factor(polys, gens: str, excluded_fr):
 
     polys are int lists, top degree first with no leading zero, in the
     variable gens ("u" or "t"), or _ints rows for gens = "s,u".
-    Polys in one variable go to _coprime as they are and, when that is
-    inconclusive (a pair may share only excluded zeros), with the excluded
-    points' factors stripped.  Polys in Z[s, u], symmetric in s and u, are
-    tested at u = a, the first integer a >= 0 off the excluded points (where
-    the Bezoutians share zeros even on a clean chart) at which q divides no
+    Polys in one variable are stripped of the excluded points' factors and
+    handed to _coprime.  Polys in Z[s, u], symmetric in s and u, are tested
+    at u = a, the first integer a >= 0 off the excluded points (where the
+    Bezoutians share zeros even on a clean chart) at which q divides no
     lc_s: a common factor h with deg_s h > 0 keeps its degree there, so
     every Res_s(Q_i(s, a), Q_j(s, a)) would vanish mod q, and the gcd of
     symmetric polynomials is symmetric up to sign, so deg_u h = deg_s h.
     Otherwise _gcd_all of polys, in their own form.
     """
     if gens != "s,u":
-        if _coprime(polys) or _coprime([_strip(p, excluded_fr) for p in polys]):
+        if _coprime([_strip(p, excluded_fr) for p in polys]):
             return None
         return _gcd_all(polys)
     q = (1 << _Q_BITS) - 1

@@ -14,15 +14,14 @@ those of their diagonals Q_i(t, t) = N_i' D_i - N_i D_i' (differentiate
 (s - u) Q_i in s at s = u = t), with a derivative check at infinity.
 
 certify asks those two once per curve, on the torus T = P^1 minus S, S
-every divisor's support (infinity is off it).  On T each coordinate is
-chi^m = prod eps_i^(m_i) and any chart's coordinates are a Z-basis of M, so
-a point of T is tangent or collides with infinity in one chart exactly when
-in every chart (Fulton, Introduction to Toric Varieties, 1993, 3.1; Cox,
-Little and Schenck, Toric Varieties, 2011, Thm 3.2.6).  A point p of S on a
-chart is a zero of order mult_p(D_rho) of some coordinate: it never collides
-with infinity, and is tangent only if no coordinate has a simple zero there.
-A constant coordinate separates no points and adds no derivative zero; a
-chart of constants collides and is tangent everywhere.
+every divisor's support (infinity is off it): on T the coordinates are
+characters chi^m and any chart's are a Z-basis of M, so a point of T is
+tangent or collides with infinity in one chart exactly when in every chart
+(Fulton, Introduction to Toric Varieties, 1993, 3.1; Cox, Little and
+Schenck, Toric Varieties, 2011, Thm 3.2.6).  A point p of S on a chart is a
+zero of order mult_p(D_rho) of some coordinate: it never collides with
+infinity, and is tangent only if no coordinate has a simple zero there.  A
+constant coordinate separates no points and adds no derivative zero.
 
 Every witness is re-checked exactly, in ints, in its chart's coordinates.
 Each gcd a search computes is read by _zero_witnesses, excluded roots
@@ -41,7 +40,6 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from collections import namedtuple
 from itertools import chain, combinations, islice
 
 from .certificate import (  # noqa: F401, certificate_to_dict re-exported
@@ -179,17 +177,13 @@ def _degree_estimate(chart: ChartMap) -> int:
     return est
 
 
-_Torus = namedtuple("_Torus", "infinity_collisions tangents infinity_tangent")
-
-
-def _torus(chart: ChartMap, memo: dict, asks="ut") -> _Torus:
-    """certify's torus pass, held in its memo under _Torus, else the chart's
-    own, S its excluded points and its coordinates' zeros and poles: the
-    common zeros off S of the Q_i's top rows (u) and of their diagonals (t)
-    that asks names, (x, None) per rational root, (None, mu) per factor, and
-    whether infinity is tangent."""
-    if _Torus in memo:
-        return memo[_Torus]
+def _torus(chart: ChartMap, memo: dict) -> tuple:
+    """certify's torus pass, in its memo under _torus, else the chart's own, S
+    its excluded points and its coordinates' zeros and poles: the common zeros
+    off S of the Q_i's top rows and of their diagonals, (x, None) per rational
+    root, (None, mu) per factor, and whether infinity is tangent."""
+    if _torus in memo:
+        return memo[_torus]
     funcs = [f for f in chart.coords if f.factors]  # a constant one adds no condition
     s_fr = {p.finite for p in chart.excluded if not p.is_infinity}.union(
         r for f in funcs for r, _ in f.factors)
@@ -199,9 +193,8 @@ def _torus(chart: ChartMap, memo: dict, asks="ut") -> _Torus:
         g = _common_factor(polys, gens, s_fr) if polys else None
         return tuple(_zero_witnesses(g, gens, s_fr, lambda x: (x, None), lambda mu: (None, mu)))
 
-    tops = [_trim(q[0]) for q in Qs] if "u" in asks else []
-    diagonals = [_diagonal(q) for q in Qs] if "t" in asks else []
-    return _Torus(zeros("u", tops), zeros("t", diagonals), _tangent_at(funcs, INFINITY))
+    return (zeros("u", [_trim(q[0]) for q in Qs]), zeros("t", [_diagonal(q) for q in Qs]),
+            _tangent_at(funcs, INFINITY))
 
 
 def _rechecked(zeros, at_root, at_factor) -> list:
@@ -212,8 +205,7 @@ def _rechecked(zeros, at_root, at_factor) -> list:
 def chart_injective(chart: ChartMap, memo=None) -> CheckResult:
     """Decide injectivity of the chart coordinates off the excluded points."""
     memo = {} if memo is None else memo  # see certify
-    if _Torus not in memo:  # else certify's pre-pass estimated every chart
-        _degree_estimate(chart)
+    _degree_estimate(chart)
     coords = [f for f in chart.coords if f.factors]  # a constant one separates no points
     excluded_fr = {p.finite for p in chart.excluded if not p.is_infinity}
     if not coords:  # every two points collide
@@ -234,14 +226,12 @@ def chart_injective(chart: ChartMap, memo=None) -> CheckResult:
     # That vanishes exactly where p_i(u) = p_i(inf), and is nonzero since
     # f_i is not constant, so it is Q_i's top row; its sign moves no gcd,
     # root, factor or divisibility the witnesses read.  Off S they are the
-    # torus pass's; a point of S is a zero or pole of some coordinate, so it
-    # collides only where that coordinate vanishes at infinity too.
+    # torus pass's; on S, zeros of a coordinate that vanishes at infinity.
     inf_values = [evaluate(f, INFINITY) for f in coords]
-    if all(c is not None for c in inf_values) and INFINITY not in chart.excluded:
+    if None not in inf_values and INFINITY not in chart.excluded:
         in_s = {r for f, c in zip(coords, inf_values) if not c for r, e in f.factors if e > 0}
-        zeros = _torus(chart, memo, "u").infinity_collisions
         witnesses.extend(_rechecked(
-            zeros + tuple((x, None) for x in in_s - excluded_fr),
+            _torus(chart, memo)[0] + tuple((x, None) for x in in_s - excluded_fr),
             lambda u0: all(evaluate(f, CurvePoint(u0)) == c for f, c in zip(coords, inf_values))
             and {"kind": "collision-with-infinity", "u": str(u0), "verified": "evaluation"},
             lambda mu: all(_divides(mu, _trim(q[0])) for q in Qs) and {
@@ -432,25 +422,24 @@ def _tangent_at(coords, t0) -> bool:
 
 
 def chart_immersive(chart: ChartMap, memo=None) -> CheckResult:
-    """No common zero of all coordinate derivatives on the chart domain: off
-    S the torus pass's candidates, on S the zeros of order > 1, each
-    re-checked in this chart's coordinates (the memo is chart_injective's)."""
+    """No common zero of all coordinate derivatives on the chart domain: the
+    torus pass's candidates and the zeros of order > 1, re-checked here."""
     coords = chart.coords
     memo = {} if memo is None else memo
-    torus = _torus(chart, memo, "t")
+    _, tangents, infinity_tangent = _torus(chart, memo)
     in_s = {r for f in coords for r, e in f.factors if e > 1}
     if in_s or all(not f.factors for f in coords):  # all constant: tangent everywhere
         excluded_fr = {p.finite for p in chart.excluded if not p.is_infinity}
         in_s = in_s - excluded_fr if in_s else {next(_rational_candidates(excluded_fr))}
     witnesses = _rechecked(
-        torus.tangents + tuple((t0, None) for t0 in in_s),
+        tangents + tuple((t0, None) for t0 in in_s),
         lambda t0: _tangent_at(coords, t0) and {
             "kind": "tangent-point", "t": str(t0), "verified": "evaluation"},
         lambda mu: all(_divides(mu, _diagonal(_bezoutian(*f.integer_parts, memo)))
                        for f in coords if f.factors)
         and {"kind": "tangent-conjugate", "poly": _str(mu, "t"), "verified": "congruence"},
     )
-    if INFINITY not in chart.excluded and torus.infinity_tangent and _tangent_at(coords, INFINITY):
+    if INFINITY not in chart.excluded and infinity_tangent and _tangent_at(coords, INFINITY):
         witnesses.append({"kind": "tangent-infinity", "verified": "evaluation"})
     witnesses.sort(key=lambda w: json.dumps(w, sort_keys=True))
     return CheckResult(not witnesses, "derivative-gcd", tuple(witnesses))
@@ -483,8 +472,8 @@ def pullback_check(data: EmbeddingData, charts) -> CheckResult:
 
 def certify(data: EmbeddingData) -> Certificate:
     """Full certification across every chart plus the pullback check; the
-    charts share Bezoutians, resultants and one torus pass (see _torus)
-    through one memo, for this call only."""
+    charts share Bezoutians, resultants and one torus pass (_torus) through
+    one memo, for this call only."""
     conditions = check_theorem_conditions(data)
     if not conditions.passed:
         raise ValueError(
@@ -497,9 +486,8 @@ def certify(data: EmbeddingData) -> Certificate:
     for chart in charts:  # an oversized chart stops the call before any elimination
         _degree_estimate(chart)
     records, memo = [], {}
-    # one basis of characters on T, S every divisor's support, off infinity as refused
     support = tuple(p for d in data.divisors for p, _ in d.entries)
-    memo[_Torus] = _torus(charts[0]._replace(excluded=support), memo)
+    memo[_torus] = _torus(charts[0]._replace(excluded=support), memo)
     for chart in charts:
         inj = chart_injective(chart, memo)
         imm = chart_immersive(chart, memo)
