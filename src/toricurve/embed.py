@@ -209,7 +209,7 @@ def chart_maps(data: EmbeddingData) -> tuple[ChartMap, ...]:
     inverse.  The excluded points come off one sorted list of all points."""
     table = _exponent_table(data.epsilon)
     points = sorted((p._order, rho, p) for rho, d in enumerate(data.divisors) for p, _ in d.entries)
-    assert all(f.order_at_infinity == 0 for f in data.epsilon)  # so every chi^m, by degree 0
+    assert all(f.order_at_infinity == 0 for f in data.epsilon)  # degree-0 divisors, so chi^m's too
     charts, chars = [], {}
     for cone in data.fan.max_cones:
         duals = dual_basis(data.fan, cone)
