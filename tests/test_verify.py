@@ -1,10 +1,8 @@
 """Chart certification: collision finding, tangency finding, pullback audit."""
 
-import ast
 import hashlib
 import json
 import os
-import re
 import subprocess
 import sys
 import textwrap
@@ -932,31 +930,3 @@ def test_the_torus_pass_does_not_outlive_the_call():
     text = dumps_certificate(certify(involution_data(*INVOLUTIONS["bl-inv2"])))
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN["certify/bl-inv2"]
     assert certify(clean).embedded
-
-
-def test_the_witness_rechecks_evaluate_through_curves_one_loop():
-    """The tier-1 twin of CI's "One factor-evaluation loop" step: the factor
-    contribution a rd - rn b is written once, in curve.evaluate_ints, and
-    never in verify, whose collision and tangent re-checks call it."""
-    src = Path(verify.__file__).resolve().parent
-    pattern = re.compile(r"\ba \* rd - rn \* b\b")
-    assert not pattern.search((src / "verify.py").read_text())
-    assert len(pattern.findall((src / "curve.py").read_text())) == 1
-
-
-def test_gcd_operands_have_one_normal_form():
-    """The tier-1 twin of CI's "One polynomial module" step on gcd operands:
-    poly._split and poly._lc are the one content-and-sign split, so neither
-    poly nor verify defines a _primitive, verify reads no leading coefficient
-    of rows by hand, and no function of the package but poly._gcd names
-    _heu_gcd or _heu_gcd_su."""
-    src = Path(verify.__file__).resolve().parent
-    texts = {path.name: path.read_text() for path in sorted(src.glob("*.py"))}
-    assert not re.search(r"def _primitive\b", texts["poly.py"] + texts["verify.py"])
-    assert not re.search(r"next\(filter\(None, \w+\[0\]\)\)|_trim\(\w+\[0\]\)\[0\]",
-                         texts["verify.py"])
-    users = {(name, getattr(top, "name", None))
-             for name, text in texts.items() for top in ast.parse(text).body
-             for node in ast.walk(top)
-             if isinstance(node, ast.Name) and node.id in ("_heu_gcd", "_heu_gcd_su")}
-    assert users == {("poly.py", "_gcd")}
