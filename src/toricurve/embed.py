@@ -63,7 +63,7 @@ class ChartMap(NamedTuple):
     cone: tuple[int, int, int]
     duals: tuple[Vec3, Vec3, Vec3]
     coords: tuple[RationalFunction, RationalFunction, RationalFunction]
-    excluded: tuple[CurvePoint, ...]  # support of the divisors of rays off the cone
+    excluded: frozenset[Fraction]  # the points of the D_rho with rho off the cone, all finite
 
 
 class ConditionsReport(NamedTuple):
@@ -206,21 +206,22 @@ def chart_maps(data: EmbeddingData) -> tuple[ChartMap, ...]:
 
     Each chi^m is read off one exponent table, once per +-m: a dual row's
     negative is a dual row of the cone across its wall, and chi^-m is the
-    inverse.  The excluded points come off one sorted list of all points."""
+    inverse.  The excluded points, the union of the off-cone supports, and
+    the poles of each chi^m are frozensets of Fractions, each hashed once.
+    No D_rho holds infinity (certify refuses one, see refuse_infinity)."""
     table = _exponent_table(data.epsilon)
-    points = sorted((p._order, rho, p) for rho, d in enumerate(data.divisors) for p, _ in d.entries)
+    supports = [frozenset(p.finite for p, _ in d.entries) for d in data.divisors]
     assert all(f.order_at_infinity == 0 for f in data.epsilon)  # degree-0 divisors, so chi^m's too
-    charts, chars = [], {}
+    charts, chars, poles = [], {}, {}
     for cone in data.fan.max_cones:
         duals = dual_basis(data.fan, cone)
         for m in (m for m in duals if m not in chars):
             neg = tuple(-k for k in m)
             chars[m] = chars[neg].inverse() if neg in chars else _character(data.epsilon, table, m)
-        coords = tuple(chars[m] for m in duals)
-        excluded = {p._reduced: p for _, rho, p in points if rho not in cone}  # off-cone, sorted
-        for f in coords:  # poles sit exactly on divisors of rays off the cone
-            assert all((r.numerator, r.denominator) in excluded for r, e in f.factors if e < 0)
-        charts.append(ChartMap(cone, duals, coords, tuple(excluded.values())))
+            poles[m] = frozenset(r for r, e in chars[m].factors if e < 0)
+        excluded = frozenset().union(*(s for rho, s in enumerate(supports) if rho not in cone))
+        assert all(poles[m] <= excluded for m in duals)  # poles sit on off-cone divisors
+        charts.append(ChartMap(cone, duals, tuple(chars[m] for m in duals), excluded))
     return tuple(charts)
 
 

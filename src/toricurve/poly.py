@@ -5,18 +5,21 @@ is the rows of its coefficients in s (_ints), on clean and refuting charts
 alike.  Either has one normal form, _split: a content signed as the
 leading coefficient (_lc), and a primitive part that leads positive.
 _gcd, GCDHEU's one caller, tries one exact division by the lower
-operand's primitive part, then GCDHEU on both primitive parts in ints, a
-candidate accepted once it divides exactly (in Z[s, u] by long division
-on rows, in Z[u][s]), then sympy; gcd(contents) multiplies the result.
+operand's primitive part (in Z[s, u] by long division on rows, in
+Z[u][s]); then, in one variable, GCDHEU on both primitive parts in ints,
+a candidate accepted once it divides exactly; then sympy, which a gcd in
+Z[s, u] reaches straight from the division; gcd(contents) multiplies the
+result.
 Rational roots in one variable come from closed forms up to degree 2 and,
 above, from p-adic lifting of the roots modulo a small prime, each
 accepted only once it evaluates to zero exactly; what is left once they
 are divided out is irreducible at degree 2 or 3.  A factor of degree 1 in
 s whose s-content, a _gcd, is an integer is irreducible.  sympy is
-imported on first use (_sympy) for three things only: a gcd that six
-evaluation points fail, factor_list of what is left at degree >= 4 in one
-variable or past the closed form in Z[s, u], and the Groebner fallback;
-no other module holds a sympy object.
+imported on first use (_sympy) for three things only: a gcd that the
+division leaves in Z[s, u] or that six evaluation points fail in one
+variable, factor_list of what is left at degree >= 4 in one variable or
+past the closed form in Z[s, u], and the Groebner fallback; no other
+module holds a sympy object.
 Factors come out primitive with positive leading coefficient, as over Q.
 Resultants are this module's own: exact by a closed form over Z with a
 side of degree at most 2 in the eliminated variable (_res_small, and in
@@ -49,8 +52,9 @@ def _sympy() -> None:
     """Import sympy and bind its rings and Groebner basis as this module's
     globals: _Z, _zu, _GQ, _GZ, QQ and groebner.
 
-    Only the Groebner fallback, a gcd GCDHEU gives up on and a factorization
-    in Z[s, u] or of degree >= 4 in one variable need a ring.
+    Only the Groebner fallback, a gcd the division leaves in Z[s, u] or
+    GCDHEU gives up on in one variable, and a factorization in Z[s, u] or
+    of degree >= 4 in one variable need a ring.
     """
     global _Z, _zu, _GQ, _GZ, QQ, groebner
     from sympy.polys import domains, groebnertools
@@ -189,11 +193,13 @@ def _gcd(f, g):
 
     GCDHEU's one caller.  First _split the lower operand (in s, for rows):
     if its primitive part p divides the other exactly, p is the primitive
-    gcd (Gauss's lemma).  Else _split the other too, and GCDHEU (Char,
-    Geddes & Gonnet, J. Symbolic Comput. 7(1), 1989) takes both primitive
-    parts, _heu_gcd in one variable and _heu_gcd_su in two; sympy's gcd of
-    them, made positive, answers only when _HEU_TRIES values of xi all
-    fail.  gcd(contents) multiplies the result once, here.
+    gcd (Gauss's lemma).  Else _split the other too; in one variable GCDHEU
+    (_heu_gcd; Char, Geddes & Gonnet, J. Symbolic Comput. 7(1), 1989)
+    takes both primitive parts.  Rows in Z[s, u], and a pair _HEU_TRIES
+    values of xi all fail, go to sympy's ring: dmp_inner_gcd, which runs
+    the same heuristic and, when that fails, the subresultant PRS, so it
+    always answers; its gcd is _split.  gcd(contents) multiplies the result
+    once, here.
     """
     two = isinstance(f[0], list)
     hi, lo = (g, f) if len(f) < len(g) else (f, g)
@@ -201,8 +207,11 @@ def _gcd(f, g):
     c = gcd(c, *chain(*hi)) if two else gcd(c, *hi)
     if (_exquo_su if two else _exquo)(hi, p) is None:
         q = _split(hi)[1]
-        h = (_heu_gcd_su if two else _heu_gcd)(q, p)
-        p = _split(_ints(_in_ring(q).gcd(_in_ring(p))))[1] if h is None else h
+        h = None if two else _heu_gcd(q, p)
+        if h is None:  # sympy's GCDHEU, then its subresultant PRS
+            q, p = _in_ring(q), _in_ring(p)
+            h = _split(_ints(q.ring.dmp_inner_gcd(q, p)[0]))[1]
+        p = h
     return [[c * a for a in r] for r in p] if two else [c * a for a in p]
 
 
@@ -225,10 +234,6 @@ def _split(p) -> tuple:
 _HEU_TRIES = 6  # values of xi before a gcd goes to sympy, as in sympy's heugcd
 
 
-def _next_xi(xi: int) -> int:
-    return 73794 * xi * isqrt(isqrt(xi)) // 27011  # sympy's heugcd schedule
-
-
 def _heu_gcd(f: list, g: list) -> list | None:
     """gcd(f, g) over Z for primitive int lists with positive leading
     coefficients, top degree first, as an int list in the same form; None
@@ -246,30 +251,7 @@ def _heu_gcd(f: list, g: list) -> list | None:
         h = _split(_digits(gcd(_homogeneous(f, xi, 1), _homogeneous(g, xi, 1)), xi))[1]
         if _divides(h, f) and _divides(h, g):
             return h
-        xi = _next_xi(xi)
-    return None
-
-
-def _heu_gcd_su(F: list, G: list) -> list | None:
-    """gcd(F, G) for primitive rows in Z[s, u] with positive leading
-    coefficients, as _rows, or None when GCDHEU fails.  Only _gcd calls it.
-
-    u is set to xi, the images' gcd is taken in Z[s] by _gcd, and the
-    symmetric xi-adic digits of each of its coefficients are read back as a
-    polynomial in u (the theorem _heu_gcd relies on holds in several
-    variables); the candidate, made primitive, is accepted when it divides
-    F and G exactly (_exquo_su).  An image gcd GCDHEU misses goes to sympy
-    in _gcd, not to the next xi: the result is the same, as every candidate
-    is still accepted only by exact division.
-    """
-    xi = 2 * min(max(map(abs, chain(*F))), max(map(abs, chain(*G)))) + 29
-    for _ in range(_HEU_TRIES):
-        fx, gx = (_trim([_homogeneous(row, xi, 1) for row in R]) for R in (F, G))
-        if fx and gx:
-            cand = _split([_digits(a, xi) for a in _gcd(fx, gx)])[1]
-            if _exquo_su(F, cand) is not None and _exquo_su(G, cand) is not None:
-                return cand
-        xi = _next_xi(xi)
+        xi = 73794 * xi * isqrt(isqrt(xi)) // 27011  # sympy's heugcd schedule
     return None
 
 

@@ -14,14 +14,18 @@ those of their diagonals Q_i(t, t) = N_i' D_i - N_i D_i' (differentiate
 (s - u) Q_i in s at s = u = t), with a derivative check at infinity.
 
 certify asks those two once per curve, on the torus T = P^1 minus S, S
-every divisor's support (infinity is off it): on T the coordinates are
-characters chi^m and any chart's are a Z-basis of M, so a point of T is
-tangent or collides with infinity in one chart exactly when in every chart
-(Fulton, Introduction to Toric Varieties, 1993, 3.1; Cox, Little and
-Schenck, Toric Varieties, 2011, Thm 3.2.6).  A point p of S on a chart is a
-zero of order mult_p(D_rho) of some coordinate: it never collides with
-infinity, and is tangent only if no coordinate has a simple zero there.  A
-constant coordinate separates no points and adds no derivative zero.
+every divisor's support: on T the coordinates are characters chi^m and any
+chart's are a Z-basis of M, so a point of T is tangent or collides with
+infinity in one chart exactly when in every chart (Fulton, Introduction to
+Toric Varieties, 1993, 3.1; Cox, Little and Schenck, Toric Varieties,
+2011, Thm 3.2.6).  A point p of S on a chart is a zero of order
+mult_p(D_rho) of some coordinate: it never collides with infinity, and is
+tangent only if no coordinate has a simple zero there.  A constant
+coordinate separates no points and adds no derivative zero.  S and a
+chart's excluded points, the points of its off-cone D_rho, which
+embed.chart_maps builds and verify reads as given, are frozensets of
+Fractions.  No D_rho holds infinity (certify refuses one), so infinity is
+on every chart's domain.
 
 Every witness is re-checked exactly, in ints, in its chart's coordinates.
 Each gcd a search computes is read by _zero_witnesses, excluded roots
@@ -185,8 +189,7 @@ def _torus(chart: ChartMap, memo: dict) -> tuple:
     if _torus in memo:
         return memo[_torus]
     funcs = [f for f in chart.coords if f.factors]  # a constant one adds no condition
-    s_fr = {p.finite for p in chart.excluded if not p.is_infinity}.union(
-        r for f in funcs for r, _ in f.factors)
+    s_fr = chart.excluded.union(r for f in funcs for r, _ in f.factors)
     Qs = [_bezoutian(*f.integer_parts, memo) for f in funcs]
 
     def zeros(gens, polys):
@@ -207,9 +210,8 @@ def chart_injective(chart: ChartMap, memo=None) -> CheckResult:
     memo = {} if memo is None else memo  # see certify
     _degree_estimate(chart)
     coords = [f for f in chart.coords if f.factors]  # a constant one separates no points
-    excluded_fr = {p.finite for p in chart.excluded if not p.is_infinity}
     if not coords:  # every two points collide
-        s0, u0 = sorted(islice(_rational_candidates(excluded_fr), 2))
+        s0, u0 = sorted(islice(_rational_candidates(chart.excluded), 2))
         witnesses = [{"kind": "collision-pair", "s": str(s0), "u": str(u0),
                       "verified": "evaluation"}] if _collision_holds(chart.coords, s0, u0) else []
         return CheckResult(not witnesses, "factor", tuple(witnesses))
@@ -219,19 +221,19 @@ def chart_injective(chart: ChartMap, memo=None) -> CheckResult:
     # the Bezoutians Q_i, rows in s
     Qs = [_bezoutian(N, D, memo) for N, D in NDs]
 
-    # collisions with the point at infinity: p_i(u) = p_i(inf) for all i.
-    # Skipped when infinity is off the domain (a pole or excluded point);
-    # on it deg N_i <= deg D_i = d, and the s^d coefficient of (s - u) Q_i
-    # is n_d D_i(u) - lc(D_i) N_i(u), n_d the coefficient of u^d in N_i.
-    # That vanishes exactly where p_i(u) = p_i(inf), and is nonzero since
-    # f_i is not constant, so it is Q_i's top row; its sign moves no gcd,
-    # root, factor or divisibility the witnesses read.  Off S they are the
-    # torus pass's; on S, zeros of a coordinate that vanishes at infinity.
+    # collisions with the point at infinity, which every chart's domain
+    # holds: p_i(u) = p_i(inf) for all i.  Skipped when some coordinate has
+    # a pole there; else deg N_i <= deg D_i = d, and the s^d coefficient of
+    # (s - u) Q_i is n_d D_i(u) - lc(D_i) N_i(u), n_d the coefficient of u^d
+    # in N_i.  That vanishes exactly where p_i(u) = p_i(inf), and is nonzero
+    # since f_i is not constant, so it is Q_i's top row; its sign moves no
+    # gcd, root, factor or divisibility the witnesses read.  Off S they are
+    # the torus pass's; on S, zeros of a coordinate that vanishes at infinity.
     inf_values = [evaluate(f, INFINITY) for f in coords]
-    if None not in inf_values and INFINITY not in chart.excluded:
+    if None not in inf_values:
         in_s = {r for f, c in zip(coords, inf_values) if not c for r, e in f.factors if e > 0}
         witnesses.extend(_rechecked(
-            _torus(chart, memo)[0] + tuple((x, None) for x in in_s - excluded_fr),
+            _torus(chart, memo)[0] + tuple((x, None) for x in in_s - chart.excluded),
             lambda u0: all(evaluate(f, CurvePoint(u0)) == c for f, c in zip(coords, inf_values))
             and {"kind": "collision-with-infinity", "u": str(u0), "verified": "evaluation"},
             lambda mu: all(_divides(mu, _trim(q[0])) for q in Qs) and {
@@ -245,7 +247,7 @@ def chart_injective(chart: ChartMap, memo=None) -> CheckResult:
         if any(len(q) == 1 for q in Qs):
             method = "resultant"  # some coordinate separates every pair
         else:
-            method = _finite_finite(chart, coords, NDs, Qs, excluded_fr, witnesses, memo)
+            method = _finite_finite(chart, coords, NDs, Qs, chart.excluded, witnesses, memo)
 
     witnesses.sort(key=lambda w: json.dumps(w, sort_keys=True))
     return CheckResult(not witnesses, method, tuple(witnesses))
@@ -429,8 +431,7 @@ def chart_immersive(chart: ChartMap, memo=None) -> CheckResult:
     _, tangents, infinity_tangent = _torus(chart, memo)
     in_s = {r for f in coords for r, e in f.factors if e > 1}
     if in_s or all(not f.factors for f in coords):  # all constant: tangent everywhere
-        excluded_fr = {p.finite for p in chart.excluded if not p.is_infinity}
-        in_s = in_s - excluded_fr if in_s else {next(_rational_candidates(excluded_fr))}
+        in_s = in_s - chart.excluded if in_s else {next(_rational_candidates(chart.excluded))}
     witnesses = _rechecked(
         tangents + tuple((t0, None) for t0 in in_s),
         lambda t0: _tangent_at(coords, t0) and {
@@ -439,7 +440,7 @@ def chart_immersive(chart: ChartMap, memo=None) -> CheckResult:
                        for f in coords if f.factors)
         and {"kind": "tangent-conjugate", "poly": _str(mu, "t"), "verified": "congruence"},
     )
-    if INFINITY not in chart.excluded and infinity_tangent and _tangent_at(coords, INFINITY):
+    if infinity_tangent and _tangent_at(coords, INFINITY):
         witnesses.append({"kind": "tangent-infinity", "verified": "evaluation"})
     witnesses.sort(key=lambda w: json.dumps(w, sort_keys=True))
     return CheckResult(not witnesses, "derivative-gcd", tuple(witnesses))
@@ -449,11 +450,13 @@ def pullback_check(data: EmbeddingData, charts) -> CheckResult:
     """Zero divisors of chart coordinates must be the sampled divisors, reduced.
 
     Both sides are (num, den) -> multiplicity dicts, the zeros taken off the
-    excluded points; a divisor is built only for a mismatch witness.
+    excluded points, which are read once per chart as (num, den) pairs: ints
+    hash faster than Fractions.  A divisor is built only for a mismatch
+    witness.
     """
     witnesses: list[dict] = []
     for chart in charts:
-        excluded = {p._reduced for p in chart.excluded}
+        excluded = {(x.numerator, x.denominator) for x in chart.excluded}
         for f, rho in zip(chart.coords, chart.cone):
             zeros = {(r.numerator, r.denominator): e for r, e in f.factors
                      if e > 0 and (r.numerator, r.denominator) not in excluded}
@@ -486,7 +489,7 @@ def certify(data: EmbeddingData) -> Certificate:
     for chart in charts:  # an oversized chart stops the call before any elimination
         _degree_estimate(chart)
     records, memo = [], {}
-    support = tuple(p for d in data.divisors for p, _ in d.entries)
+    support = frozenset(p.finite for d in data.divisors for p, _ in d.entries)
     memo[_torus] = _torus(charts[0]._replace(excluded=support), memo)
     for chart in charts:
         inj = chart_injective(chart, memo)

@@ -1075,7 +1075,6 @@ def brute_force_pair_scan(data, charts, pairs_per_chart, seed):
     """Random pair sampling that must not find collisions a certificate missed."""
     collisions = []
     for idx, chart in enumerate(charts):
-        excluded = set(chart.excluded)
         stream_seed = seed * 1000003 + idx
         counter = 0
         done = 0
@@ -1083,7 +1082,7 @@ def brute_force_pair_scan(data, charts, pairs_per_chart, seed):
             a = CurvePoint(_hash_rational(stream_seed, counter))
             b = CurvePoint(_hash_rational(stream_seed, counter + 1))
             counter += 2
-            if a == b or a in excluded or b in excluded:
+            if a == b or a.finite in chart.excluded or b.finite in chart.excluded:
                 continue
             done += 1
             if all(
@@ -1151,12 +1150,12 @@ def infinity_collisions_by_chart(chart) -> list:
     chart_injective found them before the torus pass: the zeros of the gcd
     of the chart's own Bezoutians' top rows, its excluded points stripped,
     each rational root re-checked by evaluation and each factor of degree
-    >= 2 by dividing every top row; none when infinity is excluded or a
-    coordinate has a pole there."""
+    >= 2 by dividing every top row; none when a coordinate has a pole
+    there."""
     coords = [f for f in chart.coords if f.factors]
-    excluded_fr = {p.finite for p in chart.excluded if not p.is_infinity}
+    excluded_fr = chart.excluded
     inf_values = [evaluate(f, INFINITY) for f in coords]
-    if not coords or None in inf_values or INFINITY in chart.excluded:
+    if not coords or None in inf_values:
         return []
     tops = [_trim(_bezoutian(*f.integer_parts, {})[0]) for f in coords]
     return _by_certificate_order(verify._zero_witnesses(
@@ -1177,7 +1176,7 @@ def chart_immersive_by_chart(chart) -> CheckResult:
     stripped, each rational one re-checked by _tangent_at and each factor of
     degree >= 2 by dividing every diagonal; then infinity by _tangent_at."""
     coords = chart.coords
-    excluded_fr = {p.finite for p in chart.excluded if not p.is_infinity}
+    excluded_fr = chart.excluded
     w_polys = [_diagonal(_bezoutian(*f.integer_parts, {})) for f in coords if f.factors]
 
     def at_point(t0):
@@ -1195,7 +1194,7 @@ def chart_immersive_by_chart(chart) -> CheckResult:
             lambda mu: all(_divides(mu, w) for w in w_polys)
             and {"kind": "tangent-conjugate", "poly": _str(mu, "t"), "verified": "congruence"},
         ))
-    if INFINITY not in chart.excluded and verify._tangent_at(coords, INFINITY):
+    if verify._tangent_at(coords, INFINITY):
         witnesses.append({"kind": "tangent-infinity", "verified": "evaluation"})
     witnesses = _by_certificate_order(witnesses)
     return CheckResult(not witnesses, "derivative-gcd", tuple(witnesses))

@@ -268,8 +268,35 @@ def _no_hand_leading_coefficient(mods) -> list:
 
 def _gcdheu_one_caller(mods) -> list:
     callers = {(m.name, site.top): (m, site) for m in mods.values() for site in m.sites
-               if _last(site.name) in ("_heu_gcd", "_heu_gcd_su")}
+               if _last(site.name) == "_heu_gcd"}
     return _only_at(list(callers.values()), [("poly", "_gcd")])
+
+
+COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _is_pair_view(node, top) -> bool:
+    """pullback_check's {(x.numerator, x.denominator) for x in ...}."""
+    return (top == "pullback_check" and isinstance(node, ast.SetComp)
+            and isinstance(node.elt, ast.Tuple)
+            and [getattr(e, "attr", None) for e in node.elt.elts] == ["numerator", "denominator"])
+
+
+def _chart_domains_read_as_given(mods) -> list:
+    """In verify, a comprehension that iterates an .excluded attribute but
+    for pullback_check's one (num, den) view, any .is_infinity read, and any
+    `in` test of INFINITY against .excluded."""
+    verify = mods["verify"]
+    found = [Site(ast.unparse(node), top, node.lineno, node) for node, top, _ in verify.nodes
+             if isinstance(node, COMPREHENSIONS) and not _is_pair_view(node, top) and any(
+                 isinstance(g.iter, ast.Attribute) and g.iter.attr == "excluded"
+                 for g in node.generators)]
+    found += [site for site in verify.sites if _last(site.name) == "is_infinity"]
+    found += [Site(ast.unparse(node), top, node.lineno, node) for node, top, _ in verify.nodes
+              if isinstance(node, ast.Compare) and verify.dotted(node.left).endswith("INFINITY")
+              and any(isinstance(c, ast.Attribute) and c.attr == "excluded"
+                      for c in node.comparators)]
+    return [verify.report(site, site.name) for site in found]
 
 
 def _no_lazy_names(mods) -> list:
@@ -383,6 +410,10 @@ RETIRED = [
     # constructor, and a JSON object that mirrors a record is its _asdict(),
     # with no helper listing the fields again
     ("*", "_trusted"), ("*", "_validation"), ("*", "_xi_doc"),
+    # a gcd in Z[s, u] that the division test leaves goes to sympy's
+    # dmp_inner_gcd, which runs the same heuristic with cofactor checks and
+    # then the subresultant PRS; no pool input reached the two-variable copy
+    ("poly", "_heu_gcd_su"),
 ]
 
 # (module, name): module-level imports nothing in their module reads; each
@@ -394,8 +425,8 @@ RULES = [
     Rule("sympy-stays-lazy",
          "Witness strings print from int lists and rows; building an Expr would load "
          "sympy.combinatorics on the first print again.  verify imports sympy only for the "
-         "Groebner fallback, a gcd GCDHEU gives up on, or a factorization of degree >= 4 with "
-         "no rational root, so importing the package, and clean and most refuting runs, never "
+         "Groebner fallback, a gcd the division test leaves in Z[s, u] or GCDHEU gives up on, "
+         "or a factorization of degree >= 4 with no rational root, so importing the package, and clean and most refuting runs, never "
          "load it.  as_expr and sympy.core are banned in the text, strings included.",
          _sympy_stays_lazy,
          ("src/toricurve/verify.py", "\nfrom sympy import Poly\n")),
@@ -454,10 +485,18 @@ RULES = [
          _no_hand_leading_coefficient,
          ("src/toricurve/verify.py", "\n\ndef _lead(rows):\n    return next(filter(None, rows[0]))\n")),
     Rule("gcdheu-has-one-caller",
-         "GCDHEU (_heu_gcd, _heu_gcd_su) is called from poly._gcd alone, after its division "
-         "test.",
+         "GCDHEU (_heu_gcd, in one variable) is called from poly._gcd alone, after its "
+         "division test.",
          _gcdheu_one_caller,
          ("src/toricurve/poly.py", "\n\ndef _gcd_fast(f, g):\n    return _heu_gcd(f, g)\n")),
+    Rule("chart-domains-are-read-as-given",
+         "What a chart's domain excludes is decided once, in embed.chart_maps: a frozenset "
+         "of finite Fractions, the points of the off-cone D_rho.  verify reads it as given, "
+         "so it rebuilds no set from it, reads no .is_infinity, and tests no INFINITY against "
+         "it.  pullback_check keeps one (num, den) view per chart, as int pairs hash faster "
+         "than Fractions there.",
+         _chart_domains_read_as_given,
+         ("src/toricurve/verify.py", "\n{p.finite for p in chart.excluded}\n")),
     Rule("no-lazy-names",
          "Every name is imported from its own module: neither the package nor poly resolves "
          "names on first use (PEP 562), and poly._sympy() is the one place that binds sympy's "

@@ -65,8 +65,7 @@ def rf(factors, constant=1):
 
 
 def chart(coords, excluded=()):
-    pts = tuple(p if isinstance(p, CurvePoint) else CurvePoint(F(p)) for p in excluded)
-    return ChartMap((0, 1, 2), IDENTITY_DUALS, tuple(coords), pts)
+    return ChartMap((0, 1, 2), IDENTITY_DUALS, tuple(coords), frozenset(map(F, excluded)))
 
 
 def kinds(witnesses):
@@ -128,15 +127,6 @@ def test_even_tangencies_at_zero_and_infinity_are_both_reported():
     assert imm.witnesses[1]["t"] == "0"
 
 
-def test_excluding_infinity_silences_the_tangent_at_infinity():
-    coords = even_tangency_coords()
-    imm = chart_immersive(chart(coords, excluded=(INFINITY,)))
-    assert imm.witnesses == (
-        {"kind": "tangent-point", "t": "0", "verified": "evaluation"},
-    )
-    assert chart_immersive(chart(coords, excluded=(INFINITY, 0))).ok
-
-
 def test_collision_with_the_point_at_infinity():
     f1 = rf({1: 1, 2: 1, 0: -2})
     coords = (f1, f1 ** 2, f1 ** 3)
@@ -167,12 +157,6 @@ def test_the_infinity_polynomials_are_the_trimmed_top_rows(monkeypatch):
     chart_injective(chart(coords, excluded=(1, -1, 2, -2)))
     assert handed == [[[-a for a in infinity_collision_poly(*f.integer_parts)] for f in coords]]
     assert handed[0][0] == [-1]
-
-
-def test_excluding_infinity_silences_the_infinity_collision():
-    f1 = rf({1: 1, 2: 1, 0: -2})
-    inj = chart_injective(chart((f1, f1 ** 2, f1 ** 3), excluded=(INFINITY,)))
-    assert kinds(inj.witnesses) == ("collision-pair",)
 
 
 def test_conjugate_collisions_are_certified_by_congruence():
@@ -298,7 +282,7 @@ def test_a_du_whose_roots_are_all_excluded_is_never_factored(monkeypatch):
     ample = find_ample(fan)
     data = build_embedding_data(fan, ample, xi_vector(fan, ample), seed=0)
     c = next(c for c in chart_maps(data) if c.cone == (0, 1, 3))
-    excluded = {p.finite for p in c.excluded if not p.is_infinity}
+    excluded = c.excluded
     residual = residuals_qq(c.coords)
     du = gcd_by_ring([resultant_by_prs(f, g) for i, f in enumerate(residual)
                       for g in residual[i + 1:]])
@@ -676,12 +660,12 @@ def test_tampered_chart_coordinate_is_caught_with_the_exact_difference():
     first, rho = charts[0], charts[0].cone[0]
     ((zero, _),) = data.divisors[rho].entries
     (pole,) = first.excluded
-    assert dict(first.coords[0].factors) == {zero.finite: 1, pole.finite: -1}
+    assert dict(first.coords[0].factors) == {zero.finite: 1, pole: -1}
     doubled = data._replace(divisors=tuple(
         d.scale(2) if i == rho else d for i, d in enumerate(data.divisors)))
     for d, tamper, difference in (
         (data, {zero.finite: -1}, [[str(zero), -1]]),  # the zero lost
-        (data, {pole.finite: 2}, None),  # a simple zero at the excluded point
+        (data, {pole: 2}, None),  # a simple zero at the excluded point
         (doubled, {}, [[str(zero), -1]]),  # D_rho twice the zero, which is simple
     ):
         bad = first._replace(coords=(first.coords[0] * rf(tamper),) + first.coords[1:])

@@ -62,6 +62,8 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 from sympy.polys.domains import QQ, ZZ
 from sympy.polys.groebnertools import groebner
+from sympy.polys.polyconfig import using
+from sympy.polys.polyerrors import HeuristicGCDFailed
 from sympy.polys.rings import PolyElement, ring
 
 from conftest import ladder_fan
@@ -83,7 +85,7 @@ from oracles import (
 )
 from toricurve import poly, verify
 from test_replay_golden import INVOLUTIONS, involution_data
-from toricurve.curve import INFINITY, CDivisor, CurvePoint, RationalFunction, principal_function
+from toricurve.curve import CDivisor, RationalFunction, principal_function
 from toricurve.embed import (
     ChartMap, EmbeddingData, build_embedding_data, chart_maps, pairing_divisor, pairing_matrix,
 )
@@ -156,8 +158,7 @@ def charts(draw):
     assume(all(f.factors for f in coords))
     poles = {r for f in coords for r, e in f.factors if e < 0}
     extra = draw(st.lists(st.sampled_from(GRID), max_size=2))
-    excluded = tuple(CurvePoint(p) for p in sorted(poles | set(extra)))
-    return ChartMap((0, 1, 2), IDENTITY_DUALS, tuple(coords), excluded)
+    return ChartMap((0, 1, 2), IDENTITY_DUALS, tuple(coords), frozenset(poles | set(extra)))
 
 
 # --- independent evaluation --------------------------------------------------
@@ -202,8 +203,7 @@ def derivative_vanishes(f: RationalFunction, p) -> bool:
 
 
 def domain(chart):
-    excluded = {p.finite for p in chart.excluded}
-    points = [p for p in GRID if p not in excluded
+    points = [p for p in GRID if p not in chart.excluded
               and all(value(f, p) is not None for f in chart.coords)]
     if all(value(f, INF) is not None for f in chart.coords):
         points.append(INF)
@@ -229,7 +229,7 @@ def cross_difference(f: RationalFunction):
 
 
 def recheck_injectivity_witness(chart, w):
-    excluded = {p.finite for p in chart.excluded}
+    excluded = chart.excluded
     kind = w["kind"]
     if kind == "collision-pair":
         s0, u0 = F(w["s"]), F(w["u"])
@@ -276,7 +276,7 @@ def recheck_injectivity_witness(chart, w):
 
 
 def recheck_immersion_witness(chart, w):
-    excluded = {p.finite for p in chart.excluded}
+    excluded = chart.excluded
     kind = w["kind"]
     if kind == "tangent-point":
         t0 = F(w["t"])
@@ -435,10 +435,9 @@ def integral_or_rational_charts(draw):
         for f in chart.coords
     )
     assume(all(f.factors for f in coords))
-    excluded = {p.finite.numerator for p in chart.excluded}
+    excluded = {F(p.numerator) for p in chart.excluded}
     excluded |= {r for f in coords for r, e in f.factors if e < 0}
-    return ChartMap((0, 1, 2), IDENTITY_DUALS, coords,
-                    tuple(CurvePoint(F(p)) for p in sorted(excluded)))
+    return ChartMap((0, 1, 2), IDENTITY_DUALS, coords, frozenset(excluded))
 
 
 @settings(PROPERTY, max_examples=30)
@@ -961,7 +960,8 @@ def gcd_families(draw):
 
 _T = Z_T.gens[0]
 # neither operand's primitive part divides the other, so the division test
-# leaves these to GCDHEU, and with tries = 0 to sympy's gcd
+# leaves these to GCDHEU in Z[t], and with tries = 0 to sympy's gcd, and to
+# sympy's gcd straight away in Z[s, u]
 NO_DIVISION = ([6 * (_T + 1) * (_T - 2), -4 * (_T + 1) * (_T + 3)],
                [(_ZS + _ZU) * (_ZS * _ZU - 2), 3 * (_ZS + _ZU) * (_ZS + _ZU - 1)])
 
@@ -970,8 +970,8 @@ NO_DIVISION = ([6 * (_T + 1) * (_T - 2), -4 * (_T + 1) * (_T + 3)],
 @settings(PROPERTY, max_examples=200)
 @given(gcd_families())
 # at the first xi = 31 the value of the first input divides the second's,
-# so only the division of the second input refuses the candidate t + 1 or
-# s + u
+# so only the division of the second input refuses GCDHEU's candidate
+# t + 1; the pair in Z[s, u] goes from the division test to sympy
 @example([_T + 1, _T + 33])
 @example([_ZS + _ZU, _ZS + 2 * _ZU - 31])
 @example([-_ZSU.one, _ZSU.one])  # a negative constant first: the gcd stops there, made positive
@@ -999,14 +999,31 @@ def test_gcds_in_ints_equal_the_ring_gcd(tries, polys):
 @pytest.mark.parametrize("tries", [poly._HEU_TRIES, 0])
 @pytest.mark.parametrize("polys", NO_DIVISION, ids=["Z[t]", "Z[s, u]"])
 def test_a_gcd_the_division_leaves_reaches_gcdheu_and_then_sympy(tries, polys):
-    """GCDHEU answers with its tries, and with none sympy's gcd does."""
-    heu = "_heu_gcd_su" if polys[0].ring.ngens == 2 else "_heu_gcd"
+    """In Z[t] GCDHEU answers with its tries, and with none sympy's gcd
+    does; in Z[s, u] sympy's gcd answers straight after the division."""
+    two = polys[0].ring.ngens == 2
     with patch.object(poly, "_HEU_TRIES", tries), \
-            patch.object(poly, heu, wraps=getattr(poly, heu)) as gcdheu, \
+            patch.object(poly, "_heu_gcd", wraps=poly._heu_gcd) as gcdheu, \
             patch.object(poly, "_in_ring", wraps=poly._in_ring) as to_sympy:
         assert poly._gcd(*map(as_ints, polys)) == as_ints(gcd_by_ring(polys))
-    assert gcdheu.call_count == 1
-    assert to_sympy.called == (tries == 0)
+    assert gcdheu.call_count == (0 if two else 1)
+    assert to_sympy.called == (two or tries == 0)
+
+
+@pytest.mark.parametrize("polys", NO_DIVISION, ids=["Z[t]", "Z[s, u]"])
+def test_the_sympy_gcd_answers_when_its_heuristic_fails(polys):
+    """_gcd's last resort is the ring's dmp_inner_gcd, whose subresultant
+    PRS answers where heugcd gives up: with no GCDHEU of the package's own,
+    USE_HEU_GCD off, and the heugcd that PolyElement.gcd runs alone made to
+    raise HeuristicGCDFailed, the gcd is still the ring's."""
+    want = as_ints(gcd_by_ring(polys))
+
+    def gives_up(f, g):
+        raise HeuristicGCDFailed("no luck")
+
+    with using(USE_HEU_GCD=False), patch.object(poly, "_HEU_TRIES", 0), \
+            patch("sympy.polys.rings.heugcd", gives_up):
+        assert poly._gcd(*map(as_ints, polys)) == want
 
 
 def test_the_division_test_returns_rows_in_normal_form():
@@ -1023,12 +1040,10 @@ def test_the_division_test_returns_rows_in_normal_form():
 def test_gcdheu_makes_its_candidate_primitive():
     """At the first xi the integer gcd of the values can carry a factor
     the polynomials' gcd does not: (t + 1)^2 and (t + 1)(t + 3) at xi = 33
-    give 2 * 34, whose digits 2t + 2 divide neither, and in Z[s, u] the
-    images of (s + u)(u + 1) and (s + u)(u + 3) at xi = 31 have the gcd
-    2 (s + 31).  Made primitive, the candidate is the gcd at that first xi."""
+    give 2 * 34, whose digits 2t + 2 divide neither.  Made primitive, the
+    candidate is the gcd at that first xi."""
     with patch.object(poly, "_HEU_TRIES", 1):
         assert poly._heu_gcd([1, 2, 1], [1, 4, 3]) == [1, 1]
-        assert poly._heu_gcd_su([[0, 1, 1], [1, 1, 0]], [[0, 1, 3], [1, 3, 0]]) == [[0, 1], [1, 0]]
 
 
 @st.composite
@@ -1327,8 +1342,7 @@ def test_certify_finds_what_the_per_chart_searches_found(label):
 @st.composite
 def hand_charts(draw):
     """Charts whose coordinates may have a zero or a pole at infinity or be
-    constant, whose excluded points may hold infinity and may leave poles
-    out; in some every coordinate has a zero of order 2 or 3 at one point,
+    constant, whose excluded points may leave poles out; in some every coordinate has a zero of order 2 or 3 at one point,
     a cusp, and in some the coordinates share a zero at infinity and at one
     finite point."""
     mode = draw(st.sampled_from(("random", "cusp", "zero-at-infinity")))
@@ -1346,10 +1360,8 @@ def hand_charts(draw):
     poles = sorted({r for f in coords for r, e in f.factors if e < 0})
     kept = draw(st.lists(st.sampled_from(poles), unique=True)) if poles else []
     extra = draw(st.lists(st.sampled_from(GRID), max_size=2))
-    excluded = [CurvePoint(p) for p in sorted(set(poles) - set(kept) | set(extra))]
-    if draw(st.booleans()):
-        excluded.append(INFINITY)
-    return ChartMap((0, 1, 2), IDENTITY_DUALS, tuple(coords), tuple(excluded))
+    excluded = frozenset(set(poles) - set(kept) | set(extra))
+    return ChartMap((0, 1, 2), IDENTITY_DUALS, tuple(coords), excluded)
 
 
 @PROPERTY
@@ -1357,7 +1369,7 @@ def hand_charts(draw):
 @example(ChartMap((0, 1, 2), IDENTITY_DUALS, (
     RationalFunction.of(1, {F(1): 1, F(2): -1, F(3): -1}),
     RationalFunction.of(1, {F(1): 2, F(2): -1, F(3): -1, F(4): -1}),
-    RationalFunction.of(1, {F(1): 1, F(2): -2})), (CurvePoint(F(2)),)))
+    RationalFunction.of(1, {F(1): 1, F(2): -2})), frozenset({F(2)})))
 def test_a_direct_chart_call_finds_what_the_per_chart_searches_found(chart):
     """A chart checked on its own builds its torus pass from its own
     coordinates, S its excluded points and their zeros and poles, and finds
@@ -1366,6 +1378,6 @@ def test_a_direct_chart_call_finds_what_the_per_chart_searches_found(chart):
     with infinity, a point of S the pass strips."""
     assert chart_immersive(chart) == chart_immersive_by_chart(chart)
     poles = {r for f in chart.coords for r, e in f.factors if e < 0}
-    if poles <= {p.finite for p in chart.excluded}:
+    if poles <= chart.excluded:
         got = [w for w in chart_injective(chart).witnesses if w["kind"] in INFINITY_KINDS]
         assert got == infinity_collisions_by_chart(chart)
