@@ -302,18 +302,22 @@ def _divides(h: list, f: list) -> bool:
 
 
 def _exquo_su(F: list, G: list) -> list | None:
-    """F / G as rows for rows F, G in Z[s, u], G nonzero; None when G does
-    not divide F ([] for F zero).
+    """F / G as rows for rows F, G in Z[s, u] with nonzero top rows, or F
+    zero; None when G does not divide F ([] for F zero).
 
-    s -> x^w, u -> x, w the width of F's rows (so deg_u F < w), maps
-    Z[s, u] into Z[x]: a ring map, one to one on polynomials of degree < w
-    in u.  So G divides F exactly when _exquo divides G's image into F's
-    with a quotient whose every block of w coefficients, a row of F / G,
-    has degree below w - deg_u G.
+    First a scalar multiple: F = k G row for row, k = _lc(F) // _lc(G),
+    gives [[k]] with no division.  Else s -> x^w, u -> x, w the width of
+    F's rows (so deg_u F < w), maps Z[s, u] into Z[x]: a ring map, one to
+    one on polynomials of degree < w in u.  So G divides F exactly when
+    _exquo divides G's image into F's with a quotient whose every block of
+    w coefficients, a row of F / G, has degree below w - deg_u G.
     """
     w, dg = max(map(len, F), default=0), max(map(len, G)) - 1
     if not F or dg >= w:
         return None if F else []
+    k = _lc(F) // _lc(G)
+    if len(F) == len(G) and F == [[k * a for a in r] for r in G]:
+        return [[k]]
 
     def image(R):
         return _trim([a for r in R for a in [0] * (w - len(r)) + r])

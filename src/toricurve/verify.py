@@ -18,12 +18,14 @@ every divisor's support: on T the coordinates are characters chi^m and any
 chart's are a Z-basis of M, so a point of T is tangent or collides with
 infinity in one chart exactly when in every chart (Fulton, Introduction to
 Toric Varieties, 1993, 3.1; Cox, Little and Schenck, Toric Varieties,
-2011, Thm 3.2.6).  A point p of S on a chart is a zero of order
-mult_p(D_rho) of some coordinate: it never collides with infinity, and is
-tangent only if no coordinate has a simple zero there.  A constant
-coordinate separates no points and adds no derivative zero.  S and a
-chart's excluded points, the points of its off-cone D_rho, which
-embed.chart_maps builds and verify reads as given, are frozensets of
+2011, Thm 3.2.6).  The first chart that asks builds that torus pass and
+keeps it in certify's memo (_torus): a chart's excluded points and its
+coordinates' zeros and poles are S.  A point p of S on a chart is a zero
+of order mult_p(D_rho) of some coordinate: it never collides with
+infinity, and is tangent only if no coordinate has a simple zero there.
+A constant coordinate separates no points and adds no derivative zero.
+A chart's excluded points, the points of its off-cone D_rho, which
+embed.chart_maps builds and verify reads as given, are a frozenset of
 Fractions.  No D_rho holds infinity (certify refuses one), so infinity is
 on every chart's domain.
 
@@ -38,7 +40,8 @@ never by substitution over Q.
 
 The quick pass takes the pairwise resultants cheapest first and stops
 after two when a stripped candidate is constant or the two are proved
-coprime.  The arithmetic on int lists and rows, sympy's included, is poly's.
+coprime.  The arithmetic on int lists and rows, every exact division of
+rows and sympy's included, is poly's.
 """
 from __future__ import annotations
 
@@ -182,22 +185,24 @@ def _degree_estimate(chart: ChartMap) -> int:
 
 
 def _torus(chart: ChartMap, memo: dict) -> tuple:
-    """certify's torus pass, in its memo under _torus, else the chart's own, S
-    its excluded points and its coordinates' zeros and poles: the common zeros
-    off S of the Q_i's top rows and of their diagonals, (x, None) per rational
-    root, (None, mu) per factor, and whether infinity is tangent."""
-    if _torus in memo:
-        return memo[_torus]
-    funcs = [f for f in chart.coords if f.factors]  # a constant one adds no condition
-    s_fr = chart.excluded.union(r for f in funcs for r, _ in f.factors)
-    Qs = [_bezoutian(*f.integer_parts, memo) for f in funcs]
+    """The torus pass, built by the first chart that asks and kept in its
+    memo under _torus: the common zeros off S of the Q_i's top rows and of
+    their diagonals, (x, None) per rational root, (None, mu) per factor, and
+    whether infinity is tangent.  S is the chart's excluded points and its
+    coordinates' zeros and poles, for a chart of chart_maps every divisor's
+    support, so every chart that certify hands the memo reads the same pass."""
+    if _torus not in memo:
+        funcs = [f for f in chart.coords if f.factors]  # a constant one adds no condition
+        s_fr = chart.excluded.union(r for f in funcs for r, _ in f.factors)
+        Qs = [_bezoutian(*f.integer_parts, memo) for f in funcs]
 
-    def zeros(gens, polys):
-        g = _common_factor(polys, gens, s_fr) if polys else None
-        return tuple(_zero_witnesses(g, gens, s_fr, lambda x: (x, None), lambda mu: (None, mu)))
+        def zeros(gens, polys):
+            g = _common_factor(polys, gens, s_fr) if polys else None
+            return tuple(_zero_witnesses(g, gens, s_fr, lambda x: (x, None), lambda mu: (None, mu)))
 
-    return (zeros("u", [_trim(q[0]) for q in Qs]), zeros("t", [_diagonal(q) for q in Qs]),
-            _tangent_at(funcs, INFINITY))
+        memo[_torus] = (zeros("u", [_trim(q[0]) for q in Qs]),
+                        zeros("t", [_diagonal(q) for q in Qs]), _tangent_at(funcs, INFINITY))
+    return memo[_torus]
 
 
 def _rechecked(zeros, at_root, at_factor) -> list:
@@ -260,7 +265,8 @@ def _finite_finite(chart, coords, NDs, Qs, excluded_fr, witnesses, memo):
     _degree_estimate bounds each pairwise resultant here.  The
     Q_i, their gcd, its factors and the residuals are s-coefficient rows;
     the gcd and the residuals are symmetric up to sign, so one row means a
-    constant.
+    constant.  The residuals are the Q_i / g, each by poly's _exquo_su,
+    which reads a Q_i that is an integer multiple of g without dividing.
 
     Every irreducible factor of g = gcd(Q_i) has positive degree in s and
     in u and is not s - u, so each one is a curve of collisions off the
@@ -276,7 +282,7 @@ def _finite_finite(chart, coords, NDs, Qs, excluded_fr, witnesses, memo):
     if shared:
         for factor, _mult in _print_sorted(_factor(g), lambda f: _str(f, "s,u")):
             witnesses.append(_witness_from_curve(coords, NDs, factor, excluded_fr))
-        residual = [_scalar_quotient(q, g) or _exquo_su(q, g) for q in Qs]
+        residual = [_exquo_su(q, g) for q in Qs]
         if any(len(r) == 1 for r in residual):
             return "factor"
 
@@ -322,15 +328,6 @@ def _finite_finite(chart, coords, NDs, Qs, excluded_fr, witnesses, memo):
         }
     ])
     return "groebner"
-
-
-def _scalar_quotient(q, g):
-    """[[k]] when the rows q are k g for an integer k, else None."""
-    if len(q) == len(g):
-        k = _lc(q) // _lc(g)
-        if q == [[k * a for a in r] for r in g]:
-            return [[k]]
-    return None
 
 
 _EMPTY = object()  # sentinel: the system certainly has no common zeros
@@ -475,8 +472,8 @@ def pullback_check(data: EmbeddingData, charts) -> CheckResult:
 
 def certify(data: EmbeddingData) -> Certificate:
     """Full certification across every chart plus the pullback check; the
-    charts share Bezoutians, resultants and one torus pass (_torus) through
-    one memo, for this call only."""
+    charts share Bezoutians, resultants and the torus pass the first of them
+    builds (_torus) through one memo, for this call only."""
     conditions = check_theorem_conditions(data)
     if not conditions.passed:
         raise ValueError(
@@ -489,8 +486,6 @@ def certify(data: EmbeddingData) -> Certificate:
     for chart in charts:  # an oversized chart stops the call before any elimination
         _degree_estimate(chart)
     records, memo = [], {}
-    support = frozenset(p.finite for d in data.divisors for p, _ in d.entries)
-    memo[_torus] = _torus(charts[0]._replace(excluded=support), memo)
     for chart in charts:
         inj = chart_injective(chart, memo)
         imm = chart_immersive(chart, memo)

@@ -299,6 +299,21 @@ def _chart_domains_read_as_given(mods) -> list:
     return [verify.report(site, site.name) for site in found]
 
 
+def _certify_writes_no_memo_entry(mods) -> list:
+    """In verify.certify, a subscript stored to, a _replace call or a
+    comprehension over an .entries attribute."""
+    verify = mods["verify"]
+    found = [Site(ast.unparse(node), top, node.lineno, node) for node, top, _ in verify.nodes
+             if top == "certify" and (
+                 isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)
+                 or isinstance(node, COMPREHENSIONS) and any(
+                     isinstance(g.iter, ast.Attribute) and g.iter.attr == "entries"
+                     for g in node.generators))]
+    found += [site for site in verify.calls
+              if site.top == "certify" and _last(site.name) == "_replace"]
+    return [verify.report(site, site.name) for site in found]
+
+
 def _no_lazy_names(mods) -> list:
     return [m.report(site, site.name) for m in mods.values() for site in m.defines
             if site.name in ("__getattr__", "__dir__") and site.top in (None, site.name)]
@@ -414,6 +429,8 @@ RETIRED = [
     # dmp_inner_gcd, which runs the same heuristic with cofactor checks and
     # then the subresultant PRS; no pool input reached the two-variable copy
     ("poly", "_heu_gcd_su"),
+    # a row quotient is poly._exquo_su's, which reads a scalar multiple first
+    ("verify", "_scalar_quotient"),
 ]
 
 # (module, name): module-level imports nothing in their module reads; each
@@ -497,6 +514,18 @@ RULES = [
          "than Fractions there.",
          _chart_domains_read_as_given,
          ("src/toricurve/verify.py", "\n{p.finite for p in chart.excluded}\n")),
+    Rule("certify-writes-no-memo-entry",
+         "Every entry of certify's per-call memo is written by the function that computes "
+         "it: _bezoutian and _resultant their own, _torus the torus pass, from the first "
+         "chart that asks.  For every chart of chart_maps its excluded points and its "
+         "coordinates' zeros and poles are already every divisor's support, so certify builds "
+         "no point set and seeds no chart.",
+         _certify_writes_no_memo_entry,
+         ("src/toricurve/verify.py",
+          "    records, memo = [], {}\n"
+          "    support = frozenset(p.finite for d in data.divisors for p, _ in d.entries)\n"
+          "    memo[_torus] = _torus(charts[0]._replace(excluded=support), memo)\n",
+          "    records, memo = [], {}\n")),
     Rule("no-lazy-names",
          "Every name is imported from its own module: neither the package nor poly resolves "
          "names on first use (PEP 562), and poly._sympy() is the one place that binds sympy's "

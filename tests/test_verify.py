@@ -778,6 +778,31 @@ def test_certify_runs_one_torus_pass_per_call(monkeypatch):
         assert diagonals and all(id(Q) in held for Q in diagonals)
 
 
+TORUS_FACT_DATA = {
+    **{name: (lambda name=name: seed0_data(name, 0, "intersection"))
+       for name in ("p3", "p1p1p1", "bl-p3-point")},
+    "ladder-6-intersection": lambda: seed0_data("p3", 6, "intersection"),
+    "ladder-9-kernel": lambda: seed0_data("p3", 9, "kernel"),
+    **{f"involution/{label}": (lambda args=args: involution_data(*args))
+       for label, args in INVOLUTIONS.items()},
+}
+
+
+@pytest.mark.parametrize("label", sorted(TORUS_FACT_DATA))
+def test_every_chart_builds_the_torus_pass_the_first_one_builds(label):
+    """certify keeps the torus pass of the first chart that asks, so every
+    chart of chart_maps must give that pass: its excluded points and its
+    coordinates' zeros and poles are every divisor's support, and on the
+    torus the searches do not depend on the chart."""
+    data = TORUS_FACT_DATA[label]()
+    support = {p.finite for d in data.divisors for p, _ in d.entries}
+    charts = chart_maps(data)
+    first = verify._torus(charts[0], {})
+    for c in charts:
+        assert c.excluded | {r for f in c.coords for r, _ in f.factors} == support, c.cone
+        assert verify._torus(c, {}) == first, c.cone
+
+
 def test_clean_charts_close_without_a_gcd_and_with_two_resultants(monkeypatch):
     """No gcd of any kind (GCDHEU on ints or sympy's) and no third resultant
     on a chart the certificate proves clean.  verify calls _gcd_all, and so

@@ -1180,9 +1180,11 @@ def test_the_printer_on_int_lists_and_rows_is_the_ring_str(p):
 @st.composite
 def division_pairs(draw):
     """F and G in Z[s, u], G nonzero and of degree 0 in s some of the time:
-    F = G H (zero when H is), F = G H plus one stray term, an unrelated F,
-    or an F whose image under s -> x^w, u -> x, w = deg_u F + 1, is a
-    multiple of G's, which G need not divide."""
+    F = G H (zero when H is), F = k G for a nonzero k in [-9, 9] (plus,
+    some of the time, one stray term below the top row, so the top rows
+    still agree), F = G H plus one stray term, an unrelated F, or an F
+    whose image under s -> x^w, u -> x, w = deg_u F + 1, is a multiple of
+    G's, which G need not divide."""
     heights = st.sampled_from((1, 5, 10**20))
     G = draw(s_u_polys(heights))
     shape = draw(st.sampled_from(("s", "s", "u alone", "constant")))
@@ -1191,9 +1193,15 @@ def division_pairs(draw):
     elif shape == "constant":
         G = _ZSU(draw(st.sampled_from((1, -1, 3, 10**20))))
     H = draw(s_u_polys(heights)) * draw(st.sampled_from((1, 0, -2)))
-    mode = draw(st.sampled_from(("exact", "exact", "stray", "unrelated", "image")))
+    mode = draw(st.sampled_from(("exact", "exact", "scalar", "stray", "unrelated", "image")))
     if mode == "exact":
         return G * H, G
+    if mode == "scalar":
+        F = G * draw(st.integers(-9, 9).filter(bool))
+        if G.degree(0) > 0 and draw(st.booleans()):
+            i, j = draw(st.integers(0, G.degree(0) - 1)), draw(st.integers(0, 4))
+            F += _ZS**i * _ZU**j * draw(st.integers(1, 9))
+        return F, G
     if mode == "image":
         w = G.degree(1) + 1 + draw(st.integers(0, 2))
         image = Z_T.from_dict({(i * w + j,): c for (i, j), c in G.items()})
@@ -1208,6 +1216,10 @@ def division_pairs(draw):
 @settings(PROPERTY, max_examples=300)
 @given(division_pairs())
 @example((_ZS - 1, _ZU + 1))  # s - 1 maps to x^2 - 1 = (x + 1)(x - 1), but u + 1 does not divide it
+# F = -4 G, G's top row [3, 1, 0] unpadded: the scalar multiple, read off without dividing
+@example((-4 * ((3 * _ZU**2 + _ZU) * _ZS + _ZU - 2), (3 * _ZU**2 + _ZU) * _ZS + _ZU - 2))
+# the same F plus 5: the top rows still agree, so the shortcut must compare every row
+@example((-4 * ((3 * _ZU**2 + _ZU) * _ZS + _ZU - 2) + 5, (3 * _ZU**2 + _ZU) * _ZS + _ZU - 2))
 def test_division_on_rows_is_the_ring_division(pair):
     F, G = pair
     got = poly._exquo_su(as_ints(F), as_ints(G))

@@ -6,10 +6,14 @@ are timed: 6 rays with intersection xi, and 9 and 10 rays with kernel xi.
 For 10 rays ``verify.DEFAULT_DEGREE_CAP`` is patched to 1024, since chart
 (0, 3, 6) estimates 612 and the default cap, 512, refuses it.
 
-Each rung runs ``verify.certify`` once, in this process, with its two chart
-checks wrapped by a timer, so every chart shares the one memo certify hands
-them.  Per chart the tool prints the cone, the seconds of each check and
-their verdicts; per rung, the sums and certify's own wall time.
+Each rung runs ``verify.certify`` ``REPS`` times, in this process, with its
+two chart checks wrapped by a timer, so every chart shares the one memo
+certify hands them.  Per chart the tool prints the cone, the median and the
+min-max seconds of each check over the reps and their verdicts; per rung,
+the medians of the sums and of certify's own wall time, with their min-max.
+One run of a rung gives no spread to read a tree-to-tree gap against; the
+reps do.  The first chart's ``chart_injective`` seconds include the torus
+pass, which the first chart that asks builds for every chart of the call.
 
 ``--src`` names the ``src`` directory to import ``toricurve`` from (default:
 this checkout's), so two trees can be timed with one script:
@@ -21,12 +25,20 @@ from __future__ import annotations
 
 import argparse
 import random
+import statistics
 import sys
 import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 RUNGS = ((6, "intersection", None), (9, "kernel", None), (10, "kernel", 1024))
+CHECKS = ("chart_injective", "chart_immersive")
+REPS = 3
+
+
+def _spread(seconds: list) -> str:
+    """The median and the min-max of a list of seconds."""
+    return f"{statistics.median(seconds):.4f} {min(seconds):.4f}-{max(seconds):.4f}"
 
 
 def main(argv=None) -> int:
@@ -41,16 +53,19 @@ def main(argv=None) -> int:
     from toricurve.intersect import find_ample, xi_vector
 
     timed = {}
-    for name in ("chart_injective", "chart_immersive"):
+    for name in CHECKS:
         def wrapper(chart, memo, real=getattr(verify, name), name=name):
             start = time.perf_counter()
             result = real(chart, memo)
-            timed.setdefault(chart.cone, {})[name] = (time.perf_counter() - start, result.ok)
+            seconds, oks = timed.setdefault(chart.cone, {}).setdefault(name, ([], set()))
+            seconds.append(time.perf_counter() - start)
+            oks.add(result.ok)
             return result
         setattr(verify, name, wrapper)
 
     cap = verify.DEFAULT_DEGREE_CAP
-    print(f"toricurve from {verify.__file__}")
+    print(f"toricurve from {verify.__file__}; {REPS} reps per rung, "
+          "seconds as the median and the min-max")
     for rays, method, rung_cap in RUNGS:
         fan, rng = preset("p3"), random.Random(7)
         while fan.n_rays < rays:
@@ -60,20 +75,21 @@ def main(argv=None) -> int:
         data = build_embedding_data(fan, ample, xi, 0)
         verify.DEFAULT_DEGREE_CAP = rung_cap or cap
         timed.clear()
-        start = time.perf_counter()
-        embedded = verify.certify(data).embedded
-        total = time.perf_counter() - start
+        totals, embedded = [], set()
+        for _ in range(REPS):
+            start = time.perf_counter()
+            embedded.add(verify.certify(data).embedded)
+            totals.append(time.perf_counter() - start)
         print(f"\n{rays} rays, {method} xi {xi.values}, cap {verify.DEFAULT_DEGREE_CAP}: "
-              f"certify {total:.3f} s, embedded {embedded}")
-        print(f"{'cone':<14}{'injective s':>12}{'immersive s':>13}  verdicts")
-        sums = [0.0, 0.0]
+              f"certify {_spread(totals)} s, embedded {'/'.join(map(str, sorted(embedded)))}")
+        print(f"{'cone':<14}{'injective s':>21}{'immersive s':>22}  verdicts")
         for cone, checks in timed.items():
-            (t_inj, ok_inj), (t_imm, ok_imm) = (checks["chart_injective"],
-                                                checks["chart_immersive"])
-            sums[0] += t_inj
-            sums[1] += t_imm
-            print(f"{str(cone):<14}{t_inj:>12.4f}{t_imm:>13.4f}  {ok_inj} {ok_imm}")
-        print(f"{'sum':<14}{sums[0]:>12.4f}{sums[1]:>13.4f}")
+            (inj, inj_ok), (imm, imm_ok) = (checks[name] for name in CHECKS)
+            verdicts = " ".join("/".join(map(str, sorted(oks))) for oks in (inj_ok, imm_ok))
+            print(f"{str(cone):<14}{_spread(inj):>21}{_spread(imm):>22}  {verdicts}")
+        sums = [[sum(rep) for rep in zip(*(checks[name][0] for checks in timed.values()))]
+                for name in CHECKS]
+        print(f"{'sum':<14}{_spread(sums[0]):>21}{_spread(sums[1]):>22}")
     verify.DEFAULT_DEGREE_CAP = cap
     return 0
 
