@@ -7,7 +7,6 @@ Run with:  python3 demos/03_embed_and_certify.py
 
 from fractions import Fraction
 
-from toricurve.certificate import dumps_certificate
 from toricurve.embed import (
     build_embedding_data,
     chart_maps,
@@ -16,7 +15,7 @@ from toricurve.embed import (
 )
 from toricurve.fan import preset
 from toricurve.intersect import find_ample, xi_vector
-from toricurve.verify import certify
+from toricurve.verify import certify, dumps_certificate
 
 
 def banner(title):

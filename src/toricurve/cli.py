@@ -12,7 +12,6 @@ import json
 import sys
 from pathlib import Path
 
-from .certificate import DegreeOverflow, dumps_certificate
 from .embed import (
     _parse_fraction, build_embedding_data, check_theorem_conditions, dumps_embedding, load_embedding,
 )
@@ -21,7 +20,8 @@ from .fan import (
     dumps_fan, dumps_json, fan_to_dict, load_fan, preset, star_subdivision, validate,
 )
 from .feasibility import EliminationOverflow
-from .intersect import NotProjective, TDivisor, find_ample, xi_vector
+from .intersect import XI_METHODS, NotProjective, TDivisor, find_ample, xi_vector
+from .verify import DegreeOverflow, certify, dumps_certificate
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -68,14 +68,6 @@ ERRORS = (
     ((ValueError, OSError), "bad-input", EXIT_ERROR),
     (Exception, "unexpected", EXIT_ERROR),
 )
-
-
-def certify(data):
-    """verify.certify, imported on first call: ``embed`` and the fan commands
-    never load the certification code."""
-    from .verify import certify
-
-    return certify(data)
 
 
 def _fail(report: dict, exc: Exception) -> int:
@@ -353,8 +345,7 @@ def _add_fan_source(parser: argparse.ArgumentParser) -> None:
 def _add_xi_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--ample", default="auto",
                         help="'auto' or a divisor JSON file (default auto)")
-    parser.add_argument("--xi-method", default="intersection",
-                        choices=("intersection", "kernel"))
+    parser.add_argument("--xi-method", default="intersection", choices=XI_METHODS)
 
 
 def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:

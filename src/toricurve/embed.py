@@ -21,7 +21,7 @@ from .curve import (
 )
 from .fan import Fan, dual_basis, fan_from_dict, fan_to_dict, primitive_collections, validate
 from .fan import _is_int, dumps_json, ray_matrix as pairing_matrix  # a[i][rho] = <m_i, n_rho>
-from .intersect import TDivisor, XiVector
+from .intersect import XI_METHODS, TDivisor, XiVector
 
 Vec3 = tuple[int, int, int]
 
@@ -315,10 +315,10 @@ def embedding_from_dict(doc) -> EmbeddingData:
         not isinstance(xi_doc, dict)
         or set(xi_doc) != {"values", "method"}
         or not _int_list(xi_doc["values"], n)
-        or xi_doc["method"] not in ("intersection", "kernel")
+        or xi_doc["method"] not in XI_METHODS
     ):
         raise BadEmbeddingFile(
-            f"xi must be {{values: {n} ints, one per ray, method: intersection|kernel}}"
+            f"xi must be {{values: {n} ints, one per ray, method: {'|'.join(XI_METHODS)}}}"
         )
     xi = XiVector(tuple(xi_doc["values"]), xi_doc["method"])
     if not isinstance(doc["divisors"], list) or len(doc["divisors"]) != n:

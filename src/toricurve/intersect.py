@@ -154,19 +154,25 @@ def find_ample(fan: Fan) -> TDivisor:
     return result
 
 
+XI_METHODS = ("intersection", "kernel")
+
+
 def xi_vector(fan: Fan, ample: TDivisor | None, method: str = "intersection") -> XiVector:
-    """Strictly positive integer kernel vector of the ray matrix.
+    """Strictly positive integer kernel vector of the ray matrix, by one of
+    XI_METHODS.
 
     intersection: degrees of the rays' divisors against the square of an
     ample divisor.  kernel: exact feasibility over the integer kernel basis,
     minimizing the coefficient sum, scaled back to integers.
     """
+    if method not in XI_METHODS:
+        raise ValueError(f"unknown method {method!r}")
     A = ray_matrix(fan)
     if method == "intersection":
         if ample is None or not is_ample(fan, ample):
             raise NotAmple("intersection method needs an ample divisor")
         values = _mixed_degrees(fan, ample, ample)
-    elif method == "kernel":
+    else:
         basis = integer_kernel_basis(A)
         if not basis:
             raise NoPositiveKernel("ray matrix has trivial kernel")
@@ -183,8 +189,6 @@ def xi_vector(fan: Fan, ample: TDivisor | None, method: str = "intersection") ->
         v = [sum(vec[j] * yt for vec, yt in zip(basis, ys)) for j in range(fan.n_rays)]
         g = gcd(den, *v)
         values = tuple(x // g for x in v)
-    else:
-        raise ValueError(f"unknown method {method!r}")
 
     if min(values) <= 0:
         raise NoPositiveKernel(f"derived degrees are not strictly positive: {values}")

@@ -42,16 +42,17 @@ The quick pass takes the pairwise resultants cheapest first and stops
 after two when a stripped candidate is constant or the two are proved
 coprime.  The arithmetic on int lists and rows, every exact division of
 rows and sympy's included, is poly's.
+
+certify hands back a Certificate of ChartRecords, and certificate.json is
+their fields, as dumps_certificate writes them.
 """
 from __future__ import annotations
 
 import json
 from fractions import Fraction
 from itertools import chain, combinations, islice
+from typing import NamedTuple
 
-from .certificate import (  # noqa: F401, certificate_to_dict re-exported
-    Certificate, ChartRecord, CheckResult, DegreeOverflow, certificate_to_dict,
-)
 from .curve import (
     CDivisor,
     CurvePoint,
@@ -62,6 +63,7 @@ from .curve import (
     evaluate_with_derivative,
 )
 from .embed import ChartMap, EmbeddingData, chart_maps, check_theorem_conditions, refuse_infinity
+from .fan import dumps_json
 from .poly import (
     _MERSENNE_EXPONENTS, _at, _bezoutian, _common_factor, _coprime, _divides, _eliminant,
     _diagonal, _exquo_su, _factor, _gcd_all, _homogeneous, _lc, _print_sorted, _rational_roots,
@@ -69,6 +71,43 @@ from .poly import (
 )
 
 DEFAULT_DEGREE_CAP = 512
+
+
+class DegreeOverflow(RuntimeError):
+    """A polynomial elimination step would exceed the degree cap."""
+
+    def __init__(self, cone, estimate: int, cap: int, what: str = "elimination degree estimate"):
+        super().__init__(f"chart {cone}: {what} {estimate} exceeds cap {cap}")
+        self.cone = cone
+        self.estimate = estimate
+        self.cap = cap
+
+
+class CheckResult(NamedTuple):
+    ok: bool
+    method: str
+    witnesses: tuple = ()
+
+
+class ChartRecord(NamedTuple):
+    cone: tuple[int, int, int]
+    injective: bool
+    immersive: bool
+    injectivity_method: str
+    witnesses: tuple = ()
+
+
+class Certificate(NamedTuple):
+    charts: tuple[ChartRecord, ...]
+    pullback_ok: bool
+    pullback_witnesses: tuple
+    embedded: bool
+
+    @property
+    def verdict_vector(self) -> tuple:
+        return tuple(
+            (r.cone, r.injective, r.immersive) for r in self.charts
+        ) + (("pullback", self.pullback_ok),)
 
 
 def _zero_witnesses(g, gens: str, excluded_fr, at_root, at_factor):
@@ -502,3 +541,12 @@ def certify(data: EmbeddingData) -> Certificate:
     embedded = all(r.injective and r.immersive for r in records) and pull.ok
     return Certificate(tuple(records), pull.ok, pull.witnesses, embedded)
 
+
+
+def certificate_to_dict(cert: Certificate) -> dict:
+    """certificate.json's object: the fields of the certificate and of each chart record."""
+    return {**cert._asdict(), "charts": [r._asdict() for r in cert.charts]}
+
+
+def dumps_certificate(cert: Certificate) -> str:
+    return dumps_json(certificate_to_dict(cert), sort_keys=True) + "\n"

@@ -11,10 +11,11 @@ F = Fraction
 ONES = (F(1), F(1), F(1))
 
 
-def pipeline_data(name, seed=0):
+def pipeline_data(name, seed=0, torus=(1, 1, 1), method="intersection"):
     fan = preset(name)
     ample = find_ample(fan)
-    return build_embedding_data(fan, ample, xi_vector(fan, ample), seed)
+    xi = xi_vector(fan, ample, method=method)
+    return build_embedding_data(fan, ample, xi, seed, torus)
 
 
 def shared_point_data():

@@ -55,7 +55,6 @@ from sympy.polys.matrices import DomainMatrix
 from sympy.polys.rings import ring
 
 from toricurve import verify
-from toricurve.certificate import CheckResult
 from toricurve.curve import (
     _MASK,
     INFINITY,
@@ -78,6 +77,7 @@ from toricurve.intlinalg import NotUnimodular, det
 from toricurve.poly import (
     _Q_BITS, _bezoutian, _common_factor, _diagonal, _divides, _str, _trim,
 )
+from toricurve.verify import CheckResult
 
 _QSU, _QS, _QU = ring("s,u", QQ)
 

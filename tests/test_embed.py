@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from negative_fixtures import divisor_at_infinity_data
+from negative_fixtures import divisor_at_infinity_data, pipeline_data
 from oracles import transition_mismatches
 from toricurve.curve import (
     CDivisor,
@@ -29,14 +29,6 @@ from toricurve.embed import (
     pairing_matrix,
 )
 from toricurve.fan import Fan, preset
-from toricurve.intersect import TDivisor, find_ample, xi_vector
-
-
-def pipeline_data(name, seed=0, torus=(1, 1, 1), method="intersection"):
-    fan = preset(name)
-    ample = find_ample(fan)
-    xi = xi_vector(fan, ample, method=method)
-    return build_embedding_data(fan, ample, xi, seed, torus)
 
 
 def test_pairing_matrix_p3(p3):
@@ -242,6 +234,9 @@ def test_serialization_rejects_malformed():
         embedding_from_dict({**doc, "torus": ["1", "0.5x", "1"]})
     with pytest.raises(BadEmbeddingFile, match="exactly three character functions expected"):
         embedding_from_dict({**doc, "epsilon": doc["epsilon"][:2]})
+    with pytest.raises(BadEmbeddingFile) as err:
+        embedding_from_dict({**doc, "xi": {**doc["xi"], "method": "auto"}})
+    assert str(err.value) == "xi must be {values: 4 ints, one per ray, method: intersection|kernel}"
 
 
 def _set(path, value):

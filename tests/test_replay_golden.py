@@ -26,13 +26,12 @@ import pytest
 
 import negative_fixtures
 from conftest import run_main
-from toricurve.certificate import Certificate, ChartRecord, dumps_certificate
 from toricurve.cli import main
 from toricurve.curve import CDivisor, CurvePoint, principal_function
 from toricurve.embed import EmbeddingData, check_theorem_conditions, pairing_matrix
 from toricurve.fan import Fan, ValidationReport, preset, save_fan, star_subdivision
 from toricurve.intersect import TDivisor, XiVector, xi_vector
-from toricurve.verify import certify
+from toricurve.verify import Certificate, ChartRecord, certify, dumps_certificate
 
 F = Fraction
 PRESETS = ("p3", "p1p1p1", "bl-p3-point")

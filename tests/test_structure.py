@@ -320,18 +320,21 @@ def _no_lazy_names(mods) -> list:
 
 
 def _imports_are_used(mods) -> list:
-    """A module-level import nobody in its module reads, but for the
-    exceptions in UNUSED_IMPORTS, each of which must still be one."""
-    found, unused = [], set()
+    """A module-level import nobody in its module reads."""
+    found = []
     for m in mods.values():
         read = {node.id for node, _, _ in m.nodes if isinstance(node, ast.Name)}
-        for site, local, scope in m.imports:
-            if scope == "module" and site.name.split(".")[0] != "__future__" and local not in read:
-                unused.add((m.name, local))
-                if (m.name, local) not in UNUSED_IMPORTS:
-                    found.append(m.report(site, f"{local} is imported and never read"))
-    return found + [f"{pair} is no longer an unused import: drop it from UNUSED_IMPORTS"
-                    for pair in sorted(UNUSED_IMPORTS - unused)]
+        found += [m.report(site, f"{local} is imported and never read")
+                  for site, local, scope in m.imports
+                  if scope == "module" and site.name.split(".")[0] != "__future__" and local not in read]
+    return found
+
+
+def _one_deferred_import(mods) -> list:
+    """An import inside a function body anywhere but poly._sympy."""
+    return [m.report(site, f"{site.name} imported on call") for m in mods.values()
+            for site, _, scope in m.imports
+            if scope == "function" and (m.name, site.top) != ("poly", "_sympy")]
 
 
 def _is_factor_term(node) -> bool:
@@ -433,11 +436,6 @@ RETIRED = [
     ("verify", "_scalar_quotient"),
 ]
 
-# (module, name): module-level imports nothing in their module reads; each
-# must stay one, so the list shrinks when the import goes.  verify re-exports
-# certificate_to_dict for pipebench/test_pipebench.py.
-UNUSED_IMPORTS = {("verify", "certificate_to_dict")}
-
 RULES = [
     Rule("sympy-stays-lazy",
          "Witness strings print from int lists and rows; building an Expr would load "
@@ -533,10 +531,20 @@ RULES = [
          _no_lazy_names,
          ("src/toricurve/__init__.py", "\n\ndef __getattr__(name):\n    raise AttributeError(name)\n")),
     Rule("imports-are-used",
-         "A module imports what it uses, so no module is a re-export layer; the one exception, "
-         "in UNUSED_IMPORTS, goes with the shim that pins it.",
+         "A module imports what it uses, so no module is a re-export layer: every module-level "
+         "import in src/ is read in its module.",
          _imports_are_used,
          ("src/toricurve/fan.py", "\nimport os\n")),
+    Rule("one-deferred-import",
+         "Every module of the package imports its siblings at the top, so a name is bound "
+         "once, where it is imported, and no wrapper stands in for it.  The one import "
+         "deferred to a call is poly._sympy's (sympy-stays-lazy covers what it defers).  "
+         "Loading verify and poly costs about 2 ms with cached bytecode (about 16 ms to compile "
+         "them without), which no wrapper that imports a sibling on first call, like cli's old "
+         "lazy certify, is worth.",
+         _one_deferred_import,
+         ("src/toricurve/cli.py",
+          "\n\ndef certify(data):\n    from .verify import certify\n\n    return certify(data)\n")),
     Rule("retired-names-stay-gone",
          "A function deleted for good is listed in RETIRED with its reason, and no module "
          "defines it again.",

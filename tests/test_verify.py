@@ -27,7 +27,6 @@ from oracles import (
     roots_and_factors_by_filter,
 )
 from test_replay_golden import GOLDEN, INVOLUTIONS, involution_data
-from toricurve.certificate import dumps_certificate
 from toricurve.curve import (
     INFINITY,
     CDivisor,
@@ -53,6 +52,7 @@ from toricurve.verify import (
     certify,
     chart_immersive,
     chart_injective,
+    dumps_certificate,
     pullback_check,
 )
 
