@@ -20,7 +20,9 @@ from .fan import (
     dumps_fan, dumps_json, fan_to_dict, load_fan, preset, star_subdivision, validate,
 )
 from .feasibility import EliminationOverflow
-from .intersect import XI_METHODS, NotProjective, TDivisor, find_ample, xi_vector
+from .intersect import (
+    XI_METHODS, NotAmple, NotProjective, TDivisor, find_ample, is_ample, xi_vector,
+)
 from .verify import DegreeOverflow, certify, dumps_certificate
 
 EXIT_OK = 0
@@ -147,11 +149,15 @@ def _load_divisor(path: str, fan: Fan) -> TDivisor:
         raise ValueError("coeffs must be an int array")
     if len(coeffs) != fan.n_rays:
         raise ValueError("divisor length does not match the fan")
-    return TDivisor(tuple(coeffs))
+    divisor = TDivisor(tuple(coeffs))
+    if not is_ample(fan, divisor):
+        raise NotAmple(f"divisor is not ample: {path}")
+    return divisor
 
 
 def _ample(fan: Fan, source: str) -> TDivisor:
-    """The divisor named by ``--ample``: searched for ("auto") or read from a file."""
+    """The divisor named by ``--ample``: searched for ("auto") or read from a
+    file, which must be ample whatever the xi method."""
     return find_ample(fan) if source == "auto" else _load_divisor(source, fan)
 
 

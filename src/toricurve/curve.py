@@ -9,9 +9,10 @@ Each exact operation is done once.  A point hashes once, from its reduced
 numerator and denominator.  Divisors and functions canonicalise in one sort
 by the exact key ((num << 32) // den, value): the first entry is a plain
 int, the Fraction comparison only breaks its ties, and equal points land
-side by side, so the same pass finds repeats.  Products and merges sum
-exponents in one dict keyed by (num, den), and no Fraction is rebuilt from
-a Fraction.  Evaluation is homogeneous and in ints, in one loop
+side by side, so the same pass finds repeats.  Products sum exponents in
+one dict keyed by (num, den), and no Fraction is rebuilt from a Fraction;
+the one sum of divisors, pairing_divisor, is one sort of the D_rho's
+scaled entries.  Evaluation is homogeneous and in ints, in one loop
 (evaluate_ints): at t = a / b each factor r = rn / rd contributes the int
 d = a rd - rn b, the value and the log-derivative accumulate as unreduced
 int numerators and denominators, and a result is the only Fraction built.
@@ -154,6 +155,23 @@ class CDivisor(namedtuple("CDivisor", "entries")):
         return CDivisor._make((tuple((p, k * m) for p, m in self.entries),))
 
 
+def pairing_divisor(divisors, coeffs) -> CDivisor:
+    """sum_rho coeffs[rho] * D_rho.
+
+    Each D_rho is sorted, so one sort of the scaled entries merges the runs;
+    equal points land side by side, their multiplicities are summed and
+    zeros dropped.
+    """
+    scaled = [(p, k * m) for k, d in zip(coeffs, divisors) if k for p, m in d.entries]
+    scaled.sort(key=lambda e: e[0]._order)
+    entries = []
+    for p, m in scaled:
+        if entries and entries[-1][0]._reduced == p._reduced:
+            m += entries.pop()[1]
+        entries.append((p, m))
+    return CDivisor._make((tuple(e for e in entries if e[1]),))
+
+
 class RationalFunction(namedtuple("RationalFunction", "constant factors")):
     """c * prod (t - root)^exp with distinct rational roots and c != 0; _make
     takes a canonical (constant, factors) as it is.
@@ -268,24 +286,6 @@ def principal_function(divisor: CDivisor) -> RationalFunction:
     entries = divisor.entries[:-1] if at_infinity else divisor.entries
     factors = tuple((p.finite, m) for p, m in entries)
     return RationalFunction._make((Fraction(1), factors))
-
-
-def has_divisor(f: RationalFunction, divisors, coeffs) -> bool:
-    """Whether div f = sum_k coeffs[k] * divisors[k].
-
-    Both sides are (num, den) -> multiplicity dicts, infinity at (1, 0), so
-    no point is built and nothing is sorted.
-    """
-    want: dict = {}
-    for k, d in zip(coeffs, divisors):
-        if k:
-            for p, m in d.entries:
-                want[p._reduced] = want.get(p._reduced, 0) + k * m
-    have = {(r.numerator, r.denominator): e for r, e in f.factors}
-    o = f.order_at_infinity
-    if o:
-        have[INFINITY._reduced] = o
-    return have == {key: m for key, m in want.items() if m}
 
 
 def evaluate_ints(f: RationalFunction, a: int, b: int, log: bool = False):

@@ -16,7 +16,7 @@ from .curve import (
     CurvePoint,
     ProjectiveLine,
     RationalFunction,
-    has_divisor,
+    pairing_divisor,
     principal_function,
 )
 from .fan import Fan, dual_basis, fan_from_dict, fan_to_dict, primitive_collections, validate
@@ -88,23 +88,6 @@ def _check_xi(fan: Fan, xi: XiVector) -> None:
             raise XiMismatch(
                 f"degrees are not in the ray matrix kernel: coordinate {t} sums to {total}"
             )
-
-
-def pairing_divisor(divisors, coeffs) -> CDivisor:
-    """sum_rho coeffs[rho] * D_rho.
-
-    Each D_rho is sorted, so one sort of the scaled entries merges the runs;
-    equal points land side by side, their multiplicities are summed and
-    zeros dropped.
-    """
-    scaled = [(p, k * m) for k, d in zip(coeffs, divisors) if k for p, m in d.entries]
-    scaled.sort(key=lambda e: e[0]._order)
-    entries = []
-    for p, m in scaled:
-        if entries and entries[-1][0]._reduced == p._reduced:
-            m += entries.pop()[1]
-        entries.append((p, m))
-    return CDivisor._make((tuple(e for e in entries if e[1]),))
 
 
 def build_embedding_data(
@@ -180,7 +163,8 @@ def check_theorem_conditions(data: EmbeddingData) -> ConditionsReport:
 
     Intersections of the D_rho over every primitive collection must be empty
     (any non-face contains a minimal one, so these suffice), and each div
-    eps_i must equal the pairing combination of the divisors on the nose.
+    eps_i must equal the pairing combination of the divisors on the nose:
+    two comparisons of canonical forms, finite entries and infinity.
     """
     supports = [d.support() for d in data.divisors]
     disjoint_failures = []
@@ -193,9 +177,12 @@ def check_theorem_conditions(data: EmbeddingData) -> ConditionsReport:
     a = pairing_matrix(data.fan)
     divisor_failures = []
     for i in range(3):
-        f = data.epsilon[i]
-        if not has_divisor(f, data.divisors, a[i]):
-            diff = f.divisor() + (-pairing_divisor(data.divisors, a[i]))
+        f, combo = data.epsilon[i], pairing_divisor(data.divisors, a[i])
+        at_infinity = combo.at_infinity  # infinity sorts last
+        finite = combo.entries[:-1] if at_infinity else combo.entries
+        if (f.factors != tuple((p.finite, m) for p, m in finite)
+                or f.order_at_infinity != at_infinity):
+            diff = f.divisor() + (-combo)
             divisor_failures.append((i, diff.entries))
 
     return ConditionsReport(tuple(disjoint_failures), tuple(divisor_failures))
@@ -321,6 +308,7 @@ def embedding_from_dict(doc) -> EmbeddingData:
             f"xi must be {{values: {n} ints, one per ray, method: {'|'.join(XI_METHODS)}}}"
         )
     xi = XiVector(tuple(xi_doc["values"]), xi_doc["method"])
+    _check_xi(fan, xi)
     if not isinstance(doc["divisors"], list) or len(doc["divisors"]) != n:
         raise BadEmbeddingFile(f"divisors must be an array of {n}, one per ray")
     if not isinstance(doc["epsilon"], list) or not isinstance(doc["torus"], list):

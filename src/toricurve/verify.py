@@ -485,20 +485,21 @@ def chart_immersive(chart: ChartMap, memo=None) -> CheckResult:
 def pullback_check(data: EmbeddingData, charts) -> CheckResult:
     """Zero divisors of chart coordinates must be the sampled divisors, reduced.
 
-    Both sides are (num, den) -> multiplicity dicts, the zeros taken off the
-    excluded points, which are read once per chart as (num, den) pairs: ints
-    hash faster than Fractions.  A divisor is built only for a mismatch
-    witness.
+    Both sides are canonical tuples, compared as they stand: a coordinate's
+    (root, e) zeros off the excluded points, in its factors' order, and
+    D_rho's (point, m) entries, in the same order.  The excluded points are
+    read once per chart as (num, den) pairs: ints hash faster than
+    Fractions.  A divisor is built only for a mismatch witness.
     """
     witnesses: list[dict] = []
     for chart in charts:
         excluded = {(x.numerator, x.denominator) for x in chart.excluded}
         for f, rho in zip(chart.coords, chart.cone):
-            zeros = {(r.numerator, r.denominator): e for r, e in f.factors
-                     if e > 0 and (r.numerator, r.denominator) not in excluded}
+            zeros = tuple((r, e) for r, e in f.factors
+                          if e > 0 and (r.numerator, r.denominator) not in excluded)
             expected = data.divisors[rho]
-            if zeros != {p._reduced: m for p, m in expected.entries}:
-                diff = CDivisor.of([(Fraction(*x), e) for x, e in zeros.items()]) + (-expected)
+            if zeros != tuple((p.finite, m) for p, m in expected.entries):
+                diff = CDivisor.of(zeros) + (-expected)
                 witnesses.append({"kind": "pullback-mismatch", "cone": list(chart.cone),
                                   "ray": rho, "difference": [[str(p), m] for p, m in diff.entries]})
             elif not expected.is_reduced:

@@ -508,6 +508,10 @@ CONTRACT = (
         (["verify", "--data", "NOT_JSON", "--out", "OUT"], "bad-input", 1),
         (["verify", "--data", "SHORT_XI", "--out", "OUT"], "bad-input", 1),
         (["verify", "--data", "ZERO_TORUS", "--out", "OUT"], "bad-input", 1),
+        # degrees build_embedding_data refuses: negative, zero, off the kernel
+        (["verify", "--data", "NEGATIVE_XI", "--out", "OUT"], "bad-input", 1),
+        (["verify", "--data", "ZERO_XI", "--out", "OUT"], "bad-input", 1),
+        (["verify", "--data", "OFF_KERNEL_XI", "--out", "OUT"], "bad-input", 1),
         (["verify", "--data", "OPEN_WALLS", "--out", "OUT"], "validation", 3),
         (["verify", "--data", "EXTRA_CONE", "--out", "OUT"], "validation", 3),
         (["fan", "subdivide", "--preset", "p3", "--cone", "0,1,x"], "usage", 2),
@@ -527,6 +531,12 @@ CONTRACT = (
         (argv + ["--preset", "p3", "--ample", divisor], "bad-input", 1)
         for divisor in ("MISSING", "DIVISOR_LIST", "DIVISOR_FLOATS", "DIVISOR_SHORT")
         for argv in (["xi"], FAN_COMMANDS["embed"], FAN_COMMANDS["run"])
+    ]
+    + [  # a divisor file that is not ample, under either xi method
+        (argv + ["--preset", "p3", "--ample", divisor], "bad-input", 1)
+        for divisor in ("DIVISOR_ZERO", "DIVISOR_NEGATIVE")
+        for argv in (["xi"], FAN_COMMANDS["embed"], FAN_COMMANDS["run"],
+                     FAN_COMMANDS["run"] + ["--xi-method", "kernel"])
     ]
     + [
         (FAN_COMMANDS[command] + ["--fan", NONPROJECTIVE], "not-projective", 4)
@@ -608,16 +618,20 @@ def test_every_command_obeys_the_exit_code_contract(monkeypatch, tmp_path, argv,
     for name, text in (
         ("MALFORMED", '{"name": "x", "rays": 5, "cones": []}'), ("NOT_JSON", "not json"),
         ("DIVISOR_LIST", "[0, 0, 0, 1]"), ("DIVISOR_FLOATS", '{"coeffs": [0, 0, 0, 1.5]}'),
-        ("DIVISOR_SHORT", '{"coeffs": [0, 0, 1]}'),
+        ("DIVISOR_SHORT", '{"coeffs": [0, 0, 1]}'), ("DIVISOR_ZERO", '{"coeffs": [0, 0, 0, 0]}'),
+        ("DIVISOR_NEGATIVE", '{"coeffs": [1, -5, 0, 0]}'),
     ):
         (tmp_path / name).write_text(text, encoding="utf-8")
-    if {"SHORT_XI", "ZERO_TORUS"} & set(argv):
-        # an embedded p3 curve whose xi keeps 2 of its 4 entries, or whose
-        # torus element has a zero entry
+    if {"SHORT_XI", "NEGATIVE_XI", "ZERO_XI", "OFF_KERNEL_XI", "ZERO_TORUS"} & set(argv):
+        # an embedded p3 curve whose xi keeps 2 of its 4 entries or is not a
+        # positive kernel vector, or whose torus element has a zero entry
         xi = XiVector((1, 1, 1, 1), "intersection")
         doc = embedding_to_dict(build_embedding_data(preset("p3"), None, xi, 0))
         for name, key, value in (
             ("SHORT_XI", "xi", dict(doc["xi"], values=doc["xi"]["values"][:2])),
+            ("NEGATIVE_XI", "xi", dict(doc["xi"], values=[-1, -1, -1, -1])),
+            ("ZERO_XI", "xi", dict(doc["xi"], values=[0, 0, 0, 0])),
+            ("OFF_KERNEL_XI", "xi", dict(doc["xi"], values=[1, 2, 3, 4])),
             ("ZERO_TORUS", "torus", ["0", "1", "1"]),
         ):
             (tmp_path / name).write_text(json.dumps(dict(doc, **{key: value})), encoding="utf-8")
@@ -634,8 +648,10 @@ def test_every_command_obeys_the_exit_code_contract(monkeypatch, tmp_path, argv,
             edit(doc["fan"]["cones"])
             (tmp_path / name).write_text(json.dumps(doc), encoding="utf-8")
     names = (
-        "OUT", "DIR", "MALFORMED", "MISSING", "SHORT_XI", "ZERO_TORUS", "OPEN_WALLS",
+        "OUT", "DIR", "MALFORMED", "MISSING", "SHORT_XI", "NEGATIVE_XI", "ZERO_XI",
+        "OFF_KERNEL_XI", "ZERO_TORUS", "OPEN_WALLS",
         "EXTRA_CONE", "LADDER12", "NOT_JSON", "DIVISOR_LIST", "DIVISOR_FLOATS", "DIVISOR_SHORT",
+        "DIVISOR_ZERO", "DIVISOR_NEGATIVE",
     )
     paths = {name: str(tmp_path / name) for name in names}
     paths["NONSMOOTH"] = write_bad_fan(tmp_path)

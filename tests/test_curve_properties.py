@@ -5,8 +5,9 @@ int pairs, sorts the kept pairs by value and builds a CurvePoint only for a
 point it keeps, leaving the reference's set of taken points; principal
 functions and the order-preserving operations (negation, scaling, inverse,
 powers, divisors) build their result without sorting it again;
-check_theorem_conditions asks has_divisor, which compares div eps_i with its
-pairing combination as (num, den) -> multiplicity dicts.  Each must give
+check_theorem_conditions compares each eps_i's factors with the finite
+entries of its pairing combination, and its order at infinity with the
+combination's multiplicity there, as canonical tuples.  Each must give
 what the references in oracles.py give: equal objects with their entries in
 the same order, and the same failure tuples in the same order.
 """
@@ -29,13 +30,13 @@ from toricurve.curve import (
     CurvePoint,
     NotDegreeZero,
     RationalFunction,
+    pairing_divisor,
     principal_function,
     sample_divisor,
 )
 from toricurve.embed import (
     build_embedding_data,
     check_theorem_conditions,
-    pairing_divisor,
     pairing_matrix,
 )
 from toricurve.fan import preset, primitive_collections

@@ -23,11 +23,11 @@ from hypothesis import strategies as st
 
 from oracles import (
     ChowOracle, cones_meet_in_face_lp, primitive_collections_by_subsets, transition_mismatches,
-    validate_by_pair_scan,
+    unit_divisor, validate_by_pair_scan,
 )
 from test_fan import wall_relation_holds
-from toricurve.curve import CDivisor, CurvePoint
-from toricurve.embed import build_embedding_data, chart_maps, pairing_divisor
+from toricurve.curve import CDivisor, CurvePoint, pairing_divisor
+from toricurve.embed import build_embedding_data, chart_maps
 from toricurve.fan import (
     Fan, MalformedFan, _cones_intersect_in_face, preset, primitive_collections, star_subdivision,
     validate, walls,
@@ -190,19 +190,15 @@ def test_primitive_collections_equal_the_subset_loops(fan):
     assert primitive_collections(fan) == primitive_collections_by_subsets(fan)
 
 
-def unit(n, j):
-    return [int(k == j) for k in range(n)]
-
-
 @settings(PROPERTY, max_examples=25)
 @given(chains())
 def test_the_ample_divisor_found_is_positive_on_every_wall_curve(fan):
     ample = find_ample(fan)
     assert is_ample(fan, ample)
     oracle = ChowOracle(fan.rays, fan.max_cones)
-    n = fan.n_rays
     for w in walls(fan):
-        assert oracle.triple_product(ample.coeffs, unit(n, w.i), unit(n, w.j)) > 0
+        i, j = unit_divisor(fan, w.i).coeffs, unit_divisor(fan, w.j).coeffs
+        assert oracle.triple_product(ample.coeffs, i, j) > 0
 
 
 @PROPERTY

@@ -46,12 +46,6 @@ def oracle_for(fan):
     return _ORACLES[fan.name]
 
 
-def unit(n, j):
-    coeffs = [0] * n
-    coeffs[j] = 1
-    return coeffs
-
-
 def principal_coeffs(fan, m):
     """Coefficients of the divisor of the character m."""
     return [sum(m[c] * ray[c] for c in range(3)) for ray in fan.rays]
@@ -75,8 +69,8 @@ def test_wall_degree_matches_oracle():
         for w in walls(fan):
             for rho in range(n):
                 got = wall_curve_degree(fan, w, unit_divisor(fan, rho))
-                want = oracle.triple_product(unit(n, w.i), unit(n, w.j), unit(n, rho))
-                assert got == want
+                units = (unit_divisor(fan, x).coeffs for x in (w.i, w.j, rho))
+                assert got == oracle.triple_product(*units)
 
 
 def test_triple_goldens(p3, p1p1p1, blp3):
@@ -253,7 +247,7 @@ def test_xi_reads_the_square_off_the_wall_degrees(rays):
         assert got == _mixed_degrees(fan, B, A)
         assert all(sum(a * v for a, v in zip(row, got)) == 0 for row in ray_matrix(fan))
         if oracle:
-            want = tuple(oracle.triple_product(A.coeffs, B.coeffs, unit(rays, j))
+            want = tuple(oracle.triple_product(A.coeffs, B.coeffs, unit_divisor(fan, j).coeffs)
                          for j in range(rays))
             assert got == want
     assert xi_vector(fan, ample).values == _mixed_degrees(fan, ample, ample)

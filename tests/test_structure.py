@@ -364,6 +364,15 @@ def _one_curvepoint_constructor(mods) -> list:
             if re.fullmatch(r"(.+\.)?CurvePoint\.(of|infinity)", site.name)]
 
 
+POINT_FIELDS = {"_reduced", "_order", "_hash"}
+
+
+def _curvepoint_fields_stay_in_curve(mods) -> list:
+    return [m.report(site, site.name) for m in mods.values() if m.name != "curve"
+            for site in m.sites if isinstance(site.node, ast.Attribute)
+            and site.node.attr in POINT_FIELDS]
+
+
 def _one_json_int_test(mods) -> list:
     found = [(m, site) for m in mods.values() for site in m.calls if site.name == "isinstance"
              and len(site.node.args) == 2 and "bool" in {getattr(n, "id", None)
@@ -434,6 +443,13 @@ RETIRED = [
     ("poly", "_heu_gcd_su"),
     # a row quotient is poly._exquo_su's, which reads a scalar multiple first
     ("verify", "_scalar_quotient"),
+    # sum_rho k_rho D_rho is curve.pairing_divisor's one sort: embed builds
+    # each eps_i from it and compares div eps_i with it as canonical tuples,
+    # so no second merge into (num, den) dicts checks the same sum
+    ("curve", "has_divisor"),
+    # the sum of divisors lives beside CDivisor and CurvePoint, whose fields
+    # it reads; embed imports it
+    ("embed", "pairing_divisor"),
 ]
 
 RULES = [
@@ -568,6 +584,22 @@ RULES = [
          _one_curvepoint_constructor,
          ("tests/test_curve.py", "\n\ndef test_infinity_alias():\n    assert CurvePoint.infinity() == INFINITY\n"),
          scope="all"),
+    Rule("curvepoint-fields-stay-in-curve",
+         "How a point is represented, its reduced (num, den) pair, its sort key and its "
+         "cached hash, is known to curve alone: no other module of the package reads "
+         "._reduced, ._order or ._hash.  A sum of divisors is curve.pairing_divisor, and "
+         "verify compares points through their .finite rationals.",
+         _curvepoint_fields_stay_in_curve,
+         ("src/toricurve/embed.py",
+          "\n\ndef pairing_divisor(divisors, coeffs):\n"
+          "    scaled = [(p, k * m) for k, d in zip(coeffs, divisors) if k for p, m in d.entries]\n"
+          "    scaled.sort(key=lambda e: e[0]._order)\n"
+          "    entries = []\n"
+          "    for p, m in scaled:\n"
+          "        if entries and entries[-1][0]._reduced == p._reduced:\n"
+          "            m += entries.pop()[1]\n"
+          "        entries.append((p, m))\n"
+          "    return CDivisor._make((tuple(e for e in entries if e[1]),))\n")),
     Rule("one-json-int-test",
          "\"An int, not a bool\" (JSON true is no count) is written once, as fan._is_int.",
          _one_json_int_test,

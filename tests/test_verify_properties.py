@@ -85,9 +85,9 @@ from oracles import (
 )
 from toricurve import poly, verify
 from test_replay_golden import INVOLUTIONS, involution_data
-from toricurve.curve import CDivisor, RationalFunction, principal_function
+from toricurve.curve import CDivisor, RationalFunction, pairing_divisor, principal_function
 from toricurve.embed import (
-    ChartMap, EmbeddingData, build_embedding_data, chart_maps, pairing_divisor, pairing_matrix,
+    ChartMap, EmbeddingData, build_embedding_data, chart_maps, pairing_matrix,
 )
 from toricurve.fan import preset, star_subdivision
 from toricurve.intersect import XiVector, find_ample, xi_vector
